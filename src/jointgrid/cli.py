@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -130,8 +131,11 @@ def _mask_from_payload(payload: dict) -> AvailabilityMask:
     )
 
 
-def network_payload(network: JointNetwork) -> dict:
-    """Joint-network fixture: registry, placements, and rule files as text."""
+def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str]) -> dict:
+    """Joint-network fixture: registry, placements, and rule files as text.
+
+    ``rule_texts`` maps each (model, case) to its ``rule_file_text``.
+    """
     return {
         "substations": [
             {
@@ -163,8 +167,7 @@ def network_payload(network: JointNetwork) -> dict:
             for entity, meta in sorted(network.registry.items())
         },
         "rules": {
-            f"{model}_case{case}": rule_file_text(network, model, case)
-            for (model, case) in sorted(network.rule_sets)
+            f"{model}_case{case}": text for (model, case), text in sorted(rule_texts.items())
         },
     }
 
@@ -182,6 +185,17 @@ def rule_file_text(network: JointNetwork, model: str, case: int) -> str:
         "GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
     ]
     return format_idr_file(ordered, header=header)
+
+
+def _write_network(out: Path, network: JointNetwork) -> None:
+    """network.json plus one rules_<model>_case<case>.idr file per rule set."""
+    rule_texts = {
+        (model, case): rule_file_text(network, model, case)
+        for model, case in sorted(network.rule_sets)
+    }
+    _write_json(out / "network.json", network_payload(network, rule_texts))
+    for (model, case), text in rule_texts.items():
+        (out / f"rules_{model}_case{case}.idr").write_text(text, encoding="utf-8")
 
 
 # --- scenario files -----------------------------------------------------------
@@ -227,13 +241,25 @@ def load_scenario(path) -> dict:
     return data
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def load_true_state(path, grid: Grid) -> estimation.StateVector:
+    """Bus voltages from ``{"buses": {"<bus>": [re, im], ...}}``."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     buses = data.get("buses", {})
     missing = [b for b in grid.bus_ids if str(b) not in buses]
     if missing:
         raise ScenarioFileError(f"true-state file misses buses {missing}")
-    voltages = [complex(buses[str(b)][0], buses[str(b)][1]) for b in grid.bus_ids]
+    voltages = []
+    for b in grid.bus_ids:
+        entry = buses[str(b)]
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_finite_number, entry))):
+            raise ScenarioFileError(
+                f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {entry!r}"
+            )
+        voltages.append(complex(entry[0], entry[1]))
     return estimation.StateVector.from_complex(grid.bus_ids, voltages)
 
 
@@ -254,10 +280,7 @@ def _cmd_synth(args) -> int:
         return EXIT_VALIDATION
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "network.json", network_payload(network))
-    for model, case in sorted(network.rule_sets):
-        text = rule_file_text(network, model, case)
-        (out / f"rules_{model}_case{case}.idr").write_text(text, encoding="utf-8")
+    _write_network(out, network)
     print(f"wrote network.json and 4 rule files to {out}")
     return EXIT_OK
 
@@ -334,11 +357,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_json(out / "network.json", network_payload(network))
-    for model, case in sorted(network.rule_sets):
-        (out / f"rules_{model}_case{case}.idr").write_text(
-            rule_file_text(network, model, case), encoding="utf-8"
-        )
+    _write_network(out, network)
 
     failure = FailureScenario.of(scenario["_killed"], scenario["label"])
     case = scenario["case"]

@@ -16,12 +16,22 @@ neglected.
 Buses cut off from every measurement are anchored with a weak flat-start
 pseudo-measurement (1+j0, sigma 0.5 pu) so the solve proceeds, and are
 flagged in reports.
+
+The design matrix, the weights and observability depend only on the mask
+and the true state, never on the noise.  ``compare_models`` therefore
+builds the noise-free measurement template once for the union of the
+masks and, per mask, scales the system, checks its rank and anchors its
+null-space buses once.  Each seed then costs one noise draw, and all seeds
+of a mask are solved by one least-squares call with one right-hand-side
+column per seed.  The per-seed path (``simulate_measurements``,
+``solve_with_anchors``, ``wls_solve``) stays as the reference it is tested
+against.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -135,6 +145,13 @@ class Measurement:
     var_i: float
 
 
+def _delivered(m: Measurement, mask: AvailabilityMask) -> bool:
+    """Whether the bus producing ``m`` still delivers its data under the mask."""
+    if m.kind == KIND_SCADA_V:
+        return mask.scada.get(m.bus, False)
+    return mask.pmu.get(m.bus, False)
+
+
 @dataclass
 class MeasurementSet:
     entries: List[Measurement] = field(default_factory=list)
@@ -144,13 +161,80 @@ class MeasurementSet:
 
     def filtered(self, mask: AvailabilityMask) -> "MeasurementSet":
         """Entries whose producing bus still delivers under the mask."""
-        kept = []
-        for m in self.entries:
-            if m.kind == KIND_SCADA_V and mask.scada.get(m.bus, False):
-                kept.append(m)
-            elif m.kind in (KIND_PMU_V, KIND_PMU_I) and mask.pmu.get(m.bus, False):
-                kept.append(m)
-        return MeasurementSet(kept)
+        return MeasurementSet([m for m in self.entries if _delivered(m, mask)])
+
+
+@dataclass(frozen=True)
+class MeasurementTemplate:
+    """The noise-free measurements under one mask, in draw order.
+
+    ``exact`` holds the true values and the floored variances; ``sigmas``
+    holds each entry's per-component noise sigma before flooring (zero
+    allowed).  Nothing here depends on the seed.
+    """
+
+    exact: MeasurementSet
+    sigmas: np.ndarray
+
+    def noise(self, seed: int) -> np.ndarray:
+        """Interleaved [r, i] noise of every entry for one seed.
+
+        One draw over all entries yields the same stream as one size-2 draw
+        per entry in order.
+        """
+        return np.random.default_rng(seed).normal(0.0, np.repeat(self.sigmas, 2))
+
+
+def _incident_branches(grid: Grid) -> Dict[int, List[int]]:
+    """Bus -> indices of its incident branches, in branch order."""
+    incident: Dict[int, List[int]] = {}
+    for index, branch in enumerate(grid.branches):
+        for bus in {branch.from_bus, branch.to_bus}:
+            incident.setdefault(bus, []).append(index)
+    return incident
+
+
+def measurement_template(
+    true_state: StateVector,
+    grid: Grid,
+    mask: AvailabilityMask,
+    scada_sigma: float = SCADA_SIGMA,
+    pmu_sigma: float = PMU_SIGMA,
+) -> MeasurementTemplate:
+    """Noise-free measurement entries under a mask, in draw order: SCADA
+    voltages by bus, then per PMU bus its voltage and incident-branch
+    currents in branch order."""
+    entries: List[Measurement] = []
+    sigmas: List[float] = []
+
+    def add(kind, bus, other, branch_index, value: complex, sigma: float):
+        # Noise is drawn at the exact sigma; the recorded variance is floored
+        # so weights stay positive.
+        var = max(sigma, SIGMA_FLOOR) ** 2
+        entries.append(
+            Measurement(kind, bus, other, branch_index, value.real, value.imag, var, var)
+        )
+        sigmas.append(sigma)
+
+    buses = sorted(true_state.bus_ids)
+    for bus in buses:
+        if mask.scada.get(bus, False):
+            v = true_state.voltage(bus)
+            add(KIND_SCADA_V, bus, None, None, v, scada_sigma * abs(v))
+
+    incident = _incident_branches(grid)
+    for bus in buses:
+        if not mask.pmu.get(bus, False):
+            continue
+        v = true_state.voltage(bus)
+        add(KIND_PMU_V, bus, None, None, v, pmu_sigma * abs(v))
+        for branch_index in incident.get(bus, []):
+            branch = grid.branches[branch_index]
+            other = branch.to_bus if bus == branch.from_bus else branch.from_bus
+            adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
+            current = branch_current(adm, v, true_state.voltage(other))
+            add(KIND_PMU_I, bus, other, branch_index, current, pmu_sigma * abs(current))
+    return MeasurementTemplate(MeasurementSet(entries), np.array(sigmas, dtype=float))
 
 
 def simulate_measurements(
@@ -167,40 +251,14 @@ def simulate_measurements(
     Draw order is fixed (SCADA voltages by bus, then per PMU bus its voltage
     and incident-branch currents), so a wider mask is a superset of draws.
     """
-    rng = np.random.default_rng(seed)
-    entries: List[Measurement] = []
-
-    def noisy(kind, bus, other, branch_index, value: complex, sigma: float):
-        # Draw at the exact sigma (zero allowed); record a floored variance so
-        # weights stay positive.
-        noise = rng.normal(0.0, sigma, size=2)
-        var = max(sigma, SIGMA_FLOOR) ** 2
-        return Measurement(
-            kind, bus, other, branch_index,
-            value.real + noise[0], value.imag + noise[1], var, var,
-        )
-
-    for bus in sorted(true_state.bus_ids):
-        if not mask.scada.get(bus, False):
-            continue
-        v = true_state.voltage(bus)
-        entries.append(noisy(KIND_SCADA_V, bus, None, None, v, scada_sigma * abs(v)))
-
-    for bus in sorted(true_state.bus_ids):
-        if not mask.pmu.get(bus, False):
-            continue
-        v = true_state.voltage(bus)
-        entries.append(noisy(KIND_PMU_V, bus, None, None, v, pmu_sigma * abs(v)))
-        for branch_index, branch in enumerate(grid.branches):
-            if bus not in (branch.from_bus, branch.to_bus):
-                continue
-            other = branch.to_bus if bus == branch.from_bus else branch.from_bus
-            adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
-            current = branch_current(adm, true_state.voltage(bus), true_state.voltage(other))
-            entries.append(
-                noisy(KIND_PMU_I, bus, other, branch_index, current, pmu_sigma * abs(current))
-            )
-    return MeasurementSet(entries)
+    template = measurement_template(true_state, grid, mask, scada_sigma, pmu_sigma)
+    noise = template.noise(seed)
+    return MeasurementSet(
+        [
+            replace(m, z_r=m.z_r + noise[2 * k], z_i=m.z_i + noise[2 * k + 1])
+            for k, m in enumerate(template.exact.entries)
+        ]
+    )
 
 
 def build_system(
@@ -264,6 +322,20 @@ def wls_solve(
     return StateVector(list(bus_ids), solution), residual
 
 
+def _anchor_rows(
+    anchored: Sequence[int], bus_ids: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak flat-start voltage rows (J, W, Z) for the anchored buses."""
+    col = {bus: 2 * i for i, bus in enumerate(bus_ids)}
+    J = np.zeros((2 * len(anchored), 2 * len(bus_ids)))
+    for k, bus in enumerate(anchored):
+        J[2 * k, col[bus]] = 1.0
+        J[2 * k + 1, col[bus] + 1] = 1.0
+    W = np.full(2 * len(anchored), ANCHOR_SIGMA**2)
+    Z = np.tile([1.0, 0.0], len(anchored))
+    return J, W, Z
+
+
 def solve_with_anchors(
     measurements: MeasurementSet, grid: Grid
 ) -> Tuple[StateVector, float, List[int]]:
@@ -279,20 +351,48 @@ def solve_with_anchors(
         return state, residual, []
     except UnobservableError as exc:
         anchored = exc.buses
-    col = {bus: 2 * i for i, bus in enumerate(bus_ids)}
-    extra_rows = np.zeros((2 * len(anchored), J.shape[1]))
-    extra_z = np.zeros(2 * len(anchored))
-    extra_w = np.full(2 * len(anchored), ANCHOR_SIGMA**2)
-    for k, bus in enumerate(anchored):
-        extra_rows[2 * k, col[bus]] = 1.0
-        extra_rows[2 * k + 1, col[bus] + 1] = 1.0
-        extra_z[2 * k] = 1.0
-        extra_z[2 * k + 1] = 0.0
-    J2 = np.vstack([J, extra_rows])
-    W2 = np.concatenate([W, extra_w])
-    Z2 = np.concatenate([Z, extra_z])
-    state, residual = wls_solve(J2, W2, Z2, bus_ids)
+    J_a, W_a, Z_a = _anchor_rows(anchored, bus_ids)
+    state, residual = wls_solve(
+        np.vstack([J, J_a]), np.concatenate([W, W_a]), np.concatenate([Z, Z_a]), bus_ids
+    )
     return state, residual, anchored
+
+
+@dataclass(frozen=True)
+class ScaledSystem:
+    """The seed-independent part of one mask's WLS solve.
+
+    ``A`` is W^-1/2 J with the anchor rows appended; ``scale`` is W^-1/2 of
+    the measurement rows and ``anchor_y`` the scaled anchor observations.
+    """
+
+    A: np.ndarray
+    scale: np.ndarray
+    anchor_y: np.ndarray
+    anchored: List[int]
+
+
+def analyse_system(measurements: MeasurementSet, grid: Grid) -> ScaledSystem:
+    """Scale the design matrix and settle observability once per mask.
+
+    Makes the decisions ``solve_with_anchors`` makes for any seed: the
+    null-space buses of a rank-deficient system get anchor rows, and an
+    anchored system still short of full column rank raises
+    UnobservableError as ``wls_solve`` does.
+    """
+    J, W, _ = build_system(measurements, grid)
+    bus_ids = grid.bus_ids
+    scale = 1.0 / np.sqrt(W)
+    A = J * scale[:, None]
+    if np.linalg.matrix_rank(A) == A.shape[1]:
+        return ScaledSystem(A, scale, np.zeros(0), [])
+    anchored = _null_space_buses(A, bus_ids)
+    J_a, W_a, Z_a = _anchor_rows(anchored, bus_ids)
+    scale_a = 1.0 / np.sqrt(W_a)
+    A = np.vstack([A, J_a * scale_a[:, None]])
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        raise UnobservableError(_null_space_buses(A, bus_ids))
+    return ScaledSystem(A, scale, Z_a * scale_a, anchored)
 
 
 def default_true_state(grid: Grid, seed: int = 42) -> StateVector:
@@ -312,13 +412,22 @@ def default_true_state(grid: Grid, seed: int = 42) -> StateVector:
 
 @dataclass
 class ComparisonResult:
-    """Per-seed, per-bus absolute voltage errors for each model's mask."""
+    """Per-seed, per-bus absolute voltage errors for each model's mask.
+
+    ``chi2[model]`` is each seed's weighted residual sum of squares; with
+    weights that match the noise its mean is about ``rows[model] - cols``
+    (the solved system's row count, anchor rows included, less the state
+    dimension).
+    """
 
     bus_ids: List[int]
     models: List[str]
     seeds: List[int]
     errors: Dict[str, np.ndarray]  # model -> (n_seeds, n_buses)
     anchored: Dict[str, Set[int]]  # model -> buses anchored in any seed
+    chi2: Dict[str, np.ndarray]  # model -> (n_seeds,)
+    rows: Dict[str, int]
+    cols: int
 
     def mean_error(self, model: str) -> Dict[int, float]:
         means = self.errors[model].mean(axis=0)
@@ -342,27 +451,53 @@ def compare_models(
     masks; each model then keeps the entries its own mask retains, so a
     measurement surviving under both models carries identical noise and
     per-bus error differences isolate the masks' effect.
+
+    The draws and decisions are those of ``simulate_measurements`` on the
+    union mask followed by ``filtered`` and ``solve_with_anchors`` per
+    seed, but each mask is analysed once and all its seeds are solved as
+    the columns of one right-hand side.
     """
     models = sorted(masks)
     bus_ids = grid.bus_ids
+    seeds = list(seeds)
     union = AvailabilityMask(
         scada={b: any(masks[m].scada.get(b, False) for m in models) for b in bus_ids},
         pmu={b: any(masks[m].pmu.get(b, False) for m in models) for b in bus_ids},
         pmu_equipped=frozenset().union(*(masks[m].pmu_equipped for m in models)),
     )
-    errors = {m: np.zeros((len(seeds), len(bus_ids))) for m in models}
-    anchored: Dict[str, Set[int]] = {m: set() for m in models}
+    template = measurement_template(true_state, grid, union, scada_sigma, pmu_sigma)
+    entries = template.exact.entries
+    exact = np.array([(m.z_r, m.z_i) for m in entries], dtype=float).reshape(-1)
+    observed = np.empty((exact.size, len(seeds)))  # one column per seed
+    for column, seed in enumerate(seeds):
+        observed[:, column] = exact + template.noise(seed)
+
     true_complex = true_state.as_complex()
-    for row, seed in enumerate(seeds):
-        shared = simulate_measurements(
-            true_state, grid, union, seed, scada_sigma=scada_sigma, pmu_sigma=pmu_sigma
+    errors: Dict[str, np.ndarray] = {}
+    anchored: Dict[str, Set[int]] = {}
+    chi2: Dict[str, np.ndarray] = {}
+    rows: Dict[str, int] = {}
+    for model in models:
+        keep = [k for k, m in enumerate(entries) if _delivered(m, masks[model])]
+        system = analyse_system(MeasurementSet([entries[k] for k in keep]), grid)
+        kept_rows = np.repeat(2 * np.array(keep, dtype=int), 2) + np.tile([0, 1], len(keep))
+        Y = np.vstack(
+            [
+                observed[kept_rows] * system.scale[:, None],
+                np.repeat(system.anchor_y[:, None], len(seeds), axis=1),
+            ]
         )
-        for model in models:
-            kept = shared.filtered(masks[model])
-            state, _, flagged = solve_with_anchors(kept, grid)
-            anchored[model].update(flagged)
-            errors[model][row] = np.abs(state.as_complex() - true_complex)
-    return ComparisonResult(list(bus_ids), models, list(seeds), errors, anchored)
+        solution, _, _, _ = np.linalg.lstsq(system.A, Y, rcond=None)
+        if not np.all(np.isfinite(solution)):
+            raise EstimationError("state must be finite")
+        estimate = solution[0::2] + 1j * solution[1::2]  # (n_buses, n_seeds)
+        errors[model] = np.abs(estimate.T - true_complex)
+        anchored[model] = set(system.anchored)
+        chi2[model] = np.sum((system.A @ solution - Y) ** 2, axis=0)
+        rows[model] = system.A.shape[0]
+    return ComparisonResult(
+        list(bus_ids), models, seeds, errors, anchored, chi2, rows, 2 * len(bus_ids)
+    )
 
 
 def write_errors_csv(result: ComparisonResult, path) -> None:

@@ -169,3 +169,41 @@ def test_estimate_from_mask(fixtures_dir, tmp_path):
     lines = errors_csv.read_text().strip().splitlines()
     assert lines[0] == "bus,model,mean_abs_err,std_err,flagged_unobservable"
     assert len(lines) == 15
+
+
+def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
+    out = tmp_path / "synth"
+    main(["synth", "--grid", str(fixtures_dir / "ieee14.json"), "--out-dir", str(out)])
+    rules = json.loads((out / "network.json").read_text(encoding="utf-8"))["rules"]
+    assert sorted(rules) == ["iim_case1", "iim_case2", "miim_case1", "miim_case2"]
+    for stem, text in rules.items():
+        assert (out / f"rules_{stem}.idr").read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("bad_entry", [[float("nan"), 0.0], [1.0]], ids=["nan", "one_element"])
+def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, bad_entry):
+    grid_path = fixtures_dir / "ieee14.json"
+    bus_ids = [bus["id"] for bus in json.loads(grid_path.read_text())["buses"]]
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_text(
+        json.dumps(
+            {
+                "grid": str(grid_path),
+                "scada": {str(b): True for b in bus_ids},
+                "pmu": {str(b): False for b in bus_ids},
+            }
+        ),
+        encoding="utf-8",
+    )
+    buses = {str(b): [1.0, 0.0] for b in bus_ids}
+    buses["5"] = bad_entry
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"buses": buses}), encoding="utf-8")
+    code = main(
+        [
+            "estimate", "--mask", str(mask_path), "--true-state", str(state_path),
+            "--seeds", "2", "--out", str(tmp_path / "errors.csv"),
+        ]
+    )
+    assert code == 2
+    assert "bus 5" in capsys.readouterr().err

@@ -1,15 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
-from jointgrid.cascade import AvailabilityMask
+from jointgrid import estimation
+from jointgrid.cascade import AvailabilityMask, FailureScenario, data_availability, run_cascade
+from jointgrid.entities import parse_entity_id
 from jointgrid.estimation import (
     KIND_PMU_I,
     KIND_PMU_V,
+    KIND_SCADA_V,
+    PMU_SIGMA,
+    SCADA_SIGMA,
+    SIGMA_FLOOR,
     Measurement,
     MeasurementSet,
     StateVector,
     UnobservableError,
     admittance_from_branch,
+    branch_current,
     branch_current_rows,
     build_system,
     compare_models,
@@ -20,6 +29,7 @@ from jointgrid.estimation import (
     write_errors_csv,
 )
 from jointgrid.grid import Branch, Bus, Grid
+from jointgrid.idr import IIM, MIIM
 
 
 def full_mask(grid, pmu_buses=()):
@@ -320,3 +330,164 @@ def test_errors_csv_format(tmp_path, ieee14_grid):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "bus,model,mean_abs_err,std_err,flagged_unobservable"
     assert len(lines) == 1 + len(ieee14_grid.bus_ids)
+
+
+# --- batched comparison against the per-seed path ------------------------------
+
+
+SCENARIOS_118 = ("ieee118_substation_damage.json", "ieee118_gateway_sadm_failure.json")
+
+
+@pytest.fixture(scope="module")
+def scenario_masks_118(ieee118, fixtures_dir):
+    """Case-1 availability masks of both models for each shipped 118-bus scenario."""
+    masks = {}
+    for name in SCENARIOS_118:
+        killed = json.loads((fixtures_dir / name).read_text())["killed"]
+        failure = FailureScenario.of([parse_entity_id(text) for text in killed])
+        masks[name] = {}
+        for model in (MIIM, IIM):
+            rule_set = ieee118.rule_set(model, 1)
+            trace = run_cascade(ieee118, rule_set, failure)
+            masks[name][model] = data_availability(trace.final_state(), ieee118, rule_set)
+    return masks
+
+
+def union_mask(grid, masks):
+    return AvailabilityMask(
+        scada={b: any(m.scada.get(b, False) for m in masks.values()) for b in grid.bus_ids},
+        pmu={b: any(m.pmu.get(b, False) for m in masks.values()) for b in grid.bus_ids},
+    )
+
+
+def per_seed_comparison(grid, masks, true_state, seeds):
+    """The unbatched reference: draw under the union mask, filter, and solve
+    every (seed, model) on its own."""
+    union = union_mask(grid, masks)
+    errors = {model: [] for model in masks}
+    chi2 = {model: [] for model in masks}
+    anchored = {model: set() for model in masks}
+    for seed in seeds:
+        shared = simulate_measurements(true_state, grid, union, seed)
+        for model, mask in masks.items():
+            state, residual, flagged = solve_with_anchors(shared.filtered(mask), grid)
+            errors[model].append(np.abs(state.as_complex() - true_state.as_complex()))
+            chi2[model].append(residual**2)
+            anchored[model].update(flagged)
+    return errors, chi2, anchored
+
+
+def check_against_per_seed(grid, masks, true_state, seeds):
+    result = compare_models(grid, masks, true_state, seeds)
+    errors, chi2, anchored = per_seed_comparison(grid, masks, true_state, seeds)
+    for model in masks:
+        assert result.errors[model].shape == (len(seeds), len(grid.bus_ids))
+        assert np.max(np.abs(result.errors[model] - np.array(errors[model]))) < 1e-9
+        assert result.chi2[model] == pytest.approx(chi2[model], rel=1e-6)
+        assert result.anchored[model] == anchored[model]
+    return result
+
+
+def test_batched_comparison_matches_per_seed_14(ieee14_grid):
+    masks = {
+        "full": full_mask(ieee14_grid, pmu_buses={2, 10, 13}),
+        "degraded": AvailabilityMask(
+            scada={b: b not in (4, 9) for b in ieee14_grid.bus_ids},
+            pmu={b: b in (2, 13) for b in ieee14_grid.bus_ids},
+        ),
+    }
+    check_against_per_seed(ieee14_grid, masks, default_true_state(ieee14_grid), range(20))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS_118)
+def test_batched_comparison_matches_per_seed_118(ieee118_grid, scenario_masks_118, scenario):
+    result = check_against_per_seed(
+        ieee118_grid, scenario_masks_118[scenario], default_true_state(ieee118_grid), range(6)
+    )
+    # The binary model's larger loss needs anchors in both scenarios.
+    assert result.anchored[IIM]
+
+
+def test_batched_comparison_analyses_each_mask_once(ieee118_grid, scenario_masks_118, monkeypatch):
+    counts = {"analyse": 0, "lstsq": 0}
+    analyse, lstsq = estimation.analyse_system, np.linalg.lstsq
+
+    def counting_analyse(*args, **kwargs):
+        counts["analyse"] += 1
+        return analyse(*args, **kwargs)
+
+    def counting_lstsq(*args, **kwargs):
+        counts["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def no_wls(*args, **kwargs):
+        raise AssertionError("compare_models must not solve per seed")
+
+    monkeypatch.setattr(estimation, "analyse_system", counting_analyse)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(estimation, "wls_solve", no_wls)
+    masks = scenario_masks_118["ieee118_substation_damage.json"]
+    compare_models(ieee118_grid, masks, default_true_state(ieee118_grid), range(10))
+    assert counts == {"analyse": len(masks), "lstsq": len(masks)}
+
+
+def reference_draws(true_state, grid, mask, seed, scada_sigma=SCADA_SIGMA, pmu_sigma=PMU_SIGMA):
+    """One size-2 normal draw per entry, in draw order, scanning every
+    branch for each PMU bus."""
+    rng = np.random.default_rng(seed)
+    entries = []
+
+    def noisy(kind, bus, other, branch_index, value, sigma):
+        noise = rng.normal(0.0, sigma, size=2)
+        var = max(sigma, SIGMA_FLOOR) ** 2
+        entries.append(
+            Measurement(kind, bus, other, branch_index,
+                        value.real + noise[0], value.imag + noise[1], var, var)
+        )
+
+    for bus in sorted(true_state.bus_ids):
+        if mask.scada.get(bus, False):
+            v = true_state.voltage(bus)
+            noisy(KIND_SCADA_V, bus, None, None, v, scada_sigma * abs(v))
+    for bus in sorted(true_state.bus_ids):
+        if not mask.pmu.get(bus, False):
+            continue
+        v = true_state.voltage(bus)
+        noisy(KIND_PMU_V, bus, None, None, v, pmu_sigma * abs(v))
+        for branch_index, branch in enumerate(grid.branches):
+            if bus not in (branch.from_bus, branch.to_bus):
+                continue
+            other = branch.to_bus if bus == branch.from_bus else branch.from_bus
+            adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
+            current = branch_current(adm, v, true_state.voltage(other))
+            noisy(KIND_PMU_I, bus, other, branch_index, current, pmu_sigma * abs(current))
+    return entries
+
+
+def test_simulate_matches_per_entry_draws(ieee14_grid, ieee118_grid, scenario_masks_118):
+    cases = [
+        (ieee14_grid, full_mask(ieee14_grid, pmu_buses={2, 10, 13}), {}),
+        (ieee14_grid, full_mask(ieee14_grid, pmu_buses={2, 10, 13}),
+         {"scada_sigma": 0.0, "pmu_sigma": 0.0}),
+        (ieee118_grid, union_mask(ieee118_grid, scenario_masks_118[SCENARIOS_118[0]]), {}),
+    ]
+    for grid, mask, sigmas in cases:
+        true_state = default_true_state(grid)
+        for seed in (0, 1, 99):
+            drawn = simulate_measurements(true_state, grid, mask, seed, **sigmas).entries
+            assert drawn == reference_draws(true_state, grid, mask, seed, **sigmas)
+
+
+def test_chi_square_mean_matches_degrees_of_freedom(ieee14_grid):
+    # With weights equal to the inverse noise variances the weighted residual
+    # follows a chi-square law with rows - cols degrees of freedom.
+    mask = full_mask(ieee14_grid, pmu_buses={2, 10, 13})
+    result = compare_models(
+        ieee14_grid, {"m": mask}, default_true_state(ieee14_grid), seeds=range(400)
+    )
+    dof = result.rows["m"] - result.cols
+    assert dof == 24
+    chi2 = result.chi2["m"]
+    assert chi2.shape == (400,)
+    stderr = chi2.std(ddof=1) / np.sqrt(chi2.size)
+    assert abs(chi2.mean() - dof) < 4.0 * stderr
