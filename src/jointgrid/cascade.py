@@ -9,20 +9,28 @@ which guarantees convergence well inside 2x the entity count.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
+
+Both kinds of rule run through one evaluator: each rule set is compiled
+once, over the network's slot map, to code objects evaluated against a
+state array.  The interpretive ``idr.evaluate`` is the test oracle only.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Set
+from types import CodeType
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId
 from jointgrid.idr import (
     MIIM,
+    IdrRule,
+    UnknownEntityError,
     compile_expr,
+    compile_exprs,
     compiled_globals,
-    evaluate,
     free_entities,
 )
 from jointgrid.network import JointNetwork, RuleSet
@@ -58,51 +66,110 @@ class FailureScenario:
 class CascadeTrace:
     """Distinct per-step snapshots T1..Tn; Tn is the fixpoint."""
 
-    entities: List[EntityId]
+    entities: Sequence[EntityId]
     arrays: List[List[int]]
     changed: List[Dict[EntityId, int]]
     converged_at: int
 
     @cached_property
     def steps(self) -> List[Dict[EntityId, int]]:
-        return [
-            {entity: array[i] for i, entity in enumerate(self.entities)}
-            for array in self.arrays
-        ]
+        return [dict(zip(self.entities, array)) for array in self.arrays]
 
     def final_state(self) -> Dict[EntityId, int]:
-        return self.steps[-1]
+        return dict(zip(self.entities, self.arrays[-1]))
 
     def value_history(self, entity: EntityId) -> List[int]:
         slot = self.entities.index(entity)
         return [array[slot] for array in self.arrays]
 
 
-class _CompiledRules:
-    """Rules compiled to code objects over a slot-indexed state array."""
+class _CascadeProgram:
+    """Cascade rules compiled to code objects over a slot-indexed state array.
 
-    def __init__(self, rule_set: RuleSet, entities: List[EntityId]):
-        self.slots = {entity: i for i, entity in enumerate(entities)}
+    A rule is compiled on its first evaluation and kept: a single cascade
+    touches only the rules downstream of its kill set, so a one-off run
+    does not pay for compiling all of them.
+    """
+
+    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
+        self.rules = rules  # also keeps this tuple's id() from being reused
+        self.slots = slots
         self.targets: List[int] = []
-        self.codes = []
+        self.codes: List[Optional[CodeType]] = [None] * len(rules)
         self.rdeps: Dict[int, List[int]] = {}
-        missing = [r.target for r in rule_set.rules if r.target not in self.slots]
+        missing = [r.target for r in rules if r.target not in slots]
         if missing:
             raise ScenarioError(f"rules target unregistered entities: {missing[:5]}")
-        for rule_index, rule in enumerate(rule_set.rules):
-            self.targets.append(self.slots[rule.target])
-            self.codes.append(compile_expr(rule.body, self.slots))
+        for rule_index, rule in enumerate(rules):
+            self.targets.append(slots[rule.target])
             for entity in free_entities(rule):
-                self.rdeps.setdefault(self.slots[entity], []).append(rule_index)
+                self.rdeps.setdefault(slots[entity], []).append(rule_index)
+
+    def code(self, rule_index: int) -> CodeType:
+        code = self.codes[rule_index]
+        if code is None:
+            code = self.codes[rule_index] = compile_expr(self.rules[rule_index].body, self.slots)
+        return code
+
+
+class _Program:
+    """One rule set compiled over one network's slot map.
+
+    The cascade part is shared by every rule set holding the same rules
+    tuple.  The availability part is one code object that returns every
+    substation's SCADA and PMU value at once, read from a compact array of
+    just the entities those expressions reference.  Those are held as the
+    registry's own objects, so that looking them up in a state keyed by the
+    entity order finds each key by identity.
+    """
+
+    def __init__(self, rule_set: RuleSet, network: JointNetwork):
+        slots = self.slots = network.slots
+        self.cascade = _cascade_program(rule_set.rules, slots)
         self.globals = compiled_globals()
+        exprs = []
+        # substation -> index of its SCADA value and of its PMU value, if any
+        self.paths: Dict[int, Tuple[int, Optional[int]]] = {}
+        for sub_id, avail in sorted(rule_set.availability.items()):
+            self.paths[sub_id] = (len(exprs), len(exprs) + 1 if avail.pmu else None)
+            exprs.append(avail.scada.body)
+            if avail.pmu:
+                exprs.append(avail.pmu.body)
+        referenced = {entity for expr in exprs for entity in free_entities(expr)}
+        missing = sorted(entity for entity in referenced if entity not in slots)
+        if missing:
+            raise ScenarioError(
+                f"availability rules reference unregistered entities: {missing[:5]}"
+            )
+        self.inputs = [network.entity_order[slot] for slot in sorted(slots[e] for e in referenced)]
+        self.availability_code = compile_exprs(
+            exprs, {entity: i for i, entity in enumerate(self.inputs)}
+        )
 
 
-def _compiled(rule_set: RuleSet, entities: List[EntityId]) -> _CompiledRules:
-    cache = getattr(rule_set, "_compiled", None)
-    if cache is None or cache.slots.keys() != set(entities):
-        cache = _CompiledRules(rule_set, entities)
-        rule_set._compiled = cache
-    return cache
+# Compiled programs, memoized on the immutable objects they are compiled
+# from: a frozen rule set (or its rules tuple) and a network's slot map.
+# The references are weak, so a rule set's program lives as long as the
+# rule set and a cascade program as long as some rule set's program uses it.
+_PROGRAMS: "weakref.WeakKeyDictionary[RuleSet, _Program]" = weakref.WeakKeyDictionary()
+_CASCADE_PROGRAMS: "weakref.WeakValueDictionary[Tuple[int, int], _CascadeProgram]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _program(network: JointNetwork, rule_set: RuleSet) -> _Program:
+    program = _PROGRAMS.get(rule_set)
+    if program is None or program.slots is not network.slots:
+        program = _PROGRAMS[rule_set] = _Program(rule_set, network)
+    return program
+
+
+def _cascade_program(rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]) -> _CascadeProgram:
+    key = (id(rules), id(slots))
+    program = _CASCADE_PROGRAMS.get(key)
+    if program is None:
+        program = _CASCADE_PROGRAMS[key] = _CascadeProgram(rules, slots)
+    return program
 
 
 def run_cascade(
@@ -113,7 +180,8 @@ def run_cascade(
     """Run the synchronous cascade to its fixpoint."""
     entities = network.entity_ids()
     top = 2 if rule_set.model == MIIM else 1
-    compiled = _compiled(rule_set, entities)
+    program = _program(network, rule_set)
+    compiled = program.cascade
     slots = compiled.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
@@ -132,8 +200,8 @@ def run_cascade(
 
     frontier: Set[int] = set(killed_slots)
     max_steps = 2 * len(entities) + 2
-    local_globals = compiled.globals
-    codes = compiled.codes
+    local_globals = program.globals
+    code = compiled.code
     targets = compiled.targets
 
     while frontier:
@@ -150,7 +218,7 @@ def run_cascade(
             target_slot = targets[rule_index]
             if target_slot in killed_slots:
                 continue
-            value = eval(codes[rule_index], local_globals, env)
+            value = eval(code(rule_index), local_globals, env)
             old = state[target_slot]
             if value > old:
                 entity = entities[target_slot]
@@ -183,15 +251,15 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     Clamped (attacked) targets are exempt: they hold 0 regardless of what
     their rules would compute.
     """
-    compiled = _compiled(rule_set, network.entity_ids())
+    program = _program(network, rule_set)
+    compiled = program.cascade
     state = trace.arrays[-1]
     killed_slots = {compiled.slots[e] for e in trace.changed[0]}
     env = {"a": state}
-    for rule_index, code in enumerate(compiled.codes):
-        target_slot = compiled.targets[rule_index]
+    for rule_index, target_slot in enumerate(compiled.targets):
         if target_slot in killed_slots:
             continue
-        if eval(code, compiled.globals, env) != state[target_slot]:
+        if eval(compiled.code(rule_index), program.globals, env) != state[target_slot]:
             return False
     return True
 
@@ -230,13 +298,19 @@ def data_availability(
     data-path expression evaluates to at least reduced operation.  Buses in
     substations without PMUs never deliver PMU data.
     """
+    program = _program(network, rule_set)
+    try:
+        inputs = [final_state[entity] for entity in program.inputs]
+    except KeyError as exc:
+        raise UnknownEntityError(exc.args[0]) from None
+    values = eval(program.availability_code, program.globals, {"a": inputs})
     scada: Dict[int, bool] = {}
     pmu: Dict[int, bool] = {}
     equipped: Set[int] = set()
     for sub in network.substations:
-        avail = rule_set.availability[sub.id]
-        scada_ok = evaluate(avail.scada.body, final_state) >= 1
-        pmu_ok = bool(avail.pmu) and evaluate(avail.pmu.body, final_state) >= 1
+        scada_index, pmu_index = program.paths[sub.id]
+        scada_ok = values[scada_index] >= 1
+        pmu_ok = pmu_index is not None and values[pmu_index] >= 1
         for bus in sub.buses:
             scada[bus] = scada_ok
             pmu[bus] = pmu_ok if sub.has_pmu else False

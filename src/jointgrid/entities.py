@@ -96,6 +96,12 @@ class EntityId:
                 raise EntityError(f"type-{ctype} subtype must be 1 or 2: {subtype}")
         if self.kind == KIND_LINK and self.indices[0] not in range(1, 7):
             raise EntityError(f"link family must be 1..6: {self.indices[0]}")
+        # Entity ids key every state, registry and slot map; hash once.  The
+        # hash is built from integers only, so it is the same in every process.
+        object.__setattr__(self, "_hash", hash(self.sort_key))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def sort_key(self):

@@ -24,6 +24,7 @@ Electrical parameters are per-unit; only the estimation stage reads them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -109,6 +110,7 @@ def _as_number(value, pointer: str) -> float:
         pointer,
         "expected a number",
     )
+    _expect(math.isfinite(value), pointer, f"expected a finite number, got {value!r}")
     return float(value)
 
 

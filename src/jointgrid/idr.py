@@ -371,6 +371,13 @@ def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int]):
     return compile(_expr_source(expr, slots), "<idr>", "eval")
 
 
+def compile_exprs(exprs: Iterable[IdrExpr], slots: Dict[EntityId, int]):
+    """Compile expressions to one code object returning the tuple of their
+    values, in order; evaluated like :func:`compile_expr`'s result."""
+    source = "".join(f"{_expr_source(expr, slots)}, " for expr in exprs)
+    return compile(f"({source})", "<idr>", "eval")
+
+
 def compiled_globals() -> dict:
     return dict(_COMPILE_GLOBALS)
 

@@ -12,6 +12,7 @@ reaches a control center.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from jointgrid import entities as ent
@@ -76,7 +77,7 @@ class Ring:
         return [n for i, n in enumerate(found) if i == 0 or n != found[i - 1]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AvailabilityRules:
     """Per-substation data-path expressions evaluated at a fixpoint."""
 
@@ -84,14 +85,22 @@ class AvailabilityRules:
     pmu: Optional[IdrRule] = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RuleSet:
-    """Cascade rules plus availability rules for one (model, case) pair."""
+    """Cascade rules plus availability rules for one (model, case) pair.
+
+    Immutable, so that the cascade engine can compile a rule set once and
+    key the program to the object; equality is therefore identity.  Any
+    iterable of rules is stored as a tuple.
+    """
 
     model: str
     case: int
-    rules: List[IdrRule]
+    rules: Tuple[IdrRule, ...]
     availability: Dict[int, AvailabilityRules]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
 
     def by_target(self) -> Dict[EntityId, IdrRule]:
         return {rule.target: rule for rule in self.rules}
@@ -109,6 +118,10 @@ class JointNetwork:
     rtus: Dict[int, List[int]]  # substation -> RTU ids
     pmus: Dict[int, List[int]]  # substation -> PMU ids
     rule_sets: Dict[Tuple[str, int], RuleSet] = field(default_factory=dict)
+    # Canonical entity order (the sorted registry) and each entity's index
+    # in it; set once by synthesis, after the registry is complete.
+    entity_order: Tuple[EntityId, ...] = ()
+    slots: Dict[EntityId, int] = field(default_factory=dict)
 
     @property
     def primary_cc(self) -> int:
@@ -137,8 +150,14 @@ class JointNetwork:
     def rule_set(self, model: str, case: int) -> RuleSet:
         return self.rule_sets[(model, case)]
 
-    def entity_ids(self) -> List[EntityId]:
-        return sorted(self.registry)
+    def entity_ids(self) -> Tuple[EntityId, ...]:
+        """Every registered entity in canonical (sorted) order."""
+        return self.entity_order
+
+    def index_entities(self) -> None:
+        """Fix the canonical entity order and slot map from the registry."""
+        self.entity_order = tuple(sorted(self.registry, key=attrgetter("sort_key")))
+        self.slots = {entity: i for i, entity in enumerate(self.entity_order)}
 
 
 def validate(network: JointNetwork) -> List[str]:
@@ -209,22 +228,26 @@ def validate(network: JointNetwork) -> List[str]:
             targets.add(rule.target)
             if rule.target not in network.registry:
                 problems.append(f"{model}/case{case}: rule target {rule.target} not registered")
-            for entity in sorted(free_entities(rule)):
-                if entity not in network.registry:
-                    problems.append(
-                        f"{model}/case{case}: rule for {rule.target} references "
-                        f"unknown entity {entity}"
-                    )
+            for entity in _unknown_entities(rule, network.registry):
+                problems.append(
+                    f"{model}/case{case}: rule for {rule.target} references "
+                    f"unknown entity {entity}"
+                )
         for sub_id, avail in sorted(rule_set.availability.items()):
             exprs = [avail.scada] + ([avail.pmu] if avail.pmu else [])
             for rule in exprs:
-                for entity in sorted(free_entities(rule)):
-                    if entity not in network.registry:
-                        problems.append(
-                            f"{model}/case{case}: availability rule for substation "
-                            f"{sub_id} references unknown entity {entity}"
-                        )
+                for entity in _unknown_entities(rule, network.registry):
+                    problems.append(
+                        f"{model}/case{case}: availability rule for substation "
+                        f"{sub_id} references unknown entity {entity}"
+                    )
     return problems
+
+
+def _unknown_entities(rule: IdrRule, registry: Dict[EntityId, EntityMeta]) -> List[EntityId]:
+    """Unregistered entities a rule references, in canonical order.  Only
+    these few are sorted: sorting every referenced entity dominated validate."""
+    return sorted(entity for entity in free_entities(rule) if entity not in registry)
 
 
 def _is_single_cycle(nodes, edges) -> bool:

@@ -41,6 +41,8 @@ from jointgrid.idr import (
     translate_to_iim,
 )
 from jointgrid.network import (
+    CASES,
+    MODELS,
     AvailabilityRules,
     EntityMeta,
     JointNetwork,
@@ -589,20 +591,33 @@ def generate_idrs(network: JointNetwork, model: str, case: int) -> RuleSet:
     """Complete rule set for one (model, case) pair."""
     if case not in (1, 2):
         raise SynthesisError(f"unknown case: {case}")
-    rules = generate_cascade_rules(network)
-    availability = generate_availability_rules(network, case)
-    if model == IIM:
-        rules = [translate_to_iim(rule) for rule in rules]
-        availability = {
-            sub_id: AvailabilityRules(
-                translate_to_iim(avail.scada),
-                translate_to_iim(avail.pmu) if avail.pmu else None,
-            )
-            for sub_id, avail in availability.items()
-        }
-    elif model != MIIM:
+    if model not in (MIIM, IIM):
         raise SynthesisError(f"unknown model: {model}")
+    rules = _rules_in_model(generate_cascade_rules(network), model)
+    availability = _availability_in_model(generate_availability_rules(network, case), model)
     return RuleSet(model, case, rules, availability)
+
+
+def _rules_in_model(rules: Sequence[IdrRule], model: str) -> Tuple[IdrRule, ...]:
+    """Ternary-model rules as they read under ``model``, as a tuple."""
+    if model == IIM:
+        return tuple(translate_to_iim(rule) for rule in rules)
+    return tuple(rules)
+
+
+def _availability_in_model(
+    availability: Dict[int, AvailabilityRules], model: str
+) -> Dict[int, AvailabilityRules]:
+    """Ternary-model availability rules as they read under ``model``."""
+    if model == MIIM:
+        return availability
+    return {
+        sub_id: AvailabilityRules(
+            translate_to_iim(avail.scada),
+            translate_to_iim(avail.pmu) if avail.pmu else None,
+        )
+        for sub_id, avail in availability.items()
+    }
 
 
 # --- Orchestration ----------------------------------------------------------------
@@ -650,7 +665,15 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
         pmus=pmus,
     )
     network.registry = build_registry(network)
-    for model in (MIIM, IIM):
-        for case in (1, 2):
-            network.rule_sets[(model, case)] = generate_idrs(network, model, case)
+    network.index_entities()
+    # The cases share their cascade rules, so each model's rules are built
+    # once and the same tuple goes into both of its rule sets.
+    cascade_rules = generate_cascade_rules(network)
+    availability = {case: generate_availability_rules(network, case) for case in CASES}
+    for model in MODELS:
+        rules = _rules_in_model(cascade_rules, model)
+        for case in CASES:
+            network.rule_sets[(model, case)] = RuleSet(
+                model, case, rules, _availability_in_model(availability[case], model)
+            )
     return network

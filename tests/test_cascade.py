@@ -12,8 +12,9 @@ from jointgrid.cascade import (
     verify_fixpoint,
 )
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import IIM, MIIM
-from jointgrid.network import RuleSet
+from jointgrid.idr import IIM, MIIM, compile_exprs, compiled_globals, evaluate
+from jointgrid.network import CASES, MODELS, RuleSet
+from jointgrid.ternary import to_binary
 
 ATTACK = [parse_entity_id(t) for t in ["P(12)", "C(1,1,6,6)", "C(1,2,6,6)"]]
 
@@ -198,3 +199,123 @@ def test_value_history(ieee14, attack):
     trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), attack)
     assert trace.value_history(parse_entity_id("C(2,1,1,0)")) == [2, 2, 1]
     assert trace.value_history(parse_entity_id("P(12)")) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("network_name, seed", [("ieee14", 11), ("ieee118", 12)])
+def test_compiled_availability_matches_interpreter(request, network_name, seed):
+    """Availability through the compiled evaluator equals the interpretive
+    ``evaluate`` on every SCADA and PMU expression, at the fixpoints of 50
+    random kill sets under all four rule sets."""
+    network = request.getfixturevalue(network_name)
+    rng = random.Random(seed)
+    entities = network.entity_ids()
+    kill_sets = [FailureScenario.of(rng.sample(entities, rng.randint(1, 5))) for _ in range(50)]
+    lossy = 0
+    for model in MODELS:
+        for case in CASES:
+            rule_set = network.rule_set(model, case)
+            paths = [
+                (sub_id, kind, rule.body)
+                for sub_id, avail in sorted(rule_set.availability.items())
+                for kind, rule in (("scada", avail.scada), ("pmu", avail.pmu))
+                if rule is not None
+            ]
+            code = compile_exprs([expr for _, _, expr in paths], network.slots)
+            for scenario in kill_sets:
+                trace = run_cascade(network, rule_set, scenario)
+                final = trace.final_state()
+                oracle = [evaluate(expr, final) for _, _, expr in paths]
+                assert list(eval(code, compiled_globals(), {"a": trace.arrays[-1]})) == oracle
+                delivered = {
+                    (sub_id, kind): value >= 1 for (sub_id, kind, _), value in zip(paths, oracle)
+                }
+                mask = data_availability(final, network, rule_set)
+                for sub in network.substations:
+                    pmu_ok = sub.has_pmu and delivered.get((sub.id, "pmu"), False)
+                    for bus in sub.buses:
+                        assert mask.scada[bus] == delivered[sub.id, "scada"]
+                        assert mask.pmu[bus] == pmu_ok
+                        assert (bus in mask.pmu_equipped) == sub.has_pmu
+                assert mask.bus_ids() == set(network.grid.bus_ids)
+                lossy += bool(mask.scada_lost() or mask.pmu_lost())
+    assert lossy > 0
+
+
+def test_entity_order_is_sorted_registry(ieee14, ieee118):
+    for network in (ieee14, ieee118):
+        order = network.entity_ids()
+        assert list(order) == sorted(network.registry)
+        assert network.slots == {entity: i for i, entity in enumerate(order)}
+
+
+def test_binary_loses_superset_under_every_single_failure(ieee14):
+    """The paper's claim, on the full 14-bus N-1 family: under every
+    single-entity failure the binary fixpoint is nowhere above the ternary
+    one read as binary, and the binary model loses at least the SCADA and
+    PMU data the ternary model loses."""
+    violations, strictly_larger = [], set()
+    for case in CASES:
+        miim_rs, iim_rs = ieee14.rule_set(MIIM, case), ieee14.rule_set(IIM, case)
+        for entity in ieee14.entity_ids():
+            scenario = FailureScenario.of([entity])
+            miim = run_cascade(ieee14, miim_rs, scenario)
+            iim = run_cascade(ieee14, iim_rs, scenario)
+            if any(b > to_binary(t) for b, t in zip(iim.arrays[-1], miim.arrays[-1])):
+                violations.append((case, str(entity), "fixpoint"))
+            miim_mask = data_availability(miim.final_state(), ieee14, miim_rs)
+            iim_mask = data_availability(iim.final_state(), ieee14, iim_rs)
+            for kind, lost_miim, lost_iim in (
+                ("SCADA", miim_mask.scada_lost(), iim_mask.scada_lost()),
+                ("PMU", miim_mask.pmu_lost(), iim_mask.pmu_lost()),
+            ):
+                if not lost_miim <= lost_iim:
+                    violations.append((case, str(entity), kind))
+                elif lost_miim < lost_iim:
+                    strictly_larger.add((case, entity))
+    assert violations == []
+    assert strictly_larger
+
+
+def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
+    """The cases share one cascade rules tuple per model and so one compiled
+    cascade program: case 2 compiles no cascade rule after case 1 did.  Each
+    rule set compiles its availability part once, and a second pass over
+    all four rule sets compiles nothing."""
+    from jointgrid import cascade
+    from jointgrid.synthesis import build_joint_network
+
+    network = build_joint_network(ieee14_grid)
+    calls = {"compile_expr": 0, "compile_exprs": 0}
+    for name in calls:
+        original = getattr(cascade, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cascade, name, counting)
+    scenario = FailureScenario.of(ATTACK)
+
+    def screen_all():
+        """Cascade, availability and fixpoint check under every rule set;
+        returns the cascade rules each rule set compiled."""
+        compiled = {}
+        for model in MODELS:
+            for case in CASES:
+                before = calls["compile_expr"]
+                rule_set = network.rule_set(model, case)
+                trace = run_cascade(network, rule_set, scenario)
+                data_availability(trace.final_state(), network, rule_set)
+                assert verify_fixpoint(network, rule_set, trace)
+                compiled[model, case] = calls["compile_expr"] - before
+        return compiled
+
+    compiled = screen_all()
+    first_pass = dict(calls)
+    screen_all()
+    assert calls == first_pass
+    assert calls["compile_exprs"] == 4
+    for model in MODELS:
+        assert network.rule_set(model, 1).rules is network.rule_set(model, 2).rules
+        assert compiled[model, 1] > 0
+        assert compiled[model, 2] == 0

@@ -48,6 +48,17 @@ def test_validate_bad_grid_exits_2(tmp_path, capsys):
     assert "unknown schema version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["x", "b"])
+def test_validate_non_finite_branch_number_exits_2(fixtures_dir, tmp_path, capsys, field):
+    grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
+    grid["branches"][0][field] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(grid), encoding="utf-8")
+    code = main(["validate", "--grid", str(bad)])
+    assert code == 2
+    assert f"/branches/0/{field}" in capsys.readouterr().err
+
+
 def test_missing_scenario_is_runtime_error(tmp_path):
     code = main(["cascade", "--scenario", str(tmp_path / "none.json"), "--out-dir", str(tmp_path)])
     assert code != 0

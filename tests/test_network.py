@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 from jointgrid import entities as ent
 from jointgrid.entities import parse_entity_id
@@ -19,7 +20,8 @@ def test_unknown_entity_in_rule_flagged(ieee14):
     broken = copy.deepcopy(ieee14)
     ghost = ent.bus(99)
     rule_set = broken.rule_sets[(MIIM, 1)]
-    rule_set.rules[0] = IdrRule(rule_set.rules[0].target, Literal(ghost), MIIM)
+    rules = (IdrRule(rule_set.rules[0].target, Literal(ghost), MIIM),) + rule_set.rules[1:]
+    broken.rule_sets[(MIIM, 1)] = dataclasses.replace(rule_set, rules=rules)
     problems = validate(broken)
     assert any("unknown entity P(99)" in p for p in problems)
 

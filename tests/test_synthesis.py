@@ -405,7 +405,7 @@ def test_iim_rules_are_translations(ieee14):
 
     miim_rules = ieee14.rule_set(MIIM, 1).rules
     iim_rules = ieee14.rule_set(IIM, 1).rules
-    assert [translate_to_iim(r) for r in miim_rules] == iim_rules
+    assert [translate_to_iim(r) for r in miim_rules] == list(iim_rules)
 
 
 def test_registry_closure(ieee14):
@@ -436,12 +436,12 @@ def test_determinism(ieee14_grid):
 def test_rule_files_reparse(ieee14):
     for (model, case), rule_set in ieee14.rule_sets.items():
         text = format_idr_file(rule_set.rules)
-        assert parse_idr_file(text) == rule_set.rules
+        assert parse_idr_file(text) == list(rule_set.rules)
 
 
 def test_118_bus_rules_round_trip_and_hold_at_full_operation(ieee118):
     rule_set = ieee118.rule_set(MIIM, 1)
-    assert parse_idr_file(format_idr_file(rule_set.rules)) == rule_set.rules
+    assert parse_idr_file(format_idr_file(rule_set.rules)) == list(rule_set.rules)
     full_state = {e: 2 for e in ieee118.registry}
     for rule in rule_set.rules:
         assert evaluate(rule.body, full_state) == 2
