@@ -2,10 +2,11 @@
 
 Every entity starts at full operation; attacked entities are clamped to 0
 for the whole run.  Each time step re-evaluates every dependent entity's
-rule against the previous step's state simultaneously; a snapshot is
-recorded whenever anything changes, and the run stops at the first step
-that changes nothing.  Operator monotonicity makes values non-increasing,
-which guarantees convergence well inside 2x the entity count.
+rule against the previous step's state simultaneously and records what
+fell; the run stops at the first step that changes nothing.  Operator
+monotonicity makes values non-increasing, which guarantees convergence
+well inside 2x the entity count.  A trace keeps those changes and the
+fixpoint array, from which every earlier step can be replayed.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
@@ -21,13 +22,12 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import CodeType
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from jointgrid.entities import EntityId
 from jointgrid.idr import (
     MIIM,
     IdrRule,
-    UnknownEntityError,
     compile_expr,
     compile_exprs,
     compiled_globals,
@@ -62,24 +62,56 @@ class FailureScenario:
         return FailureScenario(frozenset(killed), label)
 
 
+class FixpointState(Mapping[EntityId, int]):
+    """Read-only view of a fixpoint array as entity -> level.
+
+    Keys iterate in the canonical entity order; an unregistered entity
+    raises ``KeyError``.
+    """
+
+    def __init__(self, slots: Dict[EntityId, int], array: List[int]):
+        self.slots = slots
+        self.array = array
+
+    def __getitem__(self, entity: EntityId) -> int:
+        return self.array[self.slots[entity]]
+
+    def __iter__(self) -> Iterator[EntityId]:
+        return iter(self.slots)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+
 @dataclass
 class CascadeTrace:
-    """Distinct per-step snapshots T1..Tn; Tn is the fixpoint."""
+    """Per-step changes T1..Tn (T1: the attacked entities at 0) and the fixpoint Tn."""
 
-    entities: Sequence[EntityId]
-    arrays: List[List[int]]
+    slots: Dict[EntityId, int]
+    top: int
+    fixpoint: List[int]
     changed: List[Dict[EntityId, int]]
-    converged_at: int
+
+    @property
+    def converged_at(self) -> int:
+        return len(self.changed)
 
     @cached_property
-    def steps(self) -> List[Dict[EntityId, int]]:
-        return [dict(zip(self.entities, array)) for array in self.arrays]
+    def arrays(self) -> List[List[int]]:
+        """Every step's full state, replayed from the changes."""
+        state = [self.top] * len(self.fixpoint)
+        arrays = []
+        for step in self.changed:
+            for entity, value in step.items():
+                state[self.slots[entity]] = value
+            arrays.append(list(state))
+        return arrays
 
-    def final_state(self) -> Dict[EntityId, int]:
-        return dict(zip(self.entities, self.arrays[-1]))
+    def final_state(self) -> FixpointState:
+        return FixpointState(self.slots, self.fixpoint)
 
     def value_history(self, entity: EntityId) -> List[int]:
-        slot = self.entities.index(entity)
+        slot = self.slots[entity]
         return [array[slot] for array in self.arrays]
 
 
@@ -117,10 +149,7 @@ class _Program:
 
     The cascade part is shared by every rule set holding the same rules
     tuple.  The availability part is one code object that returns every
-    substation's SCADA and PMU value at once, read from a compact array of
-    just the entities those expressions reference.  Those are held as the
-    registry's own objects, so that looking them up in a state keyed by the
-    entity order finds each key by identity.
+    substation's SCADA and PMU value at once from a fixpoint array.
     """
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
@@ -141,10 +170,7 @@ class _Program:
             raise ScenarioError(
                 f"availability rules reference unregistered entities: {missing[:5]}"
             )
-        self.inputs = [network.entity_order[slot] for slot in sorted(slots[e] for e in referenced)]
-        self.availability_code = compile_exprs(
-            exprs, {entity: i for i, entity in enumerate(self.inputs)}
-        )
+        self.availability_code = compile_exprs(exprs, slots)
 
 
 # Compiled programs, memoized on the immutable objects they are compiled
@@ -193,7 +219,6 @@ def run_cascade(
     for slot in killed_slots:
         state[slot] = 0
 
-    arrays = [list(state)]
     changed_per_step: List[Dict[EntityId, int]] = [
         {entity: 0 for entity in sorted(scenario.killed)}
     ]
@@ -205,7 +230,7 @@ def run_cascade(
     targets = compiled.targets
 
     while frontier:
-        if len(arrays) > max_steps:
+        if len(changed_per_step) > max_steps:
             raise ConvergenceError(
                 f"no fixpoint within {max_steps} steps; rule set is not monotone"
             )
@@ -231,18 +256,12 @@ def run_cascade(
             break
         for slot, value in updates.items():
             state[slot] = value
-        arrays.append(list(state))
         changed_per_step.append(
             {entities[slot]: value for slot, value in sorted(updates.items())}
         )
         frontier = set(updates)
 
-    return CascadeTrace(
-        entities=entities,
-        arrays=arrays,
-        changed=changed_per_step,
-        converged_at=len(arrays),
-    )
+    return CascadeTrace(slots=slots, top=top, fixpoint=state, changed=changed_per_step)
 
 
 def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrace) -> bool:
@@ -253,7 +272,7 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     """
     program = _program(network, rule_set)
     compiled = program.cascade
-    state = trace.arrays[-1]
+    state = trace.fixpoint
     killed_slots = {compiled.slots[e] for e in trace.changed[0]}
     env = {"a": state}
     for rule_index, target_slot in enumerate(compiled.targets):
@@ -288,7 +307,7 @@ class AvailabilityMask:
 
 
 def data_availability(
-    final_state: Dict[EntityId, int],
+    final_state: FixpointState,
     network: JointNetwork,
     rule_set: RuleSet,
 ) -> AvailabilityMask:
@@ -296,14 +315,13 @@ def data_availability(
 
     A substation's buses deliver SCADA (or PMU) data when the matching
     data-path expression evaluates to at least reduced operation.  Buses in
-    substations without PMUs never deliver PMU data.
+    substations without PMUs never deliver PMU data.  ``final_state`` must
+    come from ``CascadeTrace.final_state()`` of a cascade on ``network``.
     """
+    if not (isinstance(final_state, FixpointState) and final_state.slots is network.slots):
+        raise ValueError("final state was not produced by a cascade on this network")
     program = _program(network, rule_set)
-    try:
-        inputs = [final_state[entity] for entity in program.inputs]
-    except KeyError as exc:
-        raise UnknownEntityError(exc.args[0]) from None
-    values = eval(program.availability_code, program.globals, {"a": inputs})
+    values = eval(program.availability_code, program.globals, {"a": final_state.array})
     scada: Dict[int, bool] = {}
     pmu: Dict[int, bool] = {}
     equipped: Set[int] = set()

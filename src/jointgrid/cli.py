@@ -123,6 +123,20 @@ def _mask_payload(mask: AvailabilityMask, grid_path: str, model: str, case: int)
     }
 
 
+def _write_cascade(
+    out: Path, network: JointNetwork, failure: FailureScenario, model: str, case: int, grid_path: str
+) -> Tuple[CascadeTrace, AvailabilityMask]:
+    """Cascade one rule set, then write its trace (TSV and JSON) and mask."""
+    rule_set = network.rule_set(model, case)
+    trace = run_cascade(network, rule_set, failure)
+    mask = data_availability(trace.final_state(), network, rule_set)
+    stem = f"{model}_case{case}"
+    (out / f"trace_{stem}.tsv").write_text(_trace_tsv(trace), encoding="utf-8")
+    _write_json(out / f"trace_{stem}.json", _trace_payload(trace, model, case, failure.label))
+    _write_json(out / f"availability_{stem}.json", _mask_payload(mask, grid_path, model, case))
+    return trace, mask
+
+
 def _mask_from_payload(payload: dict) -> AvailabilityMask:
     return AvailabilityMask(
         scada={int(bus): bool(ok) for bus, ok in payload["scada"].items()},
@@ -201,16 +215,24 @@ def _write_network(out: Path, network: JointNetwork) -> None:
 # --- scenario files -----------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_scenario(path) -> dict:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path}: not valid JSON: {exc}") from exc
-    if data.get("version") != SCENARIO_VERSION:
+    if not isinstance(data, dict):
+        raise ScenarioFileError(f"{path}: top level must be an object, got {type(data).__name__}")
+    if not _is_int(data.get("version")) or data["version"] != SCENARIO_VERSION:
         raise ScenarioFileError(f"{path}: unknown schema version {data.get('version')!r}")
     if "grid" not in data:
         raise ScenarioFileError(f"{path}: missing grid path")
+    if not isinstance(data["grid"], str):
+        raise ScenarioFileError(f"{path}: grid must be a path string, got {data['grid']!r}")
     grid_path = (path.parent / data["grid"]).resolve()
     if not grid_path.exists():
         raise ScenarioFileError(f"{path}: grid file not found: {grid_path}")
@@ -220,20 +242,31 @@ def load_scenario(path) -> dict:
     data.setdefault("case", 1)
     if data["model"] not in (MIIM, IIM, "both"):
         raise ScenarioFileError(f"{path}: bad model {data['model']!r}")
-    if data["case"] not in (1, 2):
+    if not _is_int(data["case"]) or data["case"] not in (1, 2):
         raise ScenarioFileError(f"{path}: bad case {data['case']!r}")
+    raw_killed = data.get("killed", [])
+    if not isinstance(raw_killed, list):
+        raise ScenarioFileError(f"{path}: killed must be a list of entity ids")
     killed = []
-    for text in data.get("killed", []):
+    for text in raw_killed:
+        if not isinstance(text, str):
+            raise ScenarioFileError(f"{path}: bad killed entity {text!r}: expected a string")
         try:
             killed.append(parse_entity_id(text))
         except EntityError as exc:
             raise ScenarioFileError(f"{path}: bad killed entity {text!r}: {exc}") from exc
     data["_killed"] = killed
     est = data.get("estimation") or {}
+    if not isinstance(est, dict):
+        raise ScenarioFileError(f"{path}: estimation must be an object")
     if est:
-        if not isinstance(est.get("seeds"), int) or est["seeds"] < 1:
+        if not _is_int(est.get("seeds")) or est["seeds"] < 1:
             raise ScenarioFileError(f"{path}: estimation.seeds must be a positive integer")
+        if not _is_int(est.get("seed_base", 0)) or est.get("seed_base", 0) < 0:
+            raise ScenarioFileError(f"{path}: estimation.seed_base must be a non-negative integer")
         if est.get("true_state"):
+            if not isinstance(est["true_state"], str):
+                raise ScenarioFileError(f"{path}: estimation.true_state must be a path string")
             ts_path = (path.parent / est["true_state"]).resolve()
             if not ts_path.exists():
                 raise ScenarioFileError(f"{path}: true-state file not found: {ts_path}")
@@ -316,17 +349,11 @@ def _cmd_cascade(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failure = FailureScenario.of(scenario["_killed"], scenario["label"])
     for model, case in _models_cases(scenario, args):
-        rule_set = network.rule_set(model, case)
-        trace = run_cascade(network, rule_set, failure)
-        mask = data_availability(trace.final_state(), network, rule_set)
-        stem = f"{model}_case{case}"
-        (out / f"trace_{stem}.tsv").write_text(_trace_tsv(trace), encoding="utf-8")
-        _write_json(out / f"trace_{stem}.json", _trace_payload(trace, model, case, scenario["label"]))
-        _write_json(
-            out / f"availability_{stem}.json",
-            _mask_payload(mask, str(scenario["_grid_path"]), model, case),
+        trace, mask = _write_cascade(out, network, failure, model, case, str(scenario["_grid_path"]))
+        print(
+            f"{model}_case{case}: fixpoint at T{trace.converged_at}, "
+            f"scada lost at {sorted(mask.scada_lost())}"
         )
-        print(f"{stem}: fixpoint at T{trace.converged_at}, scada lost at {sorted(mask.scada_lost())}")
     return EXIT_OK
 
 
@@ -371,17 +398,8 @@ def _cmd_run(args) -> int:
     }
     models = [MIIM, IIM] if scenario["model"] == "both" else [scenario["model"]]
     for model in models:
-        rule_set = network.rule_set(model, case)
-        trace = run_cascade(network, rule_set, failure)
-        mask = data_availability(trace.final_state(), network, rule_set)
+        trace, mask = _write_cascade(out, network, failure, model, case, str(scenario["_grid_path"]))
         masks[model] = mask
-        stem = f"{model}_case{case}"
-        (out / f"trace_{stem}.tsv").write_text(_trace_tsv(trace), encoding="utf-8")
-        _write_json(out / f"trace_{stem}.json", _trace_payload(trace, model, case, scenario["label"]))
-        _write_json(
-            out / f"availability_{stem}.json",
-            _mask_payload(mask, str(scenario["_grid_path"]), model, case),
-        )
         report["models"][model] = {
             "converged_at": trace.converged_at,
             "scada_lost": sorted(mask.scada_lost()),

@@ -141,12 +141,6 @@ class JointNetwork:
                 return sub
         raise KeyError(f"unknown substation: {sub_id}")
 
-    def substation_of_bus(self, bus_id: int) -> int:
-        for sub in self.substations:
-            if bus_id in sub.buses:
-                return sub.id
-        raise KeyError(f"bus {bus_id} belongs to no substation")
-
     def rule_set(self, model: str, case: int) -> RuleSet:
         return self.rule_sets[(model, case)]
 

@@ -13,7 +13,7 @@ cascade convergence rests on the monotonicity.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 FAILED = 0
 REDUCED = 1
@@ -57,26 +57,6 @@ def new_xor(values: Iterable[int]) -> int:
     if all(v == first for v in vals):
         return first
     return REDUCED
-
-
-def min_and_all(values: Sequence[int]) -> int:
-    """Left fold of min_and over one or more operands."""
-    if not values:
-        raise ValueError("empty operand list")
-    result = _check_ternary(values[0])
-    for v in values[1:]:
-        result = min_and(result, v)
-    return result
-
-
-def max_or_all(values: Sequence[int]) -> int:
-    """Left fold of max_or over one or more operands."""
-    if not values:
-        raise ValueError("empty operand list")
-    result = _check_ternary(values[0])
-    for v in values[1:]:
-        result = max_or(result, v)
-    return result
 
 
 def binary_and(a: int, b: int) -> int:

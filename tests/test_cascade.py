@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
     FailureScenario,
@@ -319,3 +320,63 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
         assert network.rule_set(model, 1).rules is network.rule_set(model, 2).rules
         assert compiled[model, 1] > 0
         assert compiled[model, 2] == 0
+
+
+def _dense_step(rule_set, state, killed):
+    """One synchronous step of the cascade's definition: every rule
+    re-evaluated at ``state``, attacked entities held at 0."""
+    following = dict(state)
+    for rule in rule_set.rules:
+        if rule.target not in killed:
+            following[rule.target] = evaluate(rule.body, state)
+    return following
+
+
+@pytest.mark.parametrize("network_name, seed, runs", [("ieee14", 21, 30), ("ieee118", 22, 3)])
+def test_replayed_steps_match_dense_evaluation(request, network_name, seed, runs):
+    """The trace's replayed arrays start at the top level with the attacked
+    entities at 0, each later array is one dense step of ``idr.evaluate``
+    over every rule from the one before, and the last is a fixed point."""
+    network = request.getfixturevalue(network_name)
+    rng = random.Random(seed)
+    entities = network.entity_ids()
+    kill_sets = [set(rng.sample(entities, rng.randint(1, 5))) for _ in range(runs)]
+    deepest = 0
+    for model in MODELS:
+        top = 2 if model == MIIM else 1
+        for case in CASES:
+            rule_set = network.rule_set(model, case)
+            for killed in kill_sets:
+                trace = run_cascade(network, rule_set, FailureScenario.of(killed))
+                state = {entity: 0 if entity in killed else top for entity in entities}
+                assert trace.arrays[0] == list(state.values())
+                for array in trace.arrays[1:]:
+                    state = _dense_step(rule_set, state, killed)
+                    assert array == list(state.values())
+                assert _dense_step(rule_set, state, killed) == state
+                deepest = max(deepest, trace.converged_at)
+    assert deepest >= 3
+
+
+def test_trace_keeps_one_state_and_final_state_is_a_view(ieee14, attack):
+    trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), attack)
+    entities = ieee14.entity_ids()
+    final = trace.final_state()
+    assert "arrays" not in vars(trace)
+    full_length = [v for v in vars(trace).values() if isinstance(v, list) and len(v) == len(entities)]
+    assert full_length == [final.array]
+    assert list(final) == list(entities)
+    assert final == dict(zip(entities, trace.arrays[-1]))
+    with pytest.raises(KeyError):
+        final[ent.bus(999)]
+
+
+def test_availability_rejects_state_of_another_network(ieee14_grid, ieee14, attack):
+    from jointgrid.synthesis import build_joint_network
+
+    other = build_joint_network(ieee14_grid)
+    trace = run_cascade(other, other.rule_set(MIIM, 1), attack)
+    rule_set = ieee14.rule_set(MIIM, 1)
+    for state in (trace.final_state(), dict(trace.final_state())):
+        with pytest.raises(ValueError, match="this network"):
+            data_availability(state, ieee14, rule_set)

@@ -218,3 +218,31 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, b
     )
     assert code == 2
     assert "bus 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("top level", lambda s: [s]),
+        ("estimation", lambda s: {**s, "estimation": [1]}),
+        ("killed", lambda s: {**s, "killed": [12]}),
+        ("grid", lambda s: {**s, "grid": 5}),
+        ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": "x"}}),
+        ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": 1.5}}),
+        ("seeds", lambda s: {**s, "estimation": {"seeds": True}}),
+    ],
+    ids=["array", "estimation_list", "killed_int", "grid_int", "seed_base_str",
+         "seed_base_float", "seeds_bool"],
+)
+def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, edit):
+    scenario = {
+        "version": 1,
+        "grid": str(fixtures_dir / "ieee14.json"),
+        "killed": ["P(12)"],
+        "estimation": {"seeds": 2, "seed_base": 0},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(edit(scenario)), encoding="utf-8")
+    code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert field in capsys.readouterr().err

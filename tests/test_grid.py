@@ -1,6 +1,12 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from jointgrid.grid import GridError, grid_from_dict, load_grid
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def minimal_grid_dict():
@@ -102,3 +108,12 @@ def test_not_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(GridError, match="not valid JSON"):
         load_grid(path)
+
+
+def test_118_bus_fixture_matches_generator(fixtures_dir):
+    """``tools/make_ieee118.py`` regenerates the bundled fixture byte for byte."""
+    spec = importlib.util.spec_from_file_location("make_ieee118", TOOLS / "make_ieee118.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    expected = (fixtures_dir / "ieee118.json").read_text(encoding="utf-8")
+    assert json.dumps(generator.payload(), indent=1) + "\n" == expected

@@ -10,9 +10,7 @@ from jointgrid.ternary import (
     binary_and,
     binary_or,
     max_or,
-    max_or_all,
     min_and,
-    min_and_all,
     new_xor,
     to_binary,
 )
@@ -109,10 +107,6 @@ def test_single_operand_passthrough():
 def test_empty_operands_rejected():
     with pytest.raises(ValueError, match="empty operand list"):
         new_xor([])
-    with pytest.raises(ValueError):
-        min_and_all([])
-    with pytest.raises(ValueError):
-        max_or_all([])
 
 
 def test_invalid_levels_rejected():
@@ -124,12 +118,6 @@ def test_invalid_levels_rejected():
         binary_and(2, 0)
     with pytest.raises(ValueError):
         binary_or(0, 2)
-
-
-def test_nary_folds():
-    assert min_and_all([2, 1, 2]) == 1
-    assert max_or_all([0, 1, 0]) == 1
-    assert min_and_all([2]) == 2
 
 
 def test_binary_projection():
