@@ -132,10 +132,16 @@ class _CascadeProgram:
         missing = [r.target for r in rules if r.target not in slots]
         if missing:
             raise ScenarioError(f"rules target unregistered entities: {missing[:5]}")
+        unknown = set()
         for rule_index, rule in enumerate(rules):
             self.targets.append(slots[rule.target])
             for entity in free_entities(rule):
-                self.rdeps.setdefault(slots[entity], []).append(rule_index)
+                if entity in slots:
+                    self.rdeps.setdefault(slots[entity], []).append(rule_index)
+                else:
+                    unknown.add(entity)
+        if unknown:
+            raise ScenarioError(f"rules reference unregistered entities: {sorted(unknown)[:5]}")
 
     def code(self, rule_index: int) -> CodeType:
         code = self.codes[rule_index]

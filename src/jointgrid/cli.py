@@ -34,7 +34,7 @@ from jointgrid.cascade import (
 from jointgrid.entities import EntityError, parse_entity_id
 from jointgrid.grid import Grid, GridError, load_grid
 from jointgrid.idr import IIM, MIIM, format_idr_file
-from jointgrid.network import JointNetwork, validate as validate_network
+from jointgrid.network import EntityMeta, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
 
 EXIT_OK = 0
@@ -46,6 +46,19 @@ SCENARIO_VERSION = 1
 
 class ScenarioFileError(ValueError):
     pass
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="Monte-Carlo estimation under a mask")
     est.add_argument("--mask", required=True, help="availability JSON file")
     est.add_argument("--grid", default=None, help="grid JSON (defaults to mask's grid)")
-    est.add_argument("--seeds", type=int, default=100)
-    est.add_argument("--seed-base", type=int, default=0)
+    est.add_argument("--seeds", type=_int_at_least(1), default=100)
+    est.add_argument("--seed-base", type=_int_at_least(0), default=0)
     est.add_argument("--true-state", default=None)
     est.add_argument("--out", required=True, help="errors CSV path")
 
@@ -137,12 +150,42 @@ def _write_cascade(
     return trace, mask
 
 
-def _mask_from_payload(payload: dict) -> AvailabilityMask:
-    return AvailabilityMask(
-        scada={int(bus): bool(ok) for bus, ok in payload["scada"].items()},
-        pmu={int(bus): bool(ok) for bus, ok in payload["pmu"].items()},
-        pmu_equipped=frozenset(int(b) for b in payload.get("pmu_equipped", [])),
+def _bus_flags(payload: dict, field: str, path: Path) -> Dict[int, bool]:
+    flags = payload.get(field)
+    if not isinstance(flags, dict):
+        raise ScenarioFileError(f"{path}: {field} must be an object of bus id -> true/false")
+    parsed = {}
+    for bus, ok in flags.items():
+        try:
+            bus_id = int(bus)
+        except ValueError:
+            bus_id = None
+        if bus_id is None or not isinstance(ok, bool):
+            raise ScenarioFileError(f"{path}: {field}: bad entry {bus!r}: {ok!r}")
+        parsed[bus_id] = ok
+    return parsed
+
+
+def load_mask(path) -> Tuple[dict, AvailabilityMask]:
+    """An availability file as written by ``cascade``: its JSON and its mask."""
+    path = Path(path)
+    payload = _read_json_object(path)
+    equipped = payload.get("pmu_equipped", [])
+    if not (isinstance(equipped, list) and all(map(_is_int, equipped))):
+        raise ScenarioFileError(f"{path}: pmu_equipped must be a list of bus ids")
+    mask = AvailabilityMask(
+        scada=_bus_flags(payload, "scada", path),
+        pmu=_bus_flags(payload, "pmu", path),
+        pmu_equipped=frozenset(equipped),
     )
+    return payload, mask
+
+
+def _meta_payload(meta: EntityMeta) -> dict:
+    return {
+        "substation": meta.substation,
+        "endpoints": list(meta.endpoints) if meta.endpoints else None,
+    }
 
 
 def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str]) -> dict:
@@ -174,11 +217,7 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
         "rtus": {str(sub): ids for sub, ids in sorted(network.rtus.items())},
         "pmus": {str(sub): ids for sub, ids in sorted(network.pmus.items()) if ids},
         "registry": {
-            str(entity): {
-                "substation": meta.substation,
-                "endpoints": list(meta.endpoints) if meta.endpoints else None,
-            }
-            for entity, meta in sorted(network.registry.items())
+            str(entity): _meta_payload(network.registry[entity]) for entity in network.entity_order
         },
         "rules": {
             f"{model}_case{case}": text for (model, case), text in sorted(rule_texts.items())
@@ -219,14 +258,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_scenario(path) -> dict:
-    path = Path(path)
+def _read_json_object(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioFileError(f"{path}: top level must be an object, got {type(data).__name__}")
+    return data
+
+
+def load_scenario(path) -> dict:
+    path = Path(path)
+    data = _read_json_object(path)
     if not _is_int(data.get("version")) or data["version"] != SCENARIO_VERSION:
         raise ScenarioFileError(f"{path}: unknown schema version {data.get('version')!r}")
     if "grid" not in data:
@@ -358,10 +402,10 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    payload = json.loads(Path(args.mask).read_text(encoding="utf-8"))
-    grid_path = args.grid or (Path(args.mask).parent / payload["grid"])
-    grid = load_grid(grid_path)
-    mask = _mask_from_payload(payload)
+    payload, mask = load_mask(args.mask)
+    if not args.grid and not isinstance(payload.get("grid"), str):
+        raise ScenarioFileError(f"{args.mask}: grid must be a path string, or pass --grid")
+    grid = load_grid(args.grid or Path(args.mask).parent / payload["grid"])
     if args.true_state:
         true_state = load_true_state(args.true_state, grid)
     else:

@@ -54,10 +54,6 @@ class Branch:
     length: float = 0.0
     transformer: bool = False
 
-    @property
-    def key(self) -> Tuple[int, int]:
-        return (self.from_bus, self.to_bus)
-
 
 @dataclass
 class SynthesisConfig:
@@ -81,17 +77,8 @@ class Grid:
     def bus_ids(self) -> List[int]:
         return sorted(b.id for b in self.buses)
 
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise GridError(f"unknown bus: {bus_id}")
-
     def generator_buses(self) -> List[int]:
         return sorted(b.id for b in self.buses if b.generator)
-
-    def branches_at(self, bus_id: int) -> List[Branch]:
-        return [br for br in self.branches if bus_id in (br.from_bus, br.to_bus)]
 
 
 def _expect(condition: bool, pointer: str, message: str):

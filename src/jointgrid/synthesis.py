@@ -8,10 +8,14 @@ PMU-equipped substations, home every other gateway onto its nearest ring
 nodes, then emit the full rule sets for both the ternary and binary models
 and both channel policies.
 
+Each ring is described once, as a ``_RingSide``, and that one description
+feeds both the registry and every rule.
+
 Channel policy case 1 keeps RTU traffic strictly on the SONET path; case 2
 lets the high-bandwidth DWDM path carry RTU traffic when the SONET path is
 down.  The two cases share cascade rules and differ only in the SCADA
-availability expressions.
+availability expressions; both cases' availability rules come from one pass
+per substation, and the cases share the PMU availability rule.
 
 Explicit placement inputs (substation map, control centers, per-substation
 homing) override the distance-derived choices; they exist because real
@@ -21,7 +25,7 @@ fiber layouts follow geography that branch lengths cannot always recover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -304,58 +308,71 @@ def _new_xor(children: Sequence[IdrExpr]) -> IdrExpr:
     return _node(OP_NEW_XOR, children)
 
 
-class _Overlay:
-    """Structural facts shared by registry construction and rule emission."""
+@dataclass(frozen=True)
+class _RingSide:
+    """One optical ring as both the registry and the rules see it.
 
-    def __init__(self, network: JointNetwork):
-        self.net = network
-        self.ccs = network.control_centers
-        self.sadm_sources = {
-            node: self._sources(network.sadm_ring, network.sadm_homing, node)
-            for node in range(1, network.sadm_ring.node_count + 1)
-        }
-        self.oadm_sources = {
-            node: self._sources(network.oadm_ring, network.oadm_homing, node)
-            for node in range(1, network.oadm_ring.node_count + 1)
-        }
-        self.sadm_feeds = self._feeds(network.sadm_ring, self.sadm_sources)
-        self.oadm_feeds = self._feeds(network.oadm_ring, self.oadm_sources)
+    ``channels`` maps each node to the substations with a gateway channel
+    into it: those homed onto it plus both control centers.  ``sources``
+    are the channels whose data the node must carry, which is every channel
+    but a control center hosting the node itself.  ``feeds`` are the node's
+    (bus, link index) power feeds, in link family ``family``.
+    """
 
-    def _sources(self, ring: Ring, homing: Dict[int, int], node: int) -> List[int]:
-        """Substations whose gateways feed data into a ring node."""
-        host = ring.host_of(node)
-        subs = {sub for sub, homed in homing.items() if homed == node}
-        subs |= {cc for cc in self.ccs if cc != host}
-        return sorted(subs)
+    ring: Ring
+    homing: Dict[int, int]  # non-CC substation -> node id
+    node: Callable[[int], EntityId]
+    link: Callable[[int, int], EntityId]
+    channel: Callable[[int, int], EntityId]  # (node, substation)
+    family: int
+    channels: Dict[int, List[int]]
+    sources: Dict[int, List[int]]
+    feeds: Dict[int, List[Tuple[int, int]]]
 
-    def _feeds(self, ring: Ring, sources: Dict[int, List[int]]) -> Dict[int, List[Tuple[int, int]]]:
-        """Per node: (bus, link index) power feeds, host buses first, then
-        source substations' buses ascending by substation; link indices are
-        assigned globally across nodes in node order."""
-        feeds: Dict[int, List[Tuple[int, int]]] = {}
-        counter = 1
-        for node in range(1, ring.node_count + 1):
-            host = ring.host_of(node)
-            sub_order = [host] + [s for s in sources[node] if s != host]
-            buses: List[int] = []
-            for sub_id in sub_order:
-                for bus_id in self.net.substation(sub_id).buses:
-                    if bus_id not in buses:
-                        buses.append(bus_id)
-            feeds[node] = [(bus_id, counter + i) for i, bus_id in enumerate(buses)]
-            counter += len(buses)
-        return feeds
 
-    def channel_subs(self, ring: Ring, homing: Dict[int, int], node: int) -> List[int]:
-        """Substations with a channel into this node: homed plus all CCs."""
-        subs = {sub for sub, homed in homing.items() if homed == node}
-        subs |= set(self.ccs)
-        return sorted(subs)
+def _ring_side(
+    network: JointNetwork, ring: Ring, homing: Dict[int, int], node, link, channel, family: int
+) -> _RingSide:
+    ccs = network.control_centers
+    nodes = range(1, ring.node_count + 1)
+    channels: Dict[int, List[int]] = {n: list(ccs) for n in nodes}
+    for sub_id, homed in homing.items():
+        channels[homed].append(sub_id)
+    sources: Dict[int, List[int]] = {}
+    for n, subs in channels.items():
+        subs.sort()
+        sources[n] = [s for s in subs if not (s == ring.host_of(n) and s in ccs)]
+    # Host buses first, then the source substations' buses ascending by
+    # substation; link indices run across nodes in node order.
+    buses_of = {sub.id: sub.buses for sub in network.substations}
+    feeds: Dict[int, List[Tuple[int, int]]] = {}
+    counter = 1
+    for n in nodes:
+        host = ring.host_of(n)
+        order = [host] + [s for s in sources[n] if s != host]
+        buses = [bus_id for sub_id in order for bus_id in buses_of[sub_id]]
+        feeds[n] = [(bus_id, counter + i) for i, bus_id in enumerate(buses)]
+        counter += len(buses)
+    return _RingSide(ring, homing, node, link, channel, family, channels, sources, feeds)
+
+
+def _ring_sides(network: JointNetwork) -> Tuple[_RingSide, _RingSide]:
+    """The SONET side (SADMs; RTU/SCADA traffic) and the DWDM side (OADMs;
+    PMU traffic, and SCADA backup under case 2)."""
+    return (
+        _ring_side(
+            network, network.sadm_ring, network.sadm_homing,
+            ent.sadm, ent.sonet_ring_link, ent.sonet_channel, 3,
+        ),
+        _ring_side(
+            network, network.oadm_ring, network.oadm_homing,
+            ent.oadm, ent.dwdm_ring_link, ent.dwdm_channel, 4,
+        ),
+    )
 
 
 def build_registry(network: JointNetwork) -> Dict[EntityId, EntityMeta]:
     """Register every modeled entity with its owning substation/endpoints."""
-    overlay = _Overlay(network)
     registry: Dict[EntityId, EntityMeta] = {}
 
     for sub in network.substations:
@@ -385,32 +402,20 @@ def build_registry(network: JointNetwork) -> Dict[EntityId, EntityMeta]:
             registry[ent.pmu(pmu_id)] = EntityMeta(substation=sub.id)
             registry[ent.pmu_channel(pmu_id, sub.id)] = EntityMeta(substation=sub.id)
 
-    for ring, node_builder, link_builder, channel_builder, homing in (
-        (network.sadm_ring, ent.sadm, ent.sonet_ring_link, ent.sonet_channel, network.sadm_homing),
-        (network.oadm_ring, ent.oadm, ent.dwdm_ring_link, ent.dwdm_channel, network.oadm_homing),
-    ):
-        for node in range(1, ring.node_count + 1):
-            registry[node_builder(node)] = EntityMeta(substation=ring.host_of(node))
-        for a, b in ring.edges:
-            registry[link_builder(a, b)] = EntityMeta(
-                endpoints=(str(node_builder(a)), str(node_builder(b)))
-            )
-        for node in range(1, ring.node_count + 1):
-            for sub_id in overlay.channel_subs(ring, homing, node):
-                registry[channel_builder(node, sub_id)] = EntityMeta(
-                    substation=sub_id,
-                    endpoints=(str(ent.gateway(sub_id)), str(node_builder(node))),
+    for side in _ring_sides(network):
+        for node, subs in side.channels.items():
+            node_name = str(side.node(node))
+            registry[side.node(node)] = EntityMeta(substation=side.ring.host_of(node))
+            for sub_id in subs:
+                registry[side.channel(node, sub_id)] = EntityMeta(
+                    substation=sub_id, endpoints=(str(ent.gateway(sub_id)), node_name)
                 )
-
-    for ring, family, feeds, node_builder in (
-        (network.sadm_ring, 3, overlay.sadm_feeds, ent.sadm),
-        (network.oadm_ring, 4, overlay.oadm_feeds, ent.oadm),
-    ):
-        for node, node_feeds in feeds.items():
-            for bus_id, link_index in node_feeds:
-                registry[ent.link(family, link_index)] = EntityMeta(
-                    endpoints=(f"P({bus_id})", str(node_builder(node)))
+            for bus_id, link_index in side.feeds[node]:
+                registry[ent.link(side.family, link_index)] = EntityMeta(
+                    endpoints=(f"P({bus_id})", node_name)
                 )
+        for a, b in side.ring.edges:
+            registry[side.link(a, b)] = EntityMeta(endpoints=(str(side.node(a)), str(side.node(b))))
     return registry
 
 
@@ -442,46 +447,32 @@ def _pmu_ingest(network: JointNetwork, sub: Substation) -> IdrExpr:
     return _new_xor(terms)
 
 
-def _ring_connect(
-    network: JointNetwork, sub: Substation, ring: Ring, homing: Dict[int, int],
-    node_builder, channel_builder,
-) -> IdrExpr:
+def _ring_connect(side: _RingSide, sub: Substation) -> IdrExpr:
     """Gateway-to-ring reachability term: the homed node for an ordinary
     substation, any node for a control center."""
     if sub.is_control_center:
-        terms = [
-            _min_and(_lit(node_builder(node)), _lit(channel_builder(node, sub.id)))
-            for node in range(1, ring.node_count + 1)
-        ]
-        return _max_or(terms)
-    node = homing[sub.id]
-    return _min_and(_lit(node_builder(node)), _lit(channel_builder(node, sub.id)))
+        nodes = range(1, side.ring.node_count + 1)
+    else:
+        nodes = [side.homing[sub.id]]
+    return _max_or([_min_and(_lit(side.node(n)), _lit(side.channel(n, sub.id))) for n in nodes])
 
 
-def _ring_node_rule(
-    network: JointNetwork, overlay: _Overlay, ring: Ring, node: int,
-    node_builder, link_builder, channel_builder, family: int,
-) -> IdrRule:
+def _ring_node_rule(side: _RingSide, node: int, ccs: Sequence[int]) -> IdrRule:
     """Operational rule for a ring node: survivable ring/control-center
     reachability, unanimous data feed from its source gateways' channels,
     and at least one live power feed."""
-    reach_terms: List[IdrExpr] = []
-    for neighbor in ring.neighbors(node):
-        link = link_builder(node, neighbor)
-        reach_terms.append(_min_and(_lit(node_builder(neighbor)), _lit(link)))
-    for cc in overlay.ccs:
-        reach_terms.append(
-            _min_and(_lit(ent.gateway(cc)), _lit(channel_builder(node, cc)))
-        )
-    sources = overlay.sadm_sources[node] if ring.kind == SADM else overlay.oadm_sources[node]
-    data_terms = [_lit(channel_builder(node, sub_id)) for sub_id in sources]
-    feeds = overlay.sadm_feeds[node] if ring.kind == SADM else overlay.oadm_feeds[node]
+    reach_terms = [
+        _min_and(_lit(side.node(neighbor)), _lit(side.link(node, neighbor)))
+        for neighbor in side.ring.neighbors(node)
+    ]
+    reach_terms += [_min_and(_lit(ent.gateway(cc)), _lit(side.channel(node, cc))) for cc in ccs]
+    data_terms = [_lit(side.channel(node, sub_id)) for sub_id in side.sources[node]]
     power_terms = [
-        _min_and(_lit(ent.bus(bus_id)), _lit(ent.link(family, link_index)))
-        for bus_id, link_index in feeds
+        _min_and(_lit(ent.bus(bus_id)), _lit(ent.link(side.family, link_index)))
+        for bus_id, link_index in side.feeds[node]
     ]
     body = _min_and(_max_or(reach_terms), _new_xor(data_terms), _max_or(power_terms))
-    return IdrRule(node_builder(node), body, MIIM)
+    return IdrRule(side.node(node), body, MIIM)
 
 
 def generate_cascade_rules(network: JointNetwork) -> List[IdrRule]:
@@ -493,7 +484,6 @@ def generate_cascade_rules(network: JointNetwork) -> List[IdrRule]:
     still reaches a control center is the availability layer's question and
     does not feed back into equipment failure.
     """
-    overlay = _Overlay(network)
     rules: List[IdrRule] = []
 
     for sub in sorted(network.substations, key=lambda s: s.id):
@@ -517,26 +507,12 @@ def generate_cascade_rules(network: JointNetwork) -> List[IdrRule]:
         for pmu_id in network.pmus.get(sub.id, []):
             rules.append(IdrRule(ent.pmu(pmu_id), _device_power(sub), MIIM))
 
-    for ring, node_builder, link_builder, channel_builder, homing, family in (
-        (network.sadm_ring, ent.sadm, ent.sonet_ring_link, ent.sonet_channel, network.sadm_homing, 3),
-        (network.oadm_ring, ent.oadm, ent.dwdm_ring_link, ent.dwdm_channel, network.oadm_homing, 4),
-    ):
-        for node in range(1, ring.node_count + 1):
-            rules.append(
-                _ring_node_rule(
-                    network, overlay, ring, node,
-                    node_builder, link_builder, channel_builder, family,
-                )
-            )
-        for node in range(1, ring.node_count + 1):
-            for sub_id in overlay.channel_subs(ring, homing, node):
-                rules.append(
-                    IdrRule(
-                        channel_builder(node, sub_id),
-                        _lit(ent.gateway(sub_id)),
-                        MIIM,
-                    )
-                )
+    ccs = network.control_centers
+    for side in _ring_sides(network):
+        for node, subs in side.channels.items():
+            rules.append(_ring_node_rule(side, node, ccs))
+            for sub_id in subs:
+                rules.append(IdrRule(side.channel(node, sub_id), _lit(ent.gateway(sub_id)), MIIM))
 
     rules.sort(key=lambda rule: rule.target.sort_key)
     return rules
@@ -548,54 +524,34 @@ def _device_power(sub: Substation) -> IdrExpr:
     return _max_or(terms)
 
 
-def generate_availability_rules(network: JointNetwork, case: int) -> Dict[int, AvailabilityRules]:
-    """Data-path expressions deciding SCADA/PMU delivery per substation.
+def generate_availability_rules(network: JointNetwork) -> Dict[int, Dict[int, AvailabilityRules]]:
+    """Data-path expressions deciding SCADA/PMU delivery, per case and then
+    per substation.
 
     SCADA follows the SONET path; under case 2 the DWDM path backs it up.
-    The expressions mirror the gateway's full operating conditions (server
-    and LAN, device ingest, ring reachability, power) and are evaluated
-    against a cascade fixpoint rather than iterated.
+    PMU data follows the DWDM path in both cases, so both cases hold the
+    same PMU rule.  The expressions mirror the gateway's full operating
+    conditions (server and LAN, device ingest, ring reachability, power)
+    and are evaluated against a cascade fixpoint rather than iterated.
     """
-    availability: Dict[int, AvailabilityRules] = {}
+    sadm, oadm = _ring_sides(network)
+    availability: Dict[int, Dict[int, AvailabilityRules]] = {case: {} for case in CASES}
     for sub in sorted(network.substations, key=lambda s: s.id):
         head = _min_and(_lit(ent.server(sub.id)), _lit(ent.lan(sub.id)))
-        sadm_connect = _ring_connect(
-            network, sub, network.sadm_ring, network.sadm_homing, ent.sadm, ent.sonet_channel
-        )
-        oadm_connect = _ring_connect(
-            network, sub, network.oadm_ring, network.oadm_homing, ent.oadm, ent.dwdm_channel
-        )
-        if case == 1:
-            scada_reach = sadm_connect
-        else:
-            scada_reach = Op(OP_MAX_OR, (sadm_connect, oadm_connect))
-        scada_body = _min_and(
-            head,
-            _min_and(_scada_ingest(network, sub), scada_reach),
-            _gateway_power(sub),
-        )
-        scada_rule = IdrRule(ent.gw_scada(sub.id), scada_body, MIIM)
+        power = _gateway_power(sub)
+        sadm_connect = _ring_connect(sadm, sub)
+        oadm_connect = _ring_connect(oadm, sub)
         pmu_rule = None
         if network.pmus.get(sub.id):
-            pmu_body = _min_and(
-                head,
-                _min_and(_pmu_ingest(network, sub), oadm_connect),
-                _gateway_power(sub),
-            )
+            pmu_body = _min_and(head, _min_and(_pmu_ingest(network, sub), oadm_connect), power)
             pmu_rule = IdrRule(ent.gw_pmu(sub.id), pmu_body, MIIM)
-        availability[sub.id] = AvailabilityRules(scada_rule, pmu_rule)
+        scada_ingest = _scada_ingest(network, sub)
+        scada_reach = {1: sadm_connect, 2: Op(OP_MAX_OR, (sadm_connect, oadm_connect))}
+        for case in CASES:
+            scada_body = _min_and(head, _min_and(scada_ingest, scada_reach[case]), power)
+            scada_rule = IdrRule(ent.gw_scada(sub.id), scada_body, MIIM)
+            availability[case][sub.id] = AvailabilityRules(scada_rule, pmu_rule)
     return availability
-
-
-def generate_idrs(network: JointNetwork, model: str, case: int) -> RuleSet:
-    """Complete rule set for one (model, case) pair."""
-    if case not in (1, 2):
-        raise SynthesisError(f"unknown case: {case}")
-    if model not in (MIIM, IIM):
-        raise SynthesisError(f"unknown model: {model}")
-    rules = _rules_in_model(generate_cascade_rules(network), model)
-    availability = _availability_in_model(generate_availability_rules(network, case), model)
-    return RuleSet(model, case, rules, availability)
 
 
 def _rules_in_model(rules: Sequence[IdrRule], model: str) -> Tuple[IdrRule, ...]:
@@ -669,7 +625,7 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
     # The cases share their cascade rules, so each model's rules are built
     # once and the same tuple goes into both of its rule sets.
     cascade_rules = generate_cascade_rules(network)
-    availability = {case: generate_availability_rules(network, case) for case in CASES}
+    availability = generate_availability_rules(network)
     for model in MODELS:
         rules = _rules_in_model(cascade_rules, model)
         for case in CASES:

@@ -93,6 +93,19 @@ def test_unknown_killed_entity_rejected(ieee14):
         run_cascade(ieee14, ieee14.rule_set(MIIM, 1), scenario)
 
 
+def test_rule_body_naming_unregistered_entity_rejected(ieee14, attack):
+    import dataclasses
+
+    from jointgrid.idr import OP_MIN_AND, IdrRule, Literal, Op
+
+    rule_set = ieee14.rule_set(MIIM, 1)
+    first = rule_set.rules[0]
+    bad = IdrRule(first.target, Op(OP_MIN_AND, (first.body, Literal(ent.bus(99)))), MIIM)
+    broken = dataclasses.replace(rule_set, rules=(bad,) + rule_set.rules[1:])
+    with pytest.raises(ScenarioError, match=r"P\(99\)"):
+        run_cascade(ieee14, broken, attack)
+
+
 def test_monotone_descent_and_stability_random_kills(ieee14):
     rng = random.Random(3)
     entities = ieee14.entity_ids()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,34 @@ def test_synth_writes_artifacts(fixtures_dir, tmp_path):
         "rules_miim_case1.idr",
         "rules_miim_case2.idr",
     ]
+
+
+# SHA-256 of every file `synth` writes: the output for a fixed grid must
+# not change.
+SYNTH_DIGESTS = {
+    "ieee14": {
+        "network.json": "148762ec3226dee373949dad8675f0a826de6d6e4b3ddc9413179dc7399e8b6e",
+        "rules_iim_case1.idr": "a0369ee030ddceb41714c87060bd3f9de782f7f588e0ab1883e43f219a29f0d3",
+        "rules_iim_case2.idr": "1287ea9badc4ebb417b7b9b30bb439e3696a464a6c8bc7feaf8fcfd6ffff33e5",
+        "rules_miim_case1.idr": "34d0484572a1dae1fa84b12f8d70681b7dd4b915f9563b42058d8243ddee7891",
+        "rules_miim_case2.idr": "13a63d21e838e7455dc4fb0d89a25491099c453d48435cda649ba4723d896eb6",
+    },
+    "ieee118": {
+        "network.json": "76eee0fb2d3ec5b28023b9cb91c4f3de2755d7cd935489774ce411dd864b1064",
+        "rules_iim_case1.idr": "00434296f78e5a72b6540c01ff2770a428f7749cc86c39906060224cacfa17a9",
+        "rules_iim_case2.idr": "62a7d70f7d47a2194a7a1a20c4eaa0ba3f3591a4c486e845dfba7ff2c5123821",
+        "rules_miim_case1.idr": "3773c4075aef100591ee86dd2ad60e23568519bf533365f8051c4cc1eeb34532",
+        "rules_miim_case2.idr": "4c4aa0f0dbb626f0c508ead7b08b366b1882be8961ec053d57de4c1e368268b8",
+    },
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SYNTH_DIGESTS))
+def test_synth_output_bytes_are_pinned(fixtures_dir, tmp_path, grid):
+    out = tmp_path / "synth"
+    assert main(["synth", "--grid", str(fixtures_dir / f"{grid}.json"), "--out-dir", str(out)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == SYNTH_DIGESTS[grid]
 
 
 def test_emitted_rule_files_reparse(fixtures_dir, tmp_path):
@@ -218,6 +247,42 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, b
     )
     assert code == 2
     assert "bus 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, flags, write",
+    [
+        ("--seeds", ["--seeds", "0"], json.dumps),
+        ("--seeds", ["--seeds", "-2"], json.dumps),
+        ("--seed-base", ["--seed-base", "-1"], json.dumps),
+        ("grid", [], lambda m: json.dumps({k: v for k, v in m.items() if k != "grid"})),
+        ("top level", [], lambda m: json.dumps([m])),
+        ("scada", [], lambda m: json.dumps({**m, "scada": {**m["scada"], "x": True}})),
+        ("not valid JSON", [], lambda m: json.dumps(m)[:-1]),
+    ],
+    ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
+         "scada_key", "not_json"],
+)
+def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
+    grid_path = fixtures_dir / "ieee14.json"
+    bus_ids = [bus["id"] for bus in json.loads(grid_path.read_text())["buses"]]
+    mask = {
+        "grid": str(grid_path),
+        "scada": {str(b): True for b in bus_ids},
+        "pmu": {str(b): False for b in bus_ids},
+        "pmu_equipped": [],
+    }
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_text(write(mask), encoding="utf-8")
+    errors_csv = tmp_path / "errors.csv"
+    argv = ["estimate", "--mask", str(mask_path), "--seeds", "2", "--out", str(errors_csv), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value itself
+        code = exc.code
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not errors_csv.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from jointgrid.synthesis import (
     SynthesisError,
     all_pairs_shortest,
     build_joint_network,
-    generate_idrs,
+    generate_cascade_rules,
     group_substations,
     home_gateways,
     place_ring_nodes,
@@ -523,14 +523,12 @@ def test_random_grids_synthesize_validated_networks():
 def test_multi_rtu_substation_aggregates_with_xor(ieee14):
     import copy
 
-    from jointgrid.synthesis import generate_idrs
-
     network = copy.deepcopy(ieee14)
     network.rtus[6] = [6, 20]
     network.registry[ent.rtu(20)] = network.registry[ent.rtu(6)]
     network.registry[ent.rtu_channel(20, 6)] = network.registry[ent.rtu_channel(6, 6)]
-    rule_set = generate_idrs(network, MIIM, 1)
-    gateway_rule = rule_set.by_target()[ent.gateway(6)]
+    rules = generate_cascade_rules(network)
+    gateway_rule = next(rule for rule in rules if rule.target == ent.gateway(6))
     ingest = gateway_rule.body.children[1]
     assert ingest.op == "new_xor"
     assert len(ingest.children) == 2
