@@ -33,7 +33,7 @@ from jointgrid.idr import (
     compiled_globals,
     free_entities,
 )
-from jointgrid.network import JointNetwork, RuleSet
+from jointgrid.network import JointNetwork, RuleSet, reference_problems
 
 
 class CascadeError(RuntimeError):
@@ -124,24 +124,17 @@ class _CascadeProgram:
     """
 
     def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
+        problems = reference_problems(rules, slots)
+        if problems:
+            raise ScenarioError(f"cascade rules: {'; '.join(problems[:5])}")
         self.rules = rules  # also keeps this tuple's id() from being reused
         self.slots = slots
-        self.targets: List[int] = []
+        self.targets = [slots[rule.target] for rule in rules]
         self.codes: List[Optional[CodeType]] = [None] * len(rules)
         self.rdeps: Dict[int, List[int]] = {}
-        missing = [r.target for r in rules if r.target not in slots]
-        if missing:
-            raise ScenarioError(f"rules target unregistered entities: {missing[:5]}")
-        unknown = set()
         for rule_index, rule in enumerate(rules):
-            self.targets.append(slots[rule.target])
             for entity in free_entities(rule):
-                if entity in slots:
-                    self.rdeps.setdefault(slots[entity], []).append(rule_index)
-                else:
-                    unknown.add(entity)
-        if unknown:
-            raise ScenarioError(f"rules reference unregistered entities: {sorted(unknown)[:5]}")
+                self.rdeps.setdefault(slots[entity], []).append(rule_index)
 
     def code(self, rule_index: int) -> CodeType:
         code = self.codes[rule_index]
@@ -155,28 +148,25 @@ class _Program:
 
     The cascade part is shared by every rule set holding the same rules
     tuple.  The availability part is one code object that returns every
-    substation's SCADA and PMU value at once from a fixpoint array.
+    ``availability_rules()`` value at once from a fixpoint array.  Both
+    parts first pass ``reference_problems``, the check ``validate`` uses.
     """
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
         slots = self.slots = network.slots
         self.cascade = _cascade_program(rule_set.rules, slots)
         self.globals = compiled_globals()
-        exprs = []
+        rules = rule_set.availability_rules()
+        problems = reference_problems(rules, slots, targets=False)
+        if problems:
+            raise ScenarioError(f"availability rules: {'; '.join(problems[:5])}")
+        self.availability_code = compile_exprs([rule.body for rule in rules], slots)
         # substation -> index of its SCADA value and of its PMU value, if any
-        self.paths: Dict[int, Tuple[int, Optional[int]]] = {}
-        for sub_id, avail in sorted(rule_set.availability.items()):
-            self.paths[sub_id] = (len(exprs), len(exprs) + 1 if avail.pmu else None)
-            exprs.append(avail.scada.body)
-            if avail.pmu:
-                exprs.append(avail.pmu.body)
-        referenced = {entity for expr in exprs for entity in free_entities(expr)}
-        missing = sorted(entity for entity in referenced if entity not in slots)
-        if missing:
-            raise ScenarioError(
-                f"availability rules reference unregistered entities: {missing[:5]}"
-            )
-        self.availability_code = compile_exprs(exprs, slots)
+        position = {id(rule): i for i, rule in enumerate(rules)}
+        self.paths: Dict[int, Tuple[int, Optional[int]]] = {
+            sub_id: (position[id(avail.scada)], position[id(avail.pmu)] if avail.pmu else None)
+            for sub_id, avail in rule_set.availability.items()
+        }
 
 
 # Compiled programs, memoized on the immutable objects they are compiled

@@ -33,7 +33,7 @@ from jointgrid.cascade import (
 )
 from jointgrid.entities import EntityError, parse_entity_id
 from jointgrid.grid import Grid, GridError, load_grid
-from jointgrid.idr import IIM, MIIM, format_idr_file
+from jointgrid.idr import IIM, MIIM, format_idr
 from jointgrid.network import EntityMeta, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
 
@@ -191,7 +191,7 @@ def _meta_payload(meta: EntityMeta) -> dict:
 def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str]) -> dict:
     """Joint-network fixture: registry, placements, and rule files as text.
 
-    ``rule_texts`` maps each (model, case) to its ``rule_file_text``.
+    ``rule_texts`` is what ``rule_file_text`` returns.
     """
     return {
         "substations": [
@@ -225,27 +225,28 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
     }
 
 
-def rule_file_text(network: JointNetwork, model: str, case: int) -> str:
-    rule_set = network.rule_set(model, case)
-    ordered = list(rule_set.rules)
-    for sub_id in sorted(rule_set.availability):
-        avail = rule_set.availability[sub_id]
-        ordered.append(avail.scada)
-        if avail.pmu:
-            ordered.append(avail.pmu)
-    header = [
-        f"dependency rules: model={model} case={case}",
-        "GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
-    ]
-    return format_idr_file(ordered, header=header)
+def rule_file_text(network: JointNetwork) -> Dict[Tuple[str, int], str]:
+    """Each rule set's ``.idr`` text by (model, case); all its rules are in its
+    model.  Each distinct rule object (the cases share some) is formatted once."""
+    lines: Dict[int, str] = {}
+    texts = {}
+    for (model, case), rule_set in sorted(network.rule_sets.items()):
+        text = [
+            f"# dependency rules: model={model} case={case}",
+            "# GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
+            f"#model: {model}",
+        ]
+        for rule in (*rule_set.rules, *rule_set.availability_rules()):
+            if id(rule) not in lines:
+                lines[id(rule)] = format_idr(rule)
+            text.append(lines[id(rule)])
+        texts[model, case] = "\n".join(text) + "\n"
+    return texts
 
 
 def _write_network(out: Path, network: JointNetwork) -> None:
     """network.json plus one rules_<model>_case<case>.idr file per rule set."""
-    rule_texts = {
-        (model, case): rule_file_text(network, model, case)
-        for model, case in sorted(network.rule_sets)
-    }
+    rule_texts = rule_file_text(network)
     _write_json(out / "network.json", network_payload(network, rule_texts))
     for (model, case), text in rule_texts.items():
         (out / f"rules_{model}_case{case}.idr").write_text(text, encoding="utf-8")
@@ -324,11 +325,13 @@ def _is_finite_number(value) -> bool:
 
 def load_true_state(path, grid: Grid) -> estimation.StateVector:
     """Bus voltages from ``{"buses": {"<bus>": [re, im], ...}}``."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    buses = data.get("buses", {})
+    path = Path(path)
+    buses = _read_json_object(path).get("buses", {})
+    if not isinstance(buses, dict):
+        raise ScenarioFileError(f"{path}: buses must be an object of bus id -> [re, im]")
     missing = [b for b in grid.bus_ids if str(b) not in buses]
     if missing:
-        raise ScenarioFileError(f"true-state file misses buses {missing}")
+        raise ScenarioFileError(f"{path}: true state misses buses {missing}")
     voltages = []
     for b in grid.bus_ids:
         entry = buses[str(b)]
@@ -406,6 +409,15 @@ def _cmd_estimate(args) -> int:
     if not args.grid and not isinstance(payload.get("grid"), str):
         raise ScenarioFileError(f"{args.mask}: grid must be a path string, or pass --grid")
     grid = load_grid(args.grid or Path(args.mask).parent / payload["grid"])
+    buses = set(grid.bus_ids)
+    flags = {"scada": mask.scada, "pmu": mask.pmu, "pmu_equipped": mask.pmu_equipped}
+    for field, flagged in flags.items():
+        foreign = sorted(set(flagged) - buses)
+        if foreign:
+            raise ScenarioFileError(f"{args.mask}: {field}: bus {foreign[0]} is not in the grid")
+        missing = sorted(buses - set(flagged))
+        if missing and field != "pmu_equipped":
+            raise ScenarioFileError(f"{args.mask}: {field}: bus {missing[0]} is missing")
     if args.true_state:
         true_state = load_true_state(args.true_state, grid)
     else:

@@ -49,7 +49,8 @@ _PREFIX_TO_KIND = {
     "GP": (KIND_GW_PMU, 1),
 }
 
-_KIND_TO_PREFIX = {kind: prefix for prefix, (kind, _) in _PREFIX_TO_KIND.items()}
+# Each kind's index count and text template, e.g. (4, "C(%s,%s,%s,%s)").
+_KIND_FORMAT = {kind: (n, f"{p}({','.join(['%s'] * n)})") for p, (kind, n) in _PREFIX_TO_KIND.items()}
 
 # Canonical ordering of kinds for reports and rule files.
 _KIND_RANK = {
@@ -79,9 +80,9 @@ class EntityId:
     indices: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _KIND_TO_PREFIX:
+        if self.kind not in _KIND_FORMAT:
             raise EntityError(f"unknown entity kind: {self.kind!r}")
-        expected = _PREFIX_TO_KIND[_KIND_TO_PREFIX[self.kind]][1]
+        expected, text = _KIND_FORMAT[self.kind]
         if len(self.indices) != expected:
             raise EntityError(
                 f"{self.kind} entity takes {expected} indices, got {len(self.indices)}"
@@ -96,9 +97,11 @@ class EntityId:
                 raise EntityError(f"type-{ctype} subtype must be 1 or 2: {subtype}")
         if self.kind == KIND_LINK and self.indices[0] not in range(1, 7):
             raise EntityError(f"link family must be 1..6: {self.indices[0]}")
-        # Entity ids key every state, registry and slot map; hash once.  The
-        # hash is built from integers only, so it is the same in every process.
+        # Entity ids key every state, registry and slot map, and name every
+        # literal in a rule file; hash and format once.  The hash is built
+        # from integers only, so it is the same in every process.
         object.__setattr__(self, "_hash", hash(self.sort_key))
+        object.__setattr__(self, "_text", text % self.indices)
 
     def __hash__(self):
         return self._hash
@@ -111,11 +114,10 @@ class EntityId:
         return self.sort_key < other.sort_key
 
     def __str__(self):
-        prefix = _KIND_TO_PREFIX[self.kind]
-        return f"{prefix}({','.join(str(i) for i in self.indices)})"
+        return self._text
 
     def __repr__(self):
-        return f"EntityId.parse({str(self)!r})"
+        return f"EntityId.parse({self._text!r})"
 
     @staticmethod
     def parse(text: str) -> "EntityId":

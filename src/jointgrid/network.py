@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
@@ -105,6 +105,11 @@ class RuleSet:
     def by_target(self) -> Dict[EntityId, IdrRule]:
         return {rule.target: rule for rule in self.rules}
 
+    def availability_rules(self) -> List[IdrRule]:
+        """Availability rules in rule-file order: substations ascending, SCADA before PMU."""
+        paths = (self.availability[sub_id] for sub_id in sorted(self.availability))
+        return [rule for avail in paths for rule in (avail.scada, avail.pmu) if rule]
+
 
 @dataclass
 class JointNetwork:
@@ -155,7 +160,8 @@ class JointNetwork:
 
 
 def validate(network: JointNetwork) -> List[str]:
-    """Check structural invariants; each violation is a human-readable line."""
+    """Check structural invariants; each violation is a human-readable line.
+    Rule sets pass ``reference_problems``, as in the cascade compilers."""
     problems: List[str] = []
     grid_buses = set(network.grid.bus_ids)
 
@@ -214,34 +220,37 @@ def validate(network: JointNetwork) -> List[str]:
             elif not _is_single_cycle(nodes, ring.edges):
                 problems.append(f"{ring.kind} ring: links split into multiple cycles")
 
+    # The cases of a model share one cascade rules tuple: check each distinct
+    # tuple once, under the first rule set that holds it.
+    checked = set()
     for (model, case), rule_set in sorted(network.rule_sets.items()):
-        targets = set()
-        for rule in rule_set.rules:
-            if rule.target in targets:
-                problems.append(f"{model}/case{case}: duplicate rule for {rule.target}")
-            targets.add(rule.target)
-            if rule.target not in network.registry:
-                problems.append(f"{model}/case{case}: rule target {rule.target} not registered")
-            for entity in _unknown_entities(rule, network.registry):
-                problems.append(
-                    f"{model}/case{case}: rule for {rule.target} references "
-                    f"unknown entity {entity}"
-                )
-        for sub_id, avail in sorted(rule_set.availability.items()):
-            exprs = [avail.scada] + ([avail.pmu] if avail.pmu else [])
-            for rule in exprs:
-                for entity in _unknown_entities(rule, network.registry):
-                    problems.append(
-                        f"{model}/case{case}: availability rule for substation "
-                        f"{sub_id} references unknown entity {entity}"
-                    )
+        found = reference_problems(rule_set.availability_rules(), network.slots, targets=False)
+        if id(rule_set.rules) not in checked:
+            checked.add(id(rule_set.rules))
+            found = reference_problems(rule_set.rules, network.slots) + found
+        problems += [f"{model}/case{case}: {problem}" for problem in found]
     return problems
 
 
-def _unknown_entities(rule: IdrRule, registry: Dict[EntityId, EntityMeta]) -> List[EntityId]:
-    """Unregistered entities a rule references, in canonical order.  Only
-    these few are sorted: sorting every referenced entity dominated validate."""
-    return sorted(entity for entity in free_entities(rule) if entity not in registry)
+def reference_problems(
+    rules: Iterable[IdrRule], slots: Dict[EntityId, int], targets: bool = True
+) -> List[str]:
+    """Why ``rules`` cannot be compiled over ``slots``, one line per fault: a
+    duplicate or unregistered target, or an unregistered literal.  Availability
+    rules go with ``targets=False``: their targets are data paths, not slots."""
+    problems: List[str] = []
+    seen = set()
+    for rule in rules:
+        if targets:
+            if rule.target in seen:
+                problems.append(f"duplicate rule for {rule.target}")
+            seen.add(rule.target)
+            if rule.target not in slots:
+                problems.append(f"rule target {rule.target} not registered")
+        # Sort only the unregistered few: sorting every literal dominated validate.
+        for entity in sorted(e for e in free_entities(rule) if e not in slots):
+            problems.append(f"rule for {rule.target} references unknown entity {entity}")
+    return problems
 
 
 def _is_single_cycle(nodes, edges) -> bool:

@@ -33,7 +33,6 @@ from jointgrid import entities as ent
 from jointgrid.entities import EntityId
 from jointgrid.grid import Grid, SynthesisConfig
 from jointgrid.idr import (
-    IIM,
     MIIM,
     IdrExpr,
     IdrRule,
@@ -554,26 +553,30 @@ def generate_availability_rules(network: JointNetwork) -> Dict[int, Dict[int, Av
     return availability
 
 
-def _rules_in_model(rules: Sequence[IdrRule], model: str) -> Tuple[IdrRule, ...]:
-    """Ternary-model rules as they read under ``model``, as a tuple."""
-    if model == IIM:
-        return tuple(translate_to_iim(rule) for rule in rules)
-    return tuple(rules)
+def _rule_sets(
+    cascade_rules: Sequence[IdrRule], availability: Dict[int, Dict[int, AvailabilityRules]]
+) -> Dict[Tuple[str, int], RuleSet]:
+    """Every (model, case) rule set, from the ternary-model rules.  Each rule
+    is translated once, so what the cases share they also share under IIM."""
+    translated: Dict[int, IdrRule] = {}
 
+    def in_model(rule: Optional[IdrRule], model: str) -> Optional[IdrRule]:
+        if model == MIIM or rule is None:
+            return rule
+        if id(rule) not in translated:
+            translated[id(rule)] = translate_to_iim(rule)
+        return translated[id(rule)]
 
-def _availability_in_model(
-    availability: Dict[int, AvailabilityRules], model: str
-) -> Dict[int, AvailabilityRules]:
-    """Ternary-model availability rules as they read under ``model``."""
-    if model == MIIM:
-        return availability
-    return {
-        sub_id: AvailabilityRules(
-            translate_to_iim(avail.scada),
-            translate_to_iim(avail.pmu) if avail.pmu else None,
-        )
-        for sub_id, avail in availability.items()
-    }
+    rule_sets = {}
+    for model in MODELS:
+        rules = tuple(in_model(rule, model) for rule in cascade_rules)
+        for case in CASES:
+            paths = {
+                sub_id: AvailabilityRules(in_model(avail.scada, model), in_model(avail.pmu, model))
+                for sub_id, avail in availability[case].items()
+            }
+            rule_sets[model, case] = RuleSet(model, case, rules, paths)
+    return rule_sets
 
 
 # --- Orchestration ----------------------------------------------------------------
@@ -622,14 +625,7 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
     )
     network.registry = build_registry(network)
     network.index_entities()
-    # The cases share their cascade rules, so each model's rules are built
-    # once and the same tuple goes into both of its rule sets.
-    cascade_rules = generate_cascade_rules(network)
-    availability = generate_availability_rules(network)
-    for model in MODELS:
-        rules = _rules_in_model(cascade_rules, model)
-        for case in CASES:
-            network.rule_sets[(model, case)] = RuleSet(
-                model, case, rules, _availability_in_model(availability[case], model)
-            )
+    network.rule_sets = _rule_sets(
+        generate_cascade_rules(network), generate_availability_rules(network)
+    )
     return network

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from jointgrid.cli import build_parser, main
+from jointgrid import cli
+from jointgrid.cli import build_parser, main, rule_file_text
+from jointgrid.idr import format_idr, format_idr_file
 
 
 def test_parser_supports_synth():
@@ -105,6 +107,72 @@ def test_synth_output_bytes_are_pinned(fixtures_dir, tmp_path, grid):
     assert main(["synth", "--grid", str(fixtures_dir / f"{grid}.json"), "--out-dir", str(out)]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert digests == SYNTH_DIGESTS[grid]
+
+
+# SHA-256 of every file `run` writes for the 14-bus attack scenario except
+# errors.csv and report.json, which hold floating-point values.  The masks
+# embed the absolute grid path, replaced by a placeholder before hashing.
+RUN14_DIGESTS = {
+    "availability_iim_case1.json": "a940d5debdd1054e12f2576cc9f112b270dd1630bf398ec24ba0eb53169189fd",
+    "availability_miim_case1.json": "cad2fcd6ecb8eb6df0fd50fda05bc590b34009868406212d8f8170dfcd68be74",
+    "footprint_diff.json": "e926f9c0d1af4f9b741e928346b1ca6d08130c94682167c79e314a9e5995e891",
+    "network.json": "148762ec3226dee373949dad8675f0a826de6d6e4b3ddc9413179dc7399e8b6e",
+    "rules_iim_case1.idr": "a0369ee030ddceb41714c87060bd3f9de782f7f588e0ab1883e43f219a29f0d3",
+    "rules_iim_case2.idr": "1287ea9badc4ebb417b7b9b30bb439e3696a464a6c8bc7feaf8fcfd6ffff33e5",
+    "rules_miim_case1.idr": "34d0484572a1dae1fa84b12f8d70681b7dd4b915f9563b42058d8243ddee7891",
+    "rules_miim_case2.idr": "13a63d21e838e7455dc4fb0d89a25491099c453d48435cda649ba4723d896eb6",
+    "trace_iim_case1.json": "2b731bf4d6dde158b63312841fca476b0d4f32e43bd8fa4cdba618c48ec0abd4",
+    "trace_iim_case1.tsv": "8a26bb9489db1f3927663ca95dfdbada1d188fcec788dcecbee40ed6134d5cce",
+    "trace_miim_case1.json": "ce8da1ad27db20a89aaf550929dc43692bd58fb4899efc09797ec933f71f2e37",
+    "trace_miim_case1.tsv": "fa6a542882ab801ce9076bccf15bcca574d8f29325a2ebe8d867a06e2990a1da",
+}
+
+
+def test_run_output_bytes_are_pinned(fixtures_dir, tmp_path):
+    out = tmp_path / "run"
+    scenario = fixtures_dir / "ieee14_substation6_attack.json"
+    assert main(["run", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
+    grid = json.dumps(str(fixtures_dir / "ieee14.json")).encode()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes().replace(grid, b'"<grid>"')).hexdigest()
+        for path in out.iterdir()
+        if path.name not in ("errors.csv", "report.json")
+    }
+    assert digests == RUN14_DIGESTS
+
+
+@pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
+def test_rule_file_text_matches_format_idr_file(request, network_name):
+    """Each text equals the rule set's rules, then its availability rules,
+    through ``format_idr_file``: the oracle for formatting shared rules once."""
+    network = request.getfixturevalue(network_name)
+    texts = rule_file_text(network)
+    assert sorted(texts) == sorted(network.rule_sets)
+    for (model, case), rule_set in network.rule_sets.items():
+        header = [
+            f"dependency rules: model={model} case={case}",
+            "GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
+        ]
+        rules = list(rule_set.rules) + rule_set.availability_rules()
+        assert texts[model, case] == format_idr_file(rules, header=header)
+
+
+def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(rule):
+        calls.append(rule)
+        return format_idr(rule)
+
+    monkeypatch.setattr(cli, "format_idr", counting)
+    cli._write_network(tmp_path, ieee14)
+    every = [
+        rule
+        for rule_set in ieee14.rule_sets.values()
+        for rule in (*rule_set.rules, *rule_set.availability_rules())
+    ]
+    distinct = {id(rule) for rule in every}
+    assert len(calls) == len(distinct) < len(every)
 
 
 def test_emitted_rule_files_reparse(fixtures_dir, tmp_path):
@@ -220,8 +288,18 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
         assert (out / f"rules_{stem}.idr").read_text(encoding="utf-8") == text
 
 
-@pytest.mark.parametrize("bad_entry", [[float("nan"), 0.0], [1.0]], ids=["nan", "one_element"])
-def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, bad_entry):
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [float("nan"), 0.0]}})),
+        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.0]}})),
+        ("not valid JSON", lambda buses: json.dumps({"buses": buses})[:-1]),
+        ("top level", lambda buses: json.dumps([{"buses": buses}])),
+        ("buses", lambda buses: json.dumps({"buses": list(buses.values())})),
+    ],
+    ids=["nan", "one_element", "not_json", "array", "buses_list"],
+)
+def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
     grid_path = fixtures_dir / "ieee14.json"
     bus_ids = [bus["id"] for bus in json.loads(grid_path.read_text())["buses"]]
     mask_path = tmp_path / "mask.json"
@@ -235,18 +313,18 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, b
         ),
         encoding="utf-8",
     )
-    buses = {str(b): [1.0, 0.0] for b in bus_ids}
-    buses["5"] = bad_entry
     state_path = tmp_path / "state.json"
-    state_path.write_text(json.dumps({"buses": buses}), encoding="utf-8")
+    state_path.write_text(write({str(b): [1.0, 0.0] for b in bus_ids}), encoding="utf-8")
+    errors_csv = tmp_path / "errors.csv"
     code = main(
         [
             "estimate", "--mask", str(mask_path), "--true-state", str(state_path),
-            "--seeds", "2", "--out", str(tmp_path / "errors.csv"),
+            "--seeds", "2", "--out", str(errors_csv),
         ]
     )
     assert code == 2
-    assert "bus 5" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
+    assert not errors_csv.exists()
 
 
 @pytest.mark.parametrize(
@@ -259,9 +337,13 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, b
         ("top level", [], lambda m: json.dumps([m])),
         ("scada", [], lambda m: json.dumps({**m, "scada": {**m["scada"], "x": True}})),
         ("not valid JSON", [], lambda m: json.dumps(m)[:-1]),
+        ("bus 5", [], lambda m: json.dumps(
+            {**m, "scada": {k: v for k, v in m["scada"].items() if k != "5"}})),
+        ("bus 99", [], lambda m: json.dumps({**m, "pmu": {**m["pmu"], "99": False}})),
+        ("bus 99", [], lambda m: json.dumps({**m, "pmu_equipped": [99]})),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
-         "scada_key", "not_json"],
+         "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"

@@ -1,9 +1,13 @@
 import copy
 import dataclasses
+import re
+
+import pytest
 
 from jointgrid import entities as ent
+from jointgrid.cascade import FailureScenario, ScenarioError, run_cascade
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import IdrRule, Literal, MIIM, free_entities
+from jointgrid.idr import OP_MIN_AND, IdrRule, Literal, MIIM, Op, free_entities
 from jointgrid.network import (
     ROLE_PRIMARY_CC,
     Ring,
@@ -24,6 +28,48 @@ def test_unknown_entity_in_rule_flagged(ieee14):
     broken.rule_sets[(MIIM, 1)] = dataclasses.replace(rule_set, rules=rules)
     problems = validate(broken)
     assert any("unknown entity P(99)" in p for p in problems)
+
+
+def _with_literal(rule, entity):
+    return IdrRule(rule.target, Op(OP_MIN_AND, (rule.body, Literal(entity))), rule.model)
+
+
+def _body_literal(rule_set):
+    bad = _with_literal(rule_set.rules[0], ent.bus(99))
+    return dataclasses.replace(rule_set, rules=(bad,) + rule_set.rules[1:]), ent.bus(99)
+
+
+def _cascade_target(rule_set):
+    extra = IdrRule(ent.rtu(99), Literal(ent.bus(1)), MIIM)
+    return dataclasses.replace(rule_set, rules=rule_set.rules + (extra,)), ent.rtu(99)
+
+
+def _duplicate_target(rule_set):
+    first = rule_set.rules[0]
+    return dataclasses.replace(rule_set, rules=rule_set.rules + (first,)), first.target
+
+
+def _availability_literal(rule_set):
+    avail = rule_set.availability[6]
+    scada = _with_literal(avail.scada, ent.bus(99))
+    availability = {**rule_set.availability, 6: dataclasses.replace(avail, scada=scada)}
+    return dataclasses.replace(rule_set, availability=availability), ent.bus(99)
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [_body_literal, _cascade_target, _duplicate_target, _availability_literal],
+    ids=["body_literal", "cascade_target", "duplicate_target", "availability_literal"],
+)
+def test_validate_and_compilers_share_one_reference_check(ieee14, breaker):
+    """A rule set naming an entity it may not is reported by ``validate``
+    and rejected by the cascade compilers, both naming the entity."""
+    rule_set, entity = breaker(ieee14.rule_set(MIIM, 1))
+    broken = dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})
+    problems = validate(broken)
+    assert problems and all(str(entity) in p for p in problems), problems
+    with pytest.raises(ScenarioError, match=re.escape(str(entity))):
+        run_cascade(broken, rule_set, FailureScenario.of([]))
 
 
 def test_duplicate_primary_cc_flagged(ieee14):

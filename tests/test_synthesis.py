@@ -379,11 +379,11 @@ def test_cases_share_cascade_rules_and_differ_in_scada_availability(ieee14):
     for model in (MIIM, IIM):
         case1 = ieee14.rule_set(model, 1)
         case2 = ieee14.rule_set(model, 2)
-        assert case1.rules == case2.rules
+        assert case1.rules is case2.rules
         for sub in ieee14.substations:
             a1, a2 = case1.availability[sub.id], case2.availability[sub.id]
             assert a1.scada != a2.scada
-            assert a1.pmu == a2.pmu
+            assert a1.pmu is a2.pmu
 
 
 def test_case2_adds_exactly_one_fallback_branch(ieee14):
