@@ -124,7 +124,8 @@ class _CascadeProgram:
     """
 
     def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
-        problems = reference_problems(rules, slots)
+        literals = [free_entities(rule) for rule in rules]
+        problems = reference_problems(rules, slots, literals=literals)
         if problems:
             raise ScenarioError(f"cascade rules: {'; '.join(problems[:5])}")
         self.rules = rules  # also keeps this tuple's id() from being reused
@@ -132,8 +133,8 @@ class _CascadeProgram:
         self.targets = [slots[rule.target] for rule in rules]
         self.codes: List[Optional[CodeType]] = [None] * len(rules)
         self.rdeps: Dict[int, List[int]] = {}
-        for rule_index, rule in enumerate(rules):
-            for entity in free_entities(rule):
+        for rule_index, entities in enumerate(literals):
+            for entity in entities:
                 self.rdeps.setdefault(slots[entity], []).append(rule_index)
 
     def code(self, rule_index: int) -> CodeType:

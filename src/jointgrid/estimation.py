@@ -20,12 +20,12 @@ flagged in reports.
 The design matrix, the weights and observability depend only on the mask
 and the true state, never on the noise.  ``compare_models`` therefore
 builds the noise-free measurement template once for the union of the
-masks and, per mask, scales the system, checks its rank and anchors its
-null-space buses once.  Each seed then costs one noise draw, and all seeds
-of a mask are solved by one least-squares call with one right-hand-side
-column per seed.  The per-seed path (``simulate_measurements``,
-``solve_with_anchors``, ``wls_solve``) stays as the reference it is tested
-against.
+masks and, per mask, scales the system and anchors its unobservable buses
+once, read from the measurement graph.  Each seed then costs one noise
+draw, and all seeds of a mask are solved by one least-squares call with
+one right-hand-side column per seed.  The per-seed path with its SVD
+null-space analysis (``simulate_measurements``, ``solve_with_anchors``,
+``wls_solve``) stays as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -373,25 +373,25 @@ class ScaledSystem:
 
 
 def analyse_system(measurements: MeasurementSet, grid: Grid) -> ScaledSystem:
-    """Scale the design matrix and settle observability once per mask.
+    """Scale the design matrix and anchor its unobservable buses, once per mask.
 
-    Makes the decisions ``solve_with_anchors`` makes for any seed: the
-    null-space buses of a rank-deficient system get anchor rows, and an
-    anchored system still short of full column rank raises
-    UnobservableError as ``wls_solve`` does.
+    On the measurement graph, a bus is observable if it has a voltage entry or
+    is the far end of a PMU current entry (whose bus must have a PMU voltage;
+    the grid keeps admittances nonzero).  The rest are the null-space buses
+    ``solve_with_anchors`` finds by SVD; once anchored, A has full column rank.
     """
+    entries = measurements.entries
+    orphans = {m.bus for m in entries if m.kind == KIND_PMU_I}
+    orphans -= {m.bus for m in entries if m.kind == KIND_PMU_V}
+    if orphans:
+        raise EstimationError(f"PMU currents without a PMU voltage at buses {sorted(orphans)}")
     J, W, _ = build_system(measurements, grid)
-    bus_ids = grid.bus_ids
+    observed = {m.other_bus if m.kind == KIND_PMU_I else m.bus for m in entries}
+    anchored = [bus for bus in grid.bus_ids if bus not in observed]
+    J_a, W_a, Z_a = _anchor_rows(anchored, grid.bus_ids)
     scale = 1.0 / np.sqrt(W)
-    A = J * scale[:, None]
-    if np.linalg.matrix_rank(A) == A.shape[1]:
-        return ScaledSystem(A, scale, np.zeros(0), [])
-    anchored = _null_space_buses(A, bus_ids)
-    J_a, W_a, Z_a = _anchor_rows(anchored, bus_ids)
     scale_a = 1.0 / np.sqrt(W_a)
-    A = np.vstack([A, J_a * scale_a[:, None]])
-    if np.linalg.matrix_rank(A) < A.shape[1]:
-        raise UnobservableError(_null_space_buses(A, bus_ids))
+    A = np.vstack([J * scale[:, None], J_a * scale_a[:, None]])
     return ScaledSystem(A, scale, Z_a * scale_a, anchored)
 
 

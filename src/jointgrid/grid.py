@@ -33,6 +33,11 @@ SCHEMA_VERSION = 1
 # km of synthesized line length per unit of per-unit reactance
 LENGTH_PER_REACTANCE = 400.0
 
+# Accepted series impedance |r + jx| (pu).  Outside it the admittance can
+# round to 0 or overflow, and estimation could no longer read a PMU
+# current as fixing its far bus.
+IMPEDANCE_RANGE = (1e-6, 1e6)
+
 
 class GridError(ValueError):
     """Grid file violates the schema; message carries a JSON pointer."""
@@ -97,8 +102,12 @@ def _as_number(value, pointer: str) -> float:
         pointer,
         "expected a number",
     )
-    _expect(math.isfinite(value), pointer, f"expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise GridError(f"{pointer}: integer too large for a number") from None
+    _expect(math.isfinite(number), pointer, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value, pointer: str) -> bool:
@@ -141,6 +150,13 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         _expect(r >= 0.0, f"{pointer}/r", "resistance must be non-negative")
         x = _as_number(entry.get("x"), f"{pointer}/x")
         _expect(x != 0.0, f"{pointer}/x", "reactance must be non-zero")
+        low, high = IMPEDANCE_RANGE
+        impedance = math.hypot(r, x)
+        _expect(
+            low <= impedance <= high,
+            f"{pointer}/x",
+            f"impedance |r + jx| = {impedance:g} pu outside [{low:g}, {high:g}] pu",
+        )
         b_sh = _as_number(entry.get("b", 0.0), f"{pointer}/b")
         transformer = _as_bool(entry.get("transformer", False), f"{pointer}/transformer")
         if "length" in entry:
@@ -210,6 +226,6 @@ def load_grid(path) -> Grid:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also raised for an integer past the digit limit
             raise GridError(f"not valid JSON: {exc}") from exc
     return grid_from_dict(data, name=str(path))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
@@ -233,14 +233,20 @@ def validate(network: JointNetwork) -> List[str]:
 
 
 def reference_problems(
-    rules: Iterable[IdrRule], slots: Dict[EntityId, int], targets: bool = True
+    rules: Sequence[IdrRule],
+    slots: Dict[EntityId, int],
+    targets: bool = True,
+    literals: Optional[Sequence[FrozenSet[EntityId]]] = None,
 ) -> List[str]:
     """Why ``rules`` cannot be compiled over ``slots``, one line per fault: a
     duplicate or unregistered target, or an unregistered literal.  Availability
-    rules go with ``targets=False``: their targets are data paths, not slots."""
+    rules go with ``targets=False``: their targets are data paths, not slots.
+    ``literals`` holds each rule's ``free_entities`` when the caller has them."""
     problems: List[str] = []
     seen = set()
-    for rule in rules:
+    if literals is None:
+        literals = map(free_entities, rules)
+    for rule, found in zip(rules, literals):
         if targets:
             if rule.target in seen:
                 problems.append(f"duplicate rule for {rule.target}")
@@ -248,7 +254,7 @@ def reference_problems(
             if rule.target not in slots:
                 problems.append(f"rule target {rule.target} not registered")
         # Sort only the unregistered few: sorting every literal dominated validate.
-        for entity in sorted(e for e in free_entities(rule) if e not in slots):
+        for entity in sorted(e for e in found if e not in slots):
             problems.append(f"rule for {rule.target} references unknown entity {entity}")
     return problems
 

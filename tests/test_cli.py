@@ -62,6 +62,25 @@ def test_validate_non_finite_branch_number_exits_2(fixtures_dir, tmp_path, capsy
     assert f"/branches/0/{field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "branch, message",
+    [
+        ({"x": 1e200}, "/branches/0/x"),  # the series admittance rounds to 0
+        ({"r": 0.0, "x": 1e-170}, "/branches/0/x"),  # r*r + x*x underflows to 0
+        ({"x": 10**400}, "/branches/0/x"),  # too large for a float
+        ({"x": "DIGITS"}, "not valid JSON"),  # past the integer digit limit
+    ],
+    ids=["impedance_high", "impedance_low", "int_401_digits", "int_5000_digits"],
+)
+def test_validate_unusable_branch_number_exits_2(fixtures_dir, tmp_path, capsys, branch, message):
+    grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
+    grid["branches"][0].update(branch)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid).replace('"DIGITS"', "9" * 5000), encoding="utf-8")
+    assert main(["validate", "--grid", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_scenario_is_runtime_error(tmp_path):
     code = main(["cascade", "--scenario", str(tmp_path / "none.json"), "--out-dir", str(tmp_path)])
     assert code != 0

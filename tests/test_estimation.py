@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from jointgrid import estimation
 from jointgrid.cascade import AvailabilityMask, FailureScenario, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
 from jointgrid.estimation import (
+    EstimationError,
     KIND_PMU_I,
     KIND_PMU_V,
     KIND_SCADA_V,
@@ -17,12 +19,15 @@ from jointgrid.estimation import (
     MeasurementSet,
     StateVector,
     UnobservableError,
+    _null_space_buses,
     admittance_from_branch,
+    analyse_system,
     branch_current,
     branch_current_rows,
     build_system,
     compare_models,
     default_true_state,
+    measurement_template,
     simulate_measurements,
     solve_with_anchors,
     wls_solve,
@@ -491,3 +496,72 @@ def test_chi_square_mean_matches_degrees_of_freedom(ieee14_grid):
     assert chi2.shape == (400,)
     stderr = chi2.std(ddof=1) / np.sqrt(chi2.size)
     assert abs(chi2.mean() - dof) < 4.0 * stderr
+
+
+# --- observability from the measurement graph against the SVD oracle ----------
+
+
+def check_graph_anchors_match_svd(grid, masks):
+    """For each mask's noise-free set: the graph rule anchors exactly the
+    null-space buses of the unanchored system, and the anchored system has
+    full column rank.  Returns how many masks needed anchors."""
+    true_state = default_true_state(grid)
+    anchored_masks = 0
+    for mask in masks:
+        measurements = measurement_template(true_state, grid, mask).exact
+        if not measurements.entries:
+            continue
+        system = analyse_system(measurements, grid)
+        J, W, _ = build_system(measurements, grid)
+        assert system.anchored == _null_space_buses(J / np.sqrt(W)[:, None], grid.bus_ids)
+        assert np.linalg.matrix_rank(system.A) == system.A.shape[1]
+        anchored_masks += bool(system.anchored)
+    return anchored_masks
+
+
+def distinct_masks(network, kill_sets):
+    """The distinct availability masks of every kill set under every rule set."""
+    masks = {}
+    for rule_set in network.rule_sets.values():
+        for killed in kill_sets:
+            trace = run_cascade(network, rule_set, FailureScenario.of(killed))
+            mask = data_availability(trace.final_state(), network, rule_set)
+            masks[tuple(mask.scada.items()), tuple(mask.pmu.items())] = mask
+    return list(masks.values())
+
+
+def test_graph_observability_matches_svd_under_every_single_failure_14(ieee14, ieee14_grid):
+    masks = distinct_masks(ieee14, [[entity] for entity in ieee14.entity_order])
+    assert check_graph_anchors_match_svd(ieee14_grid, masks) > 0
+
+
+def test_graph_observability_matches_svd_on_random_failures_118(ieee118, ieee118_grid):
+    rng = random.Random(7)
+    entities = list(ieee118.entity_order)
+    kill_sets = [rng.sample(entities, rng.randint(1, 8)) for _ in range(4)]
+    masks = distinct_masks(ieee118, kill_sets)
+    assert check_graph_anchors_match_svd(ieee118_grid, masks) > 0
+
+
+def test_comparison_runs_no_svd(ieee118_grid, scenario_masks_118, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("observability must come from the measurement graph")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+    true_state = default_true_state(ieee118_grid)
+    for scenario in SCENARIOS_118:
+        result = compare_models(ieee118_grid, scenario_masks_118[scenario], true_state, range(3))
+        assert result.anchored[IIM]
+
+
+def test_pmu_current_without_its_pmu_voltage_rejected():
+    grid = two_bus_grid()
+    ms = MeasurementSet(
+        [
+            Measurement(KIND_SCADA_V, 1, None, None, 1.0, 0.0, 1e-4, 1e-4),
+            Measurement(KIND_PMU_I, 1, 2, 0, 0.1, 0.0, 1e-6, 1e-6),
+        ]
+    )
+    with pytest.raises(EstimationError, match=r"PMU voltage at buses \[1\]"):
+        analyse_system(ms, grid)

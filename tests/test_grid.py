@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jointgrid.grid import GridError, grid_from_dict, load_grid
 
@@ -101,6 +102,72 @@ def test_control_centers_must_differ():
     data["control_centers"] = [1, 1]
     with pytest.raises(GridError, match="must differ"):
         grid_from_dict(data)
+
+
+def full_grid_dict():
+    """A valid grid that sets every field of the schema."""
+    return {
+        "version": 1,
+        "name": "fuzz",
+        "buses": [{"id": 1, "generator": True}, {"id": 2}, {"id": 3}],
+        "branches": [
+            {"from": 1, "to": 2, "r": 0.01, "x": 0.1, "b": 0.02, "length": 5.0},
+            {"from": 2, "to": 3, "x": 0.2, "transformer": True},
+        ],
+        "substation_map": {"1": 1, "2": 1, "3": 2},
+        "pmu_substations": [1],
+        "control_centers": [1, 2],
+        "sadm_homing": {"2": 1},
+        "oadm_homing": {"2": 1},
+    }
+
+
+def _paths(node, prefix=()):
+    """Every location in a parsed JSON value, the root included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_malformed_grid_raises_grid_error(data):
+    """Replacing, deleting or re-keying any part of a valid grid either
+    still loads or raises ``GridError``; never a bare ``KeyError``,
+    ``TypeError``, ``IndexError`` or ``OverflowError``."""
+    grid = full_grid_dict()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(grid))))
+        if not path:
+            grid = data.draw(JSON_VALUES)
+            continue
+        parent = grid
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "rekey"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "rekey" and isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=4))] = parent.pop(path[-1])
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        grid_from_dict(grid)
+    except GridError:
+        pass
 
 
 def test_not_json(tmp_path):
