@@ -14,6 +14,9 @@ which buses still deliver SCADA and PMU measurements to a control center.
 Both kinds of rule run through one evaluator: each rule set is compiled
 once, over the network's slot map, to code objects evaluated against a
 state array.  The interpretive ``idr.evaluate`` is the test oracle only.
+The compilers check a rule set's references through the slot lookups they
+make anyway; only a refused rule set is walked again, by
+``network.reference_problems``, to word the error as ``validate`` does.
 """
 
 from __future__ import annotations
@@ -25,14 +28,7 @@ from types import CodeType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from jointgrid.entities import EntityId
-from jointgrid.idr import (
-    MIIM,
-    IdrRule,
-    compile_expr,
-    compile_exprs,
-    compiled_globals,
-    free_entities,
-)
+from jointgrid.idr import MIIM, IdrRule, compile_expr, compile_exprs, compiled_globals
 from jointgrid.network import JointNetwork, RuleSet, reference_problems
 
 
@@ -124,18 +120,19 @@ class _CascadeProgram:
     """
 
     def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
-        literals = [free_entities(rule) for rule in rules]
-        problems = reference_problems(rules, slots, literals=literals)
-        if problems:
-            raise ScenarioError(f"cascade rules: {'; '.join(problems[:5])}")
         self.rules = rules  # also keeps this tuple's id() from being reused
         self.slots = slots
-        self.targets = [slots[rule.target] for rule in rules]
         self.codes: List[Optional[CodeType]] = [None] * len(rules)
         self.rdeps: Dict[int, List[int]] = {}
-        for rule_index, entities in enumerate(literals):
-            for entity in entities:
-                self.rdeps.setdefault(slots[entity], []).append(rule_index)
+        try:
+            self.targets = [slots[rule.target] for rule in rules]
+            for rule_index, rule in enumerate(rules):
+                for entity in rule.literals:
+                    self.rdeps.setdefault(slots[entity], []).append(rule_index)
+        except KeyError:
+            raise _refusal("cascade rules", rules, slots) from None
+        if len(set(self.targets)) < len(rules):
+            raise _refusal("cascade rules", rules, slots)
 
     def code(self, rule_index: int) -> CodeType:
         code = self.codes[rule_index]
@@ -149,8 +146,7 @@ class _Program:
 
     The cascade part is shared by every rule set holding the same rules
     tuple.  The availability part is one code object that returns every
-    ``availability_rules()`` value at once from a fixpoint array.  Both
-    parts first pass ``reference_problems``, the check ``validate`` uses.
+    ``availability_rules()`` value at once from a fixpoint array.
     """
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
@@ -158,16 +154,22 @@ class _Program:
         self.cascade = _cascade_program(rule_set.rules, slots)
         self.globals = compiled_globals()
         rules = rule_set.availability_rules()
-        problems = reference_problems(rules, slots, targets=False)
-        if problems:
-            raise ScenarioError(f"availability rules: {'; '.join(problems[:5])}")
-        self.availability_code = compile_exprs([rule.body for rule in rules], slots)
+        try:
+            self.availability_code = compile_exprs([rule.body for rule in rules], slots)
+        except KeyError:
+            raise _refusal("availability rules", rules, slots, targets=False) from None
         # substation -> index of its SCADA value and of its PMU value, if any
         position = {id(rule): i for i, rule in enumerate(rules)}
         self.paths: Dict[int, Tuple[int, Optional[int]]] = {
             sub_id: (position[id(avail.scada)], position[id(avail.pmu)] if avail.pmu else None)
             for sub_id, avail in rule_set.availability.items()
         }
+
+
+def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True) -> ScenarioError:
+    """The error for rules a slot lookup refused, in ``validate``'s words."""
+    problems = reference_problems(rules, slots, targets)
+    return ScenarioError(f"{label}: {'; '.join(problems[:5])}")
 
 
 # Compiled programs, memoized on the immutable objects they are compiled

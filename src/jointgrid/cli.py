@@ -262,7 +262,7 @@ def _is_int(value) -> bool:
 def _read_json_object(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also raised for an integer past the digit limit
         raise ScenarioFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioFileError(f"{path}: top level must be an object, got {type(data).__name__}")

@@ -19,12 +19,15 @@ cable, 5 EoDWDM cable, 6 RTU channel, 7 PMU channel.  Type-2/3 subtypes:
 Link families: L(1,b)/L(2,b) feed the server/gateway from bus b,
 L(3,k)/L(4,k) are the k-th SADM/OADM power feed, L(5,s)/L(6,s) feed the
 server/gateway of substation s from its battery.
+
+An ``EntityId`` is the tuple ``(kind rank, indices)``, so registry keys,
+slots and rule literals hash, compare and sort as tuples.  ``validate`` is
+the one walk checking literals; the compilers check by their own lookups.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Tuple
 
 KIND_BUS = "bus"
@@ -52,18 +55,11 @@ _PREFIX_TO_KIND = {
 # Each kind's index count and text template, e.g. (4, "C(%s,%s,%s,%s)").
 _KIND_FORMAT = {kind: (n, f"{p}({','.join(['%s'] * n)})") for p, (kind, n) in _PREFIX_TO_KIND.items()}
 
-# Canonical ordering of kinds for reports and rule files.
-_KIND_RANK = {
-    KIND_BUS: 0,
-    KIND_BATTERY: 1,
-    KIND_BRANCH: 2,
-    KIND_COMM: 3,
-    KIND_LINK: 4,
-    KIND_RTU: 5,
-    KIND_PMU: 6,
-    KIND_GW_SCADA: 7,
-    KIND_GW_PMU: 8,
-}
+# Canonical ordering of kinds for reports and rule files: an entity's rank
+# is its kind's position in the prefix table.
+_KINDS = tuple(kind for kind, _ in _PREFIX_TO_KIND.values())
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
+_RANK_TEXT = tuple(_KIND_FORMAT[kind][1] for kind in _KINDS)
 
 _ENTITY_RE = re.compile(r"^([A-Z]+)\((\s*\d+\s*(?:,\s*\d+\s*)*)\)$")
 
@@ -72,52 +68,51 @@ class EntityError(ValueError):
     """Malformed entity identifier."""
 
 
-@dataclass(frozen=True, order=False)
-class EntityId:
-    """Structured entity identifier: a kind plus its integer indices."""
+class EntityId(tuple):
+    """Structured entity identifier: a kind plus its integer indices.
 
-    kind: str
-    indices: Tuple[int, ...]
+    The value is the tuple ``(kind rank, indices)``.  Entity ids key every
+    state, registry and slot map, so equality, hash and the canonical order
+    (kind rank, then indices) are the tuple's own.  The hash is built from
+    integers only, so it is the same in every process.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KIND_FORMAT:
-            raise EntityError(f"unknown entity kind: {self.kind!r}")
-        expected, text = _KIND_FORMAT[self.kind]
-        if len(self.indices) != expected:
-            raise EntityError(
-                f"{self.kind} entity takes {expected} indices, got {len(self.indices)}"
-            )
-        if self.kind == KIND_COMM:
-            ctype, subtype = self.indices[0], self.indices[1]
+    __slots__ = ()
+
+    def __new__(cls, kind: str, indices: Tuple[int, ...]):
+        if kind not in _KIND_FORMAT:
+            raise EntityError(f"unknown entity kind: {kind!r}")
+        expected, _ = _KIND_FORMAT[kind]
+        if len(indices) != expected:
+            raise EntityError(f"{kind} entity takes {expected} indices, got {len(indices)}")
+        if kind == KIND_COMM:
+            ctype, subtype = indices[0], indices[1]
             if ctype not in (1, 2, 3):
                 raise EntityError(f"communication entity type must be 1, 2, or 3: {ctype}")
             if ctype == 1 and subtype not in range(1, 8):
                 raise EntityError(f"type-1 subtype must be 1..7: {subtype}")
             if ctype in (2, 3) and subtype not in (1, 2):
                 raise EntityError(f"type-{ctype} subtype must be 1 or 2: {subtype}")
-        if self.kind == KIND_LINK and self.indices[0] not in range(1, 7):
-            raise EntityError(f"link family must be 1..6: {self.indices[0]}")
-        # Entity ids key every state, registry and slot map, and name every
-        # literal in a rule file; hash and format once.  The hash is built
-        # from integers only, so it is the same in every process.
-        object.__setattr__(self, "_hash", hash(self.sort_key))
-        object.__setattr__(self, "_text", text % self.indices)
+        if kind == KIND_LINK and indices[0] not in range(1, 7):
+            raise EntityError(f"link family must be 1..6: {indices[0]}")
+        return tuple.__new__(cls, (_KIND_RANK[kind], indices))
 
-    def __hash__(self):
-        return self._hash
+    def __getnewargs__(self):
+        return (self.kind, self.indices)
 
     @property
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.indices)
+    def kind(self) -> str:
+        return _KINDS[self[0]]
 
-    def __lt__(self, other: "EntityId"):
-        return self.sort_key < other.sort_key
+    @property
+    def indices(self) -> Tuple[int, ...]:
+        return self[1]
 
     def __str__(self):
-        return self._text
+        return _RANK_TEXT[self[0]] % self[1]
 
     def __repr__(self):
-        return f"EntityId.parse({self._text!r})"
+        return f"EntityId.parse({str(self)!r})"
 
     @staticmethod
     def parse(text: str) -> "EntityId":

@@ -442,8 +442,6 @@ def compare_models(
     masks: Dict[str, AvailabilityMask],
     true_state: StateVector,
     seeds: Sequence[int],
-    scada_sigma: float = SCADA_SIGMA,
-    pmu_sigma: float = PMU_SIGMA,
 ) -> ComparisonResult:
     """Estimate under each model's mask with shared noise draws.
 
@@ -465,7 +463,7 @@ def compare_models(
         pmu={b: any(masks[m].pmu.get(b, False) for m in models) for b in bus_ids},
         pmu_equipped=frozenset().union(*(masks[m].pmu_equipped for m in models)),
     )
-    template = measurement_template(true_state, grid, union, scada_sigma, pmu_sigma)
+    template = measurement_template(true_state, grid, union)
     entries = template.exact.entries
     exact = np.array([(m.z_r, m.z_i) for m in entries], dtype=float).reshape(-1)
     observed = np.empty((exact.size, len(seeds)))  # one column per seed

@@ -20,7 +20,7 @@ model for subsequent operator-free rules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Union
 
@@ -55,11 +55,6 @@ _OP_LEVEL = {
     OP_BOOL_OR: 1,
     OP_MIN_AND: 2,
     OP_BOOL_AND: 2,
-}
-_LEVEL_OPS = {
-    0: (OP_NEW_XOR,),
-    1: (OP_MAX_OR, OP_BOOL_OR),
-    2: (OP_MIN_AND, OP_BOOL_AND),
 }
 
 _TRANSLATION = {OP_MIN_AND: OP_BOOL_AND, OP_MAX_OR: OP_BOOL_OR, OP_NEW_XOR: OP_BOOL_AND}
@@ -109,26 +104,36 @@ class IdrRule:
     target: EntityId
     body: IdrExpr
     model: str
+    # The body's distinct entity literals, left to right, found by the
+    # operator check's walk: no consumer walks the body again for them.
+    literals: Tuple[EntityId, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.model not in (MIIM, IIM):
             raise IdrModelError(f"unknown model: {self.model!r}")
-        ops = _collect_ops(self.body)
+        ops, literals = _scan(self.body)
         allowed = _MIIM_OPS if self.model == MIIM else _IIM_OPS
         if not ops <= allowed:
             raise IdrModelError(
                 f"{self.model} rule for {self.target} uses foreign operators: "
                 f"{sorted(ops - allowed)}"
             )
+        object.__setattr__(self, "literals", tuple(literals))
 
 
-def _collect_ops(expr: IdrExpr) -> Set[str]:
-    if isinstance(expr, Literal):
-        return set()
-    ops = {expr.op}
-    for child in expr.children:
-        ops |= _collect_ops(child)
-    return ops
+def _scan(expr: IdrExpr) -> Tuple[Set[str], Dict[EntityId, None]]:
+    """The operators of an expression and its distinct literals, left to right."""
+    ops: Set[str] = set()
+    literals: Dict[EntityId, None] = {}
+    stack: List[IdrExpr] = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Literal):
+            literals[node.entity] = None
+        else:
+            ops.add(node.op)
+            stack.extend(reversed(node.children))
+    return ops, literals
 
 
 # --- Lexer -----------------------------------------------------------------
@@ -260,7 +265,7 @@ def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
     if body_parser.peek() is not None:
         kind, tok, pos = body_parser.peek()
         raise IdrSyntaxError(f"trailing input {tok!r} at position {pos}")
-    ops = _collect_ops(body)
+    ops, _ = _scan(body)
     if ops & _MIIM_OPS and ops & _IIM_OPS:
         raise IdrModelError("rule mixes ternary and binary operators")
     if ops & _IIM_OPS:
@@ -299,16 +304,9 @@ def format_idr(rule: IdrRule) -> str:
 
 def free_entities(rule_or_expr: Union[IdrRule, IdrExpr]) -> FrozenSet[EntityId]:
     """All entity literals appearing in a rule body or expression."""
-    expr = rule_or_expr.body if isinstance(rule_or_expr, IdrRule) else rule_or_expr
-    found: Set[EntityId] = set()
-    stack: List[IdrExpr] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Literal):
-            found.add(node.entity)
-        else:
-            stack.extend(node.children)
-    return frozenset(found)
+    if isinstance(rule_or_expr, IdrRule):
+        return frozenset(rule_or_expr.literals)
+    return frozenset(_scan(rule_or_expr)[1])
 
 
 def evaluate(expr: IdrExpr, state: Mapping[EntityId, int]) -> int:

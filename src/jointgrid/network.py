@@ -7,18 +7,22 @@ Rule sets give each dependent entity's operational level as an expression
 over other entities; availability rules are side expressions, evaluated at
 a cascade fixpoint, that decide whether a substation's SCADA/PMU data still
 reaches a control center.
+
+``validate`` is the one walk that checks every rule's references against
+the slot map (``reference_problems``); the cascade compilers check through
+their own slot lookups and ask ``reference_problems`` only for the wording
+of a refusal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
 from jointgrid.grid import Grid
-from jointgrid.idr import IIM, MIIM, IdrRule, free_entities
+from jointgrid.idr import IIM, MIIM, IdrRule
 
 ROLE_PLAIN = "plain"
 ROLE_GENERATING = "generating"
@@ -155,13 +159,14 @@ class JointNetwork:
 
     def index_entities(self) -> None:
         """Fix the canonical entity order and slot map from the registry."""
-        self.entity_order = tuple(sorted(self.registry, key=attrgetter("sort_key")))
+        self.entity_order = tuple(sorted(self.registry))
         self.slots = {entity: i for i, entity in enumerate(self.entity_order)}
 
 
 def validate(network: JointNetwork) -> List[str]:
     """Check structural invariants; each violation is a human-readable line.
-    Rule sets pass ``reference_problems``, as in the cascade compilers."""
+    Rule sets pass ``reference_problems``, the wording the cascade compilers
+    also use when a slot lookup refuses a rule."""
     problems: List[str] = []
     grid_buses = set(network.grid.bus_ids)
 
@@ -233,20 +238,14 @@ def validate(network: JointNetwork) -> List[str]:
 
 
 def reference_problems(
-    rules: Sequence[IdrRule],
-    slots: Dict[EntityId, int],
-    targets: bool = True,
-    literals: Optional[Sequence[FrozenSet[EntityId]]] = None,
+    rules: Sequence[IdrRule], slots: Dict[EntityId, int], targets: bool = True
 ) -> List[str]:
     """Why ``rules`` cannot be compiled over ``slots``, one line per fault: a
     duplicate or unregistered target, or an unregistered literal.  Availability
-    rules go with ``targets=False``: their targets are data paths, not slots.
-    ``literals`` holds each rule's ``free_entities`` when the caller has them."""
+    rules go with ``targets=False``: their targets are data paths, not slots."""
     problems: List[str] = []
     seen = set()
-    if literals is None:
-        literals = map(free_entities, rules)
-    for rule, found in zip(rules, literals):
+    for rule in rules:
         if targets:
             if rule.target in seen:
                 problems.append(f"duplicate rule for {rule.target}")
@@ -254,7 +253,7 @@ def reference_problems(
             if rule.target not in slots:
                 problems.append(f"rule target {rule.target} not registered")
         # Sort only the unregistered few: sorting every literal dominated validate.
-        for entity in sorted(e for e in found if e not in slots):
+        for entity in sorted(e for e in rule.literals if e not in slots):
             problems.append(f"rule for {rule.target} references unknown entity {entity}")
     return problems
 

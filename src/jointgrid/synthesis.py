@@ -25,6 +25,7 @@ fiber layouts follow geography that branch lengths cannot always recover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -513,7 +514,7 @@ def generate_cascade_rules(network: JointNetwork) -> List[IdrRule]:
             for sub_id in subs:
                 rules.append(IdrRule(side.channel(node, sub_id), _lit(ent.gateway(sub_id)), MIIM))
 
-    rules.sort(key=lambda rule: rule.target.sort_key)
+    rules.sort(key=attrgetter("target"))
     return rules
 
 

@@ -294,12 +294,13 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
     """The cases share one cascade rules tuple per model and so one compiled
     cascade program: case 2 compiles no cascade rule after case 1 did.  Each
     rule set compiles its availability part once, and a second pass over
-    all four rule sets compiles nothing."""
+    all four rule sets compiles nothing.  Clean rule sets are checked by the
+    compilers' own slot lookups, with no ``reference_problems`` walk."""
     from jointgrid import cascade
     from jointgrid.synthesis import build_joint_network
 
     network = build_joint_network(ieee14_grid)
-    calls = {"compile_expr": 0, "compile_exprs": 0}
+    calls = {"compile_expr": 0, "compile_exprs": 0, "reference_problems": 0}
     for name in calls:
         original = getattr(cascade, name)
 
@@ -329,6 +330,7 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
     screen_all()
     assert calls == first_pass
     assert calls["compile_exprs"] == 4
+    assert calls["reference_problems"] == 0
     for model in MODELS:
         assert network.rule_set(model, 1).rules is network.rule_set(model, 2).rules
         assert compiled[model, 1] > 0

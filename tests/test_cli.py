@@ -360,9 +360,12 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
             {**m, "scada": {k: v for k, v in m["scada"].items() if k != "5"}})),
         ("bus 99", [], lambda m: json.dumps({**m, "pmu": {**m["pmu"], "99": False}})),
         ("bus 99", [], lambda m: json.dumps({**m, "pmu_equipped": [99]})),
+        ("not valid JSON", [], lambda m: json.dumps(m).replace(
+            '"pmu_equipped": []', '"pmu_equipped": [' + "9" * 5000 + "]")),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
-         "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus"],
+         "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
+         "int_5000_digits"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -396,9 +399,11 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": "x"}}),
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": 1.5}}),
         ("seeds", lambda s: {**s, "estimation": {"seeds": True}}),
+        # A string edit is the file's text: json.dumps refuses such an integer.
+        ("not valid JSON", lambda s: json.dumps(s).replace('"version": 1', '"version": ' + "9" * 5000)),
     ],
     ids=["array", "estimation_list", "killed_int", "grid_int", "seed_base_str",
-         "seed_base_float", "seeds_bool"],
+         "seed_base_float", "seeds_bool", "int_5000_digits"],
 )
 def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, edit):
     scenario = {
@@ -408,7 +413,8 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
         "estimation": {"seeds": 2, "seed_base": 0},
     }
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(edit(scenario)), encoding="utf-8")
+    edited = edit(scenario)
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited), encoding="utf-8")
     code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err

@@ -1,7 +1,17 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import jointgrid
 from jointgrid import entities as ent
 from jointgrid.entities import EntityError, EntityId, parse_entity_id
+
+FIXTURES = Path(jointgrid.__file__).resolve().parent / "fixtures"
 
 
 def test_parse_gateway_of_substation_6():
@@ -75,3 +85,40 @@ def test_ordering_is_stable():
     assert ordered[0] == ent.bus(1)
     assert ordered[1] == ent.bus(3)
     assert ordered[-1] == ent.rtu(1)
+
+
+def test_tuple_value_orders_by_kind_rank_then_indices():
+    entity = ent.link(3, 10)
+    assert entity == (4, (3, 10))
+    assert hash(entity) == hash((4, (3, 10)))
+    assert ent.battery(9) < parse_entity_id("BR(1,2)") < ent.gw_pmu(1)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    for entity in [ent.bus(4), ent.gateway(6), ent.link(3, 10), ent.gw_pmu(2)]:
+        for copied in (pickle.loads(pickle.dumps(entity)), copy.deepcopy(entity), copy.copy(entity)):
+            assert type(copied) is EntityId
+            assert copied == entity and hash(copied) == hash(entity)
+            assert (copied.kind, copied.indices, str(copied)) == (entity.kind, entity.indices, str(entity))
+
+
+def test_entity_hashes_do_not_depend_on_the_process():
+    """Set iteration order, and with it every output that walks a set of
+    entities, is the same under any string-hash seed."""
+    script = (
+        "from jointgrid.grid import load_grid\n"
+        "from jointgrid.synthesis import build_joint_network\n"
+        f"network = build_joint_network(load_grid({str(FIXTURES / 'ieee14.json')!r}))\n"
+        "print(' '.join(map(str, frozenset(network.registry))))\n"
+    )
+    src = str(Path(jointgrid.__file__).resolve().parents[1])
+    orders = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(orders) == 1
+    assert len(orders.pop().split()) > 100

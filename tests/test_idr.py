@@ -36,6 +36,27 @@ def lit(text):
     return Literal(parse_entity_id(text))
 
 
+def _walk(expr):
+    """Every literal of an expression, left to right, repeats included."""
+    if isinstance(expr, Literal):
+        return [expr.entity]
+    return [entity for child in expr.children for entity in _walk(child)]
+
+
+def assert_literals_match_walk(rule):
+    """``rule.literals``, recorded by the rule's own scan, against a recursive walk."""
+    assert len(set(rule.literals)) == len(rule.literals)
+    assert set(rule.literals) == set(_walk(rule.body))
+    assert rule.literals == tuple(dict.fromkeys(_walk(rule.body)))
+
+
+def test_rule_literals_match_a_recursive_walk(ieee14, ieee118):
+    for network in (ieee14, ieee118):
+        for rule_set in network.rule_sets.values():  # both models, both cases
+            for rule in (*rule_set.rules, *rule_set.availability_rules()):
+                assert_literals_match_walk(rule)
+
+
 def test_parse_ring_rule_structure():
     rule = parse_idr(RING_RULE)
     assert rule.model == MIIM
@@ -262,6 +283,7 @@ def test_random_miim_exprs_round_trip_and_compile(expr, seed):
 
     text = format_expr(expr)
     assert parse_expr(text) == expr
+    assert_literals_match_walk(IdrRule(parse_entity_id("R(1)"), expr, MIIM))
 
     rng = random.Random(seed)
     entities = sorted(free_entities(expr))
@@ -281,6 +303,7 @@ def test_random_iim_exprs_round_trip_and_compile(expr, seed):
 
     text = format_expr(expr)
     assert parse_expr(text) == expr
+    assert_literals_match_walk(IdrRule(parse_entity_id("R(1)"), expr, IIM))
 
     rng = random.Random(seed)
     entities = sorted(free_entities(expr))
