@@ -269,6 +269,19 @@ def _read_json_object(path: Path) -> dict:
     return data
 
 
+def _file_beside(path: Path, name: str, what: str) -> Path:
+    """``name`` resolved against the directory of the file ``path``; it must
+    name a file."""
+    try:
+        resolved = (path.parent / name).resolve()
+        if resolved.is_file():
+            return resolved
+    except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioFileError(f"{path}: bad {what} path {name[:80]!r}: {reason}") from exc
+    raise ScenarioFileError(f"{path}: {what} file not found: {resolved}")
+
+
 def load_scenario(path) -> dict:
     path = Path(path)
     data = _read_json_object(path)
@@ -278,10 +291,7 @@ def load_scenario(path) -> dict:
         raise ScenarioFileError(f"{path}: missing grid path")
     if not isinstance(data["grid"], str):
         raise ScenarioFileError(f"{path}: grid must be a path string, got {data['grid']!r}")
-    grid_path = (path.parent / data["grid"]).resolve()
-    if not grid_path.exists():
-        raise ScenarioFileError(f"{path}: grid file not found: {grid_path}")
-    data["_grid_path"] = grid_path
+    data["_grid_path"] = _file_beside(path, data["grid"], "grid")
     data.setdefault("label", path.stem)
     data.setdefault("model", "both")
     data.setdefault("case", 1)
@@ -312,10 +322,7 @@ def load_scenario(path) -> dict:
         if est.get("true_state"):
             if not isinstance(est["true_state"], str):
                 raise ScenarioFileError(f"{path}: estimation.true_state must be a path string")
-            ts_path = (path.parent / est["true_state"]).resolve()
-            if not ts_path.exists():
-                raise ScenarioFileError(f"{path}: true-state file not found: {ts_path}")
-            est["_true_state_path"] = ts_path
+            est["_true_state_path"] = _file_beside(path, est["true_state"], "true-state")
     return data
 
 
@@ -352,11 +359,16 @@ def _build_validated(grid_path) -> Tuple[Grid, JointNetwork, List[str]]:
     return grid, network, validate_network(network)
 
 
+def _report_violations(problems: List[str]) -> bool:
+    """Print each validation problem to stderr; true if there was any."""
+    for problem in problems:
+        print(f"violation: {problem}", file=sys.stderr)
+    return bool(problems)
+
+
 def _cmd_synth(args) -> int:
     grid, network, problems = _build_validated(args.grid)
-    if problems:
-        for problem in problems:
-            print(f"violation: {problem}", file=sys.stderr)
+    if _report_violations(problems):
         return EXIT_VALIDATION
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -388,9 +400,7 @@ def _models_cases(scenario: dict, args) -> List[Tuple[str, int]]:
 def _cmd_cascade(args) -> int:
     scenario = load_scenario(args.scenario)
     grid, network, problems = _build_validated(scenario["_grid_path"])
-    if problems:
-        for problem in problems:
-            print(f"violation: {problem}", file=sys.stderr)
+    if _report_violations(problems):
         return EXIT_VALIDATION
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -408,7 +418,7 @@ def _cmd_estimate(args) -> int:
     payload, mask = load_mask(args.mask)
     if not args.grid and not isinstance(payload.get("grid"), str):
         raise ScenarioFileError(f"{args.mask}: grid must be a path string, or pass --grid")
-    grid = load_grid(args.grid or Path(args.mask).parent / payload["grid"])
+    grid = load_grid(args.grid or _file_beside(Path(args.mask), payload["grid"], "grid"))
     buses = set(grid.bus_ids)
     flags = {"scada": mask.scada, "pmu": mask.pmu, "pmu_equipped": mask.pmu_equipped}
     for field, flagged in flags.items():
@@ -433,9 +443,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     grid, network, problems = _build_validated(scenario["_grid_path"])
-    if problems:
-        for problem in problems:
-            print(f"violation: {problem}", file=sys.stderr)
+    if _report_violations(problems):
         return EXIT_VALIDATION
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -128,7 +128,10 @@ def parse_entity_id(text: str) -> EntityId:
     if prefix not in _PREFIX_TO_KIND:
         raise EntityError(f"unknown entity prefix: {prefix!r}")
     kind, _ = _PREFIX_TO_KIND[prefix]
-    indices = tuple(int(part) for part in body.split(","))
+    try:
+        indices = tuple(int(part) for part in body.split(","))
+    except ValueError as exc:  # an index past the integer digit limit
+        raise EntityError(f"bad entity index in {text!r}: {exc}") from None
     return EntityId(kind, indices)
 
 

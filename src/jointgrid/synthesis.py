@@ -14,8 +14,10 @@ feeds both the registry and every rule.
 Channel policy case 1 keeps RTU traffic strictly on the SONET path; case 2
 lets the high-bandwidth DWDM path carry RTU traffic when the SONET path is
 down.  The two cases share cascade rules and differ only in the SCADA
-availability expressions; both cases' availability rules come from one pass
-per substation, and the cases share the PMU availability rule.
+availability expressions.  One pass per substation builds its cascade rules
+and both cases' availability rules: the gateway's terms (server and LAN,
+device ingest, power, ring reachability) are built once and shared by every
+rule that states them, and the cases share the PMU availability rule.
 
 Explicit placement inputs (substation map, control centers, per-substation
 homing) override the distance-derived choices; they exist because real
@@ -382,19 +384,14 @@ def build_registry(network: JointNetwork) -> Dict[EntityId, EntityMeta]:
         registry[ent.server(sub.id)] = EntityMeta(substation=sub.id)
         registry[ent.gateway(sub.id)] = EntityMeta(substation=sub.id)
         registry[ent.lan(sub.id)] = EntityMeta(substation=sub.id)
+        server, gateway = str(ent.server(sub.id)), str(ent.gateway(sub.id))
         for bus_id in sub.buses:
-            registry[ent.link(1, bus_id)] = EntityMeta(
-                substation=sub.id, endpoints=(f"P({bus_id})", f"C(1,1,{sub.id},{sub.id})")
-            )
-            registry[ent.link(2, bus_id)] = EntityMeta(
-                substation=sub.id, endpoints=(f"P({bus_id})", f"C(1,2,{sub.id},{sub.id})")
-            )
-        registry[ent.link(5, sub.id)] = EntityMeta(
-            substation=sub.id, endpoints=(f"PB({sub.id})", f"C(1,1,{sub.id},{sub.id})")
-        )
-        registry[ent.link(6, sub.id)] = EntityMeta(
-            substation=sub.id, endpoints=(f"PB({sub.id})", f"C(1,2,{sub.id},{sub.id})")
-        )
+            bus = str(ent.bus(bus_id))
+            registry[ent.link(1, bus_id)] = EntityMeta(substation=sub.id, endpoints=(bus, server))
+            registry[ent.link(2, bus_id)] = EntityMeta(substation=sub.id, endpoints=(bus, gateway))
+        battery = str(ent.battery(sub.id))
+        registry[ent.link(5, sub.id)] = EntityMeta(substation=sub.id, endpoints=(battery, server))
+        registry[ent.link(6, sub.id)] = EntityMeta(substation=sub.id, endpoints=(battery, gateway))
         for rtu_id in network.rtus[sub.id]:
             registry[ent.rtu(rtu_id)] = EntityMeta(substation=sub.id)
             registry[ent.rtu_channel(rtu_id, sub.id)] = EntityMeta(substation=sub.id)
@@ -412,39 +409,24 @@ def build_registry(network: JointNetwork) -> Dict[EntityId, EntityMeta]:
                 )
             for bus_id, link_index in side.feeds[node]:
                 registry[ent.link(side.family, link_index)] = EntityMeta(
-                    endpoints=(f"P({bus_id})", node_name)
+                    endpoints=(str(ent.bus(bus_id)), node_name)
                 )
         for a, b in side.ring.edges:
             registry[side.link(a, b)] = EntityMeta(endpoints=(str(side.node(a)), str(side.node(b))))
     return registry
 
 
-def _gateway_power(sub: Substation) -> IdrExpr:
-    terms = [_min_and(_lit(ent.bus(b)), _lit(ent.link(2, b))) for b in sub.buses]
-    terms.append(_min_and(_lit(ent.battery(sub.id)), _lit(ent.link(6, sub.id))))
+def _power(sub: Substation, bus_family: int, battery_family: int) -> IdrExpr:
+    """Supply from any of the substation's buses or its battery, each over its
+    link in the given family: 1 and 5 feed the server, 2 and 6 the gateway."""
+    terms = [_min_and(_lit(ent.bus(b)), _lit(ent.link(bus_family, b))) for b in sub.buses]
+    terms.append(_min_and(_lit(ent.battery(sub.id)), _lit(ent.link(battery_family, sub.id))))
     return _max_or(terms)
 
 
-def _server_power(sub: Substation) -> IdrExpr:
-    terms = [_min_and(_lit(ent.bus(b)), _lit(ent.link(1, b))) for b in sub.buses]
-    terms.append(_min_and(_lit(ent.battery(sub.id)), _lit(ent.link(5, sub.id))))
-    return _max_or(terms)
-
-
-def _scada_ingest(network: JointNetwork, sub: Substation) -> IdrExpr:
-    terms = [
-        _min_and(_lit(ent.rtu(i)), _lit(ent.rtu_channel(i, sub.id)))
-        for i in network.rtus[sub.id]
-    ]
-    return _new_xor(terms)
-
-
-def _pmu_ingest(network: JointNetwork, sub: Substation) -> IdrExpr:
-    terms = [
-        _min_and(_lit(ent.pmu(j)), _lit(ent.pmu_channel(j, sub.id)))
-        for j in network.pmus[sub.id]
-    ]
-    return _new_xor(terms)
+def _ingest(sub: Substation, device_ids: Sequence[int], device, channel) -> IdrExpr:
+    """Unanimous data from each device of one kind over its channel."""
+    return _new_xor([_min_and(_lit(device(i)), _lit(channel(i, sub.id))) for i in device_ids])
 
 
 def _ring_connect(side: _RingSide, sub: Substation) -> IdrExpr:
@@ -475,83 +457,68 @@ def _ring_node_rule(side: _RingSide, node: int, ccs: Sequence[int]) -> IdrRule:
     return IdrRule(side.node(node), body, MIIM)
 
 
-def generate_cascade_rules(network: JointNetwork) -> List[IdrRule]:
-    """Ternary-model cascade rules, one per dependent entity.
+def generate_rules(
+    network: JointNetwork,
+) -> Tuple[List[IdrRule], Dict[int, Dict[int, AvailabilityRules]]]:
+    """Ternary-model cascade rules, one per dependent entity, and the
+    data-path expressions deciding SCADA/PMU delivery, per case and then per
+    substation, from one pass over the substations.
 
     Buses, batteries, intra-substation cabling, ring links, and power-supply
-    links carry no rules: they fail only when attacked directly.  Ring-node
-    reachability is deliberately absent from gateway rules; whether data
-    still reaches a control center is the availability layer's question and
-    does not feed back into equipment failure.
-    """
-    rules: List[IdrRule] = []
+    links carry no cascade rules: they fail only when attacked directly.
+    Ring-node reachability is deliberately absent from gateway rules; whether
+    data still reaches a control center is the availability layer's question
+    and does not feed back into equipment failure.
 
-    for sub in sorted(network.substations, key=lambda s: s.id):
+    The data-path expressions restate the gateway's operating conditions
+    (server and LAN, device ingest, power) with the very terms its cascade
+    rule holds, add ring reachability, and are evaluated against a cascade
+    fixpoint rather than iterated.  SCADA follows the SONET path; under case
+    2 the DWDM path backs it up.  PMU data follows the DWDM path in both
+    cases, so both cases hold the same PMU rule.
+    """
+    sadm, oadm = sides = _ring_sides(network)
+    rules: List[IdrRule] = []
+    availability: Dict[int, Dict[int, AvailabilityRules]] = {case: {} for case in CASES}
+    for sub in sorted(network.substations, key=attrgetter("id")):
         server_body = _min_and(
-            _min_and(_lit(ent.gateway(sub.id)), _lit(ent.lan(sub.id))),
-            _server_power(sub),
+            _min_and(_lit(ent.gateway(sub.id)), _lit(ent.lan(sub.id))), _power(sub, 1, 5)
         )
         rules.append(IdrRule(ent.server(sub.id), server_body, MIIM))
 
         head = _min_and(_lit(ent.server(sub.id)), _lit(ent.lan(sub.id)))
-        scada_core = _min_and(head, _scada_ingest(network, sub), _gateway_power(sub))
-        if network.pmus.get(sub.id):
-            pmu_core = _min_and(head, _pmu_ingest(network, sub), _gateway_power(sub))
-            gateway_body: IdrExpr = _new_xor([scada_core, pmu_core])
-        else:
-            gateway_body = scada_core
-        rules.append(IdrRule(ent.gateway(sub.id), gateway_body, MIIM))
-
-        for rtu_id in network.rtus[sub.id]:
-            rules.append(IdrRule(ent.rtu(rtu_id), _device_power(sub), MIIM))
-        for pmu_id in network.pmus.get(sub.id, []):
-            rules.append(IdrRule(ent.pmu(pmu_id), _device_power(sub), MIIM))
-
-    ccs = network.control_centers
-    for side in _ring_sides(network):
-        for node, subs in side.channels.items():
-            rules.append(_ring_node_rule(side, node, ccs))
-            for sub_id in subs:
-                rules.append(IdrRule(side.channel(node, sub_id), _lit(ent.gateway(sub_id)), MIIM))
-
-    rules.sort(key=attrgetter("target"))
-    return rules
-
-
-def _device_power(sub: Substation) -> IdrExpr:
-    terms: List[IdrExpr] = [_lit(ent.bus(b)) for b in sub.buses]
-    terms.append(_lit(ent.battery(sub.id)))
-    return _max_or(terms)
-
-
-def generate_availability_rules(network: JointNetwork) -> Dict[int, Dict[int, AvailabilityRules]]:
-    """Data-path expressions deciding SCADA/PMU delivery, per case and then
-    per substation.
-
-    SCADA follows the SONET path; under case 2 the DWDM path backs it up.
-    PMU data follows the DWDM path in both cases, so both cases hold the
-    same PMU rule.  The expressions mirror the gateway's full operating
-    conditions (server and LAN, device ingest, ring reachability, power)
-    and are evaluated against a cascade fixpoint rather than iterated.
-    """
-    sadm, oadm = _ring_sides(network)
-    availability: Dict[int, Dict[int, AvailabilityRules]] = {case: {} for case in CASES}
-    for sub in sorted(network.substations, key=lambda s: s.id):
-        head = _min_and(_lit(ent.server(sub.id)), _lit(ent.lan(sub.id)))
-        power = _gateway_power(sub)
+        power = _power(sub, 2, 6)
+        scada_ingest = _ingest(sub, network.rtus[sub.id], ent.rtu, ent.rtu_channel)
+        gateway_body = _min_and(head, scada_ingest, power)
         sadm_connect = _ring_connect(sadm, sub)
         oadm_connect = _ring_connect(oadm, sub)
+        device_power = _max_or([_lit(ent.bus(b)) for b in sub.buses] + [_lit(ent.battery(sub.id))])
+        devices = [ent.rtu(i) for i in network.rtus[sub.id]]
         pmu_rule = None
-        if network.pmus.get(sub.id):
-            pmu_body = _min_and(head, _min_and(_pmu_ingest(network, sub), oadm_connect), power)
+        pmu_ids = network.pmus.get(sub.id)
+        if pmu_ids:
+            pmu_ingest = _ingest(sub, pmu_ids, ent.pmu, ent.pmu_channel)
+            gateway_body = _new_xor([gateway_body, _min_and(head, pmu_ingest, power)])
+            pmu_body = _min_and(head, _min_and(pmu_ingest, oadm_connect), power)
             pmu_rule = IdrRule(ent.gw_pmu(sub.id), pmu_body, MIIM)
-        scada_ingest = _scada_ingest(network, sub)
+            devices += [ent.pmu(j) for j in pmu_ids]
+        rules.append(IdrRule(ent.gateway(sub.id), gateway_body, MIIM))
+        rules += [IdrRule(device, device_power, MIIM) for device in devices]
+
         scada_reach = {1: sadm_connect, 2: Op(OP_MAX_OR, (sadm_connect, oadm_connect))}
         for case in CASES:
             scada_body = _min_and(head, _min_and(scada_ingest, scada_reach[case]), power)
             scada_rule = IdrRule(ent.gw_scada(sub.id), scada_body, MIIM)
             availability[case][sub.id] = AvailabilityRules(scada_rule, pmu_rule)
-    return availability
+
+    ccs = network.control_centers
+    for side in sides:
+        for node, subs in side.channels.items():
+            rules.append(_ring_node_rule(side, node, ccs))
+            rules += [IdrRule(side.channel(node, s), _lit(ent.gateway(s)), MIIM) for s in subs]
+
+    rules.sort(key=attrgetter("target"))
+    return rules, availability
 
 
 def _rule_sets(
@@ -626,7 +593,5 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
     )
     network.registry = build_registry(network)
     network.index_entities()
-    network.rule_sets = _rule_sets(
-        generate_cascade_rules(network), generate_availability_rules(network)
-    )
+    network.rule_sets = _rule_sets(*generate_rules(network))
     return network

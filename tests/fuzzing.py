@@ -1,0 +1,84 @@
+"""Hypothesis edits of valid input documents, for the input fuzz tests.
+
+Each helper applies 1-3 random edits to a valid input and returns the result;
+a test then checks that the loader either accepts it or raises the error
+class it declares.
+"""
+
+from hypothesis import strategies as st
+
+# Fragments of rule text: operator, entity and directive characters, plus an
+# index past Python's 4300-digit integer conversion limit.
+RULE_PIECES = st.text(alphabet="PBCLRUGS(),<-&|^.+#: 0123456789miim", max_size=6) | st.just(
+    "9" * 5000
+)
+
+# Entity text with any known prefix and 1-4 indices, so that most of it
+# names an entity of the wrong arity, type or link family, or has an index
+# too long to convert.
+ENTITY_TEXT = st.builds(
+    lambda prefix, indices: f"{prefix}({','.join(indices)})",
+    st.sampled_from(["P", "PB", "BR", "C", "L", "R", "U", "GS", "GP", "X"]),
+    st.lists(st.integers(0, 9).map(str) | st.just("9" * 5000), min_size=1, max_size=4),
+)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4)
+    | ENTITY_TEXT,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every location in a parsed JSON value, the root included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+def edit_json(data, document):
+    """Replace, delete or re-key 1-3 locations anywhere in ``document``, a
+    parsed JSON value that this edits in place; returns the edited value."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(document))))
+        if not path:
+            document = data.draw(JSON_VALUES)
+            continue
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "rekey"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "rekey" and isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=4))] = parent.pop(path[-1])
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    return document
+
+
+def edit_rule_text(data, text):
+    """Make 1-3 edits to an ``.idr`` text, each to one line: replace or
+    delete a span of it, or re-key its rule by replacing the target with
+    other entity text."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        start = data.draw(st.integers(0, len(line)))
+        end = data.draw(st.integers(start, len(line)))
+        action = data.draw(st.sampled_from(["replace", "delete", "rekey"]))
+        if action == "delete":
+            lines[i] = line[:start] + line[end:]
+        elif action == "rekey" and "<-" in line:
+            lines[i] = data.draw(ENTITY_TEXT) + " " + line[line.index("<-"):]
+        else:
+            lines[i] = line[:start] + data.draw(RULE_PIECES) + line[end:]
+    return "\n".join(lines) + "\n"

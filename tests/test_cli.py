@@ -1,10 +1,15 @@
+import copy
 import hashlib
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fuzzing import edit_json
 from jointgrid import cli
 from jointgrid.cli import build_parser, main, rule_file_text
+from jointgrid.entities import EntityError
 from jointgrid.idr import format_idr, format_idr_file
 
 
@@ -49,6 +54,24 @@ def test_validate_bad_grid_exits_2(tmp_path, capsys):
     code = main(["validate", "--grid", str(bad)])
     assert code == 2
     assert "unknown schema version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "synth", "cascade", "run"])
+def test_violations_exit_2(fixtures_dir, tmp_path, capsys, monkeypatch, command):
+    """``validate`` lists violations on stdout; the commands that write
+    files list them on stderr and write nothing."""
+    monkeypatch.setattr(cli, "validate_network", lambda network: ["first", "second"])
+    if command in ("validate", "synth"):
+        source = ["--grid", str(fixtures_dir / "ieee14.json")]
+    else:
+        source = ["--scenario", str(fixtures_dir / "ieee14_substation6_attack.json")]
+    out_dir = [] if command == "validate" else ["--out-dir", str(tmp_path / "out")]
+    assert main([command, *source, *out_dir]) == 2
+    captured = capsys.readouterr()
+    listed = captured.out if command == "validate" else captured.err
+    assert listed == "violation: first\nviolation: second\n"
+    assert (captured.err if command == "validate" else captured.out) == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["x", "b"])
@@ -362,10 +385,12 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
         ("bus 99", [], lambda m: json.dumps({**m, "pmu_equipped": [99]})),
         ("not valid JSON", [], lambda m: json.dumps(m).replace(
             '"pmu_equipped": []', '"pmu_equipped": [' + "9" * 5000 + "]")),
+        ("bad grid path", [], lambda m: json.dumps({**m, "grid": "ieee14\u0000.json"})),
+        ("grid file not found", [], lambda m: json.dumps({**m, "grid": "."})),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
-         "int_5000_digits"],
+         "int_5000_digits", "grid_nul", "grid_directory"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -401,9 +426,14 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("seeds", lambda s: {**s, "estimation": {"seeds": True}}),
         # A string edit is the file's text: json.dumps refuses such an integer.
         ("not valid JSON", lambda s: json.dumps(s).replace('"version": 1', '"version": ' + "9" * 5000)),
+        ("bad killed entity", lambda s: {**s, "killed": ["P(" + "9" * 5000 + ")"]}),
+        ("bad grid path", lambda s: {**s, "grid": "ieee14\u0000.json"}),
+        ("bad grid path", lambda s: {**s, "grid": "g" * 5000}),
+        ("grid file not found", lambda s: {**s, "grid": "."}),
     ],
     ids=["array", "estimation_list", "killed_int", "grid_int", "seed_base_str",
-         "seed_base_float", "seeds_bool", "int_5000_digits"],
+         "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits",
+         "grid_nul", "grid_too_long", "grid_directory"],
 )
 def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, edit):
     scenario = {
@@ -418,3 +448,40 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
     code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, fixtures_dir):
+    """A directory holding the 14-bus grid, with the shipped 14-bus scenario
+    and a mask written by ``cascade``, both parsed."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(fixtures_dir / "ieee14.json", root)
+    scenario_path = fixtures_dir / "ieee14_substation6_attack.json"
+    argv = ["cascade", "--scenario", str(scenario_path), "--model", "miim", "--out-dir", str(root)]
+    assert main(argv) == 0
+    mask = json.loads((root / "availability_miim_case1.json").read_text(encoding="utf-8"))
+    return root, json.loads(scenario_path.read_text(encoding="utf-8")), mask
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_edited_scenario_loads_or_raises_its_error(fuzz_inputs, data):
+    root, scenario, _ = fuzz_inputs
+    path = root / "scenario.json"
+    path.write_text(json.dumps(edit_json(data, copy.deepcopy(scenario))), encoding="utf-8")
+    try:
+        cli.load_scenario(path)
+    except (cli.ScenarioFileError, EntityError):
+        pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_edited_mask_loads_or_raises_its_error(fuzz_inputs, data):
+    root, _, mask = fuzz_inputs
+    path = root / "mask.json"
+    path.write_text(json.dumps(edit_json(data, copy.deepcopy(mask))), encoding="utf-8")
+    try:
+        cli.load_mask(path)
+    except (cli.ScenarioFileError, EntityError):
+        pass

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzing import edit_json
 from jointgrid.grid import GridError, grid_from_dict, load_grid
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -122,50 +123,14 @@ def full_grid_dict():
     }
 
 
-def _paths(node, prefix=()):
-    """Every location in a parsed JSON value, the root included."""
-    yield prefix
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _paths(child, prefix + (key,))
-
-
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(10**400), 10**400)
-    | st.floats()
-    | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=4), children, max_size=3),
-    max_leaves=6,
-)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_malformed_grid_raises_grid_error(data):
     """Replacing, deleting or re-keying any part of a valid grid either
     still loads or raises ``GridError``; never a bare ``KeyError``,
     ``TypeError``, ``IndexError`` or ``OverflowError``."""
-    grid = full_grid_dict()
-    for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(_paths(grid))))
-        if not path:
-            grid = data.draw(JSON_VALUES)
-            continue
-        parent = grid
-        for key in path[:-1]:
-            parent = parent[key]
-        action = data.draw(st.sampled_from(["replace", "delete", "rekey"]))
-        if action == "delete":
-            del parent[path[-1]]
-        elif action == "rekey" and isinstance(parent, dict):
-            parent[data.draw(st.text(max_size=4))] = parent.pop(path[-1])
-        else:
-            parent[path[-1]] = data.draw(JSON_VALUES)
     try:
-        grid_from_dict(grid)
+        grid_from_dict(edit_json(data, full_grid_dict()))
     except GridError:
         pass
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzing import edit_rule_text
+from jointgrid.cli import rule_file_text
 from jointgrid.entities import parse_entity_id
 from jointgrid.idr import (
     IIM,
@@ -258,6 +260,12 @@ def test_idr_file_reports_line():
         parse_idr_file("# ok\nP(1) <- P(2)\nP(3) <- !\n")
 
 
+def test_idr_file_reports_line_of_oversized_index():
+    # An index past Python's 4300-digit integer limit is a bad entity.
+    with pytest.raises(IdrSyntaxError, match="line 2: bad entity"):
+        parse_idr_file("P(1) <- P(2)\nP(3) <- P(" + "9" * 5000 + ")\n")
+
+
 # Structured random expressions: models must round-trip and compile.
 
 _ENTITIES = [f"P({i})" for i in range(1, 9)]
@@ -314,3 +322,20 @@ def test_random_iim_exprs_round_trip_and_compile(expr, seed):
         array[slots[entity]] = value
     code = compile_expr(expr, slots)
     assert eval(code, compiled_globals(), {"a": array}) == evaluate(expr, state)
+
+
+@pytest.fixture(scope="module")
+def rule_files14(ieee14):
+    """The four 14-bus rule files' texts, by (model, case)."""
+    return rule_file_text(ieee14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_edited_rule_file_parses_or_raises_its_error(rule_files14, data):
+    text = rule_files14[data.draw(st.sampled_from(sorted(rule_files14)))]
+    text = edit_rule_text(data, text)
+    try:
+        parse_idr_file(text)
+    except (IdrSyntaxError, IdrModelError):
+        pass

@@ -20,7 +20,7 @@ from jointgrid.synthesis import (
     SynthesisError,
     all_pairs_shortest,
     build_joint_network,
-    generate_cascade_rules,
+    generate_rules,
     group_substations,
     home_gateways,
     place_ring_nodes,
@@ -400,12 +400,39 @@ def test_case2_adds_exactly_one_fallback_branch(ieee14):
     assert case1.body.children[2] == case2.body.children[2]
 
 
-def test_iim_rules_are_translations(ieee14):
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
+def test_iim_rules_are_translations(request, network_name, case):
+    """Each IIM rule, cascade and availability, translates its MIIM rule."""
     from jointgrid.idr import translate_to_iim
 
-    miim_rules = ieee14.rule_set(MIIM, 1).rules
-    iim_rules = ieee14.rule_set(IIM, 1).rules
-    assert [translate_to_iim(r) for r in miim_rules] == list(iim_rules)
+    network = request.getfixturevalue(network_name)
+    miim, iim = network.rule_set(MIIM, case), network.rule_set(IIM, case)
+    assert [translate_to_iim(r) for r in miim.rules] == list(iim.rules)
+    assert [translate_to_iim(r) for r in miim.availability_rules()] == iim.availability_rules()
+    assert miim.availability.keys() == iim.availability.keys()
+
+
+@pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
+def test_rules_of_a_substation_share_their_terms(request, network_name):
+    """A gateway's data-path rules hold its cascade rule's own head and power
+    terms, and the RTU and PMU rules of a substation share one body."""
+    network = request.getfixturevalue(network_name)
+    rules = {rule.target: rule for rule in network.rule_set(MIIM, 1).rules}
+    for sub in network.substations:
+        gateway = rules[ent.gateway(sub.id)].body
+        cores = gateway.children if network.pmus[sub.id] else (gateway,)
+        head, _, power = cores[0].children
+        paths = [network.rule_set(MIIM, case).availability[sub.id] for case in (1, 2)]
+        holders = [*cores, *(avail.scada.body for avail in paths)]
+        if network.pmus[sub.id]:
+            holders.append(paths[0].pmu.body)
+        for body in holders:
+            assert body.children[0] is head
+            assert body.children[2] is power
+        devices = [ent.rtu(i) for i in network.rtus[sub.id]]
+        devices += [ent.pmu(j) for j in network.pmus[sub.id]]
+        assert len({id(rules[device].body) for device in devices}) == 1
 
 
 def test_registry_closure(ieee14):
@@ -527,7 +554,7 @@ def test_multi_rtu_substation_aggregates_with_xor(ieee14):
     network.rtus[6] = [6, 20]
     network.registry[ent.rtu(20)] = network.registry[ent.rtu(6)]
     network.registry[ent.rtu_channel(20, 6)] = network.registry[ent.rtu_channel(6, 6)]
-    rules = generate_cascade_rules(network)
+    rules, _ = generate_rules(network)
     gateway_rule = next(rule for rule in rules if rule.target == ent.gateway(6))
     ingest = gateway_rule.body.children[1]
     assert ingest.op == "new_xor"
