@@ -10,10 +10,14 @@ fixpoint array, from which every earlier step can be replayed.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
+At full operation every availability expression (literals and monotone
+operators only) is at top, so a mask starts from the full-operation mask
+and evaluates only the expressions that read a slot the cascade lowered.
 
-Both kinds of rule run through one evaluator: each rule set is compiled
-once, over the network's slot map, to code objects evaluated against a
-state array.  The interpretive ``idr.evaluate`` is the test oracle only.
+Both kinds of rule run through one evaluator: each rule of a rule set is
+compiled on first need, over the network's slot map, to a code object
+evaluated against a state array, and kept.  The interpretive
+``idr.evaluate`` is the test oracle only.
 The compilers check a rule set's references through the slot lookups they
 make anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
@@ -28,7 +32,7 @@ from types import CodeType
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from jointgrid.entities import EntityId
-from jointgrid.idr import MIIM, IdrRule, compile_expr, compile_exprs, compiled_globals
+from jointgrid.idr import MIIM, IdrRule, compile_expr, compiled_globals
 from jointgrid.network import JointNetwork, RuleSet, reference_problems
 
 
@@ -65,9 +69,10 @@ class FixpointState(Mapping[EntityId, int]):
     raises ``KeyError``.
     """
 
-    def __init__(self, slots: Dict[EntityId, int], array: List[int]):
+    def __init__(self, slots: Dict[EntityId, int], array: List[int], lowered: Set[int]):
         self.slots = slots
         self.array = array
+        self.lowered = lowered  # the slots below the top level
 
     def __getitem__(self, entity: EntityId) -> int:
         return self.array[self.slots[entity]]
@@ -104,7 +109,10 @@ class CascadeTrace:
         return arrays
 
     def final_state(self) -> FixpointState:
-        return FixpointState(self.slots, self.fixpoint)
+        """The fixpoint as a mapping.  Values only fall, so the slots below
+        top are exactly those some step changed."""
+        lowered = {self.slots[entity] for step in self.changed for entity in step}
+        return FixpointState(self.slots, self.fixpoint, lowered)
 
     def value_history(self, entity: EntityId) -> List[int]:
         slot = self.slots[entity]
@@ -145,25 +153,42 @@ class _Program:
     """One rule set compiled over one network's slot map.
 
     The cascade part is shared by every rule set holding the same rules
-    tuple.  The availability part is one code object that returns every
-    ``availability_rules()`` value at once from a fixpoint array.
+    tuple.  The availability part is the full-operation mask, built once,
+    and per data-path expression (``rules``, substation by substation, SCADA
+    before PMU) the mask it clears and the buses it speaks for; ``readers``
+    maps each slot to the expressions that read it.
     """
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
         slots = self.slots = network.slots
         self.cascade = _cascade_program(rule_set.rules, slots)
         self.globals = compiled_globals()
-        rules = rule_set.availability_rules()
+        # At full operation every expression is at top, so every path delivers.
+        self.scada: Dict[int, bool] = {}
+        self.pmu: Dict[int, bool] = {}
+        self.rules: List[IdrRule] = []
+        self.clears: List[Tuple[int, List[int]]] = []  # per rule: mask (0 SCADA, 1 PMU), buses
+        for sub in network.substations:
+            avail = rule_set.availability[sub.id]
+            for mask, rule in enumerate((avail.scada, avail.pmu)):
+                if rule:
+                    self.rules.append(rule)
+                    self.clears.append((mask, sub.buses))
+            for bus in sub.buses:
+                self.scada[bus] = True
+                self.pmu[bus] = sub.has_pmu and avail.pmu is not None
+        self.pmu_equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
+        self.codes = [None] * len(self.rules)
+        self.readers: Dict[int, List[int]] = {}
         try:
-            self.availability_code = compile_exprs([rule.body for rule in rules], slots)
+            for index, rule in enumerate(self.rules):
+                for entity in rule.literals:
+                    self.readers.setdefault(slots[entity], []).append(index)
         except KeyError:
+            rules = rule_set.availability_rules()
             raise _refusal("availability rules", rules, slots, targets=False) from None
-        # substation -> index of its SCADA value and of its PMU value, if any
-        position = {id(rule): i for i, rule in enumerate(rules)}
-        self.paths: Dict[int, Tuple[int, Optional[int]]] = {
-            sub_id: (position[id(avail.scada)], position[id(avail.pmu)] if avail.pmu else None)
-            for sub_id, avail in rule_set.availability.items()
-        }
+
+    code = _CascadeProgram.code  # compiles ``rules[i]`` over ``slots`` on first need
 
 
 def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True) -> ScenarioError:
@@ -316,24 +341,22 @@ def data_availability(
     data-path expression evaluates to at least reduced operation.  Buses in
     substations without PMUs never deliver PMU data.  ``final_state`` must
     come from ``CascadeTrace.final_state()`` of a cascade on ``network``.
+
+    Only the expressions that read a slot of ``final_state.lowered`` are
+    evaluated: any other is at top, as in the full-operation mask.
     """
     if not (isinstance(final_state, FixpointState) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
     program = _program(network, rule_set)
-    values = eval(program.availability_code, program.globals, {"a": final_state.array})
-    scada: Dict[int, bool] = {}
-    pmu: Dict[int, bool] = {}
-    equipped: Set[int] = set()
-    for sub in network.substations:
-        scada_index, pmu_index = program.paths[sub.id]
-        scada_ok = values[scada_index] >= 1
-        pmu_ok = pmu_index is not None and values[pmu_index] >= 1
-        for bus in sub.buses:
-            scada[bus] = scada_ok
-            pmu[bus] = pmu_ok if sub.has_pmu else False
-            if sub.has_pmu:
-                equipped.add(bus)
-    return AvailabilityMask(scada, pmu, frozenset(equipped))
+    scada, pmu = dict(program.scada), dict(program.pmu)
+    masks = (scada, pmu)
+    readers, env = program.readers, {"a": final_state.array}
+    for index in {i for slot in final_state.lowered for i in readers.get(slot, ())}:
+        if eval(program.code(index), program.globals, env) < 1:
+            mask, buses = program.clears[index]
+            for bus in buses:
+                masks[mask][bus] = False
+    return AvailabilityMask(scada, pmu, program.pmu_equipped)
 
 
 @dataclass

@@ -269,17 +269,19 @@ def _read_json_object(path: Path) -> dict:
     return data
 
 
-def _file_beside(path: Path, name: str, what: str) -> Path:
-    """``name`` resolved against the directory of the file ``path``; it must
-    name a file."""
+def _file_beside(path: Optional[Path], name: str, what: str) -> Path:
+    """``name`` resolved against the directory of the file ``path`` (against
+    the working directory for a command-line ``name``, with ``path`` None);
+    it must name a file."""
+    where = f"{path}: " if path else ""
     try:
-        resolved = (path.parent / name).resolve()
+        resolved = ((path.parent if path else Path()) / name).resolve()
         if resolved.is_file():
             return resolved
     except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
         reason = getattr(exc, "strerror", None) or exc
-        raise ScenarioFileError(f"{path}: bad {what} path {name[:80]!r}: {reason}") from exc
-    raise ScenarioFileError(f"{path}: {what} file not found: {resolved}")
+        raise ScenarioFileError(f"{where}bad {what} path {name[:80]!r}: {reason}") from exc
+    raise ScenarioFileError(f"{where}{what} file not found: {resolved}")
 
 
 def load_scenario(path) -> dict:
@@ -512,6 +514,9 @@ _COMMANDS = {
     "run": _cmd_run,
 }
 
+# Input-file options (argparse dest -> the file's name in errors).
+_INPUT_FILES = {"grid": "grid", "scenario": "scenario", "mask": "mask", "true_state": "true-state"}
+
 _VALIDATION_ERRORS = (
     GridError,
     SynthesisError,
@@ -525,6 +530,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, what in _INPUT_FILES.items():
+            name = getattr(args, dest, None)
+            if name is not None:
+                _file_beside(None, name, what)
         return _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId, EntityError, parse_entity_id
@@ -328,21 +328,28 @@ def evaluate(expr: IdrExpr, state: Mapping[EntityId, int]) -> int:
     return reduce(ternary.binary_or, values)
 
 
-def translate_to_iim(rule: IdrRule) -> IdrRule:
+def translate_to_iim(rule: IdrRule, memo: Optional[Dict[int, Op]] = None) -> IdrRule:
     """Rewrite a ternary-model rule into its binary-model counterpart.
 
     min-AND and new-XOR become Boolean AND, max-OR becomes Boolean OR; the
-    tree shape and every literal are preserved.
+    tree shape and every literal are preserved.  ``memo`` maps the id() of
+    each operator node translated so far to its translation, so rules
+    translated with one memo share the subterms their originals share; the
+    caller keeps the originals alive while the memo is in use.
     """
     if rule.model == IIM:
         raise IdrModelError("already binary")
-    return IdrRule(rule.target, _translate_expr(rule.body), IIM)
+    return IdrRule(rule.target, _translate_expr(rule.body, {} if memo is None else memo), IIM)
 
 
-def _translate_expr(expr: IdrExpr) -> IdrExpr:
+def _translate_expr(expr: IdrExpr, memo: Dict[int, Op]) -> IdrExpr:
     if isinstance(expr, Literal):
         return expr
-    return Op(_TRANSLATION[expr.op], tuple(_translate_expr(c) for c in expr.children))
+    translated = memo.get(id(expr))
+    if translated is None:
+        children = tuple(_translate_expr(c, memo) for c in expr.children)
+        translated = memo[id(expr)] = Op(_TRANSLATION[expr.op], children)
+    return translated
 
 
 # --- Compiled evaluation (cascade engine fast path) --------------------------
@@ -367,13 +374,6 @@ def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int]):
     returns the same value as :func:`evaluate`.
     """
     return compile(_expr_source(expr, slots), "<idr>", "eval")
-
-
-def compile_exprs(exprs: Iterable[IdrExpr], slots: Dict[EntityId, int]):
-    """Compile expressions to one code object returning the tuple of their
-    values, in order; evaluated like :func:`compile_expr`'s result."""
-    source = "".join(f"{_expr_source(expr, slots)}, " for expr in exprs)
-    return compile(f"({source})", "<idr>", "eval")
 
 
 def compiled_globals() -> dict:

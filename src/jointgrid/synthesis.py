@@ -525,14 +525,16 @@ def _rule_sets(
     cascade_rules: Sequence[IdrRule], availability: Dict[int, Dict[int, AvailabilityRules]]
 ) -> Dict[Tuple[str, int], RuleSet]:
     """Every (model, case) rule set, from the ternary-model rules.  Each rule
-    is translated once, so what the cases share they also share under IIM."""
+    and each operator node is translated once, so what the cases, rules and
+    terms share they also share under IIM."""
     translated: Dict[int, IdrRule] = {}
+    nodes: Dict[int, Op] = {}
 
     def in_model(rule: Optional[IdrRule], model: str) -> Optional[IdrRule]:
         if model == MIIM or rule is None:
             return rule
         if id(rule) not in translated:
-            translated[id(rule)] = translate_to_iim(rule)
+            translated[id(rule)] = translate_to_iim(rule, nodes)
         return translated[id(rule)]
 
     rule_sets = {}

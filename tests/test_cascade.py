@@ -13,7 +13,7 @@ from jointgrid.cascade import (
     verify_fixpoint,
 )
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import IIM, MIIM, compile_exprs, compiled_globals, evaluate
+from jointgrid.idr import IIM, MIIM, compile_expr, compiled_globals, evaluate
 from jointgrid.network import CASES, MODELS, RuleSet
 from jointgrid.ternary import to_binary
 
@@ -217,9 +217,9 @@ def test_value_history(ieee14, attack):
 
 @pytest.mark.parametrize("network_name, seed", [("ieee14", 11), ("ieee118", 12)])
 def test_compiled_availability_matches_interpreter(request, network_name, seed):
-    """Availability through the compiled evaluator equals the interpretive
-    ``evaluate`` on every SCADA and PMU expression, at the fixpoints of 50
-    random kill sets under all four rule sets."""
+    """Each SCADA and PMU expression compiled by ``compile_expr`` evaluates
+    as the interpretive ``evaluate`` does, and the mask follows those values,
+    at the fixpoints of 50 random kill sets under all four rule sets."""
     network = request.getfixturevalue(network_name)
     rng = random.Random(seed)
     entities = network.entity_ids()
@@ -234,12 +234,13 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
                 for kind, rule in (("scada", avail.scada), ("pmu", avail.pmu))
                 if rule is not None
             ]
-            code = compile_exprs([expr for _, _, expr in paths], network.slots)
+            codes = [compile_expr(expr, network.slots) for _, _, expr in paths]
             for scenario in kill_sets:
                 trace = run_cascade(network, rule_set, scenario)
                 final = trace.final_state()
                 oracle = [evaluate(expr, final) for _, _, expr in paths]
-                assert list(eval(code, compiled_globals(), {"a": trace.arrays[-1]})) == oracle
+                env = {"a": trace.arrays[-1]}
+                assert [eval(code, compiled_globals(), env) for code in codes] == oracle
                 delivered = {
                     (sub_id, kind): value >= 1 for (sub_id, kind, _), value in zip(paths, oracle)
                 }
@@ -262,22 +263,24 @@ def test_entity_order_is_sorted_registry(ieee14, ieee118):
         assert network.slots == {entity: i for i, entity in enumerate(order)}
 
 
-def test_binary_loses_superset_under_every_single_failure(ieee14):
-    """The paper's claim, on the full 14-bus N-1 family: under every
-    single-entity failure the binary fixpoint is nowhere above the ternary
-    one read as binary, and the binary model loses at least the SCADA and
-    PMU data the ternary model loses."""
+def _superset_violations(network):
+    """Every single-entity failure under both models and both cases: the
+    scenarios where the binary fixpoint is somewhere above the ternary one
+    read as binary, or the binary model loses less SCADA or PMU data than
+    the ternary one, and the scenarios where it loses strictly more.  Only a
+    slot the ternary cascade lowered can hold a ternary 0, so only those
+    slots are compared."""
     violations, strictly_larger = [], set()
     for case in CASES:
-        miim_rs, iim_rs = ieee14.rule_set(MIIM, case), ieee14.rule_set(IIM, case)
-        for entity in ieee14.entity_ids():
+        miim_rs, iim_rs = network.rule_set(MIIM, case), network.rule_set(IIM, case)
+        for entity in network.entity_ids():
             scenario = FailureScenario.of([entity])
-            miim = run_cascade(ieee14, miim_rs, scenario)
-            iim = run_cascade(ieee14, iim_rs, scenario)
-            if any(b > to_binary(t) for b, t in zip(iim.arrays[-1], miim.arrays[-1])):
+            miim = run_cascade(network, miim_rs, scenario).final_state()
+            iim = run_cascade(network, iim_rs, scenario).final_state()
+            if any(iim.array[slot] > to_binary(miim.array[slot]) for slot in miim.lowered):
                 violations.append((case, str(entity), "fixpoint"))
-            miim_mask = data_availability(miim.final_state(), ieee14, miim_rs)
-            iim_mask = data_availability(iim.final_state(), ieee14, iim_rs)
+            miim_mask = data_availability(miim, network, miim_rs)
+            iim_mask = data_availability(iim, network, iim_rs)
             for kind, lost_miim, lost_iim in (
                 ("SCADA", miim_mask.scada_lost(), iim_mask.scada_lost()),
                 ("PMU", miim_mask.pmu_lost(), iim_mask.pmu_lost()),
@@ -286,55 +289,165 @@ def test_binary_loses_superset_under_every_single_failure(ieee14):
                     violations.append((case, str(entity), kind))
                 elif lost_miim < lost_iim:
                     strictly_larger.add((case, entity))
+    return violations, strictly_larger
+
+
+def test_binary_loses_superset_under_every_single_failure(ieee14):
+    """The paper's claim, on the full 14-bus N-1 family: under every
+    single-entity failure the binary fixpoint is nowhere above the ternary
+    one read as binary, and the binary model loses at least the SCADA and
+    PMU data the ternary model loses."""
+    violations, strictly_larger = _superset_violations(ieee14)
     assert violations == []
     assert strictly_larger
+
+
+def test_binary_loses_superset_under_every_single_failure_118(ieee118):
+    """The same claim on the full 118-bus N-1 family: 2392 entities under
+    both cases."""
+    violations, strictly_larger = _superset_violations(ieee118)
+    assert violations == []
+    assert len(strictly_larger) == 1611
+
+
+def _dense_mask(network, rule_set, final):
+    """The mask by its definition: every availability rule evaluated by
+    ``idr.evaluate`` at the fixpoint."""
+    scada, pmu = {}, {}
+    for sub in network.substations:
+        avail = rule_set.availability[sub.id]
+        scada_ok = evaluate(avail.scada.body, final) >= 1
+        pmu_ok = sub.has_pmu and avail.pmu is not None and evaluate(avail.pmu.body, final) >= 1
+        for bus in sub.buses:
+            scada[bus], pmu[bus] = scada_ok, pmu_ok
+    equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
+    return AvailabilityMask(scada, pmu, equipped)
+
+
+def test_incremental_availability_matches_dense_masks(ieee14):
+    """``data_availability`` evaluates only the expressions that read a
+    lowered slot; under every 14-bus single-entity failure and all four rule
+    sets its mask equals the dense one, bus order included."""
+    lossy = 0
+    for model in MODELS:
+        for case in CASES:
+            rule_set = ieee14.rule_set(model, case)
+            for entity in ieee14.entity_ids():
+                final = run_cascade(ieee14, rule_set, FailureScenario.of([entity])).final_state()
+                mask = data_availability(final, ieee14, rule_set)
+                dense = _dense_mask(ieee14, rule_set, final)
+                assert mask == dense
+                assert list(mask.scada) == list(dense.scada) == list(mask.pmu)
+                lossy += bool(mask.scada_lost() or mask.pmu_lost())
+    assert lossy > 0
+
+
+def _count_calls(monkeypatch, network):
+    """Count what ``cascade`` does on ``network``'s rule sets: the cascade
+    rule bodies it compiles, the availability expressions it compiles (by
+    body, in order), its ``eval`` calls and its ``reference_problems`` walks."""
+    from jointgrid import cascade
+
+    availability = {
+        id(rule.body) for rule_set in network.rule_sets.values() for rule in rule_set.availability_rules()
+    }
+    calls = {"cascade": 0, "availability": [], "eval": 0, "reference_problems": 0}
+
+    def counting_compile(expr, slots):
+        if id(expr) in availability:
+            calls["availability"].append(id(expr))
+        else:
+            calls["cascade"] += 1
+        return compile_expr(expr, slots)
+
+    def counting(original, name):
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return count
+
+    monkeypatch.setattr(cascade, "compile_expr", counting_compile)
+    monkeypatch.setattr(cascade, "eval", counting(eval, "eval"), raising=False)
+    monkeypatch.setattr(
+        cascade, "reference_problems", counting(cascade.reference_problems, "reference_problems")
+    )
+    return calls
 
 
 def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
     """The cases share one cascade rules tuple per model and so one compiled
     cascade program: case 2 compiles no cascade rule after case 1 did.  Each
-    rule set compiles its availability part once, and a second pass over
-    all four rule sets compiles nothing.  Clean rule sets are checked by the
-    compilers' own slot lookups, with no ``reference_problems`` walk."""
-    from jointgrid import cascade
+    rule set compiles an availability expression at most once, and a second
+    pass over all four rule sets compiles nothing.  Clean rule sets are
+    checked by the compilers' own slot lookups, with no
+    ``reference_problems`` walk."""
     from jointgrid.synthesis import build_joint_network
 
     network = build_joint_network(ieee14_grid)
-    calls = {"compile_expr": 0, "compile_exprs": 0, "reference_problems": 0}
-    for name in calls:
-        original = getattr(cascade, name)
-
-        def counting(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(cascade, name, counting)
+    calls = _count_calls(monkeypatch, network)
     scenario = FailureScenario.of(ATTACK)
 
     def screen_all():
         """Cascade, availability and fixpoint check under every rule set;
-        returns the cascade rules each rule set compiled."""
+        returns the cascade rules and the availability expressions each rule
+        set compiled."""
         compiled = {}
         for model in MODELS:
             for case in CASES:
-                before = calls["compile_expr"]
+                cascade_before, availability_before = calls["cascade"], len(calls["availability"])
                 rule_set = network.rule_set(model, case)
                 trace = run_cascade(network, rule_set, scenario)
                 data_availability(trace.final_state(), network, rule_set)
                 assert verify_fixpoint(network, rule_set, trace)
-                compiled[model, case] = calls["compile_expr"] - before
+                compiled[model, case] = (
+                    calls["cascade"] - cascade_before,
+                    calls["availability"][availability_before:],
+                )
         return compiled
 
     compiled = screen_all()
-    first_pass = dict(calls)
+    compiles = (calls["cascade"], list(calls["availability"]))
     screen_all()
-    assert calls == first_pass
-    assert calls["compile_exprs"] == 4
+    assert (calls["cascade"], calls["availability"]) == compiles
     assert calls["reference_problems"] == 0
     for model in MODELS:
         assert network.rule_set(model, 1).rules is network.rule_set(model, 2).rules
-        assert compiled[model, 1] > 0
-        assert compiled[model, 2] == 0
+        assert compiled[model, 1][0] > 0
+        assert compiled[model, 2][0] == 0
+    for (model, case), (_, bodies) in compiled.items():
+        own = {id(rule.body) for rule in network.rule_set(model, case).availability_rules()}
+        assert bodies and len(set(bodies)) == len(bodies) and set(bodies) <= own
+
+
+def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeypatch):
+    """At full operation every data path delivers: an empty kill set
+    evaluates and compiles no availability expression.  A second pass over
+    the 14-bus N-1 family compiles nothing the first did not."""
+    from jointgrid.synthesis import build_joint_network
+
+    network = build_joint_network(ieee14_grid)
+    calls = _count_calls(monkeypatch, network)
+    for rule_set in network.rule_sets.values():
+        final = run_cascade(network, rule_set, FailureScenario.of([])).final_state()
+        mask = data_availability(final, network, rule_set)
+        assert not final.lowered
+        assert not (mask.scada_lost() or mask.pmu_lost())
+        assert mask == _dense_mask(network, rule_set, final)
+    assert calls["eval"] == 0
+    assert calls["availability"] == []
+
+    def screen_all():
+        for rule_set in network.rule_sets.values():
+            for entity in network.entity_ids():
+                final = run_cascade(network, rule_set, FailureScenario.of([entity])).final_state()
+                data_availability(final, network, rule_set)
+
+    screen_all()
+    compiled = list(calls["availability"])
+    screen_all()
+    assert compiled
+    assert calls["availability"] == compiled
 
 
 def _dense_step(rule_set, state, killed):

@@ -109,6 +109,37 @@ def test_missing_scenario_is_runtime_error(tmp_path):
     assert code != 0
 
 
+@pytest.mark.parametrize(
+    "flag, what, argv",
+    [
+        ("--grid", "grid", ["validate", "--grid", "{}"]),
+        ("--scenario", "scenario", ["run", "--scenario", "{}", "--out-dir", "out"]),
+        ("--mask", "mask", ["estimate", "--mask", "{}", "--out", "errors.csv"]),
+        ("--true-state", "true-state",
+         ["estimate", "--mask", "{mask}", "--true-state", "{}", "--out", "errors.csv"]),
+    ],
+    ids=["grid", "scenario", "mask", "true_state"],
+)
+def test_unusable_input_path_exits_2(fixtures_dir, tmp_path, capsys, monkeypatch, flag, what, argv):
+    """An input path that is missing, a directory, holds a NUL byte or is
+    too long for the OS exits 2 with an error naming the path."""
+    monkeypatch.chdir(tmp_path)
+    mask = tmp_path / "mask.json"
+    assert main(["cascade", "--scenario", str(fixtures_dir / "ieee14_substation6_attack.json"),
+                 "--model", "miim", "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "availability_miim_case1.json").rename(mask)
+    for name, message in [
+        ("missing.json", f"{what} file not found: {tmp_path / 'missing.json'}"),
+        (str(tmp_path), f"{what} file not found: {tmp_path}"),
+        ("in\x00put.json", f"bad {what} path 'in\\x00put.json'"),
+        ("p" * 5000, f"bad {what} path '{'p' * 80}'"),
+    ]:
+        assert main([arg.format(name, mask=mask) for arg in argv]) == 2, (flag, name[:20])
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "errors.csv").exists()
+
+
 def test_synth_writes_artifacts(fixtures_dir, tmp_path):
     out = tmp_path / "synth"
     code = main(["synth", "--grid", str(fixtures_dir / "ieee14.json"), "--out-dir", str(out)])

@@ -9,13 +9,14 @@ from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
 from jointgrid.idr import (
     IIM,
     MIIM,
+    Op,
     evaluate,
     format_idr,
     format_idr_file,
     free_entities,
     parse_idr_file,
 )
-from jointgrid.network import validate
+from jointgrid.network import CASES, MODELS, validate
 from jointgrid.synthesis import (
     SynthesisError,
     all_pairs_shortest,
@@ -413,26 +414,43 @@ def test_iim_rules_are_translations(request, network_name, case):
     assert miim.availability.keys() == iim.availability.keys()
 
 
+def _operator_nodes(rule_sets):
+    """The ids of the distinct operator nodes of the rule sets' rules."""
+    seen = set()
+    stack = [rule.body for rs in rule_sets for rule in (*rs.rules, *rs.availability_rules())]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Op) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return seen
+
+
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
 def test_rules_of_a_substation_share_their_terms(request, network_name):
-    """A gateway's data-path rules hold its cascade rule's own head and power
-    terms, and the RTU and PMU rules of a substation share one body."""
+    """Under either model, a gateway's data-path rules hold its cascade
+    rule's own head and power terms, and the RTU and PMU rules of a
+    substation share one body.  The binary rules share exactly the
+    subterms the ternary ones do: both have as many distinct operator nodes."""
     network = request.getfixturevalue(network_name)
-    rules = {rule.target: rule for rule in network.rule_set(MIIM, 1).rules}
-    for sub in network.substations:
-        gateway = rules[ent.gateway(sub.id)].body
-        cores = gateway.children if network.pmus[sub.id] else (gateway,)
-        head, _, power = cores[0].children
-        paths = [network.rule_set(MIIM, case).availability[sub.id] for case in (1, 2)]
-        holders = [*cores, *(avail.scada.body for avail in paths)]
-        if network.pmus[sub.id]:
-            holders.append(paths[0].pmu.body)
-        for body in holders:
-            assert body.children[0] is head
-            assert body.children[2] is power
-        devices = [ent.rtu(i) for i in network.rtus[sub.id]]
-        devices += [ent.pmu(j) for j in network.pmus[sub.id]]
-        assert len({id(rules[device].body) for device in devices}) == 1
+    for model in MODELS:
+        rules = {rule.target: rule for rule in network.rule_set(model, 1).rules}
+        for sub in network.substations:
+            gateway = rules[ent.gateway(sub.id)].body
+            cores = gateway.children if network.pmus[sub.id] else (gateway,)
+            head, _, power = cores[0].children
+            paths = [network.rule_set(model, case).availability[sub.id] for case in (1, 2)]
+            holders = [*cores, *(avail.scada.body for avail in paths)]
+            if network.pmus[sub.id]:
+                holders.append(paths[0].pmu.body)
+            for body in holders:
+                assert body.children[0] is head
+                assert body.children[2] is power
+            devices = [ent.rtu(i) for i in network.rtus[sub.id]]
+            devices += [ent.pmu(j) for j in network.pmus[sub.id]]
+            assert len({id(rules[device].body) for device in devices}) == 1
+    nodes = {model: _operator_nodes([network.rule_set(model, case) for case in CASES]) for model in MODELS}
+    assert len(nodes[IIM]) == len(nodes[MIIM])
 
 
 def test_registry_closure(ieee14):
