@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 from jointgrid.entities import EntityId
 from jointgrid.idr import MIIM, IdrRule, compile_expr, compiled_globals
-from jointgrid.network import JointNetwork, RuleSet, reference_problems
+from jointgrid.network import JointNetwork, RuleSet, availability_gaps, reference_problems
 
 
 class CascadeError(RuntimeError):
@@ -168,6 +168,9 @@ class _Program:
         self.pmu: Dict[int, bool] = {}
         self.rules: List[IdrRule] = []
         self.clears: List[Tuple[int, List[int]]] = []  # per rule: mask (0 SCADA, 1 PMU), buses
+        gaps = availability_gaps(rule_set, network.substations)
+        if gaps:
+            raise ScenarioError(f"availability rules: {'; '.join(gaps[:5])}")
         for sub in network.substations:
             avail = rule_set.availability[sub.id]
             for mask, rule in enumerate((avail.scada, avail.pmu)):

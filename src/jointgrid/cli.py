@@ -33,8 +33,8 @@ from jointgrid.cascade import (
 )
 from jointgrid.entities import EntityError, parse_entity_id
 from jointgrid.grid import Grid, GridError, load_grid
-from jointgrid.idr import IIM, MIIM, format_idr
-from jointgrid.network import EntityMeta, JointNetwork, validate as validate_network
+from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
+from jointgrid.network import CASES, EntityMeta, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _trace_payload(trace: CascadeTrace, model: str, case: int, label: str) -> di
             {str(entity): value for entity, value in step.items()}
             for step in trace.changed
         ],
-        "final": {str(entity): value for entity, value in trace.final_state().items()},
+        "final": {str(entity): value for entity, value in zip(trace.slots, trace.fixpoint)},
     }
 
 
@@ -226,22 +226,22 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
 
 
 def rule_file_text(network: JointNetwork) -> Dict[Tuple[str, int], str]:
-    """Each rule set's ``.idr`` text by (model, case); all its rules are in its
-    model.  Each distinct rule object (the cases share some) is formatted once."""
-    lines: Dict[int, str] = {}
-    texts = {}
-    for (model, case), rule_set in sorted(network.rule_sets.items()):
-        text = [
-            f"# dependency rules: model={model} case={case}",
-            "# GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
-            f"#model: {model}",
-        ]
-        for rule in (*rule_set.rules, *rule_set.availability_rules()):
-            if id(rule) not in lines:
-                lines[id(rule)] = format_idr(rule)
-            text.append(lines[id(rule)])
-        texts[model, case] = "\n".join(text) + "\n"
-    return texts
+    """Each rule set's ``.idr`` text by (model, case).  Only the MIIM rule sets
+    are formatted, each distinct rule once; an IIM text is its case's MIIM rule
+    lines under ``str.translate(IIM_SYMBOLS)``: a network's IIM rule sets translate
+    its MIIM rule sets (``build_joint_network`` makes them so), ``format_expr``
+    parenthesizes every operator child and no entity text holds ``& ^ | . +``."""
+    miim = [network.rule_set(MIIM, case) for case in CASES]
+    rules = {rs.case: (*rs.rules, *rs.availability_rules()) for rs in miim}
+    distinct = {id(rule): rule for case_rules in rules.values() for rule in case_rules}
+    lines = {key: format_idr(rule) + "\n" for key, rule in distinct.items()}
+    bodies = {case: "".join([lines[id(rule)] for rule in rs]) for case, rs in rules.items()}
+    return {
+        (model, case): f"# dependency rules: model={model} case={case}\n"
+        "# GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint\n"
+        f"#model: {model}\n" + (bodies[case] if model == MIIM else bodies[case].translate(IIM_SYMBOLS))
+        for model, case in sorted(network.rule_sets)
+    }
 
 
 def _write_network(out: Path, network: JointNetwork) -> None:

@@ -60,6 +60,7 @@ _KIND_FORMAT = {kind: (n, f"{p}({','.join(['%s'] * n)})") for p, (kind, n) in _P
 _KINDS = tuple(kind for kind, _ in _PREFIX_TO_KIND.values())
 _KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 _RANK_TEXT = tuple(_KIND_FORMAT[kind][1] for kind in _KINDS)
+_TYPE1_SUBTYPES, _LINK_FAMILIES = frozenset(range(1, 8)), frozenset(range(1, 7))
 
 _ENTITY_RE = re.compile(r"^([A-Z]+)\((\s*\d+\s*(?:,\s*\d+\s*)*)\)$")
 
@@ -89,11 +90,11 @@ class EntityId(tuple):
             ctype, subtype = indices[0], indices[1]
             if ctype not in (1, 2, 3):
                 raise EntityError(f"communication entity type must be 1, 2, or 3: {ctype}")
-            if ctype == 1 and subtype not in range(1, 8):
+            if ctype == 1 and subtype not in _TYPE1_SUBTYPES:
                 raise EntityError(f"type-1 subtype must be 1..7: {subtype}")
             if ctype in (2, 3) and subtype not in (1, 2):
                 raise EntityError(f"type-{ctype} subtype must be 1 or 2: {subtype}")
-        if kind == KIND_LINK and indices[0] not in range(1, 7):
+        if kind == KIND_LINK and indices[0] not in _LINK_FAMILIES:
             raise EntityError(f"link family must be 1..6: {indices[0]}")
         return tuple.__new__(cls, (_KIND_RANK[kind], indices))
 

@@ -58,6 +58,8 @@ _OP_LEVEL = {
 }
 
 _TRANSLATION = {OP_MIN_AND: OP_BOOL_AND, OP_MAX_OR: OP_BOOL_OR, OP_NEW_XOR: OP_BOOL_AND}
+# The translation on rule text: each ternary operator symbol to its binary image.
+IIM_SYMBOLS = str.maketrans({_OP_SYMBOL[op]: _OP_SYMBOL[image] for op, image in _TRANSLATION.items()})
 
 
 class IdrSyntaxError(ValueError):

@@ -229,12 +229,22 @@ def validate(network: JointNetwork) -> List[str]:
     # tuple once, under the first rule set that holds it.
     checked = set()
     for (model, case), rule_set in sorted(network.rule_sets.items()):
-        found = reference_problems(rule_set.availability_rules(), network.slots, targets=False)
+        found = availability_gaps(rule_set, network.substations)
+        found += reference_problems(rule_set.availability_rules(), network.slots, targets=False)
         if id(rule_set.rules) not in checked:
             checked.add(id(rule_set.rules))
             found = reference_problems(rule_set.rules, network.slots) + found
         problems += [f"{model}/case{case}: {problem}" for problem in found]
     return problems
+
+
+def availability_gaps(rule_set: RuleSet, substations: Sequence[Substation]) -> List[str]:
+    """One line per substation that ``rule_set`` holds no availability rules for."""
+    return [
+        f"no availability rules for substation {sub.id}"
+        for sub in substations
+        if sub.id not in rule_set.availability
+    ]
 
 
 def reference_problems(

@@ -199,7 +199,7 @@ def select_control_centers(
     if len(sub_ids) < 2:
         raise SynthesisError("need at least two substations to place control centers")
     degree = {sub: len((adjacency or {}).get(sub, {})) for sub in sub_ids}
-    totals = {sub: sum(dist.dist(sub, other) for other in dist.sub_ids) for sub in sub_ids}
+    totals = {sub: sum(dist.matrix[dist._index[sub]].tolist()) for sub in sub_ids}
     ranked = sorted(sub_ids, key=lambda sub: (totals[sub], -degree[sub], sub))
     return (ranked[0], ranked[1])
 
@@ -264,6 +264,7 @@ def home_gateways(
     override = override or {}
     homing: Dict[int, int] = {}
     host_set = set(ring.hosts)
+    host_columns = [dist._index[host] for host in ring.hosts]  # node order: argmin ties to the lowest
     for sub in substations:
         if sub.is_control_center:
             continue
@@ -275,11 +276,7 @@ def home_gateways(
                 )
             homing[sub.id] = ring.node_at(host)
         else:
-            node = min(
-                range(1, ring.node_count + 1),
-                key=lambda n: (dist.dist(sub.id, ring.host_of(n)), n),
-            )
-            homing[sub.id] = node
+            homing[sub.id] = int(np.argmin(dist.matrix[dist._index[sub.id], host_columns])) + 1
     return homing
 
 

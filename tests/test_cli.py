@@ -104,9 +104,9 @@ def test_validate_unusable_branch_number_exits_2(fixtures_dir, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
-def test_missing_scenario_is_runtime_error(tmp_path):
+def test_missing_scenario_exits_2(tmp_path):
     code = main(["cascade", "--scenario", str(tmp_path / "none.json"), "--out-dir", str(tmp_path)])
-    assert code != 0
+    assert code == 2
 
 
 @pytest.mark.parametrize(
@@ -231,6 +231,8 @@ def test_rule_file_text_matches_format_idr_file(request, network_name):
 
 
 def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeypatch):
+    """``format_idr`` runs once per distinct MIIM rule and never on an IIM
+    rule: the IIM rule files are translations of the MIIM text."""
     calls = []
 
     def counting(rule):
@@ -241,11 +243,14 @@ def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeyp
     cli._write_network(tmp_path, ieee14)
     every = [
         rule
-        for rule_set in ieee14.rule_sets.values()
+        for case in (1, 2)
+        for rule_set in [ieee14.rule_set("miim", case)]
         for rule in (*rule_set.rules, *rule_set.availability_rules())
     ]
     distinct = {id(rule) for rule in every}
-    assert len(calls) == len(distinct) < len(every)
+    assert len(calls) == len({id(rule) for rule in calls}) == len(distinct) < len(every)
+    assert {id(rule) for rule in calls} == distinct
+    assert all(rule.model == "miim" for rule in calls)
 
 
 def test_emitted_rule_files_reparse(fixtures_dir, tmp_path):

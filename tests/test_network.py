@@ -72,6 +72,19 @@ def test_validate_and_compilers_share_one_reference_check(ieee14, breaker):
         run_cascade(broken, rule_set, FailureScenario.of([]))
 
 
+def test_missing_availability_rules_named(ieee14):
+    """A rule set with no availability rules for a substation is reported by
+    ``validate`` and refused by the cascade engine, both naming it."""
+    rule_set = ieee14.rule_set(MIIM, 1)
+    availability = {sub: avail for sub, avail in rule_set.availability.items() if sub != 6}
+    rule_set = dataclasses.replace(rule_set, availability=availability)
+    broken = dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})
+    assert validate(broken) == ["miim/case1: no availability rules for substation 6"]
+    message = "availability rules: no availability rules for substation 6"
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        run_cascade(broken, rule_set, FailureScenario.of([]))
+
+
 def test_duplicate_primary_cc_flagged(ieee14):
     broken = copy.deepcopy(ieee14)
     broken.substation(3).role = ROLE_PRIMARY_CC

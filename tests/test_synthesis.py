@@ -1,6 +1,7 @@
 import heapq
 import random
 
+import numpy as np
 import pytest
 
 from jointgrid import entities as ent
@@ -330,6 +331,72 @@ def test_co_located_gateway_homes_to_own_node(ieee14):
     for sub_id in (3, 4, 5):
         node = ieee14.sadm_homing[sub_id]
         assert ieee14.sadm_ring.host_of(node) == sub_id
+
+
+def _key_home_gateways(substations, ring, dm):
+    """Reference homing: the nearest host by ``dist`` calls, ties to the lowest node id."""
+    return {
+        sub.id: min(
+            range(1, ring.node_count + 1), key=lambda n: (dm.dist(sub.id, ring.host_of(n)), n)
+        )
+        for sub in substations
+        if not sub.is_control_center
+    }
+
+
+def _key_control_centers(dm, substations, adjacency):
+    """Reference ranking: total distance by ``dist`` calls, then degree, then id."""
+    sub_ids = {sub.id for sub in substations}
+    degree = {sub: len(adjacency.get(sub, {})) for sub in sub_ids}
+    totals = {sub: sum(dm.dist(sub, other) for other in dm.sub_ids) for sub in sub_ids}
+    ranked = sorted(sub_ids, key=lambda sub: (totals[sub], -degree[sub], sub))
+    return (ranked[0], ranked[1])
+
+
+def test_placement_matches_key_based_definitions_on_random_ties():
+    """Row-based control-center choice and homing equal the key-based
+    definitions on distance matrices drawn from a few values, so that totals
+    and nearest hosts tie often."""
+    from jointgrid.network import Ring, Substation
+    from jointgrid.synthesis import DistanceMatrix
+
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        sub_ids = sorted(rng.sample(range(1, 40), n))
+        if rng.random() < 0.5:
+            rng.shuffle(sub_ids)
+        values = rng.choice([[1.0, 2.0], [0.1, 0.2, 0.7], [1.5, 2.5, 4.0, 10.0]])
+        matrix = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i, j] = matrix[j, i] = rng.choice(values)
+        dm = DistanceMatrix(sub_ids, matrix)
+        adjacency = {a: {b: 1.0 for b in sub_ids if b != a and rng.random() < 0.3} for a in sub_ids}
+        subs = [Substation(sub_id, [sub_id]) for sub_id in sub_ids]
+        assert select_control_centers(dm, subs, adjacency) == _key_control_centers(dm, subs, adjacency)
+        primary, backup = rng.sample(subs, 2)
+        primary.role, backup.role = "primary_cc", "backup_cc"
+        hosts = sorted(rng.sample(sub_ids, rng.randint(1, n)))
+        ring = Ring("sadm", hosts, [])
+        homing = home_gateways(subs, ring, dm)
+        assert homing == _key_home_gateways(subs, ring, dm)
+        for sub in homing:
+            row = [dm.dist(sub, host) for host in hosts]
+            ties += row.count(min(row)) > 1
+    assert ties > 100
+
+
+@pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
+def test_fixture_placement_matches_key_based_definitions(request, network_name):
+    network = request.getfixturevalue(network_name)
+    subs = network.substations
+    dm = all_pairs_shortest(network.grid, subs)
+    adjacency = substation_adjacency(network.grid, subs)
+    assert select_control_centers(dm, subs, adjacency) == _key_control_centers(dm, subs, adjacency)
+    for ring in (network.sadm_ring, network.oadm_ring):
+        assert home_gateways(subs, ring, dm) == _key_home_gateways(subs, ring, dm)
 
 
 # --- rule generation -------------------------------------------------------------
