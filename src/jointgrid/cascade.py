@@ -16,7 +16,9 @@ and evaluates only the expressions that read a slot the cascade lowered.
 
 Both kinds of rule run through one evaluator: each rule of a rule set is
 compiled on first need, over the network's slot map, to a code object
-evaluated against a state array, and kept.  The interpretive
+evaluated against a state array, and kept.  Rules compile under their rule
+set's model: a network's IIM rule sets hold its ternary rules, read as
+binary, so no binary rule tree exists at run time.  The interpretive
 ``idr.evaluate`` is the test oracle only.
 The compilers check a rule set's references through the slot lookups they
 make anyway; only a refused rule set is walked again, by
@@ -127,9 +129,10 @@ class _CascadeProgram:
     does not pay for compiling all of them.
     """
 
-    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
+    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], model: str):
         self.rules = rules  # also keeps this tuple's id() from being reused
         self.slots = slots
+        self.model = model
         self.codes: List[Optional[CodeType]] = [None] * len(rules)
         self.rdeps: Dict[int, List[int]] = {}
         try:
@@ -145,23 +148,25 @@ class _CascadeProgram:
     def code(self, rule_index: int) -> CodeType:
         code = self.codes[rule_index]
         if code is None:
-            code = self.codes[rule_index] = compile_expr(self.rules[rule_index].body, self.slots)
+            body = self.rules[rule_index].body
+            code = self.codes[rule_index] = compile_expr(body, self.slots, self.model)
         return code
 
 
 class _Program:
-    """One rule set compiled over one network's slot map.
+    """One rule set compiled, under its model, over one network's slot map.
 
-    The cascade part is shared by every rule set holding the same rules
-    tuple.  The availability part is the full-operation mask, built once,
-    and per data-path expression (``rules``, substation by substation, SCADA
-    before PMU) the mask it clears and the buses it speaks for; ``readers``
-    maps each slot to the expressions that read it.
+    The cascade part is shared by the rule sets of one model that hold the
+    same rules tuple.  The availability part is the full-operation mask,
+    built once, and per data-path expression (``rules``, substation by
+    substation, SCADA before PMU) the mask it clears and the buses it speaks
+    for; ``readers`` maps each slot to the expressions that read it.
     """
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
         slots = self.slots = network.slots
-        self.cascade = _cascade_program(rule_set.rules, slots)
+        self.model = rule_set.model
+        self.cascade = _cascade_program(rule_set.rules, slots, self.model)
         self.globals = compiled_globals()
         # At full operation every expression is at top, so every path delivers.
         self.scada: Dict[int, bool] = {}
@@ -191,7 +196,7 @@ class _Program:
             rules = rule_set.availability_rules()
             raise _refusal("availability rules", rules, slots, targets=False) from None
 
-    code = _CascadeProgram.code  # compiles ``rules[i]`` over ``slots`` on first need
+    code = _CascadeProgram.code  # compiles ``rules[i]`` under ``model`` on first need
 
 
 def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True) -> ScenarioError:
@@ -200,12 +205,12 @@ def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True
     return ScenarioError(f"{label}: {'; '.join(problems[:5])}")
 
 
-# Compiled programs, memoized on the immutable objects they are compiled
-# from: a frozen rule set (or its rules tuple) and a network's slot map.
+# Compiled programs, memoized on what they are compiled from: a frozen rule
+# set (or its rules tuple and model) and a network's slot map.
 # The references are weak, so a rule set's program lives as long as the
 # rule set and a cascade program as long as some rule set's program uses it.
 _PROGRAMS: "weakref.WeakKeyDictionary[RuleSet, _Program]" = weakref.WeakKeyDictionary()
-_CASCADE_PROGRAMS: "weakref.WeakValueDictionary[Tuple[int, int], _CascadeProgram]" = (
+_CASCADE_PROGRAMS: "weakref.WeakValueDictionary[Tuple[int, int, str], _CascadeProgram]" = (
     weakref.WeakValueDictionary()
 )
 
@@ -217,11 +222,11 @@ def _program(network: JointNetwork, rule_set: RuleSet) -> _Program:
     return program
 
 
-def _cascade_program(rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]) -> _CascadeProgram:
-    key = (id(rules), id(slots))
+def _cascade_program(rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], model: str) -> _CascadeProgram:
+    key = (id(rules), id(slots), model)
     program = _CASCADE_PROGRAMS.get(key)
     if program is None:
-        program = _CASCADE_PROGRAMS[key] = _CascadeProgram(rules, slots)
+        program = _CASCADE_PROGRAMS[key] = _CascadeProgram(rules, slots, model)
     return program
 
 

@@ -228,8 +228,8 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
 def rule_file_text(network: JointNetwork) -> Dict[Tuple[str, int], str]:
     """Each rule set's ``.idr`` text by (model, case).  Only the MIIM rule sets
     are formatted, each distinct rule once; an IIM text is its case's MIIM rule
-    lines under ``str.translate(IIM_SYMBOLS)``: a network's IIM rule sets translate
-    its MIIM rule sets (``build_joint_network`` makes them so), ``format_expr``
+    lines under ``str.translate(IIM_SYMBOLS)``, the text of ``translate_to_iim``
+    of each rule: a network's IIM rule sets read its MIIM rules, ``format_expr``
     parenthesizes every operator child and no entity text holds ``& ^ | . +``."""
     miim = [network.rule_set(MIIM, case) for case in CASES]
     rules = {rs.case: (*rs.rules, *rs.availability_rules()) for rs in miim}

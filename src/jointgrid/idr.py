@@ -19,10 +19,11 @@ model for subsequent operator-free rules.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId, EntityError, parse_entity_id
@@ -318,40 +319,45 @@ def evaluate(expr: IdrExpr, state: Mapping[EntityId, int]) -> int:
             return state[expr.entity]
         except KeyError:
             raise UnknownEntityError(expr.entity) from None
-    values = [evaluate(child, state) for child in expr.children]
+    values = []
+    for child in expr.children:  # literal children inline: most nodes are literals
+        if isinstance(child, Literal):
+            try:
+                values.append(state[child.entity])
+            except KeyError:
+                raise UnknownEntityError(child.entity) from None
+        else:
+            values.append(evaluate(child, state))
+    check = ternary.check_binary if expr.op in _IIM_OPS else ternary.check_ternary
+    for value in values:
+        check(value)
     if expr.op == OP_MIN_AND:
-        return reduce(ternary.min_and, values)
+        return min(values)
     if expr.op == OP_MAX_OR:
-        return reduce(ternary.max_or, values)
+        return max(values)
     if expr.op == OP_NEW_XOR:
-        return ternary.new_xor(values)
-    if expr.op == OP_BOOL_AND:
-        return reduce(ternary.binary_and, values)
-    return reduce(ternary.binary_or, values)
+        first = values[0]
+        return first if values.count(first) == len(values) else ternary.REDUCED
+    return reduce(operator.and_ if expr.op == OP_BOOL_AND else operator.or_, values)
 
 
-def translate_to_iim(rule: IdrRule, memo: Optional[Dict[int, Op]] = None) -> IdrRule:
+def translate_to_iim(rule: IdrRule) -> IdrRule:
     """Rewrite a ternary-model rule into its binary-model counterpart.
 
     min-AND and new-XOR become Boolean AND, max-OR becomes Boolean OR; the
-    tree shape and every literal are preserved.  ``memo`` maps the id() of
-    each operator node translated so far to its translation, so rules
-    translated with one memo share the subterms their originals share; the
-    caller keeps the originals alive while the memo is in use.
+    tree shape and every literal are preserved.  The runtime reads a
+    ternary rule as binary through ``compile_expr(..., IIM)`` and builds no
+    translated rule; this is the tests' oracle for that reading.
     """
     if rule.model == IIM:
         raise IdrModelError("already binary")
-    return IdrRule(rule.target, _translate_expr(rule.body, {} if memo is None else memo), IIM)
+    return IdrRule(rule.target, _translate_expr(rule.body), IIM)
 
 
-def _translate_expr(expr: IdrExpr, memo: Dict[int, Op]) -> IdrExpr:
+def _translate_expr(expr: IdrExpr) -> IdrExpr:
     if isinstance(expr, Literal):
         return expr
-    translated = memo.get(id(expr))
-    if translated is None:
-        children = tuple(_translate_expr(c, memo) for c in expr.children)
-        translated = memo[id(expr)] = Op(_TRANSLATION[expr.op], children)
-    return translated
+    return Op(_TRANSLATION[expr.op], tuple(_translate_expr(c) for c in expr.children))
 
 
 # --- Compiled evaluation (cascade engine fast path) --------------------------
@@ -368,31 +374,35 @@ def _nx(*values: int) -> int:
 _COMPILE_GLOBALS = {"_nx": _nx, "min": min, "max": max, "__builtins__": {}}
 
 
-def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int]):
-    """Compile an expression to a code object over a state array ``a``.
+def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int], model: str = MIIM):
+    """Compile an expression as ``model`` reads it to a code object over a
+    state array ``a``; ``slots`` maps each entity to its array index.
 
-    ``slots`` maps each entity to its array index.  The compiled object is
-    evaluated with ``eval(code, compiled_globals(), {"a": array})`` and
-    returns the same value as :func:`evaluate`.
+    Under IIM a ternary operator reads as its binary image (``_TRANSLATION``),
+    so a ternary body compiles as its ``translate_to_iim`` does; binary
+    operators read as themselves.  The compiled object is evaluated with
+    ``eval(code, compiled_globals(), {"a": array})`` and returns the same
+    value as :func:`evaluate` on the expression so read.
     """
-    return compile(_expr_source(expr, slots), "<idr>", "eval")
+    return compile(_expr_source(expr, slots, model == IIM), "<idr>", "eval")
 
 
 def compiled_globals() -> dict:
     return dict(_COMPILE_GLOBALS)
 
 
-def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int]) -> str:
+def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool) -> str:
     if isinstance(expr, Literal):
         return f"a[{slots[expr.entity]}]"
-    parts = [_expr_source(child, slots) for child in expr.children]
-    if expr.op == OP_MIN_AND:
+    parts = [_expr_source(child, slots, binary) for child in expr.children]
+    op = _TRANSLATION.get(expr.op, expr.op) if binary else expr.op
+    if op == OP_MIN_AND:
         return f"min({', '.join(parts)})"
-    if expr.op == OP_MAX_OR:
+    if op == OP_MAX_OR:
         return f"max({', '.join(parts)})"
-    if expr.op == OP_NEW_XOR:
+    if op == OP_NEW_XOR:
         return f"_nx({', '.join(parts)})"
-    joiner = " & " if expr.op == OP_BOOL_AND else " | "
+    joiner = " & " if op == OP_BOOL_AND else " | "
     return "(" + joiner.join(parts) + ")"
 
 

@@ -93,6 +93,9 @@ class AvailabilityRules:
 class RuleSet:
     """Cascade rules plus availability rules for one (model, case) pair.
 
+    The model names how the rules are read: a synthesized network's IIM
+    rule set holds the ternary rules of its MIIM rule set, read as binary
+    (min-AND and new-XOR as AND, max-OR as OR; see ``idr.compile_expr``).
     Immutable, so that the cascade engine can compile a rule set once and
     key the program to the object; equality is therefore identity.  Any
     iterable of rules is stored as a tuple.
@@ -225,8 +228,8 @@ def validate(network: JointNetwork) -> List[str]:
             elif not _is_single_cycle(nodes, ring.edges):
                 problems.append(f"{ring.kind} ring: links split into multiple cycles")
 
-    # The cases of a model share one cascade rules tuple: check each distinct
-    # tuple once, under the first rule set that holds it.
+    # Rule sets share cascade rules tuples (a synthesized network's four hold
+    # one): check each distinct tuple once, under the first rule set holding it.
     checked = set()
     for (model, case), rule_set in sorted(network.rule_sets.items()):
         found = availability_gaps(rule_set, network.substations)

@@ -5,8 +5,10 @@ Pipeline: group buses into substations, compute inter-substation distances
 place SONET-ring nodes (SADMs) near control centers and generating
 substations and DWDM-ring nodes (OADMs) near control centers and
 PMU-equipped substations, home every other gateway onto its nearest ring
-nodes, then emit the full rule sets for both the ternary and binary models
-and both channel policies.
+nodes, then emit the ternary-model rules once for both channel policies.
+The binary model (IIM) builds no rules of its own: each case's IIM rule set
+holds the very rules of its MIIM rule set, and the model names how they are
+read (``idr.compile_expr``).
 
 Each ring is described once, as a ``_RingSide``, and that one description
 feeds both the registry and every rule.
@@ -44,7 +46,6 @@ from jointgrid.idr import (
     OP_MAX_OR,
     OP_MIN_AND,
     OP_NEW_XOR,
-    translate_to_iim,
 )
 from jointgrid.network import (
     CASES,
@@ -235,12 +236,12 @@ def place_ring_nodes(
         )
     node_of = {host: i + 1 for i, host in enumerate(hosts)}
     tour = [primary_cc]
-    remaining = [h for h in hosts if h != primary_cc]
+    remaining = [h for h in hosts if h != primary_cc]  # ascending: argmin ties to the lowest id
+    columns = [dist._index[h] for h in remaining]
     while remaining:
-        current = tour[-1]
-        nxt = min(remaining, key=lambda h: (dist.dist(current, h), h))
-        tour.append(nxt)
-        remaining.remove(nxt)
+        nearest = int(np.argmin(dist.matrix[dist._index[tour[-1]], columns]))
+        columns.pop(nearest)
+        tour.append(remaining.pop(nearest))
     edges = []
     for i, host in enumerate(tour):
         other = tour[(i + 1) % len(tour)]
@@ -518,34 +519,6 @@ def generate_rules(
     return rules, availability
 
 
-def _rule_sets(
-    cascade_rules: Sequence[IdrRule], availability: Dict[int, Dict[int, AvailabilityRules]]
-) -> Dict[Tuple[str, int], RuleSet]:
-    """Every (model, case) rule set, from the ternary-model rules.  Each rule
-    and each operator node is translated once, so what the cases, rules and
-    terms share they also share under IIM."""
-    translated: Dict[int, IdrRule] = {}
-    nodes: Dict[int, Op] = {}
-
-    def in_model(rule: Optional[IdrRule], model: str) -> Optional[IdrRule]:
-        if model == MIIM or rule is None:
-            return rule
-        if id(rule) not in translated:
-            translated[id(rule)] = translate_to_iim(rule, nodes)
-        return translated[id(rule)]
-
-    rule_sets = {}
-    for model in MODELS:
-        rules = tuple(in_model(rule, model) for rule in cascade_rules)
-        for case in CASES:
-            paths = {
-                sub_id: AvailabilityRules(in_model(avail.scada, model), in_model(avail.pmu, model))
-                for sub_id, avail in availability[case].items()
-            }
-            rule_sets[model, case] = RuleSet(model, case, rules, paths)
-    return rule_sets
-
-
 # --- Orchestration ----------------------------------------------------------------
 
 
@@ -592,5 +565,13 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
     )
     network.registry = build_registry(network)
     network.index_entities()
-    network.rule_sets = _rule_sets(*generate_rules(network))
+    rules, availability = generate_rules(network)
+    # A case's IIM rule set holds the very rules tuple and availability
+    # mapping of its MIIM rule set: the model names how the rules are read.
+    rules = tuple(rules)
+    network.rule_sets = {
+        (model, case): RuleSet(model, case, rules, availability[case])
+        for model in MODELS
+        for case in CASES
+    }
     return network

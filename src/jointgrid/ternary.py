@@ -23,13 +23,13 @@ TERNARY_LEVELS = (FAILED, REDUCED, FULL)
 BINARY_LEVELS = (0, 1)
 
 
-def _check_ternary(value: int) -> int:
+def check_ternary(value: int) -> int:
     if value not in TERNARY_LEVELS:
         raise ValueError(f"not a ternary operational level: {value!r}")
     return value
 
 
-def _check_binary(value: int) -> int:
+def check_binary(value: int) -> int:
     if value not in BINARY_LEVELS:
         raise ValueError(f"not a binary operational level: {value!r}")
     return value
@@ -37,12 +37,12 @@ def _check_binary(value: int) -> int:
 
 def min_and(a: int, b: int) -> int:
     """Lowest of the two input levels."""
-    return min(_check_ternary(a), _check_ternary(b))
+    return min(check_ternary(a), check_ternary(b))
 
 
 def max_or(a: int, b: int) -> int:
     """Highest of the two input levels."""
-    return max(_check_ternary(a), _check_ternary(b))
+    return max(check_ternary(a), check_ternary(b))
 
 
 def new_xor(values: Iterable[int]) -> int:
@@ -50,7 +50,7 @@ def new_xor(values: Iterable[int]) -> int:
 
     Accepts one or more operands; a single operand passes through unchanged.
     """
-    vals = [_check_ternary(v) for v in values]
+    vals = [check_ternary(v) for v in values]
     if not vals:
         raise ValueError("empty operand list")
     first = vals[0]
@@ -61,14 +61,14 @@ def new_xor(values: Iterable[int]) -> int:
 
 def binary_and(a: int, b: int) -> int:
     """Boolean conjunction on {0, 1}."""
-    return _check_binary(a) & _check_binary(b)
+    return check_binary(a) & check_binary(b)
 
 
 def binary_or(a: int, b: int) -> int:
     """Boolean disjunction on {0, 1}."""
-    return _check_binary(a) | _check_binary(b)
+    return check_binary(a) | check_binary(b)
 
 
 def to_binary(level: int) -> int:
     """Project a ternary level onto {0, 1}: reduced operation counts as operational."""
-    return 0 if _check_ternary(level) == FAILED else 1
+    return 0 if check_ternary(level) == FAILED else 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracle import read
 from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
@@ -217,9 +218,10 @@ def test_value_history(ieee14, attack):
 
 @pytest.mark.parametrize("network_name, seed", [("ieee14", 11), ("ieee118", 12)])
 def test_compiled_availability_matches_interpreter(request, network_name, seed):
-    """Each SCADA and PMU expression compiled by ``compile_expr`` evaluates
-    as the interpretive ``evaluate`` does, and the mask follows those values,
-    at the fixpoints of 50 random kill sets under all four rule sets."""
+    """Each SCADA and PMU expression compiled by ``compile_expr`` under its
+    rule set's model evaluates as the interpretive ``evaluate`` does on the
+    expression that model reads, and the mask follows those values, at the
+    fixpoints of 50 random kill sets under all four rule sets."""
     network = request.getfixturevalue(network_name)
     rng = random.Random(seed)
     entities = network.entity_ids()
@@ -228,21 +230,22 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
     for model in MODELS:
         for case in CASES:
             rule_set = network.rule_set(model, case)
+            read_paths = read(rule_set).availability
             paths = [
-                (sub_id, kind, rule.body)
+                (sub_id, kind, getattr(avail, kind).body, getattr(read_paths[sub_id], kind).body)
                 for sub_id, avail in sorted(rule_set.availability.items())
-                for kind, rule in (("scada", avail.scada), ("pmu", avail.pmu))
-                if rule is not None
+                for kind in ("scada", "pmu")
+                if getattr(avail, kind) is not None
             ]
-            codes = [compile_expr(expr, network.slots) for _, _, expr in paths]
+            codes = [compile_expr(expr, network.slots, model) for _, _, expr, _ in paths]
             for scenario in kill_sets:
                 trace = run_cascade(network, rule_set, scenario)
                 final = trace.final_state()
-                oracle = [evaluate(expr, final) for _, _, expr in paths]
+                oracle = [evaluate(read_expr, final) for _, _, _, read_expr in paths]
                 env = {"a": trace.arrays[-1]}
                 assert [eval(code, compiled_globals(), env) for code in codes] == oracle
                 delivered = {
-                    (sub_id, kind): value >= 1 for (sub_id, kind, _), value in zip(paths, oracle)
+                    (sub_id, kind): value >= 1 for (sub_id, kind, _, _), value in zip(paths, oracle)
                 }
                 mask = data_availability(final, network, rule_set)
                 for sub in network.substations:
@@ -311,11 +314,11 @@ def test_binary_loses_superset_under_every_single_failure_118(ieee118):
 
 
 def _dense_mask(network, rule_set, final):
-    """The mask by its definition: every availability rule evaluated by
-    ``idr.evaluate`` at the fixpoint."""
+    """The mask by its definition: every availability rule, as the rule
+    set's model reads it, evaluated by ``idr.evaluate`` at the fixpoint."""
     scada, pmu = {}, {}
     for sub in network.substations:
-        avail = rule_set.availability[sub.id]
+        avail = read(rule_set).availability[sub.id]
         scada_ok = evaluate(avail.scada.body, final) >= 1
         pmu_ok = sub.has_pmu and avail.pmu is not None and evaluate(avail.pmu.body, final) >= 1
         for bus in sub.buses:
@@ -345,7 +348,8 @@ def test_incremental_availability_matches_dense_masks(ieee14):
 def _count_calls(monkeypatch, network):
     """Count what ``cascade`` does on ``network``'s rule sets: the cascade
     rule bodies it compiles, the availability expressions it compiles (by
-    body, in order), its ``eval`` calls and its ``reference_problems`` walks."""
+    body and model, in order), its ``eval`` calls and its
+    ``reference_problems`` walks."""
     from jointgrid import cascade
 
     availability = {
@@ -353,12 +357,12 @@ def _count_calls(monkeypatch, network):
     }
     calls = {"cascade": 0, "availability": [], "eval": 0, "reference_problems": 0}
 
-    def counting_compile(expr, slots):
+    def counting_compile(expr, slots, model):
         if id(expr) in availability:
-            calls["availability"].append(id(expr))
+            calls["availability"].append((id(expr), model))
         else:
             calls["cascade"] += 1
-        return compile_expr(expr, slots)
+        return compile_expr(expr, slots, model)
 
     def counting(original, name):
         def count(*args):
@@ -416,7 +420,7 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
         assert compiled[model, 1][0] > 0
         assert compiled[model, 2][0] == 0
     for (model, case), (_, bodies) in compiled.items():
-        own = {id(rule.body) for rule in network.rule_set(model, case).availability_rules()}
+        own = {(id(rule.body), model) for rule in network.rule_set(model, case).availability_rules()}
         assert bodies and len(set(bodies)) == len(bodies) and set(bodies) <= own
 
 
@@ -451,10 +455,11 @@ def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeyp
 
 
 def _dense_step(rule_set, state, killed):
-    """One synchronous step of the cascade's definition: every rule
-    re-evaluated at ``state``, attacked entities held at 0."""
+    """One synchronous step of the cascade's definition: every rule, as the
+    rule set's model reads it, re-evaluated at ``state``, attacked entities
+    held at 0."""
     following = dict(state)
-    for rule in rule_set.rules:
+    for rule in read(rule_set).rules:
         if rule.target not in killed:
             following[rule.target] = evaluate(rule.body, state)
     return following

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzing import edit_json
+from oracle import read
 from jointgrid import cli
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
@@ -216,8 +217,9 @@ def test_run_output_bytes_are_pinned(fixtures_dir, tmp_path):
 
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
 def test_rule_file_text_matches_format_idr_file(request, network_name):
-    """Each text equals the rule set's rules, then its availability rules,
-    through ``format_idr_file``: the oracle for formatting shared rules once."""
+    """Each text equals the rule set's rules, then its availability rules, as
+    its model reads them (``translate_to_iim`` under IIM), through
+    ``format_idr_file``: the oracle for formatting shared rules once."""
     network = request.getfixturevalue(network_name)
     texts = rule_file_text(network)
     assert sorted(texts) == sorted(network.rule_sets)
@@ -226,6 +228,7 @@ def test_rule_file_text_matches_format_idr_file(request, network_name):
             f"dependency rules: model={model} case={case}",
             "GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
         ]
+        rule_set = read(rule_set)
         rules = list(rule_set.rules) + rule_set.availability_rules()
         assert texts[model, case] == format_idr_file(rules, header=header)
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracle import read
 from jointgrid import entities as ent
 from jointgrid.entities import parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
@@ -11,6 +12,7 @@ from jointgrid.idr import (
     IIM,
     MIIM,
     Op,
+    compile_expr,
     evaluate,
     format_idr,
     format_idr_file,
@@ -344,6 +346,24 @@ def _key_home_gateways(substations, ring, dm):
     }
 
 
+def _key_place_ring_nodes(substations, kind, dm, primary_cc):
+    """Reference tour: the nearest remaining host by ``dist`` calls, ties to
+    the lowest substation id."""
+    from jointgrid.network import Ring
+
+    hosts = ring_hosts(substations, kind)
+    node_of = {host: i + 1 for i, host in enumerate(hosts)}
+    tour = [primary_cc]
+    remaining = [h for h in hosts if h != primary_cc]
+    while remaining:
+        current = tour[-1]
+        nxt = min(remaining, key=lambda h: (dm.dist(current, h), h))
+        tour.append(nxt)
+        remaining.remove(nxt)
+    edges = {tuple(sorted((node_of[a], node_of[b]))) for a, b in zip(tour, tour[1:] + tour[:1])}
+    return Ring(kind, hosts, sorted(edges))
+
+
 def _key_control_centers(dm, substations, adjacency):
     """Reference ranking: total distance by ``dist`` calls, then degree, then id."""
     sub_ids = {sub.id for sub in substations}
@@ -388,6 +408,44 @@ def test_placement_matches_key_based_definitions_on_random_ties():
     assert ties > 100
 
 
+def test_ring_tour_matches_key_based_definition_on_random_ties():
+    """The row-based nearest-neighbour tour equals the key-based one on
+    distance matrices drawn from a few values, so that the nearest
+    remaining hosts tie often."""
+    from jointgrid.network import Substation
+    from jointgrid.synthesis import DistanceMatrix
+
+    rng = random.Random(13)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(3, 14)
+        sub_ids = sorted(rng.sample(range(1, 40), n))
+        if rng.random() < 0.5:
+            rng.shuffle(sub_ids)
+        values = rng.choice([[1.0, 2.0], [0.1, 0.2, 0.7], [1.5, 2.5, 4.0, 10.0]])
+        matrix = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i, j] = matrix[j, i] = rng.choice(values)
+        dm = DistanceMatrix(sub_ids, matrix)
+        subs = [Substation(sub_id, [sub_id]) for sub_id in sub_ids]
+        primary, backup = rng.sample(subs, 2)
+        primary.role, backup.role = "primary_cc", "backup_cc"
+        for sub in subs:
+            if not sub.is_control_center:
+                sub.role = rng.choice(["plain", "generating"])
+                sub.has_pmu = rng.random() < 0.5
+        for kind in ("sadm", "oadm"):
+            hosts = ring_hosts(subs, kind)
+            if len(hosts) < 3:
+                continue
+            ring = place_ring_nodes(subs, kind, dm, primary.id)
+            assert ring == _key_place_ring_nodes(subs, kind, dm, primary.id)
+            row = [dm.dist(primary.id, host) for host in hosts if host != primary.id]
+            ties += row.count(min(row)) > 1
+    assert ties > 100
+
+
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
 def test_fixture_placement_matches_key_based_definitions(request, network_name):
     network = request.getfixturevalue(network_name)
@@ -397,6 +455,7 @@ def test_fixture_placement_matches_key_based_definitions(request, network_name):
     assert select_control_centers(dm, subs, adjacency) == _key_control_centers(dm, subs, adjacency)
     for ring in (network.sadm_ring, network.oadm_ring):
         assert home_gateways(subs, ring, dm) == _key_home_gateways(subs, ring, dm)
+        assert ring == _key_place_ring_nodes(subs, ring.kind, dm, network.primary_cc)
 
 
 # --- rule generation -------------------------------------------------------------
@@ -439,7 +498,7 @@ def test_all_operational_fixpoint(ieee14):
     for rule in ieee14.rule_set(MIIM, 1).rules:
         assert evaluate(rule.body, full_state) == 2, format_idr(rule)
     on_state = {e: 1 for e in ieee14.registry}
-    for rule in ieee14.rule_set(IIM, 1).rules:
+    for rule in read(ieee14.rule_set(IIM, 1)).rules:
         assert evaluate(rule.body, on_state) == 1, format_idr(rule)
 
 
@@ -471,14 +530,87 @@ def test_case2_adds_exactly_one_fallback_branch(ieee14):
 @pytest.mark.parametrize("case", [1, 2])
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
 def test_iim_rules_are_translations(request, network_name, case):
-    """Each IIM rule, cascade and availability, translates its MIIM rule."""
+    """Each IIM rule set holds its case's MIIM rules and availability
+    mapping, the very objects, and its compiled reading of each rule,
+    cascade and availability, is that of the rule's translation."""
     from jointgrid.idr import translate_to_iim
 
     network = request.getfixturevalue(network_name)
     miim, iim = network.rule_set(MIIM, case), network.rule_set(IIM, case)
-    assert [translate_to_iim(r) for r in miim.rules] == list(iim.rules)
-    assert [translate_to_iim(r) for r in miim.availability_rules()] == iim.availability_rules()
+    assert iim.rules is miim.rules
+    assert iim.availability is miim.availability
     assert miim.availability.keys() == iim.availability.keys()
+    for rule in (*miim.rules, *miim.availability_rules()):
+        translated = compile_expr(translate_to_iim(rule).body, network.slots, IIM)
+        assert compile_expr(rule.body, network.slots, IIM) == translated, format_idr(rule)
+
+
+def _binary_reading_mismatches(network, arrays):
+    """The rules of ``network``'s IIM rule sets, cascade and availability,
+    whose compiled binary reading differs at some state of ``arrays`` from
+    ``evaluate`` on their ``translate_to_iim`` tree.  A body shared by rules
+    or rule sets is checked once."""
+    from jointgrid.idr import compiled_globals, translate_to_iim
+
+    rules = {
+        id(rule.body): rule
+        for case in CASES
+        for rule_set in [network.rule_set(IIM, case)]
+        for rule in (*rule_set.rules, *rule_set.availability_rules())
+    }
+    checks = [
+        (rule, compile_expr(rule.body, network.slots, IIM), translate_to_iim(rule).body)
+        for rule in rules.values()
+    ]
+    names = compiled_globals()
+    mismatches = set()
+    for array in arrays:
+        state, env = dict(zip(network.entity_ids(), array)), {"a": array}
+        mismatches.update(
+            format_idr(rule)
+            for rule, code, binary in checks
+            if eval(code, names, env) != evaluate(binary, state)
+        )
+    return sorted(mismatches)
+
+
+@pytest.mark.parametrize("network_name, seed", [("ieee14", 31), ("ieee118", 32)])
+def test_binary_reading_matches_translated_rules(request, network_name, seed):
+    """Oracle for reading the ternary rules as binary: every IIM cascade and
+    availability rule, compiled under IIM, evaluates as ``idr.evaluate`` does
+    on its ``translate_to_iim`` tree, at 200 random binary states and, on 14
+    buses, at the binary fixpoint of every single failure in both cases."""
+    from jointgrid.cascade import FailureScenario, run_cascade
+
+    network = request.getfixturevalue(network_name)
+    rng = random.Random(seed)
+    size = len(network.entity_ids())
+    arrays = [rng.choices((0, 1), k=size) for _ in range(200)]
+    if network_name == "ieee14":
+        fixpoints = {
+            tuple(run_cascade(network, network.rule_set(IIM, case), FailureScenario.of([entity])).fixpoint)
+            for case in CASES
+            for entity in network.entity_ids()
+        }
+        assert len(fixpoints) > 1
+        arrays += [list(fixpoint) for fixpoint in sorted(fixpoints)]
+    assert _binary_reading_mismatches(network, arrays) == []
+
+
+def test_build_constructs_no_binary_rule(ieee118_grid, monkeypatch):
+    """A 118-bus build makes ternary rules only: the IIM rule sets read them."""
+    from jointgrid.idr import IdrRule
+
+    models = []
+    post_init = IdrRule.__post_init__
+
+    def counting(rule):
+        models.append(rule.model)
+        post_init(rule)
+
+    monkeypatch.setattr(IdrRule, "__post_init__", counting)
+    build_joint_network(ieee118_grid)
+    assert models and set(models) == {MIIM}
 
 
 def _operator_nodes(rule_sets):
@@ -558,7 +690,7 @@ def test_118_bus_rules_round_trip_and_hold_at_full_operation(ieee118):
     for rule in rule_set.rules:
         assert evaluate(rule.body, full_state) == 2
     on_state = {e: 1 for e in ieee118.registry}
-    for rule in ieee118.rule_set(IIM, 2).rules:
+    for rule in read(ieee118.rule_set(IIM, 2)).rules:
         assert evaluate(rule.body, on_state) == 1
 
 
@@ -619,7 +751,7 @@ def test_random_grids_synthesize_validated_networks():
         for rule in network.rule_set(MIIM, 2).rules:
             assert evaluate(rule.body, full) == 2
         on = {e: 1 for e in network.registry}
-        for rule in network.rule_set(IIM, 1).rules:
+        for rule in read(network.rule_set(IIM, 1)).rules:
             assert evaluate(rule.body, on) == 1
 
         entities = network.entity_ids()
