@@ -15,11 +15,14 @@ operators only) is at top, so a mask starts from the full-operation mask
 and evaluates only the expressions that read a slot the cascade lowered.
 
 Both kinds of rule run through one evaluator: each rule of a rule set is
-compiled on first need, over the network's slot map, to a code object
-evaluated against a state array, and kept.  Rules compile under their rule
-set's model: a network's IIM rule sets hold its ternary rules, read as
-binary, so no binary rule tree exists at run time.  The interpretive
-``idr.evaluate`` is the test oracle only.
+compiled on first need, over the network's slot map, to a function ``f(a)``
+of a state array, and kept.  Rules of one shape share one code object (see
+``idr.compile_expr``).  Rules compile under their rule set's model: a
+network's IIM rule sets hold its ternary rules, read as binary, so no
+binary rule tree exists at run time.  What does not depend on the model
+(targets, readers, clears, full-operation masks) is built once per rules
+tuple or availability mapping and shared by both models' programs.  The
+interpretive ``idr.evaluate`` is the test oracle only.
 The compilers check a rule set's references through the slot lookups they
 make anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
@@ -30,12 +33,14 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import CodeType
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId
-from jointgrid.idr import MIIM, IdrRule, compile_expr, compiled_globals
+from jointgrid.idr import MIIM, IdrRule, compile_expr
 from jointgrid.network import JointNetwork, RuleSet, availability_gaps, reference_problems
+
+
+RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
 
 
 class CascadeError(RuntimeError):
@@ -121,19 +126,32 @@ class CascadeTrace:
         return [array[slot] for array in self.arrays]
 
 
-class _CascadeProgram:
-    """Cascade rules compiled to code objects over a slot-indexed state array.
+class _Compiled:
+    """Rules compiled under one model on first need and kept: ``fns[i]`` is
+    rule i's function ``f(a)`` of a state array, or None until ``compile(i)``.
 
-    A rule is compiled on its first evaluation and kept: a single cascade
-    touches only the rules downstream of its kill set, so a one-off run
-    does not pay for compiling all of them.
+    A single cascade touches only the rules downstream of its kill set, so a
+    one-off run does not pay for compiling all of them.
     """
 
-    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], model: str):
-        self.rules = rules  # also keeps this tuple's id() from being reused
+    def __init__(self, rules: Sequence[IdrRule], slots: Dict[EntityId, int], model: str):
+        self.rules = rules  # also keeps this sequence's id() from being reused
         self.slots = slots
         self.model = model
-        self.codes: List[Optional[CodeType]] = [None] * len(rules)
+        self.fns: List[Optional[RuleFn]] = [None] * len(rules)
+
+    def compile(self, index: int) -> RuleFn:
+        fn = self.fns[index] = compile_expr(self.rules[index].body, self.slots, self.model)
+        return fn
+
+
+class _CascadeTables:
+    """Per cascade rule its target slot (``targets``), and per slot the rules
+    that read it (``rdeps``)."""
+
+    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
+        self.rules = rules  # also keeps this tuple's id() from being reused
+        self.slots = slots
         self.rdeps: Dict[int, List[int]] = {}
         try:
             self.targets = [slots[rule.target] for rule in rules]
@@ -145,29 +163,16 @@ class _CascadeProgram:
         if len(set(self.targets)) < len(rules):
             raise _refusal("cascade rules", rules, slots)
 
-    def code(self, rule_index: int) -> CodeType:
-        code = self.codes[rule_index]
-        if code is None:
-            body = self.rules[rule_index].body
-            code = self.codes[rule_index] = compile_expr(body, self.slots, self.model)
-        return code
 
-
-class _Program:
-    """One rule set compiled, under its model, over one network's slot map.
-
-    The cascade part is shared by the rule sets of one model that hold the
-    same rules tuple.  The availability part is the full-operation mask,
-    built once, and per data-path expression (``rules``, substation by
-    substation, SCADA before PMU) the mask it clears and the buses it speaks
-    for; ``readers`` maps each slot to the expressions that read it.
-    """
+class _AvailabilityTables:
+    """One availability mapping over one network: the full-operation masks,
+    and per data-path expression (``rules``, substation by substation, SCADA
+    before PMU) the mask it clears and the buses it speaks for;
+    ``readers`` maps each slot to the expressions that read it."""
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
         slots = self.slots = network.slots
-        self.model = rule_set.model
-        self.cascade = _cascade_program(rule_set.rules, slots, self.model)
-        self.globals = compiled_globals()
+        self.availability = rule_set.availability  # keeps the mapping's id() from being reused
         # At full operation every expression is at top, so every path delivers.
         self.scada: Dict[int, bool] = {}
         self.pmu: Dict[int, bool] = {}
@@ -186,7 +191,6 @@ class _Program:
                 self.scada[bus] = True
                 self.pmu[bus] = sub.has_pmu and avail.pmu is not None
         self.pmu_equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
-        self.codes = [None] * len(self.rules)
         self.readers: Dict[int, List[int]] = {}
         try:
             for index, rule in enumerate(self.rules):
@@ -196,7 +200,26 @@ class _Program:
             rules = rule_set.availability_rules()
             raise _refusal("availability rules", rules, slots, targets=False) from None
 
-    code = _CascadeProgram.code  # compiles ``rules[i]`` under ``model`` on first need
+
+class _Program:
+    """One rule set compiled, under its model, over one network's slot map.
+
+    The tables do not depend on the model: every rule set holding the same
+    rules tuple (or availability mapping) shares them, so a synthesized
+    network's MIIM and IIM rule sets of a case build them once.  The model's
+    own part is ``top`` and the functions: the cascade functions are shared
+    by the rule sets of one model that hold the same rules tuple.
+    """
+
+    def __init__(self, rule_set: RuleSet, network: JointNetwork):
+        slots = self.slots = network.slots
+        model, rules = rule_set.model, rule_set.rules
+        self.top = 2 if model == MIIM else 1
+        self.cascade = _shared((_CascadeTables, id(rules), id(slots)), _CascadeTables, rules, slots)
+        self.cascade_fns = _shared((_Compiled, id(rules), id(slots), model), _Compiled, rules, slots, model)
+        key = (_AvailabilityTables, id(rule_set.availability), id(slots))
+        self.availability = _shared(key, _AvailabilityTables, rule_set, network)
+        self.availability_fns = _Compiled(self.availability.rules, slots, model)
 
 
 def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True) -> ScenarioError:
@@ -206,13 +229,13 @@ def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True
 
 
 # Compiled programs, memoized on what they are compiled from: a frozen rule
-# set (or its rules tuple and model) and a network's slot map.
-# The references are weak, so a rule set's program lives as long as the
-# rule set and a cascade program as long as some rule set's program uses it.
+# set and a network's slot map.  The references are weak, so a rule set's
+# program lives as long as the rule set, and a shared part as long as some
+# program uses it.  Shared parts are keyed by the id() of the objects they
+# are built from, and hold those objects, so no id() is reused while a key
+# stands.
 _PROGRAMS: "weakref.WeakKeyDictionary[RuleSet, _Program]" = weakref.WeakKeyDictionary()
-_CASCADE_PROGRAMS: "weakref.WeakValueDictionary[Tuple[int, int, str], _CascadeProgram]" = (
-    weakref.WeakValueDictionary()
-)
+_SHARED: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
 
 
 def _program(network: JointNetwork, rule_set: RuleSet) -> _Program:
@@ -222,12 +245,12 @@ def _program(network: JointNetwork, rule_set: RuleSet) -> _Program:
     return program
 
 
-def _cascade_program(rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], model: str) -> _CascadeProgram:
-    key = (id(rules), id(slots), model)
-    program = _CASCADE_PROGRAMS.get(key)
-    if program is None:
-        program = _CASCADE_PROGRAMS[key] = _CascadeProgram(rules, slots, model)
-    return program
+def _shared(key: tuple, build, *args):
+    """``build(*args)``, built once while some program holds it under ``key``."""
+    value = _SHARED.get(key)
+    if value is None:
+        value = _SHARED[key] = build(*args)
+    return value
 
 
 def run_cascade(
@@ -237,10 +260,8 @@ def run_cascade(
 ) -> CascadeTrace:
     """Run the synchronous cascade to its fixpoint."""
     entities = network.entity_ids()
-    top = 2 if rule_set.model == MIIM else 1
     program = _program(network, rule_set)
-    compiled = program.cascade
-    slots = compiled.slots
+    top, slots = program.top, program.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
     if unknown:
@@ -257,9 +278,8 @@ def run_cascade(
 
     frontier: Set[int] = set(killed_slots)
     max_steps = 2 * len(entities) + 2
-    local_globals = program.globals
-    code = compiled.code
-    targets = compiled.targets
+    targets, rdeps = program.cascade.targets, program.cascade.rdeps
+    fns, compile_rule = program.cascade_fns.fns, program.cascade_fns.compile
 
     while frontier:
         if len(changed_per_step) > max_steps:
@@ -268,14 +288,13 @@ def run_cascade(
             )
         candidates: Set[int] = set()
         for slot in frontier:
-            candidates.update(compiled.rdeps.get(slot, ()))
-        env = {"a": state}
+            candidates.update(rdeps.get(slot, ()))
         updates: Dict[int, int] = {}
         for rule_index in sorted(candidates):
             target_slot = targets[rule_index]
             if target_slot in killed_slots:
                 continue
-            value = eval(code(rule_index), local_globals, env)
+            value = (fns[rule_index] or compile_rule(rule_index))(state)
             old = state[target_slot]
             if value > old:
                 entity = entities[target_slot]
@@ -303,14 +322,13 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     their rules would compute.
     """
     program = _program(network, rule_set)
-    compiled = program.cascade
+    fns, compile_rule = program.cascade_fns.fns, program.cascade_fns.compile
     state = trace.fixpoint
-    killed_slots = {compiled.slots[e] for e in trace.changed[0]}
-    env = {"a": state}
-    for rule_index, target_slot in enumerate(compiled.targets):
+    killed_slots = {program.slots[e] for e in trace.changed[0]}
+    for rule_index, target_slot in enumerate(program.cascade.targets):
         if target_slot in killed_slots:
             continue
-        if eval(compiled.code(rule_index), program.globals, env) != state[target_slot]:
+        if (fns[rule_index] or compile_rule(rule_index))(state) != state[target_slot]:
             return False
     return True
 
@@ -356,15 +374,17 @@ def data_availability(
     if not (isinstance(final_state, FixpointState) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
     program = _program(network, rule_set)
-    scada, pmu = dict(program.scada), dict(program.pmu)
+    tables = program.availability
+    scada, pmu = dict(tables.scada), dict(tables.pmu)
     masks = (scada, pmu)
-    readers, env = program.readers, {"a": final_state.array}
-    for index in {i for slot in final_state.lowered for i in readers.get(slot, ())}:
-        if eval(program.code(index), program.globals, env) < 1:
-            mask, buses = program.clears[index]
+    fns, compile_rule = program.availability_fns.fns, program.availability_fns.compile
+    state = final_state.array
+    for index in {i for slot in final_state.lowered for i in tables.readers.get(slot, ())}:
+        if (fns[index] or compile_rule(index))(state) < 1:
+            mask, buses = tables.clears[index]
             for bus in buses:
                 masks[mask][bus] = False
-    return AvailabilityMask(scada, pmu, program.pmu_equipped)
+    return AvailabilityMask(scada, pmu, tables.pmu_equipped)
 
 
 @dataclass

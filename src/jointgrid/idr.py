@@ -22,8 +22,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple, Union
+from functools import lru_cache, reduce
+from types import CodeType, FunctionType
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId, EntityError, parse_entity_id
@@ -374,27 +375,41 @@ def _nx(*values: int) -> int:
 _COMPILE_GLOBALS = {"_nx": _nx, "min": min, "max": max, "__builtins__": {}}
 
 
-def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int], model: str = MIIM):
-    """Compile an expression as ``model`` reads it to a code object over a
-    state array ``a``; ``slots`` maps each entity to its array index.
+def compile_expr(
+    expr: IdrExpr, slots: Dict[EntityId, int], model: str = MIIM
+) -> Callable[[Sequence[int]], int]:
+    """Compile an expression as ``model`` reads it to a function ``f(a)`` of
+    a state array ``a``; ``slots`` maps each entity to its array index.
 
     Under IIM a ternary operator reads as its binary image (``_TRANSLATION``),
     so a ternary body compiles as its ``translate_to_iim`` does; binary
-    operators read as themselves.  The compiled object is evaluated with
-    ``eval(code, compiled_globals(), {"a": array})`` and returns the same
-    value as :func:`evaluate` on the expression so read.
+    operators read as themselves.  ``f(a)`` returns the same value as
+    :func:`evaluate` on the expression so read.
+
+    Expressions of one shape, the same operator tree up to which literals
+    fill it, share one code object: the k-th literal reads ``a[ik]``, and
+    each function binds its own slots as the defaults of ``i0, i1, ...``.
     """
-    return compile(_expr_source(expr, slots, model == IIM), "<idr>", "eval")
+    fill: List[int] = []
+    source = _expr_source(expr, slots, model == IIM, fill)
+    return FunctionType(_shape(source, len(fill)), _COMPILE_GLOBALS, "rule", tuple(fill))
 
 
-def compiled_globals() -> dict:
-    return dict(_COMPILE_GLOBALS)
+@lru_cache(maxsize=256)
+def _shape(source: str, arity: int) -> CodeType:
+    """The code of ``def rule(a, i0, ..., i<arity-1>): return <source>``."""
+    params = "".join(f", i{k}" for k in range(arity))
+    module = compile(f"def rule(a{params}):\n    return {source}\n", "<idr>", "exec")
+    return next(const for const in module.co_consts if isinstance(const, CodeType))
 
 
-def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool) -> str:
+def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool, fill: List[int]) -> str:
+    """Source of ``expr`` with its k-th literal as ``a[ik]``; appends each
+    literal's slot to ``fill``, left to right."""
     if isinstance(expr, Literal):
-        return f"a[{slots[expr.entity]}]"
-    parts = [_expr_source(child, slots, binary) for child in expr.children]
+        fill.append(slots[expr.entity])
+        return f"a[i{len(fill) - 1}]"
+    parts = [_expr_source(child, slots, binary, fill) for child in expr.children]
     op = _TRANSLATION.get(expr.op, expr.op) if binary else expr.op
     if op == OP_MIN_AND:
         return f"min({', '.join(parts)})"

@@ -14,7 +14,7 @@ from jointgrid.cascade import (
     verify_fixpoint,
 )
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import IIM, MIIM, compile_expr, compiled_globals, evaluate
+from jointgrid.idr import IIM, MIIM, compile_expr, evaluate
 from jointgrid.network import CASES, MODELS, RuleSet
 from jointgrid.ternary import to_binary
 
@@ -237,13 +237,13 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
                 for kind in ("scada", "pmu")
                 if getattr(avail, kind) is not None
             ]
-            codes = [compile_expr(expr, network.slots, model) for _, _, expr, _ in paths]
+            fns = [compile_expr(expr, network.slots, model) for _, _, expr, _ in paths]
             for scenario in kill_sets:
                 trace = run_cascade(network, rule_set, scenario)
                 final = trace.final_state()
                 oracle = [evaluate(read_expr, final) for _, _, _, read_expr in paths]
-                env = {"a": trace.arrays[-1]}
-                assert [eval(code, compiled_globals(), env) for code in codes] == oracle
+                array = trace.arrays[-1]
+                assert [fn(array) for fn in fns] == oracle
                 delivered = {
                     (sub_id, kind): value >= 1 for (sub_id, kind, _, _), value in zip(paths, oracle)
                 }
@@ -348,21 +348,21 @@ def test_incremental_availability_matches_dense_masks(ieee14):
 def _count_calls(monkeypatch, network):
     """Count what ``cascade`` does on ``network``'s rule sets: the cascade
     rule bodies it compiles, the availability expressions it compiles (by
-    body and model, in order), its ``eval`` calls and its
-    ``reference_problems`` walks."""
+    body and model, in order), the calls of the functions it compiled and
+    its ``reference_problems`` walks."""
     from jointgrid import cascade
 
     availability = {
         id(rule.body) for rule_set in network.rule_sets.values() for rule in rule_set.availability_rules()
     }
-    calls = {"cascade": 0, "availability": [], "eval": 0, "reference_problems": 0}
+    calls = {"cascade": 0, "availability": [], "evaluated": 0, "reference_problems": 0}
 
     def counting_compile(expr, slots, model):
         if id(expr) in availability:
             calls["availability"].append((id(expr), model))
         else:
             calls["cascade"] += 1
-        return compile_expr(expr, slots, model)
+        return counting(compile_expr(expr, slots, model), "evaluated")
 
     def counting(original, name):
         def count(*args):
@@ -372,11 +372,30 @@ def _count_calls(monkeypatch, network):
         return count
 
     monkeypatch.setattr(cascade, "compile_expr", counting_compile)
-    monkeypatch.setattr(cascade, "eval", counting(eval, "eval"), raising=False)
     monkeypatch.setattr(
         cascade, "reference_problems", counting(cascade.reference_problems, "reference_problems")
     )
     return calls
+
+
+def test_models_share_their_program_tables(ieee14):
+    """What a program holds besides its functions does not depend on the
+    model: the four rule sets, which hold one rules tuple, share one cascade
+    table; a case's MIIM and IIM programs share one availability table; and
+    each model's cases share its cascade functions."""
+    from jointgrid.cascade import _program
+
+    programs = {key: _program(ieee14, rule_set) for key, rule_set in ieee14.rule_sets.items()}
+    assert len({id(program.cascade) for program in programs.values()}) == 1
+    for case in CASES:
+        miim, iim = programs[MIIM, case], programs[IIM, case]
+        assert miim.availability is iim.availability
+        assert miim.cascade_fns is not iim.cascade_fns
+        assert miim.availability_fns is not iim.availability_fns
+        assert (miim.top, iim.top) == (2, 1)
+    assert programs[MIIM, 1].availability is not programs[MIIM, 2].availability
+    for model in MODELS:
+        assert programs[model, 1].cascade_fns is programs[model, 2].cascade_fns
 
 
 def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
@@ -438,7 +457,7 @@ def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeyp
         assert not final.lowered
         assert not (mask.scada_lost() or mask.pmu_lost())
         assert mask == _dense_mask(network, rule_set, final)
-    assert calls["eval"] == 0
+    assert calls["evaluated"] == 0
     assert calls["availability"] == []
 
     def screen_all():
@@ -449,8 +468,10 @@ def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeyp
 
     screen_all()
     compiled = list(calls["availability"])
+    evaluated = calls["evaluated"]
     screen_all()
-    assert compiled
+    assert compiled and evaluated > 0
+    assert calls["evaluated"] == 2 * evaluated
     assert calls["availability"] == compiled
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzing import edit_rule_text
+from oracle import read
 from jointgrid.cli import rule_file_text
 from jointgrid.entities import parse_entity_id
 from jointgrid.idr import (
@@ -19,7 +20,6 @@ from jointgrid.idr import (
     OP_NEW_XOR,
     UnknownEntityError,
     compile_expr,
-    compiled_globals,
     evaluate,
     format_expr,
     format_idr,
@@ -30,6 +30,7 @@ from jointgrid.idr import (
     format_idr_file,
     translate_to_iim,
 )
+from jointgrid.network import CASES
 
 RING_RULE = "C(2,1,1,0) <- (C(2,1,2,0) & C(2,2,1,2)) | (C(2,1,6,0) & C(2,2,1,6))"
 
@@ -300,8 +301,7 @@ def test_random_miim_exprs_round_trip_and_compile(expr, seed):
     array = [0] * len(slots)
     for entity, value in state.items():
         array[slots[entity]] = value
-    code = compile_expr(expr, slots)
-    assert eval(code, compiled_globals(), {"a": array}) == evaluate(expr, state)
+    assert compile_expr(expr, slots)(array) == evaluate(expr, state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,8 +320,63 @@ def test_random_iim_exprs_round_trip_and_compile(expr, seed):
     array = [0] * len(slots)
     for entity, value in state.items():
         array[slots[entity]] = value
-    code = compile_expr(expr, slots)
-    assert eval(code, compiled_globals(), {"a": array}) == evaluate(expr, state)
+    assert compile_expr(expr, slots)(array) == evaluate(expr, state)
+
+
+def test_expression_naming_an_entity_twice_compiles_correctly():
+    """Each occurrence of a literal binds its own parameter, so an entity
+    named twice is read from its one slot twice; under either model the
+    function agrees with ``evaluate`` at every state."""
+    import itertools
+
+    rule = parse_idr("R(1) <- (P(1) & P(2)) | (P(3) ^ P(1)) | P(1)")
+    slots = {parse_entity_id(t): i for i, t in enumerate(["P(1)", "P(2)", "P(3)"])}
+    for model, levels, body in ((MIIM, (0, 1, 2), rule.body), (IIM, (0, 1), translate_to_iim(rule).body)):
+        fn = compile_expr(rule.body, slots, model)
+        assert fn.__defaults__ == (0, 1, 2, 0, 0)
+        for array in itertools.product(levels, repeat=len(slots)):
+            state = {entity: array[slot] for entity, slot in slots.items()}
+            assert fn(list(array)) == evaluate(body, state), (model, array)
+
+
+def _shape(expr):
+    """An expression's operator tree with its literals blanked out."""
+    if isinstance(expr, Literal):
+        return None
+    return expr.op, tuple(_shape(child) for child in expr.children)
+
+
+def test_rules_of_one_shape_share_one_code_object(ieee118):
+    """Oracle for the shape table.  Over every 118-bus cascade and
+    availability expression, under each model, the compiled functions hold
+    one code object per distinct shape of the tree the model reads, with
+    the slots of the tree's literals, left to right, bound as defaults; and
+    each function equals ``evaluate`` on that tree (under IIM, the rule's
+    ``translate_to_iim``) at 20 random states."""
+    import random
+
+    rng = random.Random(118)
+    entities = ieee118.entity_ids()
+    for model, levels in ((MIIM, (0, 1, 2)), (IIM, (0, 1))):
+        checks = {}  # body id -> (function, the tree the model reads)
+        for case in CASES:
+            rule_set = ieee118.rule_set(model, case)
+            for rule, read_rule in zip(
+                (*rule_set.rules, *rule_set.availability_rules()),
+                (*read(rule_set).rules, *read(rule_set).availability_rules()),
+            ):
+                checks[id(rule.body)] = (compile_expr(rule.body, ieee118.slots, model), read_rule.body)
+        shapes = {_shape(tree) for _, tree in checks.values()}
+        # Code objects compare by content: count the objects themselves.
+        assert len({id(fn.__code__) for fn, _ in checks.values()}) == len(shapes) > 1
+        for fn, tree in checks.values():
+            assert fn.__defaults__ == tuple(ieee118.slots[entity] for entity in _walk(tree))
+        for _ in range(20):
+            array = rng.choices(levels, k=len(entities))
+            state = dict(zip(entities, array))
+            assert [fn(array) for fn, _ in checks.values()] == [
+                evaluate(tree, state) for _, tree in checks.values()
+            ]
 
 
 @pytest.fixture(scope="module")

@@ -532,7 +532,8 @@ def test_case2_adds_exactly_one_fallback_branch(ieee14):
 def test_iim_rules_are_translations(request, network_name, case):
     """Each IIM rule set holds its case's MIIM rules and availability
     mapping, the very objects, and its compiled reading of each rule,
-    cascade and availability, is that of the rule's translation."""
+    cascade and availability, is that of the rule's translation: the same
+    code with the same slots bound."""
     from jointgrid.idr import translate_to_iim
 
     network = request.getfixturevalue(network_name)
@@ -542,7 +543,13 @@ def test_iim_rules_are_translations(request, network_name, case):
     assert miim.availability.keys() == iim.availability.keys()
     for rule in (*miim.rules, *miim.availability_rules()):
         translated = compile_expr(translate_to_iim(rule).body, network.slots, IIM)
-        assert compile_expr(rule.body, network.slots, IIM) == translated, format_idr(rule)
+        reading = compile_expr(rule.body, network.slots, IIM)
+        assert _bound(reading) == _bound(translated), format_idr(rule)
+
+
+def _bound(fn):
+    """A compiled rule's code object and the slots bound to it."""
+    return fn.__code__, fn.__defaults__
 
 
 def _binary_reading_mismatches(network, arrays):
@@ -550,7 +557,7 @@ def _binary_reading_mismatches(network, arrays):
     whose compiled binary reading differs at some state of ``arrays`` from
     ``evaluate`` on their ``translate_to_iim`` tree.  A body shared by rules
     or rule sets is checked once."""
-    from jointgrid.idr import compiled_globals, translate_to_iim
+    from jointgrid.idr import translate_to_iim
 
     rules = {
         id(rule.body): rule
@@ -562,14 +569,13 @@ def _binary_reading_mismatches(network, arrays):
         (rule, compile_expr(rule.body, network.slots, IIM), translate_to_iim(rule).body)
         for rule in rules.values()
     ]
-    names = compiled_globals()
     mismatches = set()
     for array in arrays:
-        state, env = dict(zip(network.entity_ids(), array)), {"a": array}
+        state = dict(zip(network.entity_ids(), array))
         mismatches.update(
             format_idr(rule)
-            for rule, code, binary in checks
-            if eval(code, names, env) != evaluate(binary, state)
+            for rule, fn, binary in checks
+            if fn(array) != evaluate(binary, state)
         )
     return sorted(mismatches)
 
@@ -613,43 +619,33 @@ def test_build_constructs_no_binary_rule(ieee118_grid, monkeypatch):
     assert models and set(models) == {MIIM}
 
 
-def _operator_nodes(rule_sets):
-    """The ids of the distinct operator nodes of the rule sets' rules."""
-    seen = set()
-    stack = [rule.body for rs in rule_sets for rule in (*rs.rules, *rs.availability_rules())]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Op) and id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node.children)
-    return seen
-
-
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
 def test_rules_of_a_substation_share_their_terms(request, network_name):
-    """Under either model, a gateway's data-path rules hold its cascade
-    rule's own head and power terms, and the RTU and PMU rules of a
-    substation share one body.  The binary rules share exactly the
-    subterms the ternary ones do: both have as many distinct operator nodes."""
+    """A gateway's data-path rules hold its cascade rule's own head and
+    power terms, and the RTU and PMU rules of a substation share one body.
+    Each IIM rule set holds its case's MIIM rules tuple and availability
+    mapping, the very objects, so the rules the IIM reads share exactly the
+    terms the MIIM rules do."""
     network = request.getfixturevalue(network_name)
-    for model in MODELS:
-        rules = {rule.target: rule for rule in network.rule_set(model, 1).rules}
-        for sub in network.substations:
-            gateway = rules[ent.gateway(sub.id)].body
-            cores = gateway.children if network.pmus[sub.id] else (gateway,)
-            head, _, power = cores[0].children
-            paths = [network.rule_set(model, case).availability[sub.id] for case in (1, 2)]
-            holders = [*cores, *(avail.scada.body for avail in paths)]
-            if network.pmus[sub.id]:
-                holders.append(paths[0].pmu.body)
-            for body in holders:
-                assert body.children[0] is head
-                assert body.children[2] is power
-            devices = [ent.rtu(i) for i in network.rtus[sub.id]]
-            devices += [ent.pmu(j) for j in network.pmus[sub.id]]
-            assert len({id(rules[device].body) for device in devices}) == 1
-    nodes = {model: _operator_nodes([network.rule_set(model, case) for case in CASES]) for model in MODELS}
-    assert len(nodes[IIM]) == len(nodes[MIIM])
+    for case in CASES:
+        miim, iim = network.rule_set(MIIM, case), network.rule_set(IIM, case)
+        assert iim.rules is miim.rules
+        assert iim.availability is miim.availability
+    rules = {rule.target: rule for rule in network.rule_set(MIIM, 1).rules}
+    for sub in network.substations:
+        gateway = rules[ent.gateway(sub.id)].body
+        cores = gateway.children if network.pmus[sub.id] else (gateway,)
+        head, _, power = cores[0].children
+        paths = [network.rule_set(MIIM, case).availability[sub.id] for case in CASES]
+        holders = [*cores, *(avail.scada.body for avail in paths)]
+        if network.pmus[sub.id]:
+            holders.append(paths[0].pmu.body)
+        for body in holders:
+            assert body.children[0] is head
+            assert body.children[2] is power
+        devices = [ent.rtu(i) for i in network.rtus[sub.id]]
+        devices += [ent.pmu(j) for j in network.pmus[sub.id]]
+        assert len({id(rules[device].body) for device in devices}) == 1
 
 
 def test_registry_closure(ieee14):
