@@ -14,15 +14,17 @@ At full operation every availability expression (literals and monotone
 operators only) is at top, so a mask starts from the full-operation mask
 and evaluates only the expressions that read a slot the cascade lowered.
 
-Both kinds of rule run through one evaluator: each rule of a rule set is
-compiled on first need, over the network's slot map, to a function ``f(a)``
-of a state array, and kept.  Rules of one shape share one code object (see
+Both kinds of rule run through one evaluator: each rule is compiled on
+first need, over the network's slot map, to a function ``f(a)`` of a state
+array, and kept.  Rules of one shape share one code object (see
 ``idr.compile_expr``).  Rules compile under their rule set's model: a
 network's IIM rule sets hold its ternary rules, read as binary, so no
-binary rule tree exists at run time.  What does not depend on the model
-(targets, readers, clears, full-operation masks) is built once per rules
-tuple or availability mapping and shared by both models' programs.  The
-interpretive ``idr.evaluate`` is the test oracle only.
+binary rule tree exists at run time.  Each network keeps one program per
+rules tuple and one per availability mapping, both immutable, so a program
+cannot go stale and dies with its network.  A synthesized network's four
+rule sets hold one rules tuple and a case's two models one mapping, so only
+the compiled functions are per model.  The interpretive ``idr.evaluate`` is
+the test oracle only.
 The compilers check a rule set's references through the slot lookups they
 make anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
@@ -33,11 +35,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId
 from jointgrid.idr import MIIM, IdrRule, compile_expr
-from jointgrid.network import JointNetwork, RuleSet, availability_gaps, reference_problems
+from jointgrid.network import MODELS, JointNetwork, RuleSet, availability_gaps, reference_problems
 
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
@@ -126,32 +128,30 @@ class CascadeTrace:
         return [array[slot] for array in self.arrays]
 
 
-class _Compiled:
-    """Rules compiled under one model on first need and kept: ``fns[i]`` is
-    rule i's function ``f(a)`` of a state array, or None until ``compile(i)``.
+class _Functions(dict):
+    """Rules compiled under one model: ``fns[i]`` is rule i's function
+    ``f(a)`` of a state array, compiled on first lookup and kept.
 
     A single cascade touches only the rules downstream of its kill set, so a
     one-off run does not pay for compiling all of them.
     """
 
     def __init__(self, rules: Sequence[IdrRule], slots: Dict[EntityId, int], model: str):
-        self.rules = rules  # also keeps this sequence's id() from being reused
-        self.slots = slots
-        self.model = model
-        self.fns: List[Optional[RuleFn]] = [None] * len(rules)
+        super().__init__()
+        self.rules, self.slots, self.model = rules, slots, model
 
-    def compile(self, index: int) -> RuleFn:
-        fn = self.fns[index] = compile_expr(self.rules[index].body, self.slots, self.model)
+    def __missing__(self, index: int) -> RuleFn:
+        fn = self[index] = compile_expr(self.rules[index].body, self.slots, self.model)
         return fn
 
 
-class _CascadeTables:
-    """Per cascade rule its target slot (``targets``), and per slot the rules
-    that read it (``rdeps``)."""
+class _CascadeProgram:
+    """One cascade rules tuple over one slot map: per rule its target slot
+    (``targets``), per slot the rules that read it (``rdeps``), and each
+    model's functions (``fns[model]``)."""
 
     def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
         self.rules = rules  # also keeps this tuple's id() from being reused
-        self.slots = slots
         self.rdeps: Dict[int, List[int]] = {}
         try:
             self.targets = [slots[rule.target] for rule in rules]
@@ -162,30 +162,32 @@ class _CascadeTables:
             raise _refusal("cascade rules", rules, slots) from None
         if len(set(self.targets)) < len(rules):
             raise _refusal("cascade rules", rules, slots)
+        self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
 
 
-class _AvailabilityTables:
+class _AvailabilityProgram:
     """One availability mapping over one network: the full-operation masks,
-    and per data-path expression (``rules``, substation by substation, SCADA
-    before PMU) the mask it clears and the buses it speaks for;
-    ``readers`` maps each slot to the expressions that read it."""
+    per data-path expression (substation by substation, SCADA before PMU)
+    the mask it clears and the buses it speaks for (``clears``), per slot
+    the expressions that read it (``readers``), and each model's functions
+    (``fns[model]``)."""
 
     def __init__(self, rule_set: RuleSet, network: JointNetwork):
-        slots = self.slots = network.slots
-        self.availability = rule_set.availability  # keeps the mapping's id() from being reused
+        slots = network.slots
+        availability = self.availability = rule_set.availability  # keeps its id() from being reused
+        gaps = availability_gaps(availability, network.substations)
+        if gaps:
+            raise ScenarioError(f"availability rules: {'; '.join(gaps[:5])}")
         # At full operation every expression is at top, so every path delivers.
         self.scada: Dict[int, bool] = {}
         self.pmu: Dict[int, bool] = {}
-        self.rules: List[IdrRule] = []
+        rules: List[IdrRule] = []
         self.clears: List[Tuple[int, List[int]]] = []  # per rule: mask (0 SCADA, 1 PMU), buses
-        gaps = availability_gaps(rule_set, network.substations)
-        if gaps:
-            raise ScenarioError(f"availability rules: {'; '.join(gaps[:5])}")
         for sub in network.substations:
-            avail = rule_set.availability[sub.id]
+            avail = availability[sub.id]
             for mask, rule in enumerate((avail.scada, avail.pmu)):
                 if rule:
-                    self.rules.append(rule)
+                    rules.append(rule)
                     self.clears.append((mask, sub.buses))
             for bus in sub.buses:
                 self.scada[bus] = True
@@ -193,33 +195,12 @@ class _AvailabilityTables:
         self.pmu_equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
         self.readers: Dict[int, List[int]] = {}
         try:
-            for index, rule in enumerate(self.rules):
+            for index, rule in enumerate(rules):
                 for entity in rule.literals:
                     self.readers.setdefault(slots[entity], []).append(index)
         except KeyError:
-            rules = rule_set.availability_rules()
-            raise _refusal("availability rules", rules, slots, targets=False) from None
-
-
-class _Program:
-    """One rule set compiled, under its model, over one network's slot map.
-
-    The tables do not depend on the model: every rule set holding the same
-    rules tuple (or availability mapping) shares them, so a synthesized
-    network's MIIM and IIM rule sets of a case build them once.  The model's
-    own part is ``top`` and the functions: the cascade functions are shared
-    by the rule sets of one model that hold the same rules tuple.
-    """
-
-    def __init__(self, rule_set: RuleSet, network: JointNetwork):
-        slots = self.slots = network.slots
-        model, rules = rule_set.model, rule_set.rules
-        self.top = 2 if model == MIIM else 1
-        self.cascade = _shared((_CascadeTables, id(rules), id(slots)), _CascadeTables, rules, slots)
-        self.cascade_fns = _shared((_Compiled, id(rules), id(slots), model), _Compiled, rules, slots, model)
-        key = (_AvailabilityTables, id(rule_set.availability), id(slots))
-        self.availability = _shared(key, _AvailabilityTables, rule_set, network)
-        self.availability_fns = _Compiled(self.availability.rules, slots, model)
+            raise _refusal("availability rules", rule_set.availability_rules(), slots, targets=False) from None
+        self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
 
 
 def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True) -> ScenarioError:
@@ -228,29 +209,28 @@ def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True
     return ScenarioError(f"{label}: {'; '.join(problems[:5])}")
 
 
-# Compiled programs, memoized on what they are compiled from: a frozen rule
-# set and a network's slot map.  The references are weak, so a rule set's
-# program lives as long as the rule set, and a shared part as long as some
-# program uses it.  Shared parts are keyed by the id() of the objects they
-# are built from, and hold those objects, so no id() is reused while a key
-# stands.
-_PROGRAMS: "weakref.WeakKeyDictionary[RuleSet, _Program]" = weakref.WeakKeyDictionary()
-_SHARED: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
+# Compiled programs per network and its slot map, each under the id() of
+# what it is compiled from: a rules tuple or an availability mapping, both
+# immutable.  A program holds that object, so no id() is reused while its
+# entry stands, and never the network, so a network's programs die with it.
+_PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _program(network: JointNetwork, rule_set: RuleSet) -> _Program:
-    program = _PROGRAMS.get(rule_set)
-    if program is None or program.slots is not network.slots:
-        program = _PROGRAMS[rule_set] = _Program(rule_set, network)
-    return program
-
-
-def _shared(key: tuple, build, *args):
-    """``build(*args)``, built once while some program holds it under ``key``."""
-    value = _SHARED.get(key)
-    if value is None:
-        value = _SHARED[key] = build(*args)
-    return value
+def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_CascadeProgram, _AvailabilityProgram]:
+    """``rule_set``'s cascade and availability programs over ``network``,
+    built on first need, the cascade rules first.  A network given a new
+    slot map (``index_entities``) starts afresh."""
+    slots, programs = _PROGRAMS.get(network, (None, None))
+    if slots is not network.slots:
+        programs = {}
+        _PROGRAMS[network] = (network.slots, programs)
+    cascade = programs.get(id(rule_set.rules))
+    if cascade is None:
+        cascade = programs[id(rule_set.rules)] = _CascadeProgram(rule_set.rules, network.slots)
+    availability = programs.get(id(rule_set.availability))
+    if availability is None:
+        availability = programs[id(rule_set.availability)] = _AvailabilityProgram(rule_set, network)
+    return cascade, availability
 
 
 def run_cascade(
@@ -260,8 +240,8 @@ def run_cascade(
 ) -> CascadeTrace:
     """Run the synchronous cascade to its fixpoint."""
     entities = network.entity_ids()
-    program = _program(network, rule_set)
-    top, slots = program.top, program.slots
+    program = _programs(network, rule_set)[0]
+    top, slots = (2 if rule_set.model == MIIM else 1), network.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
     if unknown:
@@ -278,8 +258,7 @@ def run_cascade(
 
     frontier: Set[int] = set(killed_slots)
     max_steps = 2 * len(entities) + 2
-    targets, rdeps = program.cascade.targets, program.cascade.rdeps
-    fns, compile_rule = program.cascade_fns.fns, program.cascade_fns.compile
+    targets, rdeps, fns = program.targets, program.rdeps, program.fns[rule_set.model]
 
     while frontier:
         if len(changed_per_step) > max_steps:
@@ -294,7 +273,7 @@ def run_cascade(
             target_slot = targets[rule_index]
             if target_slot in killed_slots:
                 continue
-            value = (fns[rule_index] or compile_rule(rule_index))(state)
+            value = fns[rule_index](state)
             old = state[target_slot]
             if value > old:
                 entity = entities[target_slot]
@@ -321,14 +300,14 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     Clamped (attacked) targets are exempt: they hold 0 regardless of what
     their rules would compute.
     """
-    program = _program(network, rule_set)
-    fns, compile_rule = program.cascade_fns.fns, program.cascade_fns.compile
+    program = _programs(network, rule_set)[0]
+    fns = program.fns[rule_set.model]
     state = trace.fixpoint
-    killed_slots = {program.slots[e] for e in trace.changed[0]}
-    for rule_index, target_slot in enumerate(program.cascade.targets):
+    killed_slots = {network.slots[e] for e in trace.changed[0]}
+    for rule_index, target_slot in enumerate(program.targets):
         if target_slot in killed_slots:
             continue
-        if (fns[rule_index] or compile_rule(rule_index))(state) != state[target_slot]:
+        if fns[rule_index](state) != state[target_slot]:
             return False
     return True
 
@@ -373,18 +352,17 @@ def data_availability(
     """
     if not (isinstance(final_state, FixpointState) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
-    program = _program(network, rule_set)
-    tables = program.availability
-    scada, pmu = dict(tables.scada), dict(tables.pmu)
+    program = _programs(network, rule_set)[1]
+    scada, pmu = dict(program.scada), dict(program.pmu)
     masks = (scada, pmu)
-    fns, compile_rule = program.availability_fns.fns, program.availability_fns.compile
+    fns = program.fns[rule_set.model]
     state = final_state.array
-    for index in {i for slot in final_state.lowered for i in tables.readers.get(slot, ())}:
-        if (fns[index] or compile_rule(index))(state) < 1:
-            mask, buses = tables.clears[index]
+    for index in {i for slot in final_state.lowered for i in program.readers.get(slot, ())}:
+        if fns[index](state) < 1:
+            mask, buses = program.clears[index]
             for bus in buses:
                 masks[mask][bus] = False
-    return AvailabilityMask(scada, pmu, tables.pmu_equipped)
+    return AvailabilityMask(scada, pmu, program.pmu_equipped)
 
 
 @dataclass

@@ -173,6 +173,8 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
     equipped = payload.get("pmu_equipped", [])
     if not (isinstance(equipped, list) and all(map(_is_int, equipped))):
         raise ScenarioFileError(f"{path}: pmu_equipped must be a list of bus ids")
+    if not isinstance(payload.get("model", ""), str):
+        raise ScenarioFileError(f"{path}: model must be a string, got {payload['model']!r}")
     mask = AvailabilityMask(
         scada=_bus_flags(payload, "scada", path),
         pmu=_bus_flags(payload, "pmu", path),
@@ -453,17 +455,15 @@ def _cmd_run(args) -> int:
     _write_network(out, network)
 
     failure = FailureScenario.of(scenario["_killed"], scenario["label"])
-    case = scenario["case"]
     masks: Dict[str, AvailabilityMask] = {}
     report: dict = {
         "label": scenario["label"],
         "grid": str(scenario["grid"]),
-        "case": case,
+        "case": scenario["case"],
         "killed": sorted(str(e) for e in failure.killed),
         "models": {},
     }
-    models = [MIIM, IIM] if scenario["model"] == "both" else [scenario["model"]]
-    for model in models:
+    for model, case in _models_cases(scenario, args):
         trace, mask = _write_cascade(out, network, failure, model, case, str(scenario["_grid_path"]))
         masks[model] = mask
         report["models"][model] = {

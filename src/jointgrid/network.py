@@ -17,7 +17,8 @@ of a refusal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
@@ -96,18 +97,25 @@ class RuleSet:
     The model names how the rules are read: a synthesized network's IIM
     rule set holds the ternary rules of its MIIM rule set, read as binary
     (min-AND and new-XOR as AND, max-OR as OR; see ``idr.compile_expr``).
-    Immutable, so that the cascade engine can compile a rule set once and
-    key the program to the object; equality is therefore identity.  Any
-    iterable of rules is stored as a tuple.
+    Immutable, so that the cascade engine can compile the rules once and
+    key the program to them: any iterable of rules is stored as a tuple,
+    and the availability rules as a read-only copy (a read-only mapping is
+    kept as is, so ``dataclasses.replace`` shares it).  Equality is
+    therefore identity, and a deep copy is the rule set itself.
     """
 
     model: str
     case: int
     rules: Tuple[IdrRule, ...]
-    availability: Dict[int, AvailabilityRules]
+    availability: Mapping[int, AvailabilityRules]
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+        if not isinstance(self.availability, MappingProxyType):
+            object.__setattr__(self, "availability", MappingProxyType(dict(self.availability)))
+
+    def __deepcopy__(self, memo) -> "RuleSet":
+        return self
 
     def by_target(self) -> Dict[EntityId, IdrRule]:
         return {rule.target: rule for rule in self.rules}
@@ -118,8 +126,10 @@ class RuleSet:
         return [rule for avail in paths for rule in (avail.scada, avail.pmu) if rule]
 
 
-@dataclass
+@dataclass(eq=False)
 class JointNetwork:
+    """Equality is identity: the cascade engine keys its programs to the network."""
+
     grid: Grid
     substations: List[Substation]
     registry: Dict[EntityId, EntityMeta]
@@ -232,7 +242,7 @@ def validate(network: JointNetwork) -> List[str]:
     # one): check each distinct tuple once, under the first rule set holding it.
     checked = set()
     for (model, case), rule_set in sorted(network.rule_sets.items()):
-        found = availability_gaps(rule_set, network.substations)
+        found = availability_gaps(rule_set.availability, network.substations)
         found += reference_problems(rule_set.availability_rules(), network.slots, targets=False)
         if id(rule_set.rules) not in checked:
             checked.add(id(rule_set.rules))
@@ -241,12 +251,14 @@ def validate(network: JointNetwork) -> List[str]:
     return problems
 
 
-def availability_gaps(rule_set: RuleSet, substations: Sequence[Substation]) -> List[str]:
-    """One line per substation that ``rule_set`` holds no availability rules for."""
+def availability_gaps(
+    availability: Mapping[int, AvailabilityRules], substations: Sequence[Substation]
+) -> List[str]:
+    """One line per substation that ``availability`` holds no rules for."""
     return [
         f"no availability rules for substation {sub.id}"
         for sub in substations
-        if sub.id not in rule_set.availability
+        if sub.id not in availability
     ]
 
 

@@ -28,7 +28,7 @@ fiber layouts follow geography that branch lengths cannot always recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +38,7 @@ from jointgrid import entities as ent
 from jointgrid.entities import EntityId
 from jointgrid.grid import Grid, SynthesisConfig
 from jointgrid.idr import (
+    IIM,
     MIIM,
     IdrExpr,
     IdrRule,
@@ -49,7 +50,6 @@ from jointgrid.idr import (
 )
 from jointgrid.network import (
     CASES,
-    MODELS,
     AvailabilityRules,
     EntityMeta,
     JointNetwork,
@@ -569,9 +569,7 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
     # A case's IIM rule set holds the very rules tuple and availability
     # mapping of its MIIM rule set: the model names how the rules are read.
     rules = tuple(rules)
-    network.rule_sets = {
-        (model, case): RuleSet(model, case, rules, availability[case])
-        for model in MODELS
-        for case in CASES
-    }
+    network.rule_sets = {(MIIM, case): RuleSet(MIIM, case, rules, availability[case]) for case in CASES}
+    for case in CASES:
+        network.rule_sets[IIM, case] = replace(network.rule_sets[MIIM, case], model=IIM)
     return network

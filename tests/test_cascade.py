@@ -381,21 +381,62 @@ def _count_calls(monkeypatch, network):
 def test_models_share_their_program_tables(ieee14):
     """What a program holds besides its functions does not depend on the
     model: the four rule sets, which hold one rules tuple, share one cascade
-    table; a case's MIIM and IIM programs share one availability table; and
-    each model's cases share its cascade functions."""
-    from jointgrid.cascade import _program
+    program; a case's MIIM and IIM rule sets share one availability program;
+    and each model's cases share its cascade functions."""
+    from jointgrid.cascade import _programs
 
-    programs = {key: _program(ieee14, rule_set) for key, rule_set in ieee14.rule_sets.items()}
-    assert len({id(program.cascade) for program in programs.values()}) == 1
+    programs = {key: _programs(ieee14, rule_set) for key, rule_set in ieee14.rule_sets.items()}
+    assert len({id(cascade) for cascade, _ in programs.values()}) == 1
     for case in CASES:
-        miim, iim = programs[MIIM, case], programs[IIM, case]
-        assert miim.availability is iim.availability
-        assert miim.cascade_fns is not iim.cascade_fns
-        assert miim.availability_fns is not iim.availability_fns
-        assert (miim.top, iim.top) == (2, 1)
-    assert programs[MIIM, 1].availability is not programs[MIIM, 2].availability
+        (miim, miim_availability), (iim, iim_availability) = programs[MIIM, case], programs[IIM, case]
+        assert miim_availability is iim_availability
+        assert miim.fns[MIIM] is not iim.fns[IIM]
+        assert miim_availability.fns[MIIM] is not iim_availability.fns[IIM]
+        tops = [run_cascade(ieee14, ieee14.rule_set(model, case), FailureScenario.of([])).top for model in MODELS]
+        assert tops == [2, 1]
+    assert programs[MIIM, 1][1] is not programs[MIIM, 2][1]
     for model in MODELS:
-        assert programs[model, 1].cascade_fns is programs[model, 2].cascade_fns
+        assert programs[model, 1][0].fns[model] is programs[model, 2][0].fns[model]
+
+
+def test_programs_belong_to_their_network(ieee14, attack):
+    """A copy of a network with the very same slot map and rule sets
+    compiles its own programs, and they die with it: no program refers to
+    its network, so the cache's weak key is freed."""
+    import dataclasses
+    import gc
+    import weakref
+
+    from jointgrid.cascade import _programs
+
+    rule_set = ieee14.rule_set(MIIM, 1)
+    other = dataclasses.replace(ieee14)
+    assert other.slots is ieee14.slots and other.rule_set(MIIM, 1) is rule_set
+    assert run_cascade(other, rule_set, attack).changed == run_cascade(ieee14, rule_set, attack).changed
+    own, shared = _programs(other, rule_set), _programs(ieee14, rule_set)
+    assert own[0] is not shared[0] and own[1] is not shared[1]
+    network_ref, program_refs = weakref.ref(other), [weakref.ref(program) for program in own]
+    del other, own
+    gc.collect()
+    assert network_ref() is None
+    assert [ref() for ref in program_refs] == [None, None]
+
+
+def test_reindexed_network_compiles_afresh(ieee14_grid, attack):
+    """A network given a new slot map after a cascade compiles its programs
+    again: an entity that sorts first shifts every slot, and the masks stay
+    as they were."""
+    from jointgrid.synthesis import build_joint_network
+
+    network = build_joint_network(ieee14_grid)
+    masks = []
+    for _ in range(2):
+        rule_set = network.rule_set(MIIM, 1)
+        trace = run_cascade(network, rule_set, attack)
+        masks.append(data_availability(trace.final_state(), network, rule_set))
+        network.registry[ent.bus(0)] = network.registry[ent.bus(1)]
+        network.index_entities()
+    assert masks[0] == masks[1] and masks[0].scada_lost() == {12}
 
 
 def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):

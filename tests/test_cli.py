@@ -426,10 +426,12 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
             '"pmu_equipped": []', '"pmu_equipped": [' + "9" * 5000 + "]")),
         ("bad grid path", [], lambda m: json.dumps({**m, "grid": "ieee14\u0000.json"})),
         ("grid file not found", [], lambda m: json.dumps({**m, "grid": "."})),
+        ("model", [], lambda m: json.dumps({**m, "model": ["miim"]})),
+        ("model", [], lambda m: json.dumps({**m, "model": {"name": "miim"}})),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
-         "int_5000_digits", "grid_nul", "grid_directory"],
+         "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"

@@ -5,14 +5,17 @@ import re
 import pytest
 
 from jointgrid import entities as ent
-from jointgrid.cascade import FailureScenario, ScenarioError, run_cascade
+from jointgrid.cascade import FailureScenario, ScenarioError, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
 from jointgrid.idr import OP_MIN_AND, IdrRule, Literal, MIIM, Op, free_entities
 from jointgrid.network import (
     ROLE_PRIMARY_CC,
     Ring,
+    RuleSet,
     validate,
 )
+
+ATTACK = FailureScenario.of([parse_entity_id(t) for t in ("P(12)", "C(1,1,6,6)", "C(1,2,6,6)")])
 
 
 def test_generated_networks_validate(ieee14, ieee118):
@@ -83,6 +86,41 @@ def test_missing_availability_rules_named(ieee14):
     message = "availability rules: no availability rules for substation 6"
     with pytest.raises(ScenarioError, match=f"^{message}$"):
         run_cascade(broken, rule_set, FailureScenario.of([]))
+
+
+def test_availability_rules_are_read_only(ieee14):
+    """Availability rules cannot change under the programs compiled from
+    them: the mapping refuses edits, even after a cascade has compiled it,
+    and the dict a rule set was built from is copied."""
+    source = ieee14.rule_set(MIIM, 1)
+    _mask(ieee14, source, ATTACK)
+    with pytest.raises(TypeError):
+        del source.availability[6]
+    given = dict(source.availability)
+    rule_set = RuleSet(MIIM, 1, source.rules, given)
+    before = _mask(ieee14, rule_set, ATTACK)
+    with pytest.raises(TypeError):
+        rule_set.availability[6] = source.availability[5]
+    del given[6]
+    assert dict(rule_set.availability) == dict(source.availability)
+    assert validate(dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})) == []
+    assert _mask(ieee14, rule_set, ATTACK) == before
+
+
+def test_deepcopy_shares_the_immutable_rule_sets(ieee14):
+    """A deep copy of a network is a new network over the very same rule
+    sets, and cascades as the original does."""
+    copied = copy.deepcopy(ieee14)
+    assert copied.registry is not ieee14.registry and copied.slots is not ieee14.slots
+    assert all(copied.rule_sets[key] is rule_set for key, rule_set in ieee14.rule_sets.items())
+    assert validate(copied) == []
+    for rule_set in ieee14.rule_sets.values():
+        assert _mask(copied, rule_set, ATTACK) == _mask(ieee14, rule_set, ATTACK)
+
+
+def _mask(network, rule_set, scenario):
+    trace = run_cascade(network, rule_set, scenario)
+    return data_availability(trace.final_state(), network, rule_set)
 
 
 def test_duplicate_primary_cc_flagged(ieee14):
