@@ -182,14 +182,15 @@ class _AvailabilityProgram:
         self.scada: Dict[int, bool] = {}
         self.pmu: Dict[int, bool] = {}
         rules: List[IdrRule] = []
-        self.clears: List[Tuple[int, List[int]]] = []  # per rule: mask (0 SCADA, 1 PMU), buses
+        self.clears: List[Tuple[int, Tuple[int, ...]]] = []  # per rule: mask (0 SCADA, 1 PMU), buses
         for sub in network.substations:
             avail = availability[sub.id]
+            buses = tuple(sub.buses)  # a copy: the substation's list may change under the program
             for mask, rule in enumerate((avail.scada, avail.pmu)):
                 if rule:
                     rules.append(rule)
-                    self.clears.append((mask, sub.buses))
-            for bus in sub.buses:
+                    self.clears.append((mask, buses))
+            for bus in buses:
                 self.scada[bus] = True
                 self.pmu[bus] = sub.has_pmu and avail.pmu is not None
         self.pmu_equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)

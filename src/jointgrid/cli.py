@@ -315,10 +315,10 @@ def load_scenario(path) -> dict:
         except EntityError as exc:
             raise ScenarioFileError(f"{path}: bad killed entity {text!r}: {exc}") from exc
     data["_killed"] = killed
-    est = data.get("estimation") or {}
-    if not isinstance(est, dict):
-        raise ScenarioFileError(f"{path}: estimation must be an object")
-    if est:
+    est = data.get("estimation")  # missing or null: no estimation
+    if est is not None:
+        if not isinstance(est, dict):
+            raise ScenarioFileError(f"{path}: estimation must be an object")
         if not _is_int(est.get("seeds")) or est["seeds"] < 1:
             raise ScenarioFileError(f"{path}: estimation.seeds must be a positive integer")
         if not _is_int(est.get("seed_base", 0)) or est.get("seed_base", 0) < 0:
@@ -483,8 +483,8 @@ def _cmd_run(args) -> int:
         _write_json(out / "footprint_diff.json", diff_payload)
         report["footprint_diff"] = diff_payload
 
-    est_cfg = scenario.get("estimation") or {}
-    if est_cfg and len(masks) >= 1:
+    est_cfg = scenario.get("estimation")
+    if est_cfg is not None and len(masks) >= 1:
         seeds = [est_cfg.get("seed_base", 0) + i for i in range(est_cfg["seeds"])]
         if est_cfg.get("_true_state_path"):
             true_state = load_true_state(est_cfg["_true_state_path"], grid)

@@ -12,6 +12,9 @@ chains of one operator flatten into a single node, while explicit
 parentheses are preserved, so ``parse(format(rule))`` reproduces the rule
 exactly.
 
+A rule body is a tree of operator nodes (``Op``) over entity ids: each leaf
+is the ``EntityId`` itself, and a bare body is a single id.
+
 Rule files (``.idr``) hold one rule per line; ``#`` starts a comment and
 blank lines are ignored.  A ``#model: miim|iim`` comment line sets the
 model for subsequent operator-free rules.
@@ -84,11 +87,6 @@ class UnknownEntityError(KeyError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    entity: EntityId
-
-
-@dataclass(frozen=True)
 class Op:
     op: str
     children: Tuple["IdrExpr", ...]
@@ -100,7 +98,7 @@ class Op:
             raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r} needs >=2 operands")
 
 
-IdrExpr = Union[Literal, Op]
+IdrExpr = Union[EntityId, Op]
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,8 @@ def _scan(expr: IdrExpr) -> Tuple[Set[str], Dict[EntityId, None]]:
     stack: List[IdrExpr] = [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Literal):
-            literals[node.entity] = None
+        if isinstance(node, EntityId):
+            literals[node] = None
         else:
             ops.add(node.op)
             stack.extend(reversed(node.children))
@@ -228,7 +226,7 @@ class _Parser:
         if kind == "entity":
             self.advance()
             try:
-                return Literal(parse_entity_id(text))
+                return parse_entity_id(text)
             except EntityError as exc:
                 raise IdrSyntaxError(f"bad entity at position {pos}: {exc}") from exc
         if kind == "lparen":
@@ -239,14 +237,19 @@ class _Parser:
         raise IdrSyntaxError(f"expected entity or '(', found {text!r} at position {pos}")
 
 
-def parse_expr(text: str) -> IdrExpr:
-    """Parse a bare rule body."""
-    parser = _Parser(_tokenize(text))
+def _parse_body(tokens: List[Tuple[str, str, int]]) -> IdrExpr:
+    """A rule body that spans all of ``tokens``."""
+    parser = _Parser(tokens)
     expr = parser.parse_expr(0)
     if parser.peek() is not None:
         kind, tok, pos = parser.peek()
         raise IdrSyntaxError(f"trailing input {tok!r} at position {pos}")
     return expr
+
+
+def parse_expr(text: str) -> IdrExpr:
+    """Parse a bare rule body."""
+    return _parse_body(_tokenize(text))
 
 
 def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
@@ -262,13 +265,9 @@ def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
     split = arrow_positions[0]
     target_parser = _Parser(tokens[:split])
     target_expr = target_parser.parse_primary()
-    if target_parser.peek() is not None or not isinstance(target_expr, Literal):
+    if target_parser.peek() is not None or not isinstance(target_expr, EntityId):
         raise IdrSyntaxError("rule target must be a single entity")
-    body_parser = _Parser(tokens[split + 1 :])
-    body = body_parser.parse_expr(0)
-    if body_parser.peek() is not None:
-        kind, tok, pos = body_parser.peek()
-        raise IdrSyntaxError(f"trailing input {tok!r} at position {pos}")
+    body = _parse_body(tokens[split + 1 :])
     ops, _ = _scan(body)
     if ops & _MIIM_OPS and ops & _IIM_OPS:
         raise IdrModelError("rule mixes ternary and binary operators")
@@ -278,7 +277,7 @@ def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
         model = MIIM
     else:
         model = default_model
-    return IdrRule(target_expr.entity, body, model)
+    return IdrRule(target_expr, body, model)
 
 
 # --- Printing ---------------------------------------------------------------
@@ -286,8 +285,8 @@ def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
 
 def format_expr(expr: IdrExpr) -> str:
     """Canonical text of a rule body; operator children are parenthesized."""
-    if isinstance(expr, Literal):
-        return str(expr.entity)
+    if isinstance(expr, EntityId):
+        return str(expr)
     symbol = f" {_OP_SYMBOL[expr.op]} "
     parts = []
     for child in expr.children:
@@ -315,20 +314,12 @@ def free_entities(rule_or_expr: Union[IdrRule, IdrExpr]) -> FrozenSet[EntityId]:
 
 def evaluate(expr: IdrExpr, state: Mapping[EntityId, int]) -> int:
     """Bottom-up evaluation of an expression against an entity-state map."""
-    if isinstance(expr, Literal):
+    if isinstance(expr, EntityId):
         try:
-            return state[expr.entity]
+            return state[expr]
         except KeyError:
-            raise UnknownEntityError(expr.entity) from None
-    values = []
-    for child in expr.children:  # literal children inline: most nodes are literals
-        if isinstance(child, Literal):
-            try:
-                values.append(state[child.entity])
-            except KeyError:
-                raise UnknownEntityError(child.entity) from None
-        else:
-            values.append(evaluate(child, state))
+            raise UnknownEntityError(expr) from None
+    values = [evaluate(child, state) for child in expr.children]
     check = ternary.check_binary if expr.op in _IIM_OPS else ternary.check_ternary
     for value in values:
         check(value)
@@ -356,7 +347,7 @@ def translate_to_iim(rule: IdrRule) -> IdrRule:
 
 
 def _translate_expr(expr: IdrExpr) -> IdrExpr:
-    if isinstance(expr, Literal):
+    if isinstance(expr, EntityId):
         return expr
     return Op(_TRANSLATION[expr.op], tuple(_translate_expr(c) for c in expr.children))
 
@@ -406,8 +397,8 @@ def _shape(source: str, arity: int) -> CodeType:
 def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool, fill: List[int]) -> str:
     """Source of ``expr`` with its k-th literal as ``a[ik]``; appends each
     literal's slot to ``fill``, left to right."""
-    if isinstance(expr, Literal):
-        fill.append(slots[expr.entity])
+    if isinstance(expr, EntityId):
+        fill.append(slots[expr])
         return f"a[i{len(fill) - 1}]"
     parts = [_expr_source(child, slots, binary, fill) for child in expr.children]
     op = _TRANSLATION.get(expr.op, expr.op) if binary else expr.op

@@ -17,8 +17,7 @@ of a refusal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
@@ -90,6 +89,24 @@ class AvailabilityRules:
     pmu: Optional[IdrRule] = None
 
 
+class _FrozenMapping(Mapping):
+    """A read-only mapping over its own copy of the items it is given."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Mapping):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 @dataclass(frozen=True, eq=False)
 class RuleSet:
     """Cascade rules plus availability rules for one (model, case) pair.
@@ -99,9 +116,9 @@ class RuleSet:
     (min-AND and new-XOR as AND, max-OR as OR; see ``idr.compile_expr``).
     Immutable, so that the cascade engine can compile the rules once and
     key the program to them: any iterable of rules is stored as a tuple,
-    and the availability rules as a read-only copy (a read-only mapping is
-    kept as is, so ``dataclasses.replace`` shares it).  Equality is
-    therefore identity, and a deep copy is the rule set itself.
+    and the availability rules as a read-only copy that owns its dict (a
+    copy made here is kept as is, so ``dataclasses.replace`` shares it).
+    Equality is therefore identity, and a deep copy is the rule set itself.
     """
 
     model: str
@@ -111,8 +128,8 @@ class RuleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        if not isinstance(self.availability, MappingProxyType):
-            object.__setattr__(self, "availability", MappingProxyType(dict(self.availability)))
+        if not isinstance(self.availability, _FrozenMapping):
+            object.__setattr__(self, "availability", _FrozenMapping(self.availability))
 
     def __deepcopy__(self, memo) -> "RuleSet":
         return self

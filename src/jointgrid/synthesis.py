@@ -42,7 +42,6 @@ from jointgrid.idr import (
     MIIM,
     IdrExpr,
     IdrRule,
-    Literal,
     Op,
     OP_MAX_OR,
     OP_MIN_AND,
@@ -284,10 +283,6 @@ def home_gateways(
 # --- Rule generation ------------------------------------------------------------
 
 
-def _lit(entity: EntityId) -> Literal:
-    return Literal(entity)
-
-
 def _node(op: str, children: Sequence[IdrExpr]) -> IdrExpr:
     """Operator node that collapses to its only child."""
     children = list(children)
@@ -417,14 +412,14 @@ def build_registry(network: JointNetwork) -> Dict[EntityId, EntityMeta]:
 def _power(sub: Substation, bus_family: int, battery_family: int) -> IdrExpr:
     """Supply from any of the substation's buses or its battery, each over its
     link in the given family: 1 and 5 feed the server, 2 and 6 the gateway."""
-    terms = [_min_and(_lit(ent.bus(b)), _lit(ent.link(bus_family, b))) for b in sub.buses]
-    terms.append(_min_and(_lit(ent.battery(sub.id)), _lit(ent.link(battery_family, sub.id))))
+    terms = [_min_and(ent.bus(b), ent.link(bus_family, b)) for b in sub.buses]
+    terms.append(_min_and(ent.battery(sub.id), ent.link(battery_family, sub.id)))
     return _max_or(terms)
 
 
 def _ingest(sub: Substation, device_ids: Sequence[int], device, channel) -> IdrExpr:
     """Unanimous data from each device of one kind over its channel."""
-    return _new_xor([_min_and(_lit(device(i)), _lit(channel(i, sub.id))) for i in device_ids])
+    return _new_xor([_min_and(device(i), channel(i, sub.id)) for i in device_ids])
 
 
 def _ring_connect(side: _RingSide, sub: Substation) -> IdrExpr:
@@ -434,7 +429,7 @@ def _ring_connect(side: _RingSide, sub: Substation) -> IdrExpr:
         nodes = range(1, side.ring.node_count + 1)
     else:
         nodes = [side.homing[sub.id]]
-    return _max_or([_min_and(_lit(side.node(n)), _lit(side.channel(n, sub.id))) for n in nodes])
+    return _max_or([_min_and(side.node(n), side.channel(n, sub.id)) for n in nodes])
 
 
 def _ring_node_rule(side: _RingSide, node: int, ccs: Sequence[int]) -> IdrRule:
@@ -442,13 +437,13 @@ def _ring_node_rule(side: _RingSide, node: int, ccs: Sequence[int]) -> IdrRule:
     reachability, unanimous data feed from its source gateways' channels,
     and at least one live power feed."""
     reach_terms = [
-        _min_and(_lit(side.node(neighbor)), _lit(side.link(node, neighbor)))
+        _min_and(side.node(neighbor), side.link(node, neighbor))
         for neighbor in side.ring.neighbors(node)
     ]
-    reach_terms += [_min_and(_lit(ent.gateway(cc)), _lit(side.channel(node, cc))) for cc in ccs]
-    data_terms = [_lit(side.channel(node, sub_id)) for sub_id in side.sources[node]]
+    reach_terms += [_min_and(ent.gateway(cc), side.channel(node, cc)) for cc in ccs]
+    data_terms = [side.channel(node, sub_id) for sub_id in side.sources[node]]
     power_terms = [
-        _min_and(_lit(ent.bus(bus_id)), _lit(ent.link(side.family, link_index)))
+        _min_and(ent.bus(bus_id), ent.link(side.family, link_index))
         for bus_id, link_index in side.feeds[node]
     ]
     body = _min_and(_max_or(reach_terms), _new_xor(data_terms), _max_or(power_terms))
@@ -479,18 +474,16 @@ def generate_rules(
     rules: List[IdrRule] = []
     availability: Dict[int, Dict[int, AvailabilityRules]] = {case: {} for case in CASES}
     for sub in sorted(network.substations, key=attrgetter("id")):
-        server_body = _min_and(
-            _min_and(_lit(ent.gateway(sub.id)), _lit(ent.lan(sub.id))), _power(sub, 1, 5)
-        )
+        server_body = _min_and(_min_and(ent.gateway(sub.id), ent.lan(sub.id)), _power(sub, 1, 5))
         rules.append(IdrRule(ent.server(sub.id), server_body, MIIM))
 
-        head = _min_and(_lit(ent.server(sub.id)), _lit(ent.lan(sub.id)))
+        head = _min_and(ent.server(sub.id), ent.lan(sub.id))
         power = _power(sub, 2, 6)
         scada_ingest = _ingest(sub, network.rtus[sub.id], ent.rtu, ent.rtu_channel)
         gateway_body = _min_and(head, scada_ingest, power)
         sadm_connect = _ring_connect(sadm, sub)
         oadm_connect = _ring_connect(oadm, sub)
-        device_power = _max_or([_lit(ent.bus(b)) for b in sub.buses] + [_lit(ent.battery(sub.id))])
+        device_power = _max_or([ent.bus(b) for b in sub.buses] + [ent.battery(sub.id)])
         devices = [ent.rtu(i) for i in network.rtus[sub.id]]
         pmu_rule = None
         pmu_ids = network.pmus.get(sub.id)
@@ -513,7 +506,7 @@ def generate_rules(
     for side in sides:
         for node, subs in side.channels.items():
             rules.append(_ring_node_rule(side, node, ccs))
-            rules += [IdrRule(side.channel(node, s), _lit(ent.gateway(s)), MIIM) for s in subs]
+            rules += [IdrRule(side.channel(node, s), ent.gateway(s), MIIM) for s in subs]
 
     rules.sort(key=attrgetter("target"))
     return rules, availability

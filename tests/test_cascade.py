@@ -97,11 +97,11 @@ def test_unknown_killed_entity_rejected(ieee14):
 def test_rule_body_naming_unregistered_entity_rejected(ieee14, attack):
     import dataclasses
 
-    from jointgrid.idr import OP_MIN_AND, IdrRule, Literal, Op
+    from jointgrid.idr import OP_MIN_AND, IdrRule, Op
 
     rule_set = ieee14.rule_set(MIIM, 1)
     first = rule_set.rules[0]
-    bad = IdrRule(first.target, Op(OP_MIN_AND, (first.body, Literal(ent.bus(99)))), MIIM)
+    bad = IdrRule(first.target, Op(OP_MIN_AND, (first.body, ent.bus(99))), MIIM)
     broken = dataclasses.replace(rule_set, rules=(bad,) + rule_set.rules[1:])
     with pytest.raises(ScenarioError, match=r"P\(99\)"):
         run_cascade(ieee14, broken, attack)
@@ -575,3 +575,23 @@ def test_availability_rejects_state_of_another_network(ieee14_grid, ieee14, atta
     for state in (trace.final_state(), dict(trace.final_state())):
         with pytest.raises(ValueError, match="this network"):
             data_availability(state, ieee14, rule_set)
+
+
+def test_availability_program_copies_the_substation_buses(ieee14_grid, attack):
+    """A compiled availability program holds its own copy of each
+    substation's buses: a bus appended to a substation after a cascade does
+    not enter the next mask, whose bus set stays the full-operation mask's."""
+    from jointgrid.synthesis import build_joint_network
+
+    network = build_joint_network(ieee14_grid)
+    rule_set = network.rule_set(MIIM, 1)
+
+    def mask(scenario):
+        return data_availability(run_cascade(network, rule_set, scenario).final_state(), network, rule_set)
+
+    full = mask(FailureScenario.of([]))
+    mask(attack)
+    network.substation(6).buses.append(99)
+    after = mask(attack)
+    assert after.scada_lost() == {12}
+    assert set(after.scada) == set(full.scada) and set(after.pmu) == set(full.pmu)

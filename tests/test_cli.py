@@ -460,6 +460,11 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
     [
         ("top level", lambda s: [s]),
         ("estimation", lambda s: {**s, "estimation": [1]}),
+        ("estimation must be an object", lambda s: {**s, "estimation": []}),
+        ("estimation must be an object", lambda s: {**s, "estimation": False}),
+        ("estimation must be an object", lambda s: {**s, "estimation": 0}),
+        ("estimation must be an object", lambda s: {**s, "estimation": ""}),
+        ("estimation.seeds", lambda s: {**s, "estimation": {}}),
         ("killed", lambda s: {**s, "killed": [12]}),
         ("grid", lambda s: {**s, "grid": 5}),
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": "x"}}),
@@ -472,7 +477,8 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("bad grid path", lambda s: {**s, "grid": "g" * 5000}),
         ("grid file not found", lambda s: {**s, "grid": "."}),
     ],
-    ids=["array", "estimation_list", "killed_int", "grid_int", "seed_base_str",
+    ids=["array", "estimation_list", "estimation_empty_list", "estimation_false", "estimation_zero",
+         "estimation_empty_string", "estimation_empty_object", "killed_int", "grid_int", "seed_base_str",
          "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits",
          "grid_nul", "grid_too_long", "grid_directory"],
 )

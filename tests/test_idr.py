@@ -3,15 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzing import edit_rule_text
 from oracle import read
+from jointgrid import entities as ent
 from jointgrid.cli import rule_file_text
-from jointgrid.entities import parse_entity_id
+from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.idr import (
     IIM,
     MIIM,
     IdrModelError,
     IdrRule,
     IdrSyntaxError,
-    Literal,
     Op,
     OP_BOOL_AND,
     OP_BOOL_OR,
@@ -36,13 +36,13 @@ RING_RULE = "C(2,1,1,0) <- (C(2,1,2,0) & C(2,2,1,2)) | (C(2,1,6,0) & C(2,2,1,6))
 
 
 def lit(text):
-    return Literal(parse_entity_id(text))
+    return parse_entity_id(text)
 
 
 def _walk(expr):
     """Every literal of an expression, left to right, repeats included."""
-    if isinstance(expr, Literal):
-        return [expr.entity]
+    if isinstance(expr, EntityId):
+        return [expr]
     return [entity for child in expr.children for entity in _walk(child)]
 
 
@@ -58,6 +58,22 @@ def test_rule_literals_match_a_recursive_walk(ieee14, ieee118):
         for rule_set in network.rule_sets.values():  # both models, both cases
             for rule in (*rule_set.rules, *rule_set.availability_rules()):
                 assert_literals_match_walk(rule)
+
+
+def test_rule_leaves_are_entity_ids(ieee118):
+    """Every leaf of every 118-bus cascade and availability body, under both
+    models and both cases, is the entity id itself; so is a parsed bare body."""
+    assert parse_expr("P(1)") == ent.bus(1)
+    assert type(parse_expr("P(1)")) is EntityId
+    for rule_set in ieee118.rule_sets.values():
+        for rule in (*rule_set.rules, *rule_set.availability_rules()):
+            stack = [rule.body]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Op):
+                    stack.extend(node.children)
+                else:
+                    assert type(node) is EntityId, (rule.target, node)
 
 
 def test_parse_ring_rule_structure():
@@ -183,7 +199,7 @@ def test_translate_preserves_shape():
     assert free_entities(iim_rule) == free_entities(rule)
 
     def shape(expr):
-        if isinstance(expr, Literal):
+        if isinstance(expr, EntityId):
             return "L"
         return (len(expr.children), tuple(shape(c) for c in expr.children))
 
@@ -341,7 +357,7 @@ def test_expression_naming_an_entity_twice_compiles_correctly():
 
 def _shape(expr):
     """An expression's operator tree with its literals blanked out."""
-    if isinstance(expr, Literal):
+    if isinstance(expr, EntityId):
         return None
     return expr.op, tuple(_shape(child) for child in expr.children)
 

@@ -1,13 +1,14 @@
 import copy
 import dataclasses
 import re
+from types import MappingProxyType
 
 import pytest
 
 from jointgrid import entities as ent
 from jointgrid.cascade import FailureScenario, ScenarioError, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import OP_MIN_AND, IdrRule, Literal, MIIM, Op, free_entities
+from jointgrid.idr import OP_MIN_AND, IdrRule, MIIM, Op, free_entities
 from jointgrid.network import (
     ROLE_PRIMARY_CC,
     Ring,
@@ -27,14 +28,14 @@ def test_unknown_entity_in_rule_flagged(ieee14):
     broken = copy.deepcopy(ieee14)
     ghost = ent.bus(99)
     rule_set = broken.rule_sets[(MIIM, 1)]
-    rules = (IdrRule(rule_set.rules[0].target, Literal(ghost), MIIM),) + rule_set.rules[1:]
+    rules = (IdrRule(rule_set.rules[0].target, ghost, MIIM),) + rule_set.rules[1:]
     broken.rule_sets[(MIIM, 1)] = dataclasses.replace(rule_set, rules=rules)
     problems = validate(broken)
     assert any("unknown entity P(99)" in p for p in problems)
 
 
 def _with_literal(rule, entity):
-    return IdrRule(rule.target, Op(OP_MIN_AND, (rule.body, Literal(entity))), rule.model)
+    return IdrRule(rule.target, Op(OP_MIN_AND, (rule.body, entity)), rule.model)
 
 
 def _body_literal(rule_set):
@@ -43,7 +44,7 @@ def _body_literal(rule_set):
 
 
 def _cascade_target(rule_set):
-    extra = IdrRule(ent.rtu(99), Literal(ent.bus(1)), MIIM)
+    extra = IdrRule(ent.rtu(99), ent.bus(1), MIIM)
     return dataclasses.replace(rule_set, rules=rule_set.rules + (extra,)), ent.rtu(99)
 
 
@@ -105,6 +106,22 @@ def test_availability_rules_are_read_only(ieee14):
     assert dict(rule_set.availability) == dict(source.availability)
     assert validate(dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})) == []
     assert _mask(ieee14, rule_set, ATTACK) == before
+
+
+def test_a_read_only_view_given_to_a_rule_set_is_copied(ieee14):
+    """A read-only view over a caller's dict is not the rule set's own
+    mapping: the rule set copies it, so editing the dict behind the view
+    after a cascade changes neither the rule set nor its masks."""
+    source = ieee14.rule_set(MIIM, 1)
+    given = dict(source.availability)
+    rule_set = RuleSet(MIIM, 1, source.rules, MappingProxyType(given))
+    network = dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})
+    before = _mask(network, rule_set, ATTACK)
+    assert not before.scada[12]
+    del given[6]
+    assert validate(network) == []
+    assert _mask(network, rule_set, ATTACK) == before
+    assert dict(rule_set.availability) == dict(source.availability)
 
 
 def test_deepcopy_shares_the_immutable_rule_sets(ieee14):
