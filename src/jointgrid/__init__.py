@@ -10,7 +10,7 @@ least squares state estimation driven by the surviving SCADA/PMU telemetry.
 
 from jointgrid.ternary import FULL, REDUCED, FAILED, min_and, max_or, new_xor
 from jointgrid.entities import EntityId, parse_entity_id
-from jointgrid.idr import IdrRule, parse_idr, format_idr, evaluate, translate_to_iim
+from jointgrid.idr import IdrRule, parse_idr, format_idr
 from jointgrid.grid import Grid, load_grid
 from jointgrid.network import JointNetwork
 from jointgrid.synthesis import build_joint_network
@@ -30,8 +30,6 @@ __all__ = [
     "IdrRule",
     "parse_idr",
     "format_idr",
-    "evaluate",
-    "translate_to_iim",
     "Grid",
     "load_grid",
     "JointNetwork",

@@ -23,8 +23,9 @@ binary rule tree exists at run time.  Each network keeps one program per
 rules tuple and one per availability mapping, both immutable, so a program
 cannot go stale and dies with its network.  A synthesized network's four
 rule sets hold one rules tuple and a case's two models one mapping, so only
-the compiled functions are per model.  The interpretive ``idr.evaluate`` is
-the test oracle only.
+the compiled functions are per model.  The package has no other rule
+evaluator; the tests check the compiled functions against an interpretive
+one of their own.
 The compilers check a rule set's references through the slot lookups they
 make anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.

@@ -230,9 +230,10 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
 def rule_file_text(network: JointNetwork) -> Dict[Tuple[str, int], str]:
     """Each rule set's ``.idr`` text by (model, case).  Only the MIIM rule sets
     are formatted, each distinct rule once; an IIM text is its case's MIIM rule
-    lines under ``str.translate(IIM_SYMBOLS)``, the text of ``translate_to_iim``
-    of each rule: a network's IIM rule sets read its MIIM rules, ``format_expr``
-    parenthesizes every operator child and no entity text holds ``& ^ | . +``."""
+    lines under ``str.translate(IIM_SYMBOLS)``, the text of each rule read as
+    binary on the same tree: a network's IIM rule sets read its MIIM rules,
+    ``format_expr`` parenthesizes every operator child and no entity text
+    holds ``& ^ | . +``."""
     miim = [network.rule_set(MIIM, case) for case in CASES]
     rules = {rs.case: (*rs.rules, *rs.availability_rules()) for rs in miim}
     distinct = {id(rule): rule for case_rules in rules.values() for rule in case_rules}

@@ -15,7 +15,7 @@ neglected.
 
 Buses cut off from every measurement are anchored with a weak flat-start
 pseudo-measurement (1+j0, sigma 0.5 pu) so the solve proceeds, and are
-flagged in reports.
+flagged in reports; under a mask that delivers nothing, every bus is.
 
 The design matrix, the weights and observability depend only on the mask
 and the true state, never on the noise.  ``compare_models`` therefore
@@ -23,9 +23,10 @@ builds the noise-free measurement template once for the union of the
 masks and, per mask, scales the system and anchors its unobservable buses
 once, read from the measurement graph.  Each seed then costs one noise
 draw, and all seeds of a mask are solved by one least-squares call with
-one right-hand-side column per seed.  The per-seed path with its SVD
-null-space analysis (``simulate_measurements``, ``solve_with_anchors``,
-``wls_solve``) stays as the reference it is tested against.
+one right-hand-side column per seed.  The per-seed path
+(``simulate_measurements``, ``solve_with_anchors``, ``wls_solve``) stays as
+the reference it is tested against: each of its solves takes the rank, the
+null-space buses and the solution from one SVD.
 """
 
 from __future__ import annotations
@@ -265,9 +266,8 @@ def build_system(
     measurements: MeasurementSet, grid: Grid
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the design matrix J, diagonal weight entries W, and the
-    observation vector Z (two rows per measurement)."""
-    if not measurements.entries:
-        raise EstimationError("empty measurement set")
+    observation vector Z (two rows per measurement).  An empty set gives a
+    system of no rows, in which every bus is unobservable."""
     bus_ids = grid.bus_ids
     col = {bus: 2 * i for i, bus in enumerate(bus_ids)}
     n_rows = 2 * len(measurements.entries)
@@ -292,15 +292,20 @@ def build_system(
     return J, W, Z
 
 
-def _null_space_buses(A: np.ndarray, bus_ids: Sequence[int]) -> List[int]:
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
-    null_rows = vt[len(s[s > RANK_TOL * max(1.0, s.max(initial=0.0))]) :]
-    affected: Set[int] = set()
-    for row in null_rows:
-        for i, bus in enumerate(bus_ids):
-            if abs(row[2 * i]) > 1e-6 or abs(row[2 * i + 1]) > 1e-6:
-                affected.add(bus)
-    return sorted(affected)
+def _svd(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``U, s, V^T`` of ``A`` and its rank, singular values above ``RANK_TOL``
+    of the largest (or of 1).  ``V^T`` is square, so its rows past the rank
+    span the null space; ``U`` is thin unless ``A`` has fewer rows than
+    columns."""
+    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s.max(initial=0.0))))
+    return u, s, vt, rank
+
+
+def _null_space_buses(null_rows: np.ndarray, bus_ids: Sequence[int]) -> List[int]:
+    """The buses whose voltage components some null-space row moves."""
+    moved = (np.abs(null_rows) > 1e-6).reshape(len(null_rows), len(bus_ids), 2).any(axis=(0, 2))
+    return sorted(bus for bus, hit in zip(bus_ids, moved) if hit)
 
 
 def wls_solve(
@@ -308,16 +313,18 @@ def wls_solve(
 ) -> Tuple[StateVector, float]:
     """Weighted least squares: minimize (Z - JV)' W^-1 (Z - JV).
 
-    Solved through the scaled system W^-1/2 J V = W^-1/2 Z with a rank
-    check; raises UnobservableError listing null-space buses when the
-    design matrix loses column rank.
+    Solved through the scaled system W^-1/2 J V = W^-1/2 Z.  One SVD of
+    it gives the rank, the null space and the solution; raises
+    UnobservableError listing null-space buses when the design matrix loses
+    column rank.
     """
     scale = 1.0 / np.sqrt(W)
     A = J * scale[:, None]
     y = Z * scale
-    if np.linalg.matrix_rank(A) < A.shape[1]:
-        raise UnobservableError(_null_space_buses(A, bus_ids))
-    solution, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    u, s, vt, rank = _svd(A)
+    if rank < A.shape[1]:
+        raise UnobservableError(_null_space_buses(vt[rank:], bus_ids))
+    solution = vt.T @ ((u.T @ y) / s)
     residual = float(np.linalg.norm(A @ solution - y))
     return StateVector(list(bus_ids), solution), residual
 

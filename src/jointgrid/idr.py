@@ -15,6 +15,11 @@ exactly.
 A rule body is a tree of operator nodes (``Op``) over entity ids: each leaf
 is the ``EntityId`` itself, and a bare body is a single id.
 
+``compile_expr`` is the one evaluator: it turns a body into a Python
+function of a state array, as either model reads it.  Under IIM a ternary
+body reads as binary (min-AND and new-XOR as AND, max-OR as OR), so the
+binary model needs no rules of its own.
+
 Rule files (``.idr``) hold one rule per line; ``#`` starts a comment and
 blank lines are ignored.  A ``#model: miim|iim`` comment line sets the
 model for subsequent operator-free rules.
@@ -22,12 +27,11 @@ model for subsequent operator-free rules.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import CodeType, FunctionType
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId, EntityError, parse_entity_id
@@ -75,17 +79,6 @@ class IdrModelError(ValueError):
     """Rule violates the operator discipline of its model."""
 
 
-class UnknownEntityError(KeyError):
-    """Expression references an entity absent from the evaluation state."""
-
-    def __init__(self, entity: EntityId):
-        super().__init__(str(entity))
-        self.entity = entity
-
-    def __str__(self):
-        return f"unknown entity {self.entity}"
-
-
 @dataclass(frozen=True)
 class Op:
     op: str
@@ -94,8 +87,11 @@ class Op:
     def __post_init__(self):
         if self.op not in _OP_SYMBOL:
             raise IdrSyntaxError(f"unknown operator: {self.op!r}")
-        if len(self.children) < 2:
-            raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r} needs >=2 operands")
+        if not isinstance(self.children, tuple) or len(self.children) < 2:
+            raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r} needs a tuple of >=2 operands")
+        for child in self.children:
+            if not isinstance(child, (EntityId, Op)):
+                raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r}: operand {child!r} is not an expression")
 
 
 IdrExpr = Union[EntityId, Op]
@@ -302,7 +298,7 @@ def format_idr(rule: IdrRule) -> str:
     return f"{rule.target} <- {format_expr(rule.body)}"
 
 
-# --- Analysis and evaluation -------------------------------------------------
+# --- Analysis ----------------------------------------------------------------
 
 
 def free_entities(rule_or_expr: Union[IdrRule, IdrExpr]) -> FrozenSet[EntityId]:
@@ -312,47 +308,7 @@ def free_entities(rule_or_expr: Union[IdrRule, IdrExpr]) -> FrozenSet[EntityId]:
     return frozenset(_scan(rule_or_expr)[1])
 
 
-def evaluate(expr: IdrExpr, state: Mapping[EntityId, int]) -> int:
-    """Bottom-up evaluation of an expression against an entity-state map."""
-    if isinstance(expr, EntityId):
-        try:
-            return state[expr]
-        except KeyError:
-            raise UnknownEntityError(expr) from None
-    values = [evaluate(child, state) for child in expr.children]
-    check = ternary.check_binary if expr.op in _IIM_OPS else ternary.check_ternary
-    for value in values:
-        check(value)
-    if expr.op == OP_MIN_AND:
-        return min(values)
-    if expr.op == OP_MAX_OR:
-        return max(values)
-    if expr.op == OP_NEW_XOR:
-        first = values[0]
-        return first if values.count(first) == len(values) else ternary.REDUCED
-    return reduce(operator.and_ if expr.op == OP_BOOL_AND else operator.or_, values)
-
-
-def translate_to_iim(rule: IdrRule) -> IdrRule:
-    """Rewrite a ternary-model rule into its binary-model counterpart.
-
-    min-AND and new-XOR become Boolean AND, max-OR becomes Boolean OR; the
-    tree shape and every literal are preserved.  The runtime reads a
-    ternary rule as binary through ``compile_expr(..., IIM)`` and builds no
-    translated rule; this is the tests' oracle for that reading.
-    """
-    if rule.model == IIM:
-        raise IdrModelError("already binary")
-    return IdrRule(rule.target, _translate_expr(rule.body), IIM)
-
-
-def _translate_expr(expr: IdrExpr) -> IdrExpr:
-    if isinstance(expr, EntityId):
-        return expr
-    return Op(_TRANSLATION[expr.op], tuple(_translate_expr(c) for c in expr.children))
-
-
-# --- Compiled evaluation (cascade engine fast path) --------------------------
+# --- Evaluation --------------------------------------------------------------
 
 
 def _nx(*values: int) -> int:
@@ -372,10 +328,9 @@ def compile_expr(
     """Compile an expression as ``model`` reads it to a function ``f(a)`` of
     a state array ``a``; ``slots`` maps each entity to its array index.
 
-    Under IIM a ternary operator reads as its binary image (``_TRANSLATION``),
-    so a ternary body compiles as its ``translate_to_iim`` does; binary
-    operators read as themselves.  ``f(a)`` returns the same value as
-    :func:`evaluate` on the expression so read.
+    Under IIM a ternary operator reads as its binary image (``_TRANSLATION``):
+    min-AND and new-XOR as Boolean AND, max-OR as Boolean OR, on the same
+    tree; binary operators read as themselves.
 
     Expressions of one shape, the same operator tree up to which literals
     fill it, share one code object: the k-th literal reads ``a[ik]``, and

@@ -1,15 +1,119 @@
-"""The binary reading of a rule set spelled out as trees, for the oracle tests.
+"""The interpretive rule evaluator: the tests' reference for the compiled rules.
+
+The package evaluates rules only by compiling them.  This module reads a
+rule tree directly, as its operators say, and shares no code with the
+compiler: it spells out its own binary reading of the ternary operators
+(``translate_to_iim``) and its own folds.
+
+``evaluate`` takes each entity's value as an int or as a 1-D integer numpy
+column of S states, and then yields one value per state, so one call per
+tree checks a whole batch of states.  A scalar state is the case S = 1.
 
 A synthesized network's IIM rule sets hold the ternary rules of its MIIM
-rule sets, and the compiler reads them as binary.  The interpretive
-``idr.evaluate`` reads a tree as its operators say, so the oracle tests
-evaluate ``translate_to_iim`` of each rule instead.
+rule sets, and the compiler reads them as binary; ``read`` gives the trees
+that reading stands for.
 """
 
 import weakref
+from functools import reduce
 
-from jointgrid.idr import IIM, translate_to_iim
+import numpy as np
+
+from jointgrid.entities import EntityId
+from jointgrid.idr import (
+    IIM,
+    OP_BOOL_AND,
+    OP_BOOL_OR,
+    OP_MAX_OR,
+    OP_MIN_AND,
+    OP_NEW_XOR,
+    IdrModelError,
+    IdrRule,
+    Op,
+)
 from jointgrid.network import AvailabilityRules, RuleSet
+from jointgrid.ternary import BINARY_LEVELS, REDUCED, TERNARY_LEVELS
+
+# Each ternary operator's binary image: min-AND and new-XOR become AND,
+# max-OR becomes OR.
+_BINARY_IMAGE = {OP_MIN_AND: OP_BOOL_AND, OP_MAX_OR: OP_BOOL_OR, OP_NEW_XOR: OP_BOOL_AND}
+
+
+class UnknownEntityError(KeyError):
+    """Expression references an entity absent from the evaluation state."""
+
+    def __init__(self, entity: EntityId):
+        super().__init__(str(entity))
+        self.entity = entity
+
+    def __str__(self):
+        return f"unknown entity {self.entity}"
+
+
+def _unanimous(*values):
+    first = values[0]
+    agree = reduce(np.logical_and, [value == first for value in values[1:]])
+    return np.where(agree, first, REDUCED)
+
+
+_FOLDS = {
+    OP_MIN_AND: lambda *values: reduce(np.minimum, values),
+    OP_MAX_OR: lambda *values: reduce(np.maximum, values),
+    OP_NEW_XOR: _unanimous,
+    OP_BOOL_AND: lambda *values: reduce(np.bitwise_and, values),
+    OP_BOOL_OR: lambda *values: reduce(np.bitwise_or, values),
+}
+
+
+def evaluate(expr, state):
+    """Bottom-up evaluation of an expression against an entity-state map.
+
+    Each value of ``state`` is an int or a 1-D integer numpy column of S
+    states; the result is the expression's value at each state.  Every
+    operand of an operator must hold levels of the operator's model, in
+    every entry, or ``ValueError`` is raised.
+    """
+    if isinstance(expr, EntityId):
+        try:
+            return np.asarray(state[expr])
+        except KeyError:
+            raise UnknownEntityError(expr) from None
+    values = [evaluate(child, state) for child in expr.children]
+    binary = expr.op in (OP_BOOL_AND, OP_BOOL_OR)
+    model, levels = ("binary", BINARY_LEVELS) if binary else ("ternary", TERNARY_LEVELS)
+    for value in values:
+        # Levels are the integers 0..top: an integer column in that range
+        # holds levels only, and any other is checked entry by entry.
+        if value.dtype.kind in "iu" and value.min() >= levels[0] and value.max() <= levels[-1]:
+            continue
+        for entry in np.ravel(value).tolist():
+            if entry not in levels:
+                raise ValueError(f"not a {model} operational level: {entry!r}")
+    return _FOLDS[expr.op](*values)
+
+
+def translate_to_iim(rule: IdrRule) -> IdrRule:
+    """Rewrite a ternary-model rule into its binary-model counterpart.
+
+    min-AND and new-XOR become Boolean AND, max-OR becomes Boolean OR; the
+    tree shape and every literal are preserved.
+    """
+    if rule.model == IIM:
+        raise IdrModelError("already binary")
+    return IdrRule(rule.target, _translate_expr(rule.body), IIM)
+
+
+def _translate_expr(expr):
+    if isinstance(expr, EntityId):
+        return expr
+    return Op(_BINARY_IMAGE[expr.op], tuple(_translate_expr(c) for c in expr.children))
+
+
+def columns(entities, arrays):
+    """Each entity's column of values over the state arrays ``arrays``,
+    which list the entities' values in the order of ``entities``."""
+    return dict(zip(entities, np.array(arrays, dtype=np.int64).T))
+
 
 _READ: "weakref.WeakKeyDictionary[RuleSet, RuleSet]" = weakref.WeakKeyDictionary()
 

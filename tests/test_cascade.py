@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from oracle import read
+from oracle import columns, evaluate, read
 from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
@@ -14,7 +15,7 @@ from jointgrid.cascade import (
     verify_fixpoint,
 )
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import IIM, MIIM, compile_expr, evaluate
+from jointgrid.idr import IIM, MIIM, compile_expr
 from jointgrid.network import CASES, MODELS, RuleSet
 from jointgrid.ternary import to_binary
 
@@ -219,9 +220,9 @@ def test_value_history(ieee14, attack):
 @pytest.mark.parametrize("network_name, seed", [("ieee14", 11), ("ieee118", 12)])
 def test_compiled_availability_matches_interpreter(request, network_name, seed):
     """Each SCADA and PMU expression compiled by ``compile_expr`` under its
-    rule set's model evaluates as the interpretive ``evaluate`` does on the
-    expression that model reads, and the mask follows those values, at the
-    fixpoints of 50 random kill sets under all four rule sets."""
+    rule set's model evaluates as the oracle's interpretive ``evaluate`` does
+    on the expression that model reads, and the mask follows those values,
+    at the fixpoints of 50 random kill sets under all four rule sets."""
     network = request.getfixturevalue(network_name)
     rng = random.Random(seed)
     entities = network.entity_ids()
@@ -238,10 +239,12 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
                 if getattr(avail, kind) is not None
             ]
             fns = [compile_expr(expr, network.slots, model) for _, _, expr, _ in paths]
-            for scenario in kill_sets:
-                trace = run_cascade(network, rule_set, scenario)
-                final = trace.final_state()
-                oracle = [evaluate(read_expr, final) for _, _, _, read_expr in paths]
+            traces = [run_cascade(network, rule_set, scenario) for scenario in kill_sets]
+            finals = [trace.final_state() for trace in traces]
+            state = columns(entities, [list(final.values()) for final in finals])
+            oracles = [evaluate(read_expr, state).tolist() for _, _, _, read_expr in paths]
+            for k, (trace, final) in enumerate(zip(traces, finals)):
+                oracle = [values[k] for values in oracles]
                 array = trace.arrays[-1]
                 assert [fn(array) for fn in fns] == oracle
                 delivered = {
@@ -313,18 +316,24 @@ def test_binary_loses_superset_under_every_single_failure_118(ieee118):
     assert len(strictly_larger) == 1611
 
 
-def _dense_mask(network, rule_set, final):
-    """The mask by its definition: every availability rule, as the rule
-    set's model reads it, evaluated by ``idr.evaluate`` at the fixpoint."""
-    scada, pmu = {}, {}
+def _dense_masks(network, rule_set, finals):
+    """The masks by their definition: every availability rule, as the rule
+    set's model reads it, evaluated by the oracle at each fixpoint of
+    ``finals``, in one call per rule."""
+    state = columns(network.entity_ids(), [list(final.values()) for final in finals])
+    masks = [({}, {}) for _ in finals]
     for sub in network.substations:
         avail = read(rule_set).availability[sub.id]
-        scada_ok = evaluate(avail.scada.body, final) >= 1
-        pmu_ok = sub.has_pmu and avail.pmu is not None and evaluate(avail.pmu.body, final) >= 1
-        for bus in sub.buses:
-            scada[bus], pmu[bus] = scada_ok, pmu_ok
+        scada_ok = (evaluate(avail.scada.body, state) >= 1).tolist()
+        if sub.has_pmu and avail.pmu is not None:
+            pmu_ok = (evaluate(avail.pmu.body, state) >= 1).tolist()
+        else:
+            pmu_ok = [False] * len(finals)
+        for (scada, pmu), scada_k, pmu_k in zip(masks, scada_ok, pmu_ok):
+            for bus in sub.buses:
+                scada[bus], pmu[bus] = scada_k, pmu_k
     equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
-    return AvailabilityMask(scada, pmu, equipped)
+    return [AvailabilityMask(scada, pmu, equipped) for scada, pmu in masks]
 
 
 def test_incremental_availability_matches_dense_masks(ieee14):
@@ -335,10 +344,12 @@ def test_incremental_availability_matches_dense_masks(ieee14):
     for model in MODELS:
         for case in CASES:
             rule_set = ieee14.rule_set(model, case)
-            for entity in ieee14.entity_ids():
-                final = run_cascade(ieee14, rule_set, FailureScenario.of([entity])).final_state()
+            finals = [
+                run_cascade(ieee14, rule_set, FailureScenario.of([entity])).final_state()
+                for entity in ieee14.entity_ids()
+            ]
+            for final, dense in zip(finals, _dense_masks(ieee14, rule_set, finals)):
                 mask = data_availability(final, ieee14, rule_set)
-                dense = _dense_mask(ieee14, rule_set, final)
                 assert mask == dense
                 assert list(mask.scada) == list(dense.scada) == list(mask.pmu)
                 lossy += bool(mask.scada_lost() or mask.pmu_lost())
@@ -497,7 +508,7 @@ def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeyp
         mask = data_availability(final, network, rule_set)
         assert not final.lowered
         assert not (mask.scada_lost() or mask.pmu_lost())
-        assert mask == _dense_mask(network, rule_set, final)
+        assert mask == _dense_masks(network, rule_set, [final])[0]
     assert calls["evaluated"] == 0
     assert calls["availability"] == []
 
@@ -516,22 +527,26 @@ def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeyp
     assert calls["availability"] == compiled
 
 
-def _dense_step(rule_set, state, killed):
-    """One synchronous step of the cascade's definition: every rule, as the
-    rule set's model reads it, re-evaluated at ``state``, attacked entities
-    held at 0."""
+def _dense_steps(network, rule_set, arrays, kill_sets):
+    """One synchronous step of the cascade's definition from each state of
+    ``arrays``: every rule, as the rule set's model reads it, re-evaluated
+    at that state, in one oracle call per rule, with the attacked entities
+    of the state's kill set held at 0."""
+    entities = network.entity_ids()
+    state = columns(entities, arrays)
     following = dict(state)
     for rule in read(rule_set).rules:
-        if rule.target not in killed:
-            following[rule.target] = evaluate(rule.body, state)
-    return following
+        held = np.array([rule.target in killed for killed in kill_sets])
+        following[rule.target] = np.where(held, state[rule.target], evaluate(rule.body, state))
+    return np.array([following[entity] for entity in entities]).T.tolist()
 
 
 @pytest.mark.parametrize("network_name, seed, runs", [("ieee14", 21, 30), ("ieee118", 22, 3)])
 def test_replayed_steps_match_dense_evaluation(request, network_name, seed, runs):
     """The trace's replayed arrays start at the top level with the attacked
-    entities at 0, each later array is one dense step of ``idr.evaluate``
-    over every rule from the one before, and the last is a fixed point."""
+    entities at 0, each later array is one dense step of the oracle's
+    ``evaluate`` over every rule from the one before, and the last is a
+    fixed point."""
     network = request.getfixturevalue(network_name)
     rng = random.Random(seed)
     entities = network.entity_ids()
@@ -541,15 +556,17 @@ def test_replayed_steps_match_dense_evaluation(request, network_name, seed, runs
         top = 2 if model == MIIM else 1
         for case in CASES:
             rule_set = network.rule_set(model, case)
-            for killed in kill_sets:
-                trace = run_cascade(network, rule_set, FailureScenario.of(killed))
+            traces = [run_cascade(network, rule_set, FailureScenario.of(killed)) for killed in kill_sets]
+            for killed, trace in zip(kill_sets, traces):
                 state = {entity: 0 if entity in killed else top for entity in entities}
                 assert trace.arrays[0] == list(state.values())
-                for array in trace.arrays[1:]:
-                    state = _dense_step(rule_set, state, killed)
-                    assert array == list(state.values())
-                assert _dense_step(rule_set, state, killed) == state
                 deepest = max(deepest, trace.converged_at)
+            # The dense step from each array of a trace is the next array,
+            # and from the last array the last array itself.
+            arrays = [array for trace in traces for array in trace.arrays]
+            held = [killed for killed, trace in zip(kill_sets, traces) for _ in trace.arrays]
+            following = [array for trace in traces for array in (*trace.arrays[1:], trace.arrays[-1])]
+            assert _dense_steps(network, rule_set, arrays, held) == following
     assert deepest >= 3
 
 

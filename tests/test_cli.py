@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzing import edit_json
 from oracle import read
-from jointgrid import cli
+from jointgrid import cli, entities as ent
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
 from jointgrid.idr import format_idr, format_idr_file
@@ -327,6 +327,58 @@ def test_run_with_empty_kill_set(fixtures_dir, tmp_path):
         assert report["models"][model]["pmu_lost"] == []
     diff = report["footprint_diff"]
     assert all(not v for v in diff.values())
+
+
+def test_run_with_every_gateway_killed_anchors_every_bus(fixtures_dir, ieee14, tmp_path):
+    """With every gateway down no bus delivers a measurement under either
+    model: the run exits 0 and the estimation anchors, and flags, every bus."""
+    scenario = tmp_path / "gateways.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "label": "every-gateway",
+                "grid": str(fixtures_dir / "ieee14.json"),
+                "model": "both",
+                "case": 1,
+                "killed": [str(ent.gateway(sub.id)) for sub in ieee14.substations],
+                "estimation": {"seeds": 5},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    buses = ieee14.grid.bus_ids
+    for model in ("miim", "iim"):
+        assert report["models"][model]["scada_lost"] == buses
+        assert report["estimation"]["anchored"][model] == buses
+    rows = (out / "errors.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 * len(buses)
+    assert all(row.endswith(",1") for row in rows)
+
+
+def test_estimate_on_a_mask_that_delivers_nothing(fixtures_dir, tmp_path):
+    buses = [str(bus) for bus in range(1, 15)]
+    mask = tmp_path / "dark.json"
+    mask.write_text(
+        json.dumps(
+            {
+                "grid": str(fixtures_dir / "ieee14.json"),
+                "model": "dark",
+                "scada": dict.fromkeys(buses, False),
+                "pmu": dict.fromkeys(buses, False),
+                "pmu_equipped": [],
+            }
+        ),
+        encoding="utf-8",
+    )
+    errors_csv = tmp_path / "errors.csv"
+    assert main(["estimate", "--mask", str(mask), "--seeds", "3", "--out", str(errors_csv)]) == 0
+    rows = errors_csv.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == buses
+    assert all(row.endswith(",1") for row in rows)
 
 
 def test_shipped_118_scenarios_cascade(fixtures_dir, tmp_path):

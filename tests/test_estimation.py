@@ -20,6 +20,7 @@ from jointgrid.estimation import (
     StateVector,
     UnobservableError,
     _null_space_buses,
+    _svd,
     admittance_from_branch,
     analyse_system,
     branch_current,
@@ -413,6 +414,15 @@ def test_batched_comparison_matches_per_seed_118(ieee118_grid, scenario_masks_11
     assert result.anchored[IIM]
 
 
+def test_batched_comparison_matches_per_seed_with_no_measurement(ieee14_grid):
+    """A mask that delivers nothing anchors every bus, on both paths."""
+    bus_ids = ieee14_grid.bus_ids
+    dark = AvailabilityMask(scada=dict.fromkeys(bus_ids, False), pmu=dict.fromkeys(bus_ids, False))
+    result = check_against_per_seed(ieee14_grid, {"dark": dark}, default_true_state(ieee14_grid), range(5))
+    assert result.anchored["dark"] == set(bus_ids)
+    assert result.rows["dark"] == 2 * len(bus_ids)
+
+
 def test_batched_comparison_analyses_each_mask_once(ieee118_grid, scenario_masks_118, monkeypatch):
     counts = {"analyse": 0, "lstsq": 0}
     analyse, lstsq = estimation.analyse_system, np.linalg.lstsq
@@ -509,11 +519,10 @@ def check_graph_anchors_match_svd(grid, masks):
     anchored_masks = 0
     for mask in masks:
         measurements = measurement_template(true_state, grid, mask).exact
-        if not measurements.entries:
-            continue
         system = analyse_system(measurements, grid)
         J, W, _ = build_system(measurements, grid)
-        assert system.anchored == _null_space_buses(J / np.sqrt(W)[:, None], grid.bus_ids)
+        _, _, vt, rank = _svd(J / np.sqrt(W)[:, None])
+        assert system.anchored == _null_space_buses(vt[rank:], grid.bus_ids)
         assert np.linalg.matrix_rank(system.A) == system.A.shape[1]
         anchored_masks += bool(system.anchored)
     return anchored_masks

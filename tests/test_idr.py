@@ -1,9 +1,12 @@
+import itertools
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzing import edit_rule_text
-from oracle import read
-from jointgrid import entities as ent
+from oracle import UnknownEntityError, columns, evaluate, read, translate_to_iim
+from jointgrid import entities as ent, ternary
 from jointgrid.cli import rule_file_text
 from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.idr import (
@@ -18,9 +21,7 @@ from jointgrid.idr import (
     OP_MAX_OR,
     OP_MIN_AND,
     OP_NEW_XOR,
-    UnknownEntityError,
     compile_expr,
-    evaluate,
     format_expr,
     format_idr,
     free_entities,
@@ -28,7 +29,6 @@ from jointgrid.idr import (
     parse_idr,
     parse_idr_file,
     format_idr_file,
-    translate_to_iim,
 )
 from jointgrid.network import CASES
 
@@ -168,6 +168,18 @@ def test_arity_enforced_on_nodes():
         Op(OP_MIN_AND, (lit("P(1)"),))
 
 
+@pytest.mark.parametrize(
+    "children",
+    [ent.bus(1), [ent.bus(1), ent.bus(2)], (ent.bus(1), "P(2)")],
+    ids=["entity-id", "list", "str-child"],
+)
+def test_malformed_operands_rejected_on_construction(children):
+    """An id as the children (an id is itself a 2-tuple), a list, or a child
+    that is neither an id nor an operator node fails when the node is built."""
+    with pytest.raises(IdrSyntaxError, match="operand"):
+        Op(OP_MIN_AND, children)
+
+
 def test_format_ring_rule_round_trip():
     rule = parse_idr(RING_RULE)
     assert format_idr(rule) == RING_RULE
@@ -259,6 +271,64 @@ def test_evaluate_unknown_entity_named():
     rule = parse_idr(RING_RULE)
     with pytest.raises(UnknownEntityError, match=r"C\(2,1,2,0\)"):
         evaluate(rule.body, {})
+
+
+_KERNEL = {
+    OP_MIN_AND: lambda values: reduce(ternary.min_and, values),
+    OP_MAX_OR: lambda values: reduce(ternary.max_or, values),
+    OP_NEW_XOR: ternary.new_xor,
+    OP_BOOL_AND: lambda values: reduce(ternary.binary_and, values),
+    OP_BOOL_OR: lambda values: reduce(ternary.binary_or, values),
+}
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_both_readings_match_the_ternary_kernel(arity):
+    """On every input of ``arity`` operands, each operator of the oracle and
+    of ``compile_expr`` equals its ``ternary`` kernel function: the ternary
+    operators on {0, 1, 2} under MIIM, the binary ones on {0, 1}; and under
+    IIM, ``compile_expr`` reads min-AND and new-XOR as ``binary_and`` and
+    max-OR as ``binary_or``.  Each batch of inputs is one oracle call."""
+    operands = tuple(ent.bus(k) for k in range(1, arity + 1))
+    slots = {entity: k for k, entity in enumerate(operands)}
+    ternary_inputs = list(itertools.product(ternary.TERNARY_LEVELS, repeat=arity))
+    binary_inputs = list(itertools.product(ternary.BINARY_LEVELS, repeat=arity))
+    for op, inputs in (
+        (OP_MIN_AND, ternary_inputs),
+        (OP_MAX_OR, ternary_inputs),
+        (OP_NEW_XOR, ternary_inputs),
+        (OP_BOOL_AND, binary_inputs),
+        (OP_BOOL_OR, binary_inputs),
+    ):
+        expr = Op(op, operands)
+        expected = [_KERNEL[op](values) for values in inputs]
+        assert evaluate(expr, columns(operands, inputs)).tolist() == expected, op
+        if op in (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR):
+            fn = compile_expr(expr, slots, MIIM)
+            assert [fn(list(values)) for values in inputs] == expected, op
+    for op, image in ((OP_MIN_AND, OP_BOOL_AND), (OP_NEW_XOR, OP_BOOL_AND), (OP_MAX_OR, OP_BOOL_OR)):
+        fn = compile_expr(Op(op, operands), slots, IIM)
+        assert [fn(list(values)) for values in binary_inputs] == [
+            _KERNEL[image](values) for values in binary_inputs
+        ], op
+
+
+@pytest.mark.parametrize("op", sorted(_KERNEL))
+def test_oracle_rejects_bad_levels_and_missing_entities(op):
+    """An out-of-range level in any entry of any operand's column raises
+    ``ValueError``; an entity missing from the state raises
+    ``UnknownEntityError`` naming it."""
+    operands = tuple(ent.bus(k) for k in range(1, 4))
+    expr = Op(op, operands)
+    top = 1 if op in (OP_BOOL_AND, OP_BOOL_OR) else 2
+    for position in range(len(operands)):
+        for bad in (-1, top + 1):
+            arrays = [[0] * len(operands) for _ in range(4)]
+            arrays[2][position] = bad
+            with pytest.raises(ValueError, match=f"operational level: {bad}$"):
+                evaluate(expr, columns(operands, arrays))
+    with pytest.raises(UnknownEntityError, match=r"P\(3\)"):
+        evaluate(expr, columns(operands[:2], [[0, 0], [1, 1]]))
 
 
 def test_idr_file_round_trip():
@@ -387,12 +457,11 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
         assert len({id(fn.__code__) for fn, _ in checks.values()}) == len(shapes) > 1
         for fn, tree in checks.values():
             assert fn.__defaults__ == tuple(ieee118.slots[entity] for entity in _walk(tree))
-        for _ in range(20):
-            array = rng.choices(levels, k=len(entities))
-            state = dict(zip(entities, array))
-            assert [fn(array) for fn, _ in checks.values()] == [
-                evaluate(tree, state) for _, tree in checks.values()
-            ]
+        arrays = [rng.choices(levels, k=len(entities)) for _ in range(20)]
+        state = columns(entities, arrays)
+        oracle = [evaluate(tree, state) for _, tree in checks.values()]
+        for k, array in enumerate(arrays):
+            assert [fn(array) for fn, _ in checks.values()] == [values[k] for values in oracle]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import read
+from oracle import columns, evaluate, read, translate_to_iim
 from jointgrid import entities as ent
 from jointgrid.entities import parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
@@ -13,7 +13,6 @@ from jointgrid.idr import (
     MIIM,
     Op,
     compile_expr,
-    evaluate,
     format_idr,
     format_idr_file,
     free_entities,
@@ -534,8 +533,6 @@ def test_iim_rules_are_translations(request, network_name, case):
     mapping, the very objects, and its compiled reading of each rule,
     cascade and availability, is that of the rule's translation: the same
     code with the same slots bound."""
-    from jointgrid.idr import translate_to_iim
-
     network = request.getfixturevalue(network_name)
     miim, iim = network.rule_set(MIIM, case), network.rule_set(IIM, case)
     assert iim.rules is miim.rules
@@ -557,8 +554,6 @@ def _binary_reading_mismatches(network, arrays):
     whose compiled binary reading differs at some state of ``arrays`` from
     ``evaluate`` on their ``translate_to_iim`` tree.  A body shared by rules
     or rule sets is checked once."""
-    from jointgrid.idr import translate_to_iim
-
     rules = {
         id(rule.body): rule
         for case in CASES
@@ -569,23 +564,23 @@ def _binary_reading_mismatches(network, arrays):
         (rule, compile_expr(rule.body, network.slots, IIM), translate_to_iim(rule).body)
         for rule in rules.values()
     ]
-    mismatches = set()
-    for array in arrays:
-        state = dict(zip(network.entity_ids(), array))
-        mismatches.update(
+    state = columns(network.entity_ids(), arrays)
+    return sorted(
+        {
             format_idr(rule)
             for rule, fn, binary in checks
-            if fn(array) != evaluate(binary, state)
-        )
-    return sorted(mismatches)
+            if [fn(array) for array in arrays] != evaluate(binary, state).tolist()
+        }
+    )
 
 
 @pytest.mark.parametrize("network_name, seed", [("ieee14", 31), ("ieee118", 32)])
 def test_binary_reading_matches_translated_rules(request, network_name, seed):
     """Oracle for reading the ternary rules as binary: every IIM cascade and
-    availability rule, compiled under IIM, evaluates as ``idr.evaluate`` does
-    on its ``translate_to_iim`` tree, at 200 random binary states and, on 14
-    buses, at the binary fixpoint of every single failure in both cases."""
+    availability rule, compiled under IIM, evaluates as the oracle's
+    ``evaluate`` does on its ``translate_to_iim`` tree, at 200 random binary
+    states and, on 14 buses, at the binary fixpoint of every single failure
+    in both cases."""
     from jointgrid.cascade import FailureScenario, run_cascade
 
     network = request.getfixturevalue(network_name)
