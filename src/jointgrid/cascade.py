@@ -10,9 +10,12 @@ fixpoint array, from which every earlier step can be replayed.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
-At full operation every availability expression (literals and monotone
-operators only) is at top, so a mask starts from the full-operation mask
-and evaluates only the expressions that read a slot the cascade lowered.
+They are rules like the cascade's, each on a substation's data path
+(``GS(s)`` for SCADA, ``GP(s)`` for PMU), evaluated at the fixpoint rather
+than iterated.  At full operation every data-path rule (literals and
+monotone operators only) is at top, so a mask starts from the
+full-operation mask and evaluates only the rules that read a slot the
+cascade lowered.
 
 Both kinds of rule run through one evaluator: each rule is compiled on
 first need, over the network's slot map, to a function ``f(a)`` of a state
@@ -20,12 +23,12 @@ array, and kept.  Rules of one shape share one code object (see
 ``idr.compile_expr``).  Rules compile under their rule set's model: a
 network's IIM rule sets hold its ternary rules, read as binary, so no
 binary rule tree exists at run time.  Each network keeps one program per
-rules tuple and one per availability mapping, both immutable, so a program
+rules tuple and one per availability tuple, both immutable, so a program
 cannot go stale and dies with its network.  A synthesized network's four
-rule sets hold one rules tuple and a case's two models one mapping, so only
-the compiled functions are per model.  The package has no other rule
-evaluator; the tests check the compiled functions against an interpretive
-one of their own.
+rule sets hold one rules tuple and a case's two models one availability
+tuple, so only the compiled functions are per model.  The package has no
+other rule evaluator; the tests check the compiled functions against an
+interpretive one of their own.
 The compilers check a rule set's references through the slot lookups they
 make anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
@@ -38,9 +41,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
-from jointgrid.entities import EntityId
+from jointgrid.entities import KIND_GW_PMU, EntityId, gw_pmu
 from jointgrid.idr import MIIM, IdrRule, compile_expr
-from jointgrid.network import MODELS, JointNetwork, RuleSet, availability_gaps, reference_problems
+from jointgrid.network import MODELS, JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
 
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
@@ -79,10 +82,11 @@ class FixpointState(Mapping[EntityId, int]):
     raises ``KeyError``.
     """
 
-    def __init__(self, slots: Dict[EntityId, int], array: List[int], lowered: Set[int]):
+    def __init__(self, slots: Dict[EntityId, int], array: List[int], lowered: Set[int], top: int):
         self.slots = slots
         self.array = array
         self.lowered = lowered  # the slots below the top level
+        self.top = top  # the cascade's model's top level
 
     def __getitem__(self, entity: EntityId) -> int:
         return self.array[self.slots[entity]]
@@ -122,7 +126,7 @@ class CascadeTrace:
         """The fixpoint as a mapping.  Values only fall, so the slots below
         top are exactly those some step changed."""
         lowered = {self.slots[entity] for step in self.changed for entity in step}
-        return FixpointState(self.slots, self.fixpoint, lowered)
+        return FixpointState(self.slots, self.fixpoint, lowered, self.top)
 
     def value_history(self, entity: EntityId) -> List[int]:
         slot = self.slots[entity]
@@ -167,54 +171,49 @@ class _CascadeProgram:
 
 
 class _AvailabilityProgram:
-    """One availability mapping over one network: the full-operation masks,
-    per data-path expression (substation by substation, SCADA before PMU)
-    the mask it clears and the buses it speaks for (``clears``), per slot
-    the expressions that read it (``readers``), and each model's functions
-    (``fns[model]``)."""
+    """One availability tuple over one network: the full-operation masks,
+    per data-path rule the mask it clears (0 SCADA, 1 PMU) and its
+    substation's buses (``clears``), per slot the rules that read it
+    (``readers``), and each model's functions (``fns[model]``)."""
 
-    def __init__(self, rule_set: RuleSet, network: JointNetwork):
-        slots = network.slots
-        availability = self.availability = rule_set.availability  # keeps its id() from being reused
-        gaps = availability_gaps(availability, network.substations)
+    def __init__(self, rules: Tuple[IdrRule, ...], network: JointNetwork):
+        slots, paths = network.slots, data_paths(network.substations)
+        self.rules = rules  # also keeps this tuple's id() from being reused
+        gaps = availability_gaps(rules, network.substations)
         if gaps:
             raise ScenarioError(f"availability rules: {'; '.join(gaps[:5])}")
-        # At full operation every expression is at top, so every path delivers.
-        self.scada: Dict[int, bool] = {}
-        self.pmu: Dict[int, bool] = {}
-        rules: List[IdrRule] = []
-        self.clears: List[Tuple[int, Tuple[int, ...]]] = []  # per rule: mask (0 SCADA, 1 PMU), buses
-        for sub in network.substations:
-            avail = availability[sub.id]
-            buses = tuple(sub.buses)  # a copy: the substation's list may change under the program
-            for mask, rule in enumerate((avail.scada, avail.pmu)):
-                if rule:
-                    rules.append(rule)
-                    self.clears.append((mask, buses))
-            for bus in buses:
-                self.scada[bus] = True
-                self.pmu[bus] = sub.has_pmu and avail.pmu is not None
-        self.pmu_equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
+        self.clears: List[Tuple[int, Tuple[int, ...]]] = []
         self.readers: Dict[int, List[int]] = {}
         try:
             for index, rule in enumerate(rules):
+                # A copy: the substation's list may change under the program.
+                self.clears.append((int(rule.target.kind == KIND_GW_PMU), tuple(paths[rule.target].buses)))
                 for entity in rule.literals:
                     self.readers.setdefault(slots[entity], []).append(index)
         except KeyError:
-            raise _refusal("availability rules", rule_set.availability_rules(), slots, targets=False) from None
+            raise _refusal("availability rules", rules, slots, paths) from None
+        targets = {rule.target for rule in rules}
+        if len(targets) < len(rules):
+            raise _refusal("availability rules", rules, slots, paths)
+        # At full operation every rule is at top, so every path delivers.
+        subs = network.substations
+        self.scada = {bus: True for sub in subs for bus in sub.buses}
+        self.pmu = {bus: sub.has_pmu and gw_pmu(sub.id) in targets for sub in subs for bus in sub.buses}
+        self.pmu_equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
         self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
 
 
-def _refusal(label: str, rules, slots: Dict[EntityId, int], targets: bool = True) -> ScenarioError:
+def _refusal(label: str, rules, slots: Dict[EntityId, int], targets=None) -> ScenarioError:
     """The error for rules a slot lookup refused, in ``validate``'s words."""
     problems = reference_problems(rules, slots, targets)
     return ScenarioError(f"{label}: {'; '.join(problems[:5])}")
 
 
-# Compiled programs per network and its slot map, each under the id() of
-# what it is compiled from: a rules tuple or an availability mapping, both
-# immutable.  A program holds that object, so no id() is reused while its
-# entry stands, and never the network, so a network's programs die with it.
+# Compiled programs per network and its slot map, one map per kind (a tuple
+# may be given as both kinds), each program under the id() of the rules
+# tuple it is compiled from, an immutable object.  A program holds that
+# tuple, so no id() is reused while its entry stands, and never the
+# network, so a network's programs die with it.
 _PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, tuple]" = weakref.WeakKeyDictionary()
 
 
@@ -222,16 +221,17 @@ def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_CascadeProgram
     """``rule_set``'s cascade and availability programs over ``network``,
     built on first need, the cascade rules first.  A network given a new
     slot map (``index_entities``) starts afresh."""
-    slots, programs = _PROGRAMS.get(network, (None, None))
+    slots, cascades, availabilities = _PROGRAMS.get(network, (None, None, None))
     if slots is not network.slots:
-        programs = {}
-        _PROGRAMS[network] = (network.slots, programs)
-    cascade = programs.get(id(rule_set.rules))
+        cascades, availabilities = {}, {}
+        _PROGRAMS[network] = (network.slots, cascades, availabilities)
+    rules, paths = rule_set.rules, rule_set.availability
+    cascade = cascades.get(id(rules))
     if cascade is None:
-        cascade = programs[id(rule_set.rules)] = _CascadeProgram(rule_set.rules, network.slots)
-    availability = programs.get(id(rule_set.availability))
+        cascade = cascades[id(rules)] = _CascadeProgram(rules, network.slots)
+    availability = availabilities.get(id(paths))
     if availability is None:
-        availability = programs[id(rule_set.availability)] = _AvailabilityProgram(rule_set, network)
+        availability = availabilities[id(paths)] = _AvailabilityProgram(paths, network)
     return cascade, availability
 
 
@@ -243,7 +243,7 @@ def run_cascade(
     """Run the synchronous cascade to its fixpoint."""
     entities = network.entity_ids()
     program = _programs(network, rule_set)[0]
-    top, slots = (2 if rule_set.model == MIIM else 1), network.slots
+    top, slots = _top(rule_set.model), network.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
     if unknown:
@@ -296,6 +296,11 @@ def run_cascade(
     return CascadeTrace(slots=slots, top=top, fixpoint=state, changed=changed_per_step)
 
 
+def _top(model: str) -> int:
+    """The full-operation level under ``model``."""
+    return 2 if model == MIIM else 1
+
+
 def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrace) -> bool:
     """Dense re-evaluation of every rule at the final state changes nothing.
 
@@ -345,15 +350,20 @@ def data_availability(
     """Evaluate the availability rules at a fixpoint.
 
     A substation's buses deliver SCADA (or PMU) data when the matching
-    data-path expression evaluates to at least reduced operation.  Buses in
+    data-path rule evaluates to at least reduced operation.  Buses in
     substations without PMUs never deliver PMU data.  ``final_state`` must
-    come from ``CascadeTrace.final_state()`` of a cascade on ``network``.
+    come from ``CascadeTrace.final_state()`` of a cascade on ``network``
+    under a rule set of ``rule_set``'s model.
 
-    Only the expressions that read a slot of ``final_state.lowered`` are
+    Only the rules that read a slot of ``final_state.lowered`` are
     evaluated: any other is at top, as in the full-operation mask.
     """
     if not (isinstance(final_state, FixpointState) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
+    if final_state.top != _top(rule_set.model):
+        raise ValueError(
+            f"final state has top level {final_state.top}, not that of the {rule_set.model} rule set"
+        )
     program = _programs(network, rule_set)[1]
     scada, pmu = dict(program.scada), dict(program.pmu)
     masks = (scada, pmu)

@@ -32,7 +32,7 @@ from jointgrid.cascade import (
     run_cascade,
 )
 from jointgrid.entities import EntityError, parse_entity_id
-from jointgrid.grid import Grid, GridError, load_grid
+from jointgrid.grid import MAX_PU, Grid, GridError, load_grid
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
 from jointgrid.network import CASES, EntityMeta, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
@@ -235,7 +235,7 @@ def rule_file_text(network: JointNetwork) -> Dict[Tuple[str, int], str]:
     ``format_expr`` parenthesizes every operator child and no entity text
     holds ``& ^ | . +``."""
     miim = [network.rule_set(MIIM, case) for case in CASES]
-    rules = {rs.case: (*rs.rules, *rs.availability_rules()) for rs in miim}
+    rules = {rs.case: rs.rules + rs.availability for rs in miim}
     distinct = {id(rule): rule for case_rules in rules.values() for rule in case_rules}
     lines = {key: format_idr(rule) + "\n" for key, rule in distinct.items()}
     bodies = {case: "".join([lines[id(rule)] for rule in rs]) for case, rs in rules.items()}
@@ -298,6 +298,8 @@ def load_scenario(path) -> dict:
         raise ScenarioFileError(f"{path}: grid must be a path string, got {data['grid']!r}")
     data["_grid_path"] = _file_beside(path, data["grid"], "grid")
     data.setdefault("label", path.stem)
+    if not isinstance(data["label"], str):
+        raise ScenarioFileError(f"{path}: label must be a string, got {data['label']!r}")
     data.setdefault("model", "both")
     data.setdefault("case", 1)
     if data["model"] not in (MIIM, IIM, "both"):
@@ -324,9 +326,11 @@ def load_scenario(path) -> dict:
             raise ScenarioFileError(f"{path}: estimation.seeds must be a positive integer")
         if not _is_int(est.get("seed_base", 0)) or est.get("seed_base", 0) < 0:
             raise ScenarioFileError(f"{path}: estimation.seed_base must be a non-negative integer")
-        if est.get("true_state"):
-            if not isinstance(est["true_state"], str):
-                raise ScenarioFileError(f"{path}: estimation.true_state must be a path string")
+        if est.get("true_state") is not None:  # missing or null: the default state
+            if not (isinstance(est["true_state"], str) and est["true_state"]):
+                raise ScenarioFileError(
+                    f"{path}: estimation.true_state must be a path string, got {est['true_state']!r}"
+                )
             est["_true_state_path"] = _file_beside(path, est["true_state"], "true-state")
     return data
 
@@ -351,7 +355,10 @@ def load_true_state(path, grid: Grid) -> estimation.StateVector:
             raise ScenarioFileError(
                 f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {entry!r}"
             )
-        voltages.append(complex(entry[0], entry[1]))
+        voltage = complex(entry[0], entry[1])
+        if abs(voltage) > MAX_PU:
+            raise ScenarioFileError(f"{path}: bus {b}: |V| = {abs(voltage):g} pu above {MAX_PU:g} pu")
+        voltages.append(voltage)
     return estimation.StateVector.from_complex(grid.bus_ids, voltages)
 
 

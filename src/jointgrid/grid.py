@@ -33,10 +33,15 @@ SCHEMA_VERSION = 1
 # km of synthesized line length per unit of per-unit reactance
 LENGTH_PER_REACTANCE = 400.0
 
+# Largest accepted per-unit magnitude of a shunt susceptance |b| and of a
+# true-state voltage |V|: past it, a measurement's squared noise sigma can
+# overflow a float.
+MAX_PU = 1e6
+
 # Accepted series impedance |r + jx| (pu).  Outside it the admittance can
 # round to 0 or overflow, and estimation could no longer read a PMU
 # current as fixing its far bus.
-IMPEDANCE_RANGE = (1e-6, 1e6)
+IMPEDANCE_RANGE = (1e-6, MAX_PU)
 
 
 class GridError(ValueError):
@@ -158,6 +163,7 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
             f"impedance |r + jx| = {impedance:g} pu outside [{low:g}, {high:g}] pu",
         )
         b_sh = _as_number(entry.get("b", 0.0), f"{pointer}/b")
+        _expect(abs(b_sh) <= MAX_PU, f"{pointer}/b", f"|b| = {abs(b_sh):g} pu above {MAX_PU:g} pu")
         transformer = _as_bool(entry.get("transformer", False), f"{pointer}/transformer")
         if "length" in entry:
             length = _as_number(entry.get("length"), f"{pointer}/length")

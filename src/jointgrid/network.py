@@ -4,9 +4,10 @@ The network couples three entity layers: power entities (buses, batteries),
 communication entities (substation equipment, SONET-ring and DWDM-ring
 nodes and links), and bridge entities (power-supply links, RTUs, PMUs).
 Rule sets give each dependent entity's operational level as an expression
-over other entities; availability rules are side expressions, evaluated at
-a cascade fixpoint, that decide whether a substation's SCADA/PMU data still
-reaches a control center.
+over other entities.  A rule set's availability rules are rules of the same
+kind, on each substation's data-path pseudo-entities ``GS(s)`` (SCADA) and
+``GP(s)`` (PMU): they are evaluated at a cascade fixpoint, not iterated, and
+decide whether the substation's data still reaches a control center.
 
 ``validate`` is the one walk that checks every rule's references against
 the slot map (``reference_problems``); the cascade compilers check through
@@ -17,7 +18,7 @@ of a refusal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
@@ -81,66 +82,35 @@ class Ring:
         return [n for i, n in enumerate(found) if i == 0 or n != found[i - 1]]
 
 
-@dataclass(frozen=True)
-class AvailabilityRules:
-    """Per-substation data-path expressions evaluated at a fixpoint."""
-
-    scada: IdrRule
-    pmu: Optional[IdrRule] = None
-
-
-class _FrozenMapping(Mapping):
-    """A read-only mapping over its own copy of the items it is given."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Mapping):
-        self._items = dict(items)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 @dataclass(frozen=True, eq=False)
 class RuleSet:
     """Cascade rules plus availability rules for one (model, case) pair.
 
-    The model names how the rules are read: a synthesized network's IIM
-    rule set holds the ternary rules of its MIIM rule set, read as binary
-    (min-AND and new-XOR as AND, max-OR as OR; see ``idr.compile_expr``).
-    Immutable, so that the cascade engine can compile the rules once and
-    key the program to them: any iterable of rules is stored as a tuple,
-    and the availability rules as a read-only copy that owns its dict (a
-    copy made here is kept as is, so ``dataclasses.replace`` shares it).
-    Equality is therefore identity, and a deep copy is the rule set itself.
+    The availability rules are the substations' data-path rules in rule-file
+    order: substations ascending, ``GS(s)`` before ``GP(s)``.  The model names
+    how the rules are read: a synthesized network's IIM rule set holds the
+    ternary rules of its MIIM rule set, read as binary (min-AND and new-XOR
+    as AND, max-OR as OR; see ``idr.compile_expr``).  Immutable, so that the
+    cascade engine can compile the rules once and key the program to them:
+    both fields are stored as tuples (a tuple given is kept as is, so
+    ``dataclasses.replace`` shares it).  Equality is therefore identity, and
+    a deep copy is the rule set itself.
     """
 
     model: str
     case: int
     rules: Tuple[IdrRule, ...]
-    availability: Mapping[int, AvailabilityRules]
+    availability: Tuple[IdrRule, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        if not isinstance(self.availability, _FrozenMapping):
-            object.__setattr__(self, "availability", _FrozenMapping(self.availability))
+        object.__setattr__(self, "availability", tuple(self.availability))
 
     def __deepcopy__(self, memo) -> "RuleSet":
         return self
 
     def by_target(self) -> Dict[EntityId, IdrRule]:
         return {rule.target: rule for rule in self.rules}
-
-    def availability_rules(self) -> List[IdrRule]:
-        """Availability rules in rule-file order: substations ascending, SCADA before PMU."""
-        paths = (self.availability[sub_id] for sub_id in sorted(self.availability))
-        return [rule for avail in paths for rule in (avail.scada, avail.pmu) if rule]
 
 
 @dataclass(eq=False)
@@ -258,9 +228,10 @@ def validate(network: JointNetwork) -> List[str]:
     # Rule sets share cascade rules tuples (a synthesized network's four hold
     # one): check each distinct tuple once, under the first rule set holding it.
     checked = set()
+    paths = data_paths(network.substations)
     for (model, case), rule_set in sorted(network.rule_sets.items()):
         found = availability_gaps(rule_set.availability, network.substations)
-        found += reference_problems(rule_set.availability_rules(), network.slots, targets=False)
+        found += reference_problems(rule_set.availability, network.slots, targets=paths)
         if id(rule_set.rules) not in checked:
             checked.add(id(rule_set.rules))
             found = reference_problems(rule_set.rules, network.slots) + found
@@ -268,32 +239,34 @@ def validate(network: JointNetwork) -> List[str]:
     return problems
 
 
-def availability_gaps(
-    availability: Mapping[int, AvailabilityRules], substations: Sequence[Substation]
-) -> List[str]:
-    """One line per substation that ``availability`` holds no rules for."""
-    return [
-        f"no availability rules for substation {sub.id}"
-        for sub in substations
-        if sub.id not in availability
-    ]
+def data_paths(substations: Sequence[Substation]) -> Dict[EntityId, Substation]:
+    """Each substation's data paths, ``GS(s)`` and ``GP(s)``: the entities an
+    availability rule may target."""
+    return {path(sub.id): sub for sub in substations for path in (ent.gw_scada, ent.gw_pmu)}
+
+
+def availability_gaps(availability: Sequence[IdrRule], substations: Sequence[Substation]) -> List[str]:
+    """One line per substation that ``availability`` holds no ``GS(s)`` rule for."""
+    targets = {rule.target for rule in availability}
+    missing = [sub.id for sub in substations if ent.gw_scada(sub.id) not in targets]
+    return [f"no availability rules for substation {sub_id}" for sub_id in missing]
 
 
 def reference_problems(
-    rules: Sequence[IdrRule], slots: Dict[EntityId, int], targets: bool = True
+    rules: Sequence[IdrRule], slots: Dict[EntityId, int], targets: Optional[Container[EntityId]] = None
 ) -> List[str]:
     """Why ``rules`` cannot be compiled over ``slots``, one line per fault: a
-    duplicate or unregistered target, or an unregistered literal.  Availability
-    rules go with ``targets=False``: their targets are data paths, not slots."""
+    duplicate target, a target outside ``targets`` (by default the slots), or
+    an unregistered literal.  Availability rules go with ``data_paths``."""
+    targets = slots if targets is None else targets
     problems: List[str] = []
     seen = set()
     for rule in rules:
-        if targets:
-            if rule.target in seen:
-                problems.append(f"duplicate rule for {rule.target}")
-            seen.add(rule.target)
-            if rule.target not in slots:
-                problems.append(f"rule target {rule.target} not registered")
+        if rule.target in seen:
+            problems.append(f"duplicate rule for {rule.target}")
+        seen.add(rule.target)
+        if rule.target not in targets:
+            problems.append(f"rule target {rule.target} not registered")
         # Sort only the unregistered few: sorting every literal dominated validate.
         for entity in sorted(e for e in rule.literals if e not in slots):
             problems.append(f"rule for {rule.target} references unknown entity {entity}")

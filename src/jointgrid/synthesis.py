@@ -16,10 +16,12 @@ feeds both the registry and every rule.
 Channel policy case 1 keeps RTU traffic strictly on the SONET path; case 2
 lets the high-bandwidth DWDM path carry RTU traffic when the SONET path is
 down.  The two cases share cascade rules and differ only in the SCADA
-availability expressions.  One pass per substation builds its cascade rules
-and both cases' availability rules: the gateway's terms (server and LAN,
-device ingest, power, ring reachability) are built once and shared by every
-rule that states them, and the cases share the PMU availability rule.
+availability rules.  Availability rules are rules like any other, on each
+substation's data paths ``GS(s)`` (SCADA) and ``GP(s)`` (PMU).  One pass per
+substation builds its cascade rules and both cases' availability rules: the
+gateway's terms (server and LAN, device ingest, power, ring reachability)
+are built once and shared by every rule that states them, and the cases
+share the PMU availability rule.
 
 Explicit placement inputs (substation map, control centers, per-substation
 homing) override the distance-derived choices; they exist because real
@@ -49,7 +51,6 @@ from jointgrid.idr import (
 )
 from jointgrid.network import (
     CASES,
-    AvailabilityRules,
     EntityMeta,
     JointNetwork,
     Ring,
@@ -450,12 +451,11 @@ def _ring_node_rule(side: _RingSide, node: int, ccs: Sequence[int]) -> IdrRule:
     return IdrRule(side.node(node), body, MIIM)
 
 
-def generate_rules(
-    network: JointNetwork,
-) -> Tuple[List[IdrRule], Dict[int, Dict[int, AvailabilityRules]]]:
-    """Ternary-model cascade rules, one per dependent entity, and the
-    data-path expressions deciding SCADA/PMU delivery, per case and then per
-    substation, from one pass over the substations.
+def generate_rules(network: JointNetwork) -> Tuple[List[IdrRule], Dict[int, List[IdrRule]]]:
+    """Ternary-model cascade rules, one per dependent entity, and per case
+    the data-path rules deciding SCADA/PMU delivery, in rule-file order
+    (substations ascending, ``GS(s)`` before ``GP(s)``), from one pass over
+    the substations.
 
     Buses, batteries, intra-substation cabling, ring links, and power-supply
     links carry no cascade rules: they fail only when attacked directly.
@@ -463,7 +463,7 @@ def generate_rules(
     data still reaches a control center is the availability layer's question
     and does not feed back into equipment failure.
 
-    The data-path expressions restate the gateway's operating conditions
+    The data-path rules restate the gateway's operating conditions
     (server and LAN, device ingest, power) with the very terms its cascade
     rule holds, add ring reachability, and are evaluated against a cascade
     fixpoint rather than iterated.  SCADA follows the SONET path; under case
@@ -472,7 +472,7 @@ def generate_rules(
     """
     sadm, oadm = sides = _ring_sides(network)
     rules: List[IdrRule] = []
-    availability: Dict[int, Dict[int, AvailabilityRules]] = {case: {} for case in CASES}
+    availability: Dict[int, List[IdrRule]] = {case: [] for case in CASES}
     for sub in sorted(network.substations, key=attrgetter("id")):
         server_body = _min_and(_min_and(ent.gateway(sub.id), ent.lan(sub.id)), _power(sub, 1, 5))
         rules.append(IdrRule(ent.server(sub.id), server_body, MIIM))
@@ -485,13 +485,13 @@ def generate_rules(
         oadm_connect = _ring_connect(oadm, sub)
         device_power = _max_or([ent.bus(b) for b in sub.buses] + [ent.battery(sub.id)])
         devices = [ent.rtu(i) for i in network.rtus[sub.id]]
-        pmu_rule = None
+        pmu_rules = []
         pmu_ids = network.pmus.get(sub.id)
         if pmu_ids:
             pmu_ingest = _ingest(sub, pmu_ids, ent.pmu, ent.pmu_channel)
             gateway_body = _new_xor([gateway_body, _min_and(head, pmu_ingest, power)])
             pmu_body = _min_and(head, _min_and(pmu_ingest, oadm_connect), power)
-            pmu_rule = IdrRule(ent.gw_pmu(sub.id), pmu_body, MIIM)
+            pmu_rules.append(IdrRule(ent.gw_pmu(sub.id), pmu_body, MIIM))
             devices += [ent.pmu(j) for j in pmu_ids]
         rules.append(IdrRule(ent.gateway(sub.id), gateway_body, MIIM))
         rules += [IdrRule(device, device_power, MIIM) for device in devices]
@@ -499,8 +499,7 @@ def generate_rules(
         scada_reach = {1: sadm_connect, 2: Op(OP_MAX_OR, (sadm_connect, oadm_connect))}
         for case in CASES:
             scada_body = _min_and(head, _min_and(scada_ingest, scada_reach[case]), power)
-            scada_rule = IdrRule(ent.gw_scada(sub.id), scada_body, MIIM)
-            availability[case][sub.id] = AvailabilityRules(scada_rule, pmu_rule)
+            availability[case] += [IdrRule(ent.gw_scada(sub.id), scada_body, MIIM), *pmu_rules]
 
     ccs = network.control_centers
     for side in sides:
@@ -559,8 +558,8 @@ def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) ->
     network.registry = build_registry(network)
     network.index_entities()
     rules, availability = generate_rules(network)
-    # A case's IIM rule set holds the very rules tuple and availability
-    # mapping of its MIIM rule set: the model names how the rules are read.
+    # A case's IIM rule set holds the very rules and availability tuples of
+    # its MIIM rule set: the model names how the rules are read.
     rules = tuple(rules)
     network.rule_sets = {(MIIM, case): RuleSet(MIIM, case, rules, availability[case]) for case in CASES}
     for case in CASES:

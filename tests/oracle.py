@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from jointgrid.entities import EntityId
+from jointgrid.entities import EntityId, gw_pmu, gw_scada
 from jointgrid.idr import (
     IIM,
     OP_BOOL_AND,
@@ -31,7 +31,7 @@ from jointgrid.idr import (
     IdrRule,
     Op,
 )
-from jointgrid.network import AvailabilityRules, RuleSet
+from jointgrid.network import RuleSet
 from jointgrid.ternary import BINARY_LEVELS, REDUCED, TERNARY_LEVELS
 
 # Each ternary operator's binary image: min-AND and new-XOR become AND,
@@ -109,6 +109,13 @@ def _translate_expr(expr):
     return Op(_BINARY_IMAGE[expr.op], tuple(_translate_expr(c) for c in expr.children))
 
 
+def paths_of(rule_set, sub_id):
+    """Substation ``sub_id``'s SCADA and PMU data-path rules in ``rule_set``,
+    the PMU rule None when there is none."""
+    rules = {rule.target: rule for rule in rule_set.availability}
+    return rules[gw_scada(sub_id)], rules.get(gw_pmu(sub_id))
+
+
 def columns(entities, arrays):
     """Each entity's column of values over the state arrays ``arrays``,
     which list the entities' values in the order of ``entities``."""
@@ -126,9 +133,6 @@ def read(rule_set):
     found = _READ.get(rule_set)
     if found is None:
         rules = [translate_to_iim(rule) for rule in rule_set.rules]
-        availability = {
-            sub_id: AvailabilityRules(translate_to_iim(avail.scada), avail.pmu and translate_to_iim(avail.pmu))
-            for sub_id, avail in rule_set.availability.items()
-        }
+        availability = [translate_to_iim(rule) for rule in rule_set.availability]
         found = _READ[rule_set] = RuleSet(IIM, rule_set.case, rules, availability)
     return found

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import columns, evaluate, read
+from oracle import columns, evaluate, paths_of, read
 from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
@@ -217,6 +217,9 @@ def test_value_history(ieee14, attack):
     assert trace.value_history(parse_entity_id("P(12)")) == [0, 0, 0]
 
 
+_KIND = {ent.KIND_GW_SCADA: "scada", ent.KIND_GW_PMU: "pmu"}
+
+
 @pytest.mark.parametrize("network_name, seed", [("ieee14", 11), ("ieee118", 12)])
 def test_compiled_availability_matches_interpreter(request, network_name, seed):
     """Each SCADA and PMU expression compiled by ``compile_expr`` under its
@@ -231,12 +234,9 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
     for model in MODELS:
         for case in CASES:
             rule_set = network.rule_set(model, case)
-            read_paths = read(rule_set).availability
             paths = [
-                (sub_id, kind, getattr(avail, kind).body, getattr(read_paths[sub_id], kind).body)
-                for sub_id, avail in sorted(rule_set.availability.items())
-                for kind in ("scada", "pmu")
-                if getattr(avail, kind) is not None
+                (rule.target.indices[0], _KIND[rule.target.kind], rule.body, read_rule.body)
+                for rule, read_rule in zip(rule_set.availability, read(rule_set).availability)
             ]
             fns = [compile_expr(expr, network.slots, model) for _, _, expr, _ in paths]
             traces = [run_cascade(network, rule_set, scenario) for scenario in kill_sets]
@@ -323,10 +323,10 @@ def _dense_masks(network, rule_set, finals):
     state = columns(network.entity_ids(), [list(final.values()) for final in finals])
     masks = [({}, {}) for _ in finals]
     for sub in network.substations:
-        avail = read(rule_set).availability[sub.id]
-        scada_ok = (evaluate(avail.scada.body, state) >= 1).tolist()
-        if sub.has_pmu and avail.pmu is not None:
-            pmu_ok = (evaluate(avail.pmu.body, state) >= 1).tolist()
+        scada_rule, pmu_rule = paths_of(read(rule_set), sub.id)
+        scada_ok = (evaluate(scada_rule.body, state) >= 1).tolist()
+        if sub.has_pmu and pmu_rule is not None:
+            pmu_ok = (evaluate(pmu_rule.body, state) >= 1).tolist()
         else:
             pmu_ok = [False] * len(finals)
         for (scada, pmu), scada_k, pmu_k in zip(masks, scada_ok, pmu_ok):
@@ -364,7 +364,7 @@ def _count_calls(monkeypatch, network):
     from jointgrid import cascade
 
     availability = {
-        id(rule.body) for rule_set in network.rule_sets.values() for rule in rule_set.availability_rules()
+        id(rule.body) for rule_set in network.rule_sets.values() for rule in rule_set.availability
     }
     calls = {"cascade": 0, "availability": [], "evaluated": 0, "reference_problems": 0}
 
@@ -491,7 +491,7 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
         assert compiled[model, 1][0] > 0
         assert compiled[model, 2][0] == 0
     for (model, case), (_, bodies) in compiled.items():
-        own = {(id(rule.body), model) for rule in network.rule_set(model, case).availability_rules()}
+        own = {(id(rule.body), model) for rule in network.rule_set(model, case).availability}
         assert bodies and len(set(bodies)) == len(bodies) and set(bodies) <= own
 
 
@@ -592,6 +592,27 @@ def test_availability_rejects_state_of_another_network(ieee14_grid, ieee14, atta
     for state in (trace.final_state(), dict(trace.final_state())):
         with pytest.raises(ValueError, match="this network"):
             data_availability(state, ieee14, rule_set)
+
+
+def test_availability_rejects_state_of_another_model(ieee14, attack):
+    """A fixpoint is read only under its own model's rule sets.  Either
+    model's fixpoint of the attack, given with the other model's rule set,
+    raises rather than report SCADA buses 10-14 lost instead of 12."""
+    for case in CASES:
+        for model, other in ((MIIM, IIM), (IIM, MIIM)):
+            final = run_cascade(ieee14, ieee14.rule_set(model, case), attack).final_state()
+            assert data_availability(final, ieee14, ieee14.rule_set(model, case)).scada_lost()
+            with pytest.raises(ValueError, match=f"not that of the {other} rule set"):
+                data_availability(final, ieee14, ieee14.rule_set(other, case))
+
+
+def test_one_tuple_given_as_both_rule_lists_gets_both_programs(ieee14, attack):
+    """Programs are cached per kind: a rule set whose availability tuple is
+    its cascade rules tuple gets an availability program of its own, which
+    refuses those rules as data-path rules."""
+    rules = ieee14.rule_set(MIIM, 1).rules
+    with pytest.raises(ScenarioError, match="^availability rules: no availability rules for substation 1"):
+        run_cascade(ieee14, RuleSet(MIIM, 1, rules, rules), attack)
 
 
 def test_availability_program_copies_the_substation_buses(ieee14_grid, attack):

@@ -1,6 +1,8 @@
 import copy
+import csv
 import hashlib
 import json
+import math
 import shutil
 
 import pytest
@@ -11,6 +13,7 @@ from oracle import read
 from jointgrid import cli, entities as ent
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
+from jointgrid.grid import MAX_PU
 from jointgrid.idr import format_idr, format_idr_file
 
 
@@ -93,8 +96,9 @@ def test_validate_non_finite_branch_number_exits_2(fixtures_dir, tmp_path, capsy
         ({"r": 0.0, "x": 1e-170}, "/branches/0/x"),  # r*r + x*x underflows to 0
         ({"x": 10**400}, "/branches/0/x"),  # too large for a float
         ({"x": "DIGITS"}, "not valid JSON"),  # past the integer digit limit
+        ({"b": 1e300}, "/branches/0/b"),  # a PMU current's squared sigma overflows
     ],
-    ids=["impedance_high", "impedance_low", "int_401_digits", "int_5000_digits"],
+    ids=["impedance_high", "impedance_low", "int_401_digits", "int_5000_digits", "susceptance_high"],
 )
 def test_validate_unusable_branch_number_exits_2(fixtures_dir, tmp_path, capsys, branch, message):
     grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
@@ -229,7 +233,7 @@ def test_rule_file_text_matches_format_idr_file(request, network_name):
             "GS(s)/GP(s) entries are data-path expressions evaluated at a fixpoint",
         ]
         rule_set = read(rule_set)
-        rules = list(rule_set.rules) + rule_set.availability_rules()
+        rules = rule_set.rules + rule_set.availability
         assert texts[model, case] == format_idr_file(rules, header=header)
 
 
@@ -248,7 +252,7 @@ def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeyp
         rule
         for case in (1, 2)
         for rule_set in [ieee14.rule_set("miim", case)]
-        for rule in (*rule_set.rules, *rule_set.availability_rules())
+        for rule in (*rule_set.rules, *rule_set.availability)
     ]
     distinct = {id(rule) for rule in every}
     assert len(calls) == len({id(rule) for rule in calls}) == len(distinct) < len(every)
@@ -429,8 +433,10 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
         ("not valid JSON", lambda buses: json.dumps({"buses": buses})[:-1]),
         ("top level", lambda buses: json.dumps([{"buses": buses}])),
         ("buses", lambda buses: json.dumps({"buses": list(buses.values())})),
+        # A SCADA voltage's squared sigma overflows.
+        ("bus 1", lambda buses: json.dumps({"buses": {b: [1e160, 0.0] for b in buses}})),
     ],
-    ids=["nan", "one_element", "not_json", "array", "buses_list"],
+    ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high"],
 )
 def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -528,11 +534,17 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("bad grid path", lambda s: {**s, "grid": "ieee14\u0000.json"}),
         ("bad grid path", lambda s: {**s, "grid": "g" * 5000}),
         ("grid file not found", lambda s: {**s, "grid": "."}),
+        ("estimation.true_state", lambda s: {**s, "estimation": {"seeds": 3, "true_state": 0}}),
+        ("estimation.true_state", lambda s: {**s, "estimation": {"seeds": 3, "true_state": ""}}),
+        ("estimation.true_state", lambda s: {**s, "estimation": {"seeds": 3, "true_state": []}}),
+        ("label", lambda s: {**s, "label": {"x": 1}}),
+        ("label", lambda s: {**s, "label": None}),
     ],
     ids=["array", "estimation_list", "estimation_empty_list", "estimation_false", "estimation_zero",
          "estimation_empty_string", "estimation_empty_object", "killed_int", "grid_int", "seed_base_str",
          "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits",
-         "grid_nul", "grid_too_long", "grid_directory"],
+         "grid_nul", "grid_too_long", "grid_directory", "true_state_zero", "true_state_empty_string",
+         "true_state_empty_list", "label_object", "label_null"],
 )
 def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, edit):
     scenario = {
@@ -547,6 +559,31 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
     code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_run_at_the_magnitude_bound_writes_finite_errors(fixtures_dir, tmp_path):
+    """A grid whose branches at PMU bus 2 have |b| at the bound, with a true
+    state of |V| at the bound on every bus, runs to exit 0 with no NaN."""
+    grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
+    for branch in grid["branches"]:
+        if 2 in (branch["from"], branch["to"]):
+            branch["b"] = MAX_PU
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    buses = {str(bus["id"]): [MAX_PU, 0.0] for bus in grid["buses"]}
+    (tmp_path / "state.json").write_text(json.dumps({"buses": buses}), encoding="utf-8")
+    scenario = {
+        "version": 1,
+        "grid": "grid.json",
+        "killed": ["P(12)", "C(1,1,6,6)", "C(1,2,6,6)"],
+        "estimation": {"seeds": 3, "true_state": "state.json"},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "errors.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2 * len(buses)
+    assert all(math.isfinite(float(row[key])) for row in rows for key in ("mean_abs_err", "std_err"))
 
 
 @pytest.fixture(scope="module")

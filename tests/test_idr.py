@@ -56,7 +56,7 @@ def assert_literals_match_walk(rule):
 def test_rule_literals_match_a_recursive_walk(ieee14, ieee118):
     for network in (ieee14, ieee118):
         for rule_set in network.rule_sets.values():  # both models, both cases
-            for rule in (*rule_set.rules, *rule_set.availability_rules()):
+            for rule in (*rule_set.rules, *rule_set.availability):
                 assert_literals_match_walk(rule)
 
 
@@ -66,7 +66,7 @@ def test_rule_leaves_are_entity_ids(ieee118):
     assert parse_expr("P(1)") == ent.bus(1)
     assert type(parse_expr("P(1)")) is EntityId
     for rule_set in ieee118.rule_sets.values():
-        for rule in (*rule_set.rules, *rule_set.availability_rules()):
+        for rule in (*rule_set.rules, *rule_set.availability):
             stack = [rule.body]
             while stack:
                 node = stack.pop()
@@ -448,8 +448,8 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
         for case in CASES:
             rule_set = ieee118.rule_set(model, case)
             for rule, read_rule in zip(
-                (*rule_set.rules, *rule_set.availability_rules()),
-                (*read(rule_set).rules, *read(rule_set).availability_rules()),
+                (*rule_set.rules, *rule_set.availability),
+                (*read(rule_set).rules, *read(rule_set).availability),
             ):
                 checks[id(rule.body)] = (compile_expr(rule.body, ieee118.slots, model), read_rule.body)
         shapes = {_shape(tree) for _, tree in checks.values()}

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import re
-from types import MappingProxyType
 
 import pytest
 
@@ -54,16 +53,49 @@ def _duplicate_target(rule_set):
 
 
 def _availability_literal(rule_set):
-    avail = rule_set.availability[6]
-    scada = _with_literal(avail.scada, ent.bus(99))
-    availability = {**rule_set.availability, 6: dataclasses.replace(avail, scada=scada)}
+    availability = [
+        _with_literal(rule, ent.bus(99)) if rule.target == ent.gw_scada(6) else rule
+        for rule in rule_set.availability
+    ]
     return dataclasses.replace(rule_set, availability=availability), ent.bus(99)
+
+
+def _duplicate_data_path(rule_set):
+    scada = next(rule for rule in rule_set.availability if rule.target == ent.gw_scada(6))
+    return dataclasses.replace(rule_set, availability=rule_set.availability + (scada,)), scada.target
+
+
+def _data_path_to(target):
+    """A breaker adding an availability rule on ``target``, which is not a
+    data path of a known substation."""
+
+    def breaker(rule_set):
+        extra = IdrRule(target, ent.bus(1), MIIM)
+        return dataclasses.replace(rule_set, availability=rule_set.availability + (extra,)), target
+
+    return breaker
 
 
 @pytest.mark.parametrize(
     "breaker",
-    [_body_literal, _cascade_target, _duplicate_target, _availability_literal],
-    ids=["body_literal", "cascade_target", "duplicate_target", "availability_literal"],
+    [
+        _body_literal,
+        _cascade_target,
+        _duplicate_target,
+        _availability_literal,
+        _duplicate_data_path,
+        _data_path_to(ent.gw_pmu(99)),
+        _data_path_to(ent.rtu(6)),
+    ],
+    ids=[
+        "body_literal",
+        "cascade_target",
+        "duplicate_target",
+        "availability_literal",
+        "duplicate_data_path",
+        "unknown_substation_path",
+        "entity_as_data_path",
+    ],
 )
 def test_validate_and_compilers_share_one_reference_check(ieee14, breaker):
     """A rule set naming an entity it may not is reported by ``validate``
@@ -80,7 +112,7 @@ def test_missing_availability_rules_named(ieee14):
     """A rule set with no availability rules for a substation is reported by
     ``validate`` and refused by the cascade engine, both naming it."""
     rule_set = ieee14.rule_set(MIIM, 1)
-    availability = {sub: avail for sub, avail in rule_set.availability.items() if sub != 6}
+    availability = [rule for rule in rule_set.availability if rule.target.indices != (6,)]
     rule_set = dataclasses.replace(rule_set, availability=availability)
     broken = dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})
     assert validate(broken) == ["miim/case1: no availability rules for substation 6"]
@@ -89,39 +121,45 @@ def test_missing_availability_rules_named(ieee14):
         run_cascade(broken, rule_set, FailureScenario.of([]))
 
 
+def _drop_substation(rules, sub_id):
+    """Remove substation ``sub_id``'s data-path rules from the list ``rules``."""
+    rules[:] = [rule for rule in rules if rule.target.indices != (sub_id,)]
+
+
 def test_availability_rules_are_read_only(ieee14):
     """Availability rules cannot change under the programs compiled from
-    them: the mapping refuses edits, even after a cascade has compiled it,
-    and the dict a rule set was built from is copied."""
+    them: the tuple refuses edits, even after a cascade has compiled it,
+    and the list a rule set was built from is copied."""
     source = ieee14.rule_set(MIIM, 1)
     _mask(ieee14, source, ATTACK)
     with pytest.raises(TypeError):
-        del source.availability[6]
-    given = dict(source.availability)
+        del source.availability[0]
+    given = list(source.availability)
     rule_set = RuleSet(MIIM, 1, source.rules, given)
     before = _mask(ieee14, rule_set, ATTACK)
     with pytest.raises(TypeError):
-        rule_set.availability[6] = source.availability[5]
-    del given[6]
-    assert dict(rule_set.availability) == dict(source.availability)
+        rule_set.availability[0] = source.availability[1]
+    _drop_substation(given, 6)
+    assert rule_set.availability == source.availability
     assert validate(dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})) == []
     assert _mask(ieee14, rule_set, ATTACK) == before
 
 
-def test_a_read_only_view_given_to_a_rule_set_is_copied(ieee14):
-    """A read-only view over a caller's dict is not the rule set's own
-    mapping: the rule set copies it, so editing the dict behind the view
-    after a cascade changes neither the rule set nor its masks."""
+def test_a_list_given_to_a_rule_set_is_copied(ieee14):
+    """A caller's list of availability rules is not the rule set's own: the
+    rule set copies it into a tuple, so editing the list after a cascade on
+    a network holding the rule set changes neither the rule set nor its
+    masks."""
     source = ieee14.rule_set(MIIM, 1)
-    given = dict(source.availability)
-    rule_set = RuleSet(MIIM, 1, source.rules, MappingProxyType(given))
+    given = list(source.availability)
+    rule_set = RuleSet(MIIM, 1, source.rules, given)
     network = dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})
     before = _mask(network, rule_set, ATTACK)
     assert not before.scada[12]
-    del given[6]
+    _drop_substation(given, 6)
     assert validate(network) == []
     assert _mask(network, rule_set, ATTACK) == before
-    assert dict(rule_set.availability) == dict(source.availability)
+    assert rule_set.availability == source.availability
 
 
 def test_deepcopy_shares_the_immutable_rule_sets(ieee14):

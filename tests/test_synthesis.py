@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import columns, evaluate, read, translate_to_iim
+from oracle import columns, evaluate, paths_of, read, translate_to_iim
 from jointgrid import entities as ent
 from jointgrid.entities import parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
@@ -507,16 +507,16 @@ def test_cases_share_cascade_rules_and_differ_in_scada_availability(ieee14):
         case2 = ieee14.rule_set(model, 2)
         assert case1.rules is case2.rules
         for sub in ieee14.substations:
-            a1, a2 = case1.availability[sub.id], case2.availability[sub.id]
-            assert a1.scada != a2.scada
-            assert a1.pmu is a2.pmu
+            (scada1, pmu1), (scada2, pmu2) = paths_of(case1, sub.id), paths_of(case2, sub.id)
+            assert scada1 != scada2
+            assert pmu1 is pmu2
 
 
 def test_case2_adds_exactly_one_fallback_branch(ieee14):
     from jointgrid.idr import Op, OP_MAX_OR
 
-    case1 = ieee14.rule_set(MIIM, 1).availability[6].scada
-    case2 = ieee14.rule_set(MIIM, 2).availability[6].scada
+    case1 = paths_of(ieee14.rule_set(MIIM, 1), 6)[0]
+    case2 = paths_of(ieee14.rule_set(MIIM, 2), 6)[0]
     reach1 = case1.body.children[1].children[1]
     reach2 = case2.body.children[1].children[1]
     assert isinstance(reach2, Op) and reach2.op == OP_MAX_OR
@@ -537,8 +537,8 @@ def test_iim_rules_are_translations(request, network_name, case):
     miim, iim = network.rule_set(MIIM, case), network.rule_set(IIM, case)
     assert iim.rules is miim.rules
     assert iim.availability is miim.availability
-    assert miim.availability.keys() == iim.availability.keys()
-    for rule in (*miim.rules, *miim.availability_rules()):
+    assert [rule.target for rule in miim.availability] == [rule.target for rule in iim.availability]
+    for rule in (*miim.rules, *miim.availability):
         translated = compile_expr(translate_to_iim(rule).body, network.slots, IIM)
         reading = compile_expr(rule.body, network.slots, IIM)
         assert _bound(reading) == _bound(translated), format_idr(rule)
@@ -558,7 +558,7 @@ def _binary_reading_mismatches(network, arrays):
         id(rule.body): rule
         for case in CASES
         for rule_set in [network.rule_set(IIM, case)]
-        for rule in (*rule_set.rules, *rule_set.availability_rules())
+        for rule in (*rule_set.rules, *rule_set.availability)
     }
     checks = [
         (rule, compile_expr(rule.body, network.slots, IIM), translate_to_iim(rule).body)
@@ -631,10 +631,10 @@ def test_rules_of_a_substation_share_their_terms(request, network_name):
         gateway = rules[ent.gateway(sub.id)].body
         cores = gateway.children if network.pmus[sub.id] else (gateway,)
         head, _, power = cores[0].children
-        paths = [network.rule_set(MIIM, case).availability[sub.id] for case in CASES]
-        holders = [*cores, *(avail.scada.body for avail in paths)]
+        paths = [paths_of(network.rule_set(MIIM, case), sub.id) for case in CASES]
+        holders = [*cores, *(scada.body for scada, _ in paths)]
         if network.pmus[sub.id]:
-            holders.append(paths[0].pmu.body)
+            holders.append(paths[0][1].body)
         for body in holders:
             assert body.children[0] is head
             assert body.children[2] is power
@@ -647,10 +647,8 @@ def test_registry_closure(ieee14):
     for rule_set in ieee14.rule_sets.values():
         for rule in rule_set.rules:
             assert free_entities(rule) <= set(ieee14.registry)
-        for avail in rule_set.availability.values():
-            assert free_entities(avail.scada) <= set(ieee14.registry)
-            if avail.pmu:
-                assert free_entities(avail.pmu) <= set(ieee14.registry)
+        for rule in rule_set.availability:
+            assert free_entities(rule) <= set(ieee14.registry)
 
 
 def test_generated_network_validates(ieee14):
