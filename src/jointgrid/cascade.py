@@ -17,20 +17,23 @@ monotone operators only) is at top, so a mask starts from the
 full-operation mask and evaluates only the rules that read a slot the
 cascade lowered.
 
-Both kinds of rule run through one evaluator: each rule is compiled on
-first need, over the network's slot map, to a function ``f(a)`` of a state
-array, and kept.  Rules of one shape share one code object (see
-``idr.compile_expr``).  Rules compile under their rule set's model: a
-network's IIM rule sets hold its ternary rules, read as binary, so no
-binary rule tree exists at run time.  Each network keeps one program per
-rules tuple and one per availability tuple, both immutable, so a program
-cannot go stale and dies with its network.  A synthesized network's four
-rule sets hold one rules tuple and a case's two models one availability
-tuple, so only the compiled functions are per model.  The package has no
-other rule evaluator; the tests check the compiled functions against an
-interpretive one of their own.
-The compilers check a rule set's references through the slot lookups they
-make anyway; only a refused rule set is walked again, by
+Both kinds of rule run through one program class and one evaluator: each
+rule is compiled on first need, over the network's slot map, to a function
+``f(a)`` of a state array, and kept.  Rules of one shape share one code
+object (see ``idr.compile_expr``).  Rules compile under their rule set's
+model: a network's IIM rule sets hold its ternary rules, read as binary, so
+no binary rule tree exists at run time.  A program maps each rule to its
+target (a cascade rule's slot; a data-path rule's mask and buses, from
+``network.data_paths``) and each slot to the rules that read it; the
+data-path program adds the full-operation masks.  Each network keeps one
+program per class and immutable rules tuple, so a program cannot go stale
+and dies with its network.  A synthesized network's four rule sets hold one
+rules tuple and a case's two models one availability tuple, so only the
+compiled functions are per model.  The package has no other rule
+evaluator; the tests check the compiled functions against an interpretive
+one of their own.
+A program checks its rules' references through the lookups it makes
+anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
 """
 
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
-from jointgrid.entities import KIND_GW_PMU, EntityId, gw_pmu
+from jointgrid.entities import EntityId, gw_pmu
 from jointgrid.idr import MIIM, IdrRule, compile_expr
 from jointgrid.network import MODELS, JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
 
@@ -150,88 +153,72 @@ class _Functions(dict):
         return fn
 
 
-class _CascadeProgram:
-    """One cascade rules tuple over one slot map: per rule its target slot
-    (``targets``), per slot the rules that read it (``rdeps``), and each
-    model's functions (``fns[model]``)."""
+class _Program:
+    """One rules tuple over one slot map: per rule ``targets[rule.target]``
+    (``targets``), per slot the rules that read it (``readers``), and each
+    model's functions (``fns[model]``).  A cascade rule's target is its slot."""
 
-    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int]):
+    label = "cascade rules"
+
+    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], targets: Mapping):
         self.rules = rules  # also keeps this tuple's id() from being reused
-        self.rdeps: Dict[int, List[int]] = {}
-        try:
-            self.targets = [slots[rule.target] for rule in rules]
-            for rule_index, rule in enumerate(rules):
-                for entity in rule.literals:
-                    self.rdeps.setdefault(slots[entity], []).append(rule_index)
-        except KeyError:
-            raise _refusal("cascade rules", rules, slots) from None
-        if len(set(self.targets)) < len(rules):
-            raise _refusal("cascade rules", rules, slots)
-        self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
-
-
-class _AvailabilityProgram:
-    """One availability tuple over one network: the full-operation masks,
-    per data-path rule the mask it clears (0 SCADA, 1 PMU) and its
-    substation's buses (``clears``), per slot the rules that read it
-    (``readers``), and each model's functions (``fns[model]``)."""
-
-    def __init__(self, rules: Tuple[IdrRule, ...], network: JointNetwork):
-        slots, paths = network.slots, data_paths(network.substations)
-        self.rules = rules  # also keeps this tuple's id() from being reused
-        gaps = availability_gaps(rules, network.substations)
-        if gaps:
-            raise ScenarioError(f"availability rules: {'; '.join(gaps[:5])}")
-        self.clears: List[Tuple[int, Tuple[int, ...]]] = []
         self.readers: Dict[int, List[int]] = {}
         try:
+            self.targets = [targets[rule.target] for rule in rules]
             for index, rule in enumerate(rules):
-                # A copy: the substation's list may change under the program.
-                self.clears.append((int(rule.target.kind == KIND_GW_PMU), tuple(paths[rule.target].buses)))
                 for entity in rule.literals:
                     self.readers.setdefault(slots[entity], []).append(index)
+            refused = len({rule.target for rule in rules}) < len(rules)
         except KeyError:
-            raise _refusal("availability rules", rules, slots, paths) from None
-        targets = {rule.target for rule in rules}
-        if len(targets) < len(rules):
-            raise _refusal("availability rules", rules, slots, paths)
-        # At full operation every rule is at top, so every path delivers.
-        subs = network.substations
-        self.scada = {bus: True for sub in subs for bus in sub.buses}
-        self.pmu = {bus: sub.has_pmu and gw_pmu(sub.id) in targets for sub in subs for bus in sub.buses}
-        self.pmu_equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
+            refused = True
+        if refused:
+            problems = reference_problems(rules, slots, targets)
+            raise ScenarioError(f"{self.label}: {'; '.join(problems[:5])}")
         self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
 
 
-def _refusal(label: str, rules, slots: Dict[EntityId, int], targets=None) -> ScenarioError:
-    """The error for rules a slot lookup refused, in ``validate``'s words."""
-    problems = reference_problems(rules, slots, targets)
-    return ScenarioError(f"{label}: {'; '.join(problems[:5])}")
+class _AvailabilityProgram(_Program):
+    """A program of data-path rules over one network, each rule's target the
+    mask it clears (0 SCADA, 1 PMU) and a copy of its substation's buses
+    (``network.data_paths``), plus the full-operation masks."""
+
+    label = "availability rules"
+
+    def __init__(self, rules: Tuple[IdrRule, ...], network: JointNetwork):
+        gaps = availability_gaps(rules, network.substations)
+        if gaps:
+            raise ScenarioError(f"{self.label}: {'; '.join(gaps[:5])}")
+        super().__init__(rules, network.slots, data_paths(network.substations))
+        # At full operation every rule is at top, so every path delivers.
+        subs, held = network.substations, {rule.target for rule in rules}
+        self.scada = {bus: True for sub in subs for bus in sub.buses}
+        self.pmu = {bus: sub.has_pmu and gw_pmu(sub.id) in held for sub in subs for bus in sub.buses}
+        self.pmu_equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
 
 
-# Compiled programs per network and its slot map, one map per kind (a tuple
-# may be given as both kinds), each program under the id() of the rules
-# tuple it is compiled from, an immutable object.  A program holds that
-# tuple, so no id() is reused while its entry stands, and never the
-# network, so a network's programs die with it.
+# Compiled programs per network and its slot map, each under its class and
+# the id() of the rules tuple it is compiled from, an immutable object (a
+# tuple may be given as both kinds).  A program holds that tuple, so no
+# id() is reused while its entry stands, and never the network, so a
+# network's programs die with it.
 _PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_CascadeProgram, _AvailabilityProgram]:
+def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_Program, _AvailabilityProgram]:
     """``rule_set``'s cascade and availability programs over ``network``,
     built on first need, the cascade rules first.  A network given a new
     slot map (``index_entities``) starts afresh."""
-    slots, cascades, availabilities = _PROGRAMS.get(network, (None, None, None))
+    slots, programs = _PROGRAMS.get(network, (None, None))
     if slots is not network.slots:
-        cascades, availabilities = {}, {}
-        _PROGRAMS[network] = (network.slots, cascades, availabilities)
+        slots, programs = network.slots, {}
+        _PROGRAMS[network] = (slots, programs)
     rules, paths = rule_set.rules, rule_set.availability
-    cascade = cascades.get(id(rules))
+    cascade = programs.get((_Program, id(rules)))
     if cascade is None:
-        cascade = cascades[id(rules)] = _CascadeProgram(rules, network.slots)
-    availability = availabilities.get(id(paths))
+        cascade = programs[_Program, id(rules)] = _Program(rules, slots, slots)
+    availability = programs.get((_AvailabilityProgram, id(paths)))
     if availability is None:
-        availability = availabilities[id(paths)] = _AvailabilityProgram(paths, network)
+        availability = programs[_AvailabilityProgram, id(paths)] = _AvailabilityProgram(paths, network)
     return cascade, availability
 
 
@@ -260,7 +247,7 @@ def run_cascade(
 
     frontier: Set[int] = set(killed_slots)
     max_steps = 2 * len(entities) + 2
-    targets, rdeps, fns = program.targets, program.rdeps, program.fns[rule_set.model]
+    targets, readers, fns = program.targets, program.readers, program.fns[rule_set.model]
 
     while frontier:
         if len(changed_per_step) > max_steps:
@@ -269,7 +256,7 @@ def run_cascade(
             )
         candidates: Set[int] = set()
         for slot in frontier:
-            candidates.update(rdeps.get(slot, ()))
+            candidates.update(readers.get(slot, ()))
         updates: Dict[int, int] = {}
         for rule_index in sorted(candidates):
             target_slot = targets[rule_index]
@@ -371,7 +358,7 @@ def data_availability(
     state = final_state.array
     for index in {i for slot in final_state.lowered for i in program.readers.get(slot, ())}:
         if fns[index](state) < 1:
-            mask, buses = program.clears[index]
+            mask, buses = program.targets[index]
             for bus in buses:
                 masks[mask][bus] = False
     return AvailabilityMask(scada, pmu, program.pmu_equipped)
@@ -385,9 +372,6 @@ class FootprintDiff:
     scada_only_b: Set[int] = field(default_factory=set)
     pmu_only_a: Set[int] = field(default_factory=set)
     pmu_only_b: Set[int] = field(default_factory=set)
-
-    def empty(self) -> bool:
-        return not (self.scada_only_a or self.scada_only_b or self.pmu_only_a or self.pmu_only_b)
 
 
 def footprint_diff(mask_a: AvailabilityMask, mask_b: AvailabilityMask) -> FootprintDiff:

@@ -180,6 +180,9 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
         pmu=_bus_flags(payload, "pmu", path),
         pmu_equipped=frozenset(equipped),
     )
+    unequipped = sorted(bus for bus, ok in mask.pmu.items() if ok and bus not in mask.pmu_equipped)
+    if unequipped:
+        raise ScenarioFileError(f"{path}: pmu: bus {unequipped[0]} is flagged but not in pmu_equipped")
     return payload, mask
 
 
@@ -348,6 +351,10 @@ def load_true_state(path, grid: Grid) -> estimation.StateVector:
     missing = [b for b in grid.bus_ids if str(b) not in buses]
     if missing:
         raise ScenarioFileError(f"{path}: true state misses buses {missing}")
+    if len(buses) > len(grid.bus_ids):
+        known = {str(b) for b in grid.bus_ids}
+        unknown = next(key for key in buses if key not in known)
+        raise ScenarioFileError(f"{path}: buses: {unknown!r} is not a bus of the grid")
     voltages = []
     for b in grid.bus_ids:
         entry = buses[str(b)]

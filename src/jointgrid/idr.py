@@ -195,11 +195,7 @@ class _Parser:
             if token is None or token[0] != "op":
                 break
             op = _SYMBOL_OP[token[1]]
-            if _OP_LEVEL[op] != level:
-                if _OP_LEVEL[op] > level:
-                    raise IdrSyntaxError(
-                        f"internal precedence error at position {token[2]}"
-                    )
+            if _OP_LEVEL[op] != level:  # looser: the operands took every tighter one
                 break
             if chain_op is None:
                 chain_op = op

@@ -9,10 +9,12 @@ kind, on each substation's data-path pseudo-entities ``GS(s)`` (SCADA) and
 ``GP(s)`` (PMU): they are evaluated at a cascade fixpoint, not iterated, and
 decide whether the substation's data still reaches a control center.
 
-``validate`` is the one walk that checks every rule's references against
-the slot map (``reference_problems``); the cascade compilers check through
-their own slot lookups and ask ``reference_problems`` only for the wording
-of a refusal.
+A rule's target is an entry of a map: a cascade rule's is its slot, and a
+data-path rule's (``data_paths``) is the mask it clears and its substation's
+buses.  ``validate`` is the one walk that checks every rule's references
+against the slot map and its target map (``reference_problems``); the
+cascade engine's one program class checks through its own lookups and asks
+``reference_problems`` only for the wording of a refusal.
 """
 
 from __future__ import annotations
@@ -165,8 +167,8 @@ class JointNetwork:
 
 def validate(network: JointNetwork) -> List[str]:
     """Check structural invariants; each violation is a human-readable line.
-    Rule sets pass ``reference_problems``, the wording the cascade compilers
-    also use when a slot lookup refuses a rule."""
+    Rule sets pass ``reference_problems``, the wording the cascade engine
+    also uses when a lookup refuses a rule."""
     problems: List[str] = []
     grid_buses = set(network.grid.bus_ids)
 
@@ -231,18 +233,20 @@ def validate(network: JointNetwork) -> List[str]:
     paths = data_paths(network.substations)
     for (model, case), rule_set in sorted(network.rule_sets.items()):
         found = availability_gaps(rule_set.availability, network.substations)
-        found += reference_problems(rule_set.availability, network.slots, targets=paths)
+        found += reference_problems(rule_set.availability, network.slots, paths)
         if id(rule_set.rules) not in checked:
             checked.add(id(rule_set.rules))
-            found = reference_problems(rule_set.rules, network.slots) + found
+            found = reference_problems(rule_set.rules, network.slots, network.slots) + found
         problems += [f"{model}/case{case}: {problem}" for problem in found]
     return problems
 
 
-def data_paths(substations: Sequence[Substation]) -> Dict[EntityId, Substation]:
-    """Each substation's data paths, ``GS(s)`` and ``GP(s)``: the entities an
-    availability rule may target."""
-    return {path(sub.id): sub for sub in substations for path in (ent.gw_scada, ent.gw_pmu)}
+def data_paths(substations: Sequence[Substation]) -> Dict[EntityId, Tuple[int, Tuple[int, ...]]]:
+    """Each substation's data paths, the entities an availability rule may
+    target: ``GS(s)`` clears mask 0 (SCADA) and ``GP(s)`` mask 1 (PMU), each
+    at a copy of the substation's buses."""
+    paths = (ent.gw_scada, ent.gw_pmu)
+    return {path(sub.id): (mask, tuple(sub.buses)) for sub in substations for mask, path in enumerate(paths)}
 
 
 def availability_gaps(availability: Sequence[IdrRule], substations: Sequence[Substation]) -> List[str]:
@@ -253,12 +257,13 @@ def availability_gaps(availability: Sequence[IdrRule], substations: Sequence[Sub
 
 
 def reference_problems(
-    rules: Sequence[IdrRule], slots: Dict[EntityId, int], targets: Optional[Container[EntityId]] = None
+    rules: Sequence[IdrRule], slots: Dict[EntityId, int], targets: Container[EntityId]
 ) -> List[str]:
     """Why ``rules`` cannot be compiled over ``slots``, one line per fault: a
-    duplicate target, a target outside ``targets`` (by default the slots), or
-    an unregistered literal.  Availability rules go with ``data_paths``."""
-    targets = slots if targets is None else targets
+    duplicate target, a target outside ``targets`` (cascade rules go with the
+    slots, availability rules with ``data_paths``), or an unregistered
+    literal."""
+    outside = "not registered" if targets is slots else "is not a data path of a known substation"
     problems: List[str] = []
     seen = set()
     for rule in rules:
@@ -266,7 +271,7 @@ def reference_problems(
             problems.append(f"duplicate rule for {rule.target}")
         seen.add(rule.target)
         if rule.target not in targets:
-            problems.append(f"rule target {rule.target} not registered")
+            problems.append(f"rule target {rule.target} {outside}")
         # Sort only the unregistered few: sorting every literal dominated validate.
         for entity in sorted(e for e in rule.literals if e not in slots):
             problems.append(f"rule for {rule.target} references unknown entity {entity}")

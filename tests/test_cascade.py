@@ -8,6 +8,7 @@ from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
     FailureScenario,
+    FootprintDiff,
     ScenarioError,
     data_availability,
     footprint_diff,
@@ -201,7 +202,7 @@ def test_footprint_diff_reference_sets(ieee14, attack):
     assert case_diff.scada_only_a == set()
 
     same = footprint_diff(masks[(MIIM, 1)], masks[(MIIM, 2)])
-    assert same.empty()
+    assert same == FootprintDiff()
 
 
 def test_footprint_diff_bus_set_mismatch():

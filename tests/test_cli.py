@@ -435,8 +435,12 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
         ("buses", lambda buses: json.dumps({"buses": list(buses.values())})),
         # A SCADA voltage's squared sigma overflows.
         ("bus 1", lambda buses: json.dumps({"buses": {b: [1e160, 0.0] for b in buses}})),
+        ("misses buses [5]", lambda buses: json.dumps({"buses": {b: buses[b] for b in buses if b != "5"}})),
+        ("'99' is not a bus", lambda buses: json.dumps({"buses": {**buses, "99": [1, 0], "x": "junk"}})),
+        ("'x' is not a bus", lambda buses: json.dumps({"buses": {**buses, "x": "junk"}})),
     ],
-    ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high"],
+    ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high", "missing_bus",
+         "extra_bus", "non_bus_key"],
 )
 def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -486,10 +490,15 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
         ("grid file not found", [], lambda m: json.dumps({**m, "grid": "."})),
         ("model", [], lambda m: json.dumps({**m, "model": ["miim"]})),
         ("model", [], lambda m: json.dumps({**m, "model": {"name": "miim"}})),
+        ("scada must be an object", [], lambda m: json.dumps({**m, "scada": list(m["scada"].values())})),
+        # A PMU flag is true only where a PMU is installed.
+        ("pmu: bus 1", [], lambda m: json.dumps({**m, "pmu": dict.fromkeys(m["pmu"], True),
+                                                 "pmu_equipped": [2, 10, 13]})),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
-         "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object"],
+         "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
+         "scada_not_object", "pmu_not_equipped"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"

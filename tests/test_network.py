@@ -77,15 +77,15 @@ def _data_path_to(target):
 
 
 @pytest.mark.parametrize(
-    "breaker",
+    "breaker, wording",
     [
-        _body_literal,
-        _cascade_target,
-        _duplicate_target,
-        _availability_literal,
-        _duplicate_data_path,
-        _data_path_to(ent.gw_pmu(99)),
-        _data_path_to(ent.rtu(6)),
+        (_body_literal, "references unknown entity {}"),
+        (_cascade_target, "rule target {} not registered"),
+        (_duplicate_target, "duplicate rule for {}"),
+        (_availability_literal, "references unknown entity {}"),
+        (_duplicate_data_path, "duplicate rule for {}"),
+        (_data_path_to(ent.gw_pmu(99)), "rule target {} is not a data path of a known substation"),
+        (_data_path_to(ent.rtu(6)), "rule target {} is not a data path of a known substation"),
     ],
     ids=[
         "body_literal",
@@ -97,15 +97,20 @@ def _data_path_to(target):
         "entity_as_data_path",
     ],
 )
-def test_validate_and_compilers_share_one_reference_check(ieee14, breaker):
+def test_validate_and_compilers_share_one_reference_check(ieee14, breaker, wording):
     """A rule set naming an entity it may not is reported by ``validate``
-    and rejected by the cascade compilers, both naming the entity."""
+    and rejected by the cascade compilers, both naming the entity in the
+    same words: a data-path rule's target outside the data paths is not a
+    data path, even where it is registered."""
     rule_set, entity = breaker(ieee14.rule_set(MIIM, 1))
     broken = dataclasses.replace(ieee14, rule_sets={**ieee14.rule_sets, (MIIM, 1): rule_set})
     problems = validate(broken)
     assert problems and all(str(entity) in p for p in problems), problems
-    with pytest.raises(ScenarioError, match=re.escape(str(entity))):
+    with pytest.raises(ScenarioError, match=re.escape(str(entity))) as refused:
         run_cascade(broken, rule_set, FailureScenario.of([]))
+    expected = wording.format(entity)
+    assert any(p.endswith(expected) for p in problems), problems
+    assert expected in str(refused.value)
 
 
 def test_missing_availability_rules_named(ieee14):
@@ -218,6 +223,45 @@ def test_split_ring_flagged(ieee14):
     )
     problems = validate(broken)
     assert any("multiple cycles" in p for p in problems)
+
+
+def _empty_substation(network):
+    network.substation(6).buses.clear()
+
+
+def _foreign_bus(network):
+    network.substation(3).buses.append(99)
+
+
+def _pmu_flag_without_pmus(network):
+    network.substation(6).has_pmu = True
+
+
+def _pmus_without_flag(network):
+    network.substation(4).has_pmu = False
+
+
+def _ring_link_to_unknown_node(network):
+    network.oadm_ring = Ring("oadm", network.oadm_ring.hosts, network.oadm_ring.edges + [(1, 9)])
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_empty_substation, "substation 6: empty bus list"),
+        (_foreign_bus, "substation 3: unknown bus 99"),
+        (_pmu_flag_without_pmus, "substation 6: flagged for PMU but none registered"),
+        (_pmus_without_flag, "substation 4: PMUs registered without placement flag"),
+        (_ring_link_to_unknown_node, "oadm ring: link (1,9) references unknown node"),
+    ],
+    ids=["empty_substation", "foreign_bus", "pmu_flag_without_pmus", "pmus_without_flag",
+         "ring_link_to_unknown_node"],
+)
+def test_structural_fault_named(ieee14, edit, problem):
+    """Each structural fault is reported naming its substation or ring."""
+    broken = copy.deepcopy(ieee14)
+    edit(broken)
+    assert problem in validate(broken)
 
 
 def test_missing_rtu_flagged(ieee14):
