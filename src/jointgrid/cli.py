@@ -32,7 +32,7 @@ from jointgrid.cascade import (
     run_cascade,
 )
 from jointgrid.entities import EntityError, parse_entity_id
-from jointgrid.grid import MAX_PU, Grid, GridError, load_grid
+from jointgrid.grid import MAX_PU, Grid, GridError, int_key, load_grid
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
 from jointgrid.network import CASES, EntityMeta, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
@@ -156,10 +156,7 @@ def _bus_flags(payload: dict, field: str, path: Path) -> Dict[int, bool]:
         raise ScenarioFileError(f"{path}: {field} must be an object of bus id -> true/false")
     parsed = {}
     for bus, ok in flags.items():
-        try:
-            bus_id = int(bus)
-        except ValueError:
-            bus_id = None
+        bus_id = int_key(bus)
         if bus_id is None or not isinstance(ok, bool):
             raise ScenarioFileError(f"{path}: {field}: bad entry {bus!r}: {ok!r}")
         parsed[bus_id] = ok

@@ -7,7 +7,7 @@ pseudo-measurement per delivered bus (the output of the conventional
 estimation stage, carrying its error level); PMUs feed a precise voltage
 measurement plus one current measurement per incident branch.
 
-Measurement noise is Gaussian, zero-mean, independent per rectangular
+The noise is Gaussian, zero-mean, independent per rectangular
 component: 3 percent of the local voltage magnitude for SCADA and 0.1
 percent of the local signal magnitude for PMUs.  Weights are the inverse
 per-component variances on a diagonal; cross-component covariance is
@@ -18,22 +18,25 @@ pseudo-measurement (1+j0, sigma 0.5 pu) so the solve proceeds, and are
 flagged in reports; under a mask that delivers nothing, every bus is.
 
 The design matrix, the weights and observability depend only on the mask
-and the true state, never on the noise.  ``compare_models`` therefore
-builds the noise-free measurement template once for the union of the
-masks and, per mask, scales the system and anchors its unobservable buses
-once, read from the measurement graph.  Each seed then costs one noise
-draw, and all seeds of a mask are solved by one least-squares call with
-one right-hand-side column per seed.  The per-seed path
-(``simulate_measurements``, ``solve_with_anchors``, ``wls_solve``) stays as
-the reference it is tested against: each of its solves takes the rank, the
-null-space buses and the solution from one SVD.
+and the true state, never on the noise.  ``measurement_template`` builds
+them as arrays in one pass: per measurement entry its two rows of the
+design matrix J (real and imaginary part), its exact values and floored
+variances, its noise sigma, the flag that gates it and the bus whose
+voltage it fixes.  ``compare_models`` builds one template for the union of
+the masks; each mask's system is the row selection ``kept(mask)`` of it,
+scaled once by ``analyse_system``, which anchors every bus that no kept
+entry fixes.  Each seed then costs one noise draw, and all seeds of a mask
+are solved by one least-squares call with one right-hand-side column per
+seed.  The per-seed path (``solve_with_anchors`` and ``wls_solve`` on one
+J, W, Z) stays as the reference it is tested against: each of its solves
+takes the rank, the null-space buses and the solution from one SVD.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,9 +49,7 @@ SIGMA_FLOOR = 1e-6
 ANCHOR_SIGMA = 0.5
 RANK_TOL = 1e-8
 
-KIND_SCADA_V = "scada_v"
-KIND_PMU_V = "pmu_v"
-KIND_PMU_I = "pmu_i"
+_IDENTITY = np.eye(2)
 
 
 class EstimationError(ValueError):
@@ -135,47 +136,26 @@ def branch_current(adm: BranchAdmittance, va: complex, vb: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    kind: str
-    bus: int  # measured bus (owner of the PMU / SCADA estimate)
-    other_bus: Optional[int]  # far end for current measurements
-    branch_index: Optional[int]  # index into grid.branches for currents
-    z_r: float
-    z_i: float
-    var_r: float
-    var_i: float
-
-
-def _delivered(m: Measurement, mask: AvailabilityMask) -> bool:
-    """Whether the bus producing ``m`` still delivers its data under the mask."""
-    if m.kind == KIND_SCADA_V:
-        return mask.scada.get(m.bus, False)
-    return mask.pmu.get(m.bus, False)
-
-
-@dataclass
-class MeasurementSet:
-    entries: List[Measurement] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def filtered(self, mask: AvailabilityMask) -> "MeasurementSet":
-        """Entries whose producing bus still delivers under the mask."""
-        return MeasurementSet([m for m in self.entries if _delivered(m, mask)])
-
-
-@dataclass(frozen=True)
 class MeasurementTemplate:
-    """The noise-free measurements under one mask, in draw order.
+    """The noise-free measurements under one mask as arrays, in draw order.
 
-    ``exact`` holds the true values and the floored variances; ``sigmas``
-    holds each entry's per-component noise sigma before flooring (zero
-    allowed).  Nothing here depends on the seed.
+    Entry k owns rows 2k (real part) and 2k+1 (imaginary part) of the design
+    matrix ``J``, of the exact ``values`` and of the ``variances``: its noise
+    variance, floored at ``SIGMA_FLOOR`` so weights stay positive.  Per entry,
+    ``sigmas`` holds the noise sigma before flooring (zero allowed); ``pmu``
+    and ``bus`` name the flag that gates it (the PMU flag of that bus, else
+    its SCADA flag); ``fixes`` is the bus whose voltage it fixes: its own bus
+    for a voltage, the far end for a branch current.  Nothing here depends
+    on the seed.
     """
 
-    exact: MeasurementSet
+    J: np.ndarray
+    values: np.ndarray
+    variances: np.ndarray
     sigmas: np.ndarray
+    pmu: np.ndarray
+    bus: np.ndarray
+    fixes: np.ndarray
 
     def noise(self, seed: int) -> np.ndarray:
         """Interleaved [r, i] noise of every entry for one seed.
@@ -184,6 +164,15 @@ class MeasurementTemplate:
         per entry in order.
         """
         return np.random.default_rng(seed).normal(0.0, np.repeat(self.sigmas, 2))
+
+    def kept(self, mask: AvailabilityMask) -> np.ndarray:
+        """One boolean per row: whether its entry's gating flag is set under
+        ``mask``."""
+        delivered = [
+            (mask.pmu if pmu else mask.scada).get(bus, False)
+            for pmu, bus in zip(self.pmu.tolist(), self.bus.tolist())
+        ]
+        return np.repeat(np.array(delivered, dtype=bool), 2)
 
 
 def _incident_branches(grid: Grid) -> Dict[int, List[int]]:
@@ -202,94 +191,57 @@ def measurement_template(
     scada_sigma: float = SCADA_SIGMA,
     pmu_sigma: float = PMU_SIGMA,
 ) -> MeasurementTemplate:
-    """Noise-free measurement entries under a mask, in draw order: SCADA
-    voltages by bus, then per PMU bus its voltage and incident-branch
-    currents in branch order."""
-    entries: List[Measurement] = []
+    """The measurement entries under a mask, in draw order: SCADA voltages
+    by bus, then per PMU bus its voltage and incident-branch currents in
+    branch order.  A narrower mask's entries are a subset of these, in the
+    same order, so its system is a row selection (``kept``) of this one."""
+    col = {bus: 2 * i for i, bus in enumerate(grid.bus_ids)}
+    rows: List[np.ndarray] = []
+    values: List[Tuple[float, float]] = []
     sigmas: List[float] = []
+    gates: List[Tuple[bool, int, int]] = []  # (pmu, bus, fixed bus)
 
-    def add(kind, bus, other, branch_index, value: complex, sigma: float):
-        # Noise is drawn at the exact sigma; the recorded variance is floored
-        # so weights stay positive.
-        var = max(sigma, SIGMA_FLOOR) ** 2
-        entries.append(
-            Measurement(kind, bus, other, branch_index, value.real, value.imag, var, var)
-        )
+    def add(pmu: bool, bus: int, fixed: int, blocks, value: complex, sigma: float):
+        row = np.zeros((2, 2 * len(col)))
+        for block_bus, block in blocks:
+            row[:, col[block_bus] : col[block_bus] + 2] = block
+        rows.append(row)
+        values.append((value.real, value.imag))
         sigmas.append(sigma)
+        gates.append((pmu, bus, fixed))
 
     buses = sorted(true_state.bus_ids)
     for bus in buses:
         if mask.scada.get(bus, False):
             v = true_state.voltage(bus)
-            add(KIND_SCADA_V, bus, None, None, v, scada_sigma * abs(v))
+            add(False, bus, bus, [(bus, _IDENTITY)], v, scada_sigma * abs(v))
 
     incident = _incident_branches(grid)
     for bus in buses:
         if not mask.pmu.get(bus, False):
             continue
         v = true_state.voltage(bus)
-        add(KIND_PMU_V, bus, None, None, v, pmu_sigma * abs(v))
+        add(True, bus, bus, [(bus, _IDENTITY)], v, pmu_sigma * abs(v))
         for branch_index in incident.get(bus, []):
             branch = grid.branches[branch_index]
             other = branch.to_bus if bus == branch.from_bus else branch.from_bus
             adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
+            block = branch_current_rows(adm)
             current = branch_current(adm, v, true_state.voltage(other))
-            add(KIND_PMU_I, bus, other, branch_index, current, pmu_sigma * abs(current))
-    return MeasurementTemplate(MeasurementSet(entries), np.array(sigmas, dtype=float))
-
-
-def simulate_measurements(
-    true_state: StateVector,
-    grid: Grid,
-    mask: AvailabilityMask,
-    seed: int,
-    scada_sigma: float = SCADA_SIGMA,
-    pmu_sigma: float = PMU_SIGMA,
-) -> MeasurementSet:
-    """Draw one noisy measurement set under an availability mask.
-
-    Deterministic in the seed: identical inputs reproduce the set exactly.
-    Draw order is fixed (SCADA voltages by bus, then per PMU bus its voltage
-    and incident-branch currents), so a wider mask is a superset of draws.
-    """
-    template = measurement_template(true_state, grid, mask, scada_sigma, pmu_sigma)
-    noise = template.noise(seed)
-    return MeasurementSet(
-        [
-            replace(m, z_r=m.z_r + noise[2 * k], z_i=m.z_i + noise[2 * k + 1])
-            for k, m in enumerate(template.exact.entries)
-        ]
+            blocks = [(bus, block[:, 0:2]), (other, block[:, 2:4])]
+            add(True, bus, other, blocks, current, pmu_sigma * abs(current))
+    gate = np.array(gates, dtype=int).reshape(-1, 3)
+    return MeasurementTemplate(
+        J=np.array(rows, dtype=float).reshape(-1, 2 * len(col)),
+        values=np.array(values, dtype=float).reshape(-1),
+        # Noise is drawn at the exact sigma; the variance is floored so
+        # weights stay positive.
+        variances=np.repeat([max(sigma, SIGMA_FLOOR) ** 2 for sigma in sigmas], 2),
+        sigmas=np.array(sigmas, dtype=float),
+        pmu=gate[:, 0].astype(bool),
+        bus=gate[:, 1],
+        fixes=gate[:, 2],
     )
-
-
-def build_system(
-    measurements: MeasurementSet, grid: Grid
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the design matrix J, diagonal weight entries W, and the
-    observation vector Z (two rows per measurement).  An empty set gives a
-    system of no rows, in which every bus is unobservable."""
-    bus_ids = grid.bus_ids
-    col = {bus: 2 * i for i, bus in enumerate(bus_ids)}
-    n_rows = 2 * len(measurements.entries)
-    J = np.zeros((n_rows, 2 * len(bus_ids)))
-    W = np.zeros(n_rows)
-    Z = np.zeros(n_rows)
-    for k, m in enumerate(measurements.entries):
-        r0 = 2 * k
-        Z[r0], Z[r0 + 1] = m.z_r, m.z_i
-        W[r0], W[r0 + 1] = m.var_r, m.var_i
-        if m.kind in (KIND_SCADA_V, KIND_PMU_V):
-            c = col[m.bus]
-            J[r0, c] = 1.0
-            J[r0 + 1, c + 1] = 1.0
-        else:
-            branch = grid.branches[m.branch_index]
-            adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
-            rows = branch_current_rows(adm)
-            ca, cb = col[m.bus], col[m.other_bus]
-            J[r0 : r0 + 2, ca : ca + 2] = rows[:, 0:2]
-            J[r0 : r0 + 2, cb : cb + 2] = rows[:, 2:4]
-    return J, W, Z
 
 
 def _svd(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -344,15 +296,13 @@ def _anchor_rows(
 
 
 def solve_with_anchors(
-    measurements: MeasurementSet, grid: Grid
+    J: np.ndarray, W: np.ndarray, Z: np.ndarray, bus_ids: Sequence[int]
 ) -> Tuple[StateVector, float, List[int]]:
     """WLS solve that anchors unobservable buses at flat start.
 
     Returns (state, residual, anchored buses).  Anchors are weak (sigma
     0.5 pu) flat-start voltage rows added only for the undetermined buses.
     """
-    J, W, Z = build_system(measurements, grid)
-    bus_ids = grid.bus_ids
     try:
         state, residual = wls_solve(J, W, Z, bus_ids)
         return state, residual, []
@@ -379,26 +329,24 @@ class ScaledSystem:
     anchored: List[int]
 
 
-def analyse_system(measurements: MeasurementSet, grid: Grid) -> ScaledSystem:
-    """Scale the design matrix and anchor its unobservable buses, once per mask.
+def analyse_system(
+    template: MeasurementTemplate, rows: np.ndarray, bus_ids: Sequence[int]
+) -> ScaledSystem:
+    """Scale the template's ``rows`` (a mask's ``template.kept(mask)``) and
+    anchor their unobservable buses, once per mask.
 
-    On the measurement graph, a bus is observable if it has a voltage entry or
-    is the far end of a PMU current entry (whose bus must have a PMU voltage;
-    the grid keeps admittances nonzero).  The rest are the null-space buses
+    On the measurement graph, a bus is observable if some kept entry fixes
+    it: a voltage fixes its own bus, a PMU current its far end (its own bus
+    has the PMU voltage gated by the same flag, and the grid keeps
+    admittances nonzero).  The rest are the null-space buses
     ``solve_with_anchors`` finds by SVD; once anchored, A has full column rank.
     """
-    entries = measurements.entries
-    orphans = {m.bus for m in entries if m.kind == KIND_PMU_I}
-    orphans -= {m.bus for m in entries if m.kind == KIND_PMU_V}
-    if orphans:
-        raise EstimationError(f"PMU currents without a PMU voltage at buses {sorted(orphans)}")
-    J, W, _ = build_system(measurements, grid)
-    observed = {m.other_bus if m.kind == KIND_PMU_I else m.bus for m in entries}
-    anchored = [bus for bus in grid.bus_ids if bus not in observed]
-    J_a, W_a, Z_a = _anchor_rows(anchored, grid.bus_ids)
-    scale = 1.0 / np.sqrt(W)
+    fixed = set(template.fixes[rows[0::2]].tolist())
+    anchored = [bus for bus in bus_ids if bus not in fixed]
+    J_a, W_a, Z_a = _anchor_rows(anchored, bus_ids)
+    scale = 1.0 / np.sqrt(template.variances[rows])
     scale_a = 1.0 / np.sqrt(W_a)
-    A = np.vstack([J * scale[:, None], J_a * scale_a[:, None]])
+    A = np.vstack([template.J[rows] * scale[:, None], J_a * scale_a[:, None]])
     return ScaledSystem(A, scale, Z_a * scale_a, anchored)
 
 
@@ -457,10 +405,9 @@ def compare_models(
     measurement surviving under both models carries identical noise and
     per-bus error differences isolate the masks' effect.
 
-    The draws and decisions are those of ``simulate_measurements`` on the
-    union mask followed by ``filtered`` and ``solve_with_anchors`` per
-    seed, but each mask is analysed once and all its seeds are solved as
-    the columns of one right-hand side.
+    The draws and decisions are those of ``solve_with_anchors`` per seed on
+    the kept rows of the union mask's template, but each mask is analysed
+    once and all its seeds are solved as the columns of one right-hand side.
     """
     models = sorted(masks)
     bus_ids = grid.bus_ids
@@ -471,11 +418,9 @@ def compare_models(
         pmu_equipped=frozenset().union(*(masks[m].pmu_equipped for m in models)),
     )
     template = measurement_template(true_state, grid, union)
-    entries = template.exact.entries
-    exact = np.array([(m.z_r, m.z_i) for m in entries], dtype=float).reshape(-1)
-    observed = np.empty((exact.size, len(seeds)))  # one column per seed
+    observed = np.empty((template.values.size, len(seeds)))  # one column per seed
     for column, seed in enumerate(seeds):
-        observed[:, column] = exact + template.noise(seed)
+        observed[:, column] = template.values + template.noise(seed)
 
     true_complex = true_state.as_complex()
     errors: Dict[str, np.ndarray] = {}
@@ -483,12 +428,11 @@ def compare_models(
     chi2: Dict[str, np.ndarray] = {}
     rows: Dict[str, int] = {}
     for model in models:
-        keep = [k for k, m in enumerate(entries) if _delivered(m, masks[model])]
-        system = analyse_system(MeasurementSet([entries[k] for k in keep]), grid)
-        kept_rows = np.repeat(2 * np.array(keep, dtype=int), 2) + np.tile([0, 1], len(keep))
+        kept = template.kept(masks[model])
+        system = analyse_system(template, kept, bus_ids)
         Y = np.vstack(
             [
-                observed[kept_rows] * system.scale[:, None],
+                observed[kept] * system.scale[:, None],
                 np.repeat(system.anchor_y[:, None], len(seeds), axis=1),
             ]
         )

@@ -19,6 +19,8 @@ to build the communication overlay:
 Branch ``length`` (km) may be omitted; a stand-in proportional to the
 series reactance is synthesized so that placement stays deterministic.
 Electrical parameters are per-unit; only the estimation stage reads them.
+Bus-id and substation-id keys are canonical decimal integers: ``"4"``,
+never ``"04"`` or ``" 4"``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,18 @@ def _expect(condition: bool, pointer: str, message: str):
 def _as_int(value, pointer: str) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool), pointer, "expected an integer")
     return value
+
+
+def int_key(key: str) -> Optional[int]:
+    """The id a JSON object key spells in canonical decimal, where
+    ``str(int(key)) == key``; None for any other key.  ``"05"``, ``" 5"``,
+    ``"+5"`` and ``"1_4"`` spell no id, so no two keys of an object name the
+    same one."""
+    try:
+        value = int(key)
+    except ValueError:
+        return None
+    return value if str(value) == key else None
 
 
 def _as_number(value, pointer: str) -> float:
@@ -183,10 +197,8 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         mapping: Dict[int, int] = {}
         for key, value in raw_map.items():
             pointer = f"/substation_map/{key}"
-            try:
-                bus_id = int(key)
-            except ValueError:
-                raise GridError(f"{pointer}: key must be a bus id") from None
+            bus_id = int_key(key)
+            _expect(bus_id is not None, pointer, f"key {key!r} must be a bus id in canonical decimal")
             _expect(bus_id in seen, pointer, f"unknown bus {bus_id}")
             mapping[bus_id] = _as_int(value, pointer)
         missing = sorted(seen - mapping.keys())
@@ -217,10 +229,8 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         homing: Dict[int, int] = {}
         for key, value in raw.items():
             pointer = f"/{field_name}/{key}"
-            try:
-                sub = int(key)
-            except ValueError:
-                raise GridError(f"{pointer}: key must be a substation id") from None
+            sub = int_key(key)
+            _expect(sub is not None, pointer, f"key {key!r} must be a substation id in canonical decimal")
             homing[sub] = _as_int(value, pointer)
         setattr(config, field_name, homing)
 

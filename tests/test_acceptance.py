@@ -24,10 +24,9 @@ from jointgrid.entities import parse_entity_id
 from jointgrid.estimation import (
     admittance_from_branch,
     branch_current_rows,
-    build_system,
     compare_models,
     default_true_state,
-    simulate_measurements,
+    measurement_template,
     wls_solve,
 )
 from jointgrid.idr import IIM, MIIM
@@ -170,10 +169,10 @@ def test_criterion_7_wls_correctness(ieee14_grid):
         pmu_equipped=frozenset({2, 13, 10}),
     )
     true_state = default_true_state(ieee14_grid)
-    ms = simulate_measurements(
-        true_state, ieee14_grid, mask, seed=0, scada_sigma=0.0, pmu_sigma=0.0
+    template = measurement_template(
+        true_state, ieee14_grid, mask, scada_sigma=0.0, pmu_sigma=0.0
     )
-    J, W, Z = build_system(ms, ieee14_grid)
+    J, W, Z = template.J, template.variances, template.values
     state, _ = wls_solve(J, W, Z, ieee14_grid.bus_ids)
     zero_noise_worst = float(np.max(np.abs(state.values - true_state.values)))
     assert zero_noise_worst < 1e-9

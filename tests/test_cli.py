@@ -470,6 +470,11 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
     assert not errors_csv.exists()
 
 
+def rekey(flags, old, new):
+    """``flags`` with the key ``old`` renamed to ``new``, its value kept."""
+    return {new if key == old else key: value for key, value in flags.items()}
+
+
 @pytest.mark.parametrize(
     "name, flags, write",
     [
@@ -494,11 +499,18 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
         # A PMU flag is true only where a PMU is installed.
         ("pmu: bus 1", [], lambda m: json.dumps({**m, "pmu": dict.fromkeys(m["pmu"], True),
                                                  "pmu_equipped": [2, 10, 13]})),
+        # Bus-id keys are canonical decimal: int() would read each of these
+        # as a bus and let it collide with that bus's own key.
+        ("scada: bad entry '05'", [], lambda m: json.dumps({**m, "scada": {**m["scada"], "05": False}})),
+        ("scada: bad entry ' 5'", [], lambda m: json.dumps({**m, "scada": rekey(m["scada"], "5", " 5")})),
+        ("pmu: bad entry '+5'", [], lambda m: json.dumps({**m, "pmu": rekey(m["pmu"], "5", "+5")})),
+        ("scada: bad entry '1_4'", [], lambda m: json.dumps({**m, "scada": rekey(m["scada"], "14", "1_4")})),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
          "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
-         "scada_not_object", "pmu_not_equipped"],
+         "scada_not_object", "pmu_not_equipped", "scada_key_collision", "scada_key_space",
+         "pmu_key_plus", "scada_key_underscore"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"

@@ -8,15 +8,9 @@ from jointgrid import estimation
 from jointgrid.cascade import AvailabilityMask, FailureScenario, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
 from jointgrid.estimation import (
-    EstimationError,
-    KIND_PMU_I,
-    KIND_PMU_V,
-    KIND_SCADA_V,
     PMU_SIGMA,
     SCADA_SIGMA,
     SIGMA_FLOOR,
-    Measurement,
-    MeasurementSet,
     StateVector,
     UnobservableError,
     _null_space_buses,
@@ -25,11 +19,9 @@ from jointgrid.estimation import (
     analyse_system,
     branch_current,
     branch_current_rows,
-    build_system,
     compare_models,
     default_true_state,
     measurement_template,
-    simulate_measurements,
     solve_with_anchors,
     wls_solve,
     write_errors_csv,
@@ -48,6 +40,12 @@ def full_mask(grid, pmu_buses=()):
 
 def two_bus_grid():
     return Grid("two", [Bus(1), Bus(2)], [Branch(1, 2, 0.0, 1.0, 0.0, 1.0, False)])
+
+
+def scada_at(grid, buses):
+    return AvailabilityMask(
+        scada={b: b in buses for b in grid.bus_ids}, pmu=dict.fromkeys(grid.bus_ids, False)
+    )
 
 
 # --- admittance ---------------------------------------------------------------
@@ -120,53 +118,56 @@ def test_all_false_mask_empty_set(ieee14_grid):
         scada={b: False for b in ieee14_grid.bus_ids},
         pmu={b: False for b in ieee14_grid.bus_ids},
     )
-    true_state = default_true_state(ieee14_grid)
-    assert len(simulate_measurements(true_state, ieee14_grid, mask, seed=1)) == 0
+    template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
+    assert template.sigmas.size == 0
+    assert template.J.shape == (0, 2 * len(ieee14_grid.bus_ids))
+    assert template.noise(1).size == 0
 
 
 def test_fixed_seed_reproducible(ieee14_grid):
     mask = full_mask(ieee14_grid, pmu_buses={2, 13, 10})
-    true_state = default_true_state(ieee14_grid)
-    first = simulate_measurements(true_state, ieee14_grid, mask, seed=7)
-    second = simulate_measurements(true_state, ieee14_grid, mask, seed=7)
-    assert first.entries == second.entries
-    third = simulate_measurements(true_state, ieee14_grid, mask, seed=8)
-    assert third.entries != first.entries
+    template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
+    first = template.values + template.noise(7)
+    second = template.values + template.noise(7)
+    assert np.array_equal(first, second)
+    third = template.values + template.noise(8)
+    assert not np.array_equal(third, first)
 
 
 def test_noise_sigma_statistics():
     grid = two_bus_grid()
     true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 1.0 + 0.0j])
     mask = AvailabilityMask(scada={1: True, 2: False}, pmu={1: False, 2: False})
+    template = measurement_template(true_state, grid, mask)
     deviations = np.empty(100_000)
     for seed in range(50_000):
-        ms = simulate_measurements(true_state, grid, mask, seed=seed)
-        deviations[2 * seed] = ms.entries[0].z_r - 1.0
-        deviations[2 * seed + 1] = ms.entries[0].z_i
+        z = template.values + template.noise(seed)
+        deviations[2 * seed] = z[0] - 1.0
+        deviations[2 * seed + 1] = z[1]
     empirical = deviations.std(ddof=1)
     assert abs(empirical - 0.03) / 0.03 < 0.02
 
 
 def test_pmu_current_entries_per_incident_branch(ieee14_grid):
     mask = full_mask(ieee14_grid, pmu_buses={2})
-    true_state = default_true_state(ieee14_grid)
-    ms = simulate_measurements(true_state, ieee14_grid, mask, seed=0)
-    currents = [m for m in ms.entries if m.kind == KIND_PMU_I]
+    template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
+    currents = template.pmu & (template.fixes != template.bus)
     incident = [
         br for br in ieee14_grid.branches if 2 in (br.from_bus, br.to_bus)
     ]
-    assert len(currents) == len(incident)
-    assert all(m.bus == 2 for m in currents)
+    assert np.count_nonzero(currents) == len(incident)
+    assert np.all(template.bus[currents] == 2)
 
 
 def test_variances_positive_even_at_zero_sigma():
     grid = two_bus_grid()
     true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 0.9 + 0.1j])
     mask = full_mask(grid, pmu_buses={1, 2})
-    ms = simulate_measurements(true_state, grid, mask, seed=0, scada_sigma=0.0, pmu_sigma=0.0)
-    assert all(m.var_r > 0 and m.var_i > 0 for m in ms.entries)
+    template = measurement_template(true_state, grid, mask, scada_sigma=0.0, pmu_sigma=0.0)
+    assert np.all(template.variances > 0)
     v = true_state.voltage(1)
-    assert ms.entries[0].z_r == v.real and ms.entries[0].z_i == v.imag
+    z = template.values + template.noise(0)
+    assert z[0] == v.real and z[1] == v.imag
 
 
 # --- system assembly --------------------------------------------------------------
@@ -175,21 +176,22 @@ def test_variances_positive_even_at_zero_sigma():
 def test_single_voltage_row_is_identity_block():
     grid = Grid("one", [Bus(1)], [Branch(1, 1, 0, 1, 0, 1, False)])
     grid.branches.clear()
-    ms = MeasurementSet([Measurement(KIND_PMU_V, 1, None, None, 1.0, 0.1, 1e-6, 1e-6)])
-    J, W, Z = build_system(ms, grid)
-    assert J.shape == (2, 2)
-    assert np.allclose(J, np.eye(2))
-    assert Z == pytest.approx([1.0, 0.1])
+    true_state = StateVector.from_complex([1], [1.0 + 0.1j])
+    mask = AvailabilityMask(scada={1: False}, pmu={1: True})
+    template = measurement_template(true_state, grid, mask)
+    assert template.J.shape == (2, 2)
+    assert np.allclose(template.J, np.eye(2))
+    assert template.values == pytest.approx([1.0, 0.1])
 
 
 def test_current_rows_placed_in_endpoint_columns():
     grid = two_bus_grid()
     adm = admittance_from_branch(0.0, 1.0, 0.0)
-    ms = MeasurementSet(
-        [Measurement(KIND_PMU_I, 1, 2, 0, 0.2, -0.1, 1e-6, 1e-6)]
-    )
-    J, W, Z = build_system(ms, grid)
+    true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 0.9 + 0.1j])
+    mask = AvailabilityMask(scada={1: False, 2: False}, pmu={1: True, 2: False})
+    template = measurement_template(true_state, grid, mask)
     rows = branch_current_rows(adm)
+    J = template.J[2:4]  # the current entry follows bus 1's PMU voltage
     assert J.shape == (2, 4)
     assert np.allclose(J[:, 0:2], rows[:, 0:2])
     assert np.allclose(J[:, 2:4], rows[:, 2:4])
@@ -197,12 +199,12 @@ def test_current_rows_placed_in_endpoint_columns():
 
 def test_row_count_twice_entry_count(ieee14_grid):
     mask = full_mask(ieee14_grid, pmu_buses={2, 13, 10})
-    true_state = default_true_state(ieee14_grid)
-    ms = simulate_measurements(true_state, ieee14_grid, mask, seed=3)
-    J, W, Z = build_system(ms, ieee14_grid)
-    assert J.shape[0] == 2 * len(ms.entries)
-    assert W.shape == (J.shape[0],)
-    assert Z.shape == (J.shape[0],)
+    template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
+    J = template.J
+    assert J.shape[0] == 2 * len(template.sigmas)
+    assert template.variances.shape == (J.shape[0],)
+    assert template.values.shape == (J.shape[0],)
+    assert template.kept(mask).shape == (J.shape[0],)
 
 
 # --- WLS ---------------------------------------------------------------------------
@@ -210,26 +212,21 @@ def test_row_count_twice_entry_count(ieee14_grid):
 
 def test_identity_system_returns_observations():
     grid = two_bus_grid()
-    ms = MeasurementSet(
-        [
-            Measurement(KIND_PMU_V, 1, None, None, 1.0, 0.2, 1.0, 1.0),
-            Measurement(KIND_PMU_V, 2, None, None, 0.9, -0.1, 1.0, 1.0),
-        ]
-    )
-    J, W, Z = build_system(ms, grid)
-    state, residual = wls_solve(J, W, Z, grid.bus_ids)
-    assert np.allclose(state.values, Z)
+    true_state = StateVector.from_complex([1, 2], [1.0 + 0.2j, 0.9 - 0.1j])
+    template = measurement_template(true_state, grid, scada_at(grid, {1, 2}))
+    assert np.array_equal(template.J, np.eye(4))
+    state, residual = wls_solve(template.J, template.variances, template.values, grid.bus_ids)
+    assert np.allclose(state.values, template.values)
     assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_noise_recovery(ieee14_grid):
     mask = full_mask(ieee14_grid, pmu_buses={2, 13, 10})
     true_state = default_true_state(ieee14_grid)
-    ms = simulate_measurements(
-        true_state, ieee14_grid, mask, seed=0, scada_sigma=0.0, pmu_sigma=0.0
+    template = measurement_template(
+        true_state, ieee14_grid, mask, scada_sigma=0.0, pmu_sigma=0.0
     )
-    J, W, Z = build_system(ms, ieee14_grid)
-    state, _ = wls_solve(J, W, Z, ieee14_grid.bus_ids)
+    state, _ = wls_solve(template.J, template.variances, template.values, ieee14_grid.bus_ids)
     assert np.max(np.abs(state.values - true_state.values)) < 1e-9
 
 
@@ -256,21 +253,20 @@ def test_variance_scaling_invariance():
 
 def test_rank_deficiency_names_buses():
     grid = two_bus_grid()
-    ms = MeasurementSet(
-        [Measurement(KIND_PMU_V, 1, None, None, 1.0, 0.0, 1e-6, 1e-6)]
-    )
-    J, W, Z = build_system(ms, grid)
+    true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 1.0 + 0.0j])
+    template = measurement_template(true_state, grid, scada_at(grid, {1}))
     with pytest.raises(UnobservableError) as err:
-        wls_solve(J, W, Z, grid.bus_ids)
+        wls_solve(template.J, template.variances, template.values, grid.bus_ids)
     assert err.value.buses == [2]
 
 
 def test_anchoring_flags_unobservable_buses():
     grid = two_bus_grid()
-    ms = MeasurementSet(
-        [Measurement(KIND_PMU_V, 1, None, None, 1.0, 0.0, 1e-6, 1e-6)]
+    true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 0.9 + 0.1j])
+    template = measurement_template(true_state, grid, scada_at(grid, {1}))
+    state, _, anchored = solve_with_anchors(
+        template.J, template.variances, template.values, grid.bus_ids
     )
-    state, _, anchored = solve_with_anchors(ms, grid)
     assert anchored == [2]
     assert state.voltage(2) == pytest.approx(1.0 + 0.0j)
     assert state.voltage(1) == pytest.approx(1.0 + 0.0j, abs=1e-6)
@@ -315,11 +311,11 @@ def test_estimator_unbiased_at_fixed_seeds(ieee14_grid):
     mask = full_mask(ieee14_grid, pmu_buses={2, 13, 10})
     true_state = default_true_state(ieee14_grid)
     n_seeds = 1000
+    template = measurement_template(true_state, ieee14_grid, mask)
     signed = np.zeros((n_seeds, 2 * len(ieee14_grid.bus_ids)))
     for row, seed in enumerate(range(n_seeds)):
-        ms = simulate_measurements(true_state, ieee14_grid, mask, seed=seed)
-        J, W, Z = build_system(ms, ieee14_grid)
-        state, _ = wls_solve(J, W, Z, ieee14_grid.bus_ids)
+        Z = template.values + template.noise(seed)
+        state, _ = wls_solve(template.J, template.variances, Z, ieee14_grid.bus_ids)
         signed[row] = state.values - true_state.values
     mean = signed.mean(axis=0)
     stderr = signed.std(axis=0, ddof=1) / np.sqrt(n_seeds)
@@ -367,16 +363,19 @@ def union_mask(grid, masks):
 
 
 def per_seed_comparison(grid, masks, true_state, seeds):
-    """The unbatched reference: draw under the union mask, filter, and solve
-    every (seed, model) on its own."""
-    union = union_mask(grid, masks)
+    """The unbatched reference: draw under the union mask, keep each mask's
+    rows, and solve every (seed, model) on its own."""
+    template = measurement_template(true_state, grid, union_mask(grid, masks))
     errors = {model: [] for model in masks}
     chi2 = {model: [] for model in masks}
     anchored = {model: set() for model in masks}
     for seed in seeds:
-        shared = simulate_measurements(true_state, grid, union, seed)
+        shared = template.values + template.noise(seed)
         for model, mask in masks.items():
-            state, residual, flagged = solve_with_anchors(shared.filtered(mask), grid)
+            kept = template.kept(mask)
+            state, residual, flagged = solve_with_anchors(
+                template.J[kept], template.variances[kept], shared[kept], grid.bus_ids
+            )
             errors[model].append(np.abs(state.as_complex() - true_state.as_complex()))
             chi2[model].append(residual**2)
             anchored[model].update(flagged)
@@ -424,8 +423,12 @@ def test_batched_comparison_matches_per_seed_with_no_measurement(ieee14_grid):
 
 
 def test_batched_comparison_analyses_each_mask_once(ieee118_grid, scenario_masks_118, monkeypatch):
-    counts = {"analyse": 0, "lstsq": 0}
-    analyse, lstsq = estimation.analyse_system, np.linalg.lstsq
+    counts = {"template": 0, "analyse": 0, "lstsq": 0}
+    template, analyse, lstsq = estimation.measurement_template, estimation.analyse_system, np.linalg.lstsq
+
+    def counting_template(*args, **kwargs):
+        counts["template"] += 1
+        return template(*args, **kwargs)
 
     def counting_analyse(*args, **kwargs):
         counts["analyse"] += 1
@@ -438,59 +441,77 @@ def test_batched_comparison_analyses_each_mask_once(ieee118_grid, scenario_masks
     def no_wls(*args, **kwargs):
         raise AssertionError("compare_models must not solve per seed")
 
+    monkeypatch.setattr(estimation, "measurement_template", counting_template)
     monkeypatch.setattr(estimation, "analyse_system", counting_analyse)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     monkeypatch.setattr(estimation, "wls_solve", no_wls)
     masks = scenario_masks_118["ieee118_substation_damage.json"]
     compare_models(ieee118_grid, masks, default_true_state(ieee118_grid), range(10))
-    assert counts == {"analyse": len(masks), "lstsq": len(masks)}
+    assert counts == {"template": 1, "analyse": len(masks), "lstsq": len(masks)}
 
 
 def reference_draws(true_state, grid, mask, seed, scada_sigma=SCADA_SIGMA, pmu_sigma=PMU_SIGMA):
     """One size-2 normal draw per entry, in draw order, scanning every
-    branch for each PMU bus."""
+    branch for each PMU bus.  Each entry is rebuilt on its own: its two
+    design rows (the identity at its bus, or the branch current rows at its
+    two endpoints), its noisy value, its floored variance, its gate
+    ``(pmu, bus)`` and the bus it fixes."""
     rng = np.random.default_rng(seed)
+    col = {bus: 2 * i for i, bus in enumerate(grid.bus_ids)}
     entries = []
 
-    def noisy(kind, bus, other, branch_index, value, sigma):
+    def noisy(pmu, bus, fixed, blocks, value, sigma):
         noise = rng.normal(0.0, sigma, size=2)
-        var = max(sigma, SIGMA_FLOOR) ** 2
-        entries.append(
-            Measurement(kind, bus, other, branch_index,
-                        value.real + noise[0], value.imag + noise[1], var, var)
-        )
+        rows = np.zeros((2, 2 * len(col)))
+        for block_bus, block in blocks:
+            rows[:, col[block_bus] : col[block_bus] + 2] = block
+        z = np.array([value.real + noise[0], value.imag + noise[1]])
+        entries.append((rows, z, max(sigma, SIGMA_FLOOR) ** 2, (pmu, bus), fixed))
 
     for bus in sorted(true_state.bus_ids):
         if mask.scada.get(bus, False):
             v = true_state.voltage(bus)
-            noisy(KIND_SCADA_V, bus, None, None, v, scada_sigma * abs(v))
+            noisy(False, bus, bus, [(bus, np.eye(2))], v, scada_sigma * abs(v))
     for bus in sorted(true_state.bus_ids):
         if not mask.pmu.get(bus, False):
             continue
         v = true_state.voltage(bus)
-        noisy(KIND_PMU_V, bus, None, None, v, pmu_sigma * abs(v))
-        for branch_index, branch in enumerate(grid.branches):
+        noisy(True, bus, bus, [(bus, np.eye(2))], v, pmu_sigma * abs(v))
+        for branch in grid.branches:
             if bus not in (branch.from_bus, branch.to_bus):
                 continue
             other = branch.to_bus if bus == branch.from_bus else branch.from_bus
             adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
             current = branch_current(adm, v, true_state.voltage(other))
-            noisy(KIND_PMU_I, bus, other, branch_index, current, pmu_sigma * abs(current))
+            rows = branch_current_rows(adm)
+            blocks = [(bus, rows[:, 0:2]), (other, rows[:, 2:4])]
+            noisy(True, bus, other, blocks, current, pmu_sigma * abs(current))
     return entries
 
 
-def test_simulate_matches_per_entry_draws(ieee14_grid, ieee118_grid, scenario_masks_118):
+def test_template_matches_per_entry_draws(ieee14_grid, ieee118_grid, scenario_masks_118):
+    model_masks_118 = scenario_masks_118[SCENARIOS_118[0]]
     cases = [
-        (ieee14_grid, full_mask(ieee14_grid, pmu_buses={2, 10, 13}), {}),
+        (ieee14_grid, full_mask(ieee14_grid, pmu_buses={2, 10, 13}), {}, {}),
         (ieee14_grid, full_mask(ieee14_grid, pmu_buses={2, 10, 13}),
-         {"scada_sigma": 0.0, "pmu_sigma": 0.0}),
-        (ieee118_grid, union_mask(ieee118_grid, scenario_masks_118[SCENARIOS_118[0]]), {}),
+         {"scada_sigma": 0.0, "pmu_sigma": 0.0}, {}),
+        (ieee118_grid, union_mask(ieee118_grid, model_masks_118), {}, model_masks_118),
     ]
-    for grid, mask, sigmas in cases:
+    for grid, mask, sigmas, narrower in cases:
         true_state = default_true_state(grid)
+        template = measurement_template(true_state, grid, mask, **sigmas)
         for seed in (0, 1, 99):
-            drawn = simulate_measurements(true_state, grid, mask, seed, **sigmas).entries
-            assert drawn == reference_draws(true_state, grid, mask, seed, **sigmas)
+            reference = reference_draws(true_state, grid, mask, seed, **sigmas)
+            rows, z, variances, gates, fixes = zip(*reference)
+            assert np.array_equal(template.J, np.concatenate(rows))
+            assert np.array_equal(template.values + template.noise(seed), np.concatenate(z))
+            assert np.array_equal(template.variances, np.repeat(variances, 2))
+            assert list(zip(template.pmu.tolist(), template.bus.tolist())) == list(gates)
+            assert template.fixes.tolist() == list(fixes)
+        # A narrower mask keeps exactly the entries whose gating flag it sets.
+        for narrow in narrower.values():
+            delivered = [(narrow.pmu if pmu else narrow.scada).get(bus, False) for pmu, bus in gates]
+            assert np.array_equal(template.kept(narrow), np.repeat(delivered, 2))
 
 
 def test_chi_square_mean_matches_degrees_of_freedom(ieee14_grid):
@@ -518,9 +539,11 @@ def check_graph_anchors_match_svd(grid, masks):
     true_state = default_true_state(grid)
     anchored_masks = 0
     for mask in masks:
-        measurements = measurement_template(true_state, grid, mask).exact
-        system = analyse_system(measurements, grid)
-        J, W, _ = build_system(measurements, grid)
+        template = measurement_template(true_state, grid, mask)
+        kept = template.kept(mask)
+        assert kept.all()
+        system = analyse_system(template, kept, grid.bus_ids)
+        J, W = template.J, template.variances
         _, _, vt, rank = _svd(J / np.sqrt(W)[:, None])
         assert system.anchored == _null_space_buses(vt[rank:], grid.bus_ids)
         assert np.linalg.matrix_rank(system.A) == system.A.shape[1]
@@ -562,15 +585,3 @@ def test_comparison_runs_no_svd(ieee118_grid, scenario_masks_118, monkeypatch):
     for scenario in SCENARIOS_118:
         result = compare_models(ieee118_grid, scenario_masks_118[scenario], true_state, range(3))
         assert result.anchored[IIM]
-
-
-def test_pmu_current_without_its_pmu_voltage_rejected():
-    grid = two_bus_grid()
-    ms = MeasurementSet(
-        [
-            Measurement(KIND_SCADA_V, 1, None, None, 1.0, 0.0, 1e-4, 1e-4),
-            Measurement(KIND_PMU_I, 1, 2, 0, 0.1, 0.0, 1e-6, 1e-6),
-        ]
-    )
-    with pytest.raises(EstimationError, match=r"PMU voltage at buses \[1\]"):
-        analyse_system(ms, grid)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,28 @@ def test_malformed_grid_raises_grid_error(data):
         grid_from_dict(edit_json(data, full_grid_dict()))
     except GridError:
         pass
+
+
+# Non-canonical spellings of an id key, each with the canonical key it
+# would collide with under int().
+NON_CANONICAL_KEYS = {"05": "5", " 5": "5", "+5": "5", "1_4": "14"}
+
+
+@pytest.mark.parametrize("field", ["substation_map", "sadm_homing", "oadm_homing"])
+@pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+def test_non_canonical_id_key_named(fixtures_dir, field, key):
+    data = json.loads((fixtures_dir / "ieee14.json").read_text())
+    keys = data.setdefault(field, {})
+    keys[key] = keys.pop(NON_CANONICAL_KEYS[key], 1)
+    with pytest.raises(GridError, match=re.escape(f"/{field}/{key}: key {key!r} must be")):
+        grid_from_dict(data)
+
+
+def test_two_keys_for_one_bus_rejected(fixtures_dir):
+    data = json.loads((fixtures_dir / "ieee14.json").read_text())
+    data["substation_map"]["04"] = 9  # beside "4": 1
+    with pytest.raises(GridError, match="/substation_map/04: key '04' must be a bus id"):
+        grid_from_dict(data)
 
 
 def test_not_json(tmp_path):
