@@ -18,6 +18,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +34,7 @@ from jointgrid.cascade import (
     run_cascade,
 )
 from jointgrid.entities import EntityError, parse_entity_id
-from jointgrid.grid import MAX_PU, Grid, GridError, int_key, load_grid
+from jointgrid.grid import MAX_PU, Grid, GridError, int_key, load_grid, unique_keys
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
 from jointgrid.network import CASES, EntityMeta, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
@@ -99,29 +101,88 @@ def build_parser() -> argparse.ArgumentParser:
 # --- serialization helpers ---------------------------------------------------
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+
+    Any ``indent`` makes ``json.dumps`` give up json's C encoder for its
+    pure-Python one; ``_json_text`` writes the same text through the C
+    encoder."""
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
-def _trace_payload(trace: CascadeTrace, model: str, case: int, label: str) -> dict:
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, tuples as lists.
+
+    json's C encoder writes every container of scalars, every key and every
+    scalar.  There is one encoder per depth, whose item separator is the
+    newline and indent of that depth's items, so a container it writes needs
+    only its brackets opened.  Python walks only the containers that hold
+    containers.  Without the C accelerator this is ``json.dumps`` itself."""
+    if c_make_encoder is None:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    default = json.JSONEncoder().default
+    encoders: List = []  # encoders[depth]
+
+    def encoder(depth: int):
+        while len(encoders) <= depth:
+            separator = ",\n" + "  " * (len(encoders) + 1)
+            encoders.append(
+                c_make_encoder(None, default, encode_basestring_ascii, None, ": ", separator, True, False, True)
+            )
+        return encoders[depth]
+
+    def scalar_text(value) -> str:
+        return "".join(encoder(0)(value, 0))
+
+    def key_text(key) -> str:
+        """json's key conversion: an int, float, bool or None key is its text, quoted."""
+        if isinstance(key, str):
+            return encode_basestring_ascii(key)
+        if key is None or isinstance(key, (int, float)):
+            return f'"{scalar_text(key)}"'
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+    def text(value, depth: int) -> str:
+        """The text of ``value`` as an item at ``depth``."""
+        if not isinstance(value, _CONTAINERS):
+            return scalar_text(value)
+        is_dict = isinstance(value, dict)
+        indent = "\n" + "  " * (depth + 1)
+        if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+            flat = "".join(encoder(depth)(value, 0))  # "[a,<indent>b]": open the brackets
+            return f"{flat[0]}{indent}{flat[1:-1]}{indent[:-2]}{flat[-1]}" if value else flat
+        if is_dict:
+            items = [f"{key_text(key)}: {text(child, depth + 1)}" for key, child in sorted(value.items())]
+        else:
+            items = [text(child, depth + 1) for child in value]
+        start, end = "{}" if is_dict else "[]"
+        return f"{start}{indent}{(',' + indent).join(items)}{indent[:-2]}{end}"
+
+    return text(payload, 0)
+
+
+def _trace_payload(trace: CascadeTrace, names: Tuple[str, ...], model: str, case: int, label: str) -> dict:
+    """``names`` is the network's, aligned with the trace's slots."""
+    slots = trace.slots
     return {
         "label": label,
         "model": model,
         "case": case,
         "converged_at": trace.converged_at,
-        "steps": [
-            {str(entity): value for entity, value in step.items()}
-            for step in trace.changed
-        ],
-        "final": {str(entity): value for entity, value in zip(trace.slots, trace.fixpoint)},
+        "steps": [{names[slots[entity]]: value for entity, value in step.items()} for step in trace.changed],
+        "final": dict(zip(names, trace.fixpoint)),
     }
 
 
-def _trace_tsv(trace: CascadeTrace) -> str:
+def _trace_tsv(trace: CascadeTrace, names: Tuple[str, ...]) -> str:
+    """One line per change, each step's in canonical entity (slot) order."""
     lines = ["step\tentity\tvalue"]
     for step_number, changes in enumerate(trace.changed, start=1):
-        for entity in sorted(changes):
-            lines.append(f"{step_number}\t{entity}\t{changes[entity]}")
+        for slot, value in sorted((trace.slots[entity], value) for entity, value in changes.items()):
+            lines.append(f"{step_number}\t{names[slot]}\t{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -144,8 +205,8 @@ def _write_cascade(
     trace = run_cascade(network, rule_set, failure)
     mask = data_availability(trace.final_state(), network, rule_set)
     stem = f"{model}_case{case}"
-    (out / f"trace_{stem}.tsv").write_text(_trace_tsv(trace), encoding="utf-8")
-    _write_json(out / f"trace_{stem}.json", _trace_payload(trace, model, case, failure.label))
+    (out / f"trace_{stem}.tsv").write_text(_trace_tsv(trace, network.names), encoding="utf-8")
+    _write_json(out / f"trace_{stem}.json", _trace_payload(trace, network.names, model, case, failure.label))
     _write_json(out / f"availability_{stem}.json", _mask_payload(mask, grid_path, model, case))
     return trace, mask
 
@@ -219,7 +280,8 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
         "rtus": {str(sub): ids for sub, ids in sorted(network.rtus.items())},
         "pmus": {str(sub): ids for sub, ids in sorted(network.pmus.items()) if ids},
         "registry": {
-            str(entity): _meta_payload(network.registry[entity]) for entity in network.entity_order
+            name: _meta_payload(network.registry[entity])
+            for name, entity in zip(network.names, network.entity_order)
         },
         "rules": {
             f"{model}_case{case}": text for (model, case), text in sorted(rule_texts.items())
@@ -233,11 +295,13 @@ def rule_file_text(network: JointNetwork) -> Dict[Tuple[str, int], str]:
     lines under ``str.translate(IIM_SYMBOLS)``, the text of each rule read as
     binary on the same tree: a network's IIM rule sets read its MIIM rules,
     ``format_expr`` parenthesizes every operator child and no entity text
-    holds ``& ^ | . +``."""
+    holds ``& ^ | . +``.  Registered entities are named from
+    ``network.names``."""
     miim = [network.rule_set(MIIM, case) for case in CASES]
     rules = {rs.case: rs.rules + rs.availability for rs in miim}
     distinct = {id(rule): rule for case_rules in rules.values() for rule in case_rules}
-    lines = {key: format_idr(rule) + "\n" for key, rule in distinct.items()}
+    names = dict(zip(network.entity_order, network.names))
+    lines = {key: format_idr(rule, names) + "\n" for key, rule in distinct.items()}
     bodies = {case: "".join([lines[id(rule)] for rule in rs]) for case, rs in rules.items()}
     return {
         (model, case): f"# dependency rules: model={model} case={case}\n"
@@ -264,7 +328,7 @@ def _is_int(value) -> bool:
 
 def _read_json_object(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except ValueError as exc:  # also raised for an integer past the digit limit
         raise ScenarioFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

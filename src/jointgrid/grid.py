@@ -237,11 +237,25 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
     return Grid(str(data.get("name", name)), buses, branches, config)
 
 
+def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for reading every input file: the object as a
+    dict, refusing a key it names twice, where ``json`` would keep the last
+    value and drop the first unseen."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def load_grid(path) -> Grid:
     """Load and validate a grid file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=unique_keys)
         except ValueError as exc:  # also raised for an integer past the digit limit
-            raise GridError(f"not valid JSON: {exc}") from exc
+            raise GridError(f"{path}: not valid JSON: {exc}") from exc
     return grid_from_dict(data, name=str(path))

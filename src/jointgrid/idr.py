@@ -30,8 +30,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import CodeType, FunctionType
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
+from types import CodeType, FunctionType, MappingProxyType
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId, EntityError, parse_entity_id
@@ -275,23 +275,29 @@ def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
 # --- Printing ---------------------------------------------------------------
 
 
-def format_expr(expr: IdrExpr) -> str:
-    """Canonical text of a rule body; operator children are parenthesized."""
+_NO_NAMES: Mapping[EntityId, str] = MappingProxyType({})
+
+
+def format_expr(expr: IdrExpr, names: Mapping[EntityId, str] = _NO_NAMES) -> str:
+    """Canonical text of a rule body; operator children are parenthesized.
+    An entity's text is its entry in ``names`` (a writer passes the texts it
+    formatted once), else ``str`` of it."""
     if isinstance(expr, EntityId):
-        return str(expr)
+        return names.get(expr) or str(expr)
     symbol = f" {_OP_SYMBOL[expr.op]} "
     parts = []
     for child in expr.children:
-        text = format_expr(child)
+        text = format_expr(child, names)
         if isinstance(child, Op):
             text = f"({text})"
         parts.append(text)
     return symbol.join(parts)
 
 
-def format_idr(rule: IdrRule) -> str:
-    """Canonical rule text; ``parse_idr(format_idr(r))`` reproduces ``r``."""
-    return f"{rule.target} <- {format_expr(rule.body)}"
+def format_idr(rule: IdrRule, names: Mapping[EntityId, str] = _NO_NAMES) -> str:
+    """Canonical rule text, entities named as in ``format_expr``;
+    ``parse_idr(format_idr(r))`` reproduces ``r``."""
+    return f"{format_expr(rule.target, names)} <- {format_expr(rule.body, names)}"
 
 
 # --- Analysis ----------------------------------------------------------------

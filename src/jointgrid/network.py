@@ -129,10 +129,12 @@ class JointNetwork:
     rtus: Dict[int, List[int]]  # substation -> RTU ids
     pmus: Dict[int, List[int]]  # substation -> PMU ids
     rule_sets: Dict[Tuple[str, int], RuleSet] = field(default_factory=dict)
-    # Canonical entity order (the sorted registry) and each entity's index
-    # in it; set once by synthesis, after the registry is complete.
+    # Canonical entity order (the sorted registry), each entity's index in
+    # it, and each entity's text in that order; set once by synthesis, after
+    # the registry is complete.
     entity_order: Tuple[EntityId, ...] = ()
     slots: Dict[EntityId, int] = field(default_factory=dict)
+    names: Tuple[str, ...] = ()
 
     @property
     def primary_cc(self) -> int:
@@ -160,9 +162,11 @@ class JointNetwork:
         return self.entity_order
 
     def index_entities(self) -> None:
-        """Fix the canonical entity order and slot map from the registry."""
+        """Fix the canonical entity order, the slot map and the entity texts
+        from the registry: writers read ``names[slot]``, not ``str(entity)``."""
         self.entity_order = tuple(sorted(self.registry))
         self.slots = {entity: i for i, entity in enumerate(self.entity_order)}
+        self.names = tuple(map(str, self.entity_order))
 
 
 def validate(network: JointNetwork) -> List[str]:

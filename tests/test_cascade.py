@@ -268,6 +268,8 @@ def test_entity_order_is_sorted_registry(ieee14, ieee118):
         order = network.entity_ids()
         assert list(order) == sorted(network.registry)
         assert network.slots == {entity: i for i, entity in enumerate(order)}
+        assert isinstance(network.names, tuple) and len(network.names) == len(order)
+        assert all(name == str(entity) for name, entity in zip(network.names, order))
 
 
 def _superset_violations(network):
@@ -437,11 +439,11 @@ def test_programs_belong_to_their_network(ieee14, attack):
 def test_reindexed_network_compiles_afresh(ieee14_grid, attack):
     """A network given a new slot map after a cascade compiles its programs
     again: an entity that sorts first shifts every slot, and the masks stay
-    as they were."""
+    as they were.  The entity texts shift with the slots."""
     from jointgrid.synthesis import build_joint_network
 
     network = build_joint_network(ieee14_grid)
-    masks = []
+    names, masks = network.names, []
     for _ in range(2):
         rule_set = network.rule_set(MIIM, 1)
         trace = run_cascade(network, rule_set, attack)
@@ -449,6 +451,7 @@ def test_reindexed_network_compiles_afresh(ieee14_grid, attack):
         network.registry[ent.bus(0)] = network.registry[ent.bus(1)]
         network.index_entities()
     assert masks[0] == masks[1] and masks[0].scada_lost() == {12}
+    assert network.names == ("P(0)", *names) == tuple(map(str, network.entity_order))
 
 
 def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):

@@ -6,7 +6,7 @@ import math
 import shutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzing import edit_json
 from oracle import read
@@ -97,14 +97,18 @@ def test_validate_non_finite_branch_number_exits_2(fixtures_dir, tmp_path, capsy
         ({"x": 10**400}, "/branches/0/x"),  # too large for a float
         ({"x": "DIGITS"}, "not valid JSON"),  # past the integer digit limit
         ({"b": 1e300}, "/branches/0/b"),  # a PMU current's squared sigma overflows
+        # json would keep the last of a repeated key's values, here a valid one.
+        ({"x": "TWICE"}, "bad.json: not valid JSON: key 'x' appears twice in one object"),
     ],
-    ids=["impedance_high", "impedance_low", "int_401_digits", "int_5000_digits", "susceptance_high"],
+    ids=["impedance_high", "impedance_low", "int_401_digits", "int_5000_digits", "susceptance_high",
+         "repeated_key"],
 )
 def test_validate_unusable_branch_number_exits_2(fixtures_dir, tmp_path, capsys, branch, message):
     grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
     grid["branches"][0].update(branch)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(grid).replace('"DIGITS"', "9" * 5000), encoding="utf-8")
+    text = json.dumps(grid).replace('"DIGITS"', "9" * 5000).replace('"x": "TWICE"', '"x": 1e200, "x": 0.1')
+    bad.write_text(text, encoding="utf-8")
     assert main(["validate", "--grid", str(bad)]) == 2
     assert message in capsys.readouterr().err
 
@@ -219,6 +223,35 @@ def test_run_output_bytes_are_pinned(fixtures_dir, tmp_path):
     assert digests == RUN14_DIGESTS
 
 
+# Strings that json escapes: non-ASCII, astral, control, lone surrogate.
+EDGE_TEXT = ["", "é", "\U0001f600", "\x00", "\x1f\n\t\"\\", "\u2028", "\ud800"]
+EDGE_NUMBERS = [-0.0, 1e-300, 5e-324, float("nan"), float("inf"), float("-inf"), 10**40, -(10**40)]
+JSON_TEXT = st.text() | st.sampled_from(EDGE_TEXT)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(EDGE_NUMBERS) | JSON_TEXT
+)
+# Each object's keys are of one kind, as json's sort_keys needs.
+JSON_KEYS = [JSON_TEXT, st.integers(), st.floats(), st.booleans(), st.none()]
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.one_of([st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS]),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=JSON_PAYLOADS)
+@example(payload={"b": [[], {}, [[]], {"e": {}}, ()], "a": {"z": None, "é\x00": (True, False, -0.0)},
+                  "c": {"y": 1, "x": "é"}})
+@example(payload=[{"\x1f": EDGE_NUMBERS, "\ud800": [1e-300]}, EDGE_TEXT, {2: {1.5: [None]}}, {None: ([],)}])
+def test_json_text_matches_json_dumps(payload):
+    """The artifact writer's text through json's C encoder is the text of
+    ``json.dumps(..., indent=2, sort_keys=True)``: the oracle."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
 def test_rule_file_text_matches_format_idr_file(request, network_name):
     """Each text equals the rule set's rules, then its availability rules, as
@@ -242,9 +275,9 @@ def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeyp
     rule: the IIM rule files are translations of the MIIM text."""
     calls = []
 
-    def counting(rule):
+    def counting(rule, names):
         calls.append(rule)
-        return format_idr(rule)
+        return format_idr(rule, names)
 
     monkeypatch.setattr(cli, "format_idr", counting)
     cli._write_network(tmp_path, ieee14)
@@ -385,19 +418,42 @@ def test_estimate_on_a_mask_that_delivers_nothing(fixtures_dir, tmp_path):
     assert all(row.endswith(",1") for row in rows)
 
 
+# SHA-256 of the IIM trace and mask `cascade` writes for each shipped 118-bus
+# scenario, the grid path masked as in RUN14_DIGESTS: each trace's `final`
+# map names all 2392 entities.
+CASCADE118_DIGESTS = {
+    "ieee118_gateway_sadm_failure": {
+        "availability_iim_case1.json": "132874fc5d6b5ed3dcc47c91faa4b4e819d340b77cee1e953409d1680f8658bd",
+        "trace_iim_case1.json": "9a4621001b9d7c0165f42e1b03e7307ea3cd2caa430afd6ed95f041cf7511a80",
+        "trace_iim_case1.tsv": "97e5849cd5170fcf3666fb05c8206e2f20addeb078c7e73cb748a2ec96406579",
+    },
+    "ieee118_substation_damage": {
+        "availability_iim_case1.json": "86725ecd3f15800b9949ed11b78d4027ab834c75ef6b3ff89a8591ad7021b3a8",
+        "trace_iim_case1.json": "5ec78d735291092b12d944cfccf68d7d147fb4e855eb9bc9c816737dd63e4d82",
+        "trace_iim_case1.tsv": "0bb4498c5fc4fe243059a90ed03e76b56ba33cb605124e024350a910d10d4a16",
+    },
+}
+
+
 def test_shipped_118_scenarios_cascade(fixtures_dir, tmp_path):
+    grid = json.dumps(str(fixtures_dir / "ieee118.json")).encode()
     for name, lost in [
-        ("ieee118_gateway_sadm_failure.json", [2, 11, 12, 13, 14, 16, 84, 85, 86, 88, 117]),
-        ("ieee118_substation_damage.json", [94, 95, 100]),
+        ("ieee118_gateway_sadm_failure", [2, 11, 12, 13, 14, 16, 84, 85, 86, 88, 117]),
+        ("ieee118_substation_damage", [94, 95, 100]),
     ]:
-        out = tmp_path / name.replace(".json", "")
+        out = tmp_path / name
         code = main(
-            ["cascade", "--scenario", str(fixtures_dir / name), "--out-dir", str(out), "--model", "iim"]
+            ["cascade", "--scenario", str(fixtures_dir / f"{name}.json"), "--out-dir", str(out), "--model", "iim"]
         )
         assert code == 0
         availability = json.loads((out / "availability_iim_case1.json").read_text())
         actual = sorted(int(b) for b, ok in availability["scada"].items() if not ok)
         assert actual == lost
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes().replace(grid, b'"<grid>"')).hexdigest()
+            for path in out.iterdir()
+        }
+        assert digests == CASCADE118_DIGESTS[name]
 
 
 def test_estimate_from_mask(fixtures_dir, tmp_path):
@@ -438,9 +494,11 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
         ("misses buses [5]", lambda buses: json.dumps({"buses": {b: buses[b] for b in buses if b != "5"}})),
         ("'99' is not a bus", lambda buses: json.dumps({"buses": {**buses, "99": [1, 0], "x": "junk"}})),
         ("'x' is not a bus", lambda buses: json.dumps({"buses": {**buses, "x": "junk"}})),
+        ("state.json: not valid JSON: key '5' appears twice", lambda buses: json.dumps(
+            {"buses": buses}).replace('"buses": {', '"buses": {"5": [1e160, 0.0], ')),
     ],
     ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high", "missing_bus",
-         "extra_bus", "non_bus_key"],
+         "extra_bus", "non_bus_key", "repeated_key"],
 )
 def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -505,12 +563,14 @@ def rekey(flags, old, new):
         ("scada: bad entry ' 5'", [], lambda m: json.dumps({**m, "scada": rekey(m["scada"], "5", " 5")})),
         ("pmu: bad entry '+5'", [], lambda m: json.dumps({**m, "pmu": rekey(m["pmu"], "5", "+5")})),
         ("scada: bad entry '1_4'", [], lambda m: json.dumps({**m, "scada": rekey(m["scada"], "14", "1_4")})),
+        ("mask.json: not valid JSON: key '5' appears twice", [], lambda m: json.dumps(m).replace(
+            '"scada": {', '"scada": {"5": false, ')),
     ],
     ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
          "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
          "scada_not_object", "pmu_not_equipped", "scada_key_collision", "scada_key_space",
-         "pmu_key_plus", "scada_key_underscore"],
+         "pmu_key_plus", "scada_key_underscore", "scada_repeated_key"],
 )
 def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, flags, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -560,12 +620,14 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("estimation.true_state", lambda s: {**s, "estimation": {"seeds": 3, "true_state": []}}),
         ("label", lambda s: {**s, "label": {"x": 1}}),
         ("label", lambda s: {**s, "label": None}),
+        ("scenario.json: not valid JSON: key 'killed' appears twice",
+         lambda s: json.dumps(s).replace('"killed": ', '"killed": ["P(99)"], "killed": ')),
     ],
     ids=["array", "estimation_list", "estimation_empty_list", "estimation_false", "estimation_zero",
          "estimation_empty_string", "estimation_empty_object", "killed_int", "grid_int", "seed_base_str",
          "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits",
          "grid_nul", "grid_too_long", "grid_directory", "true_state_zero", "true_state_empty_string",
-         "true_state_empty_list", "label_object", "label_null"],
+         "true_state_empty_list", "label_object", "label_null", "killed_repeated_key"],
 )
 def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, edit):
     scenario = {
