@@ -10,7 +10,7 @@ least squares state estimation driven by the surviving SCADA/PMU telemetry.
 
 from jointgrid.ternary import FULL, REDUCED, FAILED, min_and, max_or, new_xor
 from jointgrid.entities import EntityId, parse_entity_id
-from jointgrid.idr import IdrRule, parse_idr, format_idr
+from jointgrid.idr import IdrRule, format_idr
 from jointgrid.grid import Grid, load_grid
 from jointgrid.network import JointNetwork
 from jointgrid.synthesis import build_joint_network
@@ -28,7 +28,6 @@ __all__ = [
     "EntityId",
     "parse_entity_id",
     "IdrRule",
-    "parse_idr",
     "format_idr",
     "Grid",
     "load_grid",

@@ -131,10 +131,6 @@ class CascadeTrace:
         lowered = {self.slots[entity] for step in self.changed for entity in step}
         return FixpointState(self.slots, self.fixpoint, lowered, self.top)
 
-    def value_history(self, entity: EntityId) -> List[int]:
-        slot = self.slots[entity]
-        return [array[slot] for array in self.arrays]
-
 
 class _Functions(dict):
     """Rules compiled under one model: ``fns[i]`` is rule i's function

@@ -62,7 +62,8 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 _RANK_TEXT = tuple(_KIND_FORMAT[kind][1] for kind in _KINDS)
 _TYPE1_SUBTYPES, _LINK_FAMILIES = frozenset(range(1, 8)), frozenset(range(1, 7))
 
-_ENTITY_RE = re.compile(r"^([A-Z]+)\((\s*\d+\s*(?:,\s*\d+\s*)*)\)$")
+# ASCII: ``\d`` alone would take any Unicode digit, which ``int`` converts.
+_ENTITY_RE = re.compile(r"^([A-Z]+)\((\s*\d+\s*(?:,\s*\d+\s*)*)\)$", re.ASCII)
 
 
 class EntityError(ValueError):

@@ -27,9 +27,8 @@ the masks; each mask's system is the row selection ``kept(mask)`` of it,
 scaled once by ``analyse_system``, which anchors every bus that no kept
 entry fixes.  Each seed then costs one noise draw, and all seeds of a mask
 are solved by one least-squares call with one right-hand-side column per
-seed.  The per-seed path (``solve_with_anchors`` and ``wls_solve`` on one
-J, W, Z) stays as the reference it is tested against: each of its solves
-takes the rank, the null-space buses and the solution from one SVD.
+seed.  The per-seed reference it is tested against, one SVD solve per
+J, W, Z, lives with the tests in ``tests/wls_reference.py``.
 """
 
 from __future__ import annotations
@@ -47,21 +46,12 @@ SCADA_SIGMA = 0.03
 PMU_SIGMA = 0.001
 SIGMA_FLOOR = 1e-6
 ANCHOR_SIGMA = 0.5
-RANK_TOL = 1e-8
 
 _IDENTITY = np.eye(2)
 
 
 class EstimationError(ValueError):
     pass
-
-
-class UnobservableError(EstimationError):
-    """The design matrix is rank deficient; carries the undetermined buses."""
-
-    def __init__(self, buses: Sequence[int]):
-        super().__init__(f"unobservable state at buses {sorted(buses)}")
-        self.buses = sorted(buses)
 
 
 @dataclass
@@ -244,43 +234,6 @@ def measurement_template(
     )
 
 
-def _svd(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``U, s, V^T`` of ``A`` and its rank, singular values above ``RANK_TOL``
-    of the largest (or of 1).  ``V^T`` is square, so its rows past the rank
-    span the null space; ``U`` is thin unless ``A`` has fewer rows than
-    columns."""
-    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.count_nonzero(s > RANK_TOL * max(1.0, s.max(initial=0.0))))
-    return u, s, vt, rank
-
-
-def _null_space_buses(null_rows: np.ndarray, bus_ids: Sequence[int]) -> List[int]:
-    """The buses whose voltage components some null-space row moves."""
-    moved = (np.abs(null_rows) > 1e-6).reshape(len(null_rows), len(bus_ids), 2).any(axis=(0, 2))
-    return sorted(bus for bus, hit in zip(bus_ids, moved) if hit)
-
-
-def wls_solve(
-    J: np.ndarray, W: np.ndarray, Z: np.ndarray, bus_ids: Sequence[int]
-) -> Tuple[StateVector, float]:
-    """Weighted least squares: minimize (Z - JV)' W^-1 (Z - JV).
-
-    Solved through the scaled system W^-1/2 J V = W^-1/2 Z.  One SVD of
-    it gives the rank, the null space and the solution; raises
-    UnobservableError listing null-space buses when the design matrix loses
-    column rank.
-    """
-    scale = 1.0 / np.sqrt(W)
-    A = J * scale[:, None]
-    y = Z * scale
-    u, s, vt, rank = _svd(A)
-    if rank < A.shape[1]:
-        raise UnobservableError(_null_space_buses(vt[rank:], bus_ids))
-    solution = vt.T @ ((u.T @ y) / s)
-    residual = float(np.linalg.norm(A @ solution - y))
-    return StateVector(list(bus_ids), solution), residual
-
-
 def _anchor_rows(
     anchored: Sequence[int], bus_ids: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,26 +246,6 @@ def _anchor_rows(
     W = np.full(2 * len(anchored), ANCHOR_SIGMA**2)
     Z = np.tile([1.0, 0.0], len(anchored))
     return J, W, Z
-
-
-def solve_with_anchors(
-    J: np.ndarray, W: np.ndarray, Z: np.ndarray, bus_ids: Sequence[int]
-) -> Tuple[StateVector, float, List[int]]:
-    """WLS solve that anchors unobservable buses at flat start.
-
-    Returns (state, residual, anchored buses).  Anchors are weak (sigma
-    0.5 pu) flat-start voltage rows added only for the undetermined buses.
-    """
-    try:
-        state, residual = wls_solve(J, W, Z, bus_ids)
-        return state, residual, []
-    except UnobservableError as exc:
-        anchored = exc.buses
-    J_a, W_a, Z_a = _anchor_rows(anchored, bus_ids)
-    state, residual = wls_solve(
-        np.vstack([J, J_a]), np.concatenate([W, W_a]), np.concatenate([Z, Z_a]), bus_ids
-    )
-    return state, residual, anchored
 
 
 @dataclass(frozen=True)
@@ -338,8 +271,8 @@ def analyse_system(
     On the measurement graph, a bus is observable if some kept entry fixes
     it: a voltage fixes its own bus, a PMU current its far end (its own bus
     has the PMU voltage gated by the same flag, and the grid keeps
-    admittances nonzero).  The rest are the null-space buses
-    ``solve_with_anchors`` finds by SVD; once anchored, A has full column rank.
+    admittances nonzero).  The rest are the null-space buses of the
+    unanchored system; once anchored, A has full column rank.
     """
     fixed = set(template.fixes[rows[0::2]].tolist())
     anchored = [bus for bus in bus_ids if bus not in fixed]
@@ -384,13 +317,6 @@ class ComparisonResult:
     rows: Dict[str, int]
     cols: int
 
-    def mean_error(self, model: str) -> Dict[int, float]:
-        means = self.errors[model].mean(axis=0)
-        return {bus: float(means[i]) for i, bus in enumerate(self.bus_ids)}
-
-    def errors_at(self, model: str, bus: int) -> np.ndarray:
-        return self.errors[model][:, self.bus_ids.index(bus)]
-
 
 def compare_models(
     grid: Grid,
@@ -405,9 +331,9 @@ def compare_models(
     measurement surviving under both models carries identical noise and
     per-bus error differences isolate the masks' effect.
 
-    The draws and decisions are those of ``solve_with_anchors`` per seed on
-    the kept rows of the union mask's template, but each mask is analysed
-    once and all its seeds are solved as the columns of one right-hand side.
+    The draws and decisions are those of a per-seed anchored solve on the
+    kept rows of the union mask's template, but each mask is analysed once
+    and all its seeds are solved as the columns of one right-hand side.
     """
     models = sorted(masks)
     bus_ids = grid.bus_ids

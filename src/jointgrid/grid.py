@@ -252,10 +252,13 @@ def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
 
 
 def load_grid(path) -> Grid:
-    """Load and validate a grid file."""
+    """Load and validate a grid file; an error names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle, object_pairs_hook=unique_keys)
         except ValueError as exc:  # also raised for an integer past the digit limit
             raise GridError(f"{path}: not valid JSON: {exc}") from exc
-    return grid_from_dict(data, name=str(path))
+    try:
+        return grid_from_dict(data, name=str(path))
+    except GridError as exc:
+        raise GridError(f"{path}: {exc}") from exc

@@ -111,9 +111,6 @@ class RuleSet:
     def __deepcopy__(self, memo) -> "RuleSet":
         return self
 
-    def by_target(self) -> Dict[EntityId, IdrRule]:
-        return {rule.target: rule for rule in self.rules}
-
 
 @dataclass(eq=False)
 class JointNetwork:

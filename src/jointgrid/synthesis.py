@@ -514,9 +514,10 @@ def generate_rules(network: JointNetwork) -> Tuple[List[IdrRule], Dict[int, List
 # --- Orchestration ----------------------------------------------------------------
 
 
-def build_joint_network(grid: Grid, config: Optional[SynthesisConfig] = None) -> JointNetwork:
-    """Run the full synthesis pipeline and return a validated-ready network."""
-    config = config or grid.config
+def build_joint_network(grid: Grid) -> JointNetwork:
+    """Run the full synthesis pipeline, configured by ``grid.config``, and
+    return a validated-ready network."""
+    config = grid.config
     substations = group_substations(grid, config)
     dist = all_pairs_shortest(grid, substations)
     adjacency = substation_adjacency(grid, substations)

@@ -20,18 +20,11 @@ REDUCED = 1
 FULL = 2
 
 TERNARY_LEVELS = (FAILED, REDUCED, FULL)
-BINARY_LEVELS = (0, 1)
 
 
 def check_ternary(value: int) -> int:
     if value not in TERNARY_LEVELS:
         raise ValueError(f"not a ternary operational level: {value!r}")
-    return value
-
-
-def check_binary(value: int) -> int:
-    if value not in BINARY_LEVELS:
-        raise ValueError(f"not a binary operational level: {value!r}")
     return value
 
 
@@ -57,18 +50,3 @@ def new_xor(values: Iterable[int]) -> int:
     if all(v == first for v in vals):
         return first
     return REDUCED
-
-
-def binary_and(a: int, b: int) -> int:
-    """Boolean conjunction on {0, 1}."""
-    return check_binary(a) & check_binary(b)
-
-
-def binary_or(a: int, b: int) -> int:
-    """Boolean disjunction on {0, 1}."""
-    return check_binary(a) | check_binary(b)
-
-
-def to_binary(level: int) -> int:
-    """Project a ternary level onto {0, 1}: reduced operation counts as operational."""
-    return 0 if check_ternary(level) == FAILED else 1

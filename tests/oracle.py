@@ -12,6 +12,16 @@ tree checks a whole batch of states.  A scalar state is the case S = 1.
 A synthesized network's IIM rule sets hold the ternary rules of its MIIM
 rule sets, and the compiler reads them as binary; ``read`` gives the trees
 that reading stands for.
+
+Beside the evaluator the module holds the tests' other helpers on rules:
+
+- the binary model's scalar kernel, ``binary_and``, ``binary_or``,
+  ``to_binary`` and ``check_binary`` over ``BINARY_LEVELS``;
+- ``format_idr_file``, the reference rule-file text of a list of rules;
+- ``free_entities``, a rule's or an expression's set of literals;
+- ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
+  cascade rule, a substation's data-path rules and the entity columns of
+  state arrays.
 """
 
 import weakref
@@ -30,9 +40,13 @@ from jointgrid.idr import (
     IdrModelError,
     IdrRule,
     Op,
+    _scan,
+    format_idr,
 )
 from jointgrid.network import RuleSet
-from jointgrid.ternary import BINARY_LEVELS, REDUCED, TERNARY_LEVELS
+from jointgrid.ternary import FAILED, REDUCED, TERNARY_LEVELS, check_ternary
+
+BINARY_LEVELS = (0, 1)
 
 # Each ternary operator's binary image: min-AND and new-XOR become AND,
 # max-OR becomes OR.
@@ -63,6 +77,27 @@ _FOLDS = {
     OP_BOOL_AND: lambda *values: reduce(np.bitwise_and, values),
     OP_BOOL_OR: lambda *values: reduce(np.bitwise_or, values),
 }
+
+
+def check_binary(value):
+    if value not in BINARY_LEVELS:
+        raise ValueError(f"not a binary operational level: {value!r}")
+    return value
+
+
+def binary_and(a, b):
+    """Boolean conjunction on {0, 1}."""
+    return check_binary(a) & check_binary(b)
+
+
+def binary_or(a, b):
+    """Boolean disjunction on {0, 1}."""
+    return check_binary(a) | check_binary(b)
+
+
+def to_binary(level):
+    """Project a ternary level onto {0, 1}: reduced operation counts as operational."""
+    return 0 if check_ternary(level) == FAILED else 1
 
 
 def evaluate(expr, state):
@@ -109,6 +144,11 @@ def _translate_expr(expr):
     return Op(_BINARY_IMAGE[expr.op], tuple(_translate_expr(c) for c in expr.children))
 
 
+def rule_of(rule_set, target):
+    """The cascade rule of ``target`` in ``rule_set``."""
+    return next(rule for rule in rule_set.rules if rule.target == target)
+
+
 def paths_of(rule_set, sub_id):
     """Substation ``sub_id``'s SCADA and PMU data-path rules in ``rule_set``,
     the PMU rule None when there is none."""
@@ -136,3 +176,23 @@ def read(rule_set):
         availability = [translate_to_iim(rule) for rule in rule_set.availability]
         found = _READ[rule_set] = RuleSet(IIM, rule_set.case, rules, availability)
     return found
+
+
+def free_entities(rule_or_expr):
+    """All entity literals appearing in a rule body or expression."""
+    if isinstance(rule_or_expr, IdrRule):
+        return frozenset(rule_or_expr.literals)
+    return frozenset(_scan(rule_or_expr)[1])
+
+
+def format_idr_file(rules, header=()):
+    """Serialize rules to ``.idr`` text, emitting a model directive whenever
+    the model changes between consecutive rules."""
+    lines = [f"# {note}" for note in header]
+    current_model = None
+    for rule in rules:
+        if rule.model != current_model:
+            lines.append(f"#model: {rule.model}")
+            current_model = rule.model
+        lines.append(format_idr(rule))
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import columns, evaluate, paths_of, read
+from oracle import columns, evaluate, paths_of, read, to_binary
 from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
@@ -18,7 +18,6 @@ from jointgrid.cascade import (
 from jointgrid.entities import parse_entity_id
 from jointgrid.idr import IIM, MIIM, compile_expr
 from jointgrid.network import CASES, MODELS, RuleSet
-from jointgrid.ternary import to_binary
 
 ATTACK = [parse_entity_id(t) for t in ["P(12)", "C(1,1,6,6)", "C(1,2,6,6)"]]
 
@@ -214,8 +213,9 @@ def test_footprint_diff_bus_set_mismatch():
 
 def test_value_history(ieee14, attack):
     trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), attack)
-    assert trace.value_history(parse_entity_id("C(2,1,1,0)")) == [2, 2, 1]
-    assert trace.value_history(parse_entity_id("P(12)")) == [0, 0, 0]
+    ring_node, bus = trace.slots[parse_entity_id("C(2,1,1,0)")], trace.slots[parse_entity_id("P(12)")]
+    assert [array[ring_node] for array in trace.arrays] == [2, 2, 1]
+    assert [array[bus] for array in trace.arrays] == [0, 0, 0]
 
 
 _KIND = {ent.KIND_GW_SCADA: "scada", ent.KIND_GW_PMU: "pmu"}

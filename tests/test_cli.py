@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fuzzing import edit_json
-from oracle import read
+from idr_reader import parse_idr_file
+from oracle import format_idr_file, read
 from jointgrid import cli, entities as ent
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
 from jointgrid.grid import MAX_PU
-from jointgrid.idr import format_idr, format_idr_file
+from jointgrid.idr import format_idr
 
 
 def test_parser_supports_synth():
@@ -97,11 +98,12 @@ def test_validate_non_finite_branch_number_exits_2(fixtures_dir, tmp_path, capsy
         ({"x": 10**400}, "/branches/0/x"),  # too large for a float
         ({"x": "DIGITS"}, "not valid JSON"),  # past the integer digit limit
         ({"b": 1e300}, "/branches/0/b"),  # a PMU current's squared sigma overflows
+        ({"x": 0}, "bad.json: /branches/0/x: reactance must be non-zero"),  # the error names the file
         # json would keep the last of a repeated key's values, here a valid one.
         ({"x": "TWICE"}, "bad.json: not valid JSON: key 'x' appears twice in one object"),
     ],
     ids=["impedance_high", "impedance_low", "int_401_digits", "int_5000_digits", "susceptance_high",
-         "repeated_key"],
+         "reactance_zero", "repeated_key"],
 )
 def test_validate_unusable_branch_number_exits_2(fixtures_dir, tmp_path, capsys, branch, message):
     grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
@@ -293,14 +295,21 @@ def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeyp
     assert all(rule.model == "miim" for rule in calls)
 
 
-def test_emitted_rule_files_reparse(fixtures_dir, tmp_path):
-    from jointgrid.idr import parse_idr_file
-
+def test_emitted_rule_files_reparse(fixtures_dir, tmp_path, ieee14, ieee118):
+    """The reader is the writer's round-trip oracle: each rule file that
+    ``synth`` writes for the 14-bus grid, and the 118-bus IIM case-2 text,
+    parse to exactly the rule set's rules, then its availability rules, as
+    its model reads them."""
     out = tmp_path / "synth"
     main(["synth", "--grid", str(fixtures_dir / "ieee14.json"), "--out-dir", str(out)])
-    for path in out.glob("*.idr"):
-        rules = parse_idr_file(path.read_text(encoding="utf-8"))
+    assert len(list(out.glob("*.idr"))) == len(ieee14.rule_sets)
+    for (model, case), rule_set in ieee14.rule_sets.items():
+        rules = parse_idr_file((out / f"rules_{model}_case{case}.idr").read_text(encoding="utf-8"))
         assert len(rules) > 80
+        assert rules == [*read(rule_set).rules, *read(rule_set).availability]
+    rule_set = read(ieee118.rule_set("iim", 2))
+    text = rule_file_text(ieee118)["iim", 2]
+    assert parse_idr_file(text) == [*rule_set.rules, *rule_set.availability]
 
 
 def test_cascade_outputs(fixtures_dir, tmp_path, capsys):
@@ -612,6 +621,7 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         # A string edit is the file's text: json.dumps refuses such an integer.
         ("not valid JSON", lambda s: json.dumps(s).replace('"version": 1', '"version": ' + "9" * 5000)),
         ("bad killed entity", lambda s: {**s, "killed": ["P(" + "9" * 5000 + ")"]}),
+        ("bad killed entity", lambda s: {**s, "killed": ["P(\u0661\u0662)"]}),  # Arabic-Indic 12
         ("bad grid path", lambda s: {**s, "grid": "ieee14\u0000.json"}),
         ("bad grid path", lambda s: {**s, "grid": "g" * 5000}),
         ("grid file not found", lambda s: {**s, "grid": "."}),
@@ -625,7 +635,7 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
     ],
     ids=["array", "estimation_list", "estimation_empty_list", "estimation_false", "estimation_zero",
          "estimation_empty_string", "estimation_empty_object", "killed_int", "grid_int", "seed_base_str",
-         "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits",
+         "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits", "killed_non_ascii_digits",
          "grid_nul", "grid_too_long", "grid_directory", "true_state_zero", "true_state_empty_string",
          "true_state_empty_list", "label_object", "label_null", "killed_repeated_key"],
 )

@@ -55,7 +55,8 @@ def test_malformed_index_count():
 
 
 def test_malformed_text():
-    for text in ["C(1,2,6,6", "P()", "P(a)", "12", ""]:
+    # "P(\u0661\u0662)" spells 12 in Arabic-Indic digits: indices are ASCII.
+    for text in ["C(1,2,6,6", "P()", "P(a)", "12", "", "P(\u0661\u0662)"]:
         with pytest.raises(EntityError):
             parse_entity_id(text)
 

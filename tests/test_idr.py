@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzing import edit_rule_text
-from oracle import UnknownEntityError, columns, evaluate, read, translate_to_iim
+from idr_reader import parse_expr, parse_idr, parse_idr_file
+from oracle import (
+    BINARY_LEVELS,
+    UnknownEntityError,
+    binary_and,
+    binary_or,
+    columns,
+    evaluate,
+    format_idr_file,
+    free_entities,
+    read,
+    translate_to_iim,
+)
 from jointgrid import entities as ent, ternary
 from jointgrid.cli import rule_file_text
 from jointgrid.entities import EntityId, parse_entity_id
@@ -24,11 +36,6 @@ from jointgrid.idr import (
     compile_expr,
     format_expr,
     format_idr,
-    free_entities,
-    parse_expr,
-    parse_idr,
-    parse_idr_file,
-    format_idr_file,
 )
 from jointgrid.network import CASES
 
@@ -277,8 +284,8 @@ _KERNEL = {
     OP_MIN_AND: lambda values: reduce(ternary.min_and, values),
     OP_MAX_OR: lambda values: reduce(ternary.max_or, values),
     OP_NEW_XOR: ternary.new_xor,
-    OP_BOOL_AND: lambda values: reduce(ternary.binary_and, values),
-    OP_BOOL_OR: lambda values: reduce(ternary.binary_or, values),
+    OP_BOOL_AND: lambda values: reduce(binary_and, values),
+    OP_BOOL_OR: lambda values: reduce(binary_or, values),
 }
 
 
@@ -292,7 +299,7 @@ def test_both_readings_match_the_ternary_kernel(arity):
     operands = tuple(ent.bus(k) for k in range(1, arity + 1))
     slots = {entity: k for k, entity in enumerate(operands)}
     ternary_inputs = list(itertools.product(ternary.TERNARY_LEVELS, repeat=arity))
-    binary_inputs = list(itertools.product(ternary.BINARY_LEVELS, repeat=arity))
+    binary_inputs = list(itertools.product(BINARY_LEVELS, repeat=arity))
     for op, inputs in (
         (OP_MIN_AND, ternary_inputs),
         (OP_MAX_OR, ternary_inputs),

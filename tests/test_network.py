@@ -4,10 +4,11 @@ import re
 
 import pytest
 
+from oracle import free_entities, rule_of
 from jointgrid import entities as ent
 from jointgrid.cascade import FailureScenario, ScenarioError, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import OP_MIN_AND, IdrRule, MIIM, Op, free_entities
+from jointgrid.idr import OP_MIN_AND, IdrRule, MIIM, Op
 from jointgrid.network import (
     ROLE_PRIMARY_CC,
     Ring,
@@ -274,7 +275,7 @@ def test_missing_rtu_flagged(ieee14):
 def test_power_feed_shape_of_first_node_rule(ieee14):
     # The generated power alternatives for the first SONET node span ten
     # buses and their ten feed links.
-    rule = ieee14.rule_set(MIIM, 1).by_target()[ent.sadm(1)]
+    rule = rule_of(ieee14.rule_set(MIIM, 1), ent.sadm(1))
     power = rule.body.children[2]
     entities = free_entities(power)
     buses = {e for e in entities if e.kind == "bus"}

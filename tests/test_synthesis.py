@@ -4,7 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from oracle import columns, evaluate, paths_of, read, translate_to_iim
+from idr_reader import parse_idr_file
+from oracle import (
+    columns,
+    evaluate,
+    format_idr_file,
+    free_entities,
+    paths_of,
+    read,
+    rule_of,
+    translate_to_iim,
+)
 from jointgrid import entities as ent
 from jointgrid.entities import parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
@@ -14,9 +24,6 @@ from jointgrid.idr import (
     Op,
     compile_expr,
     format_idr,
-    format_idr_file,
-    free_entities,
-    parse_idr_file,
 )
 from jointgrid.network import CASES, MODELS, validate
 from jointgrid.synthesis import (
@@ -296,7 +303,7 @@ def test_fixture_sadm_homing(ieee14):
 def test_fixture_sadm1_sources_match_narrative(ieee14):
     # Data sources of the first SONET node: homed gateways plus the primary
     # control center's gateway.
-    rule = ieee14.rule_set(MIIM, 1).by_target()[ent.sadm(1)]
+    rule = rule_of(ieee14.rule_set(MIIM, 1), ent.sadm(1))
     data_feed = rule.body.children[1]
     channels = sorted(e.indices[3] for e in free_entities(data_feed))
     assert channels == [2, 6, 7, 8, 9, 11]
@@ -461,7 +468,7 @@ def test_fixture_placement_matches_key_based_definitions(request, network_name):
 
 
 def test_golden_sadm1_rule(ieee14):
-    rule = ieee14.rule_set(MIIM, 1).by_target()[ent.sadm(1)]
+    rule = rule_of(ieee14.rule_set(MIIM, 1), ent.sadm(1))
     assert format_idr(rule) == GOLDEN_SADM1
 
 

@@ -2,17 +2,15 @@ import itertools
 
 import pytest
 
+from oracle import binary_and, binary_or, to_binary
 from jointgrid.ternary import (
     FAILED,
     FULL,
     REDUCED,
     TERNARY_LEVELS,
-    binary_and,
-    binary_or,
     max_or,
     min_and,
     new_xor,
-    to_binary,
 )
 
 # Printed truth table: (a, b) -> (min_and, max_or, new_xor)
