@@ -36,7 +36,7 @@ from jointgrid.cascade import (
 from jointgrid.entities import EntityError, parse_entity_id
 from jointgrid.grid import MAX_PU, Grid, GridError, int_key, load_grid, unique_keys
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
-from jointgrid.network import CASES, EntityMeta, JointNetwork, validate as validate_network
+from jointgrid.network import CASES, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
 
 EXIT_OK = 0
@@ -104,6 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 _CONTAINERS = (dict, list, tuple)
 
 
+class _Rendered(str):
+    """A value's JSON text, already rendered as an item at the depth where
+    the payload places it; ``_json_text`` writes it as it is."""
+
+
+_WALKED = (*_CONTAINERS, _Rendered)
+
+
 def _write_json(path: Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 
@@ -147,11 +155,13 @@ def _json_text(payload) -> str:
 
     def text(value, depth: int) -> str:
         """The text of ``value`` as an item at ``depth``."""
+        if isinstance(value, _Rendered):
+            return value
         if not isinstance(value, _CONTAINERS):
             return scalar_text(value)
         is_dict = isinstance(value, dict)
         indent = "\n" + "  " * (depth + 1)
-        if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+        if not any(map(isinstance, value.values() if is_dict else value, repeat(_WALKED))):
             flat = "".join(encoder(depth)(value, 0))  # "[a,<indent>b]": open the brackets
             return f"{flat[0]}{indent}{flat[1:-1]}{indent[:-2]}{flat[-1]}" if value else flat
         if is_dict:
@@ -244,11 +254,24 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
     return payload, mask
 
 
-def _meta_payload(meta: EntityMeta) -> dict:
-    return {
-        "substation": meta.substation,
-        "endpoints": list(meta.endpoints) if meta.endpoints else None,
-    }
+def registry_text(network: JointNetwork) -> str:
+    """network.json's ``registry``: the text ``json.dumps(..., indent=2,
+    sort_keys=True)`` gives it as the value of a top-level key.  Each entity's
+    entry is ``{"endpoints": [a, b] or null, "substation": s or null}``, keyed
+    by its name, in name order.  Entity names hold only letters, digits,
+    parentheses and commas, which JSON takes unescaped."""
+    names, slots = network.names, network.slots
+    entries = []
+    for name, entity in sorted(zip(names, network.entity_order)):  # names are distinct
+        meta = network.registry[entity]
+        substation = "null" if meta.substation is None else meta.substation
+        if meta.ends is None:
+            ends = "null"
+        else:
+            a, b = meta.ends
+            ends = f'[\n        "{names[slots[a]]}",\n        "{names[slots[b]]}"\n      ]'
+        entries.append(f'"{name}": {{\n      "endpoints": {ends},\n      "substation": {substation}\n    }}')
+    return "{\n    " + ",\n    ".join(entries) + "\n  }" if entries else "{}"
 
 
 def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str]) -> dict:
@@ -279,10 +302,7 @@ def network_payload(network: JointNetwork, rule_texts: Dict[Tuple[str, int], str
         "oadm_homing": {str(sub): node for sub, node in sorted(network.oadm_homing.items())},
         "rtus": {str(sub): ids for sub, ids in sorted(network.rtus.items())},
         "pmus": {str(sub): ids for sub, ids in sorted(network.pmus.items()) if ids},
-        "registry": {
-            name: _meta_payload(network.registry[entity])
-            for name, entity in zip(network.names, network.entity_order)
-        },
+        "registry": _Rendered(registry_text(network)),
         "rules": {
             f"{model}_case{case}": text for (model, case), text in sorted(rule_texts.items())
         },

@@ -19,8 +19,8 @@ to build the communication overlay:
 Branch ``length`` (km) may be omitted; a stand-in proportional to the
 series reactance is synthesized so that placement stays deterministic.
 Electrical parameters are per-unit; only the estimation stage reads them.
-Bus-id and substation-id keys are canonical decimal integers: ``"4"``,
-never ``"04"`` or ``" 4"``.
+Bus and substation ids are non-negative integers, and as keys they are
+canonical decimal: ``"4"``, never ``"04"``, ``" 4"`` or ``"-4"``.
 """
 
 from __future__ import annotations
@@ -103,6 +103,22 @@ def _as_int(value, pointer: str) -> int:
     return value
 
 
+def _as_id(value, pointer: str) -> int:
+    """A bus or substation id: a non-negative integer, since an entity id
+    such as ``P(4)`` spells its indices in digits only."""
+    number = _as_int(value, pointer)
+    _expect(number >= 0, pointer, f"id must be non-negative, got {number}")
+    return number
+
+
+def _id_key(key: str, pointer: str, what: str) -> int:
+    """The id an object key names, in canonical decimal and non-negative."""
+    number = int_key(key)
+    _expect(number is not None, pointer, f"key {key!r} must be a {what} id in canonical decimal")
+    _expect(number >= 0, pointer, f"{what} id must be non-negative, got {number}")
+    return number
+
+
 def int_key(key: str) -> Optional[int]:
     """The id a JSON object key spells in canonical decimal, where
     ``str(int(key)) == key``; None for any other key.  ``"05"``, ``" 5"``,
@@ -148,7 +164,7 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
     for i, entry in enumerate(raw_buses):
         pointer = f"/buses/{i}"
         _expect(isinstance(entry, dict), pointer, "expected an object")
-        bus_id = _as_int(entry.get("id"), f"{pointer}/id")
+        bus_id = _as_id(entry.get("id"), f"{pointer}/id")
         _expect(bus_id not in seen, f"{pointer}/id", f"duplicate bus id {bus_id}")
         seen.add(bus_id)
         generator = _as_bool(entry.get("generator", False), f"{pointer}/generator")
@@ -197,10 +213,9 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         mapping: Dict[int, int] = {}
         for key, value in raw_map.items():
             pointer = f"/substation_map/{key}"
-            bus_id = int_key(key)
-            _expect(bus_id is not None, pointer, f"key {key!r} must be a bus id in canonical decimal")
+            bus_id = _id_key(key, pointer, "bus")
             _expect(bus_id in seen, pointer, f"unknown bus {bus_id}")
-            mapping[bus_id] = _as_int(value, pointer)
+            mapping[bus_id] = _as_id(value, pointer)
         missing = sorted(seen - mapping.keys())
         _expect(not missing, "/substation_map", f"buses without a substation: {missing}")
         config.substation_map = mapping
@@ -208,7 +223,7 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
     raw_pmu = data.get("pmu_substations", [])
     _expect(isinstance(raw_pmu, list), "/pmu_substations", "expected an array")
     config.pmu_substations = [
-        _as_int(v, f"/pmu_substations/{i}") for i, v in enumerate(raw_pmu)
+        _as_id(v, f"/pmu_substations/{i}") for i, v in enumerate(raw_pmu)
     ]
 
     raw_cc = data.get("control_centers")
@@ -218,8 +233,8 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
             "/control_centers",
             "expected [primary, backup]",
         )
-        primary = _as_int(raw_cc[0], "/control_centers/0")
-        backup = _as_int(raw_cc[1], "/control_centers/1")
+        primary = _as_id(raw_cc[0], "/control_centers/0")
+        backup = _as_id(raw_cc[1], "/control_centers/1")
         _expect(primary != backup, "/control_centers", "control centers must differ")
         config.control_centers = (primary, backup)
 
@@ -229,9 +244,7 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         homing: Dict[int, int] = {}
         for key, value in raw.items():
             pointer = f"/{field_name}/{key}"
-            sub = int_key(key)
-            _expect(sub is not None, pointer, f"key {key!r} must be a substation id in canonical decimal")
-            homing[sub] = _as_int(value, pointer)
+            homing[_id_key(key, pointer, "substation")] = _as_id(value, pointer)
         setattr(config, field_name, homing)
 
     return Grid(str(data.get("name", name)), buses, branches, config)

@@ -52,10 +52,16 @@ class Substation:
 
 @dataclass(frozen=True)
 class EntityMeta:
-    """Registry metadata: owning substation and link endpoints, if any."""
+    """Registry metadata: owning substation and link endpoints, if any.
+    ``ends`` holds the endpoints' ids; writers name them from the network's
+    ``names``, and ``endpoints`` gives their texts."""
 
     substation: Optional[int] = None
-    endpoints: Optional[Tuple[str, str]] = None
+    ends: Optional[Tuple[EntityId, EntityId]] = None
+
+    @property
+    def endpoints(self) -> Optional[Tuple[str, str]]:
+        return None if self.ends is None else (str(self.ends[0]), str(self.ends[1]))
 
 
 @dataclass

@@ -10,8 +10,9 @@ The binary model (IIM) builds no rules of its own: each case's IIM rule set
 holds the very rules of its MIIM rule set, and the model names how they are
 read (``idr.compile_expr``).
 
-Each ring is described once, as a ``_RingSide``, and that one description
-feeds both the registry and every rule.
+Each substation's and each ring's entity ids are built once per build, as a
+``_SubstationIds`` and a ``_RingSide``, and those tables feed both the
+registry and every rule.
 
 Channel policy case 1 keeps RTU traffic strictly on the SONET path; case 2
 lets the high-bandwidth DWDM path carry RTU traffic when the SONET path is
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,10 +260,15 @@ def home_gateways(
     """Map each non-control-center substation to a ring node.
 
     Default choice is the nearest host (ties to the lowest node id); the
-    override maps substation id to host substation id.  Control-center
-    gateways connect to every node and are absent from the map.
+    override (the grid's ``<kind>_homing``) maps substation id to host
+    substation id, and each of its keys must name a substation.
+    Control-center gateways connect to every node and are absent from the
+    map.
     """
     override = override or {}
+    unknown = sorted(set(override) - {sub.id for sub in substations})
+    if unknown:
+        raise SynthesisError(f"{ring.kind}_homing: substation {unknown[0]} does not exist")
     homing: Dict[int, int] = {}
     host_set = set(ring.hosts)
     host_columns = [dist._index[host] for host in ring.hosts]  # node order: argmin ties to the lowest
@@ -305,153 +311,197 @@ def _new_xor(children: Sequence[IdrExpr]) -> IdrExpr:
 
 
 @dataclass(frozen=True)
+class _SubstationIds:
+    """The ids of one substation's entities, each built once per build.
+
+    ``server_feeds`` and ``gateway_feeds`` pair each power source (the buses
+    in bus order, then the battery) with its link to the server (families 1
+    and 5) or to the gateway (2 and 6); ``rtus`` and ``pmus`` pair each
+    device with its channel.  ``pmu_path`` is None for a substation without
+    PMUs.
+    """
+
+    sub: Substation
+    battery: EntityId
+    server: EntityId
+    gateway: EntityId
+    lan: EntityId
+    buses: Tuple[EntityId, ...]
+    server_feeds: Tuple[Tuple[EntityId, EntityId], ...]
+    gateway_feeds: Tuple[Tuple[EntityId, EntityId], ...]
+    rtus: Tuple[Tuple[EntityId, EntityId], ...]  # (R(i), C(1,6,i,s))
+    pmus: Tuple[Tuple[EntityId, EntityId], ...]  # (U(j), C(1,7,j,s))
+    scada_path: EntityId
+    pmu_path: Optional[EntityId]
+
+
+def _substation_ids(network: JointNetwork, sub: Substation) -> _SubstationIds:
+    s = sub.id
+    pmu_ids = network.pmus.get(s, [])
+    battery = ent.battery(s)
+    buses = tuple(map(ent.bus, sub.buses))
+
+    def feeds(bus_family: int, battery_family: int):
+        links = [ent.link(bus_family, b) for b in sub.buses] + [ent.link(battery_family, s)]
+        return tuple(zip(buses + (battery,), links))
+
+    return _SubstationIds(
+        sub, battery, ent.server(s), ent.gateway(s), ent.lan(s), buses, feeds(1, 5), feeds(2, 6),
+        tuple((ent.rtu(i), ent.rtu_channel(i, s)) for i in network.rtus[s]),
+        tuple((ent.pmu(j), ent.pmu_channel(j, s)) for j in pmu_ids),
+        ent.gw_scada(s),
+        ent.gw_pmu(s) if pmu_ids else None,
+    )
+
+
+@dataclass(frozen=True)
 class _RingSide:
-    """One optical ring as both the registry and the rules see it.
+    """One optical ring as both the registry and the rules see it, with the
+    id of each of its entities built once.
 
     ``channels`` maps each node to the substations with a gateway channel
-    into it: those homed onto it plus both control centers.  ``sources``
-    are the channels whose data the node must carry, which is every channel
-    but a control center hosting the node itself.  ``feeds`` are the node's
-    (bus, link index) power feeds, in link family ``family``.
+    into it, ascending (those homed onto it plus both control centers), and
+    each of those to its channel.  ``sources`` are the channels whose data
+    the node must carry, which is every channel but a control center
+    hosting the node itself.  ``feeds`` are the node's power feeds, each a
+    bus and its link; ``neighbors`` each neighbouring node, ascending, with
+    the ring link to it; ``links`` the ring links by node pair.
     """
 
     ring: Ring
     homing: Dict[int, int]  # non-CC substation -> node id
-    node: Callable[[int], EntityId]
-    link: Callable[[int, int], EntityId]
-    channel: Callable[[int, int], EntityId]  # (node, substation)
-    family: int
-    channels: Dict[int, List[int]]
-    sources: Dict[int, List[int]]
-    feeds: Dict[int, List[Tuple[int, int]]]
+    nodes: Dict[int, EntityId]
+    channels: Dict[int, Dict[int, EntityId]]
+    sources: Dict[int, List[EntityId]]
+    feeds: Dict[int, List[Tuple[EntityId, EntityId]]]
+    neighbors: Dict[int, List[Tuple[EntityId, EntityId]]]
+    links: Dict[Tuple[int, int], EntityId]
 
 
 def _ring_side(
-    network: JointNetwork, ring: Ring, homing: Dict[int, int], node, link, channel, family: int
+    network: JointNetwork,
+    subs: Dict[int, _SubstationIds],
+    ring: Ring,
+    homing: Dict[int, int],
+    node,
+    ring_link,
+    channel,
+    family: int,
 ) -> _RingSide:
     ccs = network.control_centers
-    nodes = range(1, ring.node_count + 1)
-    channels: Dict[int, List[int]] = {n: list(ccs) for n in nodes}
+    nodes = {n: node(n) for n in range(1, ring.node_count + 1)}
+    members: Dict[int, List[int]] = {n: list(ccs) for n in nodes}
     for sub_id, homed in homing.items():
-        channels[homed].append(sub_id)
-    sources: Dict[int, List[int]] = {}
-    for n, subs in channels.items():
-        subs.sort()
-        sources[n] = [s for s in subs if not (s == ring.host_of(n) and s in ccs)]
+        members[homed].append(sub_id)
+    channels = {n: {s: channel(n, s) for s in sorted(members[n])} for n in nodes}
     # Host buses first, then the source substations' buses ascending by
     # substation; link indices run across nodes in node order.
-    buses_of = {sub.id: sub.buses for sub in network.substations}
-    feeds: Dict[int, List[Tuple[int, int]]] = {}
+    sources: Dict[int, List[EntityId]] = {}
+    feeds: Dict[int, List[Tuple[EntityId, EntityId]]] = {}
     counter = 1
     for n in nodes:
         host = ring.host_of(n)
-        order = [host] + [s for s in sources[n] if s != host]
-        buses = [bus_id for sub_id in order for bus_id in buses_of[sub_id]]
-        feeds[n] = [(bus_id, counter + i) for i, bus_id in enumerate(buses)]
+        carried = [s for s in channels[n] if not (s == host and s in ccs)]
+        sources[n] = [channels[n][s] for s in carried]
+        order = [host] + [s for s in carried if s != host]
+        buses = [bus for sub_id in order for bus in subs[sub_id].buses]
+        feeds[n] = [(bus, ent.link(family, counter + i)) for i, bus in enumerate(buses)]
         counter += len(buses)
-    return _RingSide(ring, homing, node, link, channel, family, channels, sources, feeds)
+    links = {(a, b): ring_link(a, b) for a, b in ring.edges}
+    neighbors = {n: [(nodes[m], links[min(n, m), max(n, m)]) for m in ring.neighbors(n)] for n in nodes}
+    return _RingSide(ring, homing, nodes, channels, sources, feeds, neighbors, links)
 
 
-def _ring_sides(network: JointNetwork) -> Tuple[_RingSide, _RingSide]:
-    """The SONET side (SADMs; RTU/SCADA traffic) and the DWDM side (OADMs;
-    PMU traffic, and SCADA backup under case 2)."""
-    return (
+@dataclass(frozen=True)
+class _IdTables:
+    """Every id of a build, each made once: per substation, and per ring
+    side (SONET, then DWDM).  The registry and the rules read these."""
+
+    substations: Dict[int, _SubstationIds]  # ascending by substation id
+    sides: Tuple[_RingSide, _RingSide]
+
+
+def _id_tables(network: JointNetwork) -> _IdTables:
+    """The substations' ids, then the SONET side's (SADMs; RTU/SCADA
+    traffic) and the DWDM side's (OADMs; PMU traffic, and SCADA backup under
+    case 2)."""
+    subs = {sub.id: _substation_ids(network, sub) for sub in sorted(network.substations, key=attrgetter("id"))}
+    sides = (
         _ring_side(
-            network, network.sadm_ring, network.sadm_homing,
+            network, subs, network.sadm_ring, network.sadm_homing,
             ent.sadm, ent.sonet_ring_link, ent.sonet_channel, 3,
         ),
         _ring_side(
-            network, network.oadm_ring, network.oadm_homing,
+            network, subs, network.oadm_ring, network.oadm_homing,
             ent.oadm, ent.dwdm_ring_link, ent.dwdm_channel, 4,
         ),
     )
+    return _IdTables(subs, sides)
 
 
-def build_registry(network: JointNetwork) -> Dict[EntityId, EntityMeta]:
-    """Register every modeled entity with its owning substation/endpoints."""
+def build_registry(tables: _IdTables) -> Dict[EntityId, EntityMeta]:
+    """Register every modeled entity with its owning substation/endpoints.
+    Entities of one substation without endpoints share one metadata value."""
     registry: Dict[EntityId, EntityMeta] = {}
 
-    for sub in network.substations:
-        for bus_id in sub.buses:
-            registry[ent.bus(bus_id)] = EntityMeta(substation=sub.id)
-        registry[ent.battery(sub.id)] = EntityMeta(substation=sub.id)
-        registry[ent.server(sub.id)] = EntityMeta(substation=sub.id)
-        registry[ent.gateway(sub.id)] = EntityMeta(substation=sub.id)
-        registry[ent.lan(sub.id)] = EntityMeta(substation=sub.id)
-        server, gateway = str(ent.server(sub.id)), str(ent.gateway(sub.id))
-        for bus_id in sub.buses:
-            bus = str(ent.bus(bus_id))
-            registry[ent.link(1, bus_id)] = EntityMeta(substation=sub.id, endpoints=(bus, server))
-            registry[ent.link(2, bus_id)] = EntityMeta(substation=sub.id, endpoints=(bus, gateway))
-        battery = str(ent.battery(sub.id))
-        registry[ent.link(5, sub.id)] = EntityMeta(substation=sub.id, endpoints=(battery, server))
-        registry[ent.link(6, sub.id)] = EntityMeta(substation=sub.id, endpoints=(battery, gateway))
-        for rtu_id in network.rtus[sub.id]:
-            registry[ent.rtu(rtu_id)] = EntityMeta(substation=sub.id)
-            registry[ent.rtu_channel(rtu_id, sub.id)] = EntityMeta(substation=sub.id)
-        for pmu_id in network.pmus.get(sub.id, []):
-            registry[ent.pmu(pmu_id)] = EntityMeta(substation=sub.id)
-            registry[ent.pmu_channel(pmu_id, sub.id)] = EntityMeta(substation=sub.id)
+    for ids in tables.substations.values():
+        sub_id = ids.sub.id
+        owned = EntityMeta(substation=sub_id)
+        for entity in (*ids.buses, ids.battery, ids.server, ids.gateway, ids.lan):
+            registry[entity] = owned
+        for feeds, device in ((ids.server_feeds, ids.server), (ids.gateway_feeds, ids.gateway)):
+            for source, link in feeds:
+                registry[link] = EntityMeta(sub_id, (source, device))
+        for device, channel in ids.rtus + ids.pmus:
+            registry[device] = registry[channel] = owned
 
-    for side in _ring_sides(network):
-        for node, subs in side.channels.items():
-            node_name = str(side.node(node))
-            registry[side.node(node)] = EntityMeta(substation=side.ring.host_of(node))
-            for sub_id in subs:
-                registry[side.channel(node, sub_id)] = EntityMeta(
-                    substation=sub_id, endpoints=(str(ent.gateway(sub_id)), node_name)
-                )
-            for bus_id, link_index in side.feeds[node]:
-                registry[ent.link(side.family, link_index)] = EntityMeta(
-                    endpoints=(str(ent.bus(bus_id)), node_name)
-                )
-        for a, b in side.ring.edges:
-            registry[side.link(a, b)] = EntityMeta(endpoints=(str(side.node(a)), str(side.node(b))))
+    for side in tables.sides:
+        for n, node in side.nodes.items():
+            registry[node] = EntityMeta(substation=side.ring.host_of(n))
+            for sub_id, channel in side.channels[n].items():
+                registry[channel] = EntityMeta(sub_id, (tables.substations[sub_id].gateway, node))
+            for bus, link in side.feeds[n]:
+                registry[link] = EntityMeta(ends=(bus, node))
+        for (a, b), link in side.links.items():
+            registry[link] = EntityMeta(ends=(side.nodes[a], side.nodes[b]))
     return registry
 
 
-def _power(sub: Substation, bus_family: int, battery_family: int) -> IdrExpr:
+def _power(feeds: Sequence[Tuple[EntityId, EntityId]]) -> IdrExpr:
     """Supply from any of the substation's buses or its battery, each over its
-    link in the given family: 1 and 5 feed the server, 2 and 6 the gateway."""
-    terms = [_min_and(ent.bus(b), ent.link(bus_family, b)) for b in sub.buses]
-    terms.append(_min_and(ent.battery(sub.id), ent.link(battery_family, sub.id)))
-    return _max_or(terms)
+    link (``server_feeds`` or ``gateway_feeds``)."""
+    return _max_or([_min_and(source, link) for source, link in feeds])
 
 
-def _ingest(sub: Substation, device_ids: Sequence[int], device, channel) -> IdrExpr:
+def _ingest(devices: Sequence[Tuple[EntityId, EntityId]]) -> IdrExpr:
     """Unanimous data from each device of one kind over its channel."""
-    return _new_xor([_min_and(device(i), channel(i, sub.id)) for i in device_ids])
+    return _new_xor([_min_and(device, channel) for device, channel in devices])
 
 
 def _ring_connect(side: _RingSide, sub: Substation) -> IdrExpr:
     """Gateway-to-ring reachability term: the homed node for an ordinary
     substation, any node for a control center."""
     if sub.is_control_center:
-        nodes = range(1, side.ring.node_count + 1)
+        nodes = side.nodes
     else:
         nodes = [side.homing[sub.id]]
-    return _max_or([_min_and(side.node(n), side.channel(n, sub.id)) for n in nodes])
+    return _max_or([_min_and(side.nodes[n], side.channels[n][sub.id]) for n in nodes])
 
 
-def _ring_node_rule(side: _RingSide, node: int, ccs: Sequence[int]) -> IdrRule:
+def _ring_node_rule(side: _RingSide, node: int, cc_gateways: Sequence[Tuple[int, EntityId]]) -> IdrRule:
     """Operational rule for a ring node: survivable ring/control-center
     reachability, unanimous data feed from its source gateways' channels,
     and at least one live power feed."""
-    reach_terms = [
-        _min_and(side.node(neighbor), side.link(node, neighbor))
-        for neighbor in side.ring.neighbors(node)
-    ]
-    reach_terms += [_min_and(ent.gateway(cc), side.channel(node, cc)) for cc in ccs]
-    data_terms = [side.channel(node, sub_id) for sub_id in side.sources[node]]
-    power_terms = [
-        _min_and(ent.bus(bus_id), ent.link(side.family, link_index))
-        for bus_id, link_index in side.feeds[node]
-    ]
-    body = _min_and(_max_or(reach_terms), _new_xor(data_terms), _max_or(power_terms))
-    return IdrRule(side.node(node), body, MIIM)
+    reach_terms = [_min_and(neighbor, link) for neighbor, link in side.neighbors[node]]
+    reach_terms += [_min_and(gateway, side.channels[node][cc]) for cc, gateway in cc_gateways]
+    power_terms = [_min_and(bus, link) for bus, link in side.feeds[node]]
+    body = _min_and(_max_or(reach_terms), _new_xor(side.sources[node]), _max_or(power_terms))
+    return IdrRule(side.nodes[node], body, MIIM)
 
 
-def generate_rules(network: JointNetwork) -> Tuple[List[IdrRule], Dict[int, List[IdrRule]]]:
+def generate_rules(
+    network: JointNetwork, tables: Optional[_IdTables] = None
+) -> Tuple[List[IdrRule], Dict[int, List[IdrRule]]]:
     """Ternary-model cascade rules, one per dependent entity, and per case
     the data-path rules deciding SCADA/PMU delivery, in rule-file order
     (substations ascending, ``GS(s)`` before ``GP(s)``), from one pass over
@@ -470,42 +520,41 @@ def generate_rules(network: JointNetwork) -> Tuple[List[IdrRule], Dict[int, List
     2 the DWDM path backs it up.  PMU data follows the DWDM path in both
     cases, so both cases hold the same PMU rule.
     """
-    sadm, oadm = sides = _ring_sides(network)
+    tables = tables or _id_tables(network)
+    sadm, oadm = tables.sides
     rules: List[IdrRule] = []
     availability: Dict[int, List[IdrRule]] = {case: [] for case in CASES}
-    for sub in sorted(network.substations, key=attrgetter("id")):
-        server_body = _min_and(_min_and(ent.gateway(sub.id), ent.lan(sub.id)), _power(sub, 1, 5))
-        rules.append(IdrRule(ent.server(sub.id), server_body, MIIM))
+    for ids in tables.substations.values():
+        sub = ids.sub
+        server_body = _min_and(_min_and(ids.gateway, ids.lan), _power(ids.server_feeds))
+        rules.append(IdrRule(ids.server, server_body, MIIM))
 
-        head = _min_and(ent.server(sub.id), ent.lan(sub.id))
-        power = _power(sub, 2, 6)
-        scada_ingest = _ingest(sub, network.rtus[sub.id], ent.rtu, ent.rtu_channel)
+        head = _min_and(ids.server, ids.lan)
+        power = _power(ids.gateway_feeds)
+        scada_ingest = _ingest(ids.rtus)
         gateway_body = _min_and(head, scada_ingest, power)
         sadm_connect = _ring_connect(sadm, sub)
         oadm_connect = _ring_connect(oadm, sub)
-        device_power = _max_or([ent.bus(b) for b in sub.buses] + [ent.battery(sub.id)])
-        devices = [ent.rtu(i) for i in network.rtus[sub.id]]
+        device_power = _max_or([*ids.buses, ids.battery])
         pmu_rules = []
-        pmu_ids = network.pmus.get(sub.id)
-        if pmu_ids:
-            pmu_ingest = _ingest(sub, pmu_ids, ent.pmu, ent.pmu_channel)
+        if ids.pmus:
+            pmu_ingest = _ingest(ids.pmus)
             gateway_body = _new_xor([gateway_body, _min_and(head, pmu_ingest, power)])
             pmu_body = _min_and(head, _min_and(pmu_ingest, oadm_connect), power)
-            pmu_rules.append(IdrRule(ent.gw_pmu(sub.id), pmu_body, MIIM))
-            devices += [ent.pmu(j) for j in pmu_ids]
-        rules.append(IdrRule(ent.gateway(sub.id), gateway_body, MIIM))
-        rules += [IdrRule(device, device_power, MIIM) for device in devices]
+            pmu_rules.append(IdrRule(ids.pmu_path, pmu_body, MIIM))
+        rules.append(IdrRule(ids.gateway, gateway_body, MIIM))
+        rules += [IdrRule(device, device_power, MIIM) for device, _ in ids.rtus + ids.pmus]
 
         scada_reach = {1: sadm_connect, 2: Op(OP_MAX_OR, (sadm_connect, oadm_connect))}
         for case in CASES:
             scada_body = _min_and(head, _min_and(scada_ingest, scada_reach[case]), power)
-            availability[case] += [IdrRule(ent.gw_scada(sub.id), scada_body, MIIM), *pmu_rules]
+            availability[case] += [IdrRule(ids.scada_path, scada_body, MIIM), *pmu_rules]
 
-    ccs = network.control_centers
-    for side in sides:
-        for node, subs in side.channels.items():
-            rules.append(_ring_node_rule(side, node, ccs))
-            rules += [IdrRule(side.channel(node, s), ent.gateway(s), MIIM) for s in subs]
+    cc_gateways = [(cc, tables.substations[cc].gateway) for cc in network.control_centers]
+    for side in tables.sides:
+        for node, channels in side.channels.items():
+            rules.append(_ring_node_rule(side, node, cc_gateways))
+            rules += [IdrRule(channel, tables.substations[s].gateway, MIIM) for s, channel in channels.items()]
 
     rules.sort(key=attrgetter("target"))
     return rules, availability
@@ -556,9 +605,10 @@ def build_joint_network(grid: Grid) -> JointNetwork:
         rtus=rtus,
         pmus=pmus,
     )
-    network.registry = build_registry(network)
+    tables = _id_tables(network)
+    network.registry = build_registry(tables)
     network.index_entities()
-    rules, availability = generate_rules(network)
+    rules, availability = generate_rules(network, tables)
     # A case's IIM rule set holds the very rules and availability tuples of
     # its MIIM rule set: the model names how the rules are read.
     rules = tuple(rules)

@@ -18,6 +18,8 @@ Beside the evaluator the module holds the tests' other helpers on rules:
 - the binary model's scalar kernel, ``binary_and``, ``binary_or``,
   ``to_binary`` and ``check_binary`` over ``BINARY_LEVELS``;
 - ``format_idr_file``, the reference rule-file text of a list of rules;
+- ``registry_payload``, network.json's registry as one object per entity,
+  the reference for ``cli.registry_text``;
 - ``free_entities``, a rule's or an expression's set of literals;
 - ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
   cascade rule, a substation's data-path rules and the entity columns of
@@ -196,3 +198,18 @@ def format_idr_file(rules, header=()):
             current_model = rule.model
         lines.append(format_idr(rule))
     return "\n".join(lines) + "\n"
+
+
+def meta_payload(meta):
+    """One registry entry as network.json holds it."""
+    return {
+        "substation": meta.substation,
+        "endpoints": list(meta.endpoints) if meta.endpoints else None,
+    }
+
+
+def registry_payload(network):
+    """network.json's ``registry`` as a dict of entity text to entry, each
+    entity named by ``str``: ``json.dumps(..., indent=2, sort_keys=True)`` of
+    it, indented one level deeper, is the registry's text in the file."""
+    return {str(entity): meta_payload(meta) for entity, meta in network.registry.items()}

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fuzzing import edit_json
 from idr_reader import parse_idr_file
-from oracle import format_idr_file, read
+from oracle import format_idr_file, read, registry_payload
 from jointgrid import cli, entities as ent
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
@@ -481,6 +481,20 @@ def test_estimate_from_mask(fixtures_dir, tmp_path):
     assert len(lines) == 15
 
 
+@pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
+def test_registry_text_matches_json_dumps(request, network_name):
+    """network.json's registry, written as text in name order, is
+    ``json.dumps`` of one object per entity, and so is the whole file with
+    it in place.  Names sort as text: ``C(1,1,10,10)`` before ``C(1,1,2,2)``."""
+    network = request.getfixturevalue(network_name)
+    reference = registry_payload(network)
+    expected = json.dumps(reference, indent=2, sort_keys=True).replace("\n", "\n  ")  # one level deeper
+    assert cli.registry_text(network) == expected
+    payload = cli.network_payload(network, rule_file_text(network))
+    whole = json.dumps({**payload, "registry": reference}, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == whole
+
+
 def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
     out = tmp_path / "synth"
     main(["synth", "--grid", str(fixtures_dir / "ieee14.json"), "--out-dir", str(out)])
@@ -652,6 +666,18 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
     code = main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["sadm_homing", "oadm_homing"])
+def test_run_homing_for_unknown_substation_exits_2(fixtures_dir, tmp_path, capsys, field):
+    grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
+    grid.setdefault(field, {})["999"] = 1
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"version": 1, "grid": "grid.json", "killed": ["P(12)"]}), encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {field}: substation 999 does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_at_the_magnitude_bound_writes_finite_errors(fixtures_dir, tmp_path):

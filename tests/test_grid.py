@@ -151,6 +151,40 @@ def test_non_canonical_id_key_named(fixtures_dir, field, key):
         grid_from_dict(data)
 
 
+def _rename_bus(data, old, new):
+    """The grid with bus ``old`` renamed to ``new`` wherever it appears."""
+    for bus in data["buses"]:
+        bus["id"] = new if bus["id"] == old else bus["id"]
+    for branch in data["branches"]:
+        for end in ("from", "to"):
+            branch[end] = new if branch[end] == old else branch[end]
+    data["substation_map"][str(new)] = data["substation_map"].pop(str(old))
+
+
+# Each edit puts a negative id in one place of the 14-bus grid; an entity id
+# spells its indices in digits only, so none of them could be named.
+NEGATIVE_IDS = {
+    "bus": (lambda d: _rename_bus(d, 14, -14), "/buses/13/id: id must be non-negative, got -14"),
+    "substation_map_key": (lambda d: d["substation_map"].update({"-14": 8}), "/substation_map/-14: bus id"),
+    "substation_map_value": (lambda d: d["substation_map"].update({"14": -8}), "/substation_map/14: id must"),
+    "pmu_substations": (lambda d: d["pmu_substations"].append(-7), "/pmu_substations/3: id must"),
+    "control_centers": (lambda d: d.update(control_centers=[2, -1]), "/control_centers/1: id must"),
+    "sadm_homing_key": (lambda d: d.update(sadm_homing={"-6": 3}), "/sadm_homing/-6: substation id"),
+    "sadm_homing_value": (lambda d: d.update(sadm_homing={"6": -3}), "/sadm_homing/6: id must"),
+    "oadm_homing_key": (lambda d: d["oadm_homing"].update({"-9": 1}), "/oadm_homing/-9: substation id"),
+    "oadm_homing_value": (lambda d: d["oadm_homing"].update({"9": -1}), "/oadm_homing/9: id must"),
+}
+
+
+@pytest.mark.parametrize("where", NEGATIVE_IDS)
+def test_negative_id_named(fixtures_dir, where):
+    data = json.loads((fixtures_dir / "ieee14.json").read_text())
+    edit, message = NEGATIVE_IDS[where]
+    edit(data)
+    with pytest.raises(GridError, match=re.escape(message)):
+        grid_from_dict(data)
+
+
 def test_two_keys_for_one_bus_rejected(fixtures_dir):
     data = json.loads((fixtures_dir / "ieee14.json").read_text())
     data["substation_map"]["04"] = 9  # beside "4": 1

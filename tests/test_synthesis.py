@@ -1,4 +1,5 @@
 import heapq
+import json
 import random
 
 import numpy as np
@@ -12,10 +13,12 @@ from oracle import (
     free_entities,
     paths_of,
     read,
+    registry_payload,
     rule_of,
     translate_to_iim,
 )
 from jointgrid import entities as ent
+from jointgrid.cli import registry_text
 from jointgrid.entities import parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
 from jointgrid.idr import (
@@ -332,6 +335,8 @@ def test_homing_override_validated():
     ring = Ring("oadm", [1, 2], [(1, 2)])
     with pytest.raises(SynthesisError, match="hosts no oadm node"):
         home_gateways(subs, ring, dm, override={3: 3})
+    with pytest.raises(SynthesisError, match="oadm_homing: substation 99 does not exist"):
+        home_gateways(subs, ring, dm, override={3: 1, 99: 1})
 
 
 def test_co_located_gateway_homes_to_own_node(ieee14):
@@ -605,6 +610,32 @@ def test_binary_reading_matches_translated_rules(request, network_name, seed):
     assert _binary_reading_mismatches(network, arrays) == []
 
 
+def test_build_makes_each_entity_id_once(ieee118_grid, monkeypatch):
+    """A 118-bus build constructs each entity id once, registered entities
+    and data paths alike, and formats only the network's ``names``."""
+    from jointgrid.entities import EntityId
+
+    counts = {"new": 0, "str": 0}
+    new, text = EntityId.__new__, EntityId.__str__
+
+    def counting_new(cls, kind, indices):
+        counts["new"] += 1
+        return new(cls, kind, indices)
+
+    def counting_str(entity):
+        counts["str"] += 1
+        return text(entity)
+
+    monkeypatch.setattr(EntityId, "__new__", counting_new)
+    monkeypatch.setattr(EntityId, "__str__", counting_str)
+    network = build_joint_network(ieee118_grid)
+    monkeypatch.undo()
+    paths = {rule.target for rule_set in network.rule_sets.values() for rule in rule_set.availability}
+    assert (len(network.registry), len(paths)) == (2392, 139)
+    assert counts["new"] <= len(network.registry) + len(paths)
+    assert counts["str"] == len(network.registry)
+
+
 def test_build_constructs_no_binary_rule(ieee118_grid, monkeypatch):
     """A 118-bus build makes ternary rules only: the IIM rule sets read them."""
     from jointgrid.idr import IdrRule
@@ -749,6 +780,10 @@ def test_random_grids_synthesize_validated_networks():
         on = {e: 1 for e in network.registry}
         for rule in read(network.rule_set(IIM, 1)).rules:
             assert evaluate(rule.body, on) == 1
+
+        # The registry as text is json.dumps of one object per entity, one level deep.
+        reference = json.dumps(registry_payload(network), indent=2, sort_keys=True)
+        assert registry_text(network) == reference.replace("\n", "\n  ")
 
         entities = network.entity_ids()
         rule_set = network.rule_set(MIIM, 1)
