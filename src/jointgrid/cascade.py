@@ -32,6 +32,11 @@ rules tuple and a case's two models one availability tuple, so only the
 compiled functions are per model.  The package has no other rule
 evaluator; the tests check the compiled functions against an interpretive
 one of their own.
+A cascade program also keeps, per model, the kill set and trace of its
+latest cascade, and a cascade of that kill set under that model returns
+the same trace.  The two channel cases differ only in their data-path
+rules, so a kill set asked for under case 1 and then case 2 (or the other
+way round) is cascaded once per model and both cases share its trace.
 A program checks its rules' references through the lookups it makes
 anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
@@ -103,7 +108,12 @@ class FixpointState(Mapping[EntityId, int]):
 
 @dataclass
 class CascadeTrace:
-    """Per-step changes T1..Tn (T1: the attacked entities at 0) and the fixpoint Tn."""
+    """Per-step changes T1..Tn (T1: the attacked entities at 0) and the fixpoint Tn.
+
+    A trace may be returned to every caller that cascades its kill set under
+    its model and rules (see ``run_cascade``), so it is shared: read it, never
+    change it.
+    """
 
     slots: Dict[EntityId, int]
     top: int
@@ -126,8 +136,13 @@ class CascadeTrace:
         return arrays
 
     def final_state(self) -> FixpointState:
-        """The fixpoint as a mapping.  Values only fall, so the slots below
-        top are exactly those some step changed."""
+        """The fixpoint as a mapping, built on the first call and shared."""
+        return self._final_state
+
+    @cached_property
+    def _final_state(self) -> FixpointState:
+        # Values only fall, so the slots below top are exactly those some
+        # step changed.
         lowered = {self.slots[entity] for step in self.changed for entity in step}
         return FixpointState(self.slots, self.fixpoint, lowered, self.top)
 
@@ -152,7 +167,9 @@ class _Functions(dict):
 class _Program:
     """One rules tuple over one slot map: per rule ``targets[rule.target]``
     (``targets``), per slot the rules that read it (``readers``), and each
-    model's functions (``fns[model]``).  A cascade rule's target is its slot."""
+    model's functions (``fns[model]``).  A cascade rule's target is its slot.
+    A cascade program keeps each model's latest kill set and its trace
+    (``latest[model]``, set by ``run_cascade``)."""
 
     label = "cascade rules"
 
@@ -171,6 +188,7 @@ class _Program:
             problems = reference_problems(rules, slots, targets)
             raise ScenarioError(f"{self.label}: {'; '.join(problems[:5])}")
         self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
+        self.latest: Dict[str, Tuple[FrozenSet[EntityId], CascadeTrace]] = {}
 
 
 class _AvailabilityProgram(_Program):
@@ -223,9 +241,17 @@ def run_cascade(
     rule_set: RuleSet,
     scenario: FailureScenario,
 ) -> CascadeTrace:
-    """Run the synchronous cascade to its fixpoint."""
-    entities = network.entity_ids()
+    """Run the synchronous cascade to its fixpoint.
+
+    The trace of the kill set last cascaded under ``rule_set``'s model and
+    cascade rules is kept, and a cascade of that kill set returns it; only
+    a successful cascade is kept.
+    """
     program = _programs(network, rule_set)[0]
+    killed, trace = program.latest.get(rule_set.model, (None, None))
+    if killed == scenario.killed:
+        return trace
+    entities = network.entity_ids()
     top, slots = _top(rule_set.model), network.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
@@ -276,7 +302,9 @@ def run_cascade(
         )
         frontier = set(updates)
 
-    return CascadeTrace(slots=slots, top=top, fixpoint=state, changed=changed_per_step)
+    trace = CascadeTrace(slots=slots, top=top, fixpoint=state, changed=changed_per_step)
+    program.latest[rule_set.model] = (frozenset(scenario.killed), trace)
+    return trace
 
 
 def _top(model: str) -> int:

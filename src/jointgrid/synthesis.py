@@ -261,14 +261,20 @@ def home_gateways(
 
     Default choice is the nearest host (ties to the lowest node id); the
     override (the grid's ``<kind>_homing``) maps substation id to host
-    substation id, and each of its keys must name a substation.
-    Control-center gateways connect to every node and are absent from the
-    map.
+    substation id, and each of its keys must name a substation that is not
+    a control center.  Control-center gateways connect to every node and
+    are absent from the map.
     """
     override = override or {}
-    unknown = sorted(set(override) - {sub.id for sub in substations})
-    if unknown:
-        raise SynthesisError(f"{ring.kind}_homing: substation {unknown[0]} does not exist")
+    is_center = {sub.id: sub.is_control_center for sub in substations}
+    for key in sorted(override):
+        if key not in is_center:
+            raise SynthesisError(f"{ring.kind}_homing: substation {key} does not exist")
+        if is_center[key]:
+            raise SynthesisError(
+                f"{ring.kind}_homing: substation {key} is a control center,"
+                " whose gateway connects to every node"
+            )
     homing: Dict[int, int] = {}
     host_set = set(ring.hosts)
     host_columns = [dist._index[host] for host in ring.hosts]  # node order: argmin ties to the lowest

@@ -95,6 +95,44 @@ def test_unknown_killed_entity_rejected(ieee14):
         run_cascade(ieee14, ieee14.rule_set(MIIM, 1), scenario)
 
 
+def _trace_fields(trace):
+    return trace.changed, trace.fixpoint, trace.converged_at, trace.final_state().lowered
+
+
+def test_kill_set_cascades_once_per_model_and_both_cases_share_its_trace(ieee14):
+    """Over the whole 14-bus N-1 family, under both models and in either
+    case order, the second case's cascade returns the first case's trace,
+    and that trace equals a cold cascade: one under a copy of the rules
+    tuple, which gets a program and so a latest trace of its own."""
+    for model in MODELS:
+        rule_sets = {case: ieee14.rule_set(model, case) for case in CASES}
+        cold_set = RuleSet(model, 1, tuple(list(rule_sets[1].rules)), rule_sets[1].availability)
+        for order in ((1, 2), (2, 1)):
+            for entity in ieee14.entity_ids():
+                scenario = FailureScenario.of([entity])
+                first, second = (run_cascade(ieee14, rule_sets[case], scenario) for case in order)
+                cold = run_cascade(ieee14, cold_set, scenario)
+                assert second is first and cold is not first
+                assert _trace_fields(first) == _trace_fields(cold)
+
+
+def test_latest_trace_is_kept_only_for_its_kill_set(ieee14, attack):
+    """A different kill set between two equal ones is cascaded afresh, and so
+    is the repeat after it.  A kill set naming an unknown entity raises after
+    a repeat was served, and the trace kept before it is still served."""
+    rule_sets = [ieee14.rule_set(MIIM, case) for case in CASES]
+    other = FailureScenario.of([parse_entity_id("P(5)")])
+    trace = run_cascade(ieee14, rule_sets[0], attack)
+    between = run_cascade(ieee14, rule_sets[1], other)
+    again = run_cascade(ieee14, rule_sets[0], attack)
+    assert between is not trace and again is not trace
+    assert _trace_fields(again) == _trace_fields(trace) != _trace_fields(between)
+    assert run_cascade(ieee14, rule_sets[1], attack) is again
+    with pytest.raises(ScenarioError, match=r"P\(99\)"):
+        run_cascade(ieee14, rule_sets[0], FailureScenario.of([parse_entity_id("P(99)")]))
+    assert run_cascade(ieee14, rule_sets[0], attack) is again
+
+
 def test_rule_body_naming_unregistered_entity_rejected(ieee14, attack):
     import dataclasses
 

@@ -561,6 +561,7 @@ def rekey(flags, old, new):
     [
         ("--seeds", ["--seeds", "0"], json.dumps),
         ("--seeds", ["--seeds", "-2"], json.dumps),
+        ("--seeds", ["--seeds", "100001"], json.dumps),
         ("--seed-base", ["--seed-base", "-1"], json.dumps),
         ("grid", [], lambda m: json.dumps({k: v for k, v in m.items() if k != "grid"})),
         ("top level", [], lambda m: json.dumps([m])),
@@ -589,7 +590,7 @@ def rekey(flags, old, new):
         ("mask.json: not valid JSON: key '5' appears twice", [], lambda m: json.dumps(m).replace(
             '"scada": {', '"scada": {"5": false, ')),
     ],
-    ids=["seeds_zero", "seeds_negative", "seed_base_negative", "no_grid", "array",
+    ids=["seeds_zero", "seeds_negative", "seeds_above_bound", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
          "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
          "scada_not_object", "pmu_not_equipped", "scada_key_collision", "scada_key_space",
@@ -632,6 +633,7 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": "x"}}),
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": 1.5}}),
         ("seeds", lambda s: {**s, "estimation": {"seeds": True}}),
+        ("estimation.seeds", lambda s: {**s, "estimation": {"seeds": 100001}}),
         # A string edit is the file's text: json.dumps refuses such an integer.
         ("not valid JSON", lambda s: json.dumps(s).replace('"version": 1', '"version": ' + "9" * 5000)),
         ("bad killed entity", lambda s: {**s, "killed": ["P(" + "9" * 5000 + ")"]}),
@@ -649,9 +651,10 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
     ],
     ids=["array", "estimation_list", "estimation_empty_list", "estimation_false", "estimation_zero",
          "estimation_empty_string", "estimation_empty_object", "killed_int", "grid_int", "seed_base_str",
-         "seed_base_float", "seeds_bool", "int_5000_digits", "killed_5000_digits", "killed_non_ascii_digits",
-         "grid_nul", "grid_too_long", "grid_directory", "true_state_zero", "true_state_empty_string",
-         "true_state_empty_list", "label_object", "label_null", "killed_repeated_key"],
+         "seed_base_float", "seeds_bool", "seeds_above_bound", "int_5000_digits", "killed_5000_digits",
+         "killed_non_ascii_digits", "grid_nul", "grid_too_long", "grid_directory", "true_state_zero",
+         "true_state_empty_string", "true_state_empty_list", "label_object", "label_null",
+         "killed_repeated_key"],
 )
 def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, edit):
     scenario = {
@@ -670,14 +673,18 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
 
 @pytest.mark.parametrize("field", ["sadm_homing", "oadm_homing"])
 def test_run_homing_for_unknown_substation_exits_2(fixtures_dir, tmp_path, capsys, field):
-    grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
-    grid.setdefault(field, {})["999"] = 1
-    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    """A homing key must name a substation that is homed: neither one the
+    grid lacks nor a control center (14-bus substation 1), whose gateway
+    connects to every node and so would ignore the key."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"version": 1, "grid": "grid.json", "killed": ["P(12)"]}), encoding="utf-8")
-    assert main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
-    assert f"error: {field}: substation 999 does not exist" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for key, why in (("999", "does not exist"), ("1", "is a control center")):
+        grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
+        grid.setdefault(field, {})[key] = 1
+        (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {field}: substation {key} {why}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_at_the_magnitude_bound_writes_finite_errors(fixtures_dir, tmp_path):

@@ -337,6 +337,9 @@ def test_homing_override_validated():
         home_gateways(subs, ring, dm, override={3: 3})
     with pytest.raises(SynthesisError, match="oadm_homing: substation 99 does not exist"):
         home_gateways(subs, ring, dm, override={3: 1, 99: 1})
+    subs[1].role = "backup_cc"  # its gateway connects to every node: a key for it would be dropped
+    with pytest.raises(SynthesisError, match="oadm_homing: substation 2 is a control center"):
+        home_gateways(subs, ring, dm, override={2: 1, 3: 1})
 
 
 def test_co_located_gateway_homes_to_own_node(ieee14):

@@ -1,0 +1,105 @@
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed S]
+
+Each pair runs `perfbench/run.py` once in each checkout, with the same
+input seed (S + the pair's index) and the run length `run_seconds` of
+`BENCHMARK.json`; the parent runs first in even pairs and the change
+first in odd ones.  The two checkouts must hold the same `BENCHMARK.json`
+and `perfbench/`.  It then prints, per end-to-end metric of
+`BENCHMARK.json`, each side's median and quartiles, the change's median
+relative to the parent's, and in how many pairs the change read better
+(ties count for neither side).  A gain holds when the change is better in
+at least nine pairs of ten and the medians differ by more than the
+distance between the parent's quartiles.  Runs whose outputs failed their
+checks are counted at the end.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def benchmark_files(checkout: Path) -> dict:
+    """The bytes of ``BENCHMARK.json`` and of each file in ``perfbench/``."""
+    paths = [checkout / "BENCHMARK.json", *(p for p in (checkout / "perfbench").iterdir() if p.is_file())]
+    return {path.relative_to(checkout): path.read_bytes() for path in paths}
+
+
+def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one benchmark run in ``checkout``."""
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def report(metrics: list, parent_runs: list, change_runs: list) -> list:
+    """One line per end-to-end metric."""
+    pairs = len(parent_runs)
+    lines = [f"{'metric':<12} {'better':<7} {'parent median [q1, q3]':<38} {'change median [q1, q3]':<38} "
+             f"{'change':>8} {'wins':>6}  gain"]
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent = [run["metrics"][name]["value"] for run in parent_runs]
+        change = [run["metrics"][name]["value"] for run in change_runs]
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        p50, c50 = statistics.median(parent), statistics.median(change)
+        (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
+        gain = wins >= 0.9 * pairs and sign * (p50 - c50) > p3 - p1
+        relative = f"{100 * (c50 - p50) / p50:+.1f}%" if p50 else "n/a"
+        lines.append(f"{name:<12} {metric['better']:<7} {f'{p50:.6g} [{p1:.6g}, {p3:.6g}]':<38} "
+                     f"{f'{c50:.6g} [{c1:.6g}, {c3:.6g}]':<38} {relative:>8} {f'{wins}/{pairs}':>6}  "
+                     f"{'yes' if gain else 'no'}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0, help="input seed of the first pair")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if benchmark_files(parent) != benchmark_files(change):
+        parser.error("the checkouts differ in BENCHMARK.json or perfbench/")
+    benchmark = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.workload not in [w["name"] for w in benchmark["workloads"]]:
+        parser.error(f"unknown workload {args.workload!r}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    runs = {parent: [], change: []}
+    for index in range(args.pairs):
+        seed = args.seed + index
+        for checkout in (parent, change) if index % 2 == 0 else (change, parent):
+            result = run_once(checkout, benchmark["command"], args.workload, seed, benchmark["run_seconds"])
+            runs[checkout].append(result)
+            side = "parent" if checkout == parent else "change"
+            p50 = result["metrics"]["op_p50_s"]["value"]
+            print(f"pair {index + 1}/{args.pairs} seed {seed} {side}: op_p50_s {p50:.6g}", file=sys.stderr)
+
+    print(f"{args.workload}: {args.pairs} pairs of {benchmark['run_seconds']} s runs, "
+          f"seeds {args.seed}-{args.seed + args.pairs - 1}")
+    print("\n".join(report(benchmark["end_to_end"], runs[parent], runs[change])))
+    failed = {side: sum(not run["correct"] for run in runs[checkout])
+              for side, checkout in (("parent", parent), ("change", change))}
+    print(f"runs with failed checks: parent {failed['parent']}, change {failed['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
