@@ -5,8 +5,10 @@ for the whole run.  Each time step re-evaluates every dependent entity's
 rule against the previous step's state simultaneously and records what
 fell; the run stops at the first step that changes nothing.  Operator
 monotonicity makes values non-increasing, which guarantees convergence
-well inside 2x the entity count.  A trace keeps those changes and the
-fixpoint array, from which every earlier step can be replayed.
+well inside 2x the entity count.  A trace keeps those changes, each step's
+as ``{slot: level}`` over the network's slot map, and the fixpoint array,
+from which every earlier step can be replayed.  The trace is itself its
+fixpoint as an entity -> level mapping: ``final_state()`` returns it.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
@@ -83,68 +85,46 @@ class FailureScenario:
         return FailureScenario(frozenset(killed), label)
 
 
-class FixpointState(Mapping[EntityId, int]):
-    """Read-only view of a fixpoint array as entity -> level.
+@dataclass(eq=False)
+class CascadeTrace(Mapping[EntityId, int]):
+    """Per-step changes T1..Tn (T1: the attacked entities at 0), each as
+    ``{slot: level}`` in slot order, and the fixpoint Tn.
 
-    Keys iterate in the canonical entity order; an unregistered entity
-    raises ``KeyError``.
-    """
-
-    def __init__(self, slots: Dict[EntityId, int], array: List[int], lowered: Set[int], top: int):
-        self.slots = slots
-        self.array = array
-        self.lowered = lowered  # the slots below the top level
-        self.top = top  # the cascade's model's top level
-
-    def __getitem__(self, entity: EntityId) -> int:
-        return self.array[self.slots[entity]]
-
-    def __iter__(self) -> Iterator[EntityId]:
-        return iter(self.slots)
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-
-@dataclass
-class CascadeTrace:
-    """Per-step changes T1..Tn (T1: the attacked entities at 0) and the fixpoint Tn.
-
-    A trace may be returned to every caller that cascades its kill set under
-    its model and rules (see ``run_cascade``), so it is shared: read it, never
-    change it.
+    The trace is itself its fixpoint as a read-only mapping of entity ->
+    level: keys iterate in the canonical entity order, an unregistered
+    entity raises ``KeyError``, and ``lowered`` holds the slots below the
+    top level.  A trace may be returned to every caller that cascades its
+    kill set under its model and rules (see ``run_cascade``), so it is
+    shared: read it, never change it.
     """
 
     slots: Dict[EntityId, int]
-    top: int
+    top: int  # the cascade's model's top level
     fixpoint: List[int]
-    changed: List[Dict[EntityId, int]]
+    changed: List[Dict[int, int]]
 
     @property
     def converged_at(self) -> int:
         return len(self.changed)
 
     @cached_property
-    def arrays(self) -> List[List[int]]:
-        """Every step's full state, replayed from the changes."""
-        state = [self.top] * len(self.fixpoint)
-        arrays = []
-        for step in self.changed:
-            for entity, value in step.items():
-                state[self.slots[entity]] = value
-            arrays.append(list(state))
-        return arrays
-
-    def final_state(self) -> FixpointState:
-        """The fixpoint as a mapping, built on the first call and shared."""
-        return self._final_state
-
-    @cached_property
-    def _final_state(self) -> FixpointState:
+    def lowered(self) -> Set[int]:
         # Values only fall, so the slots below top are exactly those some
         # step changed.
-        lowered = {self.slots[entity] for step in self.changed for entity in step}
-        return FixpointState(self.slots, self.fixpoint, lowered, self.top)
+        return {slot for step in self.changed for slot in step}
+
+    def final_state(self) -> "CascadeTrace":
+        """The fixpoint as a mapping: the trace itself."""
+        return self
+
+    def __getitem__(self, entity: EntityId) -> int:
+        return self.fixpoint[self.slots[entity]]
+
+    def __iter__(self) -> Iterator[EntityId]:
+        return iter(self.slots)
+
+    def __len__(self) -> int:
+        return len(self.slots)
 
 
 class _Functions(dict):
@@ -263,9 +243,7 @@ def run_cascade(
     for slot in killed_slots:
         state[slot] = 0
 
-    changed_per_step: List[Dict[EntityId, int]] = [
-        {entity: 0 for entity in sorted(scenario.killed)}
-    ]
+    changed_per_step: List[Dict[int, int]] = [dict.fromkeys(sorted(killed_slots), 0)]
 
     frontier: Set[int] = set(killed_slots)
     max_steps = 2 * len(entities) + 2
@@ -297,9 +275,7 @@ def run_cascade(
             break
         for slot, value in updates.items():
             state[slot] = value
-        changed_per_step.append(
-            {entities[slot]: value for slot, value in sorted(updates.items())}
-        )
+        changed_per_step.append(dict(sorted(updates.items())))
         frontier = set(updates)
 
     trace = CascadeTrace(slots=slots, top=top, fixpoint=state, changed=changed_per_step)
@@ -321,7 +297,7 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     program = _programs(network, rule_set)[0]
     fns = program.fns[rule_set.model]
     state = trace.fixpoint
-    killed_slots = {network.slots[e] for e in trace.changed[0]}
+    killed_slots = trace.changed[0]
     for rule_index, target_slot in enumerate(program.targets):
         if target_slot in killed_slots:
             continue
@@ -353,23 +329,19 @@ class AvailabilityMask:
         return set(self.scada)
 
 
-def data_availability(
-    final_state: FixpointState,
-    network: JointNetwork,
-    rule_set: RuleSet,
-) -> AvailabilityMask:
+def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set: RuleSet) -> AvailabilityMask:
     """Evaluate the availability rules at a fixpoint.
 
     A substation's buses deliver SCADA (or PMU) data when the matching
     data-path rule evaluates to at least reduced operation.  Buses in
     substations without PMUs never deliver PMU data.  ``final_state`` must
-    come from ``CascadeTrace.final_state()`` of a cascade on ``network``
+    be the trace (``final_state()`` returns it) of a cascade on ``network``
     under a rule set of ``rule_set``'s model.
 
     Only the rules that read a slot of ``final_state.lowered`` are
     evaluated: any other is at top, as in the full-operation mask.
     """
-    if not (isinstance(final_state, FixpointState) and final_state.slots is network.slots):
+    if not (isinstance(final_state, CascadeTrace) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
     if final_state.top != _top(rule_set.model):
         raise ValueError(
@@ -379,7 +351,7 @@ def data_availability(
     scada, pmu = dict(program.scada), dict(program.pmu)
     masks = (scada, pmu)
     fns = program.fns[rule_set.model]
-    state = final_state.array
+    state = final_state.fixpoint
     for index in {i for slot in final_state.lowered for i in program.readers.get(slot, ())}:
         if fns[index](state) < 1:
             mask, buses = program.targets[index]

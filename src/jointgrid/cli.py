@@ -183,13 +183,12 @@ def _json_text(payload) -> str:
 
 def _trace_payload(trace: CascadeTrace, names: Tuple[str, ...], model: str, case: int, label: str) -> dict:
     """``names`` is the network's, aligned with the trace's slots."""
-    slots = trace.slots
     return {
         "label": label,
         "model": model,
         "case": case,
         "converged_at": trace.converged_at,
-        "steps": [{names[slots[entity]]: value for entity, value in step.items()} for step in trace.changed],
+        "steps": [{names[slot]: value for slot, value in step.items()} for step in trace.changed],
         "final": dict(zip(names, trace.fixpoint)),
     }
 
@@ -198,7 +197,7 @@ def _trace_tsv(trace: CascadeTrace, names: Tuple[str, ...]) -> str:
     """One line per change, each step's in canonical entity (slot) order."""
     lines = ["step\tentity\tvalue"]
     for step_number, changes in enumerate(trace.changed, start=1):
-        for slot, value in sorted((trace.slots[entity], value) for entity, value in changes.items()):
+        for slot, value in changes.items():
             lines.append(f"{step_number}\t{names[slot]}\t{value}")
     return "\n".join(lines) + "\n"
 

@@ -17,10 +17,12 @@ to build the communication overlay:
     }
 
 Branch ``length`` (km) may be omitted; a stand-in proportional to the
-series reactance is synthesized so that placement stays deterministic.
-Electrical parameters are per-unit; only the estimation stage reads them.
-Bus and substation ids are non-negative integers, and as keys they are
-canonical decimal: ``"4"``, never ``"04"``, ``" 4"`` or ``"-4"``.
+series reactance is synthesized so that placement stays deterministic.  A
+line's length is positive and a transformer's non-negative, both at most
+``MAX_LENGTH``.  Electrical parameters are per-unit; only the estimation
+stage reads them.  Bus and substation ids are integers from 0 to
+``MAX_ID``, and as keys they are canonical decimal: ``"4"``, never
+``"04"``, ``" 4"`` or ``"-4"``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ LENGTH_PER_REACTANCE = 400.0
 # true-state voltage |V|: past it, a measurement's squared noise sigma can
 # overflow a float.
 MAX_PU = 1e6
+
+# The longest branch (km): the stand-in length of the largest accepted
+# reactance.  A sum of path lengths over any grid stays finite.
+MAX_LENGTH = LENGTH_PER_REACTANCE * MAX_PU
+
+# The largest bus or substation id: estimation holds ids in numpy's C
+# integers.
+MAX_ID = 10**9
 
 # Accepted series impedance |r + jx| (pu).  Outside it the admittance can
 # round to 0 or overflow, and estimation could no longer read a PMU
@@ -103,20 +113,20 @@ def _as_int(value, pointer: str) -> int:
     return value
 
 
-def _as_id(value, pointer: str) -> int:
-    """A bus or substation id: a non-negative integer, since an entity id
-    such as ``P(4)`` spells its indices in digits only."""
+def _as_id(value, pointer: str, what: str = "") -> int:
+    """A bus or substation id: an integer from 0 to ``MAX_ID``, non-negative
+    since an entity id such as ``P(4)`` spells its indices in digits only."""
     number = _as_int(value, pointer)
-    _expect(number >= 0, pointer, f"id must be non-negative, got {number}")
+    _expect(number >= 0, pointer, f"{what}id must be non-negative, got {number}")
+    _expect(number <= MAX_ID, pointer, f"{what}id must be at most {MAX_ID}, got {number}")
     return number
 
 
 def _id_key(key: str, pointer: str, what: str) -> int:
-    """The id an object key names, in canonical decimal and non-negative."""
+    """The id an object key names, in canonical decimal and in ``_as_id``'s range."""
     number = int_key(key)
     _expect(number is not None, pointer, f"key {key!r} must be a {what} id in canonical decimal")
-    _expect(number >= 0, pointer, f"{what} id must be non-negative, got {number}")
-    return number
+    return _as_id(number, pointer, f"{what} ")
 
 
 def int_key(key: str) -> Optional[int]:
@@ -199,10 +209,11 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
             length = _as_number(entry.get("length"), f"{pointer}/length")
         else:
             length = round(abs(x) * LENGTH_PER_REACTANCE, 6)
+        _expect(transformer or length > 0.0, f"{pointer}/length", "line length must be positive")
         _expect(
-            transformer or length > 0.0,
+            0.0 <= length <= MAX_LENGTH,
             f"{pointer}/length",
-            "line length must be positive",
+            f"length {length:g} km outside [0, {MAX_LENGTH:g}] km",
         )
         branches.append(Branch(f, t, r, x, b_sh, length, transformer))
 

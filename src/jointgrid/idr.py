@@ -5,11 +5,11 @@ entities' levels:
 
     C(2,1,1,0) <- (C(2,1,2,0) & C(2,2,1,2)) | (C(2,1,6,0) & C(2,2,1,6))
 
-Ternary-model operators are ``&`` (min-AND), ``|`` (max-OR) and ``^``
-(new-XOR); binary-model rules use ``.`` (AND) and ``+`` (OR) instead.
-
-A rule body is a tree of operator nodes (``Op``) over entity ids: each leaf
-is the ``EntityId`` itself, and a bare body is a single id.
+Rule trees are ternary: their operators are ``&`` (min-AND), ``|``
+(max-OR) and ``^`` (new-XOR).  A rule body is a tree of operator nodes
+(``Op``) over entity ids: each leaf is the ``EntityId`` itself, and a bare
+body is a single id.  A rule holds no model; its rule set's model names how
+it is read.
 
 ``compile_expr`` is the one evaluator: it turns a body into a Python
 function of a state array, as either model reads it.  Under IIM a ternary
@@ -18,7 +18,9 @@ binary model needs no rules of its own.
 
 ``format_expr`` and ``format_idr`` write a body and a rule as canonical
 text, every operator child parenthesized; ``cli`` writes them into the
-``.idr`` rule files.  The package writes rule files and never reads one.
+``.idr`` rule files, and writes an IIM file as the MIIM text under
+``IIM_SYMBOLS`` (``.`` for AND, ``+`` for OR).  The package writes rule
+files and never reads one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import CodeType, FunctionType, MappingProxyType
-from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId
@@ -37,30 +39,15 @@ IIM = "iim"
 OP_MIN_AND = "min_and"
 OP_MAX_OR = "max_or"
 OP_NEW_XOR = "new_xor"
-OP_BOOL_AND = "bool_and"
-OP_BOOL_OR = "bool_or"
 
-_MIIM_OPS = frozenset({OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR})
-_IIM_OPS = frozenset({OP_BOOL_AND, OP_BOOL_OR})
-
-_OP_SYMBOL = {
-    OP_MIN_AND: "&",
-    OP_MAX_OR: "|",
-    OP_NEW_XOR: "^",
-    OP_BOOL_AND: ".",
-    OP_BOOL_OR: "+",
-}
-_TRANSLATION = {OP_MIN_AND: OP_BOOL_AND, OP_MAX_OR: OP_BOOL_OR, OP_NEW_XOR: OP_BOOL_AND}
-# The translation on rule text: each ternary operator symbol to its binary image.
-IIM_SYMBOLS = str.maketrans({_OP_SYMBOL[op]: _OP_SYMBOL[image] for op, image in _TRANSLATION.items()})
+_OP_SYMBOL = {OP_MIN_AND: "&", OP_MAX_OR: "|", OP_NEW_XOR: "^"}
+# The binary reading on rule text: min-AND and new-XOR as AND (``.``),
+# max-OR as OR (``+``).
+IIM_SYMBOLS = str.maketrans("&^|", "..+")
 
 
 class IdrSyntaxError(ValueError):
     """Malformed rule tree: an unknown operator or bad operands."""
-
-
-class IdrModelError(ValueError):
-    """Rule violates the operator discipline of its model."""
 
 
 @dataclass(frozen=True)
@@ -85,37 +72,20 @@ IdrExpr = Union[EntityId, Op]
 class IdrRule:
     target: EntityId
     body: IdrExpr
-    model: str
-    # The body's distinct entity literals, left to right, found by the
-    # operator check's walk: no consumer walks the body again for them.
+    # The body's distinct entity literals, left to right: no consumer walks
+    # the body again for them.
     literals: Tuple[EntityId, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.model not in (MIIM, IIM):
-            raise IdrModelError(f"unknown model: {self.model!r}")
-        ops, literals = _scan(self.body)
-        allowed = _MIIM_OPS if self.model == MIIM else _IIM_OPS
-        if not ops <= allowed:
-            raise IdrModelError(
-                f"{self.model} rule for {self.target} uses foreign operators: "
-                f"{sorted(ops - allowed)}"
-            )
+        literals: Dict[EntityId, None] = {}
+        stack: List[IdrExpr] = [self.body]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, EntityId):
+                literals[node] = None
+            else:
+                stack.extend(reversed(node.children))
         object.__setattr__(self, "literals", tuple(literals))
-
-
-def _scan(expr: IdrExpr) -> Tuple[Set[str], Dict[EntityId, None]]:
-    """The operators of an expression and its distinct literals, left to right."""
-    ops: Set[str] = set()
-    literals: Dict[EntityId, None] = {}
-    stack: List[IdrExpr] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, EntityId):
-            literals[node] = None
-        else:
-            ops.add(node.op)
-            stack.extend(reversed(node.children))
-    return ops, literals
 
 
 # --- Printing ---------------------------------------------------------------
@@ -165,9 +135,8 @@ def compile_expr(
     """Compile an expression as ``model`` reads it to a function ``f(a)`` of
     a state array ``a``; ``slots`` maps each entity to its array index.
 
-    Under IIM a ternary operator reads as its binary image (``_TRANSLATION``):
-    min-AND and new-XOR as Boolean AND, max-OR as Boolean OR, on the same
-    tree; binary operators read as themselves.
+    Under IIM each operator reads as its binary image on the same tree:
+    min-AND and new-XOR as Boolean AND (``&``), max-OR as Boolean OR (``|``).
 
     Expressions of one shape, the same operator tree up to which literals
     fill it, share one code object: the k-th literal reads ``a[ik]``, and
@@ -193,12 +162,11 @@ def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool, fill: 
         fill.append(slots[expr])
         return f"a[i{len(fill) - 1}]"
     parts = [_expr_source(child, slots, binary, fill) for child in expr.children]
-    op = _TRANSLATION.get(expr.op, expr.op) if binary else expr.op
-    if op == OP_MIN_AND:
+    if binary:
+        joiner = " | " if expr.op == OP_MAX_OR else " & "
+        return "(" + joiner.join(parts) + ")"
+    if expr.op == OP_MIN_AND:
         return f"min({', '.join(parts)})"
-    if op == OP_MAX_OR:
+    if expr.op == OP_MAX_OR:
         return f"max({', '.join(parts)})"
-    if op == OP_NEW_XOR:
-        return f"_nx({', '.join(parts)})"
-    joiner = " & " if op == OP_BOOL_AND else " | "
-    return "(" + joiner.join(parts) + ")"
+    return f"_nx({', '.join(parts)})"

@@ -4,10 +4,11 @@ The network couples three entity layers: power entities (buses, batteries),
 communication entities (substation equipment, SONET-ring and DWDM-ring
 nodes and links), and bridge entities (power-supply links, RTUs, PMUs).
 Rule sets give each dependent entity's operational level as an expression
-over other entities.  A rule set's availability rules are rules of the same
-kind, on each substation's data-path pseudo-entities ``GS(s)`` (SCADA) and
-``GP(s)`` (PMU): they are evaluated at a cascade fixpoint, not iterated, and
-decide whether the substation's data still reaches a control center.
+over other entities; a rule set's model, not its rules, says how they are
+read.  A rule set's availability rules are rules of the same kind, on each
+substation's data-path pseudo-entities ``GS(s)`` (SCADA) and ``GP(s)``
+(PMU): they are evaluated at a cascade fixpoint, not iterated, and decide
+whether the substation's data still reaches a control center.
 
 A rule's target is an entry of a map: a cascade rule's is its slot, and a
 data-path rule's (``data_paths``) is the mask it clears and its substation's
@@ -54,14 +55,10 @@ class Substation:
 class EntityMeta:
     """Registry metadata: owning substation and link endpoints, if any.
     ``ends`` holds the endpoints' ids; writers name them from the network's
-    ``names``, and ``endpoints`` gives their texts."""
+    ``names``."""
 
     substation: Optional[int] = None
     ends: Optional[Tuple[EntityId, EntityId]] = None
-
-    @property
-    def endpoints(self) -> Optional[Tuple[str, str]]:
-        return None if self.ends is None else (str(self.ends[0]), str(self.ends[1]))
 
 
 @dataclass
@@ -95,10 +92,11 @@ class RuleSet:
     """Cascade rules plus availability rules for one (model, case) pair.
 
     The availability rules are the substations' data-path rules in rule-file
-    order: substations ascending, ``GS(s)`` before ``GP(s)``.  The model names
-    how the rules are read: a synthesized network's IIM rule set holds the
-    ternary rules of its MIIM rule set, read as binary (min-AND and new-XOR
-    as AND, max-OR as OR; see ``idr.compile_expr``).  Immutable, so that the
+    order: substations ascending, ``GS(s)`` before ``GP(s)``.  Rules hold no
+    model: the rule set's model, one of ``MODELS``, is the only record of how
+    they are read.  A synthesized network's IIM rule set holds the ternary
+    rules of its MIIM rule set, read as binary (min-AND and new-XOR as AND,
+    max-OR as OR; see ``idr.compile_expr``).  Immutable, so that the
     cascade engine can compile the rules once and key the program to them:
     both fields are stored as tuples (a tuple given is kept as is, so
     ``dataclasses.replace`` shares it).  Equality is therefore identity, and
@@ -111,6 +109,8 @@ class RuleSet:
     availability: Tuple[IdrRule, ...]
 
     def __post_init__(self):
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}: expected one of {MODELS}")
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "availability", tuple(self.availability))
 

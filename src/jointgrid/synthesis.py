@@ -502,12 +502,10 @@ def _ring_node_rule(side: _RingSide, node: int, cc_gateways: Sequence[Tuple[int,
     reach_terms += [_min_and(gateway, side.channels[node][cc]) for cc, gateway in cc_gateways]
     power_terms = [_min_and(bus, link) for bus, link in side.feeds[node]]
     body = _min_and(_max_or(reach_terms), _new_xor(side.sources[node]), _max_or(power_terms))
-    return IdrRule(side.nodes[node], body, MIIM)
+    return IdrRule(side.nodes[node], body)
 
 
-def generate_rules(
-    network: JointNetwork, tables: Optional[_IdTables] = None
-) -> Tuple[List[IdrRule], Dict[int, List[IdrRule]]]:
+def generate_rules(network: JointNetwork, tables: _IdTables) -> Tuple[List[IdrRule], Dict[int, List[IdrRule]]]:
     """Ternary-model cascade rules, one per dependent entity, and per case
     the data-path rules deciding SCADA/PMU delivery, in rule-file order
     (substations ascending, ``GS(s)`` before ``GP(s)``), from one pass over
@@ -526,14 +524,13 @@ def generate_rules(
     2 the DWDM path backs it up.  PMU data follows the DWDM path in both
     cases, so both cases hold the same PMU rule.
     """
-    tables = tables or _id_tables(network)
     sadm, oadm = tables.sides
     rules: List[IdrRule] = []
     availability: Dict[int, List[IdrRule]] = {case: [] for case in CASES}
     for ids in tables.substations.values():
         sub = ids.sub
         server_body = _min_and(_min_and(ids.gateway, ids.lan), _power(ids.server_feeds))
-        rules.append(IdrRule(ids.server, server_body, MIIM))
+        rules.append(IdrRule(ids.server, server_body))
 
         head = _min_and(ids.server, ids.lan)
         power = _power(ids.gateway_feeds)
@@ -547,20 +544,20 @@ def generate_rules(
             pmu_ingest = _ingest(ids.pmus)
             gateway_body = _new_xor([gateway_body, _min_and(head, pmu_ingest, power)])
             pmu_body = _min_and(head, _min_and(pmu_ingest, oadm_connect), power)
-            pmu_rules.append(IdrRule(ids.pmu_path, pmu_body, MIIM))
-        rules.append(IdrRule(ids.gateway, gateway_body, MIIM))
-        rules += [IdrRule(device, device_power, MIIM) for device, _ in ids.rtus + ids.pmus]
+            pmu_rules.append(IdrRule(ids.pmu_path, pmu_body))
+        rules.append(IdrRule(ids.gateway, gateway_body))
+        rules += [IdrRule(device, device_power) for device, _ in ids.rtus + ids.pmus]
 
         scada_reach = {1: sadm_connect, 2: Op(OP_MAX_OR, (sadm_connect, oadm_connect))}
         for case in CASES:
             scada_body = _min_and(head, _min_and(scada_ingest, scada_reach[case]), power)
-            availability[case] += [IdrRule(ids.scada_path, scada_body, MIIM), *pmu_rules]
+            availability[case] += [IdrRule(ids.scada_path, scada_body), *pmu_rules]
 
     cc_gateways = [(cc, tables.substations[cc].gateway) for cc in network.control_centers]
     for side in tables.sides:
         for node, channels in side.channels.items():
             rules.append(_ring_node_rule(side, node, cc_gateways))
-            rules += [IdrRule(channel, tables.substations[s].gateway, MIIM) for s, channel in channels.items()]
+            rules += [IdrRule(channel, tables.substations[s].gateway) for s, channel in channels.items()]
 
     rules.sort(key=attrgetter("target"))
     return rules, availability

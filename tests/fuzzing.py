@@ -2,7 +2,7 @@
 
 Each helper applies 1-3 random edits to a valid input and returns the result;
 a test then checks that the loader either accepts it or raises the error
-class it declares.
+class it declares.  ``rename_bus`` is the one fixed edit, of a grid.
 """
 
 from hypothesis import strategies as st
@@ -82,3 +82,15 @@ def edit_rule_text(data, text):
         else:
             lines[i] = line[:start] + data.draw(RULE_PIECES) + line[end:]
     return "\n".join(lines) + "\n"
+
+
+def rename_bus(grid, old, new):
+    """Rename bus ``old`` of a parsed grid file to ``new`` wherever it
+    appears; returns the grid, edited in place."""
+    for bus in grid["buses"]:
+        bus["id"] = new if bus["id"] == old else bus["id"]
+    for branch in grid["branches"]:
+        for end in ("from", "to"):
+            branch[end] = new if branch[end] == old else branch[end]
+    grid["substation_map"][str(new)] = grid["substation_map"].pop(str(old))
+    return grid

@@ -5,8 +5,11 @@ back, so the tests can check that ``parse_idr(format_idr(rule)) == rule``
 and that each emitted file parses to the rules it was written from.
 
 Ternary-model operators: ``&`` (min-AND, tightest), ``|`` (max-OR), ``^``
-(new-XOR, loosest), all left-associative.  Binary-model rules use ``.``
-(AND) and ``+`` (OR) instead.  Operator nodes are n-ary: unparenthesized
+(new-XOR, loosest), all left-associative; a ternary rule parses to the
+package's ``IdrRule``.  Binary-model rules use ``.`` (AND) and ``+`` (OR)
+instead and parse to the oracle's ``BinaryRule`` of ``BinaryOp`` nodes,
+since the package's rule trees are ternary only.  A rule mixing the two
+raises ``IdrSyntaxError``.  Operator nodes are n-ary: unparenthesized
 chains of one operator flatten into a single node, while explicit
 parentheses are preserved, so ``parse(format(rule))`` reproduces the rule
 exactly.
@@ -19,35 +22,21 @@ subsequent operator-free rules.
 import re
 from typing import List, Tuple
 
+from oracle import BOOL_AND, BOOL_OR, BinaryOp, BinaryRule
 from jointgrid.entities import EntityError, EntityId, parse_entity_id
-from jointgrid.idr import (
-    _IIM_OPS,
-    _MIIM_OPS,
-    _OP_SYMBOL,
-    IIM,
-    MIIM,
-    OP_BOOL_AND,
-    OP_BOOL_OR,
-    OP_MAX_OR,
-    OP_MIN_AND,
-    OP_NEW_XOR,
-    IdrExpr,
-    IdrModelError,
-    IdrRule,
-    IdrSyntaxError,
-    Op,
-    _scan,
-)
+from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, IdrExpr, IdrRule, IdrSyntaxError, Op
 
-_SYMBOL_OP = {sym: op for op, sym in _OP_SYMBOL.items()}
+_SYMBOL_OP = {"&": OP_MIN_AND, "|": OP_MAX_OR, "^": OP_NEW_XOR, ".": BOOL_AND, "+": BOOL_OR}
+_OP_TEXT = {op: symbol for symbol, op in _SYMBOL_OP.items()}
+_BINARY_OPS = {BOOL_AND, BOOL_OR}
 
 # Binding strength: higher parses tighter.  ^ is loosest, & / . tightest.
 _OP_LEVEL = {
     OP_NEW_XOR: 0,
     OP_MAX_OR: 1,
-    OP_BOOL_OR: 1,
+    BOOL_OR: 1,
     OP_MIN_AND: 2,
-    OP_BOOL_AND: 2,
+    BOOL_AND: 2,
 }
 
 
@@ -118,14 +107,17 @@ class _Parser:
                 chain_op = op
             elif op != chain_op:
                 raise IdrSyntaxError(
-                    f"mixed operators {_OP_SYMBOL[chain_op]!r} and {token[1]!r} "
+                    f"mixed operators {_OP_TEXT[chain_op]!r} and {token[1]!r} "
                     f"in one chain at position {token[2]}; parenthesize"
                 )
             self.advance()
             operands.append(self.parse_expr(level + 1))
         if len(operands) == 1:
             return operands[0]
-        return Op(chain_op, tuple(operands))
+        binary = chain_op in _BINARY_OPS
+        if any(isinstance(child, BinaryOp) != binary for child in operands if not isinstance(child, EntityId)):
+            raise IdrSyntaxError("rule mixes ternary and binary operators")
+        return (BinaryOp if binary else Op)(chain_op, tuple(operands))
 
     def parse_primary(self) -> IdrExpr:
         token = self.peek()
@@ -162,7 +154,8 @@ def parse_expr(text: str) -> IdrExpr:
 
 
 def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
-    """Parse ``target <- body`` rule text.
+    """Parse ``target <- body`` rule text into an ``IdrRule`` or, for a
+    binary body, a ``BinaryRule``.
 
     The model is inferred from the operators in the body; a body with no
     operators (a bare entity literal) takes ``default_model``.
@@ -177,16 +170,9 @@ def parse_idr(text: str, default_model: str = MIIM) -> IdrRule:
     if target_parser.peek() is not None or not isinstance(target_expr, EntityId):
         raise IdrSyntaxError("rule target must be a single entity")
     body = _parse_body(tokens[split + 1 :])
-    ops, _ = _scan(body)
-    if ops & _MIIM_OPS and ops & _IIM_OPS:
-        raise IdrModelError("rule mixes ternary and binary operators")
-    if ops & _IIM_OPS:
-        model = IIM
-    elif ops & _MIIM_OPS:
-        model = MIIM
-    else:
-        model = default_model
-    return IdrRule(target_expr, body, model)
+    if isinstance(body, BinaryOp) or (isinstance(body, EntityId) and default_model == IIM):
+        return BinaryRule(target_expr, body)
+    return IdrRule(target_expr, body)
 
 
 # --- Rule files ---------------------------------------------------------------
@@ -208,6 +194,6 @@ def parse_idr_file(text: str) -> List[IdrRule]:
             continue
         try:
             rules.append(parse_idr(line, default_model=model))
-        except (IdrSyntaxError, IdrModelError) as exc:
+        except IdrSyntaxError as exc:
             raise IdrSyntaxError(f"line {lineno}: {exc}") from exc
     return rules

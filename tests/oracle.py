@@ -1,58 +1,72 @@
 """The interpretive rule evaluator: the tests' reference for the compiled rules.
 
-The package evaluates rules only by compiling them.  This module reads a
-rule tree directly, as its operators say, and shares no code with the
-compiler: it spells out its own binary reading of the ternary operators
-(``translate_to_iim``) and its own folds.
+The package evaluates rules only by compiling them, and its rule trees are
+ternary only.  This module reads a rule tree directly, as its operators
+say, and shares no code with the compiler: it spells out its own binary
+reading of the ternary operators (``translate_to_iim``), into binary trees
+of its own (``BinaryOp`` and ``BinaryRule``, Boolean AND and OR on
+{0, 1}), and its own folds.
 
 ``evaluate`` takes each entity's value as an int or as a 1-D integer numpy
 column of S states, and then yields one value per state, so one call per
 tree checks a whole batch of states.  A scalar state is the case S = 1.
 
 A synthesized network's IIM rule sets hold the ternary rules of its MIIM
-rule sets, and the compiler reads them as binary; ``read`` gives the trees
-that reading stands for.
+rule sets, and the compiler reads them as binary; ``read`` gives the binary
+trees that reading stands for.
 
-Beside the evaluator the module holds the tests' other helpers on rules:
+Beside the evaluator the module holds the tests' other helpers on rules and
+traces:
 
 - the binary model's scalar kernel, ``binary_and``, ``binary_or``,
   ``to_binary`` and ``check_binary`` over ``BINARY_LEVELS``;
-- ``format_idr_file``, the reference rule-file text of a list of rules;
+- ``format_binary`` and ``format_idr_file``, the reference texts of a
+  binary tree and of a list of rules;
 - ``registry_payload``, network.json's registry as one object per entity,
   the reference for ``cli.registry_text``;
 - ``free_entities``, a rule's or an expression's set of literals;
+- ``arrays`` and ``named_steps``, a trace's replayed states and its steps
+  keyed by entity text;
 - ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
   cascade rule, a substation's data-path rules and the entity columns of
   state arrays.
 """
 
 import weakref
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from jointgrid.entities import EntityId, gw_pmu, gw_scada
-from jointgrid.idr import (
-    IIM,
-    OP_BOOL_AND,
-    OP_BOOL_OR,
-    OP_MAX_OR,
-    OP_MIN_AND,
-    OP_NEW_XOR,
-    IdrModelError,
-    IdrRule,
-    Op,
-    _scan,
-    format_idr,
-)
+from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, format_idr
 from jointgrid.network import RuleSet
 from jointgrid.ternary import FAILED, REDUCED, TERNARY_LEVELS, check_ternary
 
 BINARY_LEVELS = (0, 1)
+BOOL_AND = "bool_and"
+BOOL_OR = "bool_or"
+_BINARY_SYMBOL = {BOOL_AND: ".", BOOL_OR: "+"}
 
 # Each ternary operator's binary image: min-AND and new-XOR become AND,
 # max-OR becomes OR.
-_BINARY_IMAGE = {OP_MIN_AND: OP_BOOL_AND, OP_MAX_OR: OP_BOOL_OR, OP_NEW_XOR: OP_BOOL_AND}
+_BINARY_IMAGE = {OP_MIN_AND: BOOL_AND, OP_MAX_OR: BOOL_OR, OP_NEW_XOR: BOOL_AND}
+
+
+@dataclass(frozen=True)
+class BinaryOp:
+    """A binary-model operator node: Boolean AND or OR over its children."""
+
+    op: str
+    children: tuple
+
+
+@dataclass(frozen=True)
+class BinaryRule:
+    """A binary-model rule: ``target``'s level as a tree of ``BinaryOp``s."""
+
+    target: EntityId
+    body: object
 
 
 class UnknownEntityError(KeyError):
@@ -76,8 +90,8 @@ _FOLDS = {
     OP_MIN_AND: lambda *values: reduce(np.minimum, values),
     OP_MAX_OR: lambda *values: reduce(np.maximum, values),
     OP_NEW_XOR: _unanimous,
-    OP_BOOL_AND: lambda *values: reduce(np.bitwise_and, values),
-    OP_BOOL_OR: lambda *values: reduce(np.bitwise_or, values),
+    BOOL_AND: lambda *values: reduce(np.bitwise_and, values),
+    BOOL_OR: lambda *values: reduce(np.bitwise_or, values),
 }
 
 
@@ -116,7 +130,7 @@ def evaluate(expr, state):
         except KeyError:
             raise UnknownEntityError(expr) from None
     values = [evaluate(child, state) for child in expr.children]
-    binary = expr.op in (OP_BOOL_AND, OP_BOOL_OR)
+    binary = isinstance(expr, BinaryOp)
     model, levels = ("binary", BINARY_LEVELS) if binary else ("ternary", TERNARY_LEVELS)
     for value in values:
         # Levels are the integers 0..top: an integer column in that range
@@ -129,21 +143,27 @@ def evaluate(expr, state):
     return _FOLDS[expr.op](*values)
 
 
-def translate_to_iim(rule: IdrRule) -> IdrRule:
+def translate_to_iim(rule):
     """Rewrite a ternary-model rule into its binary-model counterpart.
 
     min-AND and new-XOR become Boolean AND, max-OR becomes Boolean OR; the
     tree shape and every literal are preserved.
     """
-    if rule.model == IIM:
-        raise IdrModelError("already binary")
-    return IdrRule(rule.target, _translate_expr(rule.body), IIM)
+    return BinaryRule(rule.target, _translate_expr(rule.body))
 
 
 def _translate_expr(expr):
     if isinstance(expr, EntityId):
         return expr
-    return Op(_BINARY_IMAGE[expr.op], tuple(_translate_expr(c) for c in expr.children))
+    return BinaryOp(_BINARY_IMAGE[expr.op], tuple(_translate_expr(c) for c in expr.children))
+
+
+def format_binary(expr):
+    """Canonical text of a binary tree, every operator child parenthesized."""
+    if isinstance(expr, EntityId):
+        return str(expr)
+    parts = [f"({format_binary(c)})" if isinstance(c, BinaryOp) else format_binary(c) for c in expr.children]
+    return f" {_BINARY_SYMBOL[expr.op]} ".join(parts)
 
 
 def rule_of(rule_set, target):
@@ -158,10 +178,10 @@ def paths_of(rule_set, sub_id):
     return rules[gw_scada(sub_id)], rules.get(gw_pmu(sub_id))
 
 
-def columns(entities, arrays):
-    """Each entity's column of values over the state arrays ``arrays``,
+def columns(entities, states):
+    """Each entity's column of values over the state arrays ``states``,
     which list the entities' values in the order of ``entities``."""
-    return dict(zip(entities, np.array(arrays, dtype=np.int64).T))
+    return dict(zip(entities, np.array(states, dtype=np.int64).T))
 
 
 _READ: "weakref.WeakKeyDictionary[RuleSet, RuleSet]" = weakref.WeakKeyDictionary()
@@ -181,30 +201,54 @@ def read(rule_set):
 
 
 def free_entities(rule_or_expr):
-    """All entity literals appearing in a rule body or expression."""
-    if isinstance(rule_or_expr, IdrRule):
-        return frozenset(rule_or_expr.literals)
-    return frozenset(_scan(rule_or_expr)[1])
+    """All entity literals appearing in a rule body or expression, ternary
+    or binary."""
+    stack, found = [getattr(rule_or_expr, "body", rule_or_expr)], set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EntityId):
+            found.add(node)
+        else:
+            stack.extend(node.children)
+    return frozenset(found)
 
 
 def format_idr_file(rules, header=()):
-    """Serialize rules to ``.idr`` text, emitting a model directive whenever
-    the model changes between consecutive rules."""
+    """Serialize ternary and binary rules to ``.idr`` text, emitting a model
+    directive whenever the model changes between consecutive rules."""
     lines = [f"# {note}" for note in header]
     current_model = None
     for rule in rules:
-        if rule.model != current_model:
-            lines.append(f"#model: {rule.model}")
-            current_model = rule.model
-        lines.append(format_idr(rule))
+        binary = isinstance(rule, BinaryRule)
+        if (IIM if binary else MIIM) != current_model:
+            current_model = IIM if binary else MIIM
+            lines.append(f"#model: {current_model}")
+        lines.append(f"{rule.target} <- {format_binary(rule.body)}" if binary else format_idr(rule))
     return "\n".join(lines) + "\n"
 
 
+def arrays(trace):
+    """Every step's full state of ``trace``, replayed from its changes."""
+    state, found = [trace.top] * len(trace.fixpoint), []
+    for step in trace.changed:
+        for slot, value in step.items():
+            state[slot] = value
+        found.append(list(state))
+    return found
+
+
+def named_steps(trace, network):
+    """``trace``'s steps as ``{entity text: level}``."""
+    entities = network.entity_ids()
+    return [{str(entities[slot]): value for slot, value in step.items()} for step in trace.changed]
+
+
 def meta_payload(meta):
-    """One registry entry as network.json holds it."""
+    """One registry entry as network.json holds it: the endpoints' texts,
+    or None."""
     return {
         "substation": meta.substation,
-        "endpoints": list(meta.endpoints) if meta.endpoints else None,
+        "endpoints": None if meta.ends is None else [str(end) for end in meta.ends],
     }
 
 

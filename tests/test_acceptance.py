@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from oracle import free_entities, rule_of
+from oracle import arrays, free_entities, named_steps, rule_of
 from wls_reference import wls_solve
 from jointgrid import entities as ent
 from jointgrid.cascade import (
@@ -75,12 +75,12 @@ def test_criterion_2_ternary_trace_reproduction(ieee14):
         trace = run_cascade(ieee14, ieee14.rule_set(MIIM, case), ATTACK)
         traces[case] = trace
         assert trace.converged_at == 3
-        assert [{str(k): v for k, v in step.items()} for step in trace.changed] == [
+        assert named_steps(trace, ieee14) == [
             {"P(12)": 0, "C(1,1,6,6)": 0, "C(1,2,6,6)": 0},
             {"C(1,4,1,6)": 0, "C(1,5,1,6)": 0},
             {"C(2,1,1,0)": 1, "C(3,1,1,0)": 1},
         ]
-    assert traces[1].arrays == traces[2].arrays
+    assert arrays(traces[1]) == arrays(traces[2])
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(2, f"ternary cascade reproduces the reference trace in {elapsed:.3f}s, cases identical")
@@ -94,7 +94,7 @@ def test_criterion_3_binary_trace_and_masks(ieee14):
         rule_set = ieee14.rule_set(IIM, case)
         trace = run_cascade(ieee14, rule_set, ATTACK)
         assert trace.converged_at == 3
-        final_changes = {str(k): v for k, v in trace.changed[2].items()}
+        final_changes = named_steps(trace, ieee14)[2]
         assert final_changes == {"C(2,1,1,0)": 0, "C(3,1,1,0)": 0}
         mask = data_availability(trace.final_state(), ieee14, rule_set)
         assert attacked_buses <= mask.scada_lost()
@@ -125,12 +125,13 @@ def _cascade_properties(network, label, runs, rng):
         killed = rng.sample(entities, rng.randint(1, 5))
         scenario = FailureScenario.of(killed)
         trace = run_cascade(network, rule_set, scenario)
-        for before, after in zip(trace.arrays, trace.arrays[1:]):
+        states = arrays(trace)
+        for before, after in zip(states, states[1:]):
             assert all(map(operator.le, after, before)), f"{label}: value rose"
         assert trace.converged_at <= bound
         assert verify_fixpoint(network, rule_set, trace)
         other = run_cascade(network, shuffled, scenario)
-        assert other.arrays == trace.arrays
+        assert arrays(other) == states
 
 
 def test_criterion_5_cascade_properties(ieee14, ieee118):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import columns, evaluate, paths_of, read, to_binary
+from oracle import arrays, columns, evaluate, named_steps, paths_of, read, to_binary
 from jointgrid import entities as ent
 from jointgrid.cascade import (
     AvailabilityMask,
@@ -22,10 +22,6 @@ from jointgrid.network import CASES, MODELS, RuleSet
 ATTACK = [parse_entity_id(t) for t in ["P(12)", "C(1,1,6,6)", "C(1,2,6,6)"]]
 
 
-def changed_strs(trace):
-    return [{str(k): v for k, v in step.items()} for step in trace.changed]
-
-
 @pytest.fixture(scope="module")
 def attack():
     return FailureScenario.of(ATTACK, "substation-6 attack")
@@ -35,7 +31,7 @@ def test_ternary_trace_matches_reference_table(ieee14, attack):
     for case in (1, 2):
         trace = run_cascade(ieee14, ieee14.rule_set(MIIM, case), attack)
         assert trace.converged_at == 3
-        assert changed_strs(trace) == [
+        assert named_steps(trace, ieee14) == [
             {"P(12)": 0, "C(1,1,6,6)": 0, "C(1,2,6,6)": 0},
             {"C(1,4,1,6)": 0, "C(1,5,1,6)": 0},
             {"C(2,1,1,0)": 1, "C(3,1,1,0)": 1},
@@ -46,7 +42,7 @@ def test_binary_trace_matches_reference_table(ieee14, attack):
     for case in (1, 2):
         trace = run_cascade(ieee14, ieee14.rule_set(IIM, case), attack)
         assert trace.converged_at == 3
-        assert changed_strs(trace) == [
+        assert named_steps(trace, ieee14) == [
             {"P(12)": 0, "C(1,1,6,6)": 0, "C(1,2,6,6)": 0},
             {"C(1,4,1,6)": 0, "C(1,5,1,6)": 0},
             {"C(2,1,1,0)": 0, "C(3,1,1,0)": 0},
@@ -74,7 +70,7 @@ def test_empty_kill_set_single_snapshot(ieee14):
     scenario = FailureScenario.of([], "nothing")
     trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), scenario)
     assert trace.converged_at == 1
-    assert len(trace.arrays) == 1
+    assert len(arrays(trace)) == 1
     assert set(trace.final_state().values()) == {2}
 
 
@@ -96,7 +92,7 @@ def test_unknown_killed_entity_rejected(ieee14):
 
 
 def _trace_fields(trace):
-    return trace.changed, trace.fixpoint, trace.converged_at, trace.final_state().lowered
+    return trace.changed, trace.fixpoint, trace.converged_at, trace.lowered
 
 
 def test_kill_set_cascades_once_per_model_and_both_cases_share_its_trace(ieee14):
@@ -140,7 +136,7 @@ def test_rule_body_naming_unregistered_entity_rejected(ieee14, attack):
 
     rule_set = ieee14.rule_set(MIIM, 1)
     first = rule_set.rules[0]
-    bad = IdrRule(first.target, Op(OP_MIN_AND, (first.body, ent.bus(99))), MIIM)
+    bad = IdrRule(first.target, Op(OP_MIN_AND, (first.body, ent.bus(99))))
     broken = dataclasses.replace(rule_set, rules=(bad,) + rule_set.rules[1:])
     with pytest.raises(ScenarioError, match=r"P\(99\)"):
         run_cascade(ieee14, broken, attack)
@@ -153,8 +149,9 @@ def test_monotone_descent_and_stability_random_kills(ieee14):
     for _ in range(50):
         killed = rng.sample(entities, rng.randint(1, 5))
         trace = run_cascade(ieee14, rule_set, FailureScenario.of(killed))
+        states = arrays(trace)
         for slot in range(len(entities)):
-            values = [array[slot] for array in trace.arrays]
+            values = [array[slot] for array in states]
             assert all(a >= b for a, b in zip(values, values[1:]))
         assert trace.converged_at <= 2 * len(entities)
         assert verify_fixpoint(ieee14, rule_set, trace)
@@ -169,7 +166,7 @@ def test_rule_order_independence(ieee14, attack):
     shuffled = RuleSet(rule_set.model, rule_set.case, shuffled_rules, rule_set.availability)
     other = run_cascade(ieee14, shuffled, attack)
     assert other.changed == baseline.changed
-    assert other.arrays == baseline.arrays
+    assert arrays(other) == arrays(baseline)
 
 
 def test_battery_carries_substation_through_bus_loss(ieee14):
@@ -192,8 +189,9 @@ def test_powerless_control_center_diverges_across_models(ieee14):
     miim_rs = ieee14.rule_set(MIIM, 1)
     miim_trace = run_cascade(ieee14, miim_rs, scenario)
     assert miim_trace.converged_at == 4
-    assert {str(k) for k in miim_trace.changed[1]} == {"C(1,1,2,2)", "C(1,2,2,2)", "R(2)"}
-    assert all(e.indices[:2] in ((1, 4), (1, 5)) for e in miim_trace.changed[2])
+    entities = ieee14.entity_ids()
+    assert set(named_steps(miim_trace, ieee14)[1]) == {"C(1,1,2,2)", "C(1,2,2,2)", "R(2)"}
+    assert all(entities[slot].indices[:2] in ((1, 4), (1, 5)) for slot in miim_trace.changed[2])
     assert set(miim_trace.changed[3].values()) == {1}
     miim_mask = data_availability(miim_trace.final_state(), ieee14, miim_rs)
     assert miim_mask.scada_lost() == {5, 6}
@@ -252,8 +250,8 @@ def test_footprint_diff_bus_set_mismatch():
 def test_value_history(ieee14, attack):
     trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), attack)
     ring_node, bus = trace.slots[parse_entity_id("C(2,1,1,0)")], trace.slots[parse_entity_id("P(12)")]
-    assert [array[ring_node] for array in trace.arrays] == [2, 2, 1]
-    assert [array[bus] for array in trace.arrays] == [0, 0, 0]
+    assert [array[ring_node] for array in arrays(trace)] == [2, 2, 1]
+    assert [array[bus] for array in arrays(trace)] == [0, 0, 0]
 
 
 _KIND = {ent.KIND_GW_SCADA: "scada", ent.KIND_GW_PMU: "pmu"}
@@ -284,7 +282,7 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
             oracles = [evaluate(read_expr, state).tolist() for _, _, _, read_expr in paths]
             for k, (trace, final) in enumerate(zip(traces, finals)):
                 oracle = [values[k] for values in oracles]
-                array = trace.arrays[-1]
+                array = arrays(trace)[-1]
                 assert [fn(array) for fn in fns] == oracle
                 delivered = {
                     (sub_id, kind): value >= 1 for (sub_id, kind, _, _), value in zip(paths, oracle)
@@ -324,7 +322,7 @@ def _superset_violations(network):
             scenario = FailureScenario.of([entity])
             miim = run_cascade(network, miim_rs, scenario).final_state()
             iim = run_cascade(network, iim_rs, scenario).final_state()
-            if any(iim.array[slot] > to_binary(miim.array[slot]) for slot in miim.lowered):
+            if any(iim.fixpoint[slot] > to_binary(miim.fixpoint[slot]) for slot in miim.lowered):
                 violations.append((case, str(entity), "fixpoint"))
             miim_mask = data_availability(miim, network, miim_rs)
             iim_mask = data_availability(iim, network, iim_rs)
@@ -599,30 +597,38 @@ def test_replayed_steps_match_dense_evaluation(request, network_name, seed, runs
         for case in CASES:
             rule_set = network.rule_set(model, case)
             traces = [run_cascade(network, rule_set, FailureScenario.of(killed)) for killed in kill_sets]
-            for killed, trace in zip(kill_sets, traces):
+            replayed = [arrays(trace) for trace in traces]
+            for killed, trace, states in zip(kill_sets, traces, replayed):
                 state = {entity: 0 if entity in killed else top for entity in entities}
-                assert trace.arrays[0] == list(state.values())
+                assert states[0] == list(state.values())
                 deepest = max(deepest, trace.converged_at)
             # The dense step from each array of a trace is the next array,
             # and from the last array the last array itself.
-            arrays = [array for trace in traces for array in trace.arrays]
-            held = [killed for killed, trace in zip(kill_sets, traces) for _ in trace.arrays]
-            following = [array for trace in traces for array in (*trace.arrays[1:], trace.arrays[-1])]
-            assert _dense_steps(network, rule_set, arrays, held) == following
+            every = [array for states in replayed for array in states]
+            held = [killed for killed, states in zip(kill_sets, replayed) for _ in states]
+            following = [array for states in replayed for array in (*states[1:], states[-1])]
+            assert _dense_steps(network, rule_set, every, held) == following
     assert deepest >= 3
 
 
 def test_trace_keeps_one_state_and_final_state_is_a_view(ieee14, attack):
+    """A trace keeps one full-length state, its fixpoint, and is itself the
+    fixpoint's read-only mapping in canonical entity order; its steps are
+    keyed by slot, in slot order."""
     trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), attack)
     entities = ieee14.entity_ids()
     final = trace.final_state()
-    assert "arrays" not in vars(trace)
+    assert final is trace
     full_length = [v for v in vars(trace).values() if isinstance(v, list) and len(v) == len(entities)]
-    assert full_length == [final.array]
-    assert list(final) == list(entities)
-    assert final == dict(zip(entities, trace.arrays[-1]))
+    assert full_length == [trace.fixpoint]
+    assert list(final) == list(entities) and len(final) == len(entities)
+    assert final == dict(zip(entities, arrays(trace)[-1]))
+    assert trace.lowered == {slot for slot, value in enumerate(trace.fixpoint) if value < trace.top}
+    assert all(list(step) == sorted(step) for step in trace.changed)
     with pytest.raises(KeyError):
         final[ent.bus(999)]
+    with pytest.raises(TypeError):
+        final[entities[0]] = 0
 
 
 def test_availability_rejects_state_of_another_network(ieee14_grid, ieee14, attack):

@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import shutil
@@ -8,13 +10,13 @@ import shutil
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzing import edit_json
+from fuzzing import edit_json, rename_bus
 from idr_reader import parse_idr_file
 from oracle import format_idr_file, read, registry_payload
 from jointgrid import cli, entities as ent
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
-from jointgrid.grid import MAX_PU
+from jointgrid.grid import MAX_ID, MAX_PU
 from jointgrid.idr import format_idr
 
 
@@ -113,6 +115,53 @@ def test_validate_unusable_branch_number_exits_2(fixtures_dir, tmp_path, capsys,
     bad.write_text(text, encoding="utf-8")
     assert main(["validate", "--grid", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _transformer_below_zero(grid):
+    """Bus 7 in a substation of its own, its transformer from bus 4 at -50
+    km: that substation would lie -100 km from itself."""
+    grid["substation_map"]["7"] = 99
+    grid["branches"][7]["length"] = -50
+    return grid
+
+
+def _every_line_at(grid, length):
+    for branch in grid["branches"]:
+        if not branch.get("transformer"):
+            branch["length"] = length
+    return grid
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_transformer_below_zero, "/branches/7/length: length -50 km"),
+        (lambda grid: _every_line_at(grid, 1e308), "/branches/0/length: length 1e+308 km"),
+    ],
+    ids=["transformer_negative", "lines_1e308"],
+)
+def test_validate_branch_length_out_of_range_exits_2(fixtures_dir, tmp_path, capsys, edit, message):
+    grid = edit(json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8")))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid), encoding="utf-8")
+    assert main(["validate", "--grid", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bus_id, code", [(10**20, 2), (MAX_ID, 0)], ids=["huge", "at_bound"])
+def test_run_bounds_bus_ids(fixtures_dir, tmp_path, capsys, bus_id, code):
+    """A bus id past ``MAX_ID`` exits 2 at its pointer, where ``run`` used
+    to exit 1 from inside numpy; one at the bound runs to its estimation."""
+    grid = rename_bus(json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8")), 14, bus_id)
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    scenario = {"version": 1, "grid": "grid.json", "killed": ["P(12)"], "estimation": {"seeds": 2}}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    argv = ["run", "--scenario", str(tmp_path / "scenario.json"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == code
+    if code:
+        assert f"/buses/13/id: id must be at most {MAX_ID}" in capsys.readouterr().err
+    else:
+        assert f"\n{MAX_ID},miim," in (tmp_path / "out" / "errors.csv").read_text(encoding="utf-8")
 
 
 def test_missing_scenario_exits_2(tmp_path):
@@ -292,7 +341,6 @@ def test_write_network_formats_each_distinct_rule_once(ieee14, tmp_path, monkeyp
     distinct = {id(rule) for rule in every}
     assert len(calls) == len({id(rule) for rule in calls}) == len(distinct) < len(every)
     assert {id(rule) for rule in calls} == distinct
-    assert all(rule.model == "miim" for rule in calls)
 
 
 def test_emitted_rule_files_reparse(fixtures_dir, tmp_path, ieee14, ieee118):
@@ -747,3 +795,24 @@ def test_edited_mask_loads_or_raises_its_error(fuzz_inputs, data):
         cli.load_mask(path)
     except (cli.ScenarioFileError, EntityError):
         pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_edited_grid_validates_and_runs_or_exits_2(fuzz_inputs, data):
+    """1-3 edits anywhere in the 14-bus grid file, then ``validate`` and a
+    2-seed ``run`` on it: each exits 0 or 2, never 1 from deep inside the
+    program."""
+    root, _, _ = fuzz_inputs
+    grid = json.loads((root / "ieee14.json").read_text(encoding="utf-8"))
+    (root / "edited_grid.json").write_text(json.dumps(edit_json(data, grid)), encoding="utf-8")
+    scenario = {"version": 1, "grid": "edited_grid.json", "killed": [], "estimation": {"seeds": 2}}
+    (root / "edited_grid_scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    for argv in (
+        ["validate", "--grid", str(root / "edited_grid.json")],
+        ["run", "--scenario", str(root / "edited_grid_scenario.json"), "--out-dir", str(root / "edited_run")],
+    ):
+        errors = io.StringIO()
+        with contextlib.redirect_stderr(errors), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2), errors.getvalue()

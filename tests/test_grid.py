@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzing import edit_json
-from jointgrid.grid import GridError, grid_from_dict, load_grid
+from fuzzing import edit_json, rename_bus
+from jointgrid.grid import MAX_ID, MAX_LENGTH, GridError, grid_from_dict, load_grid
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -151,20 +151,10 @@ def test_non_canonical_id_key_named(fixtures_dir, field, key):
         grid_from_dict(data)
 
 
-def _rename_bus(data, old, new):
-    """The grid with bus ``old`` renamed to ``new`` wherever it appears."""
-    for bus in data["buses"]:
-        bus["id"] = new if bus["id"] == old else bus["id"]
-    for branch in data["branches"]:
-        for end in ("from", "to"):
-            branch[end] = new if branch[end] == old else branch[end]
-    data["substation_map"][str(new)] = data["substation_map"].pop(str(old))
-
-
 # Each edit puts a negative id in one place of the 14-bus grid; an entity id
 # spells its indices in digits only, so none of them could be named.
 NEGATIVE_IDS = {
-    "bus": (lambda d: _rename_bus(d, 14, -14), "/buses/13/id: id must be non-negative, got -14"),
+    "bus": (lambda d: rename_bus(d, 14, -14), "/buses/13/id: id must be non-negative, got -14"),
     "substation_map_key": (lambda d: d["substation_map"].update({"-14": 8}), "/substation_map/-14: bus id"),
     "substation_map_value": (lambda d: d["substation_map"].update({"14": -8}), "/substation_map/14: id must"),
     "pmu_substations": (lambda d: d["pmu_substations"].append(-7), "/pmu_substations/3: id must"),
@@ -176,13 +166,66 @@ NEGATIVE_IDS = {
 }
 
 
-@pytest.mark.parametrize("where", NEGATIVE_IDS)
-def test_negative_id_named(fixtures_dir, where):
+# Each edit puts an id past ``MAX_ID`` in one place of the 14-bus grid:
+# estimation holds bus ids in numpy's C integers, which 10**20 overflows.
+HUGE = 10**20
+OVERSIZED_IDS = {
+    "bus": (lambda d: rename_bus(d, 14, HUGE), f"/buses/13/id: id must be at most {MAX_ID}, got {HUGE}"),
+    "bus_past_bound": (lambda d: rename_bus(d, 14, MAX_ID + 1), "/buses/13/id: id must be at most"),
+    "substation_map_key": (lambda d: d["substation_map"].update({str(HUGE): 8}), f"/substation_map/{HUGE}: bus id"),
+    "substation_map_value": (lambda d: d["substation_map"].update({"14": HUGE}), "/substation_map/14: id must"),
+    "pmu_substations": (lambda d: d["pmu_substations"].append(HUGE), "/pmu_substations/3: id must"),
+    "control_centers": (lambda d: d.update(control_centers=[2, HUGE]), "/control_centers/1: id must"),
+    "sadm_homing_key": (lambda d: d.update(sadm_homing={str(HUGE): 3}), f"/sadm_homing/{HUGE}: substation id"),
+    "sadm_homing_value": (lambda d: d.update(sadm_homing={"6": HUGE}), "/sadm_homing/6: id must"),
+    "oadm_homing_key": (lambda d: d["oadm_homing"].update({str(HUGE): 1}), f"/oadm_homing/{HUGE}: substation id"),
+    "oadm_homing_value": (lambda d: d["oadm_homing"].update({"9": HUGE}), "/oadm_homing/9: id must"),
+}
+
+
+def _edited_grid_raises(fixtures_dir, edit, message):
     data = json.loads((fixtures_dir / "ieee14.json").read_text())
-    edit, message = NEGATIVE_IDS[where]
     edit(data)
     with pytest.raises(GridError, match=re.escape(message)):
         grid_from_dict(data)
+
+
+@pytest.mark.parametrize("where", NEGATIVE_IDS)
+def test_negative_id_named(fixtures_dir, where):
+    _edited_grid_raises(fixtures_dir, *NEGATIVE_IDS[where])
+
+
+@pytest.mark.parametrize("where", OVERSIZED_IDS)
+def test_oversized_id_named(fixtures_dir, where):
+    _edited_grid_raises(fixtures_dir, *OVERSIZED_IDS[where])
+
+
+# Each edit sets one branch length of the 14-bus grid out of range.  Branch
+# 7 (4-7) is a transformer, which may have length 0 but not a negative one;
+# a line of length 0 is ``test_nonpositive_length_rejected_for_lines``.
+BAD_LENGTHS = {
+    "transformer_negative": (7, -50, "/branches/7/length: length -50 km outside [0, 4e+08] km"),
+    "line_past_bound": (0, 2 * MAX_LENGTH, "/branches/0/length: length 8e+08 km outside"),
+    "line_huge": (0, 1e308, "/branches/0/length: length 1e+308 km outside"),
+}
+
+
+@pytest.mark.parametrize("where", BAD_LENGTHS)
+def test_branch_length_out_of_range_named(fixtures_dir, where):
+    index, length, message = BAD_LENGTHS[where]
+    _edited_grid_raises(fixtures_dir, lambda d: d["branches"][index].update(length=length), message)
+
+
+def test_id_and_length_bounds_are_inclusive(fixtures_dir):
+    """A bus id of ``MAX_ID``, a transformer of length 0 and a line of
+    length ``MAX_LENGTH`` all load."""
+    data = json.loads((fixtures_dir / "ieee14.json").read_text())
+    rename_bus(data, 14, MAX_ID)
+    data["branches"][7]["length"] = 0
+    data["branches"][0]["length"] = MAX_LENGTH
+    grid = grid_from_dict(data)
+    assert grid.bus_ids[-1] == MAX_ID
+    assert (grid.branches[7].length, grid.branches[0].length) == (0, MAX_LENGTH)
 
 
 def test_two_keys_for_one_bus_rejected(fixtures_dir):

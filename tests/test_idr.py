@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import reduce
 
@@ -8,11 +9,16 @@ from fuzzing import edit_rule_text
 from idr_reader import parse_expr, parse_idr, parse_idr_file
 from oracle import (
     BINARY_LEVELS,
+    BOOL_AND,
+    BOOL_OR,
+    BinaryOp,
+    BinaryRule,
     UnknownEntityError,
     binary_and,
     binary_or,
     columns,
     evaluate,
+    format_binary,
     format_idr_file,
     free_entities,
     read,
@@ -23,13 +29,11 @@ from jointgrid.cli import rule_file_text
 from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.idr import (
     IIM,
+    IIM_SYMBOLS,
     MIIM,
-    IdrModelError,
     IdrRule,
     IdrSyntaxError,
     Op,
-    OP_BOOL_AND,
-    OP_BOOL_OR,
     OP_MAX_OR,
     OP_MIN_AND,
     OP_NEW_XOR,
@@ -85,7 +89,7 @@ def test_rule_leaves_are_entity_ids(ieee118):
 
 def test_parse_ring_rule_structure():
     rule = parse_idr(RING_RULE)
-    assert rule.model == MIIM
+    assert isinstance(rule, IdrRule)
     assert rule.target == parse_entity_id("C(2,1,1,0)")
     assert rule.body == Op(
         OP_MAX_OR,
@@ -98,10 +102,9 @@ def test_parse_ring_rule_structure():
 
 def test_parse_literal_rule():
     rule = parse_idr("R(1) <- P(4)")
-    assert rule.body == lit("P(4)")
-    assert rule.model == MIIM
+    assert rule == IdrRule(lit("R(1)"), lit("P(4)"))
     rule_iim = parse_idr("R(1) <- P(4)", default_model=IIM)
-    assert rule_iim.model == IIM
+    assert rule_iim == BinaryRule(lit("R(1)"), lit("P(4)"))
 
 
 def test_precedence_xor_loosest():
@@ -133,20 +136,26 @@ def test_explicit_parens_preserved():
 
 def test_iim_operators():
     rule = parse_idr("P(1) <- P(2) . P(3) + P(4)")
-    assert rule.model == IIM
-    assert rule.body == Op(
-        OP_BOOL_OR, (Op(OP_BOOL_AND, (lit("P(2)"), lit("P(3)"))), lit("P(4)"))
+    assert rule == BinaryRule(
+        lit("P(1)"), BinaryOp(BOOL_OR, (BinaryOp(BOOL_AND, (lit("P(2)"), lit("P(3)"))), lit("P(4)")))
     )
 
 
 def test_mixed_model_operators_rejected():
-    with pytest.raises(IdrModelError, match="mixes"):
+    with pytest.raises(IdrSyntaxError, match="mixes"):
         parse_idr("P(1) <- P(2) & P(3) + P(4)")
+    with pytest.raises(IdrSyntaxError, match="mixes"):
+        parse_idr("P(1) <- (P(2) . P(3)) & P(4)")
 
 
 def test_model_discipline_enforced():
-    with pytest.raises(IdrModelError):
-        IdrRule(parse_entity_id("P(1)"), Op(OP_MIN_AND, (lit("P(2)"), lit("P(3)"))), IIM)
+    """Rule trees are ternary: an operator node refuses the binary model's
+    operators, which only the tests' own trees hold, and a rule holds no
+    model of its own."""
+    for op in (BOOL_AND, BOOL_OR):
+        with pytest.raises(IdrSyntaxError, match="unknown operator"):
+            Op(op, (lit("P(2)"), lit("P(3)")))
+    assert [field.name for field in dataclasses.fields(IdrRule)] == ["target", "body", "literals"]
 
 
 def test_lexical_error_reports_position():
@@ -200,7 +209,7 @@ def test_format_literal_rule():
 
 def test_flat_xor_chain_round_trip():
     terms = tuple(lit(f"C(1,2,{i},{i})") for i in range(1, 7))
-    rule = IdrRule(parse_entity_id("C(2,1,1,0)"), Op(OP_NEW_XOR, terms), MIIM)
+    rule = IdrRule(parse_entity_id("C(2,1,1,0)"), Op(OP_NEW_XOR, terms))
     text = format_idr(rule)
     assert text.count("^") == 5
     body = text.split(" <- ")[1]
@@ -211,10 +220,9 @@ def test_flat_xor_chain_round_trip():
 def test_translate_preserves_shape():
     rule = parse_idr(RING_RULE)
     iim_rule = translate_to_iim(rule)
-    assert iim_rule.model == IIM
-    assert format_idr(iim_rule) == (
-        "C(2,1,1,0) <- (C(2,1,2,0) . C(2,2,1,2)) + (C(2,1,6,0) . C(2,2,1,6))"
-    )
+    assert iim_rule.target == rule.target
+    assert format_binary(iim_rule.body) == "(C(2,1,2,0) . C(2,2,1,2)) + (C(2,1,6,0) . C(2,2,1,6))"
+    assert format_binary(iim_rule.body) == format_expr(rule.body).translate(IIM_SYMBOLS)
     assert free_entities(iim_rule) == free_entities(rule)
 
     def shape(expr):
@@ -227,18 +235,12 @@ def test_translate_preserves_shape():
 
 def test_translate_min_and_becomes_bool_and():
     rule = parse_idr("P(1) <- P(2) & P(3)")
-    assert translate_to_iim(rule).body == Op(OP_BOOL_AND, (lit("P(2)"), lit("P(3)")))
+    assert translate_to_iim(rule).body == BinaryOp(BOOL_AND, (lit("P(2)"), lit("P(3)")))
 
 
 def test_translate_new_xor_becomes_bool_and():
     rule = parse_idr("P(1) <- P(2) ^ P(3)")
-    assert translate_to_iim(rule).body == Op(OP_BOOL_AND, (lit("P(2)"), lit("P(3)")))
-
-
-def test_translate_already_binary_rejected():
-    rule = parse_idr("P(1) <- P(2) . P(3)")
-    with pytest.raises(IdrModelError, match="already binary"):
-        translate_to_iim(rule)
+    assert translate_to_iim(rule).body == BinaryOp(BOOL_AND, (lit("P(2)"), lit("P(3)")))
 
 
 def test_free_entities_ring_rule():
@@ -284,9 +286,15 @@ _KERNEL = {
     OP_MIN_AND: lambda values: reduce(ternary.min_and, values),
     OP_MAX_OR: lambda values: reduce(ternary.max_or, values),
     OP_NEW_XOR: ternary.new_xor,
-    OP_BOOL_AND: lambda values: reduce(binary_and, values),
-    OP_BOOL_OR: lambda values: reduce(binary_or, values),
+    BOOL_AND: lambda values: reduce(binary_and, values),
+    BOOL_OR: lambda values: reduce(binary_or, values),
 }
+
+
+def _node(op, children):
+    """An operator node: the package's ``Op`` for a ternary operator, the
+    oracle's ``BinaryOp`` for a binary one."""
+    return (BinaryOp if op in (BOOL_AND, BOOL_OR) else Op)(op, children)
 
 
 @pytest.mark.parametrize("arity", [2, 3])
@@ -304,16 +312,16 @@ def test_both_readings_match_the_ternary_kernel(arity):
         (OP_MIN_AND, ternary_inputs),
         (OP_MAX_OR, ternary_inputs),
         (OP_NEW_XOR, ternary_inputs),
-        (OP_BOOL_AND, binary_inputs),
-        (OP_BOOL_OR, binary_inputs),
+        (BOOL_AND, binary_inputs),
+        (BOOL_OR, binary_inputs),
     ):
-        expr = Op(op, operands)
+        expr = _node(op, operands)
         expected = [_KERNEL[op](values) for values in inputs]
         assert evaluate(expr, columns(operands, inputs)).tolist() == expected, op
         if op in (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR):
             fn = compile_expr(expr, slots, MIIM)
             assert [fn(list(values)) for values in inputs] == expected, op
-    for op, image in ((OP_MIN_AND, OP_BOOL_AND), (OP_NEW_XOR, OP_BOOL_AND), (OP_MAX_OR, OP_BOOL_OR)):
+    for op, image in ((OP_MIN_AND, BOOL_AND), (OP_NEW_XOR, BOOL_AND), (OP_MAX_OR, BOOL_OR)):
         fn = compile_expr(Op(op, operands), slots, IIM)
         assert [fn(list(values)) for values in binary_inputs] == [
             _KERNEL[image](values) for values in binary_inputs
@@ -326,8 +334,8 @@ def test_oracle_rejects_bad_levels_and_missing_entities(op):
     ``ValueError``; an entity missing from the state raises
     ``UnknownEntityError`` naming it."""
     operands = tuple(ent.bus(k) for k in range(1, 4))
-    expr = Op(op, operands)
-    top = 1 if op in (OP_BOOL_AND, OP_BOOL_OR) else 2
+    expr = _node(op, operands)
+    top = 1 if op in (BOOL_AND, BOOL_OR) else 2
     for position in range(len(operands)):
         for bad in (-1, top + 1):
             arrays = [[0] * len(operands) for _ in range(4)]
@@ -360,18 +368,18 @@ def test_idr_file_reports_line_of_oversized_index():
         parse_idr_file("P(1) <- P(2)\nP(3) <- P(" + "9" * 5000 + ")\n")
 
 
-# Structured random expressions: models must round-trip and compile.
+# Structured random ternary expressions: each reading must round-trip and compile.
 
 _ENTITIES = [f"P({i})" for i in range(1, 9)]
 
 
-def _expr_strategy(ops):
+def _expr_strategy():
     leaves = st.sampled_from([lit(t) for t in _ENTITIES])
 
     def extend(children):
         return st.builds(
             Op,
-            st.sampled_from(ops),
+            st.sampled_from([OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR]),
             st.lists(children, min_size=2, max_size=4).map(tuple),
         )
 
@@ -379,13 +387,13 @@ def _expr_strategy(ops):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_expr_strategy([OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR]), st.integers(0, 2**31 - 1))
+@given(_expr_strategy(), st.integers(0, 2**31 - 1))
 def test_random_miim_exprs_round_trip_and_compile(expr, seed):
     import random
 
     text = format_expr(expr)
     assert parse_expr(text) == expr
-    assert_literals_match_walk(IdrRule(parse_entity_id("R(1)"), expr, MIIM))
+    assert_literals_match_walk(IdrRule(parse_entity_id("R(1)"), expr))
 
     rng = random.Random(seed)
     entities = sorted(free_entities(expr))
@@ -398,13 +406,14 @@ def test_random_miim_exprs_round_trip_and_compile(expr, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_expr_strategy([OP_BOOL_AND, OP_BOOL_OR]), st.integers(0, 2**31 - 1))
+@given(_expr_strategy(), st.integers(0, 2**31 - 1))
 def test_random_iim_exprs_round_trip_and_compile(expr, seed):
+    """A random ternary tree's binary translation round-trips through its
+    text, and the tree compiled under IIM evaluates as that translation."""
     import random
 
-    text = format_expr(expr)
-    assert parse_expr(text) == expr
-    assert_literals_match_walk(IdrRule(parse_entity_id("R(1)"), expr, IIM))
+    binary = translate_to_iim(IdrRule(parse_entity_id("R(1)"), expr)).body
+    assert parse_expr(format_binary(binary)) == binary
 
     rng = random.Random(seed)
     entities = sorted(free_entities(expr))
@@ -413,7 +422,7 @@ def test_random_iim_exprs_round_trip_and_compile(expr, seed):
     array = [0] * len(slots)
     for entity, value in state.items():
         array[slots[entity]] = value
-    assert compile_expr(expr, slots)(array) == evaluate(expr, state)
+    assert compile_expr(expr, slots, IIM)(array) == evaluate(binary, state)
 
 
 def test_expression_naming_an_entity_twice_compiles_correctly():
@@ -484,5 +493,5 @@ def test_edited_rule_file_parses_or_raises_its_error(rule_files14, data):
     text = edit_rule_text(data, text)
     try:
         parse_idr_file(text)
-    except (IdrSyntaxError, IdrModelError):
+    except IdrSyntaxError:
         pass

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from oracle import free_entities, rule_of
+from oracle import free_entities, meta_payload, rule_of
 from jointgrid import entities as ent
 from jointgrid.cascade import FailureScenario, ScenarioError, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
@@ -28,14 +28,14 @@ def test_unknown_entity_in_rule_flagged(ieee14):
     broken = copy.deepcopy(ieee14)
     ghost = ent.bus(99)
     rule_set = broken.rule_sets[(MIIM, 1)]
-    rules = (IdrRule(rule_set.rules[0].target, ghost, MIIM),) + rule_set.rules[1:]
+    rules = (IdrRule(rule_set.rules[0].target, ghost),) + rule_set.rules[1:]
     broken.rule_sets[(MIIM, 1)] = dataclasses.replace(rule_set, rules=rules)
     problems = validate(broken)
     assert any("unknown entity P(99)" in p for p in problems)
 
 
 def _with_literal(rule, entity):
-    return IdrRule(rule.target, Op(OP_MIN_AND, (rule.body, entity)), rule.model)
+    return IdrRule(rule.target, Op(OP_MIN_AND, (rule.body, entity)))
 
 
 def _body_literal(rule_set):
@@ -44,7 +44,7 @@ def _body_literal(rule_set):
 
 
 def _cascade_target(rule_set):
-    extra = IdrRule(ent.rtu(99), ent.bus(1), MIIM)
+    extra = IdrRule(ent.rtu(99), ent.bus(1))
     return dataclasses.replace(rule_set, rules=rule_set.rules + (extra,)), ent.rtu(99)
 
 
@@ -71,7 +71,7 @@ def _data_path_to(target):
     data path of a known substation."""
 
     def breaker(rule_set):
-        extra = IdrRule(target, ent.bus(1), MIIM)
+        extra = IdrRule(target, ent.bus(1))
         return dataclasses.replace(rule_set, availability=rule_set.availability + (extra,)), target
 
     return breaker
@@ -291,6 +291,6 @@ def test_power_feed_shape_of_first_node_rule(ieee14):
 def test_registry_metadata(ieee14):
     meta = ieee14.registry[parse_entity_id("C(1,4,1,6)")]
     assert meta.substation == 6
-    assert meta.endpoints == ("C(1,2,6,6)", "C(2,1,1,0)")
+    assert meta_payload(meta) == {"substation": 6, "endpoints": ["C(1,2,6,6)", "C(2,1,1,0)"]}
     assert ieee14.registry[ent.bus(12)].substation == 6
     assert ieee14.registry[ent.sadm(6)].substation == 10

@@ -19,7 +19,7 @@ from oracle import (
 )
 from jointgrid import entities as ent
 from jointgrid.cli import registry_text
-from jointgrid.entities import parse_entity_id
+from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
 from jointgrid.idr import (
     IIM,
@@ -31,6 +31,7 @@ from jointgrid.idr import (
 from jointgrid.network import CASES, MODELS, validate
 from jointgrid.synthesis import (
     SynthesisError,
+    _id_tables,
     all_pairs_shortest,
     build_joint_network,
     generate_rules,
@@ -546,22 +547,24 @@ def test_case2_adds_exactly_one_fallback_branch(ieee14):
 def test_iim_rules_are_translations(request, network_name, case):
     """Each IIM rule set holds its case's MIIM rules and availability
     mapping, the very objects, and its compiled reading of each rule,
-    cascade and availability, is that of the rule's translation: the same
-    code with the same slots bound."""
+    cascade and availability, binds the slots of the literals of the rule's
+    translation, left to right: the binary reading keeps the tree."""
     network = request.getfixturevalue(network_name)
     miim, iim = network.rule_set(MIIM, case), network.rule_set(IIM, case)
     assert iim.rules is miim.rules
     assert iim.availability is miim.availability
     assert [rule.target for rule in miim.availability] == [rule.target for rule in iim.availability]
     for rule in (*miim.rules, *miim.availability):
-        translated = compile_expr(translate_to_iim(rule).body, network.slots, IIM)
         reading = compile_expr(rule.body, network.slots, IIM)
-        assert _bound(reading) == _bound(translated), format_idr(rule)
+        leaves = _leaves(translate_to_iim(rule).body)
+        assert reading.__defaults__ == tuple(network.slots[entity] for entity in leaves), format_idr(rule)
 
 
-def _bound(fn):
-    """A compiled rule's code object and the slots bound to it."""
-    return fn.__code__, fn.__defaults__
+def _leaves(expr):
+    """Every literal of a tree, left to right, repeats included."""
+    if isinstance(expr, EntityId):
+        return [expr]
+    return [entity for child in expr.children for entity in _leaves(child)]
 
 
 def _binary_reading_mismatches(network, arrays):
@@ -616,7 +619,6 @@ def test_binary_reading_matches_translated_rules(request, network_name, seed):
 def test_build_makes_each_entity_id_once(ieee118_grid, monkeypatch):
     """A 118-bus build constructs each entity id once, registered entities
     and data paths alike, and formats only the network's ``names``."""
-    from jointgrid.entities import EntityId
 
     counts = {"new": 0, "str": 0}
     new, text = EntityId.__new__, EntityId.__str__
@@ -640,19 +642,22 @@ def test_build_makes_each_entity_id_once(ieee118_grid, monkeypatch):
 
 
 def test_build_constructs_no_binary_rule(ieee118_grid, monkeypatch):
-    """A 118-bus build makes ternary rules only: the IIM rule sets read them."""
+    """A 118-bus build makes each rule its rule sets hold once, as a ternary
+    tree, and no other rule: the IIM rule sets read the MIIM rules."""
     from jointgrid.idr import IdrRule
 
-    models = []
+    built = []
     post_init = IdrRule.__post_init__
 
     def counting(rule):
-        models.append(rule.model)
+        built.append(rule)
         post_init(rule)
 
     monkeypatch.setattr(IdrRule, "__post_init__", counting)
-    build_joint_network(ieee118_grid)
-    assert models and set(models) == {MIIM}
+    network = build_joint_network(ieee118_grid)
+    held = {id(rule) for rs in network.rule_sets.values() for rule in (*rs.rules, *rs.availability)}
+    assert built and len({id(rule) for rule in built}) == len(built) == len(held)
+    assert {id(rule) for rule in built} == held
 
 
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
@@ -805,7 +810,7 @@ def test_multi_rtu_substation_aggregates_with_xor(ieee14):
     network.rtus[6] = [6, 20]
     network.registry[ent.rtu(20)] = network.registry[ent.rtu(6)]
     network.registry[ent.rtu_channel(20, 6)] = network.registry[ent.rtu_channel(6, 6)]
-    rules, _ = generate_rules(network)
+    rules, _ = generate_rules(network, _id_tables(network))
     gateway_rule = next(rule for rule in rules if rule.target == ent.gateway(6))
     ingest = gateway_rule.body.children[1]
     assert ingest.op == "new_xor"

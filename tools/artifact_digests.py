@@ -1,11 +1,13 @@
-"""Print the SHA-256 of every file that `synth`, `cascade` and `run` write.
+"""Print the SHA-256 of every file that the five commands write.
 
 Run from the root of a checkout, with a directory to write into:
 
     python tools/artifact_digests.py OUT_DIR
 
-It runs `synth` on both bundled grids and `cascade` and `run` on the three
-shipped scenarios, each into its own subdirectory of OUT_DIR, and prints one
+It runs `synth` on both bundled grids, `cascade` and `run` on the three
+shipped scenarios, and `estimate` on every availability mask that `cascade`
+wrote; `validate` writes no file and runs within each of the others.  Each
+command writes into its own subdirectory of OUT_DIR, and the tool prints one
 line per file written, `<sha256>  <command>_<input>/<file>`, sorted by path.
 The availability masks embed the absolute grid path; it is replaced by
 `"<grid>"` before hashing, so two checkouts give the same digests.  BLAS is
@@ -37,7 +39,8 @@ SCENARIOS = ("ieee14_substation6_attack", "ieee118_gateway_sadm_failure", "ieee1
 
 
 def commands(out: Path):
-    """Each command's output directory and its argument list."""
+    """Each command's output directory and its argument list.  The
+    ``estimate`` commands are listed once the cascades before them ran."""
     for grid in GRIDS:
         target = out / f"synth_{grid}"
         yield target, ["synth", "--grid", str(FIXTURES / f"{grid}.json"), "--out-dir", str(target)]
@@ -45,12 +48,17 @@ def commands(out: Path):
         for scenario in SCENARIOS:
             target = out / f"{command}_{scenario}"
             yield target, [command, "--scenario", str(FIXTURES / f"{scenario}.json"), "--out-dir", str(target)]
+    for scenario in SCENARIOS:
+        for mask in sorted((out / f"cascade_{scenario}").glob("availability_*.json")):
+            target = out / f"estimate_{scenario}_{mask.stem.removeprefix('availability_')}"
+            yield target, ["estimate", "--mask", str(mask), "--out", str(target / "errors.csv")]
 
 
 def digests(out: Path) -> dict:
     masks = [json.dumps(str((FIXTURES / f"{grid}.json").resolve())).encode() for grid in GRIDS]
     found = {}
     for target, argv in commands(out):
+        target.mkdir(parents=True, exist_ok=True)
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
         if code != 0:
