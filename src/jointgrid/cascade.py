@@ -7,8 +7,10 @@ fell; the run stops at the first step that changes nothing.  Operator
 monotonicity makes values non-increasing, which guarantees convergence
 well inside 2x the entity count.  A trace keeps those changes, each step's
 as ``{slot: level}`` over the network's slot map, and the fixpoint array,
-from which every earlier step can be replayed.  The trace is itself its
-fixpoint as an entity -> level mapping: ``final_state()`` returns it.
+from which every earlier step can be replayed; the array holds levels coded
+(``ternary.CODE``), as the compiled rules read them, and a step's levels, 0
+and 1, are their own codes.  The trace is itself its fixpoint as an entity
+-> level mapping, decoded: ``final_state()`` returns it.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
@@ -54,6 +56,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 from jointgrid.entities import EntityId, gw_pmu
 from jointgrid.idr import MIIM, IdrRule, compile_expr
 from jointgrid.network import MODELS, JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
+from jointgrid.ternary import CODE, LEVEL
 
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
@@ -100,7 +103,7 @@ class CascadeTrace(Mapping[EntityId, int]):
 
     slots: Dict[EntityId, int]
     top: int  # the cascade's model's top level
-    fixpoint: List[int]
+    fixpoint: List[int]  # levels coded by ternary.CODE
     changed: List[Dict[int, int]]
 
     @property
@@ -118,7 +121,7 @@ class CascadeTrace(Mapping[EntityId, int]):
         return self
 
     def __getitem__(self, entity: EntityId) -> int:
-        return self.fixpoint[self.slots[entity]]
+        return LEVEL[self.fixpoint[self.slots[entity]]]
 
     def __iter__(self) -> Iterator[EntityId]:
         return iter(self.slots)
@@ -238,7 +241,7 @@ def run_cascade(
     if unknown:
         raise ScenarioError(f"killed entities not in registry: {[str(e) for e in unknown]}")
 
-    state = [top] * len(entities)
+    state = [CODE[top]] * len(entities)
     killed_slots = {slots[e] for e in scenario.killed}
     for slot in killed_slots:
         state[slot] = 0
@@ -267,7 +270,7 @@ def run_cascade(
             if value > old:
                 entity = entities[target_slot]
                 raise MonotonicityError(
-                    f"{entity} rose from {old} to {value}; rules must be monotone"
+                    f"{entity} rose from {LEVEL[old]} to {LEVEL[value]}; rules must be monotone"
                 )
             if value < old:
                 updates[target_slot] = value

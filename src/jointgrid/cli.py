@@ -38,6 +38,7 @@ from jointgrid.grid import MAX_PU, Grid, GridError, int_key, load_grid, unique_k
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
 from jointgrid.network import CASES, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
+from jointgrid.ternary import LEVEL
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -189,7 +190,7 @@ def _trace_payload(trace: CascadeTrace, names: Tuple[str, ...], model: str, case
         "case": case,
         "converged_at": trace.converged_at,
         "steps": [{names[slot]: value for slot, value in step.items()} for step in trace.changed],
-        "final": dict(zip(names, trace.fixpoint)),
+        "final": dict(zip(names, map(LEVEL.__getitem__, trace.fixpoint))),
     }
 
 
@@ -619,6 +620,23 @@ _COMMANDS = {
 # Input-file options (argparse dest -> the file's name in errors).
 _INPUT_FILES = {"grid": "grid", "scenario": "scenario", "mask": "mask", "true_state": "true-state"}
 
+
+def _check_output(name: str, option: str) -> None:
+    """Refuse an ``--out`` that is a directory or not in one, and an ``--out-dir`` under a file."""
+    path = Path(name)
+    try:
+        if option == "--out":
+            folder, problem = path.parent, "is a directory" if path.is_dir() else None
+        else:  # the nearest path that exists
+            folder, problem = next((p for p in (path, *path.parents) if p.exists()), Path()), None
+        if not (problem or folder.is_dir()):
+            problem = f"{folder} is not a directory" if folder.exists() else f"directory {folder} not found"
+    except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
+        problem = getattr(exc, "strerror", None) or str(exc)
+    if problem:
+        raise ScenarioFileError(f"{option} {name[:80]!r}: {problem}")
+
+
 _VALIDATION_ERRORS = (
     GridError,
     SynthesisError,
@@ -636,6 +654,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             name = getattr(args, dest, None)
             if name is not None:
                 _file_beside(None, name, what)
+        for dest in ("out", "out_dir"):
+            if getattr(args, dest, None) is not None:
+                _check_output(getattr(args, dest), "--" + dest.replace("_", "-"))
         return _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

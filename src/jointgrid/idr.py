@@ -126,7 +126,7 @@ def _nx(*values: int) -> int:
     return first
 
 
-_COMPILE_GLOBALS = {"_nx": _nx, "min": min, "max": max, "__builtins__": {}}
+_COMPILE_GLOBALS = {"_nx": _nx, "__builtins__": {}}
 
 
 def compile_expr(
@@ -135,8 +135,9 @@ def compile_expr(
     """Compile an expression as ``model`` reads it to a function ``f(a)`` of
     a state array ``a``; ``slots`` maps each entity to its array index.
 
-    Under IIM each operator reads as its binary image on the same tree:
-    min-AND and new-XOR as Boolean AND (``&``), max-OR as Boolean OR (``|``).
+    The array holds levels coded by ``ternary.CODE``, as does the result.
+    On codes min-AND is ``&`` and max-OR is ``|``; new-XOR is ``_nx``, and
+    Boolean AND (``&``) under IIM, so the readings differ only at new-XOR.
 
     Expressions of one shape, the same operator tree up to which literals
     fill it, share one code object: the k-th literal reads ``a[ik]``, and
@@ -162,11 +163,7 @@ def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool, fill: 
         fill.append(slots[expr])
         return f"a[i{len(fill) - 1}]"
     parts = [_expr_source(child, slots, binary, fill) for child in expr.children]
-    if binary:
-        joiner = " | " if expr.op == OP_MAX_OR else " & "
-        return "(" + joiner.join(parts) + ")"
-    if expr.op == OP_MIN_AND:
-        return f"min({', '.join(parts)})"
-    if expr.op == OP_MAX_OR:
-        return f"max({', '.join(parts)})"
-    return f"_nx({', '.join(parts)})"
+    if expr.op == OP_NEW_XOR and not binary:
+        return f"_nx({', '.join(parts)})"
+    joiner = " | " if expr.op == OP_MAX_OR else " & "
+    return "(" + joiner.join(parts) + ")"

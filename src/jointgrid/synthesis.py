@@ -77,16 +77,17 @@ def group_substations(grid: Grid, config: Optional[SynthesisConfig] = None) -> L
     transformer branches merge and every other bus stands alone, with
     substation ids assigned in ascending order of each group's lowest bus.
     """
-    config = config or grid.config
+    config, bus_ids = config or grid.config, grid.bus_ids  # bus_ids sorts on each read
     if config.substation_map is not None:
         groups: Dict[int, List[int]] = {}
+        known = set(bus_ids)
         for bus_id in sorted(config.substation_map):
-            if bus_id not in set(grid.bus_ids):
+            if bus_id not in known:
                 raise SynthesisError(f"substation map references unknown bus {bus_id}")
             groups.setdefault(config.substation_map[bus_id], []).append(bus_id)
         subs = [Substation(sub_id, buses) for sub_id, buses in sorted(groups.items())]
     else:
-        parent = {b: b for b in grid.bus_ids}
+        parent = {b: b for b in bus_ids}
 
         def find(b):
             while parent[b] != b:
@@ -100,7 +101,7 @@ def group_substations(grid: Grid, config: Optional[SynthesisConfig] = None) -> L
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
         groups = {}
-        for b in grid.bus_ids:
+        for b in bus_ids:
             groups.setdefault(find(b), []).append(b)
         subs = [
             Substation(i, buses)

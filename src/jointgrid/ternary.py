@@ -9,6 +9,11 @@ The binary predecessor model uses ordinary Boolean AND/OR on {0, 1}.
 All operators are total, commutative, associative, idempotent, and
 monotone non-decreasing in every argument under the order 0 < 1 < 2;
 cascade convergence rests on the monotonicity.
+
+Compiled rules and cascades hold a level in a thermometer code, ``CODE``:
+level k has its low k bits set.  Codes nest in the order of levels, so on
+codes ``&`` is min-AND and ``|`` is max-OR; equal codes are equal levels
+and 0 and 1 are their own codes, so new-XOR of codes is that of levels.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ REDUCED = 1
 FULL = 2
 
 TERNARY_LEVELS = (FAILED, REDUCED, FULL)
+CODE = (0, 1, 3)  # CODE[level]: its thermometer code
+LEVEL = {code: level for level, code in enumerate(CODE)}  # LEVEL[code]: its level
 
 
 def check_ternary(value: int) -> int:

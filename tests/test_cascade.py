@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracle import arrays, columns, evaluate, named_steps, paths_of, read, to_binary
-from jointgrid import entities as ent
+from jointgrid import entities as ent, ternary
 from jointgrid.cascade import (
     AvailabilityMask,
     FailureScenario,
@@ -262,7 +262,9 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
     """Each SCADA and PMU expression compiled by ``compile_expr`` under its
     rule set's model evaluates as the oracle's interpretive ``evaluate`` does
     on the expression that model reads, and the mask follows those values,
-    at the fixpoints of 50 random kill sets under all four rule sets."""
+    at the fixpoints of 50 random kill sets under all four rule sets.  The
+    functions read the fixpoint's levels encoded and their results are
+    decoded."""
     network = request.getfixturevalue(network_name)
     rng = random.Random(seed)
     entities = network.entity_ids()
@@ -282,8 +284,8 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
             oracles = [evaluate(read_expr, state).tolist() for _, _, _, read_expr in paths]
             for k, (trace, final) in enumerate(zip(traces, finals)):
                 oracle = [values[k] for values in oracles]
-                array = arrays(trace)[-1]
-                assert [fn(array) for fn in fns] == oracle
+                array = [ternary.CODE[level] for level in arrays(trace)[-1]]
+                assert [ternary.LEVEL[fn(array)] for fn in fns] == oracle
                 delivered = {
                     (sub_id, kind): value >= 1 for (sub_id, kind, _, _), value in zip(paths, oracle)
                 }

@@ -200,6 +200,42 @@ def test_unusable_input_path_exits_2(fixtures_dir, tmp_path, capsys, monkeypatch
     assert not (tmp_path / "errors.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--mask", "{mask}", "--out", "adir"], "--out 'adir': is a directory"),
+        (["estimate", "--mask", "{mask}", "--out", "missing/x.csv"],
+         "--out 'missing/x.csv': directory missing not found"),
+        (["estimate", "--mask", "{mask}", "--out", "afile/x.csv"], "--out 'afile/x.csv': afile is not a directory"),
+        (["run", "--scenario", "{scenario}", "--out-dir", "afile"], "--out-dir 'afile': afile is not a directory"),
+        (["cascade", "--scenario", "{scenario}", "--out-dir", "afile/sub"],
+         "--out-dir 'afile/sub': afile is not a directory"),
+        (["synth", "--grid", "{grid}", "--out-dir", "afile/sub"], "--out-dir 'afile/sub': afile is not a directory"),
+        (["synth", "--grid", "{grid}", "--out-dir", "p" * 5000], f"--out-dir '{'p' * 80}': File name too long"),
+    ],
+    ids=["out_dir", "out_missing_dir", "out_under_file", "run_file", "cascade_under_file", "synth_under_file",
+         "synth_too_long"],
+)
+def test_unusable_output_path_exits_2(fixtures_dir, tmp_path, capsys, monkeypatch, argv, message):
+    """An output path that cannot be written exits 2 with an error naming
+    the option, before any work: no estimation runs and nothing is written."""
+    from jointgrid import estimation
+
+    monkeypatch.chdir(tmp_path)
+    scenario = fixtures_dir / "ieee14_substation6_attack.json"
+    assert main(["cascade", "--scenario", str(scenario), "--model", "miim", "--out-dir", "casc"]) == 0
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+
+    calls = []
+    monkeypatch.setattr(estimation, "compare_models", lambda *args: calls.append(args))
+    paths = {"mask": "casc/availability_miim_case1.json", "scenario": scenario, "grid": fixtures_dir / "ieee14.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before and calls == []
+
+
 def test_synth_writes_artifacts(fixtures_dir, tmp_path):
     out = tmp_path / "synth"
     code = main(["synth", "--grid", str(fixtures_dir / "ieee14.json"), "--out-dir", str(out)])

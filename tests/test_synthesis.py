@@ -105,6 +105,19 @@ def test_unknown_bus_in_map_rejected(ieee14_grid):
         group_substations(ieee14_grid, config)
 
 
+def test_grouping_reads_bus_ids_once(ieee14_grid, ieee118_grid, monkeypatch):
+    """``Grid.bus_ids`` sorts every bus on each read; grouping a grid, by its
+    substation map or by the transformer heuristic, reads it once."""
+    reads = []
+    sort_buses = Grid.bus_ids.fget
+    monkeypatch.setattr(Grid, "bus_ids", property(lambda grid: reads.append(1) or sort_buses(grid)))
+    for grid in (ieee14_grid, ieee118_grid):
+        for config in (grid.config, SynthesisConfig(substation_map=None)):
+            reads.clear()
+            group_substations(grid, config)
+            assert len(reads) == 1, (len(grid.buses), config.substation_map is None)
+
+
 def test_generating_role_from_generator_buses(ieee14):
     roles = {s.id: s.role for s in ieee14.substations}
     assert roles[3] == "generating"

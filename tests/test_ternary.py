@@ -1,10 +1,15 @@
 import itertools
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 
 from oracle import binary_and, binary_or, to_binary
+from jointgrid.idr import _nx
 from jointgrid.ternary import (
+    CODE,
     FAILED,
+    LEVEL,
     FULL,
     REDUCED,
     TERNARY_LEVELS,
@@ -122,3 +127,21 @@ def test_binary_projection():
     assert to_binary(FAILED) == 0
     assert to_binary(REDUCED) == 1
     assert to_binary(FULL) == 1
+
+
+def test_thermometer_code_exhaustive():
+    """The code of level k has its low k bits set, and it keeps the order of
+    levels.  For every tuple of 2 to 4 levels, ``&``, ``|`` and ``_nx`` of
+    the codes decode to min-AND, max-OR and new-XOR of the levels, and the
+    binary levels 0 and 1 are their own codes."""
+    assert CODE == tuple((1 << level) - 1 for level in TERNARY_LEVELS)
+    assert sorted(LEVEL) == list(CODE) and [LEVEL[code] for code in CODE] == list(TERNARY_LEVELS)
+    assert CODE[FAILED] == FAILED and CODE[REDUCED] == REDUCED
+    for a, b in itertools.product(TERNARY_LEVELS, repeat=2):
+        assert (CODE[a] < CODE[b]) == (a < b) and (CODE[a] == CODE[b]) == (a == b)
+    for length in (2, 3, 4):
+        for values in itertools.product(TERNARY_LEVELS, repeat=length):
+            codes = [CODE[v] for v in values]
+            assert LEVEL[reduce(and_, codes)] == reduce(min_and, values), values
+            assert LEVEL[reduce(or_, codes)] == reduce(max_or, values), values
+            assert LEVEL[_nx(*codes)] == new_xor(values), values
