@@ -4,13 +4,13 @@ Every entity starts at full operation; attacked entities are clamped to 0
 for the whole run.  Each time step re-evaluates every dependent entity's
 rule against the previous step's state simultaneously and records what
 fell; the run stops at the first step that changes nothing.  Operator
-monotonicity makes values non-increasing, which guarantees convergence
-well inside 2x the entity count.  A trace keeps those changes, each step's
-as ``{slot: level}`` over the network's slot map, and the fixpoint array,
-from which every earlier step can be replayed; the array holds levels coded
-(``ternary.CODE``), as the compiled rules read them, and a step's levels, 0
-and 1, are their own codes.  The trace is itself its fixpoint as an entity
--> level mapping, decoded: ``final_state()`` returns it.
+monotonicity makes values non-increasing, which guarantees convergence well
+inside 2x the entity count.  The state is a byte per slot of the network's
+slot map, its level coded (``ternary.CODE``) as the compiled rules read it.
+A trace keeps each step's changes as ``{slot: level}`` (0 and 1 are their
+own codes) and the fixpoint as immutable ``bytes``, from which every
+earlier step can be replayed.  The trace is itself its fixpoint as an
+entity -> level mapping, decoded: ``final_state()`` returns it.
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
@@ -18,24 +18,23 @@ They are rules like the cascade's, each on a substation's data path
 (``GS(s)`` for SCADA, ``GP(s)`` for PMU), evaluated at the fixpoint rather
 than iterated.  At full operation every data-path rule (literals and
 monotone operators only) is at top, so a mask starts from the
-full-operation mask and evaluates only the rules that read a slot the
-cascade lowered.
+full-operation flags, evaluates only the rules that read a slot the
+cascade lowered, and records the buses they clear as its lost sets.
 
 Both kinds of rule run through one program class and one evaluator: each
 rule is compiled on first need, over the network's slot map, to a function
-``f(a)`` of a state array, and kept.  Rules of one shape share one code
-object (see ``idr.compile_expr``).  Rules compile under their rule set's
-model: a network's IIM rule sets hold its ternary rules, read as binary, so
-no binary rule tree exists at run time.  A program maps each rule to its
-target (a cascade rule's slot; a data-path rule's mask and buses, from
-``network.data_paths``) and each slot to the rules that read it; the
-data-path program adds the full-operation masks.  Each network keeps one
-program per class and immutable rules tuple, so a program cannot go stale
-and dies with its network.  A synthesized network's four rule sets hold one
-rules tuple and a case's two models one availability tuple, so only the
-compiled functions are per model.  The package has no other rule
-evaluator; the tests check the compiled functions against an interpretive
-one of their own.
+``f(a)`` of a state array, and kept; rules of one shape share one code
+object (``idr.compile_expr``).  Rules compile under their rule set's model,
+so no binary rule tree exists at run time, and a mask asks only whether a
+path is at ``>= 1``, so MIIM's data-path rules compile in its short-circuit
+delivery reading.  A program maps each rule to its target (a cascade rule's
+slot; a data-path rule's mask and buses, from ``network.data_paths``) and
+each slot to the rules that read it.  Each network keeps one program per
+class and immutable rules tuple, so a program cannot go stale and dies with
+its network.  A synthesized network's four rule sets hold one rules tuple
+and a case's two models one availability tuple, so only the compiled
+functions are per model.  The tests check the compiled functions against an
+interpretive evaluator of their own.
 A cascade program also keeps, per model, the kill set and trace of its
 latest cascade, and a cascade of that kill set under that model returns
 the same trace.  The two channel cases differ only in their data-path
@@ -44,13 +43,26 @@ way round) is cascaded once per model and both cases share its trace.
 A program checks its rules' references through the lookups it makes
 anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
+
+Why IIM loses a superset of what MIIM loses, for every kill set (the
+paper's claim), with ``proj(s)`` a state read as binary (level ``>= 1`` as
+1): (1) per rule, IIM's reading at ``proj(s)`` is at most ``proj`` of
+MIIM's reading at ``s``, for that bit is the rule's tree with new-XOR as
+OR, IIM's the same tree with new-XOR as AND, and AND <= OR; (2) both
+cascades start at top with the same entities at 0, and if IIM's state is at
+most ``proj`` of MIIM's before a step, monotone rules and (1) keep it so
+after it, up to both fixpoints; (3) so by (1) and monotonicity a data-path
+rule below 1 under MIIM is 0 under IIM: every bus MIIM loses, IIM loses.
+The tests check the operator tables, (1) on compiled rules and (2) on every
+trace of the 14-bus N-1 family.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId, gw_pmu
@@ -103,7 +115,7 @@ class CascadeTrace(Mapping[EntityId, int]):
 
     slots: Dict[EntityId, int]
     top: int  # the cascade's model's top level
-    fixpoint: List[int]  # levels coded by ternary.CODE
+    fixpoint: bytes  # levels coded by ternary.CODE
     changed: List[Dict[int, int]]
 
     @property
@@ -131,32 +143,32 @@ class CascadeTrace(Mapping[EntityId, int]):
 
 
 class _Functions(dict):
-    """Rules compiled under one model: ``fns[i]`` is rule i's function
-    ``f(a)`` of a state array, compiled on first lookup and kept.
+    """Rules compiled under one model and reading: ``fns[i]`` is rule i's
+    function ``f(a)`` of a state array, compiled on first lookup and kept.
 
     A single cascade touches only the rules downstream of its kill set, so a
     one-off run does not pay for compiling all of them.
     """
 
-    def __init__(self, rules: Sequence[IdrRule], slots: Dict[EntityId, int], model: str):
+    def __init__(self, rules: Sequence[IdrRule], slots: Dict[EntityId, int], model: str, delivery: bool):
         super().__init__()
-        self.rules, self.slots, self.model = rules, slots, model
+        self.rules, self.slots, self.model, self.delivery = rules, slots, model, delivery
 
     def __missing__(self, index: int) -> RuleFn:
-        fn = self[index] = compile_expr(self.rules[index].body, self.slots, self.model)
+        fn = self[index] = compile_expr(self.rules[index].body, self.slots, self.model, self.delivery)
         return fn
 
 
 class _Program:
     """One rules tuple over one slot map: per rule ``targets[rule.target]``
     (``targets``), per slot the rules that read it (``readers``), and each
-    model's functions (``fns[model]``).  A cascade rule's target is its slot.
-    A cascade program keeps each model's latest kill set and its trace
-    (``latest[model]``, set by ``run_cascade``)."""
+    model's functions (``fns[model]``, in the delivery reading if
+    ``delivery``).  A cascade rule's target is its slot.  A cascade program
+    keeps each model's latest kill set and trace (``latest[model]``)."""
 
     label = "cascade rules"
 
-    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], targets: Mapping):
+    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], targets: Mapping, delivery=False):
         self.rules = rules  # also keeps this tuple's id() from being reused
         self.readers: Dict[int, List[int]] = {}
         try:
@@ -170,14 +182,14 @@ class _Program:
         if refused:
             problems = reference_problems(rules, slots, targets)
             raise ScenarioError(f"{self.label}: {'; '.join(problems[:5])}")
-        self.fns = {model: _Functions(rules, slots, model) for model in MODELS}
+        self.fns = {model: _Functions(rules, slots, model, delivery) for model in MODELS}
         self.latest: Dict[str, Tuple[FrozenSet[EntityId], CascadeTrace]] = {}
 
 
 class _AvailabilityProgram(_Program):
     """A program of data-path rules over one network, each rule's target the
-    mask it clears (0 SCADA, 1 PMU) and a copy of its substation's buses
-    (``network.data_paths``), plus the full-operation masks."""
+    mask it clears (0 SCADA, 1 PMU) and its substation's buses that mask flags
+    at full operation, plus those ``flags`` (SCADA, PMU) and ``full``, their mask."""
 
     label = "availability rules"
 
@@ -185,12 +197,14 @@ class _AvailabilityProgram(_Program):
         gaps = availability_gaps(rules, network.substations)
         if gaps:
             raise ScenarioError(f"{self.label}: {'; '.join(gaps[:5])}")
-        super().__init__(rules, network.slots, data_paths(network.substations))
+        super().__init__(rules, network.slots, data_paths(network.substations), delivery=True)
         # At full operation every rule is at top, so every path delivers.
         subs, held = network.substations, {rule.target for rule in rules}
-        self.scada = {bus: True for sub in subs for bus in sub.buses}
-        self.pmu = {bus: sub.has_pmu and gw_pmu(sub.id) in held for sub in subs for bus in sub.buses}
-        self.pmu_equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
+        scada = {bus: True for sub in subs for bus in sub.buses}
+        self.flags = (scada, {bus: sub.has_pmu and gw_pmu(sub.id) in held for sub in subs for bus in sub.buses})
+        self.targets = [(mask, tuple(filter(self.flags[mask].get, buses))) for mask, buses in self.targets]
+        equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
+        self.full = AvailabilityMask(*map(MappingProxyType, self.flags), equipped)
 
 
 # Compiled programs per network and its slot map, each under its class and
@@ -234,14 +248,13 @@ def run_cascade(
     killed, trace = program.latest.get(rule_set.model, (None, None))
     if killed == scenario.killed:
         return trace
-    entities = network.entity_ids()
     top, slots = _top(rule_set.model), network.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
     if unknown:
         raise ScenarioError(f"killed entities not in registry: {[str(e) for e in unknown]}")
 
-    state = [CODE[top]] * len(entities)
+    state = bytearray((CODE[top],)) * len(slots)
     killed_slots = {slots[e] for e in scenario.killed}
     for slot in killed_slots:
         state[slot] = 0
@@ -249,7 +262,7 @@ def run_cascade(
     changed_per_step: List[Dict[int, int]] = [dict.fromkeys(sorted(killed_slots), 0)]
 
     frontier: Set[int] = set(killed_slots)
-    max_steps = 2 * len(entities) + 2
+    max_steps = 2 * len(slots) + 2
     targets, readers, fns = program.targets, program.readers, program.fns[rule_set.model]
 
     while frontier:
@@ -268,7 +281,7 @@ def run_cascade(
             value = fns[rule_index](state)
             old = state[target_slot]
             if value > old:
-                entity = entities[target_slot]
+                entity = network.entity_ids()[target_slot]
                 raise MonotonicityError(
                     f"{entity} rose from {LEVEL[old]} to {LEVEL[value]}; rules must be monotone"
                 )
@@ -281,7 +294,7 @@ def run_cascade(
         changed_per_step.append(dict(sorted(updates.items())))
         frontier = set(updates)
 
-    trace = CascadeTrace(slots=slots, top=top, fixpoint=state, changed=changed_per_step)
+    trace = CascadeTrace(slots=slots, top=top, fixpoint=bytes(state), changed=changed_per_step)
     program.latest[rule_set.model] = (frozenset(scenario.killed), trace)
     return trace
 
@@ -309,27 +322,45 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     return True
 
 
-@dataclass
+@dataclass(init=False)
 class AvailabilityMask:
     """Per-bus SCADA/PMU delivery flags at a cascade fixpoint.
 
     ``pmu`` is false both for undelivered PMU data and for buses whose
     substation has no PMU at all; ``pmu_equipped`` separates the two.
+
+    The flag maps are read-only: a map is copied, a read-only view kept.
+    The lost sets are those ``lost`` records (SCADA, PMU; ``data_availability``
+    gives views), else a scan of the flags on first need and after assignment.
     """
 
-    scada: Dict[int, bool]
-    pmu: Dict[int, bool]
+    scada: Mapping[int, bool]
+    pmu: Mapping[int, bool]
     pmu_equipped: FrozenSet[int] = frozenset()
 
-    def scada_lost(self) -> Set[int]:
-        return {bus for bus, ok in self.scada.items() if not ok}
+    def __init__(self, scada, pmu, pmu_equipped=frozenset(), lost=None):
+        if lost is None:
+            self.scada, self.pmu, self.pmu_equipped = scada, pmu, pmu_equipped
+        else:
+            vars(self).update(scada=scada, pmu=pmu, pmu_equipped=pmu_equipped, _lost=lost)
 
-    def pmu_lost(self) -> Set[int]:
+    def __setattr__(self, name, value):
+        if name in ("scada", "pmu") and type(value) is not MappingProxyType:
+            value = MappingProxyType(dict(value))
+        vars(self)[name] = value
+        vars(self).pop("_lost", None)
+
+    @cached_property
+    def _lost(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        scada = frozenset(bus for bus, ok in self.scada.items() if not ok)
+        return scada, frozenset(bus for bus in self.pmu_equipped if not self.pmu[bus])
+
+    def scada_lost(self) -> FrozenSet[int]:
+        return self._lost[0]
+
+    def pmu_lost(self) -> FrozenSet[int]:
         """Buses in PMU-equipped substations whose PMU data is not delivered."""
-        return {bus for bus in self.pmu_equipped if not self.pmu[bus]}
-
-    def bus_ids(self) -> Set[int]:
-        return set(self.scada)
+        return self._lost[1]
 
 
 def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set: RuleSet) -> AvailabilityMask:
@@ -342,7 +373,8 @@ def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set
     under a rule set of ``rule_set``'s model.
 
     Only the rules that read a slot of ``final_state.lowered`` are
-    evaluated: any other is at top, as in the full-operation mask.
+    evaluated, in the delivery reading, and the buses they clear recorded
+    as the mask's lost sets: any other rule is at top, as at full operation.
     """
     if not (isinstance(final_state, CascadeTrace) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
@@ -351,31 +383,32 @@ def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set
             f"final state has top level {final_state.top}, not that of the {rule_set.model} rule set"
         )
     program = _programs(network, rule_set)[1]
-    scada, pmu = dict(program.scada), dict(program.pmu)
-    masks = (scada, pmu)
-    fns = program.fns[rule_set.model]
-    state = final_state.fixpoint
+    fns, state, full, cleared = program.fns[rule_set.model], final_state.fixpoint, program.full, (set(), set())
     for index in {i for slot in final_state.lowered for i in program.readers.get(slot, ())}:
-        if fns[index](state) < 1:
+        if not fns[index](state):
             mask, buses = program.targets[index]
-            for bus in buses:
-                masks[mask][bus] = False
-    return AvailabilityMask(scada, pmu, program.pmu_equipped)
+            cleared[mask].update(buses)
+    flags, lost = [full.scada, full.pmu], [full.scada_lost(), full.pmu_lost()]
+    for mask, buses in enumerate(cleared):
+        if buses:
+            flags[mask] = MappingProxyType({**program.flags[mask], **dict.fromkeys(buses, False)})
+            lost[mask] = lost[mask].union(buses)
+    return AvailabilityMask(*flags, full.pmu_equipped, tuple(lost))
 
 
 @dataclass
 class FootprintDiff:
     """Per-kind buses lost under one mask but not the other."""
 
-    scada_only_a: Set[int] = field(default_factory=set)
-    scada_only_b: Set[int] = field(default_factory=set)
-    pmu_only_a: Set[int] = field(default_factory=set)
-    pmu_only_b: Set[int] = field(default_factory=set)
+    scada_only_a: FrozenSet[int] = frozenset()
+    scada_only_b: FrozenSet[int] = frozenset()
+    pmu_only_a: FrozenSet[int] = frozenset()
+    pmu_only_b: FrozenSet[int] = frozenset()
 
 
 def footprint_diff(mask_a: AvailabilityMask, mask_b: AvailabilityMask) -> FootprintDiff:
     """Which buses lose measurements under exactly one of two masks."""
-    if mask_a.bus_ids() != mask_b.bus_ids():
+    if mask_a.scada.keys() != mask_b.scada.keys():
         raise ValueError("availability masks cover different bus sets")
     lost_a, lost_b = mask_a.scada_lost(), mask_b.scada_lost()
     pmu_a, pmu_b = mask_a.pmu_lost(), mask_b.pmu_lost()

@@ -14,7 +14,9 @@ it is read.
 ``compile_expr`` is the one evaluator: it turns a body into a Python
 function of a state array, as either model reads it.  Under IIM a ternary
 body reads as binary (min-AND and new-XOR as AND, max-OR as OR), so the
-binary model needs no rules of its own.
+binary model needs no rules of its own.  MIIM's delivery reading gives only
+a level's ``>= 1`` bit, which is min-AND as AND and max-OR and new-XOR (below
+1 only when every operand is 0) as OR: it differs from IIM only at new-XOR.
 
 ``format_expr`` and ``format_idr`` write a body and a rule as canonical
 text, every operator child parenthesized; ``cli`` writes them into the
@@ -128,23 +130,30 @@ def _nx(*values: int) -> int:
 
 _COMPILE_GLOBALS = {"_nx": _nx, "__builtins__": {}}
 
+# Each reading's source of an operator node: its opener, then the operand joiner.
+_LEVELS = {OP_MIN_AND: ("(", " & "), OP_MAX_OR: ("(", " | "), OP_NEW_XOR: ("_nx(", ", ")}
+_DELIVERY = {OP_MIN_AND: ("(", " and "), OP_MAX_OR: ("(", " or "), OP_NEW_XOR: ("(", " or ")}
+_BINARY = {OP_MIN_AND: ("(", " and "), OP_MAX_OR: ("(", " or "), OP_NEW_XOR: ("(", " and ")}
+
 
 def compile_expr(
-    expr: IdrExpr, slots: Dict[EntityId, int], model: str = MIIM
+    expr: IdrExpr, slots: Dict[EntityId, int], model: str = MIIM, delivery: bool = False
 ) -> Callable[[Sequence[int]], int]:
     """Compile an expression as ``model`` reads it to a function ``f(a)`` of
     a state array ``a``; ``slots`` maps each entity to its array index.
 
-    The array holds levels coded by ``ternary.CODE``, as does the result.
-    On codes min-AND is ``&`` and max-OR is ``|``; new-XOR is ``_nx``, and
-    Boolean AND (``&``) under IIM, so the readings differ only at new-XOR.
+    The array holds levels coded by ``ternary.CODE``; under MIIM so does the
+    result (min-AND ``&``, max-OR ``|``, new-XOR ``_nx``), and with
+    ``delivery`` it is truthy exactly when the level is ``>= 1`` (min-AND
+    ``and``, max-OR and new-XOR ``or``).  IIM's one reading is ``and`` for
+    min-AND and new-XOR and ``or`` for max-OR, on {0, 1} as ``&`` and ``|``.
 
-    Expressions of one shape, the same operator tree up to which literals
-    fill it, share one code object: the k-th literal reads ``a[ik]``, and
-    each function binds its own slots as the defaults of ``i0, i1, ...``.
+    Expressions of one shape and reading share one code object: the k-th
+    literal reads ``a[ik]``, and each function binds its own slots as the
+    defaults of ``i0, i1, ...``.
     """
     fill: List[int] = []
-    source = _expr_source(expr, slots, model == IIM, fill)
+    source = _expr_source(expr, slots, _BINARY if model == IIM else _DELIVERY if delivery else _LEVELS, fill)
     return FunctionType(_shape(source, len(fill)), _COMPILE_GLOBALS, "rule", tuple(fill))
 
 
@@ -156,14 +165,12 @@ def _shape(source: str, arity: int) -> CodeType:
     return next(const for const in module.co_consts if isinstance(const, CodeType))
 
 
-def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], binary: bool, fill: List[int]) -> str:
-    """Source of ``expr`` with its k-th literal as ``a[ik]``; appends each
-    literal's slot to ``fill``, left to right."""
+def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], reading: Mapping, fill: List[int]) -> str:
+    """Source of ``expr`` in ``reading`` with its k-th literal as ``a[ik]``;
+    appends each literal's slot to ``fill``, left to right."""
     if isinstance(expr, EntityId):
         fill.append(slots[expr])
         return f"a[i{len(fill) - 1}]"
-    parts = [_expr_source(child, slots, binary, fill) for child in expr.children]
-    if expr.op == OP_NEW_XOR and not binary:
-        return f"_nx({', '.join(parts)})"
-    joiner = " | " if expr.op == OP_MAX_OR else " & "
-    return "(" + joiner.join(parts) + ")"
+    parts = [_expr_source(child, slots, reading, fill) for child in expr.children]
+    opener, joiner = reading[expr.op]
+    return opener + joiner.join(parts) + ")"

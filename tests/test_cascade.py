@@ -240,11 +240,38 @@ def test_footprint_diff_reference_sets(ieee14, attack):
     assert same == FootprintDiff()
 
 
-def test_footprint_diff_bus_set_mismatch():
+def test_footprint_diff_bus_set_mismatch(ieee14, attack):
     mask_a = AvailabilityMask({1: True}, {1: False})
     mask_b = AvailabilityMask({2: True}, {2: False})
     with pytest.raises(ValueError, match="different bus sets"):
         footprint_diff(mask_a, mask_b)
+    rule_set = ieee14.rule_set(MIIM, 1)
+    mask = data_availability(run_cascade(ieee14, rule_set, attack), ieee14, rule_set)
+    fewer = AvailabilityMask({bus: ok for bus, ok in mask.scada.items() if bus != 14}, mask.pmu, mask.pmu_equipped)
+    for pair in ((mask, fewer), (fewer, mask)):
+        with pytest.raises(ValueError, match="different bus sets"):
+            footprint_diff(*pair)
+
+
+def test_masks_and_traces_are_read_only(ieee14, attack):
+    """A mask's flag maps and a trace's fixpoint cannot be written, so a
+    mask's recorded lost sets cannot go stale.  A mask given a new flag map
+    keeps a read-only copy and scans its lost sets from it."""
+    rule_set = ieee14.rule_set(MIIM, 1)
+    trace = run_cascade(ieee14, rule_set, attack)
+    mask = data_availability(trace, ieee14, rule_set)
+    flags = {bus: False for bus in mask.scada}
+    built = AvailabilityMask(flags, flags, frozenset(flags))
+    for target in (mask.scada, mask.pmu, built.scada, trace.fixpoint):
+        with pytest.raises(TypeError):
+            target[12] = True
+    flags[12] = True
+    assert built.scada_lost() == built.pmu_lost() == set(flags)
+    assert mask.scada_lost() == {12}
+    mask.scada = flags
+    assert mask.scada_lost() == set(flags) - {12}
+    with pytest.raises(TypeError):
+        mask.scada[12] = False
 
 
 def test_value_history(ieee14, attack):
@@ -296,7 +323,7 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
                         assert mask.scada[bus] == delivered[sub.id, "scada"]
                         assert mask.pmu[bus] == pmu_ok
                         assert (bus in mask.pmu_equipped) == sub.has_pmu
-                assert mask.bus_ids() == set(network.grid.bus_ids)
+                assert set(mask.scada) == set(network.grid.bus_ids)
                 lossy += bool(mask.scada_lost() or mask.pmu_lost())
     assert lossy > 0
 
@@ -357,6 +384,51 @@ def test_binary_loses_superset_under_every_single_failure_118(ieee118):
     assert len(strictly_larger) == 1611
 
 
+@pytest.mark.parametrize("network_name, seed, states", [("ieee14", 41, 40), ("ieee118", 42, 8)])
+def test_binary_reading_is_below_the_ternary_one_per_rule(request, network_name, seed, states):
+    """The lemma of the superset argument (``cascade``'s docstring), on every
+    compiled cascade and data-path rule at random ternary states ``s``:
+    IIM's reading at ``proj(s)``, the state read as binary, is at most
+    ``proj`` of MIIM's reading at ``s``, in levels and in the delivery
+    reading alike; and somewhere it is strictly below."""
+    network = request.getfixturevalue(network_name)
+    rng = random.Random(seed)
+    bodies = {
+        id(rule.body): rule.body
+        for case in CASES
+        for rule in (*network.rule_set(MIIM, case).rules, *network.rule_set(MIIM, case).availability)
+    }.values()
+    readings = [  # MIIM in levels, MIIM's delivery reading, IIM
+        [compile_expr(body, network.slots, *reading) for reading in ((MIIM, False), (MIIM, True), (IIM, False))]
+        for body in bodies
+    ]
+    strict = 0
+    for _ in range(states):
+        levels = rng.choices(ternary.TERNARY_LEVELS, k=len(network.slots))
+        coded, projected = bytes(ternary.CODE[v] for v in levels), bytes(map(to_binary, levels))
+        for miim, delivery, iim in readings:
+            binary = iim(projected)
+            assert binary <= to_binary(ternary.LEVEL[miim(coded)]) and binary <= bool(delivery(coded))
+            strict += binary < bool(delivery(coded))
+    assert strict
+
+
+def test_binary_state_is_below_the_ternary_one_at_every_step(ieee14):
+    """The induction of the superset argument, on every trace of the 14-bus
+    N-1 family in both cases: at every step IIM's state is nowhere above
+    MIIM's state read as binary, each trace held at its fixpoint after it
+    converges."""
+    for case in CASES:
+        for entity in ieee14.entity_ids():
+            scenario = FailureScenario.of([entity])
+            miim, iim = (
+                np.array(arrays(run_cascade(ieee14, ieee14.rule_set(model, case), scenario))) for model in (MIIM, IIM)
+            )
+            steps = max(len(miim), len(iim))
+            miim, iim = (np.pad(states, ((0, steps - len(states)), (0, 0)), mode="edge") for states in (miim, iim))
+            assert (iim <= (miim >= 1)).all(), (case, str(entity))
+
+
 def _dense_masks(network, rule_set, finals):
     """The masks by their definition: every availability rule, as the rule
     set's model reads it, evaluated by the oracle at each fixpoint of
@@ -380,7 +452,8 @@ def _dense_masks(network, rule_set, finals):
 def test_incremental_availability_matches_dense_masks(ieee14):
     """``data_availability`` evaluates only the expressions that read a
     lowered slot; under every 14-bus single-entity failure and all four rule
-    sets its mask equals the dense one, bus order included."""
+    sets its mask equals the dense one, bus order included, and the lost
+    sets it recorded are those a scan of its flags finds."""
     lossy = 0
     for model in MODELS:
         for case in CASES:
@@ -393,6 +466,8 @@ def test_incremental_availability_matches_dense_masks(ieee14):
                 mask = data_availability(final, ieee14, rule_set)
                 assert mask == dense
                 assert list(mask.scada) == list(dense.scada) == list(mask.pmu)
+                assert mask.scada_lost() == {bus for bus, ok in mask.scada.items() if not ok}
+                assert mask.pmu_lost() == {bus for bus in mask.pmu_equipped if not mask.pmu[bus]}
                 lossy += bool(mask.scada_lost() or mask.pmu_lost())
     assert lossy > 0
 
@@ -409,12 +484,12 @@ def _count_calls(monkeypatch, network):
     }
     calls = {"cascade": 0, "availability": [], "evaluated": 0, "reference_problems": 0}
 
-    def counting_compile(expr, slots, model):
+    def counting_compile(expr, slots, model, delivery):
         if id(expr) in availability:
             calls["availability"].append((id(expr), model))
         else:
             calls["cascade"] += 1
-        return counting(compile_expr(expr, slots, model), "evaluated")
+        return counting(compile_expr(expr, slots, model, delivery), "evaluated")
 
     def counting(original, name):
         def count(*args):
@@ -614,15 +689,15 @@ def test_replayed_steps_match_dense_evaluation(request, network_name, seed, runs
 
 
 def test_trace_keeps_one_state_and_final_state_is_a_view(ieee14, attack):
-    """A trace keeps one full-length state, its fixpoint, and is itself the
-    fixpoint's read-only mapping in canonical entity order; its steps are
-    keyed by slot, in slot order."""
+    """A trace keeps one full-length state, its fixpoint as immutable
+    bytes, and is itself the fixpoint's read-only mapping in canonical
+    entity order; its steps are keyed by slot, in slot order."""
     trace = run_cascade(ieee14, ieee14.rule_set(MIIM, 1), attack)
     entities = ieee14.entity_ids()
     final = trace.final_state()
     assert final is trace
-    full_length = [v for v in vars(trace).values() if isinstance(v, list) and len(v) == len(entities)]
-    assert full_length == [trace.fixpoint]
+    full_length = [v for v in vars(trace).values() if isinstance(v, (list, bytes)) and len(v) == len(entities)]
+    assert full_length == [trace.fixpoint] and type(trace.fixpoint) is bytes
     assert list(final) == list(entities) and len(final) == len(entities)
     assert final == dict(zip(entities, arrays(trace)[-1]))
     assert trace.lowered == {slot for slot, value in enumerate(trace.fixpoint) if value < trace.top}

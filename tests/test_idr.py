@@ -463,13 +463,14 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
     the slots of the tree's literals, left to right, bound as defaults; and
     each function equals ``evaluate`` on that tree (under IIM, the rule's
     ``translate_to_iim``) at 20 random states, given each state encoded and
-    its result decoded."""
+    its result decoded.  Each expression's delivery reading is truthy at
+    those states exactly when the oracle's value is ``>= 1``."""
     import random
 
     rng = random.Random(118)
     entities = ieee118.entity_ids()
     for model, levels in ((MIIM, (0, 1, 2)), (IIM, (0, 1))):
-        checks = {}  # body id -> (function, the tree the model reads)
+        checks, delivery = {}, {}  # body id -> (function, the tree the model reads); its delivery reading
         for case in CASES:
             rule_set = ieee118.rule_set(model, case)
             for rule, read_rule in zip(
@@ -477,6 +478,7 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
                 (*read(rule_set).rules, *read(rule_set).availability),
             ):
                 checks[id(rule.body)] = (compile_expr(rule.body, ieee118.slots, model), read_rule.body)
+                delivery[id(rule.body)] = compile_expr(rule.body, ieee118.slots, model, delivery=True)
         shapes = {_shape(tree) for _, tree in checks.values()}
         # Code objects compare by content: count the objects themselves.
         assert len({id(fn.__code__) for fn, _ in checks.values()}) == len(shapes) > 1
@@ -489,6 +491,34 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
             coded = [ternary.CODE[level] for level in array]
             found = [ternary.LEVEL[fn(coded)] for fn, _ in checks.values()]
             assert found == [values[k] for values in oracle]
+            assert [bool(fn(coded)) for fn in delivery.values()] == [values[k] >= 1 for values in oracle]
+
+
+def test_shape_cache_holds_every_fixture_shape(ieee14, ieee118, ieee118_grid):
+    """Every rule of both fixtures, compiled in every reading (under MIIM in
+    levels and in the delivery reading, and under IIM), fits the shape
+    cache with room to spare: 99 shapes.  The rules of a second build of
+    the 118-bus network compile no new shape."""
+    from jointgrid import idr
+    from jointgrid.synthesis import build_joint_network
+
+    def compile_all(network):
+        bodies = {
+            id(rule.body): rule.body
+            for rule_set in network.rule_sets.values()
+            for rule in (*rule_set.rules, *rule_set.availability)
+        }
+        for body in bodies.values():
+            for model, delivery in ((MIIM, False), (MIIM, True), (IIM, False)):
+                compile_expr(body, network.slots, model, delivery)
+
+    idr._shape.cache_clear()
+    for network in (ieee14, ieee118):
+        compile_all(network)
+    shapes = idr._shape.cache_info()
+    assert shapes.currsize == 99 < shapes.maxsize
+    compile_all(build_joint_network(ieee118_grid))
+    assert idr._shape.cache_info().misses == shapes.misses
 
 
 @pytest.fixture(scope="module")

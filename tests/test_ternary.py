@@ -1,11 +1,14 @@
 import itertools
+import random
 from functools import reduce
 from operator import and_, or_
 
 import pytest
 
-from oracle import binary_and, binary_or, to_binary
-from jointgrid.idr import _nx
+from oracle import binary_and, binary_or, columns, evaluate, read, to_binary
+from jointgrid import entities as ent
+from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, _nx, compile_expr
+from jointgrid.network import CASES
 from jointgrid.ternary import (
     CODE,
     FAILED,
@@ -145,3 +148,53 @@ def test_thermometer_code_exhaustive():
             assert LEVEL[reduce(and_, codes)] == reduce(min_and, values), values
             assert LEVEL[reduce(or_, codes)] == reduce(max_or, values), values
             assert LEVEL[_nx(*codes)] == new_xor(values), values
+
+
+def test_delivery_bit_is_a_boolean_network_exhaustive():
+    """For every tuple of 2 to 4 levels, the ``>= 1`` bit of min-AND, max-OR
+    and new-XOR is the AND, OR and OR of the operands' bits, and MIIM's
+    compiled delivery reading, given the codes, is truthy exactly then.
+    IIM's compiled reading, given the bits, reads new-XOR as AND instead."""
+    ops = (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR)
+    for length in (2, 3, 4):
+        operands = tuple(ent.bus(k) for k in range(length))
+        slots = {entity: k for k, entity in enumerate(operands)}
+        delivery = [compile_expr(Op(op, operands), slots, MIIM, delivery=True) for op in ops]
+        binary = [compile_expr(Op(op, operands), slots, IIM) for op in ops]
+        for values in itertools.product(TERNARY_LEVELS, repeat=length):
+            bits = [to_binary(v) for v in values]
+            codes = [CODE[v] for v in values]
+            levels = (reduce(min_and, values), reduce(max_or, values), new_xor(values))
+            assert [level >= 1 for level in levels] == [all(bits), any(bits), any(bits)], values
+            assert [bool(fn(codes)) for fn in delivery] == [all(bits), any(bits), any(bits)], values
+            assert [fn(bits) for fn in binary] == [all(bits), any(bits), all(bits)], values
+
+
+def test_boolean_readings_match_the_oracle(ieee14):
+    """Over every 14-bus cascade and data-path rule, at 40 random ternary
+    states given coded, MIIM's delivery reading is truthy exactly when the
+    oracle's ``evaluate`` of the rule is ``>= 1``; at 40 random binary
+    states, IIM's reading is the oracle's value of the tree IIM reads.
+    ``test_rules_of_one_shape_share_one_code_object`` checks the 118-bus
+    rules' delivery readings against the same oracle."""
+    rng = random.Random(31)
+    entities = ieee14.entity_ids()
+    for model, levels in ((MIIM, TERNARY_LEVELS), (IIM, (0, 1))):
+        trees = {}  # body id -> (body, the tree the model reads)
+        for case in CASES:
+            rule_set = ieee14.rule_set(model, case)
+            read_set = read(rule_set)
+            for rule, read_rule in zip(
+                (*rule_set.rules, *rule_set.availability), (*read_set.rules, *read_set.availability)
+            ):
+                trees[id(rule.body)] = (rule.body, read_rule.body)
+        fns = [compile_expr(body, ieee14.slots, model, delivery=True) for body, _ in trees.values()]
+        arrays = [rng.choices(levels, k=len(entities)) for _ in range(40)]
+        state = columns(entities, arrays)
+        oracle = [evaluate(tree, state) for _, tree in trees.values()]
+        for k, array in enumerate(arrays):
+            coded = bytes(CODE[level] for level in array)
+            found = [fn(coded) for fn in fns]
+            assert [bool(value) for value in found] == [bool(values[k] >= 1) for values in oracle], model
+            if model == IIM:
+                assert found == [values[k] for values in oracle]
