@@ -24,17 +24,18 @@ cascade lowered, and records the buses they clear as its lost sets.
 Both kinds of rule run through one program class and one evaluator: each
 rule is compiled on first need, over the network's slot map, to a function
 ``f(a)`` of a state array, and kept; rules of one shape share one code
-object (``idr.compile_expr``).  Rules compile under their rule set's model,
-so no binary rule tree exists at run time, and a mask asks only whether a
-path is at ``>= 1``, so MIIM's data-path rules compile in its short-circuit
-delivery reading.  A program maps each rule to its target (a cascade rule's
-slot; a data-path rule's mask and buses, from ``network.data_paths``) and
-each slot to the rules that read it.  Each network keeps one program per
-class and immutable rules tuple, so a program cannot go stale and dies with
-its network.  A synthesized network's four rule sets hold one rules tuple
-and a case's two models one availability tuple, so only the compiled
-functions are per model.  The tests check the compiled functions against an
-interpretive evaluator of their own.
+object (``idr.compile_expr``).  A program class's ``readings`` names the
+reading (see ``idr``) each model's rules compile in: IIM's is ``BINARY``, so
+no binary rule tree exists at run time, and a mask asks only whether a path
+is at ``>= 1``, so MIIM's data-path rules compile in ``DELIVERY``.  A program
+maps each rule to its target (a cascade rule's slot; a data-path rule's
+mask and buses, from ``network.data_paths``) and each slot to the rules that
+read it.  Each network keeps one program per class and immutable rules
+tuple, so a program cannot go stale and dies with its network.  A
+synthesized network's four rule sets hold one rules tuple and a case's two
+models one availability tuple, so only the compiled functions are per
+model.  The tests check the compiled functions against an interpretive
+evaluator of their own.
 A cascade program also keeps, per model, the kill set and trace of its
 latest cascade, and a cascade of that kill set under that model returns
 the same trace.  The two channel cases differ only in their data-path
@@ -47,8 +48,8 @@ anyway; only a refused rule set is walked again, by
 Why IIM loses a superset of what MIIM loses, for every kill set (the
 paper's claim), with ``proj(s)`` a state read as binary (level ``>= 1`` as
 1): (1) per rule, IIM's reading at ``proj(s)`` is at most ``proj`` of
-MIIM's reading at ``s``, for that bit is the rule's tree with new-XOR as
-OR, IIM's the same tree with new-XOR as AND, and AND <= OR; (2) both
+MIIM's reading at ``s``: that bit is ``DELIVERY``, which reads new-XOR as
+OR where IIM's ``BINARY`` reads AND, and AND <= OR; (2) both
 cascades start at top with the same entities at 0, and if IIM's state is at
 most ``proj`` of MIIM's before a step, monotone rules and (1) keep it so
 after it, up to both fixpoints; (3) so by (1) and monotonicity a data-path
@@ -66,12 +67,13 @@ from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId, gw_pmu
-from jointgrid.idr import MIIM, IdrRule, compile_expr
-from jointgrid.network import MODELS, JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
+from jointgrid.idr import BINARY, DELIVERY, IIM, LEVELS, MIIM, IdrRule, Reading, compile_expr
+from jointgrid.network import JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
 from jointgrid.ternary import CODE, LEVEL
 
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
+_TOP = {MIIM: 2, IIM: 1}  # each model's full-operation level
 
 
 class CascadeError(RuntimeError):
@@ -143,32 +145,33 @@ class CascadeTrace(Mapping[EntityId, int]):
 
 
 class _Functions(dict):
-    """Rules compiled under one model and reading: ``fns[i]`` is rule i's
+    """Rules compiled in one reading: ``fns[i]`` is rule i's
     function ``f(a)`` of a state array, compiled on first lookup and kept.
 
     A single cascade touches only the rules downstream of its kill set, so a
     one-off run does not pay for compiling all of them.
     """
 
-    def __init__(self, rules: Sequence[IdrRule], slots: Dict[EntityId, int], model: str, delivery: bool):
+    def __init__(self, rules: Sequence[IdrRule], slots: Dict[EntityId, int], reading: Reading):
         super().__init__()
-        self.rules, self.slots, self.model, self.delivery = rules, slots, model, delivery
+        self.rules, self.slots, self.reading = rules, slots, reading
 
     def __missing__(self, index: int) -> RuleFn:
-        fn = self[index] = compile_expr(self.rules[index].body, self.slots, self.model, self.delivery)
+        fn = self[index] = compile_expr(self.rules[index].body, self.slots, self.reading)
         return fn
 
 
 class _Program:
     """One rules tuple over one slot map: per rule ``targets[rule.target]``
     (``targets``), per slot the rules that read it (``readers``), and each
-    model's functions (``fns[model]``, in the delivery reading if
-    ``delivery``).  A cascade rule's target is its slot.  A cascade program
-    keeps each model's latest kill set and trace (``latest[model]``)."""
+    model's functions in ``readings[model]`` (``fns[model]``).  A cascade
+    rule's target is its slot.  A cascade program keeps each model's latest
+    kill set and trace (``latest[model]``)."""
 
     label = "cascade rules"
+    readings: Mapping[str, Reading] = {MIIM: LEVELS, IIM: BINARY}
 
-    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], targets: Mapping, delivery=False):
+    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], targets: Mapping):
         self.rules = rules  # also keeps this tuple's id() from being reused
         self.readers: Dict[int, List[int]] = {}
         try:
@@ -182,7 +185,7 @@ class _Program:
         if refused:
             problems = reference_problems(rules, slots, targets)
             raise ScenarioError(f"{self.label}: {'; '.join(problems[:5])}")
-        self.fns = {model: _Functions(rules, slots, model, delivery) for model in MODELS}
+        self.fns = {model: _Functions(rules, slots, reading) for model, reading in self.readings.items()}
         self.latest: Dict[str, Tuple[FrozenSet[EntityId], CascadeTrace]] = {}
 
 
@@ -192,12 +195,13 @@ class _AvailabilityProgram(_Program):
     at full operation, plus those ``flags`` (SCADA, PMU) and ``full``, their mask."""
 
     label = "availability rules"
+    readings = {MIIM: DELIVERY, IIM: BINARY}
 
     def __init__(self, rules: Tuple[IdrRule, ...], network: JointNetwork):
         gaps = availability_gaps(rules, network.substations)
         if gaps:
             raise ScenarioError(f"{self.label}: {'; '.join(gaps[:5])}")
-        super().__init__(rules, network.slots, data_paths(network.substations), delivery=True)
+        super().__init__(rules, network.slots, data_paths(network.substations))
         # At full operation every rule is at top, so every path delivers.
         subs, held = network.substations, {rule.target for rule in rules}
         scada = {bus: True for sub in subs for bus in sub.buses}
@@ -248,7 +252,7 @@ def run_cascade(
     killed, trace = program.latest.get(rule_set.model, (None, None))
     if killed == scenario.killed:
         return trace
-    top, slots = _top(rule_set.model), network.slots
+    top, slots = _TOP[rule_set.model], network.slots
 
     unknown = [e for e in sorted(scenario.killed) if e not in slots]
     if unknown:
@@ -297,11 +301,6 @@ def run_cascade(
     trace = CascadeTrace(slots=slots, top=top, fixpoint=bytes(state), changed=changed_per_step)
     program.latest[rule_set.model] = (frozenset(scenario.killed), trace)
     return trace
-
-
-def _top(model: str) -> int:
-    """The full-operation level under ``model``."""
-    return 2 if model == MIIM else 1
 
 
 def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrace) -> bool:
@@ -373,12 +372,12 @@ def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set
     under a rule set of ``rule_set``'s model.
 
     Only the rules that read a slot of ``final_state.lowered`` are
-    evaluated, in the delivery reading, and the buses they clear recorded
-    as the mask's lost sets: any other rule is at top, as at full operation.
+    evaluated, and the buses they clear recorded as the mask's lost sets:
+    any other rule is at top, as at full operation.
     """
     if not (isinstance(final_state, CascadeTrace) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
-    if final_state.top != _top(rule_set.model):
+    if final_state.top != _TOP[rule_set.model]:
         raise ValueError(
             f"final state has top level {final_state.top}, not that of the {rule_set.model} rule set"
         )

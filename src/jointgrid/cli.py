@@ -427,7 +427,8 @@ def load_scenario(path) -> dict:
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A number a float holds: not NaN, infinite or an int out of range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def load_true_state(path, grid: Grid) -> estimation.StateVector:
@@ -450,11 +451,16 @@ def load_true_state(path, grid: Grid) -> estimation.StateVector:
             raise ScenarioFileError(
                 f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {entry!r}"
             )
-        voltage = complex(entry[0], entry[1])
-        if abs(voltage) > MAX_PU:
-            raise ScenarioFileError(f"{path}: bus {b}: |V| = {abs(voltage):g} pu above {MAX_PU:g} pu")
-        voltages.append(voltage)
+        magnitude = math.hypot(*entry)  # inf past the largest float, where abs() of a complex raises
+        if magnitude > MAX_PU:
+            raise ScenarioFileError(f"{path}: bus {b}: |V| = {magnitude:g} pu above {MAX_PU:g} pu")
+        voltages.append(complex(*entry))
     return estimation.StateVector.from_complex(grid.bus_ids, voltages)
+
+
+def _true_state(path, grid: Grid) -> estimation.StateVector:
+    """The true state in the file ``path``, or with none the grid's default."""
+    return load_true_state(path, grid) if path else estimation.default_true_state(grid)
 
 
 # --- command implementations ----------------------------------------------------
@@ -535,10 +541,7 @@ def _cmd_estimate(args) -> int:
         missing = sorted(buses - set(flagged))
         if missing and field != "pmu_equipped":
             raise ScenarioFileError(f"{args.mask}: {field}: bus {missing[0]} is missing")
-    if args.true_state:
-        true_state = load_true_state(args.true_state, grid)
-    else:
-        true_state = estimation.default_true_state(grid)
+    true_state = _true_state(args.true_state, grid)
     label = payload.get("model", "mask")
     seeds = [args.seed_base + i for i in range(args.seeds)]
     result = estimation.compare_models(grid, {label: mask}, true_state, seeds)
@@ -552,6 +555,9 @@ def _cmd_run(args) -> int:
     grid, network, problems = _build_validated(scenario["_grid_path"])
     if _report_violations(problems):
         return EXIT_VALIDATION
+    est_cfg = scenario.get("estimation")
+    if est_cfg is not None:  # a bad true state writes nothing
+        true_state = _true_state(est_cfg.get("_true_state_path"), grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -586,13 +592,8 @@ def _cmd_run(args) -> int:
         _write_json(out / "footprint_diff.json", diff_payload)
         report["footprint_diff"] = diff_payload
 
-    est_cfg = scenario.get("estimation")
-    if est_cfg is not None and len(masks) >= 1:
+    if est_cfg is not None:
         seeds = [est_cfg.get("seed_base", 0) + i for i in range(est_cfg["seeds"])]
-        if est_cfg.get("_true_state_path"):
-            true_state = load_true_state(est_cfg["_true_state_path"], grid)
-        else:
-            true_state = estimation.default_true_state(grid)
         result = estimation.compare_models(grid, masks, true_state, seeds)
         estimation.write_errors_csv(result, out / "errors.csv")
         report["estimation"] = {

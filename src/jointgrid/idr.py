@@ -12,11 +12,12 @@ body is a single id.  A rule holds no model; its rule set's model names how
 it is read.
 
 ``compile_expr`` is the one evaluator: it turns a body into a Python
-function of a state array, as either model reads it.  Under IIM a ternary
-body reads as binary (min-AND and new-XOR as AND, max-OR as OR), so the
-binary model needs no rules of its own.  MIIM's delivery reading gives only
-a level's ``>= 1`` bit, which is min-AND as AND and max-OR and new-XOR (below
-1 only when every operand is 0) as OR: it differs from IIM only at new-XOR.
+function of a state array, in one of three readings, each a table of how
+its operators are written.  ``LEVELS`` is MIIM's: min-AND ``&``, max-OR
+``|``, new-XOR ``_nx``.  ``DELIVERY`` gives only a MIIM level's ``>= 1``
+bit: min-AND as AND, max-OR and new-XOR (below 1 only when every operand is
+0) as OR.  ``BINARY`` is IIM's, ``DELIVERY`` but for new-XOR as AND, so the
+binary model needs no rules of its own.
 
 ``format_expr`` and ``format_idr`` write a body and a rule as canonical
 text, every operator child parenthesized; ``cli`` writes them into the
@@ -130,30 +131,28 @@ def _nx(*values: int) -> int:
 
 _COMPILE_GLOBALS = {"_nx": _nx, "__builtins__": {}}
 
-# Each reading's source of an operator node: its opener, then the operand joiner.
-_LEVELS = {OP_MIN_AND: ("(", " & "), OP_MAX_OR: ("(", " | "), OP_NEW_XOR: ("_nx(", ", ")}
-_DELIVERY = {OP_MIN_AND: ("(", " and "), OP_MAX_OR: ("(", " or "), OP_NEW_XOR: ("(", " or ")}
-_BINARY = {OP_MIN_AND: ("(", " and "), OP_MAX_OR: ("(", " or "), OP_NEW_XOR: ("(", " and ")}
+# A reading: each operator's source, as its opener, then the operand joiner.
+Reading = Mapping[str, Tuple[str, str]]
+LEVELS: Reading = {OP_MIN_AND: ("(", " & "), OP_MAX_OR: ("(", " | "), OP_NEW_XOR: ("_nx(", ", ")}
+DELIVERY: Reading = {OP_MIN_AND: ("(", " and "), OP_MAX_OR: ("(", " or "), OP_NEW_XOR: ("(", " or ")}
+BINARY: Reading = {**DELIVERY, OP_NEW_XOR: ("(", " and ")}
 
 
-def compile_expr(
-    expr: IdrExpr, slots: Dict[EntityId, int], model: str = MIIM, delivery: bool = False
-) -> Callable[[Sequence[int]], int]:
-    """Compile an expression as ``model`` reads it to a function ``f(a)`` of
-    a state array ``a``; ``slots`` maps each entity to its array index.
+def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int], reading: Reading) -> Callable[[Sequence[int]], int]:
+    """Compile an expression in ``reading`` to a function ``f(a)`` of a
+    state array ``a``; ``slots`` maps each entity to its array index.
 
-    The array holds levels coded by ``ternary.CODE``; under MIIM so does the
-    result (min-AND ``&``, max-OR ``|``, new-XOR ``_nx``), and with
-    ``delivery`` it is truthy exactly when the level is ``>= 1`` (min-AND
-    ``and``, max-OR and new-XOR ``or``).  IIM's one reading is ``and`` for
-    min-AND and new-XOR and ``or`` for max-OR, on {0, 1} as ``&`` and ``|``.
+    The array holds levels coded by ``ternary.CODE``.  Under ``LEVELS`` so
+    does the result; under ``DELIVERY`` it is truthy exactly when the level
+    is ``>= 1``; under ``BINARY`` it is the binary level, on {0, 1} as
+    ``&`` and ``|``.
 
     Expressions of one shape and reading share one code object: the k-th
     literal reads ``a[ik]``, and each function binds its own slots as the
     defaults of ``i0, i1, ...``.
     """
     fill: List[int] = []
-    source = _expr_source(expr, slots, _BINARY if model == IIM else _DELIVERY if delivery else _LEVELS, fill)
+    source = _expr_source(expr, slots, reading, fill)
     return FunctionType(_shape(source, len(fill)), _COMPILE_GLOBALS, "rule", tuple(fill))
 
 
@@ -165,7 +164,7 @@ def _shape(source: str, arity: int) -> CodeType:
     return next(const for const in module.co_consts if isinstance(const, CodeType))
 
 
-def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], reading: Mapping, fill: List[int]) -> str:
+def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], reading: Reading, fill: List[int]) -> str:
     """Source of ``expr`` in ``reading`` with its k-th literal as ``a[ik]``;
     appends each literal's slot to ``fill``, left to right."""
     if isinstance(expr, EntityId):

@@ -95,12 +95,11 @@ class RuleSet:
     order: substations ascending, ``GS(s)`` before ``GP(s)``.  Rules hold no
     model: the rule set's model, one of ``MODELS``, is the only record of how
     they are read.  A synthesized network's IIM rule set holds the ternary
-    rules of its MIIM rule set, read as binary (min-AND and new-XOR as AND,
-    max-OR as OR; see ``idr.compile_expr``).  Immutable, so that the
-    cascade engine can compile the rules once and key the program to them:
-    both fields are stored as tuples (a tuple given is kept as is, so
-    ``dataclasses.replace`` shares it).  Equality is therefore identity, and
-    a deep copy is the rule set itself.
+    rules of its MIIM rule set, read as binary (``idr.BINARY``).  Immutable,
+    so that the cascade engine can compile the rules once and key the
+    program to them: both fields are stored as tuples (a tuple given is kept
+    as is, so ``dataclasses.replace`` shares it).  Equality is therefore
+    identity, and a deep copy is the rule set itself.
     """
 
     model: str

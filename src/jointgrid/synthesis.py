@@ -76,6 +76,7 @@ def group_substations(grid: Grid, config: Optional[SynthesisConfig] = None) -> L
     An explicit bus-to-substation map wins; otherwise buses joined by
     transformer branches merge and every other bus stands alone, with
     substation ids assigned in ascending order of each group's lowest bus.
+    Either way the substations are returned in ascending id order.
     """
     config, bus_ids = config or grid.config, grid.bus_ids  # bus_ids sorts on each read
     if config.substation_map is not None:
@@ -432,7 +433,7 @@ def _id_tables(network: JointNetwork) -> _IdTables:
     """The substations' ids, then the SONET side's (SADMs; RTU/SCADA
     traffic) and the DWDM side's (OADMs; PMU traffic, and SCADA backup under
     case 2)."""
-    subs = {sub.id: _substation_ids(network, sub) for sub in sorted(network.substations, key=attrgetter("id"))}
+    subs = {sub.id: _substation_ids(network, sub) for sub in network.substations}  # ascending ids, as built
     sides = (
         _ring_side(
             network, subs, network.sadm_ring, network.sadm_homing,
@@ -589,18 +590,16 @@ def build_joint_network(grid: Grid) -> JointNetwork:
     oadm_homing = home_gateways(substations, oadm_ring, dist, config.oadm_homing)
 
     rtus: Dict[int, List[int]] = {}
-    for sub in sorted(substations, key=lambda s: s.id):
+    pmus: Dict[int, List[int]] = {}
+    pmu_count = 0
+    for sub in substations:  # in ascending id order
         rtus[sub.id] = [sub.id]
-    pmus: Dict[int, List[int]] = {sub.id: [] for sub in substations}
-    next_pmu = 1
-    for sub in sorted(substations, key=lambda s: s.id):
-        if sub.has_pmu:
-            pmus[sub.id] = [next_pmu]
-            next_pmu += 1
+        pmu_count += sub.has_pmu
+        pmus[sub.id] = [pmu_count] if sub.has_pmu else []
 
     network = JointNetwork(
         grid=grid,
-        substations=sorted(substations, key=lambda s: s.id),
+        substations=substations,
         registry={},
         sadm_ring=sadm_ring,
         oadm_ring=oadm_ring,

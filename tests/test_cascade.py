@@ -16,7 +16,7 @@ from jointgrid.cascade import (
     verify_fixpoint,
 )
 from jointgrid.entities import parse_entity_id
-from jointgrid.idr import IIM, MIIM, compile_expr
+from jointgrid.idr import BINARY, DELIVERY, IIM, LEVELS, MIIM, compile_expr
 from jointgrid.network import CASES, MODELS, RuleSet
 
 ATTACK = [parse_entity_id(t) for t in ["P(12)", "C(1,1,6,6)", "C(1,2,6,6)"]]
@@ -304,7 +304,7 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
                 (rule.target.indices[0], _KIND[rule.target.kind], rule.body, read_rule.body)
                 for rule, read_rule in zip(rule_set.availability, read(rule_set).availability)
             ]
-            fns = [compile_expr(expr, network.slots, model) for _, _, expr, _ in paths]
+            fns = [compile_expr(expr, network.slots, {MIIM: LEVELS, IIM: BINARY}[model]) for _, _, expr, _ in paths]
             traces = [run_cascade(network, rule_set, scenario) for scenario in kill_sets]
             finals = [trace.final_state() for trace in traces]
             state = columns(entities, [list(final.values()) for final in finals])
@@ -399,7 +399,7 @@ def test_binary_reading_is_below_the_ternary_one_per_rule(request, network_name,
         for rule in (*network.rule_set(MIIM, case).rules, *network.rule_set(MIIM, case).availability)
     }.values()
     readings = [  # MIIM in levels, MIIM's delivery reading, IIM
-        [compile_expr(body, network.slots, *reading) for reading in ((MIIM, False), (MIIM, True), (IIM, False))]
+        [compile_expr(body, network.slots, reading) for reading in (LEVELS, DELIVERY, BINARY)]
         for body in bodies
     ]
     strict = 0
@@ -484,12 +484,12 @@ def _count_calls(monkeypatch, network):
     }
     calls = {"cascade": 0, "availability": [], "evaluated": 0, "reference_problems": 0}
 
-    def counting_compile(expr, slots, model, delivery):
+    def counting_compile(expr, slots, reading):
         if id(expr) in availability:
-            calls["availability"].append((id(expr), model))
+            calls["availability"].append((id(expr), IIM if reading is BINARY else MIIM))
         else:
             calls["cascade"] += 1
-        return counting(compile_expr(expr, slots, model, delivery), "evaluated")
+        return counting(compile_expr(expr, slots, reading), "evaluated")
 
     def counting(original, name):
         def count(*args):

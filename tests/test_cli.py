@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from fuzzing import edit_json, rename_bus
 from idr_reader import parse_idr_file
 from oracle import format_idr_file, read, registry_payload
-from jointgrid import cli, entities as ent
+from jointgrid import cli, entities as ent, estimation
 from jointgrid.cli import build_parser, main, rule_file_text
 from jointgrid.entities import EntityError
 from jointgrid.grid import MAX_ID, MAX_PU
@@ -603,9 +603,12 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
         ("'x' is not a bus", lambda buses: json.dumps({"buses": {**buses, "x": "junk"}})),
         ("state.json: not valid JSON: key '5' appears twice", lambda buses: json.dumps(
             {"buses": buses}).replace('"buses": {', '"buses": {"5": [1e160, 0.0], ')),
+        # An int no float holds, and a |V| past the largest float.
+        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [10**400, 0.0]}})),
+        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.7e308, 1.7e308]}})),
     ],
     ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high", "missing_bus",
-         "extra_bus", "non_bus_key", "repeated_key"],
+         "extra_bus", "non_bus_key", "repeated_key", "voltage_huge_int", "voltage_huge_float"],
 )
 def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -796,6 +799,37 @@ def test_run_at_the_magnitude_bound_writes_finite_errors(fixtures_dir, tmp_path)
     assert all(math.isfinite(float(row[key])) for row in rows for key in ("mean_abs_err", "std_err"))
 
 
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("misses buses [5]", lambda buses: buses.pop("5")),
+        ("bus 5", lambda buses: buses.update({"5": [10**400, 0.0]})),
+    ],
+    ids=["missing_bus", "voltage_huge_int"],
+)
+def test_run_with_a_bad_true_state_exits_2_and_writes_nothing(fixtures_dir, tmp_path, capsys, name, edit):
+    """A scenario whose true-state file is refused exits 2, naming the bus,
+    before ``run`` writes a file into its output directory."""
+    shutil.copy(fixtures_dir / "ieee14.json", tmp_path)
+    grid = json.loads((tmp_path / "ieee14.json").read_text(encoding="utf-8"))
+    buses = {str(bus["id"]): [1.0, 0.0] for bus in grid["buses"]}
+    edit(buses)
+    (tmp_path / "state.json").write_text(json.dumps({"buses": buses}), encoding="utf-8")
+    scenario = {
+        "version": 1,
+        "grid": "ieee14.json",
+        "killed": ["P(12)"],
+        "estimation": {"seeds": 2, "true_state": "state.json"},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory, fixtures_dir):
     """A directory holding the 14-bus grid, with the shipped 14-bus scenario
@@ -830,6 +864,20 @@ def test_edited_mask_loads_or_raises_its_error(fuzz_inputs, data):
     try:
         cli.load_mask(path)
     except (cli.ScenarioFileError, EntityError):
+        pass
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_edited_true_state_loads_or_raises_its_error(fuzz_inputs, ieee14_grid, data):
+    root, _, _ = fuzz_inputs
+    voltages = estimation.default_true_state(ieee14_grid).as_complex()
+    state = {"buses": {str(bus): [v.real, v.imag] for bus, v in zip(ieee14_grid.bus_ids, voltages)}}
+    path = root / "state.json"
+    path.write_text(json.dumps(edit_json(data, state)), encoding="utf-8")
+    try:
+        cli.load_true_state(path, ieee14_grid)
+    except cli.ScenarioFileError:
         pass
 
 

@@ -28,8 +28,11 @@ from jointgrid import entities as ent, ternary
 from jointgrid.cli import rule_file_text
 from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.idr import (
+    BINARY,
+    DELIVERY,
     IIM,
     IIM_SYMBOLS,
+    LEVELS,
     MIIM,
     IdrRule,
     IdrSyntaxError,
@@ -327,10 +330,10 @@ def test_both_readings_match_the_ternary_kernel(arity):
         expected = [_KERNEL[op](values) for values in inputs]
         assert evaluate(expr, columns(operands, inputs)).tolist() == expected, op
         if op in (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR):
-            fn = compile_expr(expr, slots, MIIM)
+            fn = compile_expr(expr, slots, LEVELS)
             assert [_on_levels(fn, values) for values in inputs] == expected, op
     for op, image in ((OP_MIN_AND, BOOL_AND), (OP_NEW_XOR, BOOL_AND), (OP_MAX_OR, BOOL_OR)):
-        fn = compile_expr(Op(op, operands), slots, IIM)
+        fn = compile_expr(Op(op, operands), slots, BINARY)
         assert [_on_levels(fn, values) for values in binary_inputs] == [
             _KERNEL[image](values) for values in binary_inputs
         ], op
@@ -410,7 +413,7 @@ def test_random_miim_exprs_round_trip_and_compile(expr, seed):
     array = [0] * len(slots)
     for entity, value in state.items():
         array[slots[entity]] = value
-    assert _on_levels(compile_expr(expr, slots), array) == evaluate(expr, state)
+    assert _on_levels(compile_expr(expr, slots, LEVELS), array) == evaluate(expr, state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,7 +433,7 @@ def test_random_iim_exprs_round_trip_and_compile(expr, seed):
     array = [0] * len(slots)
     for entity, value in state.items():
         array[slots[entity]] = value
-    assert compile_expr(expr, slots, IIM)(array) == evaluate(binary, state)
+    assert compile_expr(expr, slots, BINARY)(array) == evaluate(binary, state)
 
 
 def test_expression_naming_an_entity_twice_compiles_correctly():
@@ -441,8 +444,11 @@ def test_expression_naming_an_entity_twice_compiles_correctly():
 
     rule = parse_idr("R(1) <- (P(1) & P(2)) | (P(3) ^ P(1)) | P(1)")
     slots = {parse_entity_id(t): i for i, t in enumerate(["P(1)", "P(2)", "P(3)"])}
-    for model, levels, body in ((MIIM, (0, 1, 2), rule.body), (IIM, (0, 1), translate_to_iim(rule).body)):
-        fn = compile_expr(rule.body, slots, model)
+    for model, reading, levels, body in (
+        (MIIM, LEVELS, (0, 1, 2), rule.body),
+        (IIM, BINARY, (0, 1), translate_to_iim(rule).body),
+    ):
+        fn = compile_expr(rule.body, slots, reading)
         assert fn.__defaults__ == (0, 1, 2, 0, 0)
         for array in itertools.product(levels, repeat=len(slots)):
             state = {entity: array[slot] for entity, slot in slots.items()}
@@ -469,7 +475,7 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
 
     rng = random.Random(118)
     entities = ieee118.entity_ids()
-    for model, levels in ((MIIM, (0, 1, 2)), (IIM, (0, 1))):
+    for model, reading, bit, levels in ((MIIM, LEVELS, DELIVERY, (0, 1, 2)), (IIM, BINARY, BINARY, (0, 1))):
         checks, delivery = {}, {}  # body id -> (function, the tree the model reads); its delivery reading
         for case in CASES:
             rule_set = ieee118.rule_set(model, case)
@@ -477,8 +483,8 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
                 (*rule_set.rules, *rule_set.availability),
                 (*read(rule_set).rules, *read(rule_set).availability),
             ):
-                checks[id(rule.body)] = (compile_expr(rule.body, ieee118.slots, model), read_rule.body)
-                delivery[id(rule.body)] = compile_expr(rule.body, ieee118.slots, model, delivery=True)
+                checks[id(rule.body)] = (compile_expr(rule.body, ieee118.slots, reading), read_rule.body)
+                delivery[id(rule.body)] = compile_expr(rule.body, ieee118.slots, bit)
         shapes = {_shape(tree) for _, tree in checks.values()}
         # Code objects compare by content: count the objects themselves.
         assert len({id(fn.__code__) for fn, _ in checks.values()}) == len(shapes) > 1
@@ -509,8 +515,8 @@ def test_shape_cache_holds_every_fixture_shape(ieee14, ieee118, ieee118_grid):
             for rule in (*rule_set.rules, *rule_set.availability)
         }
         for body in bodies.values():
-            for model, delivery in ((MIIM, False), (MIIM, True), (IIM, False)):
-                compile_expr(body, network.slots, model, delivery)
+            for reading in (LEVELS, DELIVERY, BINARY):
+                compile_expr(body, network.slots, reading)
 
     idr._shape.cache_clear()
     for network in (ieee14, ieee118):

@@ -22,6 +22,7 @@ from jointgrid.cli import registry_text
 from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.grid import Branch, Bus, Grid, SynthesisConfig
 from jointgrid.idr import (
+    BINARY,
     IIM,
     MIIM,
     Op,
@@ -568,7 +569,7 @@ def test_iim_rules_are_translations(request, network_name, case):
     assert iim.availability is miim.availability
     assert [rule.target for rule in miim.availability] == [rule.target for rule in iim.availability]
     for rule in (*miim.rules, *miim.availability):
-        reading = compile_expr(rule.body, network.slots, IIM)
+        reading = compile_expr(rule.body, network.slots, BINARY)
         leaves = _leaves(translate_to_iim(rule).body)
         assert reading.__defaults__ == tuple(network.slots[entity] for entity in leaves), format_idr(rule)
 
@@ -592,7 +593,7 @@ def _binary_reading_mismatches(network, arrays):
         for rule in (*rule_set.rules, *rule_set.availability)
     }
     checks = [
-        (rule, compile_expr(rule.body, network.slots, IIM), translate_to_iim(rule).body)
+        (rule, compile_expr(rule.body, network.slots, BINARY), translate_to_iim(rule).body)
         for rule in rules.values()
     ]
     state = columns(network.entity_ids(), arrays)

@@ -7,7 +7,7 @@ import pytest
 
 from oracle import binary_and, binary_or, columns, evaluate, read, to_binary
 from jointgrid import entities as ent
-from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, _nx, compile_expr
+from jointgrid.idr import BINARY, DELIVERY, IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, _nx, compile_expr
 from jointgrid.network import CASES
 from jointgrid.ternary import (
     CODE,
@@ -159,8 +159,8 @@ def test_delivery_bit_is_a_boolean_network_exhaustive():
     for length in (2, 3, 4):
         operands = tuple(ent.bus(k) for k in range(length))
         slots = {entity: k for k, entity in enumerate(operands)}
-        delivery = [compile_expr(Op(op, operands), slots, MIIM, delivery=True) for op in ops]
-        binary = [compile_expr(Op(op, operands), slots, IIM) for op in ops]
+        delivery = [compile_expr(Op(op, operands), slots, DELIVERY) for op in ops]
+        binary = [compile_expr(Op(op, operands), slots, BINARY) for op in ops]
         for values in itertools.product(TERNARY_LEVELS, repeat=length):
             bits = [to_binary(v) for v in values]
             codes = [CODE[v] for v in values]
@@ -179,7 +179,7 @@ def test_boolean_readings_match_the_oracle(ieee14):
     rules' delivery readings against the same oracle."""
     rng = random.Random(31)
     entities = ieee14.entity_ids()
-    for model, levels in ((MIIM, TERNARY_LEVELS), (IIM, (0, 1))):
+    for model, reading, levels in ((MIIM, DELIVERY, TERNARY_LEVELS), (IIM, BINARY, (0, 1))):
         trees = {}  # body id -> (body, the tree the model reads)
         for case in CASES:
             rule_set = ieee14.rule_set(model, case)
@@ -188,7 +188,7 @@ def test_boolean_readings_match_the_oracle(ieee14):
                 (*rule_set.rules, *rule_set.availability), (*read_set.rules, *read_set.availability)
             ):
                 trees[id(rule.body)] = (rule.body, read_rule.body)
-        fns = [compile_expr(body, ieee14.slots, model, delivery=True) for body, _ in trees.values()]
+        fns = [compile_expr(body, ieee14.slots, reading) for body, _ in trees.values()]
         arrays = [rng.choices(levels, k=len(entities)) for _ in range(40)]
         state = columns(entities, arrays)
         oracle = [evaluate(tree, state) for _, tree in trees.values()]
