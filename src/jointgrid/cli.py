@@ -48,12 +48,19 @@ SCENARIO_VERSION = 1
 
 # The most Monte-Carlo seeds one estimation takes (``estimate --seeds``,
 # a scenario's ``estimation.seeds``).  Every seed's observations are held
-# at once: 100 000 seeds are about 450 MB on the 118-bus grid.
+# at once, in the one noise block ``estimation.observations`` fills for the
+# run: 100 000 seeds are about 450 MB on the 118-bus grid.
 MAX_SEEDS = 100_000
 
 
 class ScenarioFileError(ValueError):
     pass
+
+
+def _cut(text: str) -> str:
+    """The first 80 characters of ``text``: an error line names a refused
+    value or path without repeating all of it."""
+    return text[:80]
 
 
 def _int_in_range(minimum: int, maximum: Optional[int] = None):
@@ -63,9 +70,9 @@ def _int_in_range(minimum: int, maximum: Optional[int] = None):
         except ValueError:
             value = None
         if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {_cut(text)!r}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {_cut(text)!r}")
         return value
 
     return parse
@@ -236,7 +243,7 @@ def _bus_flags(payload: dict, field: str, path: Path) -> Dict[int, bool]:
     for bus, ok in flags.items():
         bus_id = int_key(bus)
         if bus_id is None or not isinstance(ok, bool):
-            raise ScenarioFileError(f"{path}: {field}: bad entry {bus!r}: {ok!r}")
+            raise ScenarioFileError(f"{path}: {field}: bad entry {_cut(bus)!r}: {_cut(repr(ok))}")
         parsed[bus_id] = ok
     return parsed
 
@@ -249,7 +256,7 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
     if not (isinstance(equipped, list) and all(map(_is_int, equipped))):
         raise ScenarioFileError(f"{path}: pmu_equipped must be a list of bus ids")
     if not isinstance(payload.get("model", ""), str):
-        raise ScenarioFileError(f"{path}: model must be a string, got {payload['model']!r}")
+        raise ScenarioFileError(f"{path}: model must be a string, got {_cut(repr(payload['model']))}")
     mask = AvailabilityMask(
         scada=_bus_flags(payload, "scada", path),
         pmu=_bus_flags(payload, "pmu", path),
@@ -374,7 +381,7 @@ def _file_beside(path: Optional[Path], name: str, what: str) -> Path:
             return resolved
     except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
         reason = getattr(exc, "strerror", None) or exc
-        raise ScenarioFileError(f"{where}bad {what} path {name[:80]!r}: {reason}") from exc
+        raise ScenarioFileError(f"{where}bad {what} path {_cut(name)!r}: {reason}") from exc
     raise ScenarioFileError(f"{where}{what} file not found: {resolved}")
 
 
@@ -382,32 +389,32 @@ def load_scenario(path) -> dict:
     path = Path(path)
     data = _read_json_object(path)
     if not _is_int(data.get("version")) or data["version"] != SCENARIO_VERSION:
-        raise ScenarioFileError(f"{path}: unknown schema version {data.get('version')!r}")
+        raise ScenarioFileError(f"{path}: unknown schema version {_cut(repr(data.get('version')))}")
     if "grid" not in data:
         raise ScenarioFileError(f"{path}: missing grid path")
     if not isinstance(data["grid"], str):
-        raise ScenarioFileError(f"{path}: grid must be a path string, got {data['grid']!r}")
+        raise ScenarioFileError(f"{path}: grid must be a path string, got {_cut(repr(data['grid']))}")
     data["_grid_path"] = _file_beside(path, data["grid"], "grid")
     data.setdefault("label", path.stem)
     if not isinstance(data["label"], str):
-        raise ScenarioFileError(f"{path}: label must be a string, got {data['label']!r}")
+        raise ScenarioFileError(f"{path}: label must be a string, got {_cut(repr(data['label']))}")
     data.setdefault("model", "both")
     data.setdefault("case", 1)
     if data["model"] not in (MIIM, IIM, "both"):
-        raise ScenarioFileError(f"{path}: bad model {data['model']!r}")
+        raise ScenarioFileError(f"{path}: bad model {_cut(repr(data['model']))}")
     if not _is_int(data["case"]) or data["case"] not in (1, 2):
-        raise ScenarioFileError(f"{path}: bad case {data['case']!r}")
+        raise ScenarioFileError(f"{path}: bad case {_cut(repr(data['case']))}")
     raw_killed = data.get("killed", [])
     if not isinstance(raw_killed, list):
         raise ScenarioFileError(f"{path}: killed must be a list of entity ids")
     killed = []
     for text in raw_killed:
         if not isinstance(text, str):
-            raise ScenarioFileError(f"{path}: bad killed entity {text!r}: expected a string")
+            raise ScenarioFileError(f"{path}: bad killed entity {_cut(repr(text))}: expected a string")
         try:
             killed.append(parse_entity_id(text))
         except EntityError as exc:
-            raise ScenarioFileError(f"{path}: bad killed entity {text!r}: {exc}") from exc
+            raise ScenarioFileError(f"{path}: bad killed entity {_cut(text)!r}: {_cut(str(exc))}") from exc
     data["_killed"] = killed
     est = data.get("estimation")  # missing or null: no estimation
     if est is not None:
@@ -420,7 +427,7 @@ def load_scenario(path) -> dict:
         if est.get("true_state") is not None:  # missing or null: the default state
             if not (isinstance(est["true_state"], str) and est["true_state"]):
                 raise ScenarioFileError(
-                    f"{path}: estimation.true_state must be a path string, got {est['true_state']!r}"
+                    f"{path}: estimation.true_state must be a path string, got {_cut(repr(est['true_state']))}"
                 )
             est["_true_state_path"] = _file_beside(path, est["true_state"], "true-state")
     return data
@@ -443,13 +450,13 @@ def load_true_state(path, grid: Grid) -> estimation.StateVector:
     if len(buses) > len(grid.bus_ids):
         known = {str(b) for b in grid.bus_ids}
         unknown = next(key for key in buses if key not in known)
-        raise ScenarioFileError(f"{path}: buses: {unknown!r} is not a bus of the grid")
+        raise ScenarioFileError(f"{path}: buses: {_cut(unknown)!r} is not a bus of the grid")
     voltages = []
     for b in grid.bus_ids:
         entry = buses[str(b)]
         if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_finite_number, entry))):
             raise ScenarioFileError(
-                f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {entry!r}"
+                f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {_cut(repr(entry))}"
             )
         magnitude = math.hypot(*entry)  # inf past the largest float, where abs() of a complex raises
         if magnitude > MAX_PU:
@@ -635,7 +642,7 @@ def _check_output(name: str, option: str) -> None:
     except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
         problem = getattr(exc, "strerror", None) or str(exc)
     if problem:
-        raise ScenarioFileError(f"{option} {name[:80]!r}: {problem}")
+        raise ScenarioFileError(f"{option} {_cut(name)!r}: {problem}")
 
 
 _VALIDATION_ERRORS = (

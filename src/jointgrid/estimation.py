@@ -19,16 +19,18 @@ flagged in reports; under a mask that delivers nothing, every bus is.
 
 The design matrix, the weights and observability depend only on the mask
 and the true state, never on the noise.  ``measurement_template`` builds
-them as arrays in one pass: per measurement entry its two rows of the
-design matrix J (real and imaginary part), its exact values and floored
+them as whole arrays in one pass: per measurement entry its two rows of
+the design matrix J (real and imaginary part), its exact values and floored
 variances, its noise sigma, the flag that gates it and the bus whose
 voltage it fixes.  ``compare_models`` builds one template for the union of
-the masks; each mask's system is the row selection ``kept(mask)`` of it,
-scaled once by ``analyse_system``, which anchors every bus that no kept
-entry fixes.  Each seed then costs one noise draw, and all seeds of a mask
-are solved by one least-squares call with one right-hand-side column per
-seed.  The per-seed reference it is tested against, one SVD solve per
-J, W, Z, lives with the tests in ``tests/wls_reference.py``.
+the masks and is the composition of two steps.  ``observations`` draws one
+noise block for the run, one row of standard normals per seed.  ``solve``
+then takes each mask's system as the row selection ``kept(mask)`` of the
+template, scaled once by ``analyse_system``, which anchors every bus that no
+kept entry fixes; all seeds of the mask are solved by one least-squares
+call with one right-hand-side column per seed, and each seed's chi-square
+is read from that call.  The per-seed reference it is tested against, one
+SVD solve per J, W, Z, lives with the tests in ``tests/wls_reference.py``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ SCADA_SIGMA = 0.03
 PMU_SIGMA = 0.001
 SIGMA_FLOOR = 1e-6
 ANCHOR_SIGMA = 0.5
-
-_IDENTITY = np.eye(2)
 
 
 class EstimationError(ValueError):
@@ -184,54 +184,51 @@ def measurement_template(
     """The measurement entries under a mask, in draw order: SCADA voltages
     by bus, then per PMU bus its voltage and incident-branch currents in
     branch order.  A narrower mask's entries are a subset of these, in the
-    same order, so its system is a row selection (``kept``) of this one."""
-    col = {bus: 2 * i for i, bus in enumerate(grid.bus_ids)}
-    rows: List[np.ndarray] = []
-    values: List[Tuple[float, float]] = []
-    sigmas: List[float] = []
-    gates: List[Tuple[bool, int, int]] = []  # (pmu, bus, fixed bus)
+    same order, so its system is a row selection (``kept``) of this one.
 
-    def add(pmu: bool, bus: int, fixed: int, blocks, value: complex, sigma: float):
-        row = np.zeros((2, 2 * len(col)))
-        for block_bus, block in blocks:
-            row[:, col[block_bus] : col[block_bus] + 2] = block
-        rows.append(row)
-        values.append((value.real, value.imag))
-        sigmas.append(sigma)
-        gates.append((pmu, bus, fixed))
-
+    The entries are listed in Python, then ``J``, the values and the
+    sigmas are written as whole arrays."""
     buses = sorted(true_state.bus_ids)
-    for bus in buses:
-        if mask.scada.get(bus, False):
-            v = true_state.voltage(bus)
-            add(False, bus, bus, [(bus, _IDENTITY)], v, scada_sigma * abs(v))
-
     incident = _incident_branches(grid)
+    entries = [(False, bus, bus, -1) for bus in buses if mask.scada.get(bus, False)]
     for bus in buses:
-        if not mask.pmu.get(bus, False):
-            continue
-        v = true_state.voltage(bus)
-        add(True, bus, bus, [(bus, _IDENTITY)], v, pmu_sigma * abs(v))
-        for branch_index in incident.get(bus, []):
-            branch = grid.branches[branch_index]
-            other = branch.to_bus if bus == branch.from_bus else branch.from_bus
-            adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
-            block = branch_current_rows(adm)
-            current = branch_current(adm, v, true_state.voltage(other))
-            blocks = [(bus, block[:, 0:2]), (other, block[:, 2:4])]
-            add(True, bus, other, blocks, current, pmu_sigma * abs(current))
-    gate = np.array(gates, dtype=int).reshape(-1, 3)
-    return MeasurementTemplate(
-        J=np.array(rows, dtype=float).reshape(-1, 2 * len(col)),
-        values=np.array(values, dtype=float).reshape(-1),
-        # Noise is drawn at the exact sigma; the variance is floored so
-        # weights stay positive.
-        variances=np.repeat([max(sigma, SIGMA_FLOOR) ** 2 for sigma in sigmas], 2),
-        sigmas=np.array(sigmas, dtype=float),
-        pmu=gate[:, 0].astype(bool),
-        bus=gate[:, 1],
-        fixes=gate[:, 2],
-    )
+        if mask.pmu.get(bus, False):
+            entries.append((True, bus, bus, -1))
+            for index in incident.get(bus, []):
+                branch = grid.branches[index]
+                other = branch.to_bus if bus == branch.from_bus else branch.from_bus
+                entries.append((True, bus, other, index))
+    pmu, bus, fixes, branch = np.array(entries, dtype=int).reshape(-1, 4).T
+    pmu, current = pmu.astype(bool), branch >= 0
+
+    # Per entry [V_r, V_i] of its bus, then of the bus it fixes.
+    state, at = true_state.values.reshape(-1, 2), true_state._index
+    ends = np.concatenate([state[[at[b] for b in ids.tolist()]] for ids in (bus, fixes)], axis=1)
+    r, x, b_sh = np.array([(br.r, br.x, br.b_sh) for br in grid.branches]).reshape(-1, 3)[branch[current]].T
+    den = r * r + x * x
+    if not den.all():
+        raise EstimationError("singular branch: r = x = 0")
+    # admittance_from_branch (g0 = 0, b0 = b_sh / 2), then branch_current_rows.
+    g, b = r / den, -x / den
+    gg, bb = g + 0.0, b + b_sh / 2.0
+    rows = np.stack([np.stack([gg, -bb, -g, b], -1), np.stack([bb, gg, -b, -g], -1)], 1)
+    values = ends[:, 0:2].copy()  # a voltage entry's value is its bus voltage
+    values[current] = np.matmul(rows, ends[current, :, None])[:, :, 0]  # branch_current, batched
+
+    col = {b: 2 * i for i, b in enumerate(grid.bus_ids)}
+    own, far = (np.array([col[b] for b in ids.tolist()], dtype=int) for ids in (bus, fixes))
+    J = np.zeros((2 * len(entries), 2 * len(col)))
+    voltage = 2 * np.flatnonzero(~current)
+    J[voltage, own[~current]] = J[voltage + 1, own[~current] + 1] = 1.0
+    two_rows, pair = 2 * np.flatnonzero(current)[:, None, None] + np.array([[0], [1]]), np.array([0, 1])
+    J[two_rows, own[current, None, None] + pair] = rows[:, :, 0:2]
+    J[two_rows, far[current, None, None] + pair] = rows[:, :, 2:4]
+    # |V| and |I| as abs() of a complex, which np.hypot matches bit for bit.
+    sigmas = np.where(pmu, pmu_sigma, scada_sigma) * np.hypot(values[:, 0], values[:, 1])
+    # Noise is drawn at the exact sigma; the variance is floored so weights
+    # stay positive (float_power is the libm pow of Python's ``** 2``).
+    variances = np.repeat(np.float_power(np.maximum(sigmas, SIGMA_FLOOR), 2), 2)
+    return MeasurementTemplate(J, values.reshape(-1), variances, sigmas, pmu, bus, fixes)
 
 
 def _anchor_rows(
@@ -318,6 +315,39 @@ class ComparisonResult:
     cols: int
 
 
+def observations(template: MeasurementTemplate, seeds: Sequence[int]) -> np.ndarray:
+    """Every seed's observed values: column k is bit for bit
+    ``template.values + template.noise(seeds[k])``.  Each seed's standard
+    normals fill one row of one block, scaled in place as
+    ``normal(0.0, sigma)`` scales them: ``0.0 + sigma * z``."""
+    block = np.empty((len(seeds), template.values.size))
+    for row, seed in zip(block, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    block *= np.repeat(template.sigmas, 2)
+    block += 0.0
+    block += template.values
+    return block.T
+
+
+def solve(
+    template: MeasurementTemplate, kept: np.ndarray, observed: np.ndarray, bus_ids: Sequence[int]
+) -> Tuple[ScaledSystem, np.ndarray, np.ndarray]:
+    """One mask's system (its ``kept`` rows of the template, analysed once),
+    the solution of every seed's column of ``observed`` by one least-squares
+    call, and each seed's chi-square (weighted residual sum of squares).
+    ``lstsq`` returns the chi-square unless the system is square, as under a
+    mask that delivers nothing, where it is computed here."""
+    system = analyse_system(template, kept, bus_ids)
+    anchors = np.repeat(system.anchor_y[:, None], observed.shape[1], axis=1)
+    Y = np.vstack([observed[kept] * system.scale[:, None], anchors])
+    solution, chi2, _, _ = np.linalg.lstsq(system.A, Y, rcond=None)
+    if not np.all(np.isfinite(solution)):
+        raise EstimationError("state must be finite")
+    if chi2.size == 0:
+        chi2 = np.sum((system.A @ solution - Y) ** 2, axis=0)
+    return system, solution, chi2
+
+
 def compare_models(
     grid: Grid,
     masks: Dict[str, AvailabilityMask],
@@ -327,9 +357,9 @@ def compare_models(
     """Estimate under each model's mask with shared noise draws.
 
     For every seed one measurement set is drawn under the union of the
-    masks; each model then keeps the entries its own mask retains, so a
-    measurement surviving under both models carries identical noise and
-    per-bus error differences isolate the masks' effect.
+    masks (``observations``); each model then keeps the entries its own mask
+    retains, so a measurement surviving under both models carries identical
+    noise and per-bus error differences isolate the masks' effect.
 
     The draws and decisions are those of a per-seed anchored solve on the
     kept rows of the union mask's template, but each mask is analysed once
@@ -344,9 +374,7 @@ def compare_models(
         pmu_equipped=frozenset().union(*(masks[m].pmu_equipped for m in models)),
     )
     template = measurement_template(true_state, grid, union)
-    observed = np.empty((template.values.size, len(seeds)))  # one column per seed
-    for column, seed in enumerate(seeds):
-        observed[:, column] = template.values + template.noise(seed)
+    observed = observations(template, seeds)
 
     true_complex = true_state.as_complex()
     errors: Dict[str, np.ndarray] = {}
@@ -354,21 +382,10 @@ def compare_models(
     chi2: Dict[str, np.ndarray] = {}
     rows: Dict[str, int] = {}
     for model in models:
-        kept = template.kept(masks[model])
-        system = analyse_system(template, kept, bus_ids)
-        Y = np.vstack(
-            [
-                observed[kept] * system.scale[:, None],
-                np.repeat(system.anchor_y[:, None], len(seeds), axis=1),
-            ]
-        )
-        solution, _, _, _ = np.linalg.lstsq(system.A, Y, rcond=None)
-        if not np.all(np.isfinite(solution)):
-            raise EstimationError("state must be finite")
+        system, solution, chi2[model] = solve(template, template.kept(masks[model]), observed, bus_ids)
         estimate = solution[0::2] + 1j * solution[1::2]  # (n_buses, n_seeds)
         errors[model] = np.abs(estimate.T - true_complex)
         anchored[model] = set(system.anchored)
-        chi2[model] = np.sum((system.A @ solution - Y) ** 2, axis=0)
         rows[model] = system.A.shape[0]
     return ComparisonResult(
         list(bus_ids), models, seeds, errors, anchored, chi2, rows, 2 * len(bus_ids)

@@ -612,6 +612,45 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
         assert bodies and len(set(bodies)) == len(bodies) and set(bodies) <= own
 
 
+def test_compiled_functions_count_their_rules_and_seconds(ieee14_grid, monkeypatch):
+    """Each model's compiled cascade functions keep the number of rules
+    compiled (``len``) and the seconds spent in ``compile_expr``
+    (``seconds``).  On a fresh network the count is the number of distinct
+    rules the cascade evaluated, and cascading a kill set again, after
+    another one, adds neither count nor seconds."""
+    from jointgrid import cascade
+    from jointgrid.synthesis import build_joint_network
+
+    network = build_joint_network(ieee14_grid)
+    evaluated = set()
+
+    def recording_compile(expr, slots, reading):
+        fn = compile_expr(expr, slots, reading)
+
+        def record(state):
+            evaluated.add(record)
+            return fn(state)
+
+        return record
+
+    monkeypatch.setattr(cascade, "compile_expr", recording_compile)
+    attack, other = FailureScenario.of(ATTACK), FailureScenario.of([parse_entity_id("P(4)")])
+    for model in MODELS:
+        rule_set = network.rule_set(model, 1)
+        fns = cascade._programs(network, rule_set)[0].fns[model]
+        assert (len(fns), fns.seconds) == (0, 0.0)
+        evaluated.clear()
+        run_cascade(network, rule_set, attack)
+        assert len(fns) == len(evaluated) > 0
+        assert fns.seconds > 0.0
+        run_cascade(network, rule_set, other)
+        count, seconds = len(fns), fns.seconds
+        assert count == len(evaluated)
+        evaluated.clear()
+        run_cascade(network, rule_set, attack)
+        assert evaluated and (len(fns), fns.seconds) == (count, seconds)
+
+
 def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeypatch):
     """At full operation every data path delivers: an empty kill set
     evaluates and compiles no availability expression.  A second pass over

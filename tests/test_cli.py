@@ -758,6 +758,65 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
     assert field in capsys.readouterr().err
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "field, kind, edit",
+    [
+        ("unknown schema version", "scenario", lambda s: {**s, "version": LONG}),
+        ("grid must be a path string", "scenario", lambda s: {**s, "grid": [LONG]}),
+        ("label must be a string", "scenario", lambda s: {**s, "label": [LONG]}),
+        ("bad model", "scenario", lambda s: {**s, "model": LONG}),
+        ("bad case", "scenario", lambda s: {**s, "case": LONG}),
+        ("bad killed entity", "scenario", lambda s: {**s, "killed": [LONG]}),
+        ("bad killed entity", "scenario", lambda s: {**s, "killed": [[LONG]]}),
+        # The entity's own error echoes its 4000-digit type too.
+        ("bad killed entity", "scenario", lambda s: {**s, "killed": ["C(" + "9" * 4000 + ",1,1,1)"]}),
+        ("estimation.true_state", "scenario", lambda s: {**s, "estimation": {"seeds": 2, "true_state": [LONG]}}),
+        ("bus 5", "true_state", lambda t: {"buses": {**t["buses"], "5": [LONG, 0.0]}}),
+        ("bus 5", "true_state", lambda t: {"buses": {**t["buses"], "5": [10**4000, 0.0]}}),
+        ("is not a bus", "true_state", lambda t: {"buses": {**t["buses"], LONG: [1.0, 0.0]}}),
+        ("scada: bad entry", "mask", lambda m: {**m, "scada": {**m["scada"], LONG: True}}),
+        ("pmu: bad entry", "mask", lambda m: {**m, "pmu": {**m["pmu"], "5": LONG}}),
+        ("model must be a string", "mask", lambda m: {**m, "model": [LONG]}),
+        ("--seeds", "seeds", None),
+    ],
+    ids=["version", "grid", "label", "model", "case", "killed", "killed_not_string", "killed_type",
+         "true_state_path", "true_state_entry", "true_state_huge_int", "true_state_bus", "mask_scada_key",
+         "mask_pmu_value", "mask_model", "seeds_flag"],
+)
+def test_error_line_cuts_a_long_refused_value(fixtures_dir, tmp_path, capsys, field, kind, edit):
+    """An error that echoes a refused value of 5000 characters exits 2 with
+    every stderr line under 300 bytes: the echo is cut at 80 characters."""
+    grid_path = fixtures_dir / "ieee14.json"
+    bus_ids = [bus["id"] for bus in json.loads(grid_path.read_text())["buses"]]
+    inputs = {
+        "scenario": {"version": 1, "grid": str(grid_path), "killed": ["P(12)"], "estimation": {"seeds": 2}},
+        "true_state": {"buses": {str(b): [1.0, 0.0] for b in bus_ids}},
+        "mask": {"grid": str(grid_path), "scada": {str(b): True for b in bus_ids},
+                 "pmu": {str(b): False for b in bus_ids}},
+    }
+    if edit is not None:
+        inputs[kind] = edit(inputs[kind])
+    for name, payload in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    if kind == "scenario":
+        argv = ["run", "--scenario", str(tmp_path / "scenario.json"), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["estimate", "--mask", str(tmp_path / "mask.json"), "--out", str(tmp_path / "errors.csv"),
+                "--seeds", "9" * 5000 if kind == "seeds" else "2"]
+        argv += ["--true-state", str(tmp_path / "true_state.json")] if kind == "true_state" else []
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a bad flag value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert field in err
+    assert max(len(line.encode()) for line in err.splitlines()) < 300, err[:400]
+
+
 @pytest.mark.parametrize("field", ["sadm_homing", "oadm_homing"])
 def test_run_homing_for_unknown_substation_exits_2(fixtures_dir, tmp_path, capsys, field):
     """A homing key must name a substation that is homed: neither one the

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from test_synthesis import random_connected_grid
 from wls_reference import UnobservableError, _null_space_buses, _svd, solve_with_anchors, wls_solve
 from jointgrid import estimation
 from jointgrid.cascade import AvailabilityMask, FailureScenario, data_availability, run_cascade
@@ -511,6 +512,72 @@ def test_template_matches_per_entry_draws(ieee14_grid, ieee118_grid, scenario_ma
             assert np.array_equal(template.kept(narrow), np.repeat(delivered, 2))
 
 
+def random_grid_case(seed):
+    """One of ``test_synthesis``'s random connected grids (r = 0.01,
+    x = 0.1, zero shunt; a random extra branch may run parallel to another),
+    with branch 0 doubled by a parallel branch that has a shunt.  Its true
+    state puts one bus at |V| = 0, so that bus's voltage sigmas are 0 and
+    their variances the floor.  Returns the grid, the true state, a mask
+    with SCADA everywhere and PMUs at a few buses, and two narrower masks."""
+    rng = random.Random(seed)
+    grid = random_connected_grid(rng, rng.randint(8, 16))
+    first = grid.branches[0]
+    grid.branches.append(Branch(first.from_bus, first.to_bus, 0.02, 0.3, 0.05, 1.0, False))
+    voltages = default_true_state(grid, seed).as_complex()
+    voltages[rng.randrange(len(voltages))] = 0.0
+    true_state = StateVector.from_complex(grid.bus_ids, voltages)
+    pmu_buses = set(rng.sample(grid.bus_ids, 4)) | {first.from_bus}
+    narrower = {
+        name: AvailabilityMask(
+            scada={b: rng.random() < 0.7 for b in grid.bus_ids},
+            pmu={b: b in pmu_buses and rng.random() < 0.6 for b in grid.bus_ids},
+        )
+        for name in ("a", "b")
+    }
+    return grid, true_state, full_mask(grid, pmu_buses), narrower
+
+
+def check_template_against_draws(grid, true_state, mask, narrower):
+    """``test_template_matches_per_entry_draws``'s checks, and
+    ``observations`` column k against ``values + noise(seeds[k])``."""
+    template = measurement_template(true_state, grid, mask)
+    seeds = [0, 1, 99, 2**40]
+    observed = estimation.observations(template, seeds)
+    assert observed.shape == (template.values.size, len(seeds))
+    for k, seed in enumerate(seeds):
+        rows, z, variances, gates, fixes = zip(*reference_draws(true_state, grid, mask, seed))
+        assert np.array_equal(template.J, np.concatenate(rows))
+        assert np.array_equal(template.values + template.noise(seed), np.concatenate(z))
+        assert np.array_equal(observed[:, k], template.values + template.noise(seed))
+        assert np.array_equal(template.variances, np.repeat(variances, 2))
+        assert list(zip(template.pmu.tolist(), template.bus.tolist())) == list(gates)
+        assert template.fixes.tolist() == list(fixes)
+    for narrow in narrower.values():
+        delivered = [(narrow.pmu if pmu else narrow.scada).get(bus, False) for pmu, bus in gates]
+        assert np.array_equal(template.kept(narrow), np.repeat(delivered, 2))
+    return template
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_template_matches_per_entry_draws_on_random_grids(seed):
+    grid, true_state, mask, narrower = random_grid_case(seed)
+    template = check_template_against_draws(grid, true_state, mask, narrower)
+    pairs = [tuple(sorted((br.from_bus, br.to_bus))) for br in grid.branches]
+    assert len(set(pairs)) < len(pairs)  # parallel branches
+    assert (template.sigmas == 0.0).any() and (template.variances == SIGMA_FLOOR**2).any()
+
+
+def test_observations_match_per_seed_noise(ieee14_grid, ieee118_grid, scenario_masks_118):
+    model_masks_118 = scenario_masks_118[SCENARIOS_118[1]]
+    check_template_against_draws(
+        ieee14_grid, default_true_state(ieee14_grid), full_mask(ieee14_grid, {2, 10, 13}), {}
+    )
+    check_template_against_draws(
+        ieee118_grid, default_true_state(ieee118_grid), union_mask(ieee118_grid, model_masks_118),
+        model_masks_118,
+    )
+
+
 def test_chi_square_mean_matches_degrees_of_freedom(ieee14_grid):
     # With weights equal to the inverse noise variances the weighted residual
     # follows a chi-square law with rows - cols degrees of freedom.
@@ -524,6 +591,41 @@ def test_chi_square_mean_matches_degrees_of_freedom(ieee14_grid):
     assert chi2.shape == (400,)
     stderr = chi2.std(ddof=1) / np.sqrt(chi2.size)
     assert abs(chi2.mean() - dof) < 4.0 * stderr
+
+
+def explicit_chi2(system, kept, observed, solution):
+    """Each seed's weighted residual sum of squares, ``||A x - Y||^2``."""
+    anchors = np.repeat(system.anchor_y[:, None], observed.shape[1], axis=1)
+    Y = np.vstack([observed[kept] * system.scale[:, None], anchors])
+    return np.sum((system.A @ solution - Y) ** 2, axis=0)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS_118)
+def test_chi_square_from_the_solve_matches_the_explicit_residual(ieee118_grid, scenario_masks_118, scenario):
+    masks = scenario_masks_118[scenario]
+    template = measurement_template(default_true_state(ieee118_grid), ieee118_grid, union_mask(ieee118_grid, masks))
+    observed = estimation.observations(template, range(8))
+    for mask in masks.values():
+        kept = template.kept(mask)
+        system, solution, chi2 = estimation.solve(template, kept, observed, ieee118_grid.bus_ids)
+        assert system.A.shape[0] > system.A.shape[1]
+        assert chi2 == pytest.approx(explicit_chi2(system, kept, observed, solution), rel=1e-9)
+
+
+def test_chi_square_of_a_square_system_is_the_explicit_residual(ieee14_grid):
+    """A mask that delivers nothing leaves one anchor row per state
+    component; ``lstsq`` returns no residuals, so the explicit form is used."""
+    bus_ids = ieee14_grid.bus_ids
+    dark = AvailabilityMask(scada=dict.fromkeys(bus_ids, False), pmu=dict.fromkeys(bus_ids, False))
+    template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, full_mask(ieee14_grid, {2}))
+    observed = estimation.observations(template, range(4))
+    kept = template.kept(dark)
+    system, solution, chi2 = estimation.solve(template, kept, observed, bus_ids)
+    assert system.A.shape == (2 * len(bus_ids), 2 * len(bus_ids))
+    anchors = np.repeat(system.anchor_y[:, None], 4, axis=1)
+    assert np.linalg.lstsq(system.A, anchors, rcond=None)[1].size == 0
+    assert chi2.shape == (4,)
+    assert np.array_equal(chi2, explicit_chi2(system, kept, observed, solution))
 
 
 # --- observability from the measurement graph against the SVD oracle ----------

@@ -11,8 +11,12 @@ and `perfbench/`.  It then prints, per end-to-end metric of
 relative to the parent's, and in how many pairs the change read better
 (ties count for neither side).  A gain holds when the change is better in
 at least nine pairs of ten and the medians differ by more than the
-distance between the parent's quartiles.  Runs whose outputs failed their
-checks are counted at the end.
+distance between the parent's quartiles.  The last column tells whether
+the change's median is worse than the parent's by more than the metric's
+`bound` in `BENCHMARK.json`, as a fraction of the parent's median.  Runs
+whose outputs failed their checks are counted at the end.  The exit code
+is 1 if any metric is worse than its bound or any run failed its checks,
+and 0 otherwise.
 """
 
 import argparse
@@ -45,11 +49,20 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def report(metrics: list, parent_runs: list, change_runs: list) -> list:
-    """One line per end-to-end metric."""
+def worse_than_bound(metric: dict, parent_median: float, change_median: float) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    ``metric["bound"]`` times the parent's median."""
+    sign = 1 if metric["better"] == "lower" else -1
+    return sign * (change_median - parent_median) > metric["bound"] * abs(parent_median)
+
+
+def report(metrics: list, parent_runs: list, change_runs: list) -> tuple:
+    """One line per end-to-end metric, and the names of the metrics whose
+    change median is worse than the parent's by more than their bound."""
     pairs = len(parent_runs)
     lines = [f"{'metric':<12} {'better':<7} {'parent median [q1, q3]':<38} {'change median [q1, q3]':<38} "
-             f"{'change':>8} {'wins':>6}  gain"]
+             f"{'change':>8} {'wins':>6}  gain  worse than bound"]
+    worse = []
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run["metrics"][name]["value"] for run in parent_runs]
@@ -59,10 +72,13 @@ def report(metrics: list, parent_runs: list, change_runs: list) -> list:
         (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
         gain = wins >= 0.9 * pairs and sign * (p50 - c50) > p3 - p1
         relative = f"{100 * (c50 - p50) / p50:+.1f}%" if p50 else "n/a"
+        if worse_than_bound(metric, p50, c50):
+            worse.append(name)
         lines.append(f"{name:<12} {metric['better']:<7} {f'{p50:.6g} [{p1:.6g}, {p3:.6g}]':<38} "
                      f"{f'{c50:.6g} [{c1:.6g}, {c3:.6g}]':<38} {relative:>8} {f'{wins}/{pairs}':>6}  "
-                     f"{'yes' if gain else 'no'}")
-    return lines
+                     f"{'yes' if gain else 'no':<4}  {'YES' if name in worse else 'no'} "
+                     f"(bound {100 * metric['bound']:g}%)")
+    return lines, worse
 
 
 def main(argv=None) -> int:
@@ -94,11 +110,14 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {benchmark['run_seconds']} s runs, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
-    print("\n".join(report(benchmark["end_to_end"], runs[parent], runs[change])))
+    lines, worse = report(benchmark["end_to_end"], runs[parent], runs[change])
+    print("\n".join(lines))
     failed = {side: sum(not run["correct"] for run in runs[checkout])
               for side, checkout in (("parent", parent), ("change", change))}
     print(f"runs with failed checks: parent {failed['parent']}, change {failed['change']}")
-    return 0
+    if worse:
+        print(f"worse than bound: {', '.join(worse)}")
+    return 1 if worse or any(failed.values()) else 0
 
 
 if __name__ == "__main__":
