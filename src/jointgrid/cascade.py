@@ -3,10 +3,12 @@
 Every entity starts at full operation; attacked entities are clamped to 0
 for the whole run.  Each time step re-evaluates every dependent entity's
 rule against the previous step's state simultaneously and records what
-fell; the run stops at the first step that changes nothing.  Operator
-monotonicity makes values non-increasing, which guarantees convergence well
-inside 2x the entity count.  The state is a byte per slot of the network's
-slot map, its level coded (``ternary.CODE``) as the compiled rules read it.
+fell; the run stops at the first step that changes nothing.  A rule whose
+value rises stops the run (``MonotonicityError``); values otherwise only
+fall, and each reading is closed on the codes {0, 1, 3}, so each slot falls
+at most twice and a trace has at most ``2n + 1`` steps for ``n`` slots.
+The state is a byte per slot of the network's slot map, its level coded
+(``ternary.CODE``) as the compiled rules read it.
 A trace keeps each step's changes as ``{slot: level}`` (0 and 1 are their
 own codes) and the fixpoint as immutable ``bytes``, from which every
 earlier step can be replayed.  The trace is itself its fixpoint as an
@@ -30,11 +32,11 @@ no binary rule tree exists at run time, and a mask asks only whether a path
 is at ``>= 1``, so MIIM's data-path rules compile in ``DELIVERY``.  A program
 maps each rule to its target (a cascade rule's slot; a data-path rule's
 mask and buses, from ``network.data_paths``) and each slot to the rules that
-read it.  Each network keeps one program per class and immutable rules
-tuple, so a program cannot go stale and dies with its network.  A
-synthesized network's four rule sets hold one rules tuple and a case's two
-models one availability tuple, so only the compiled functions are per
-model.  The tests check the compiled functions against an interpretive
+read it.  A network's slot map is fixed when it is made, and each network
+keeps one program per class and immutable rules tuple, so a program cannot
+go stale and dies with its network.  A synthesized network's four rule sets
+hold one rules tuple and a case's two models one availability tuple, so
+only the compiled functions are per model.  The tests check the compiled functions against an interpretive
 evaluator of their own.
 A cascade program also keeps, per model, the kill set and trace of its
 latest cascade, and a cascade of that kill set under that model returns
@@ -77,15 +79,7 @@ RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state
 _TOP = {MIIM: 2, IIM: 1}  # each model's full-operation level
 
 
-class CascadeError(RuntimeError):
-    pass
-
-
-class ConvergenceError(CascadeError):
-    """Iteration exceeded the step bound; a rule set must be non-monotone."""
-
-
-class MonotonicityError(CascadeError):
+class MonotonicityError(RuntimeError):
     """An entity's value increased between steps."""
 
 
@@ -217,26 +211,22 @@ class _AvailabilityProgram(_Program):
         self.full = AvailabilityMask(*map(MappingProxyType, self.flags), equipped)
 
 
-# Compiled programs per network and its slot map, each under its class and
-# the id() of the rules tuple it is compiled from, an immutable object (a
-# tuple may be given as both kinds).  A program holds that tuple, so no
-# id() is reused while its entry stands, and never the network, so a
+# Compiled programs per network (whose slot map is fixed), each under its
+# class and the id() of the rules tuple it is compiled from, an immutable
+# object (a tuple may be given as both kinds).  A program holds that tuple,
+# so no id() is reused while its entry stands, and never the network, so a
 # network's programs die with it.
-_PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, tuple]" = weakref.WeakKeyDictionary()
+_PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, dict]" = weakref.WeakKeyDictionary()
 
 
 def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_Program, _AvailabilityProgram]:
     """``rule_set``'s cascade and availability programs over ``network``,
-    built on first need, the cascade rules first.  A network given a new
-    slot map (``index_entities``) starts afresh."""
-    slots, programs = _PROGRAMS.get(network, (None, None))
-    if slots is not network.slots:
-        slots, programs = network.slots, {}
-        _PROGRAMS[network] = (slots, programs)
+    built on first need, the cascade rules first."""
+    programs = _PROGRAMS.setdefault(network, {})
     rules, paths = rule_set.rules, rule_set.availability
     cascade = programs.get((_Program, id(rules)))
     if cascade is None:
-        cascade = programs[_Program, id(rules)] = _Program(rules, slots, slots)
+        cascade = programs[_Program, id(rules)] = _Program(rules, network.slots, network.slots)
     availability = programs.get((_AvailabilityProgram, id(paths)))
     if availability is None:
         availability = programs[_AvailabilityProgram, id(paths)] = _AvailabilityProgram(paths, network)
@@ -272,14 +262,9 @@ def run_cascade(
     changed_per_step: List[Dict[int, int]] = [dict.fromkeys(sorted(killed_slots), 0)]
 
     frontier: Set[int] = set(killed_slots)
-    max_steps = 2 * len(slots) + 2
     targets, readers, fns = program.targets, program.readers, program.fns[rule_set.model]
 
     while frontier:
-        if len(changed_per_step) > max_steps:
-            raise ConvergenceError(
-                f"no fixpoint within {max_steps} steps; rule set is not monotone"
-            )
         candidates: Set[int] = set()
         for slot in frontier:
             candidates.update(readers.get(slot, ()))

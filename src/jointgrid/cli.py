@@ -34,7 +34,7 @@ from jointgrid.cascade import (
     run_cascade,
 )
 from jointgrid.entities import EntityError, parse_entity_id
-from jointgrid.grid import MAX_PU, Grid, GridError, int_key, load_grid, unique_keys
+from jointgrid.grid import MAX_PU, Grid, GridError, as_number, cut, int_key, is_int, load_grid, unique_keys
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
 from jointgrid.network import CASES, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
@@ -57,12 +57,6 @@ class ScenarioFileError(ValueError):
     pass
 
 
-def _cut(text: str) -> str:
-    """The first 80 characters of ``text``: an error line names a refused
-    value or path without repeating all of it."""
-    return text[:80]
-
-
 def _int_in_range(minimum: int, maximum: Optional[int] = None):
     def parse(text: str) -> int:
         try:
@@ -70,9 +64,9 @@ def _int_in_range(minimum: int, maximum: Optional[int] = None):
         except ValueError:
             value = None
         if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {_cut(text)!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {cut(text)!r}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {_cut(text)!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {cut(text)!r}")
         return value
 
     return parse
@@ -243,7 +237,7 @@ def _bus_flags(payload: dict, field: str, path: Path) -> Dict[int, bool]:
     for bus, ok in flags.items():
         bus_id = int_key(bus)
         if bus_id is None or not isinstance(ok, bool):
-            raise ScenarioFileError(f"{path}: {field}: bad entry {_cut(bus)!r}: {_cut(repr(ok))}")
+            raise ScenarioFileError(f"{path}: {field}: bad entry {cut(bus)!r}: {cut(repr(ok))}")
         parsed[bus_id] = ok
     return parsed
 
@@ -253,10 +247,10 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
     path = Path(path)
     payload = _read_json_object(path)
     equipped = payload.get("pmu_equipped", [])
-    if not (isinstance(equipped, list) and all(map(_is_int, equipped))):
+    if not (isinstance(equipped, list) and all(map(is_int, equipped))):
         raise ScenarioFileError(f"{path}: pmu_equipped must be a list of bus ids")
     if not isinstance(payload.get("model", ""), str):
-        raise ScenarioFileError(f"{path}: model must be a string, got {_cut(repr(payload['model']))}")
+        raise ScenarioFileError(f"{path}: model must be a string, got {cut(repr(payload['model']))}")
     mask = AvailabilityMask(
         scada=_bus_flags(payload, "scada", path),
         pmu=_bus_flags(payload, "pmu", path),
@@ -264,7 +258,7 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
     )
     unequipped = sorted(bus for bus, ok in mask.pmu.items() if ok and bus not in mask.pmu_equipped)
     if unequipped:
-        raise ScenarioFileError(f"{path}: pmu: bus {unequipped[0]} is flagged but not in pmu_equipped")
+        raise ScenarioFileError(f"{path}: pmu: bus {cut(str(unequipped[0]))} is flagged but not in pmu_equipped")
     return payload, mask
 
 
@@ -356,10 +350,6 @@ def _write_network(out: Path, network: JointNetwork) -> None:
 # --- scenario files -----------------------------------------------------------
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_json_object(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
@@ -381,61 +371,56 @@ def _file_beside(path: Optional[Path], name: str, what: str) -> Path:
             return resolved
     except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
         reason = getattr(exc, "strerror", None) or exc
-        raise ScenarioFileError(f"{where}bad {what} path {_cut(name)!r}: {reason}") from exc
+        raise ScenarioFileError(f"{where}bad {what} path {cut(name)!r}: {reason}") from exc
     raise ScenarioFileError(f"{where}{what} file not found: {resolved}")
 
 
 def load_scenario(path) -> dict:
     path = Path(path)
     data = _read_json_object(path)
-    if not _is_int(data.get("version")) or data["version"] != SCENARIO_VERSION:
-        raise ScenarioFileError(f"{path}: unknown schema version {_cut(repr(data.get('version')))}")
+    if not is_int(data.get("version")) or data["version"] != SCENARIO_VERSION:
+        raise ScenarioFileError(f"{path}: unknown schema version {cut(repr(data.get('version')))}")
     if "grid" not in data:
         raise ScenarioFileError(f"{path}: missing grid path")
     if not isinstance(data["grid"], str):
-        raise ScenarioFileError(f"{path}: grid must be a path string, got {_cut(repr(data['grid']))}")
+        raise ScenarioFileError(f"{path}: grid must be a path string, got {cut(repr(data['grid']))}")
     data["_grid_path"] = _file_beside(path, data["grid"], "grid")
     data.setdefault("label", path.stem)
     if not isinstance(data["label"], str):
-        raise ScenarioFileError(f"{path}: label must be a string, got {_cut(repr(data['label']))}")
+        raise ScenarioFileError(f"{path}: label must be a string, got {cut(repr(data['label']))}")
     data.setdefault("model", "both")
     data.setdefault("case", 1)
     if data["model"] not in (MIIM, IIM, "both"):
-        raise ScenarioFileError(f"{path}: bad model {_cut(repr(data['model']))}")
-    if not _is_int(data["case"]) or data["case"] not in (1, 2):
-        raise ScenarioFileError(f"{path}: bad case {_cut(repr(data['case']))}")
+        raise ScenarioFileError(f"{path}: bad model {cut(repr(data['model']))}")
+    if not is_int(data["case"]) or data["case"] not in (1, 2):
+        raise ScenarioFileError(f"{path}: bad case {cut(repr(data['case']))}")
     raw_killed = data.get("killed", [])
     if not isinstance(raw_killed, list):
         raise ScenarioFileError(f"{path}: killed must be a list of entity ids")
     killed = []
     for text in raw_killed:
         if not isinstance(text, str):
-            raise ScenarioFileError(f"{path}: bad killed entity {_cut(repr(text))}: expected a string")
+            raise ScenarioFileError(f"{path}: bad killed entity {cut(repr(text))}: expected a string")
         try:
             killed.append(parse_entity_id(text))
         except EntityError as exc:
-            raise ScenarioFileError(f"{path}: bad killed entity {_cut(text)!r}: {_cut(str(exc))}") from exc
+            raise ScenarioFileError(f"{path}: bad killed entity {cut(text)!r}: {cut(str(exc))}") from exc
     data["_killed"] = killed
     est = data.get("estimation")  # missing or null: no estimation
     if est is not None:
         if not isinstance(est, dict):
             raise ScenarioFileError(f"{path}: estimation must be an object")
-        if not _is_int(est.get("seeds")) or not 1 <= est["seeds"] <= MAX_SEEDS:
+        if not is_int(est.get("seeds")) or not 1 <= est["seeds"] <= MAX_SEEDS:
             raise ScenarioFileError(f"{path}: estimation.seeds must be an integer from 1 to {MAX_SEEDS}")
-        if not _is_int(est.get("seed_base", 0)) or est.get("seed_base", 0) < 0:
+        if not is_int(est.get("seed_base", 0)) or est.get("seed_base", 0) < 0:
             raise ScenarioFileError(f"{path}: estimation.seed_base must be a non-negative integer")
         if est.get("true_state") is not None:  # missing or null: the default state
             if not (isinstance(est["true_state"], str) and est["true_state"]):
                 raise ScenarioFileError(
-                    f"{path}: estimation.true_state must be a path string, got {_cut(repr(est['true_state']))}"
+                    f"{path}: estimation.true_state must be a path string, got {cut(repr(est['true_state']))}"
                 )
             est["_true_state_path"] = _file_beside(path, est["true_state"], "true-state")
     return data
-
-
-def _is_finite_number(value) -> bool:
-    """A number a float holds: not NaN, infinite or an int out of range."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def load_true_state(path, grid: Grid) -> estimation.StateVector:
@@ -450,18 +435,21 @@ def load_true_state(path, grid: Grid) -> estimation.StateVector:
     if len(buses) > len(grid.bus_ids):
         known = {str(b) for b in grid.bus_ids}
         unknown = next(key for key in buses if key not in known)
-        raise ScenarioFileError(f"{path}: buses: {_cut(unknown)!r} is not a bus of the grid")
+        raise ScenarioFileError(f"{path}: buses: {cut(unknown)!r} is not a bus of the grid")
     voltages = []
     for b in grid.bus_ids:
         entry = buses[str(b)]
-        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_finite_number, entry))):
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [None]  # None: not a number
+        try:  # each part a number a float holds, by the grid's rule
+            voltage = complex(*(as_number(part, f"/buses/{b}") for part in parts))
+        except GridError:
             raise ScenarioFileError(
-                f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {_cut(repr(entry))}"
-            )
-        magnitude = math.hypot(*entry)  # inf past the largest float, where abs() of a complex raises
+                f"{path}: bus {b}: voltage must be [re, im] with finite numbers, got {cut(repr(entry))}"
+            ) from None
+        magnitude = math.hypot(voltage.real, voltage.imag)  # inf past the largest float, where abs() raises
         if magnitude > MAX_PU:
             raise ScenarioFileError(f"{path}: bus {b}: |V| = {magnitude:g} pu above {MAX_PU:g} pu")
-        voltages.append(complex(*entry))
+        voltages.append(voltage)
     return estimation.StateVector.from_complex(grid.bus_ids, voltages)
 
 
@@ -544,7 +532,7 @@ def _cmd_estimate(args) -> int:
     for field, flagged in flags.items():
         foreign = sorted(set(flagged) - buses)
         if foreign:
-            raise ScenarioFileError(f"{args.mask}: {field}: bus {foreign[0]} is not in the grid")
+            raise ScenarioFileError(f"{args.mask}: {field}: bus {cut(str(foreign[0]))} is not in the grid")
         missing = sorted(buses - set(flagged))
         if missing and field != "pmu_equipped":
             raise ScenarioFileError(f"{args.mask}: {field}: bus {missing[0]} is missing")
@@ -642,7 +630,7 @@ def _check_output(name: str, option: str) -> None:
     except (OSError, ValueError) as exc:  # a name too long, or with a NUL byte
         problem = getattr(exc, "strerror", None) or str(exc)
     if problem:
-        raise ScenarioFileError(f"{option} {_cut(name)!r}: {problem}")
+        raise ScenarioFileError(f"{option} {cut(name)!r}: {problem}")
 
 
 _VALIDATION_ERRORS = (

@@ -309,7 +309,7 @@ class ComparisonResult:
     models: List[str]
     seeds: List[int]
     errors: Dict[str, np.ndarray]  # model -> (n_seeds, n_buses)
-    anchored: Dict[str, Set[int]]  # model -> buses anchored in any seed
+    anchored: Dict[str, Set[int]]  # model -> buses no entry of its mask fixes: anchored in every seed
     chi2: Dict[str, np.ndarray]  # model -> (n_seeds,)
     rows: Dict[str, int]
     cols: int

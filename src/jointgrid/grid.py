@@ -57,7 +57,8 @@ IMPEDANCE_RANGE = (1e-6, MAX_PU)
 
 
 class GridError(ValueError):
-    """Grid file violates the schema; message carries a JSON pointer."""
+    """Grid file violates the schema; a message about a part of the file
+    starts with its JSON pointer."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,24 @@ class Grid:
         return sorted(b.id for b in self.buses if b.generator)
 
 
+def cut(text: str) -> str:
+    """The first 80 characters of ``text``: an error line of any input file
+    names a refused value, key or path without repeating all of it."""
+    return text[:80]
+
+
 def _expect(condition: bool, pointer: str, message: str):
     if not condition:
         raise GridError(f"{pointer}: {message}")
 
 
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int(value, pointer: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), pointer, "expected an integer")
+    _expect(is_int(value), pointer, "expected an integer")
     return value
 
 
@@ -117,15 +129,15 @@ def _as_id(value, pointer: str, what: str = "") -> int:
     """A bus or substation id: an integer from 0 to ``MAX_ID``, non-negative
     since an entity id such as ``P(4)`` spells its indices in digits only."""
     number = _as_int(value, pointer)
-    _expect(number >= 0, pointer, f"{what}id must be non-negative, got {number}")
-    _expect(number <= MAX_ID, pointer, f"{what}id must be at most {MAX_ID}, got {number}")
+    _expect(number >= 0, pointer, f"{what}id must be non-negative, got {cut(str(number))}")
+    _expect(number <= MAX_ID, pointer, f"{what}id must be at most {MAX_ID}, got {cut(str(number))}")
     return number
 
 
 def _id_key(key: str, pointer: str, what: str) -> int:
     """The id an object key names, in canonical decimal and in ``_as_id``'s range."""
     number = int_key(key)
-    _expect(number is not None, pointer, f"key {key!r} must be a {what} id in canonical decimal")
+    _expect(number is not None, pointer, f"key {cut(key)!r} must be a {what} id in canonical decimal")
     return _as_id(number, pointer, f"{what} ")
 
 
@@ -141,7 +153,9 @@ def int_key(key: str) -> Optional[int]:
     return value if str(value) == key else None
 
 
-def _as_number(value, pointer: str) -> float:
+def as_number(value, pointer: str) -> float:
+    """The float a JSON number holds: a ``GridError`` for anything else (a
+    bool, NaN, an infinity, an integer past the largest float)."""
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         pointer,
@@ -162,10 +176,11 @@ def _as_bool(value, pointer: str) -> bool:
 
 def grid_from_dict(data: dict, name: str = "grid") -> Grid:
     """Validate and build a Grid from parsed JSON."""
-    _expect(isinstance(data, dict), "", "expected an object")
+    if not isinstance(data, dict):
+        raise GridError(f"top level must be an object, got {type(data).__name__}")
     version = data.get("version")
     if version != SCHEMA_VERSION:
-        raise GridError(f"/version: unknown schema version {version!r} (expected {SCHEMA_VERSION})")
+        raise GridError(f"/version: unknown schema version {cut(repr(version))} (expected {SCHEMA_VERSION})")
 
     raw_buses = data.get("buses")
     _expect(isinstance(raw_buses, list) and raw_buses, "/buses", "expected a non-empty array")
@@ -188,12 +203,12 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         _expect(isinstance(entry, dict), pointer, "expected an object")
         f = _as_int(entry.get("from"), f"{pointer}/from")
         t = _as_int(entry.get("to"), f"{pointer}/to")
-        _expect(f in seen, f"{pointer}/from", f"unknown bus {f}")
-        _expect(t in seen, f"{pointer}/to", f"unknown bus {t}")
+        _expect(f in seen, f"{pointer}/from", f"unknown bus {cut(str(f))}")
+        _expect(t in seen, f"{pointer}/to", f"unknown bus {cut(str(t))}")
         _expect(f != t, pointer, "branch endpoints must differ")
-        r = _as_number(entry.get("r", 0.0), f"{pointer}/r")
+        r = as_number(entry.get("r", 0.0), f"{pointer}/r")
         _expect(r >= 0.0, f"{pointer}/r", "resistance must be non-negative")
-        x = _as_number(entry.get("x"), f"{pointer}/x")
+        x = as_number(entry.get("x"), f"{pointer}/x")
         _expect(x != 0.0, f"{pointer}/x", "reactance must be non-zero")
         low, high = IMPEDANCE_RANGE
         impedance = math.hypot(r, x)
@@ -202,11 +217,11 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
             f"{pointer}/x",
             f"impedance |r + jx| = {impedance:g} pu outside [{low:g}, {high:g}] pu",
         )
-        b_sh = _as_number(entry.get("b", 0.0), f"{pointer}/b")
+        b_sh = as_number(entry.get("b", 0.0), f"{pointer}/b")
         _expect(abs(b_sh) <= MAX_PU, f"{pointer}/b", f"|b| = {abs(b_sh):g} pu above {MAX_PU:g} pu")
         transformer = _as_bool(entry.get("transformer", False), f"{pointer}/transformer")
         if "length" in entry:
-            length = _as_number(entry.get("length"), f"{pointer}/length")
+            length = as_number(entry.get("length"), f"{pointer}/length")
         else:
             length = round(abs(x) * LENGTH_PER_REACTANCE, 6)
         _expect(transformer or length > 0.0, f"{pointer}/length", "line length must be positive")
@@ -223,7 +238,7 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         _expect(isinstance(raw_map, dict), "/substation_map", "expected an object")
         mapping: Dict[int, int] = {}
         for key, value in raw_map.items():
-            pointer = f"/substation_map/{key}"
+            pointer = f"/substation_map/{cut(key)}"
             bus_id = _id_key(key, pointer, "bus")
             _expect(bus_id in seen, pointer, f"unknown bus {bus_id}")
             mapping[bus_id] = _as_id(value, pointer)
@@ -254,7 +269,7 @@ def grid_from_dict(data: dict, name: str = "grid") -> Grid:
         _expect(isinstance(raw, dict), f"/{field_name}", "expected an object")
         homing: Dict[int, int] = {}
         for key, value in raw.items():
-            pointer = f"/{field_name}/{key}"
+            pointer = f"/{field_name}/{cut(key)}"
             homing[_id_key(key, pointer, "substation")] = _as_id(value, pointer)
         setattr(config, field_name, homing)
 
@@ -270,7 +285,7 @@ def unique_keys(pairs: List[Tuple[str, object]]) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"key {key!r} appears twice in one object")
+                raise ValueError(f"key {cut(key)!r} appears twice in one object")
             seen.add(key)
     return obj
 

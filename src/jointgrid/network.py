@@ -119,7 +119,12 @@ class RuleSet:
 
 @dataclass(eq=False)
 class JointNetwork:
-    """Equality is identity: the cascade engine keys its programs to the network."""
+    """Equality is identity: the cascade engine keys its programs to the network.
+
+    The index is made with the network from its complete registry and fixed
+    for its life: the canonical entity order (the sorted registry), each
+    entity's slot in it, and each entity's text in that order (writers read
+    ``names[slot]``, not ``str(entity)``)."""
 
     grid: Grid
     substations: List[Substation]
@@ -131,12 +136,14 @@ class JointNetwork:
     rtus: Dict[int, List[int]]  # substation -> RTU ids
     pmus: Dict[int, List[int]]  # substation -> PMU ids
     rule_sets: Dict[Tuple[str, int], RuleSet] = field(default_factory=dict)
-    # Canonical entity order (the sorted registry), each entity's index in
-    # it, and each entity's text in that order; set once by synthesis, after
-    # the registry is complete.
-    entity_order: Tuple[EntityId, ...] = ()
-    slots: Dict[EntityId, int] = field(default_factory=dict)
-    names: Tuple[str, ...] = ()
+    entity_order: Tuple[EntityId, ...] = field(init=False)
+    slots: Dict[EntityId, int] = field(init=False)
+    names: Tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.entity_order = tuple(sorted(self.registry))
+        self.slots = {entity: i for i, entity in enumerate(self.entity_order)}
+        self.names = tuple(map(str, self.entity_order))
 
     @property
     def primary_cc(self) -> int:
@@ -162,13 +169,6 @@ class JointNetwork:
     def entity_ids(self) -> Tuple[EntityId, ...]:
         """Every registered entity in canonical (sorted) order."""
         return self.entity_order
-
-    def index_entities(self) -> None:
-        """Fix the canonical entity order, the slot map and the entity texts
-        from the registry: writers read ``names[slot]``, not ``str(entity)``."""
-        self.entity_order = tuple(sorted(self.registry))
-        self.slots = {entity: i for i, entity in enumerate(self.entity_order)}
-        self.names = tuple(map(str, self.entity_order))
 
 
 def validate(network: JointNetwork) -> List[str]:

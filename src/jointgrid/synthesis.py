@@ -609,8 +609,7 @@ def build_joint_network(grid: Grid) -> JointNetwork:
         pmus=pmus,
     )
     tables = _id_tables(network)
-    network.registry = build_registry(tables)
-    network.index_entities()
+    network = replace(network, registry=build_registry(tables))
     rules, availability = generate_rules(network, tables)
     # A case's IIM rule set holds the very rules and availability tuples of
     # its MIIM rule set: the model names how the rules are read.

@@ -2,7 +2,8 @@
 
 Each helper applies 1-3 random edits to a valid input and returns the result;
 a test then checks that the loader either accepts it or raises the error
-class it declares.  ``rename_bus`` is the one fixed edit, of a grid.
+class it declares, with every line of the refusal short
+(``assert_short_lines``).  ``rename_bus`` is the one fixed edit, of a grid.
 """
 
 from hypothesis import strategies as st
@@ -35,6 +36,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+# A re-keyed entry's new key: short text, a key of 5000 characters, or a
+# 4000-digit decimal key, which reads as an id within Python's 4300-digit
+# conversion limit.
+KEYS = st.text(max_size=4) | st.just("k" * 5000) | st.just("9" * 4000)
+
+# The longest line a refusal may print: an echoed value is cut at 80
+# characters, and a line names at most a path and two echoes.
+MAX_LINE_BYTES = 400
+
+
+def assert_short_lines(text: str) -> None:
+    """No line of ``text`` is longer than ``MAX_LINE_BYTES`` bytes."""
+    longest = max((len(line.encode()) for line in text.splitlines()), default=0)
+    assert longest <= MAX_LINE_BYTES, text[:MAX_LINE_BYTES + 100]
+
+
 def _paths(node, prefix=()):
     """Every location in a parsed JSON value, the root included."""
     yield prefix
@@ -58,7 +75,7 @@ def edit_json(data, document):
         if action == "delete":
             del parent[path[-1]]
         elif action == "rekey" and isinstance(parent, dict):
-            parent[data.draw(st.text(max_size=4))] = parent.pop(path[-1])
+            parent[data.draw(KEYS)] = parent.pop(path[-1])
         else:
             parent[path[-1]] = data.draw(JSON_VALUES)
     return document

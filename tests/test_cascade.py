@@ -527,9 +527,9 @@ def test_models_share_their_program_tables(ieee14):
 
 
 def test_programs_belong_to_their_network(ieee14, attack):
-    """A copy of a network with the very same slot map and rule sets
-    compiles its own programs, and they die with it: no program refers to
-    its network, so the cache's weak key is freed."""
+    """A copy of a network with an equal slot map and the very same rule
+    sets compiles its own programs, and they die with it: no program refers
+    to its network, so the cache's weak key is freed."""
     import dataclasses
     import gc
     import weakref
@@ -538,7 +538,7 @@ def test_programs_belong_to_their_network(ieee14, attack):
 
     rule_set = ieee14.rule_set(MIIM, 1)
     other = dataclasses.replace(ieee14)
-    assert other.slots is ieee14.slots and other.rule_set(MIIM, 1) is rule_set
+    assert other.slots == ieee14.slots and other.rule_set(MIIM, 1) is rule_set
     assert run_cascade(other, rule_set, attack).changed == run_cascade(ieee14, rule_set, attack).changed
     own, shared = _programs(other, rule_set), _programs(ieee14, rule_set)
     assert own[0] is not shared[0] and own[1] is not shared[1]
@@ -549,22 +549,26 @@ def test_programs_belong_to_their_network(ieee14, attack):
     assert [ref() for ref in program_refs] == [None, None]
 
 
-def test_reindexed_network_compiles_afresh(ieee14_grid, attack):
-    """A network given a new slot map after a cascade compiles its programs
-    again: an entity that sorts first shifts every slot, and the masks stay
-    as they were.  The entity texts shift with the slots."""
-    from jointgrid.synthesis import build_joint_network
+def test_reindexed_network_compiles_afresh(ieee14, attack):
+    """A copy over a registry with one more entity, which sorts first, makes
+    its own slot map and compiles its own programs: every slot shifts, and
+    the masks stay as they were.  The entity texts shift with the slots."""
+    import dataclasses
 
-    network = build_joint_network(ieee14_grid)
-    names, masks = network.names, []
-    for _ in range(2):
+    from jointgrid.cascade import _programs
+
+    wider = dataclasses.replace(ieee14, registry={**ieee14.registry, ent.bus(0): ieee14.registry[ent.bus(1)]})
+    masks = []
+    for network in (ieee14, wider):
         rule_set = network.rule_set(MIIM, 1)
         trace = run_cascade(network, rule_set, attack)
         masks.append(data_availability(trace.final_state(), network, rule_set))
-        network.registry[ent.bus(0)] = network.registry[ent.bus(1)]
-        network.index_entities()
     assert masks[0] == masks[1] and masks[0].scada_lost() == {12}
-    assert network.names == ("P(0)", *names) == tuple(map(str, network.entity_order))
+    assert wider.names == ("P(0)", *ieee14.names) == tuple(map(str, wider.entity_order))
+    rule_set = ieee14.rule_set(MIIM, 1)
+    own, original = _programs(wider, rule_set), _programs(ieee14, rule_set)
+    assert own[0] is not original[0] and own[1] is not original[1]
+    assert own[0].readers != original[0].readers
 
 
 def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):

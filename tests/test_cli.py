@@ -6,11 +6,12 @@ import io
 import json
 import math
 import shutil
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzing import edit_json, rename_bus
+from fuzzing import assert_short_lines, edit_json, rename_bus
 from idr_reader import parse_idr_file
 from oracle import format_idr_file, read, registry_payload
 from jointgrid import cli, entities as ent, estimation
@@ -606,9 +607,14 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
         # An int no float holds, and a |V| past the largest float.
         ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [10**400, 0.0]}})),
         ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.7e308, 1.7e308]}})),
+        # An int a float holds, as the largest float (grid.as_number), is
+        # refused by the |V| bound.
+        ("bus 5: |V| = 1.79769e+308 pu above", lambda buses: json.dumps(
+            {"buses": {**buses, "5": [int(sys.float_info.max) + 1, 0.0]}})),
     ],
     ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high", "missing_bus",
-         "extra_bus", "non_bus_key", "repeated_key", "voltage_huge_int", "voltage_huge_float"],
+         "extra_bus", "non_bus_key", "repeated_key", "voltage_huge_int", "voltage_huge_float",
+         "voltage_int_past_largest_float"],
 )
 def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
     grid_path = fixtures_dir / "ieee14.json"
@@ -759,6 +765,7 @@ def test_run_malformed_scenario_exits_2(fixtures_dir, tmp_path, capsys, field, e
 
 
 LONG = "x" * 5000
+DIGITS = "9" * 4000  # a decimal id within Python's 4300-digit conversion limit
 
 
 @pytest.mark.parametrize(
@@ -780,29 +787,50 @@ LONG = "x" * 5000
         ("scada: bad entry", "mask", lambda m: {**m, "scada": {**m["scada"], LONG: True}}),
         ("pmu: bad entry", "mask", lambda m: {**m, "pmu": {**m["pmu"], "5": LONG}}),
         ("model must be a string", "mask", lambda m: {**m, "model": [LONG]}),
+        ("is not in the grid", "mask", lambda m: {**m, "scada": {**m["scada"], DIGITS: True}}),
+        ("is flagged but not in pmu_equipped", "mask", lambda m: {**m, "pmu": {**m["pmu"], DIGITS: True}}),
         ("--seeds", "seeds", None),
+        ("unknown schema version", "grid", lambda g: {**g, "version": LONG}),
+        ("id must be at most", "grid", lambda g: {**g, "buses": [{"id": int(DIGITS)}, *g["buses"][1:]]}),
+        ("unknown bus", "grid", lambda g: {**g, "branches": [{**g["branches"][0], "to": int(DIGITS)}]}),
+        ("must be a bus id", "grid", lambda g: {**g, "substation_map": {**g["substation_map"], LONG: 1}}),
+        ("bus id must be at most", "grid", lambda g: {**g, "substation_map": {**g["substation_map"], DIGITS: 1}}),
+        ("must be a substation id", "grid", lambda g: {**g, "sadm_homing": {LONG: 1}}),
+        # A string edit is the file's text: json.dumps writes no key twice.
+        ("appears twice", "grid",
+         lambda g: json.dumps(g).replace('"version"', f'"{LONG}": 1, "{LONG}": 2, "version"')),
     ],
     ids=["version", "grid", "label", "model", "case", "killed", "killed_not_string", "killed_type",
          "true_state_path", "true_state_entry", "true_state_huge_int", "true_state_bus", "mask_scada_key",
-         "mask_pmu_value", "mask_model", "seeds_flag"],
+         "mask_pmu_value", "mask_model", "mask_foreign_bus", "mask_unequipped_bus", "seeds_flag",
+         "grid_version", "grid_bus_id", "grid_branch_end", "grid_substation_map_key",
+         "grid_substation_map_digits", "grid_sadm_homing_key", "grid_repeated_key"],
 )
-def test_error_line_cuts_a_long_refused_value(fixtures_dir, tmp_path, capsys, field, kind, edit):
+def test_error_line_cuts_a_long_refused_value(fixtures_dir, tmp_path, monkeypatch, capsys, field, kind, edit):
     """An error that echoes a refused value of 5000 characters exits 2 with
-    every stderr line under 300 bytes: the echo is cut at 80 characters."""
+    every stderr line under 300 bytes: the echo is cut at 80 characters.  A
+    grid error may echo a key twice, in its JSON pointer and its message, so
+    the grid is named by a short relative path."""
     grid_path = fixtures_dir / "ieee14.json"
-    bus_ids = [bus["id"] for bus in json.loads(grid_path.read_text())["buses"]]
+    grid = json.loads(grid_path.read_text())
+    bus_ids = [bus["id"] for bus in grid["buses"]]
     inputs = {
         "scenario": {"version": 1, "grid": str(grid_path), "killed": ["P(12)"], "estimation": {"seeds": 2}},
         "true_state": {"buses": {str(b): [1.0, 0.0] for b in bus_ids}},
         "mask": {"grid": str(grid_path), "scada": {str(b): True for b in bus_ids},
                  "pmu": {str(b): False for b in bus_ids}},
+        "grid": grid,
     }
     if edit is not None:
         inputs[kind] = edit(inputs[kind])
     for name, payload in inputs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
     if kind == "scenario":
         argv = ["run", "--scenario", str(tmp_path / "scenario.json"), "--out-dir", str(tmp_path / "out")]
+    elif kind == "grid":
+        monkeypatch.chdir(tmp_path)
+        argv = ["validate", "--grid", "grid.json"]
     else:
         argv = ["estimate", "--mask", str(tmp_path / "mask.json"), "--out", str(tmp_path / "errors.csv"),
                 "--seeds", "9" * 5000 if kind == "seeds" else "2"]
@@ -910,8 +938,8 @@ def test_edited_scenario_loads_or_raises_its_error(fuzz_inputs, data):
     path.write_text(json.dumps(edit_json(data, copy.deepcopy(scenario))), encoding="utf-8")
     try:
         cli.load_scenario(path)
-    except (cli.ScenarioFileError, EntityError):
-        pass
+    except (cli.ScenarioFileError, EntityError) as exc:
+        assert_short_lines(str(exc))
 
 
 @settings(max_examples=30, deadline=None)
@@ -922,8 +950,8 @@ def test_edited_mask_loads_or_raises_its_error(fuzz_inputs, data):
     path.write_text(json.dumps(edit_json(data, copy.deepcopy(mask))), encoding="utf-8")
     try:
         cli.load_mask(path)
-    except (cli.ScenarioFileError, EntityError):
-        pass
+    except (cli.ScenarioFileError, EntityError) as exc:
+        assert_short_lines(str(exc))
 
 
 @settings(deadline=None)
@@ -936,8 +964,8 @@ def test_edited_true_state_loads_or_raises_its_error(fuzz_inputs, ieee14_grid, d
     path.write_text(json.dumps(edit_json(data, state)), encoding="utf-8")
     try:
         cli.load_true_state(path, ieee14_grid)
-    except cli.ScenarioFileError:
-        pass
+    except cli.ScenarioFileError as exc:
+        assert_short_lines(str(exc))
 
 
 @settings(max_examples=30, deadline=None)
@@ -945,7 +973,7 @@ def test_edited_true_state_loads_or_raises_its_error(fuzz_inputs, ieee14_grid, d
 def test_edited_grid_validates_and_runs_or_exits_2(fuzz_inputs, data):
     """1-3 edits anywhere in the 14-bus grid file, then ``validate`` and a
     2-seed ``run`` on it: each exits 0 or 2, never 1 from deep inside the
-    program."""
+    program, and prints no long line to stderr."""
     root, _, _ = fuzz_inputs
     grid = json.loads((root / "ieee14.json").read_text(encoding="utf-8"))
     (root / "edited_grid.json").write_text(json.dumps(edit_json(data, grid)), encoding="utf-8")
@@ -959,3 +987,4 @@ def test_edited_grid_validates_and_runs_or_exits_2(fuzz_inputs, data):
         with contextlib.redirect_stderr(errors), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
         assert code in (0, 2), errors.getvalue()
+        assert_short_lines(errors.getvalue())

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzing import edit_json, rename_bus
+from fuzzing import assert_short_lines, edit_json, rename_bus
 from jointgrid.grid import MAX_ID, MAX_LENGTH, GridError, grid_from_dict, load_grid
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -129,11 +129,12 @@ def full_grid_dict():
 def test_malformed_grid_raises_grid_error(data):
     """Replacing, deleting or re-keying any part of a valid grid either
     still loads or raises ``GridError``; never a bare ``KeyError``,
-    ``TypeError``, ``IndexError`` or ``OverflowError``."""
+    ``TypeError``, ``IndexError`` or ``OverflowError``; and a refusal's
+    message has no long line."""
     try:
         grid_from_dict(edit_json(data, full_grid_dict()))
-    except GridError:
-        pass
+    except GridError as exc:
+        assert_short_lines(str(exc))
 
 
 # Non-canonical spellings of an id key, each with the canonical key it
@@ -233,6 +234,15 @@ def test_two_keys_for_one_bus_rejected(fixtures_dir):
     data["substation_map"]["04"] = 9  # beside "4": 1
     with pytest.raises(GridError, match="/substation_map/04: key '04' must be a bus id"):
         grid_from_dict(data)
+
+
+def test_top_level_must_be_an_object(tmp_path):
+    """Worded as the other input files word it, with no empty JSON pointer."""
+    path = tmp_path / "g.json"
+    path.write_text("[1]", encoding="utf-8")
+    with pytest.raises(GridError) as info:
+        load_grid(path)
+    assert str(info.value) == f"{path}: top level must be an object, got list"
 
 
 def test_not_json(tmp_path):
