@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -72,7 +73,9 @@ def _int_in_range(minimum: int, maximum: Optional[int] = None):
     return parse
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: the parser reads no input, and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="jointgrid",
         description="Joint power/communication dependency modeling and estimation",

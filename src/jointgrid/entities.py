@@ -150,49 +150,49 @@ def comm(ctype: int, subtype: int, y: int, z: int) -> EntityId:
 
 
 def server(substation: int) -> EntityId:
-    return comm(1, 1, substation, substation)
+    return EntityId(KIND_COMM, (1, 1, substation, substation))
 
 
 def gateway(substation: int) -> EntityId:
-    return comm(1, 2, substation, substation)
+    return EntityId(KIND_COMM, (1, 2, substation, substation))
 
 
 def lan(substation: int) -> EntityId:
-    return comm(1, 3, substation, substation)
+    return EntityId(KIND_COMM, (1, 3, substation, substation))
 
 
 def sonet_channel(sadm: int, substation: int) -> EntityId:
-    return comm(1, 4, sadm, substation)
+    return EntityId(KIND_COMM, (1, 4, sadm, substation))
 
 
 def dwdm_channel(oadm: int, substation: int) -> EntityId:
-    return comm(1, 5, oadm, substation)
+    return EntityId(KIND_COMM, (1, 5, oadm, substation))
 
 
 def rtu_channel(rtu: int, substation: int) -> EntityId:
-    return comm(1, 6, rtu, substation)
+    return EntityId(KIND_COMM, (1, 6, rtu, substation))
 
 
 def pmu_channel(pmu: int, substation: int) -> EntityId:
-    return comm(1, 7, pmu, substation)
+    return EntityId(KIND_COMM, (1, 7, pmu, substation))
 
 
 def sadm(node: int) -> EntityId:
-    return comm(2, 1, node, 0)
+    return EntityId(KIND_COMM, (2, 1, node, 0))
 
 
 def oadm(node: int) -> EntityId:
-    return comm(3, 1, node, 0)
+    return EntityId(KIND_COMM, (3, 1, node, 0))
 
 
 def sonet_ring_link(a: int, b: int) -> EntityId:
     lo, hi = sorted((a, b))
-    return comm(2, 2, lo, hi)
+    return EntityId(KIND_COMM, (2, 2, lo, hi))
 
 
 def dwdm_ring_link(a: int, b: int) -> EntityId:
     lo, hi = sorted((a, b))
-    return comm(3, 2, lo, hi)
+    return EntityId(KIND_COMM, (3, 2, lo, hi))
 
 
 def link(family: int, index: int) -> EntityId:

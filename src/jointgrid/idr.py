@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from types import CodeType, FunctionType, MappingProxyType
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from jointgrid import ternary
 from jointgrid.entities import EntityId
@@ -44,6 +45,7 @@ OP_MAX_OR = "max_or"
 OP_NEW_XOR = "new_xor"
 
 _OP_SYMBOL = {OP_MIN_AND: "&", OP_MAX_OR: "|", OP_NEW_XOR: "^"}
+_JOINERS = {op: f" {symbol} " for op, symbol in _OP_SYMBOL.items()}
 # The binary reading on rule text: min-AND and new-XOR as AND (``.``),
 # max-OR as OR (``+``).
 IIM_SYMBOLS = str.maketrans("&^|", "..+")
@@ -63,9 +65,9 @@ class Op:
             raise IdrSyntaxError(f"unknown operator: {self.op!r}")
         if not isinstance(self.children, tuple) or len(self.children) < 2:
             raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r} needs a tuple of >=2 operands")
-        for child in self.children:
-            if not isinstance(child, (EntityId, Op)):
-                raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r}: operand {child!r} is not an expression")
+        if not all(map(isinstance, self.children, repeat((EntityId, Op)))):
+            child = next(child for child in self.children if not isinstance(child, (EntityId, Op)))
+            raise IdrSyntaxError(f"operator {_OP_SYMBOL[self.op]!r}: operand {child!r} is not an expression")
 
 
 IdrExpr = Union[EntityId, Op]
@@ -81,14 +83,16 @@ class IdrRule:
 
     def __post_init__(self):
         literals: Dict[EntityId, None] = {}
-        stack: List[IdrExpr] = [self.body]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, EntityId):
-                literals[node] = None
-            else:
-                stack.extend(reversed(node.children))
+        _collect_literals((self.body,), literals)
         object.__setattr__(self, "literals", tuple(literals))
+
+
+def _collect_literals(children: Tuple[IdrExpr, ...], found: Dict[EntityId, None]) -> None:
+    for child in children:
+        if type(child) is Op:
+            _collect_literals(child.children, found)
+        else:
+            found[child] = None
 
 
 # --- Printing ---------------------------------------------------------------
@@ -101,16 +105,19 @@ def format_expr(expr: IdrExpr, names: Mapping[EntityId, str] = _NO_NAMES) -> str
     """Canonical text of a rule body; operator children are parenthesized.
     An entity's text is its entry in ``names`` (a writer passes the texts it
     formatted once), else ``str`` of it."""
-    if isinstance(expr, EntityId):
-        return names.get(expr) or str(expr)
-    symbol = f" {_OP_SYMBOL[expr.op]} "
+    if type(expr) is Op:
+        return _op_text(expr, names.get)
+    return names.get(expr) or str(expr)
+
+
+def _op_text(op: Op, name: Callable[[EntityId], Optional[str]]) -> str:
     parts = []
-    for child in expr.children:
-        text = format_expr(child, names)
-        if isinstance(child, Op):
-            text = f"({text})"
-        parts.append(text)
-    return symbol.join(parts)
+    for child in op.children:
+        if type(child) is Op:
+            parts.append("(" + _op_text(child, name) + ")")
+        else:
+            parts.append(name(child) or str(child))
+    return _JOINERS[op.op].join(parts)
 
 
 def format_idr(rule: IdrRule, names: Mapping[EntityId, str] = _NO_NAMES) -> str:
@@ -167,9 +174,15 @@ def _shape(source: str, arity: int) -> CodeType:
 def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], reading: Reading, fill: List[int]) -> str:
     """Source of ``expr`` in ``reading`` with its k-th literal as ``a[ik]``;
     appends each literal's slot to ``fill``, left to right."""
-    if isinstance(expr, EntityId):
+    if type(expr) is not Op:
         fill.append(slots[expr])
         return f"a[i{len(fill) - 1}]"
-    parts = [_expr_source(child, slots, reading, fill) for child in expr.children]
+    parts = []
+    for child in expr.children:
+        if type(child) is Op:
+            parts.append(_expr_source(child, slots, reading, fill))
+        else:
+            fill.append(slots[child])
+            parts.append(f"a[i{len(fill) - 1}]")
     opener, joiner = reading[expr.op]
     return opener + joiner.join(parts) + ")"

@@ -233,16 +233,19 @@ def validate(network: JointNetwork) -> List[str]:
             elif not _is_single_cycle(nodes, ring.edges):
                 problems.append(f"{ring.kind} ring: links split into multiple cycles")
 
-    # Rule sets share cascade rules tuples (a synthesized network's four hold
-    # one): check each distinct tuple once, under the first rule set holding it.
-    checked = set()
+    # Rule sets share tuples (a synthesized network's four hold one cascade tuple, each case's
+    # two one availability tuple): check each distinct tuple once, under the first holding it.
+    checked_rules, checked_paths = set(), set()
     paths = data_paths(network.substations)
     for (model, case), rule_set in sorted(network.rule_sets.items()):
-        found = availability_gaps(rule_set.availability, network.substations)
-        found += reference_problems(rule_set.availability, network.slots, paths)
-        if id(rule_set.rules) not in checked:
-            checked.add(id(rule_set.rules))
-            found = reference_problems(rule_set.rules, network.slots, network.slots) + found
+        found = []
+        if id(rule_set.rules) not in checked_rules:
+            checked_rules.add(id(rule_set.rules))
+            found += reference_problems(rule_set.rules, network.slots, network.slots)
+        if id(rule_set.availability) not in checked_paths:
+            checked_paths.add(id(rule_set.availability))
+            found += availability_gaps(rule_set.availability, network.substations)
+            found += reference_problems(rule_set.availability, network.slots, paths)
         problems += [f"{model}/case{case}: {problem}" for problem in found]
     return problems
 

@@ -168,16 +168,15 @@ def all_pairs_shortest(grid: Grid, substations: Sequence[Substation]) -> Distanc
     for a, row in substation_adjacency(grid, substations).items():
         for b, w in row.items():
             d[index[a], index[b]] = min(d[index[a], index[b]], w)
-    for k in range(n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    via = np.empty_like(d)
+    for k in range(n):  # in place: each step's sums are taken before it updates d
+        np.minimum(d, np.add(d[:, k : k + 1], d[k : k + 1, :], out=via), out=d)
     if np.isinf(d).any():
-        pairs = [
-            (sub_ids[i], sub_ids[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if np.isinf(d[i, j])
-        ]
-        raise SynthesisError(f"substation graph is disconnected; unreachable pairs: {pairs}")
+        # A cut grid can leave thousands of pairs: name their count and the first five.
+        unreachable = np.argwhere(np.triu(np.isinf(d), 1))  # (i, j) with i < j, row by row
+        shown = ", ".join(str((sub_ids[i], sub_ids[j])) for i, j in unreachable[:5].tolist())
+        more = ", ..." if len(unreachable) > 5 else ""
+        raise SynthesisError(f"substation graph is disconnected; {len(unreachable)} unreachable pairs: {shown}{more}")
     return DistanceMatrix(sub_ids, d)
 
 
@@ -300,7 +299,6 @@ def home_gateways(
 
 def _node(op: str, children: Sequence[IdrExpr]) -> IdrExpr:
     """Operator node that collapses to its only child."""
-    children = list(children)
     if len(children) == 1:
         return children[0]
     return Op(op, tuple(children))

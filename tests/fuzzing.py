@@ -3,8 +3,11 @@
 Each helper applies 1-3 random edits to a valid input and returns the result;
 a test then checks that the loader either accepts it or raises the error
 class it declares, with every line of the refusal short
-(``assert_short_lines``).  ``rename_bus`` is the one fixed edit, of a grid.
+(``assert_short_lines``).  ``rename_bus`` and ``cut_until_disconnected``
+are the fixed edits, of a grid.
 """
+
+import random
 
 from hypothesis import strategies as st
 
@@ -110,4 +113,36 @@ def rename_bus(grid, old, new):
         for end in ("from", "to"):
             branch[end] = new if branch[end] == old else branch[end]
     grid["substation_map"][str(new)] = grid["substation_map"].pop(str(old))
+    return grid
+
+
+def _connected(buses, branches) -> bool:
+    """Whether ``branches`` join every bus of ``buses``."""
+    neighbors = {bus: [] for bus in buses}
+    for branch in branches:
+        neighbors[branch["from"]].append(branch["to"])
+        neighbors[branch["to"]].append(branch["from"])
+    start = next(iter(neighbors))
+    seen, frontier = {start}, [start]
+    while frontier:
+        for other in neighbors[frontier.pop()]:
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return len(seen) == len(neighbors)
+
+
+def cut_until_disconnected(grid, seed):
+    """Delete the branches of a parsed grid file without a substation map,
+    one at a time in an order fixed by ``seed``, until its bus graph, and so
+    its substation graph, falls apart; returns the grid, edited in place."""
+    buses = [bus["id"] for bus in grid["buses"]]
+    order = list(range(len(grid["branches"])))
+    random.Random(seed).shuffle(order)
+    kept = set(order)
+    for index in order:
+        kept.discard(index)
+        if not _connected(buses, [grid["branches"][i] for i in kept]):
+            break
+    grid["branches"] = [branch for i, branch in enumerate(grid["branches"]) if i in kept]
     return grid

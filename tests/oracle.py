@@ -25,6 +25,10 @@ traces:
 - ``registry_payload``, network.json's registry as one object per entity,
   the reference for ``cli.registry_text``;
 - ``free_entities``, a rule's or an expression's set of literals;
+- ``reference_literals``, ``reference_format_expr`` and
+  ``reference_expr_source``, the references for ``IdrRule.literals``,
+  ``idr.format_expr`` and ``idr._expr_source``: an explicit stack walk and
+  two recursions that dispatch on ``isinstance``;
 - ``arrays`` and ``named_steps``, a trace's replayed states and its steps
   keyed by entity text;
 - ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
@@ -39,7 +43,7 @@ from functools import reduce
 import numpy as np
 
 from jointgrid.entities import EntityId, gw_pmu, gw_scada
-from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, format_idr
+from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, format_idr
 from jointgrid.network import RuleSet
 from jointgrid.ternary import FAILED, REDUCED, TERNARY_LEVELS, check_ternary
 
@@ -47,6 +51,7 @@ BINARY_LEVELS = (0, 1)
 BOOL_AND = "bool_and"
 BOOL_OR = "bool_or"
 _BINARY_SYMBOL = {BOOL_AND: ".", BOOL_OR: "+"}
+_TERNARY_SYMBOL = {OP_MIN_AND: "&", OP_MAX_OR: "|", OP_NEW_XOR: "^"}
 
 # Each ternary operator's binary image: min-AND and new-XOR become AND,
 # max-OR becomes OR.
@@ -211,6 +216,42 @@ def free_entities(rule_or_expr):
         else:
             stack.extend(node.children)
     return frozenset(found)
+
+
+def reference_literals(body):
+    """A rule body's distinct entity literals, left to right, by an explicit
+    stack that pushes each node's children right to left."""
+    literals, stack = {}, [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EntityId):
+            literals[node] = None
+        else:
+            stack.extend(reversed(node.children))
+    return tuple(literals)
+
+
+def reference_format_expr(expr, names=None):
+    """Canonical text of a ternary rule body, every operator child
+    parenthesized, an entity named by its entry in ``names`` or ``str``."""
+    if isinstance(expr, EntityId):
+        return (names or {}).get(expr) or str(expr)
+    parts = []
+    for child in expr.children:
+        text = reference_format_expr(child, names)
+        parts.append(f"({text})" if isinstance(child, Op) else text)
+    return f" {_TERNARY_SYMBOL[expr.op]} ".join(parts)
+
+
+def reference_expr_source(expr, slots, reading, fill):
+    """Source of ``expr`` in ``reading``, its k-th literal as ``a[ik]``,
+    appending each literal's slot to ``fill``, left to right."""
+    if isinstance(expr, EntityId):
+        fill.append(slots[expr])
+        return f"a[i{len(fill) - 1}]"
+    parts = [reference_expr_source(child, slots, reading, fill) for child in expr.children]
+    opener, joiner = reading[expr.op]
+    return opener + joiner.join(parts) + ")"
 
 
 def format_idr_file(rules, header=()):

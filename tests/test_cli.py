@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzing import assert_short_lines, edit_json, rename_bus
+from fuzzing import assert_short_lines, cut_until_disconnected, edit_json, rename_bus
 from idr_reader import parse_idr_file
 from oracle import format_idr_file, read, registry_payload
 from jointgrid import cli, entities as ent, estimation
@@ -46,6 +46,22 @@ def test_parser_rejects_unknown_case():
         build_parser().parse_args(
             ["cascade", "--scenario", "s.json", "--out-dir", "o", "--case", "3"]
         )
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(fixtures_dir, tmp_path, capsys):
+    """``main`` reuses one parser: after a refused parse and two help pages
+    through it, a 14-bus ``run`` still writes the pinned bytes."""
+    assert build_parser() is build_parser()
+    for argv, code in (
+        (["cascade", "--scenario", "s.json", "--out-dir", "o", "--case", "3"], 2),
+        (["--help"], 0),
+        (["run", "--help"], 0),
+    ):
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == code
+    capsys.readouterr()
+    test_run_output_bytes_are_pinned(fixtures_dir, tmp_path)
 
 
 def test_validate_ok(fixtures_dir, capsys):
@@ -915,6 +931,37 @@ def test_run_with_a_bad_true_state_exits_2_and_writes_nothing(fixtures_dir, tmp_
     assert main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 2
     assert name in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_disconnected_grid_error_names_the_count_and_first_pairs(fixtures_dir, tmp_path, capsys):
+    """The 118-bus grid cut to its first branch leaves thousands of substation
+    pairs unreachable: ``validate`` exits 2 naming their count and the first
+    five, in one short line."""
+    grid = json.loads((fixtures_dir / "ieee118.json").read_text(encoding="utf-8"))
+    grid["branches"] = grid["branches"][:1]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(grid), encoding="utf-8")
+    assert main(["validate", "--grid", str(path)]) == 2
+    error = capsys.readouterr().err
+    assert error == (
+        "error: substation graph is disconnected; 6902 unreachable pairs: "
+        "(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), ...\n"
+    )
+    assert_short_lines(error)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_cut_until_disconnected_exits_2(fixtures_dir, tmp_path, capsys, seed):
+    """The 118-bus grid with branches deleted, in a seeded order, until its
+    substation graph disconnects: ``validate`` exits 2 and prints no long
+    line."""
+    grid = json.loads((fixtures_dir / "ieee118.json").read_text(encoding="utf-8"))
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(cut_until_disconnected(grid, seed)), encoding="utf-8")
+    assert main(["validate", "--grid", str(path)]) == 2
+    error = capsys.readouterr().err
+    assert "substation graph is disconnected" in error
+    assert_short_lines(error)
 
 
 @pytest.fixture(scope="module")

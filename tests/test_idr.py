@@ -22,9 +22,12 @@ from oracle import (
     format_idr_file,
     free_entities,
     read,
+    reference_expr_source,
+    reference_format_expr,
+    reference_literals,
     translate_to_iim,
 )
-from jointgrid import entities as ent, ternary
+from jointgrid import entities as ent, idr, ternary
 from jointgrid.cli import rule_file_text
 from jointgrid.entities import EntityId, parse_entity_id
 from jointgrid.idr import (
@@ -414,6 +417,49 @@ def test_random_miim_exprs_round_trip_and_compile(expr, seed):
     for entity, value in state.items():
         array[slots[entity]] = value
     assert _on_levels(compile_expr(expr, slots, LEVELS), array) == evaluate(expr, state)
+
+
+def assert_walks_match_references(rule, slots, names):
+    """``rule``'s literals, its body's text (with ``names`` and without) and
+    its body's source and defaults in every reading, against the
+    references in ``oracle``."""
+    assert rule.literals == reference_literals(rule.body)
+    assert format_expr(rule.body) == reference_format_expr(rule.body)
+    assert format_expr(rule.body, names) == reference_format_expr(rule.body, names)
+    for reading in (LEVELS, DELIVERY, BINARY):
+        fill, reference_fill = [], []
+        source = idr._expr_source(rule.body, slots, reading, fill)
+        assert source == reference_expr_source(rule.body, slots, reading, reference_fill)
+        assert fill == reference_fill
+        fn = compile_expr(rule.body, slots, reading)
+        assert fn.__defaults__ == tuple(reference_fill)
+        assert fn.__code__ == idr._shape(source, len(fill))
+
+
+def test_tree_walks_match_their_references_on_every_fixture_rule(ieee14, ieee118):
+    """Oracle for the direct recursions over rule trees: on every cascade and
+    availability rule of both fixtures, in every reading, the literals, the
+    text and the compiled source and defaults equal the references'."""
+    for network in (ieee14, ieee118):
+        names = dict(zip(network.entity_order, network.names))
+        rules = {
+            id(rule): rule
+            for rule_set in network.rule_sets.values()
+            for rule in (*rule_set.rules, *rule_set.availability)
+        }
+        for rule in rules.values():
+            assert_walks_match_references(rule, network.slots, names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expr_strategy())
+def test_tree_walks_match_their_references_on_random_trees(expr):
+    """The same oracle on random trees, whose literals repeat, with some
+    entities named and the others written by ``str``."""
+    entities = [lit(text) for text in _ENTITIES]
+    slots = {entity: i for i, entity in enumerate(entities)}
+    names = {entity: f"e{i}" for i, entity in enumerate(entities[::2])}
+    assert_walks_match_references(IdrRule(parse_entity_id("R(1)"), expr), slots, names)
 
 
 @settings(max_examples=60, deadline=None)

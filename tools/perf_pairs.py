@@ -17,13 +17,26 @@ the change's median is worse than the parent's by more than the metric's
 whose outputs failed their checks are counted at the end.  The exit code
 is 1 if any metric is worse than its bound or any run failed its checks,
 and 0 otherwise.
+
+Every run gets `PYTHONPYCACHEPREFIX` set to a fresh empty directory,
+removed after the run, so no run reads bytecode that an earlier process
+wrote: both sides compile every module they import, numpy's and the
+standard library's included, and `setup_s` (which times a subprocess
+importing numpy and jointgrid) reads about 0.6-0.8 s instead of 0.16-0.24 s.
+Otherwise a checkout in which tests have left valid `.pyc` files imports
+faster than a fresh one.  With `PYTHONDONTWRITEBYTECODE=1` set, importing
+numpy and `jointgrid.cli` took 0.175 s (median of 10) in a copy holding
+the package's `.pyc` files against 0.240 s in a fresh copy of the same
+commit, on a 2-vCPU VM: a skew of 27%, beyond `setup_s`'s 25% bound.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -36,7 +49,9 @@ def benchmark_files(checkout: Path) -> dict:
 def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one benchmark run in ``checkout``."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
