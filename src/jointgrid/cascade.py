@@ -21,7 +21,12 @@ They are rules like the cascade's, each on a substation's data path
 than iterated.  At full operation every data-path rule (literals and
 monotone operators only) is at top, so a mask starts from the
 full-operation flags, evaluates only the rules that read a slot the
-cascade lowered, and records the buses they clear as its lost sets.
+cascade lowered (a trace's ``lowered``, built as the cascade steps), and
+records the buses they clear as its lost sets.  A mask makes its flag maps
+only when first read, sharing the full-operation map of a kind nothing
+cleared, and every mask of one availability program shares one bus set, so
+``footprint_diff`` checks that two masks cover the same buses by identity
+before it compares the sets.
 
 Both kinds of rule run through one program class and one evaluator: each
 rule is compiled on first need, over the network's slot map, to a function
@@ -105,25 +110,21 @@ class CascadeTrace(Mapping[EntityId, int]):
     The trace is itself its fixpoint as a read-only mapping of entity ->
     level: keys iterate in the canonical entity order, an unregistered
     entity raises ``KeyError``, and ``lowered`` holds the slots below the
-    top level.  A trace may be returned to every caller that cascades its
-    kill set under its model and rules (see ``run_cascade``), so it is
-    shared: read it, never change it.
+    top level: values only fall, so those some step changed.  A trace may
+    be returned to every caller that cascades its kill set under its model
+    and rules (see ``run_cascade``), so it is shared: read it, never change
+    it.
     """
 
     slots: Dict[EntityId, int]
     top: int  # the cascade's model's top level
     fixpoint: bytes  # levels coded by ternary.CODE
     changed: List[Dict[int, int]]
+    lowered: FrozenSet[int]
 
     @property
     def converged_at(self) -> int:
         return len(self.changed)
-
-    @cached_property
-    def lowered(self) -> Set[int]:
-        # Values only fall, so the slots below top are exactly those some
-        # step changed.
-        return {slot for step in self.changed for slot in step}
 
     def final_state(self) -> "CascadeTrace":
         """The fixpoint as a mapping: the trace itself."""
@@ -192,7 +193,7 @@ class _Program:
 class _AvailabilityProgram(_Program):
     """A program of data-path rules over one network, each rule's target the
     mask it clears (0 SCADA, 1 PMU) and its substation's buses that mask flags
-    at full operation, plus those ``flags`` (SCADA, PMU) and ``full``, their mask."""
+    at full operation, plus ``full``, the full-operation mask."""
 
     label = "availability rules"
     readings = {MIIM: DELIVERY, IIM: BINARY}
@@ -205,10 +206,10 @@ class _AvailabilityProgram(_Program):
         # At full operation every rule is at top, so every path delivers.
         subs, held = network.substations, {rule.target for rule in rules}
         scada = {bus: True for sub in subs for bus in sub.buses}
-        self.flags = (scada, {bus: sub.has_pmu and gw_pmu(sub.id) in held for sub in subs for bus in sub.buses})
-        self.targets = [(mask, tuple(filter(self.flags[mask].get, buses))) for mask, buses in self.targets]
+        flags = (scada, {bus: sub.has_pmu and gw_pmu(sub.id) in held for sub in subs for bus in sub.buses})
+        self.targets = [(mask, tuple(filter(flags[mask].get, buses))) for mask, buses in self.targets]
         equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
-        self.full = AvailabilityMask(*map(MappingProxyType, self.flags), equipped)
+        self.full = AvailabilityMask(*map(MappingProxyType, flags), equipped)
 
 
 # Compiled programs per network (whose slot map is fixed), each under its
@@ -222,7 +223,9 @@ _PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, dict]" = weakref.WeakKeyDict
 def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_Program, _AvailabilityProgram]:
     """``rule_set``'s cascade and availability programs over ``network``,
     built on first need, the cascade rules first."""
-    programs = _PROGRAMS.setdefault(network, {})
+    programs = _PROGRAMS.get(network)  # setdefault would make a weakref per call
+    if programs is None:
+        programs = _PROGRAMS[network] = {}
     rules, paths = rule_set.rules, rule_set.availability
     cascade = programs.get((_Program, id(rules)))
     if cascade is None:
@@ -250,8 +253,8 @@ def run_cascade(
         return trace
     top, slots = _TOP[rule_set.model], network.slots
 
-    unknown = [e for e in sorted(scenario.killed) if e not in slots]
-    if unknown:
+    if not slots.keys() >= scenario.killed:
+        unknown = [e for e in sorted(scenario.killed) if e not in slots]
         raise ScenarioError(f"killed entities not in registry: {[str(e) for e in unknown]}")
 
     state = bytearray((CODE[top],)) * len(slots)
@@ -262,6 +265,7 @@ def run_cascade(
     changed_per_step: List[Dict[int, int]] = [dict.fromkeys(sorted(killed_slots), 0)]
 
     frontier: Set[int] = set(killed_slots)
+    lowered = set(killed_slots)
     targets, readers, fns = program.targets, program.readers, program.fns[rule_set.model]
 
     while frontier:
@@ -288,8 +292,9 @@ def run_cascade(
             state[slot] = value
         changed_per_step.append(dict(sorted(updates.items())))
         frontier = set(updates)
+        lowered |= frontier
 
-    trace = CascadeTrace(slots=slots, top=top, fixpoint=bytes(state), changed=changed_per_step)
+    trace = CascadeTrace(slots, top, bytes(state), changed_per_step, frozenset(lowered))
     program.latest[rule_set.model] = (frozenset(scenario.killed), trace)
     return trace
 
@@ -320,30 +325,43 @@ class AvailabilityMask:
     substation has no PMU at all; ``pmu_equipped`` separates the two.
 
     The flag maps are read-only: a map is copied, a read-only view kept.
-    The lost sets are those ``lost`` records (SCADA, PMU; ``data_availability``
-    gives views), else a scan of the flags on first need and after assignment.
+    A mask from ``data_availability`` records its lost sets (SCADA, PMU),
+    the buses its rules cleared and its program's full-operation mask, and
+    makes each flag map when first read: the full-operation map, shared,
+    if it cleared no bus of that kind.  Any other mask scans its lost sets
+    from the flags on first need, and again after an assignment.
     """
 
     scada: Mapping[int, bool]
     pmu: Mapping[int, bool]
     pmu_equipped: FrozenSet[int] = frozenset()
 
-    def __init__(self, scada, pmu, pmu_equipped=frozenset(), lost=None):
-        if lost is None:
-            self.scada, self.pmu, self.pmu_equipped = scada, pmu, pmu_equipped
-        else:
-            vars(self).update(scada=scada, pmu=pmu, pmu_equipped=pmu_equipped, _lost=lost)
+    def __init__(self, scada, pmu, pmu_equipped=frozenset()):
+        self.scada, self.pmu, self.pmu_equipped = scada, pmu, pmu_equipped
 
     def __setattr__(self, name, value):
         if name in ("scada", "pmu") and type(value) is not MappingProxyType:
             value = MappingProxyType(dict(value))
         vars(self)[name] = value
         vars(self).pop("_lost", None)
+        vars(self).pop("_buses", None)
+
+    def __getattr__(self, name):
+        # Only a mask from data_availability lacks a flag map: one it has not made yet.
+        if name not in ("scada", "pmu") or "_cleared" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        flags, cleared = getattr(vars(self)["_full"], name), vars(self)["_cleared"][name == "pmu"]
+        vars(self)[name] = flags = MappingProxyType(flags | dict.fromkeys(cleared, False)) if cleared else flags
+        return flags
 
     @cached_property
     def _lost(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         scada = frozenset(bus for bus, ok in self.scada.items() if not ok)
         return scada, frozenset(bus for bus in self.pmu_equipped if not self.pmu[bus])
+
+    @cached_property
+    def _buses(self) -> FrozenSet[int]:
+        return frozenset(self.scada)
 
     def scada_lost(self) -> FrozenSet[int]:
         return self._lost[0]
@@ -364,7 +382,8 @@ def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set
 
     Only the rules that read a slot of ``final_state.lowered`` are
     evaluated, and the buses they clear recorded as the mask's lost sets:
-    any other rule is at top, as at full operation.
+    any other rule is at top, as at full operation.  The mask's flag maps
+    are made when first read.
     """
     if not (isinstance(final_state, CascadeTrace) and final_state.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
@@ -378,12 +397,11 @@ def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set
         if not fns[index](state):
             mask, buses = program.targets[index]
             cleared[mask].update(buses)
-    flags, lost = [full.scada, full.pmu], [full.scada_lost(), full.pmu_lost()]
-    for mask, buses in enumerate(cleared):
-        if buses:
-            flags[mask] = MappingProxyType({**program.flags[mask], **dict.fromkeys(buses, False)})
-            lost[mask] = lost[mask].union(buses)
-    return AvailabilityMask(*flags, full.pmu_equipped, tuple(lost))
+    (scada, pmu), (scada_lost, pmu_lost) = cleared, full._lost
+    lost = (scada_lost.union(scada) if scada else scada_lost, pmu_lost.union(pmu) if pmu else pmu_lost)
+    mask = AvailabilityMask.__new__(AvailabilityMask)
+    vars(mask).update(pmu_equipped=full.pmu_equipped, _lost=lost, _cleared=cleared, _full=full, _buses=full._buses)
+    return mask
 
 
 @dataclass
@@ -398,7 +416,8 @@ class FootprintDiff:
 
 def footprint_diff(mask_a: AvailabilityMask, mask_b: AvailabilityMask) -> FootprintDiff:
     """Which buses lose measurements under exactly one of two masks."""
-    if mask_a.scada.keys() != mask_b.scada.keys():
+    buses_a, buses_b = mask_a._buses, mask_b._buses
+    if buses_a is not buses_b and buses_a != buses_b:
         raise ValueError("availability masks cover different bus sets")
     lost_a, lost_b = mask_a.scada_lost(), mask_b.scada_lost()
     pmu_a, pmu_b = mask_a.pmu_lost(), mask_b.pmu_lost()

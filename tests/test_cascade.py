@@ -240,7 +240,11 @@ def test_footprint_diff_reference_sets(ieee14, attack):
     assert same == FootprintDiff()
 
 
-def test_footprint_diff_bus_set_mismatch(ieee14, attack):
+def test_footprint_diff_bus_set_mismatch(ieee14_grid, ieee14, ieee118, attack):
+    """Masks of one availability program share one bus set; any other two
+    masks are compared by their buses, whichever program made them."""
+    from jointgrid.synthesis import build_joint_network
+
     mask_a = AvailabilityMask({1: True}, {1: False})
     mask_b = AvailabilityMask({2: True}, {2: False})
     with pytest.raises(ValueError, match="different bus sets"):
@@ -248,15 +252,26 @@ def test_footprint_diff_bus_set_mismatch(ieee14, attack):
     rule_set = ieee14.rule_set(MIIM, 1)
     mask = data_availability(run_cascade(ieee14, rule_set, attack), ieee14, rule_set)
     fewer = AvailabilityMask({bus: ok for bus, ok in mask.scada.items() if bus != 14}, mask.pmu, mask.pmu_equipped)
-    for pair in ((mask, fewer), (fewer, mask)):
+    unread = data_availability(run_cascade(ieee14, rule_set, attack), ieee14, rule_set)
+    for pair in ((mask, fewer), (fewer, mask), (unread, fewer), (fewer, unread)):
+        with pytest.raises(ValueError, match="different bus sets"):
+            footprint_diff(*pair)
+    other = build_joint_network(ieee14_grid)
+    other_rule_set = other.rule_set(MIIM, 1)
+    twin = data_availability(run_cascade(other, other_rule_set, attack), other, other_rule_set)
+    assert footprint_diff(unread, twin) == footprint_diff(twin, unread) == FootprintDiff()
+    rule_set = ieee118.rule_set(MIIM, 1)
+    large = data_availability(run_cascade(ieee118, rule_set, FailureScenario.of([])), ieee118, rule_set)
+    for pair in ((unread, large), (large, unread)):
         with pytest.raises(ValueError, match="different bus sets"):
             footprint_diff(*pair)
 
 
 def test_masks_and_traces_are_read_only(ieee14, attack):
-    """A mask's flag maps and a trace's fixpoint cannot be written, so a
-    mask's recorded lost sets cannot go stale.  A mask given a new flag map
-    keeps a read-only copy and scans its lost sets from it."""
+    """A mask's flag maps and a trace's fixpoint and lowered slots cannot be
+    written, so neither a mask's recorded lost sets nor the next mask of a
+    shared trace can go stale.  A mask given a new flag map keeps a
+    read-only copy and scans its lost sets from it."""
     rule_set = ieee14.rule_set(MIIM, 1)
     trace = run_cascade(ieee14, rule_set, attack)
     mask = data_availability(trace, ieee14, rule_set)
@@ -265,6 +280,9 @@ def test_masks_and_traces_are_read_only(ieee14, attack):
     for target in (mask.scada, mask.pmu, built.scada, trace.fixpoint):
         with pytest.raises(TypeError):
             target[12] = True
+    for edit in (lambda: trace.lowered.add(0), lambda: trace.lowered.clear()):
+        with pytest.raises(AttributeError):
+            edit()
     flags[12] = True
     assert built.scada_lost() == built.pmu_lost() == set(flags)
     assert mask.scada_lost() == {12}
@@ -453,17 +471,43 @@ def test_incremental_availability_matches_dense_masks(ieee14):
     """``data_availability`` evaluates only the expressions that read a
     lowered slot; under every 14-bus single-entity failure and all four rule
     sets its mask equals the dense one, bus order included, and the lost
-    sets it recorded are those a scan of its flags finds."""
+    sets it recorded are those a scan of its flags finds.
+
+    A mask makes its flag maps when first read.  Before that its lost sets
+    are the dense ones, and ``footprint_diff`` of a kill set's two models'
+    masks reads no map and equals that of map-built copies.  A copy by
+    ``dataclasses.replace`` equals the dense mask.  Once read, a map is the
+    full-operation map with the buses the mask lost beyond it set false, in
+    the same key order, and is that map itself when there are none."""
+    import dataclasses
+
     lossy = 0
-    for model in MODELS:
-        for case in CASES:
+    for case in CASES:
+        full, masks, denses = {}, {}, {}
+        for model in MODELS:
             rule_set = ieee14.rule_set(model, case)
+            full[model] = data_availability(run_cascade(ieee14, rule_set, FailureScenario.of([])), ieee14, rule_set)
             finals = [
                 run_cascade(ieee14, rule_set, FailureScenario.of([entity])).final_state()
                 for entity in ieee14.entity_ids()
             ]
-            for final, dense in zip(finals, _dense_masks(ieee14, rule_set, finals)):
-                mask = data_availability(final, ieee14, rule_set)
+            masks[model] = [data_availability(final, ieee14, rule_set) for final in finals]
+            denses[model] = _dense_masks(ieee14, rule_set, finals)
+        for pair, dense_pair in zip(zip(masks[MIIM], masks[IIM]), zip(denses[MIIM], denses[IIM])):
+            for mask, dense in zip(pair, dense_pair):
+                assert (mask.scada_lost(), mask.pmu_lost()) == (dense.scada_lost(), dense.pmu_lost())
+            diff = footprint_diff(*pair)
+            assert not any({"scada", "pmu"} & vars(mask).keys() for mask in pair)
+            copies = [AvailabilityMask(dict(m.scada), dict(m.pmu), m.pmu_equipped) for m in pair]
+            assert footprint_diff(*copies) == diff
+        for model in MODELS:
+            for mask, dense in zip(masks[model], denses[model]):
+                assert dataclasses.replace(mask) == dense
+                for kind, lost in (("scada", mask.scada_lost()), ("pmu", mask.pmu_lost())):
+                    flags = getattr(full[model], kind)
+                    cleared = lost - {bus for bus, ok in flags.items() if not ok}
+                    assert list(getattr(mask, kind).items()) == list({**flags, **dict.fromkeys(cleared, False)}.items())
+                    assert cleared or getattr(mask, kind) is flags
                 assert mask == dense
                 assert list(mask.scada) == list(dense.scada) == list(mask.pmu)
                 assert mask.scada_lost() == {bus for bus, ok in mask.scada.items() if not ok}
