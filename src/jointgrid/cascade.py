@@ -127,7 +127,8 @@ class CascadeTrace(Mapping[EntityId, int]):
         return len(self.changed)
 
     def final_state(self) -> "CascadeTrace":
-        """The fixpoint as a mapping: the trace itself."""
+        """The fixpoint as a mapping: the trace itself.  Only the benchmark
+        workloads (``perfbench/workloads.py``) still call it."""
         return self
 
     def __getitem__(self, entity: EntityId) -> int:
@@ -371,29 +372,28 @@ class AvailabilityMask:
         return self._lost[1]
 
 
-def data_availability(final_state: CascadeTrace, network: JointNetwork, rule_set: RuleSet) -> AvailabilityMask:
-    """Evaluate the availability rules at a fixpoint.
+def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: RuleSet) -> AvailabilityMask:
+    """Evaluate the availability rules at a cascade's fixpoint.
 
     A substation's buses deliver SCADA (or PMU) data when the matching
     data-path rule evaluates to at least reduced operation.  Buses in
-    substations without PMUs never deliver PMU data.  ``final_state`` must
-    be the trace (``final_state()`` returns it) of a cascade on ``network``
-    under a rule set of ``rule_set``'s model.
+    substations without PMUs never deliver PMU data.  ``trace`` must come
+    from a cascade on ``network`` under a rule set of ``rule_set``'s model.
 
-    Only the rules that read a slot of ``final_state.lowered`` are
+    Only the rules that read a slot of ``trace.lowered`` are
     evaluated, and the buses they clear recorded as the mask's lost sets:
     any other rule is at top, as at full operation.  The mask's flag maps
     are made when first read.
     """
-    if not (isinstance(final_state, CascadeTrace) and final_state.slots is network.slots):
+    if not (isinstance(trace, CascadeTrace) and trace.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
-    if final_state.top != _TOP[rule_set.model]:
+    if trace.top != _TOP[rule_set.model]:
         raise ValueError(
-            f"final state has top level {final_state.top}, not that of the {rule_set.model} rule set"
+            f"final state has top level {trace.top}, not that of the {rule_set.model} rule set"
         )
     program = _programs(network, rule_set)[1]
-    fns, state, full, cleared = program.fns[rule_set.model], final_state.fixpoint, program.full, (set(), set())
-    for index in {i for slot in final_state.lowered for i in program.readers.get(slot, ())}:
+    fns, state, full, cleared = program.fns[rule_set.model], trace.fixpoint, program.full, (set(), set())
+    for index in {i for slot in trace.lowered for i in program.readers.get(slot, ())}:
         if not fns[index](state):
             mask, buses = program.targets[index]
             cleared[mask].update(buses)

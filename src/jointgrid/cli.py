@@ -224,7 +224,7 @@ def _write_cascade(
     """Cascade one rule set, then write its trace (TSV and JSON) and mask."""
     rule_set = network.rule_set(model, case)
     trace = run_cascade(network, rule_set, failure)
-    mask = data_availability(trace.final_state(), network, rule_set)
+    mask = data_availability(trace, network, rule_set)
     stem = f"{model}_case{case}"
     (out / f"trace_{stem}.tsv").write_text(_trace_tsv(trace, network.names), encoding="utf-8")
     _write_json(out / f"trace_{stem}.json", _trace_payload(trace, network.names, model, case, failure.label))

@@ -145,10 +145,6 @@ def battery(substation: int) -> EntityId:
     return EntityId(KIND_BATTERY, (substation,))
 
 
-def comm(ctype: int, subtype: int, y: int, z: int) -> EntityId:
-    return EntityId(KIND_COMM, (ctype, subtype, y, z))
-
-
 def server(substation: int) -> EntityId:
     return EntityId(KIND_COMM, (1, 1, substation, substation))
 

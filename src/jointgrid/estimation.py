@@ -30,13 +30,15 @@ template, scaled once by ``analyse_system``, which anchors every bus that no
 kept entry fixes; all seeds of the mask are solved by one least-squares
 call with one right-hand-side column per seed, and each seed's chi-square
 is read from that call.  The per-seed reference it is tested against, one
-SVD solve per J, W, Z, lives with the tests in ``tests/wls_reference.py``.
+SVD solve per J, W, Z, lives with the tests in ``tests/wls_reference.py``, as
+do the per-entry admittance, branch-current and per-seed noise references.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,11 +69,6 @@ class StateVector:
             raise EstimationError("state dimension must be twice the bus count")
         if not np.all(np.isfinite(self.values)):
             raise EstimationError("state must be finite")
-        self._index = {bus: i for i, bus in enumerate(self.bus_ids)}
-
-    def voltage(self, bus: int) -> complex:
-        i = self._index[bus]
-        return complex(self.values[2 * i], self.values[2 * i + 1])
 
     def as_complex(self) -> np.ndarray:
         return self.values[0::2] + 1j * self.values[1::2]
@@ -82,47 +79,6 @@ class StateVector:
         values[0::2] = np.real(voltages)
         values[1::2] = np.imag(voltages)
         return StateVector(list(bus_ids), values)
-
-
-@dataclass(frozen=True)
-class BranchAdmittance:
-    """Series admittance g+jb plus the measuring-end shunt g0+jb0 (per-unit)."""
-
-    g: float
-    b: float
-    g0: float = 0.0
-    b0: float = 0.0
-
-
-def admittance_from_branch(r: float, x: float, b_sh: float = 0.0) -> BranchAdmittance:
-    """Series admittance 1/(r+jx) and the from-end half of the line charging."""
-    denom = r * r + x * x
-    if denom == 0.0:
-        raise EstimationError("singular branch: r = x = 0")
-    return BranchAdmittance(g=r / denom, b=-x / denom, g0=0.0, b0=b_sh / 2.0)
-
-
-def branch_current_rows(adm: BranchAdmittance) -> np.ndarray:
-    """2x4 coefficients mapping [Va_r, Va_i, Vb_r, Vb_i] to [I_r, I_i].
-
-    The current leaving the measuring end a is
-    I = (g + jb)(Va - Vb) + (g0 + jb0) Va.
-    """
-    g, b, g0, b0 = adm.g, adm.b, adm.g0, adm.b0
-    return np.array(
-        [
-            [g + g0, -(b + b0), -g, b],
-            [b + b0, g + g0, -b, -g],
-        ]
-    )
-
-
-def branch_current(adm: BranchAdmittance, va: complex, vb: complex) -> complex:
-    """Current at the measuring end, via the coefficient rows."""
-    rows = branch_current_rows(adm)
-    vec = np.array([va.real, va.imag, vb.real, vb.imag])
-    i_r, i_i = rows @ vec
-    return complex(i_r, i_i)
 
 
 @dataclass(frozen=True)
@@ -146,14 +102,6 @@ class MeasurementTemplate:
     pmu: np.ndarray
     bus: np.ndarray
     fixes: np.ndarray
-
-    def noise(self, seed: int) -> np.ndarray:
-        """Interleaved [r, i] noise of every entry for one seed.
-
-        One draw over all entries yields the same stream as one size-2 draw
-        per entry in order.
-        """
-        return np.random.default_rng(seed).normal(0.0, np.repeat(self.sigmas, 2))
 
     def kept(self, mask: AvailabilityMask) -> np.ndarray:
         """One boolean per row: whether its entry's gating flag is set under
@@ -187,8 +135,13 @@ def measurement_template(
     same order, so its system is a row selection (``kept``) of this one.
 
     The entries are listed in Python, then ``J``, the values and the
-    sigmas are written as whole arrays."""
-    buses = sorted(true_state.bus_ids)
+    sigmas are written as whole arrays.  The true state must list the grid's
+    buses in the grid's order, as the estimates do."""
+    buses = grid.bus_ids
+    if list(true_state.bus_ids) != buses:
+        pairs = enumerate(zip_longest(true_state.bus_ids, buses, fillvalue="none"))
+        k, (got, want) = next((k, pair) for k, pair in pairs if pair[0] != pair[1])
+        raise EstimationError(f"true state buses differ from the grid's at position {k}: {got}, not {want}")
     incident = _incident_branches(grid)
     entries = [(False, bus, bus, -1) for bus in buses if mask.scada.get(bus, False)]
     for bus in buses:
@@ -201,22 +154,23 @@ def measurement_template(
     pmu, bus, fixes, branch = np.array(entries, dtype=int).reshape(-1, 4).T
     pmu, current = pmu.astype(bool), branch >= 0
 
+    # The state follows the grid's bus order: a bus's state row is its column / 2.
+    col = {b: 2 * i for i, b in enumerate(buses)}
+    own, far = (np.array([col[b] for b in ids.tolist()], dtype=int) for ids in (bus, fixes))
     # Per entry [V_r, V_i] of its bus, then of the bus it fixes.
-    state, at = true_state.values.reshape(-1, 2), true_state._index
-    ends = np.concatenate([state[[at[b] for b in ids.tolist()]] for ids in (bus, fixes)], axis=1)
+    state = true_state.values.reshape(-1, 2)
+    ends = np.concatenate([state[own // 2], state[far // 2]], axis=1)
     r, x, b_sh = np.array([(br.r, br.x, br.b_sh) for br in grid.branches]).reshape(-1, 3)[branch[current]].T
     den = r * r + x * x
     if not den.all():
         raise EstimationError("singular branch: r = x = 0")
-    # admittance_from_branch (g0 = 0, b0 = b_sh / 2), then branch_current_rows.
+    # tests/wls_reference.py's admittance_from_branch (g0 = 0, b0 = b_sh / 2), then branch_current_rows.
     g, b = r / den, -x / den
     gg, bb = g + 0.0, b + b_sh / 2.0
     rows = np.stack([np.stack([gg, -bb, -g, b], -1), np.stack([bb, gg, -b, -g], -1)], 1)
     values = ends[:, 0:2].copy()  # a voltage entry's value is its bus voltage
     values[current] = np.matmul(rows, ends[current, :, None])[:, :, 0]  # branch_current, batched
 
-    col = {b: 2 * i for i, b in enumerate(grid.bus_ids)}
-    own, far = (np.array([col[b] for b in ids.tolist()], dtype=int) for ids in (bus, fixes))
     J = np.zeros((2 * len(entries), 2 * len(col)))
     voltage = 2 * np.flatnonzero(~current)
     J[voltage, own[~current]] = J[voltage + 1, own[~current] + 1] = 1.0

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from oracle import arrays, free_entities, named_steps, rule_of
-from wls_reference import wls_solve
+from wls_reference import admittance_from_branch, branch_current_rows, wls_solve
 from jointgrid import entities as ent
 from jointgrid.cascade import (
     FailureScenario,
@@ -24,8 +24,6 @@ from jointgrid.cascade import (
 from jointgrid.cli import main
 from jointgrid.entities import parse_entity_id
 from jointgrid.estimation import (
-    admittance_from_branch,
-    branch_current_rows,
     compare_models,
     default_true_state,
     measurement_template,

@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from test_synthesis import random_connected_grid
-from wls_reference import UnobservableError, _null_space_buses, _svd, solve_with_anchors, wls_solve
+from wls_reference import (
+    UnobservableError,
+    _null_space_buses,
+    _svd,
+    admittance_from_branch,
+    branch_current,
+    branch_current_rows,
+    noise,
+    solve_with_anchors,
+    voltage,
+    wls_solve,
+)
 from jointgrid import estimation
 from jointgrid.cascade import AvailabilityMask, FailureScenario, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
@@ -13,11 +24,9 @@ from jointgrid.estimation import (
     PMU_SIGMA,
     SCADA_SIGMA,
     SIGMA_FLOOR,
+    EstimationError,
     StateVector,
-    admittance_from_branch,
     analyse_system,
-    branch_current,
-    branch_current_rows,
     compare_models,
     default_true_state,
     measurement_template,
@@ -118,16 +127,16 @@ def test_all_false_mask_empty_set(ieee14_grid):
     template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
     assert template.sigmas.size == 0
     assert template.J.shape == (0, 2 * len(ieee14_grid.bus_ids))
-    assert template.noise(1).size == 0
+    assert noise(template, 1).size == 0
 
 
 def test_fixed_seed_reproducible(ieee14_grid):
     mask = full_mask(ieee14_grid, pmu_buses={2, 13, 10})
     template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
-    first = template.values + template.noise(7)
-    second = template.values + template.noise(7)
+    first = template.values + noise(template, 7)
+    second = template.values + noise(template, 7)
     assert np.array_equal(first, second)
-    third = template.values + template.noise(8)
+    third = template.values + noise(template, 8)
     assert not np.array_equal(third, first)
 
 
@@ -138,7 +147,7 @@ def test_noise_sigma_statistics():
     template = measurement_template(true_state, grid, mask)
     deviations = np.empty(100_000)
     for seed in range(50_000):
-        z = template.values + template.noise(seed)
+        z = template.values + noise(template, seed)
         deviations[2 * seed] = z[0] - 1.0
         deviations[2 * seed + 1] = z[1]
     empirical = deviations.std(ddof=1)
@@ -162,8 +171,8 @@ def test_variances_positive_even_at_zero_sigma():
     mask = full_mask(grid, pmu_buses={1, 2})
     template = measurement_template(true_state, grid, mask, scada_sigma=0.0, pmu_sigma=0.0)
     assert np.all(template.variances > 0)
-    v = true_state.voltage(1)
-    z = template.values + template.noise(0)
+    v = voltage(true_state, 1)
+    z = template.values + noise(template, 0)
     assert z[0] == v.real and z[1] == v.imag
 
 
@@ -265,8 +274,8 @@ def test_anchoring_flags_unobservable_buses():
         template.J, template.variances, template.values, grid.bus_ids
     )
     assert anchored == [2]
-    assert state.voltage(2) == pytest.approx(1.0 + 0.0j)
-    assert state.voltage(1) == pytest.approx(1.0 + 0.0j, abs=1e-6)
+    assert voltage(state, 2) == pytest.approx(1.0 + 0.0j)
+    assert voltage(state, 1) == pytest.approx(1.0 + 0.0j, abs=1e-6)
 
 
 # --- comparisons ------------------------------------------------------------------
@@ -279,6 +288,37 @@ def test_default_true_state_deterministic(ieee14_grid):
     mags = np.abs(a.as_complex())
     assert np.all(mags > 0.96) and np.all(mags < 1.04)
     assert np.min(np.abs(a.as_complex() - 1.0)) > 0.05
+
+
+def reversed_buses(bus_ids, voltages):
+    return bus_ids[::-1], voltages[::-1]
+
+
+def missing_last_bus(bus_ids, voltages):
+    return bus_ids[:-1], voltages[:-1]
+
+
+def extra_bus(bus_ids, voltages):
+    return bus_ids + [max(bus_ids) + 1], np.append(voltages, 1.0)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (reversed_buses, "at position 0: 14, not 1"),
+        (missing_last_bus, "at position 13: none, not 14"),
+        (extra_bus, "at position 14: 15, not none"),
+    ],
+    ids=["reversed", "missing", "extra"],
+)
+def test_true_state_must_name_the_grids_buses_in_order(ieee14_grid, edit, message):
+    """Estimates follow the grid's bus order, so a true state in any other
+    order (or over other buses) would be compared bus by bus with the wrong
+    estimates; it is refused, naming the first bus that differs."""
+    state = default_true_state(ieee14_grid)
+    true_state = StateVector.from_complex(*edit(ieee14_grid.bus_ids, state.as_complex()))
+    with pytest.raises(EstimationError, match=message):
+        compare_models(ieee14_grid, {"full": full_mask(ieee14_grid)}, true_state, seeds=range(20))
 
 
 def test_identical_masks_identical_errors(ieee14_grid):
@@ -311,7 +351,7 @@ def test_estimator_unbiased_at_fixed_seeds(ieee14_grid):
     template = measurement_template(true_state, ieee14_grid, mask)
     signed = np.zeros((n_seeds, 2 * len(ieee14_grid.bus_ids)))
     for row, seed in enumerate(range(n_seeds)):
-        Z = template.values + template.noise(seed)
+        Z = template.values + noise(template, seed)
         state, _ = wls_solve(template.J, template.variances, Z, ieee14_grid.bus_ids)
         signed[row] = state.values - true_state.values
     mean = signed.mean(axis=0)
@@ -367,7 +407,7 @@ def per_seed_comparison(grid, masks, true_state, seeds):
     chi2 = {model: [] for model in masks}
     anchored = {model: set() for model in masks}
     for seed in seeds:
-        shared = template.values + template.noise(seed)
+        shared = template.values + noise(template, seed)
         for model, mask in masks.items():
             kept = template.kept(mask)
             state, residual, flagged = solve_with_anchors(
@@ -468,19 +508,19 @@ def reference_draws(true_state, grid, mask, seed, scada_sigma=SCADA_SIGMA, pmu_s
 
     for bus in sorted(true_state.bus_ids):
         if mask.scada.get(bus, False):
-            v = true_state.voltage(bus)
+            v = voltage(true_state, bus)
             noisy(False, bus, bus, [(bus, np.eye(2))], v, scada_sigma * abs(v))
     for bus in sorted(true_state.bus_ids):
         if not mask.pmu.get(bus, False):
             continue
-        v = true_state.voltage(bus)
+        v = voltage(true_state, bus)
         noisy(True, bus, bus, [(bus, np.eye(2))], v, pmu_sigma * abs(v))
         for branch in grid.branches:
             if bus not in (branch.from_bus, branch.to_bus):
                 continue
             other = branch.to_bus if bus == branch.from_bus else branch.from_bus
             adm = admittance_from_branch(branch.r, branch.x, branch.b_sh)
-            current = branch_current(adm, v, true_state.voltage(other))
+            current = branch_current(adm, v, voltage(true_state, other))
             rows = branch_current_rows(adm)
             blocks = [(bus, rows[:, 0:2]), (other, rows[:, 2:4])]
             noisy(True, bus, other, blocks, current, pmu_sigma * abs(current))
@@ -502,7 +542,7 @@ def test_template_matches_per_entry_draws(ieee14_grid, ieee118_grid, scenario_ma
             reference = reference_draws(true_state, grid, mask, seed, **sigmas)
             rows, z, variances, gates, fixes = zip(*reference)
             assert np.array_equal(template.J, np.concatenate(rows))
-            assert np.array_equal(template.values + template.noise(seed), np.concatenate(z))
+            assert np.array_equal(template.values + noise(template, seed), np.concatenate(z))
             assert np.array_equal(template.variances, np.repeat(variances, 2))
             assert list(zip(template.pmu.tolist(), template.bus.tolist())) == list(gates)
             assert template.fixes.tolist() == list(fixes)
@@ -547,8 +587,8 @@ def check_template_against_draws(grid, true_state, mask, narrower):
     for k, seed in enumerate(seeds):
         rows, z, variances, gates, fixes = zip(*reference_draws(true_state, grid, mask, seed))
         assert np.array_equal(template.J, np.concatenate(rows))
-        assert np.array_equal(template.values + template.noise(seed), np.concatenate(z))
-        assert np.array_equal(observed[:, k], template.values + template.noise(seed))
+        assert np.array_equal(template.values + noise(template, seed), np.concatenate(z))
+        assert np.array_equal(observed[:, k], template.values + noise(template, seed))
         assert np.array_equal(template.variances, np.repeat(variances, 2))
         assert list(zip(template.pmu.tolist(), template.bus.tolist())) == list(gates)
         assert template.fixes.tolist() == list(fixes)

@@ -1,4 +1,11 @@
-"""The per-seed WLS solve: the tests' reference for ``compare_models``.
+"""The per-entry and per-seed references for ``jointgrid.estimation``.
+
+``measurement_template`` writes every measurement of a mask as whole
+arrays.  The per-entry references it is checked against live here: a
+branch's admittance (``admittance_from_branch``), its current coefficient
+rows (``branch_current_rows``) and current (``branch_current``), one
+seed's noise (``noise``, one draw over all entries) and one bus's voltage
+(``voltage``).
 
 ``compare_models`` solves every seed of a mask with one batched
 least-squares call and takes observability from the measurement graph.
@@ -9,11 +16,68 @@ null-space buses.  The batched-vs-per-seed oracles and the SVD-vs-graph
 observability oracle compare the two paths.
 """
 
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from jointgrid.estimation import EstimationError, StateVector, _anchor_rows
+from jointgrid.estimation import EstimationError, MeasurementTemplate, StateVector, _anchor_rows
+
+
+def voltage(state: StateVector, bus: int) -> complex:
+    i = state.bus_ids.index(bus)
+    return complex(state.values[2 * i], state.values[2 * i + 1])
+
+
+@dataclass(frozen=True)
+class BranchAdmittance:
+    """Series admittance g+jb plus the measuring-end shunt g0+jb0 (per-unit)."""
+
+    g: float
+    b: float
+    g0: float = 0.0
+    b0: float = 0.0
+
+
+def admittance_from_branch(r: float, x: float, b_sh: float = 0.0) -> BranchAdmittance:
+    """Series admittance 1/(r+jx) and the from-end half of the line charging."""
+    denom = r * r + x * x
+    if denom == 0.0:
+        raise EstimationError("singular branch: r = x = 0")
+    return BranchAdmittance(g=r / denom, b=-x / denom, g0=0.0, b0=b_sh / 2.0)
+
+
+def branch_current_rows(adm: BranchAdmittance) -> np.ndarray:
+    """2x4 coefficients mapping [Va_r, Va_i, Vb_r, Vb_i] to [I_r, I_i].
+
+    The current leaving the measuring end a is
+    I = (g + jb)(Va - Vb) + (g0 + jb0) Va.
+    """
+    g, b, g0, b0 = adm.g, adm.b, adm.g0, adm.b0
+    return np.array(
+        [
+            [g + g0, -(b + b0), -g, b],
+            [b + b0, g + g0, -b, -g],
+        ]
+    )
+
+
+def branch_current(adm: BranchAdmittance, va: complex, vb: complex) -> complex:
+    """Current at the measuring end, via the coefficient rows."""
+    rows = branch_current_rows(adm)
+    vec = np.array([va.real, va.imag, vb.real, vb.imag])
+    i_r, i_i = rows @ vec
+    return complex(i_r, i_i)
+
+
+def noise(template: MeasurementTemplate, seed: int) -> np.ndarray:
+    """Interleaved [r, i] noise of every entry for one seed.
+
+    One draw over all entries yields the same stream as one size-2 draw
+    per entry in order.
+    """
+    return np.random.default_rng(seed).normal(0.0, np.repeat(template.sigmas, 2))
+
 
 RANK_TOL = 1e-8
 
