@@ -5,24 +5,21 @@ for the whole run.  Each time step re-evaluates every dependent entity's
 rule against the previous step's state simultaneously and records what
 fell; the run stops at the first step that changes nothing.  A rule whose
 value rises stops the run (``MonotonicityError``); values otherwise only
-fall, and each reading is closed on the codes {0, 1, 3}, so each slot falls
-at most twice and a trace has at most ``2n + 1`` steps for ``n`` slots.
-The state is a byte per slot of the network's slot map, its level coded
-(``ternary.CODE``) as the compiled rules read it.
-A trace keeps each step's changes as ``{slot: level}`` (0 and 1 are their
-own codes) and the fixpoint as immutable ``bytes``, from which every
-earlier step can be replayed.  The trace is itself its fixpoint as an
-entity -> level mapping, decoded: ``final_state()`` returns it.
+fall, and each reading yields levels {0, 1, 2}, so each slot falls at most
+twice and a trace has at most ``2n + 1`` steps for ``n`` slots.  The state
+holds a level per slot of the network's slot map, a byte each.  A trace
+keeps each step's changes as ``{slot: level}`` and the fixpoint as
+immutable ``bytes``, from which every earlier step can be replayed; it is
+itself its fixpoint as an entity -> level mapping (``final_state()``).
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
 They are rules like the cascade's, each on a substation's data path
 (``GS(s)`` for SCADA, ``GP(s)`` for PMU), evaluated at the fixpoint rather
-than iterated.  At full operation every data-path rule (literals and
-monotone operators only) is at top, so a mask starts from the
-full-operation flags, evaluates only the rules that read a slot the
-cascade lowered (a trace's ``lowered``, built as the cascade steps), and
-records the buses they clear as its lost sets.  A mask makes its flag maps
+than iterated: a mask starts from the full-operation flags, evaluates only
+the rules that read a failed slot (one of a trace's ``lowered``, built as
+the cascade steps, now at 0; see below), and records the buses they clear
+as its lost sets.  A mask makes its flag maps
 only when first read, sharing the full-operation map of a kind nothing
 cleared, and every mask of one availability program shares one bus set, so
 ``footprint_diff`` checks that two masks cover the same buses by identity
@@ -34,15 +31,16 @@ rule is compiled on first need, over the network's slot map, to a function
 object (``idr.compile_expr``).  A program class's ``readings`` names the
 reading (see ``idr``) each model's rules compile in: IIM's is ``BINARY``, so
 no binary rule tree exists at run time, and a mask asks only whether a path
-is at ``>= 1``, so MIIM's data-path rules compile in ``DELIVERY``.  A program
-maps each rule to its target (a cascade rule's slot; a data-path rule's
-mask and buses, from ``network.data_paths``) and each slot to the rules that
-read it.  A network's slot map is fixed when it is made, and each network
-keeps one program per class and immutable rules tuple, so a program cannot
-go stale and dies with its network.  A synthesized network's four rule sets
-hold one rules tuple and a case's two models one availability tuple, so
-only the compiled functions are per model.  The tests check the compiled functions against an interpretive
-evaluator of their own.
+is at ``>= 1``, so MIIM's data-path rules compile in ``DELIVERY``, the
+``>= 1`` half of ``LEVELS``.  A program maps each rule to its target (a
+cascade rule's slot; a data-path rule's mask and buses, from
+``network.data_paths``) and each slot to the rules that read it.  A
+network's slot map is fixed when it is made, and each network keeps one
+program per class and immutable rules tuple, so a program cannot go stale
+and dies with its network.  A synthesized network's four rule sets hold one
+rules tuple and a case's two models one availability tuple, so only the
+compiled functions are per model; the tests check them against an
+interpretive evaluator of their own.
 A cascade program also keeps, per model, the kill set and trace of its
 latest cascade, and a cascade of that kill set under that model returns
 the same trace.  The two channel cases differ only in their data-path
@@ -55,14 +53,15 @@ anyway; only a refused rule set is walked again, by
 Why IIM loses a superset of what MIIM loses, for every kill set (the
 paper's claim), with ``proj(s)`` a state read as binary (level ``>= 1`` as
 1): (1) per rule, IIM's reading at ``proj(s)`` is at most ``proj`` of
-MIIM's reading at ``s``: that bit is ``DELIVERY``, which reads new-XOR as
-OR where IIM's ``BINARY`` reads AND, and AND <= OR; (2) both
+MIIM's reading at ``s``: by the two-bit lemma (``ternary``) that bit is
+``DELIVERY``, which reads new-XOR as OR where ``BINARY`` reads AND; (2) both
 cascades start at top with the same entities at 0, and if IIM's state is at
 most ``proj`` of MIIM's before a step, monotone rules and (1) keep it so
-after it, up to both fixpoints; (3) so by (1) and monotonicity a data-path
-rule below 1 under MIIM is 0 under IIM: every bus MIIM loses, IIM loses.
-The tests check the operator tables, (1) on compiled rules and (2) on every
-trace of the 14-bus N-1 family.
+after it, up to both fixpoints; (3) so by (1) a data-path rule below 1
+under MIIM is 0 under IIM.  And a mask reads only failed slots: data-path
+rules see only ``>= 1`` bits and are at top at full operation, so one that
+reads no slot at 0 is at top.  The tests check the lemma, (1), (2) and the
+mask rule on compiled rules and on the 14-bus N-1 family.
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId, gw_pmu
+from jointgrid.grid import first_five
 from jointgrid.idr import BINARY, DELIVERY, IIM, LEVELS, MIIM, IdrRule, Reading, compile_expr
 from jointgrid.network import JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
-from jointgrid.ternary import CODE, LEVEL
 
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
@@ -118,7 +117,7 @@ class CascadeTrace(Mapping[EntityId, int]):
 
     slots: Dict[EntityId, int]
     top: int  # the cascade's model's top level
-    fixpoint: bytes  # levels coded by ternary.CODE
+    fixpoint: bytes  # one level per slot
     changed: List[Dict[int, int]]
     lowered: FrozenSet[int]
 
@@ -132,7 +131,7 @@ class CascadeTrace(Mapping[EntityId, int]):
         return self
 
     def __getitem__(self, entity: EntityId) -> int:
-        return LEVEL[self.fixpoint[self.slots[entity]]]
+        return self.fixpoint[self.slots[entity]]
 
     def __iter__(self) -> Iterator[EntityId]:
         return iter(self.slots)
@@ -256,9 +255,9 @@ def run_cascade(
 
     if not slots.keys() >= scenario.killed:
         unknown = [e for e in sorted(scenario.killed) if e not in slots]
-        raise ScenarioError(f"killed entities not in registry: {[str(e) for e in unknown]}")
+        raise ScenarioError(f"killed entities not in registry ({len(unknown)}): {first_five(unknown)}")
 
-    state = bytearray((CODE[top],)) * len(slots)
+    state = bytearray((top,)) * len(slots)
     killed_slots = {slots[e] for e in scenario.killed}
     for slot in killed_slots:
         state[slot] = 0
@@ -282,9 +281,7 @@ def run_cascade(
             old = state[target_slot]
             if value > old:
                 entity = network.entity_ids()[target_slot]
-                raise MonotonicityError(
-                    f"{entity} rose from {LEVEL[old]} to {LEVEL[value]}; rules must be monotone"
-                )
+                raise MonotonicityError(f"{entity} rose from {old} to {value}; rules must be monotone")
             if value < old:
                 updates[target_slot] = value
         if not updates:
@@ -380,10 +377,10 @@ def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: Rule
     substations without PMUs never deliver PMU data.  ``trace`` must come
     from a cascade on ``network`` under a rule set of ``rule_set``'s model.
 
-    Only the rules that read a slot of ``trace.lowered`` are
-    evaluated, and the buses they clear recorded as the mask's lost sets:
-    any other rule is at top, as at full operation.  The mask's flag maps
-    are made when first read.
+    Only the rules that read a failed slot, one of ``trace.lowered`` now
+    at 0, are evaluated, and the buses they clear recorded as the mask's
+    lost sets: any other rule is at top, as at full operation.  The mask's
+    flag maps are made when first read.
     """
     if not (isinstance(trace, CascadeTrace) and trace.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
@@ -393,7 +390,7 @@ def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: Rule
         )
     program = _programs(network, rule_set)[1]
     fns, state, full, cleared = program.fns[rule_set.model], trace.fixpoint, program.full, (set(), set())
-    for index in {i for slot in trace.lowered for i in program.readers.get(slot, ())}:
+    for index in {i for slot in trace.lowered if not state[slot] for i in program.readers.get(slot, ())}:
         if not fns[index](state):
             mask, buses = program.targets[index]
             cleared[mask].update(buses)

@@ -35,11 +35,10 @@ from jointgrid.cascade import (
     run_cascade,
 )
 from jointgrid.entities import EntityError, parse_entity_id
-from jointgrid.grid import MAX_PU, Grid, GridError, as_number, cut, int_key, is_int, load_grid, unique_keys
+from jointgrid.grid import MAX_PU, Grid, GridError, as_number, cut, first_five, int_key, is_int, load_grid, unique_keys
 from jointgrid.idr import IIM, IIM_SYMBOLS, MIIM, format_idr
 from jointgrid.network import CASES, JointNetwork, validate as validate_network
 from jointgrid.synthesis import SynthesisError, build_joint_network
-from jointgrid.ternary import LEVEL
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -194,7 +193,7 @@ def _trace_payload(trace: CascadeTrace, names: Tuple[str, ...], model: str, case
         "case": case,
         "converged_at": trace.converged_at,
         "steps": [{names[slot]: value for slot, value in step.items()} for step in trace.changed],
-        "final": dict(zip(names, map(LEVEL.__getitem__, trace.fixpoint))),
+        "final": dict(zip(names, trace.fixpoint)),
     }
 
 
@@ -434,7 +433,7 @@ def load_true_state(path, grid: Grid) -> estimation.StateVector:
         raise ScenarioFileError(f"{path}: buses must be an object of bus id -> [re, im]")
     missing = [b for b in grid.bus_ids if str(b) not in buses]
     if missing:
-        raise ScenarioFileError(f"{path}: true state misses buses {missing}")
+        raise ScenarioFileError(f"{path}: true state misses buses ({len(missing)}): {first_five(missing)}")
     if len(buses) > len(grid.bus_ids):
         known = {str(b) for b in grid.bus_ids}
         unknown = next(key for key in buses if key not in known)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -108,6 +108,11 @@ def cut(text: str) -> str:
     """The first 80 characters of ``text``: an error line of any input file
     names a refused value, key or path without repeating all of it."""
     return text[:80]
+
+
+def first_five(items: Sequence) -> str:
+    """``items``' first five and ``...`` if there are more: an error line's view of a long list."""
+    return ", ".join(map(str, items[:5])) + (", ..." if len(items) > 5 else "")
 
 
 def _expect(condition: bool, pointer: str, message: str):

@@ -12,12 +12,11 @@ body is a single id.  A rule holds no model; its rule set's model names how
 it is read.
 
 ``compile_expr`` is the one evaluator: it turns a body into a Python
-function of a state array, in one of three readings, each a table of how
-its operators are written.  ``LEVELS`` is MIIM's: min-AND ``&``, max-OR
-``|``, new-XOR ``_nx``.  ``DELIVERY`` gives only a MIIM level's ``>= 1``
-bit: min-AND as AND, max-OR and new-XOR (below 1 only when every operand is
-0) as OR.  ``BINARY`` is IIM's, ``DELIVERY`` but for new-XOR as AND, so the
-binary model needs no rules of its own.
+function of a state array of levels, in one of three readings.  By the
+two-bit lemma (``ternary``), ``DELIVERY`` (min-AND, max-OR, new-XOR as AND,
+OR, OR) gives a level's ``>= 1`` bit and ``BINARY`` (AND, OR, AND) its top
+bit; ``LEVELS``, MIIM's, is that pair.  ``BINARY`` is also IIM's reading,
+so the binary model needs no rules of its own.
 
 ``format_expr`` and ``format_idr`` write a body and a rule as canonical
 text, every operator child parenthesized; ``cli`` writes them into the
@@ -34,7 +33,6 @@ from itertools import repeat
 from types import CodeType, FunctionType, MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from jointgrid import ternary
 from jointgrid.entities import EntityId
 
 MIIM = "miim"
@@ -128,35 +126,25 @@ def format_idr(rule: IdrRule, names: Mapping[EntityId, str] = _NO_NAMES) -> str:
 # --- Evaluation --------------------------------------------------------------
 
 
-def _nx(*values: int) -> int:
-    first = values[0]
-    for v in values:
-        if v != first:
-            return ternary.REDUCED
-    return first
+_COMPILE_GLOBALS = {"__builtins__": {}}
 
-
-_COMPILE_GLOBALS = {"_nx": _nx, "__builtins__": {}}
-
-# A reading: each operator's source, as its opener, then the operand joiner.
-Reading = Mapping[str, Tuple[str, str]]
-LEVELS: Reading = {OP_MIN_AND: ("(", " & "), OP_MAX_OR: ("(", " | "), OP_NEW_XOR: ("_nx(", ", ")}
-DELIVERY: Reading = {OP_MIN_AND: ("(", " and "), OP_MAX_OR: ("(", " or "), OP_NEW_XOR: ("(", " or ")}
-BINARY: Reading = {**DELIVERY, OP_NEW_XOR: ("(", " and ")}
+# A Boolean reading: each operator's operand joiner.  LEVELS: a level's top bit, then its >= 1 bit.
+DELIVERY: Mapping[str, str] = {OP_MIN_AND: " and ", OP_MAX_OR: " or ", OP_NEW_XOR: " or "}
+BINARY: Mapping[str, str] = {**DELIVERY, OP_NEW_XOR: " and "}
+LEVELS = (BINARY, DELIVERY)
+Reading = Union[Mapping[str, str], Tuple[Mapping[str, str], Mapping[str, str]]]
 
 
 def compile_expr(expr: IdrExpr, slots: Dict[EntityId, int], reading: Reading) -> Callable[[Sequence[int]], int]:
     """Compile an expression in ``reading`` to a function ``f(a)`` of a
-    state array ``a``; ``slots`` maps each entity to its array index.
-
-    The array holds levels coded by ``ternary.CODE``.  Under ``LEVELS`` so
-    does the result; under ``DELIVERY`` it is truthy exactly when the level
-    is ``>= 1``; under ``BINARY`` it is the binary level, on {0, 1} as
-    ``&`` and ``|``.
+    state array ``a`` of levels; ``slots`` maps each entity to its array index.
+    Under ``LEVELS`` the result is ``2 if <top bit> else 1 if <>= 1 bit> else
+    0``, the top bit over literals ``a[ik] == 2``; under ``DELIVERY`` it is
+    truthy exactly when the level is ``>= 1``; under ``BINARY`` it is the
+    binary level, on {0, 1}.
 
     Expressions of one shape and reading share one code object: the k-th
-    literal reads ``a[ik]``, and each function binds its own slots as the
-    defaults of ``i0, i1, ...``.
+    literal reads ``a[ik]``, each function binding its slots as defaults of ``i0, i1, ...``.
     """
     fill: List[int] = []
     source = _expr_source(expr, slots, reading, fill)
@@ -177,6 +165,8 @@ def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], reading: Reading, fi
     if type(expr) is not Op:
         fill.append(slots[expr])
         return f"a[i{len(fill) - 1}]"
+    if type(reading) is tuple:
+        return "2 if %s else 1 if %s else 0" % _levels_source(expr, slots, *reading, fill)
     parts = []
     for child in expr.children:
         if type(child) is Op:
@@ -184,5 +174,18 @@ def _expr_source(expr: IdrExpr, slots: Dict[EntityId, int], reading: Reading, fi
         else:
             fill.append(slots[child])
             parts.append(f"a[i{len(fill) - 1}]")
-    opener, joiner = reading[expr.op]
-    return opener + joiner.join(parts) + ")"
+    return f"({reading[expr.op].join(parts)})"
+
+
+def _levels_source(op: Op, slots: Dict[EntityId, int], top: Mapping[str, str], low: Mapping[str, str], fill: List[int]):
+    """``op``'s top-bit and ``>= 1``-bit sources, in one walk."""
+    tops, lows = [], []
+    for child in op.children:
+        if type(child) is Op:
+            top_part, low_part = _levels_source(child, slots, top, low, fill)
+        else:
+            fill.append(slots[child])
+            top_part, low_part = f"a[i{len(fill) - 1}] == 2", f"a[i{len(fill) - 1}]"
+        tops.append(top_part)
+        lows.append(low_part)
+    return f"({top[op.op].join(tops)})", f"({low[op.op].join(lows)})"

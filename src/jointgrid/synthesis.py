@@ -39,7 +39,7 @@ import numpy as np
 
 from jointgrid import entities as ent
 from jointgrid.entities import EntityId
-from jointgrid.grid import Grid, SynthesisConfig
+from jointgrid.grid import Grid, SynthesisConfig, first_five
 from jointgrid.idr import (
     IIM,
     MIIM,
@@ -111,10 +111,9 @@ def group_substations(grid: Grid, config: Optional[SynthesisConfig] = None) -> L
 
     generators = set(grid.generator_buses())
     pmu_subs = set(config.pmu_substations)
-    sub_ids = {s.id for s in subs}
-    unknown = pmu_subs - sub_ids
+    unknown = sorted(pmu_subs - {s.id for s in subs})
     if unknown:
-        raise SynthesisError(f"pmu_substations reference unknown substations: {sorted(unknown)}")
+        raise SynthesisError(f"pmu_substations reference unknown substations ({len(unknown)}): {first_five(unknown)}")
     for sub in subs:
         sub.buses.sort()
         if any(b in generators for b in sub.buses):
@@ -172,11 +171,9 @@ def all_pairs_shortest(grid: Grid, substations: Sequence[Substation]) -> Distanc
     for k in range(n):  # in place: each step's sums are taken before it updates d
         np.minimum(d, np.add(d[:, k : k + 1], d[k : k + 1, :], out=via), out=d)
     if np.isinf(d).any():
-        # A cut grid can leave thousands of pairs: name their count and the first five.
-        unreachable = np.argwhere(np.triu(np.isinf(d), 1))  # (i, j) with i < j, row by row
-        shown = ", ".join(str((sub_ids[i], sub_ids[j])) for i, j in unreachable[:5].tolist())
-        more = ", ..." if len(unreachable) > 5 else ""
-        raise SynthesisError(f"substation graph is disconnected; {len(unreachable)} unreachable pairs: {shown}{more}")
+        # A cut grid can leave thousands of pairs (i < j, row by row): name their count and the first five.
+        pairs = [(sub_ids[i], sub_ids[j]) for i, j in np.argwhere(np.triu(np.isinf(d), 1)).tolist()]
+        raise SynthesisError(f"substation graph is disconnected; {len(pairs)} unreachable pairs: {first_five(pairs)}")
     return DistanceMatrix(sub_ids, d)
 
 

@@ -10,10 +10,11 @@ All operators are total, commutative, associative, idempotent, and
 monotone non-decreasing in every argument under the order 0 < 1 < 2;
 cascade convergence rests on the monotonicity.
 
-Compiled rules and cascades hold a level in a thermometer code, ``CODE``:
-level k has its low k bits set.  Codes nest in the order of levels, so on
-codes ``&`` is min-AND and ``|`` is max-OR; equal codes are equal levels
-and 0 and 1 are their own codes, so new-XOR of codes is that of levels.
+A level is two monotone bits, ``[level >= 1]`` and ``[level = 2]``, and
+each operator acts on each as a Boolean operator (the two-bit lemma):
+min-AND is AND on both, max-OR is OR on both, and new-XOR is OR on the
+``>= 1`` bit (0 only when every operand is 0) and AND on the top bit (2
+only when every operand is 2).  Compiled rules (``idr``) read the bits.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ REDUCED = 1
 FULL = 2
 
 TERNARY_LEVELS = (FAILED, REDUCED, FULL)
-CODE = (0, 1, 3)  # CODE[level]: its thermometer code
-LEVEL = {code: level for level, code in enumerate(CODE)}  # LEVEL[code]: its level
 
 
 def check_ternary(value: int) -> int:

@@ -3,8 +3,8 @@
 Each helper applies 1-3 random edits to a valid input and returns the result;
 a test then checks that the loader either accepts it or raises the error
 class it declares, with every line of the refusal short
-(``assert_short_lines``).  ``rename_bus`` and ``cut_until_disconnected``
-are the fixed edits, of a grid.
+(``assert_short_lines``).  ``rename_bus``, ``cut_until_disconnected`` and
+``add_unknown_pmu_substations`` are the fixed edits, of a grid.
 """
 
 import random
@@ -145,4 +145,13 @@ def cut_until_disconnected(grid, seed):
         if not _connected(buses, [grid["branches"][i] for i in kept]):
             break
     grid["branches"] = [branch for i, branch in enumerate(grid["branches"]) if i in kept]
+    return grid
+
+
+def add_unknown_pmu_substations(grid, count):
+    """Append to a parsed grid file's ``pmu_substations`` ``count`` ids past
+    its every bus and substation id, so none names a substation; returns the
+    grid, edited in place."""
+    start = 1 + max([bus["id"] for bus in grid["buses"]] + list(grid.get("substation_map", {}).values()))
+    grid.setdefault("pmu_substations", []).extend(range(start, start + count))
     return grid

@@ -28,7 +28,8 @@ traces:
 - ``reference_literals``, ``reference_format_expr`` and
   ``reference_expr_source``, the references for ``IdrRule.literals``,
   ``idr.format_expr`` and ``idr._expr_source``: an explicit stack walk and
-  two recursions that dispatch on ``isinstance``;
+  recursions that dispatch on ``isinstance``, ``LEVELS``' two bits by two
+  separate walks;
 - ``arrays`` and ``named_steps``, a trace's replayed states and its steps
   keyed by entity text;
 - ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
@@ -245,13 +246,31 @@ def reference_format_expr(expr, names=None):
 
 def reference_expr_source(expr, slots, reading, fill):
     """Source of ``expr`` in ``reading``, its k-th literal as ``a[ik]``,
-    appending each literal's slot to ``fill``, left to right."""
+    appending each literal's slot to ``fill``, left to right.  A bare
+    literal is ``a[i0]``.  A Boolean reading joins each operator's operands
+    by its joiner; the pair of readings ``LEVELS`` is ``2 if <top> else 1
+    if <low> else 0``, where ``<top>`` reads the first table over the
+    literals ``a[ik] == 2`` and ``<low>`` the second over ``a[ik]``, each
+    made by a walk of its own."""
     if isinstance(expr, EntityId):
         fill.append(slots[expr])
-        return f"a[i{len(fill) - 1}]"
-    parts = [reference_expr_source(child, slots, reading, fill) for child in expr.children]
-    opener, joiner = reading[expr.op]
-    return opener + joiner.join(parts) + ")"
+        return "a[i0]"
+    if not isinstance(reading, tuple):
+        return _reference_bit_source(expr, slots, reading, "", fill)
+    top = _reference_bit_source(expr, slots, reading[0], " == 2", [])
+    low = _reference_bit_source(expr, slots, reading[1], "", fill)
+    return f"2 if {top} else 1 if {low} else 0"
+
+
+def _reference_bit_source(expr, slots, joiners, literal, fill):
+    """One bit's source of ``expr``: each literal as ``a[ik]`` followed by
+    ``literal``, each operator's operands joined by its entry in
+    ``joiners``, in parentheses."""
+    if isinstance(expr, EntityId):
+        fill.append(slots[expr])
+        return f"a[i{len(fill) - 1}]{literal}"
+    parts = [_reference_bit_source(child, slots, joiners, literal, fill) for child in expr.children]
+    return "(" + joiners[expr.op].join(parts) + ")"
 
 
 def format_idr_file(rules, header=()):

@@ -86,9 +86,15 @@ def test_all_operational_availability(ieee14):
 
 
 def test_unknown_killed_entity_rejected(ieee14):
+    """An unregistered killed entity is named; of a thousand, the error
+    names the count and the first five, in one short line."""
     scenario = FailureScenario.of([parse_entity_id("P(99)")])
     with pytest.raises(ScenarioError, match=r"P\(99\)"):
         run_cascade(ieee14, ieee14.rule_set(MIIM, 1), scenario)
+    scenario = FailureScenario.of(parse_entity_id(f"P({k})") for k in range(100, 1100))
+    with pytest.raises(ScenarioError) as refused:
+        run_cascade(ieee14, ieee14.rule_set(MIIM, 1), scenario)
+    assert str(refused.value) == "killed entities not in registry (1000): P(100), P(101), P(102), P(103), P(104), ..."
 
 
 def _trace_fields(trace):
@@ -307,9 +313,7 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
     """Each SCADA and PMU expression compiled by ``compile_expr`` under its
     rule set's model evaluates as the oracle's interpretive ``evaluate`` does
     on the expression that model reads, and the mask follows those values,
-    at the fixpoints of 50 random kill sets under all four rule sets.  The
-    functions read the fixpoint's levels encoded and their results are
-    decoded."""
+    at the fixpoints of 50 random kill sets under all four rule sets."""
     network = request.getfixturevalue(network_name)
     rng = random.Random(seed)
     entities = network.entity_ids()
@@ -329,8 +333,8 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
             oracles = [evaluate(read_expr, state).tolist() for _, _, _, read_expr in paths]
             for k, (trace, final) in enumerate(zip(traces, finals)):
                 oracle = [values[k] for values in oracles]
-                array = [ternary.CODE[level] for level in arrays(trace)[-1]]
-                assert [ternary.LEVEL[fn(array)] for fn in fns] == oracle
+                array = arrays(trace)[-1]
+                assert [fn(array) for fn in fns] == oracle
                 delivered = {
                     (sub_id, kind): value >= 1 for (sub_id, kind, _, _), value in zip(paths, oracle)
                 }
@@ -423,11 +427,11 @@ def test_binary_reading_is_below_the_ternary_one_per_rule(request, network_name,
     strict = 0
     for _ in range(states):
         levels = rng.choices(ternary.TERNARY_LEVELS, k=len(network.slots))
-        coded, projected = bytes(ternary.CODE[v] for v in levels), bytes(map(to_binary, levels))
+        projected = bytes(map(to_binary, levels))
         for miim, delivery, iim in readings:
             binary = iim(projected)
-            assert binary <= to_binary(ternary.LEVEL[miim(coded)]) and binary <= bool(delivery(coded))
-            strict += binary < bool(delivery(coded))
+            assert binary <= to_binary(miim(levels)) and binary <= bool(delivery(levels))
+            strict += binary < bool(delivery(levels))
     assert strict
 
 
@@ -729,6 +733,46 @@ def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeyp
     assert compiled and evaluated > 0
     assert calls["evaluated"] == 2 * evaluated
     assert calls["availability"] == compiled
+
+
+class _Reads(dict):
+    """A model's compiled functions that record each rule index looked up."""
+
+    def __init__(self, fns):
+        super().__init__()
+        self.fns, self.read = fns, []
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return self.fns[index]
+
+
+def test_masks_evaluate_exactly_the_readers_of_failed_slots(ieee14, monkeypatch):
+    """Over the 14-bus N-1 family under all four rule sets, a mask evaluates
+    once each data-path rule that reads an entity at level 0, and no other
+    rule: one that reads only entities at 1 or 2 is at top in both Boolean
+    readings.  Under IIM every lowered entity is at 0; under MIIM some kill
+    set lowers entities to 1 that a data-path rule reads, so its mask
+    evaluates strictly fewer rules than read a lowered entity."""
+    from jointgrid.cascade import _programs
+
+    fewer = 0
+    for rule_set in ieee14.rule_sets.values():
+        program = _programs(ieee14, rule_set)[1]
+        reads = _Reads(program.fns[rule_set.model])
+        monkeypatch.setitem(program.fns, rule_set.model, reads)
+        for entity in ieee14.entity_ids():
+            final = run_cascade(ieee14, rule_set, FailureScenario.of([entity])).final_state()
+            reads.read.clear()
+            data_availability(final, ieee14, rule_set)
+            failed = {i for i, rule in enumerate(program.rules) if any(final[e] == 0 for e in rule.literals)}
+            lowered = {i for i, rule in enumerate(program.rules) if any(final[e] < final.top for e in rule.literals)}
+            assert sorted(reads.read) == sorted(failed), (rule_set.model, str(entity))
+            if rule_set.model == IIM:
+                assert failed == lowered
+            else:
+                fewer += failed < lowered
+    assert fewer
 
 
 def _dense_steps(network, rule_set, arrays, kill_sets):

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzing import assert_short_lines, cut_until_disconnected, edit_json, rename_bus
+from fuzzing import add_unknown_pmu_substations, assert_short_lines, cut_until_disconnected, edit_json, rename_bus
 from idr_reader import parse_idr_file
 from oracle import format_idr_file, read, registry_payload
 from jointgrid import cli, entities as ent, estimation
@@ -606,34 +606,38 @@ def test_network_json_rules_match_rule_files(fixtures_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, write",
+    "grid, name, write",
     [
-        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [float("nan"), 0.0]}})),
-        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.0]}})),
-        ("not valid JSON", lambda buses: json.dumps({"buses": buses})[:-1]),
-        ("top level", lambda buses: json.dumps([{"buses": buses}])),
-        ("buses", lambda buses: json.dumps({"buses": list(buses.values())})),
+        ("ieee14", "bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [float("nan"), 0.0]}})),
+        ("ieee14", "bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.0]}})),
+        ("ieee14", "not valid JSON", lambda buses: json.dumps({"buses": buses})[:-1]),
+        ("ieee14", "top level", lambda buses: json.dumps([{"buses": buses}])),
+        ("ieee14", "buses", lambda buses: json.dumps({"buses": list(buses.values())})),
         # A SCADA voltage's squared sigma overflows.
-        ("bus 1", lambda buses: json.dumps({"buses": {b: [1e160, 0.0] for b in buses}})),
-        ("misses buses [5]", lambda buses: json.dumps({"buses": {b: buses[b] for b in buses if b != "5"}})),
-        ("'99' is not a bus", lambda buses: json.dumps({"buses": {**buses, "99": [1, 0], "x": "junk"}})),
-        ("'x' is not a bus", lambda buses: json.dumps({"buses": {**buses, "x": "junk"}})),
-        ("state.json: not valid JSON: key '5' appears twice", lambda buses: json.dumps(
+        ("ieee14", "bus 1", lambda buses: json.dumps({"buses": {b: [1e160, 0.0] for b in buses}})),
+        ("ieee14", "misses buses (1): 5\n", lambda buses: json.dumps(
+            {"buses": {b: buses[b] for b in buses if b != "5"}})),
+        ("ieee118", "misses buses (118): 1, 2, 3, 4, 5, ...\n", lambda buses: json.dumps({"buses": {}})),
+        ("ieee14", "'99' is not a bus", lambda buses: json.dumps({"buses": {**buses, "99": [1, 0], "x": "junk"}})),
+        ("ieee14", "'x' is not a bus", lambda buses: json.dumps({"buses": {**buses, "x": "junk"}})),
+        ("ieee14", "state.json: not valid JSON: key '5' appears twice", lambda buses: json.dumps(
             {"buses": buses}).replace('"buses": {', '"buses": {"5": [1e160, 0.0], ')),
         # An int no float holds, and a |V| past the largest float.
-        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [10**400, 0.0]}})),
-        ("bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.7e308, 1.7e308]}})),
+        ("ieee14", "bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [10**400, 0.0]}})),
+        ("ieee14", "bus 5", lambda buses: json.dumps({"buses": {**buses, "5": [1.7e308, 1.7e308]}})),
         # An int a float holds, as the largest float (grid.as_number), is
         # refused by the |V| bound.
-        ("bus 5: |V| = 1.79769e+308 pu above", lambda buses: json.dumps(
+        ("ieee14", "bus 5: |V| = 1.79769e+308 pu above", lambda buses: json.dumps(
             {"buses": {**buses, "5": [int(sys.float_info.max) + 1, 0.0]}})),
     ],
     ids=["nan", "one_element", "not_json", "array", "buses_list", "voltage_high", "missing_bus",
-         "extra_bus", "non_bus_key", "repeated_key", "voltage_huge_int", "voltage_huge_float",
-         "voltage_int_past_largest_float"],
+         "every_bus_missing_118", "extra_bus", "non_bus_key", "repeated_key", "voltage_huge_int",
+         "voltage_huge_float", "voltage_int_past_largest_float"],
 )
-def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, name, write):
-    grid_path = fixtures_dir / "ieee14.json"
+def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, grid, name, write):
+    """``estimate`` refuses a malformed true state with exit 2 and one short
+    error line naming what is wrong, and writes no errors file."""
+    grid_path = fixtures_dir / f"{grid}.json"
     bus_ids = [bus["id"] for bus in json.loads(grid_path.read_text())["buses"]]
     mask_path = tmp_path / "mask.json"
     mask_path.write_text(
@@ -656,7 +660,9 @@ def test_estimate_malformed_true_state_exits_2(fixtures_dir, tmp_path, capsys, n
         ]
     )
     assert code == 2
-    assert name in capsys.readouterr().err
+    error = capsys.readouterr().err
+    assert name in error
+    assert_short_lines(error)
     assert not errors_csv.exists()
 
 
@@ -905,7 +911,7 @@ def test_run_at_the_magnitude_bound_writes_finite_errors(fixtures_dir, tmp_path)
 @pytest.mark.parametrize(
     "name, edit",
     [
-        ("misses buses [5]", lambda buses: buses.pop("5")),
+        ("misses buses (1): 5", lambda buses: buses.pop("5")),
         ("bus 5", lambda buses: buses.update({"5": [10**400, 0.0]})),
     ],
     ids=["missing_bus", "voltage_huge_int"],
@@ -947,6 +953,18 @@ def test_disconnected_grid_error_names_the_count_and_first_pairs(fixtures_dir, t
         "error: substation graph is disconnected; 6902 unreachable pairs: "
         "(1, 3), (1, 4), (1, 5), (1, 6), (1, 7), ...\n"
     )
+    assert_short_lines(error)
+
+
+def test_unknown_pmu_substations_error_names_the_count_and_first_ids(fixtures_dir, tmp_path, capsys):
+    """The 14-bus grid with 300 unknown ``pmu_substations`` ids: ``validate``
+    exits 2 naming their count and the first five, in one short line."""
+    grid = json.loads((fixtures_dir / "ieee14.json").read_text(encoding="utf-8"))
+    path = tmp_path / "pmu.json"
+    path.write_text(json.dumps(add_unknown_pmu_substations(grid, 300)), encoding="utf-8")
+    assert main(["validate", "--grid", str(path)]) == 2
+    error = capsys.readouterr().err
+    assert error == "error: pmu_substations reference unknown substations (300): 15, 16, 17, 18, 19, ...\n"
     assert_short_lines(error)
 
 

@@ -303,21 +303,13 @@ def _node(op, children):
     return (BinaryOp if op in (BOOL_AND, BOOL_OR) else Op)(op, children)
 
 
-def _on_levels(fn, levels):
-    """A compiled function's level at the state array ``levels``: the array
-    goes in encoded and the result comes out decoded."""
-    return ternary.LEVEL[fn([ternary.CODE[level] for level in levels])]
-
-
 @pytest.mark.parametrize("arity", [2, 3])
 def test_both_readings_match_the_ternary_kernel(arity):
     """On every input of ``arity`` operands, each operator of the oracle and
     of ``compile_expr`` equals its ``ternary`` kernel function: the ternary
     operators on {0, 1, 2} under MIIM, the binary ones on {0, 1}; and under
     IIM, ``compile_expr`` reads min-AND and new-XOR as ``binary_and`` and
-    max-OR as ``binary_or``.  Each batch of inputs is one oracle call; a
-    compiled function is given each input encoded (``ternary.CODE``) and
-    its result is decoded (``ternary.LEVEL``)."""
+    max-OR as ``binary_or``.  Each batch of inputs is one oracle call."""
     operands = tuple(ent.bus(k) for k in range(1, arity + 1))
     slots = {entity: k for k, entity in enumerate(operands)}
     ternary_inputs = list(itertools.product(ternary.TERNARY_LEVELS, repeat=arity))
@@ -334,10 +326,10 @@ def test_both_readings_match_the_ternary_kernel(arity):
         assert evaluate(expr, columns(operands, inputs)).tolist() == expected, op
         if op in (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR):
             fn = compile_expr(expr, slots, LEVELS)
-            assert [_on_levels(fn, values) for values in inputs] == expected, op
+            assert [fn(values) for values in inputs] == expected, op
     for op, image in ((OP_MIN_AND, BOOL_AND), (OP_NEW_XOR, BOOL_AND), (OP_MAX_OR, BOOL_OR)):
         fn = compile_expr(Op(op, operands), slots, BINARY)
-        assert [_on_levels(fn, values) for values in binary_inputs] == [
+        assert [fn(values) for values in binary_inputs] == [
             _KERNEL[image](values) for values in binary_inputs
         ], op
 
@@ -416,7 +408,7 @@ def test_random_miim_exprs_round_trip_and_compile(expr, seed):
     array = [0] * len(slots)
     for entity, value in state.items():
         array[slots[entity]] = value
-    assert _on_levels(compile_expr(expr, slots, LEVELS), array) == evaluate(expr, state)
+    assert compile_expr(expr, slots, LEVELS)(array) == evaluate(expr, state)
 
 
 def assert_walks_match_references(rule, slots, names):
@@ -498,7 +490,7 @@ def test_expression_naming_an_entity_twice_compiles_correctly():
         assert fn.__defaults__ == (0, 1, 2, 0, 0)
         for array in itertools.product(levels, repeat=len(slots)):
             state = {entity: array[slot] for entity, slot in slots.items()}
-            assert _on_levels(fn, array) == evaluate(body, state), (model, array)
+            assert fn(array) == evaluate(body, state), (model, array)
 
 
 def _shape(expr):
@@ -514,8 +506,7 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
     one code object per distinct shape of the tree the model reads, with
     the slots of the tree's literals, left to right, bound as defaults; and
     each function equals ``evaluate`` on that tree (under IIM, the rule's
-    ``translate_to_iim``) at 20 random states, given each state encoded and
-    its result decoded.  Each expression's delivery reading is truthy at
+    ``translate_to_iim``) at 20 random states.  Each expression's delivery reading is truthy at
     those states exactly when the oracle's value is ``>= 1``."""
     import random
 
@@ -540,10 +531,9 @@ def test_rules_of_one_shape_share_one_code_object(ieee118):
         state = columns(entities, arrays)
         oracle = [evaluate(tree, state) for _, tree in checks.values()]
         for k, array in enumerate(arrays):
-            coded = [ternary.CODE[level] for level in array]
-            found = [ternary.LEVEL[fn(coded)] for fn, _ in checks.values()]
+            found = [fn(array) for fn, _ in checks.values()]
             assert found == [values[k] for values in oracle]
-            assert [bool(fn(coded)) for fn in delivery.values()] == [values[k] >= 1 for values in oracle]
+            assert [bool(fn(array)) for fn in delivery.values()] == [values[k] >= 1 for values in oracle]
 
 
 def test_shape_cache_holds_every_fixture_shape(ieee14, ieee118, ieee118_grid):

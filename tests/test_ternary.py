@@ -1,18 +1,15 @@
 import itertools
 import random
 from functools import reduce
-from operator import and_, or_
 
 import pytest
 
 from oracle import binary_and, binary_or, columns, evaluate, read, to_binary
 from jointgrid import entities as ent
-from jointgrid.idr import BINARY, DELIVERY, IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, _nx, compile_expr
+from jointgrid.idr import BINARY, DELIVERY, IIM, LEVELS, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, compile_expr
 from jointgrid.network import CASES
 from jointgrid.ternary import (
-    CODE,
     FAILED,
-    LEVEL,
     FULL,
     REDUCED,
     TERNARY_LEVELS,
@@ -132,28 +129,75 @@ def test_binary_projection():
     assert to_binary(FULL) == 1
 
 
-def test_thermometer_code_exhaustive():
-    """The code of level k has its low k bits set, and it keeps the order of
-    levels.  For every tuple of 2 to 4 levels, ``&``, ``|`` and ``_nx`` of
-    the codes decode to min-AND, max-OR and new-XOR of the levels, and the
-    binary levels 0 and 1 are their own codes."""
-    assert CODE == tuple((1 << level) - 1 for level in TERNARY_LEVELS)
-    assert sorted(LEVEL) == list(CODE) and [LEVEL[code] for code in CODE] == list(TERNARY_LEVELS)
-    assert CODE[FAILED] == FAILED and CODE[REDUCED] == REDUCED
-    for a, b in itertools.product(TERNARY_LEVELS, repeat=2):
-        assert (CODE[a] < CODE[b]) == (a < b) and (CODE[a] == CODE[b]) == (a == b)
-    for length in (2, 3, 4):
-        for values in itertools.product(TERNARY_LEVELS, repeat=length):
-            codes = [CODE[v] for v in values]
-            assert LEVEL[reduce(and_, codes)] == reduce(min_and, values), values
-            assert LEVEL[reduce(or_, codes)] == reduce(max_or, values), values
-            assert LEVEL[_nx(*codes)] == new_xor(values), values
+# Each operator's Boolean reading of a level's >= 1 bit and of its top bit.
+_BITS = {OP_MIN_AND: (all, all), OP_MAX_OR: (any, any), OP_NEW_XOR: (any, all)}
+_KERNEL = {
+    OP_MIN_AND: lambda values: reduce(min_and, values),
+    OP_MAX_OR: lambda values: reduce(max_or, values),
+    OP_NEW_XOR: new_xor,
+}
+
+
+def _trees(leaves):
+    """Every tree over ``leaves`` in order: a leaf alone, or each operator
+    over two or more trees that split ``leaves`` into consecutive runs."""
+    if len(leaves) == 1:
+        yield leaves[0]
+    n = len(leaves)
+    for k in range(1, n):
+        for cuts in itertools.combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            runs = [list(_trees(leaves[a:b])) for a, b in zip(bounds, bounds[1:])]
+            for children in itertools.product(*runs):
+                for op in _BITS:
+                    yield Op(op, children)
+
+
+def _level(tree, levels):
+    """``tree``'s level by the ``ternary`` kernel, at ``levels`` by slot."""
+    if type(tree) is not Op:
+        return levels[tree.indices[0]]
+    return _KERNEL[tree.op]([_level(child, levels) for child in tree.children])
+
+
+def _bit(tree, bits, which):
+    """``tree``'s Boolean reading of one bit (0: ``>= 1``, 1: top) over the
+    bits ``bits`` by slot."""
+    if type(tree) is not Op:
+        return bits[tree.indices[0]]
+    return _BITS[tree.op][which](_bit(child, bits, which) for child in tree.children)
+
+
+def test_two_bit_lemma_exhaustive():
+    """A level is two bits, ``[level >= 1]`` and ``[level = 2]``, and each
+    operator acts on each as a Boolean operator: on the ``>= 1`` bits
+    min-AND, max-OR and new-XOR are AND, OR, OR, and on the top bits AND,
+    OR, AND.  For every tree over 1 to 4 literals (each operator over 2 to
+    4 operands, and every nesting) and every state of {0, 1, 2}^n, each bit
+    of the tree's level equals its Boolean reading; ``LEVELS`` compiles the
+    tree to that level, ``DELIVERY`` to a value truthy exactly at its
+    ``>= 1`` bit, and ``BINARY``, given the top bits, to its top bit."""
+    trees = 0
+    for n in (1, 2, 3, 4):
+        operands = [ent.bus(k) for k in range(n)]
+        slots = {entity: k for k, entity in enumerate(operands)}
+        for tree in _trees(operands):
+            trees += 1
+            levels, delivery, binary = (compile_expr(tree, slots, reading) for reading in (LEVELS, DELIVERY, BINARY))
+            for values in itertools.product(TERNARY_LEVELS, repeat=n):
+                level = _level(tree, values)
+                low, top = [v >= 1 for v in values], [int(v == FULL) for v in values]
+                assert (level >= 1, level == FULL) == (_bit(tree, low, 0), _bit(tree, top, 1)), (tree, values)
+                assert levels(values) == level, (tree, values)
+                assert bool(delivery(values)) == (level >= 1), (tree, values)
+                assert binary(top) == (level == FULL), (tree, values)
+    assert trees == 1 + 3 + 21 + 183
 
 
 def test_delivery_bit_is_a_boolean_network_exhaustive():
     """For every tuple of 2 to 4 levels, the ``>= 1`` bit of min-AND, max-OR
     and new-XOR is the AND, OR and OR of the operands' bits, and MIIM's
-    compiled delivery reading, given the codes, is truthy exactly then.
+    compiled delivery reading, given the levels, is truthy exactly then.
     IIM's compiled reading, given the bits, reads new-XOR as AND instead."""
     ops = (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR)
     for length in (2, 3, 4):
@@ -163,16 +207,15 @@ def test_delivery_bit_is_a_boolean_network_exhaustive():
         binary = [compile_expr(Op(op, operands), slots, BINARY) for op in ops]
         for values in itertools.product(TERNARY_LEVELS, repeat=length):
             bits = [to_binary(v) for v in values]
-            codes = [CODE[v] for v in values]
             levels = (reduce(min_and, values), reduce(max_or, values), new_xor(values))
             assert [level >= 1 for level in levels] == [all(bits), any(bits), any(bits)], values
-            assert [bool(fn(codes)) for fn in delivery] == [all(bits), any(bits), any(bits)], values
+            assert [bool(fn(values)) for fn in delivery] == [all(bits), any(bits), any(bits)], values
             assert [fn(bits) for fn in binary] == [all(bits), any(bits), all(bits)], values
 
 
 def test_boolean_readings_match_the_oracle(ieee14):
     """Over every 14-bus cascade and data-path rule, at 40 random ternary
-    states given coded, MIIM's delivery reading is truthy exactly when the
+    states, MIIM's delivery reading is truthy exactly when the
     oracle's ``evaluate`` of the rule is ``>= 1``; at 40 random binary
     states, IIM's reading is the oracle's value of the tree IIM reads.
     ``test_rules_of_one_shape_share_one_code_object`` checks the 118-bus
@@ -193,8 +236,7 @@ def test_boolean_readings_match_the_oracle(ieee14):
         state = columns(entities, arrays)
         oracle = [evaluate(tree, state) for _, tree in trees.values()]
         for k, array in enumerate(arrays):
-            coded = bytes(CODE[level] for level in array)
-            found = [fn(coded) for fn in fns]
+            found = [fn(bytes(array)) for fn in fns]
             assert [bool(value) for value in found] == [bool(values[k] >= 1) for values in oracle], model
             if model == IIM:
                 assert found == [values[k] for values in oracle]

@@ -1,22 +1,25 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
-    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed S]
+    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...] --pairs N [--seed S]
+    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload all --pairs N [--seed S]
 
-Each pair runs `perfbench/run.py` once in each checkout, with the same
-input seed (S + the pair's index) and the run length `run_seconds` of
-`BENCHMARK.json`; the parent runs first in even pairs and the change
-first in odd ones.  The two checkouts must hold the same `BENCHMARK.json`
-and `perfbench/`.  It then prints, per end-to-end metric of
-`BENCHMARK.json`, each side's median and quartiles, the change's median
-relative to the parent's, and in how many pairs the change read better
-(ties count for neither side).  A gain holds when the change is better in
+`--workload` may be repeated, and `all` names every workload of
+`BENCHMARK.json`, in its order.  The workloads run one after another, and
+each gets N pairs and a table of its own.  Each pair runs
+`perfbench/run.py` once in each checkout, with the same input seed (S +
+the pair's index) and the run length `run_seconds` of `BENCHMARK.json`;
+the parent runs first in even pairs and the change first in odd ones.
+The two checkouts must hold the same `BENCHMARK.json` and `perfbench/`.
+Each table gives, per end-to-end metric of `BENCHMARK.json`, each side's
+median and quartiles, the change's median relative to the parent's, and
+in how many pairs the change read better (ties count for neither side).  A gain holds when the change is better in
 at least nine pairs of ten and the medians differ by more than the
 distance between the parent's quartiles.  The last column tells whether
 the change's median is worse than the parent's by more than the metric's
 `bound` in `BENCHMARK.json`, as a fraction of the parent's median.  Runs
-whose outputs failed their checks are counted at the end.  The exit code
-is 1 if any metric is worse than its bound or any run failed its checks,
-and 0 otherwise.
+whose outputs failed their checks are counted under each table.  The exit
+code is 1 if, on any workload, a metric is worse than its bound or a run
+failed its checks, and 0 otherwise.
 
 Every run gets `PYTHONPYCACHEPREFIX` set to a fresh empty directory,
 removed after the run, so no run reads bytecode that an earlier process
@@ -96,35 +99,20 @@ def report(metrics: list, parent_runs: list, change_runs: list) -> tuple:
     return lines, worse
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0, help="input seed of the first pair")
-    args = parser.parse_args(argv)
-    parent, change = args.parent.resolve(), args.change.resolve()
-    if benchmark_files(parent) != benchmark_files(change):
-        parser.error("the checkouts differ in BENCHMARK.json or perfbench/")
-    benchmark = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.workload not in [w["name"] for w in benchmark["workloads"]]:
-        parser.error(f"unknown workload {args.workload!r}")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-
+def compare(parent: Path, change: Path, benchmark: dict, workload: str, pairs: int, seed: int) -> bool:
+    """Run ``pairs`` alternating pairs of ``workload`` and print its table;
+    whether a metric is worse than its bound or a run failed its checks."""
     runs = {parent: [], change: []}
-    for index in range(args.pairs):
-        seed = args.seed + index
+    for index in range(pairs):
         for checkout in (parent, change) if index % 2 == 0 else (change, parent):
-            result = run_once(checkout, benchmark["command"], args.workload, seed, benchmark["run_seconds"])
+            result = run_once(checkout, benchmark["command"], workload, seed + index, benchmark["run_seconds"])
             runs[checkout].append(result)
             side = "parent" if checkout == parent else "change"
             p50 = result["metrics"]["op_p50_s"]["value"]
-            print(f"pair {index + 1}/{args.pairs} seed {seed} {side}: op_p50_s {p50:.6g}", file=sys.stderr)
+            print(f"{workload} pair {index + 1}/{pairs} seed {seed + index} {side}: op_p50_s {p50:.6g}",
+                  file=sys.stderr)
 
-    print(f"{args.workload}: {args.pairs} pairs of {benchmark['run_seconds']} s runs, "
-          f"seeds {args.seed}-{args.seed + args.pairs - 1}")
+    print(f"{workload}: {pairs} pairs of {benchmark['run_seconds']} s runs, seeds {seed}-{seed + pairs - 1}")
     lines, worse = report(benchmark["end_to_end"], runs[parent], runs[change])
     print("\n".join(lines))
     failed = {side: sum(not run["correct"] for run in runs[checkout])
@@ -132,7 +120,33 @@ def main(argv=None) -> int:
     print(f"runs with failed checks: parent {failed['parent']}, change {failed['change']}")
     if worse:
         print(f"worse than bound: {', '.join(worse)}")
-    return 1 if worse or any(failed.values()) else 0
+    print(flush=True)
+    return bool(worse or any(failed.values()))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of BENCHMARK.json, or all; may be repeated")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0, help="input seed of each workload's first pair")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if benchmark_files(parent) != benchmark_files(change):
+        parser.error("the checkouts differ in BENCHMARK.json or perfbench/")
+    benchmark = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in benchmark["workloads"]]
+    workloads = [name for workload in args.workload for name in (names if workload == "all" else [workload])]
+    unknown = [workload for workload in workloads if workload not in names]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    failed = [compare(parent, change, benchmark, workload, args.pairs, args.seed) for workload in workloads]
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":
