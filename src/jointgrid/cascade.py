@@ -3,14 +3,17 @@
 Every entity starts at full operation; attacked entities are clamped to 0
 for the whole run.  Each time step re-evaluates every dependent entity's
 rule against the previous step's state simultaneously and records what
-fell; the run stops at the first step that changes nothing.  A rule whose
-value rises stops the run (``MonotonicityError``); values otherwise only
-fall, and each reading yields levels {0, 1, 2}, so each slot falls at most
-twice and a trace has at most ``2n + 1`` steps for ``n`` slots.  The state
-holds a level per slot of the network's slot map, a byte each.  A trace
-keeps each step's changes as ``{slot: level}`` and the fixpoint as
-immutable ``bytes``, from which every earlier step can be replayed; it is
-itself its fixpoint as an entity -> level mapping (``final_state()``).
+fell; the run stops at the first step that changes nothing.  Values only
+fall: each reading computes the monotone min-AND, max-OR and new-XOR
+exactly (``ternary``'s two-bit lemma) and is at most top, the state starts
+at top, and a step lowers a slot only to its rule's value, so by induction
+no rule's value exceeds its unclamped target's level.  Each reading yields
+levels {0, 1, 2}, so each slot falls at most twice and a trace has at most
+``2n + 1`` steps for ``n`` slots.  The state holds a level per slot of the
+network's slot map, a byte each.  A trace keeps each step's changes as
+``{slot: level}`` and the fixpoint as immutable ``bytes``, from which every
+earlier step can be replayed; it is itself its fixpoint as an entity ->
+level mapping (``final_state()``).
 
 After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
@@ -81,10 +84,6 @@ from jointgrid.network import JointNetwork, RuleSet, availability_gaps, data_pat
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
 _TOP = {MIIM: 2, IIM: 1}  # each model's full-operation level
-
-
-class MonotonicityError(RuntimeError):
-    """An entity's value increased between steps."""
 
 
 class ScenarioError(ValueError):
@@ -273,16 +272,12 @@ def run_cascade(
         for slot in frontier:
             candidates.update(readers.get(slot, ()))
         updates: Dict[int, int] = {}
-        for rule_index in sorted(candidates):
+        for rule_index in candidates:  # a step reads only the previous state
             target_slot = targets[rule_index]
             if target_slot in killed_slots:
                 continue
             value = fns[rule_index](state)
-            old = state[target_slot]
-            if value > old:
-                entity = network.entity_ids()[target_slot]
-                raise MonotonicityError(f"{entity} rose from {old} to {value}; rules must be monotone")
-            if value < old:
+            if value < state[target_slot]:
                 updates[target_slot] = value
         if not updates:
             break

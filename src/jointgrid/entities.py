@@ -114,11 +114,7 @@ class EntityId(tuple):
         return _RANK_TEXT[self[0]] % self[1]
 
     def __repr__(self):
-        return f"EntityId.parse({str(self)!r})"
-
-    @staticmethod
-    def parse(text: str) -> "EntityId":
-        return parse_entity_id(text)
+        return f"parse_entity_id({str(self)!r})"
 
 
 def parse_entity_id(text: str) -> EntityId:

@@ -270,9 +270,9 @@ class ComparisonResult:
 
 
 def observations(template: MeasurementTemplate, seeds: Sequence[int]) -> np.ndarray:
-    """Every seed's observed values: column k is bit for bit
-    ``template.values + template.noise(seeds[k])``.  Each seed's standard
-    normals fill one row of one block, scaled in place as
+    """Every seed's observed values: column k is bit for bit ``template.values
+    + noise(template, seeds[k])`` (``tests/wls_reference.py``).  Each seed's
+    standard normals fill one row of one block, scaled in place as
     ``normal(0.0, sigma)`` scales them: ``0.0 + sigma * z``."""
     block = np.empty((len(seeds), template.values.size))
     for row, seed in zip(block, seeds):

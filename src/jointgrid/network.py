@@ -76,12 +76,6 @@ class Ring:
     def host_of(self, node: int) -> int:
         return self.hosts[node - 1]
 
-    def node_at(self, substation: int) -> Optional[int]:
-        for i, host in enumerate(self.hosts):
-            if host == substation:
-                return i + 1
-        return None
-
     def neighbors(self, node: int) -> List[int]:
         found = sorted(other for a, b in self.edges for other in (a, b) if node in (a, b) and other != node)
         return [n for i, n in enumerate(found) if i == 0 or n != found[i - 1]]

@@ -285,7 +285,7 @@ def home_gateways(
                 raise SynthesisError(
                     f"homing override for substation {sub.id}: {host} hosts no {ring.kind} node"
                 )
-            homing[sub.id] = ring.node_at(host)
+            homing[sub.id] = ring.hosts.index(host) + 1
         else:
             homing[sub.id] = int(np.argmin(dist.matrix[dist._index[sub.id], host_columns])) + 1
     return homing

@@ -163,6 +163,37 @@ def test_monotone_descent_and_stability_random_kills(ieee14):
         assert verify_fixpoint(ieee14, rule_set, trace)
 
 
+def _raised(trace, slot):
+    """``trace`` with ``slot`` of its fixpoint put back at the top level."""
+    import dataclasses
+
+    fixpoint = bytearray(trace.fixpoint)
+    fixpoint[slot] = trace.top
+    return dataclasses.replace(trace, fixpoint=bytes(fixpoint))
+
+
+def test_verify_fixpoint_refuses_a_slot_above_its_rule(ieee14, attack):
+    """``verify_fixpoint``, the oracle of the random-kill and compile-once
+    tests, can fail: with any lowered, unattacked slot of the attack's
+    fixpoint put back at top, it returns False.  Attacked slots are exempt:
+    with ``C(1,1,6,6)`` raised to top while its rule reads 0, it returns
+    True."""
+    attacked = parse_entity_id("C(1,1,6,6)")
+    for model, reading in ((MIIM, LEVELS), (IIM, BINARY)):
+        for case in CASES:
+            rule_set = ieee14.rule_set(model, case)
+            trace = run_cascade(ieee14, rule_set, attack)
+            assert verify_fixpoint(ieee14, rule_set, trace)
+            unattacked = trace.lowered - trace.changed[0].keys()
+            assert unattacked
+            for slot in unattacked:
+                assert not verify_fixpoint(ieee14, rule_set, _raised(trace, slot)), ieee14.names[slot]
+            raised = _raised(trace, ieee14.slots[attacked])
+            rule = next(rule for rule in rule_set.rules if rule.target == attacked)
+            assert compile_expr(rule.body, ieee14.slots, reading)(raised.fixpoint) == 0
+            assert verify_fixpoint(ieee14, rule_set, raised)
+
+
 def test_rule_order_independence(ieee14, attack):
     rule_set = ieee14.rule_set(MIIM, 1)
     baseline = run_cascade(ieee14, rule_set, attack)
@@ -289,6 +320,9 @@ def test_masks_and_traces_are_read_only(ieee14, attack):
     for edit in (lambda: trace.lowered.add(0), lambda: trace.lowered.clear()):
         with pytest.raises(AttributeError):
             edit()
+    for unread in (mask, built):  # a mask makes only its two flag maps on first read
+        with pytest.raises(AttributeError, match="'AvailabilityMask' object has no attribute 'flags'"):
+            unread.flags
     flags[12] = True
     assert built.scada_lost() == built.pmu_lost() == set(flags)
     assert mask.scada_lost() == {12}

@@ -72,6 +72,19 @@ def test_validate_ok(fixtures_dir, capsys):
     assert "11 substations" in out
 
 
+def test_runtime_failure_exits_1(fixtures_dir, tmp_path, capsys, monkeypatch):
+    """A stage that fails on valid input exits 1 with one line naming the
+    command; exit 2 is kept for input the program refuses."""
+
+    def fail(*args):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(cli, "run_cascade", fail)
+    scenario = fixtures_dir / "ieee14_substation6_attack.json"
+    assert main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error [run]: stage failed\n"
+
+
 def test_validate_bad_grid_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 99}), encoding="utf-8")
@@ -354,6 +367,22 @@ def test_json_text_matches_json_dumps(payload):
     """The artifact writer's text through json's C encoder is the text of
     ``json.dumps(..., indent=2, sort_keys=True)``: the oracle."""
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_text_keys_and_fallback_match_json_dumps(monkeypatch):
+    """In an object that holds containers, an int key is written as its
+    quoted text and a tuple key raises ``TypeError`` with ``json.dumps``'s
+    words; without json's C accelerator the text is ``json.dumps``'s own."""
+    with pytest.raises(TypeError) as dumped:
+        json.dumps({(1, 2): [0]}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as written:
+        cli._json_text({(1, 2): [0]})
+    assert str(written.value) == str(dumped.value)
+    payload = {2: [1, (2.5, {"c": None})], 1: {}}
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    assert cli._json_text(payload) == expected
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    assert cli._json_text(payload) == expected
 
 
 @pytest.mark.parametrize("network_name", ["ieee14", "ieee118"])
@@ -686,6 +715,7 @@ def rekey(flags, old, new):
             {**m, "scada": {k: v for k, v in m["scada"].items() if k != "5"}})),
         ("bus 99", [], lambda m: json.dumps({**m, "pmu": {**m["pmu"], "99": False}})),
         ("bus 99", [], lambda m: json.dumps({**m, "pmu_equipped": [99]})),
+        ("pmu_equipped must be a list", [], lambda m: json.dumps({**m, "pmu_equipped": "2"})),
         ("not valid JSON", [], lambda m: json.dumps(m).replace(
             '"pmu_equipped": []', '"pmu_equipped": [' + "9" * 5000 + "]")),
         ("bad grid path", [], lambda m: json.dumps({**m, "grid": "ieee14\u0000.json"})),
@@ -707,7 +737,7 @@ def rekey(flags, old, new):
     ],
     ids=["seeds_zero", "seeds_negative", "seeds_above_bound", "seed_base_negative", "no_grid", "array",
          "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
-         "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
+         "equipped_string", "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
          "scada_not_object", "pmu_not_equipped", "scada_key_collision", "scada_key_space",
          "pmu_key_plus", "scada_key_underscore", "scada_repeated_key"],
 )
@@ -744,6 +774,8 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
         ("estimation must be an object", lambda s: {**s, "estimation": ""}),
         ("estimation.seeds", lambda s: {**s, "estimation": {}}),
         ("killed", lambda s: {**s, "killed": [12]}),
+        ("killed must be a list", lambda s: {**s, "killed": "P(12)"}),
+        ("missing grid path", lambda s: {k: v for k, v in s.items() if k != "grid"}),
         ("grid", lambda s: {**s, "grid": 5}),
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": "x"}}),
         ("seed_base", lambda s: {**s, "estimation": {"seeds": 2, "seed_base": 1.5}}),
@@ -765,7 +797,8 @@ def test_estimate_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, name, 
          lambda s: json.dumps(s).replace('"killed": ', '"killed": ["P(99)"], "killed": ')),
     ],
     ids=["array", "estimation_list", "estimation_empty_list", "estimation_false", "estimation_zero",
-         "estimation_empty_string", "estimation_empty_object", "killed_int", "grid_int", "seed_base_str",
+         "estimation_empty_string", "estimation_empty_object", "killed_int", "killed_string",
+         "grid_missing", "grid_int", "seed_base_str",
          "seed_base_float", "seeds_bool", "seeds_above_bound", "int_5000_digits", "killed_5000_digits",
          "killed_non_ascii_digits", "grid_nul", "grid_too_long", "grid_directory", "true_state_zero",
          "true_state_empty_string", "true_state_empty_list", "label_object", "label_null",

@@ -36,6 +36,7 @@ def test_parse_pmu():
 def test_round_trip_text():
     for text in ["P(12)", "PB(3)", "BR(1,2)", "C(2,2,1,6)", "L(3,10)", "R(7)", "U(1)", "GS(4)", "GP(11)"]:
         assert str(parse_entity_id(text)) == text
+        assert repr(parse_entity_id(text)) == f"parse_entity_id({text!r})"
 
 
 def test_whitespace_tolerated():
@@ -45,6 +46,8 @@ def test_whitespace_tolerated():
 def test_unknown_prefix():
     with pytest.raises(EntityError, match="unknown entity prefix"):
         parse_entity_id("Q(1)")
+    with pytest.raises(EntityError, match="unknown entity kind: 'fuzzy'"):
+        EntityId("fuzzy", (1,))
 
 
 def test_malformed_index_count():

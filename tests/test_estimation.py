@@ -82,6 +82,23 @@ def test_standard_branch_against_complex_division():
 def test_singular_branch_rejected():
     with pytest.raises(Exception, match="singular branch"):
         admittance_from_branch(0.0, 0.0, 0.0)
+    grid = Grid("two", [Bus(1), Bus(2)], [Branch(1, 2, 0.0, 0.0, 0.0, 1.0, False)])
+    with pytest.raises(EstimationError, match="singular branch: r = x = 0"):
+        measurement_template(default_true_state(grid), grid, full_mask(grid, pmu_buses={1}))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1.0, 0.0, 1.0], "twice the bus count"),
+        ([1.0, 0.0, np.nan, 0.0], "finite"),
+        ([1.0, np.inf, 1.0, 0.0], "finite"),
+    ],
+    ids=["short", "nan", "inf"],
+)
+def test_state_vector_refuses_a_wrong_length_or_non_finite_values(values, message):
+    with pytest.raises(EstimationError, match=message):
+        StateVector([1, 2], values)
 
 
 # --- current coefficient rows ------------------------------------------------
@@ -666,6 +683,17 @@ def test_chi_square_of_a_square_system_is_the_explicit_residual(ieee14_grid):
     assert np.linalg.lstsq(system.A, anchors, rcond=None)[1].size == 0
     assert chi2.shape == (4,)
     assert np.array_equal(chi2, explicit_chi2(system, kept, observed, solution))
+
+
+def test_solve_refuses_a_non_finite_solution(ieee14_grid):
+    """Finite observations whose weighted values overflow give no state:
+    ``solve`` raises rather than return infinities."""
+    mask = full_mask(ieee14_grid)
+    template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
+    observed = estimation.observations(template, range(2)) * 1e308
+    assert np.isfinite(observed).all()
+    with np.errstate(over="ignore"), pytest.raises(EstimationError, match="^state must be finite$"):
+        estimation.solve(template, template.kept(mask), observed, ieee14_grid.bus_ids)
 
 
 # --- observability from the measurement graph against the SVD oracle ----------

@@ -168,6 +168,14 @@ def test_a_list_given_to_a_rule_set_is_copied(ieee14):
     assert rule_set.availability == source.availability
 
 
+def test_unknown_model_and_substation_refused(ieee14):
+    source = ieee14.rule_set(MIIM, 1)
+    with pytest.raises(ValueError, match="unknown model 'fuzzy'"):
+        RuleSet("fuzzy", 1, source.rules, source.availability)
+    with pytest.raises(KeyError, match="unknown substation: 99"):
+        ieee14.substation(99)
+
+
 def test_deepcopy_shares_the_immutable_rule_sets(ieee14):
     """A deep copy of a network is a new network over the very same rule
     sets, and cascades as the original does."""

@@ -194,25 +194,6 @@ def test_two_bit_lemma_exhaustive():
     assert trees == 1 + 3 + 21 + 183
 
 
-def test_delivery_bit_is_a_boolean_network_exhaustive():
-    """For every tuple of 2 to 4 levels, the ``>= 1`` bit of min-AND, max-OR
-    and new-XOR is the AND, OR and OR of the operands' bits, and MIIM's
-    compiled delivery reading, given the levels, is truthy exactly then.
-    IIM's compiled reading, given the bits, reads new-XOR as AND instead."""
-    ops = (OP_MIN_AND, OP_MAX_OR, OP_NEW_XOR)
-    for length in (2, 3, 4):
-        operands = tuple(ent.bus(k) for k in range(length))
-        slots = {entity: k for k, entity in enumerate(operands)}
-        delivery = [compile_expr(Op(op, operands), slots, DELIVERY) for op in ops]
-        binary = [compile_expr(Op(op, operands), slots, BINARY) for op in ops]
-        for values in itertools.product(TERNARY_LEVELS, repeat=length):
-            bits = [to_binary(v) for v in values]
-            levels = (reduce(min_and, values), reduce(max_or, values), new_xor(values))
-            assert [level >= 1 for level in levels] == [all(bits), any(bits), any(bits)], values
-            assert [bool(fn(values)) for fn in delivery] == [all(bits), any(bits), any(bits)], values
-            assert [fn(bits) for fn in binary] == [all(bits), any(bits), all(bits)], values
-
-
 def test_boolean_readings_match_the_oracle(ieee14):
     """Over every 14-bus cascade and data-path rule, at 40 random ternary
     states, MIIM's delivery reading is truthy exactly when the

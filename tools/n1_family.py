@@ -43,7 +43,7 @@ def family(network) -> tuple:
     (case, SCADA lost, PMU lost) triples."""
     rule_sets = {case: (network.rule_set(MIIM, case), network.rule_set(IIM, case)) for case in CASES}
     violations, strict, losses = 0, 0, set()
-    for entity in network.entity_ids():
+    for entity in network.entity_order:
         scenario = FailureScenario.of([entity])
         for case, pair in rule_sets.items():
             masks = [data_availability(run_cascade(network, rs, scenario), network, rs) for rs in pair]
@@ -63,7 +63,7 @@ def main(argv: list) -> int:
         start = time.perf_counter()
         violations, strict, losses = family(network)
         best = min(best, time.perf_counter() - start)
-    print(f"{argv[0]} N-1 family: {len(network.entity_ids())} kill sets, cases {list(CASES)}, both models")
+    print(f"{argv[0]} N-1 family: {len(network.entity_order)} kill sets, cases {list(CASES)}, both models")
     print(f"best of {ROUNDS}: {best:.3f} s")
     print(f"superset violations: {violations}")
     print(f"strict IIM supersets: {strict}")
