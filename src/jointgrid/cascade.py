@@ -35,36 +35,50 @@ object (``idr.compile_expr``).  A program class's ``readings`` names the
 reading (see ``idr``) each model's rules compile in: IIM's is ``BINARY``, so
 no binary rule tree exists at run time, and a mask asks only whether a path
 is at ``>= 1``, so MIIM's data-path rules compile in ``DELIVERY``, the
-``>= 1`` half of ``LEVELS``.  A program maps each rule to its target (a
-cascade rule's slot; a data-path rule's mask and buses, from
-``network.data_paths``) and each slot to the rules that read it.  A
-network's slot map is fixed when it is made, and each network keeps one
+``>= 1`` half of ``LEVELS``.  Cascades run in ``LEVELS`` under both
+models, since IIM's cascade is the top bit of MIIM's (below), so only
+``verify_fixpoint`` compiles cascade rules in ``BINARY``.  A program maps
+each rule to its target (a cascade rule's slot; a data-path rule's mask and
+buses, from ``network.data_paths``) and each slot to the rules that read
+it.  A network's slot map is fixed when it is made, and each network keeps one
 program per class and immutable rules tuple, so a program cannot go stale
 and dies with its network.  A synthesized network's four rule sets hold one
 rules tuple and a case's two models one availability tuple, so only the
 compiled functions are per model; the tests check them against an
 interpretive evaluator of their own.
-A cascade program also keeps, per model, the kill set and trace of its
-latest cascade, and a cascade of that kill set under that model returns
-the same trace.  The two channel cases differ only in their data-path
-rules, so a kill set asked for under case 1 and then case 2 (or the other
-way round) is cascaded once per model and both cases share its trace.
+A cascade program also keeps the kill set of its latest cascade, its
+trace and, made on first request, that trace's IIM projection, and a
+cascade of that kill set under either model returns the kept trace.  The
+two channel cases differ only in their data-path rules, so a kill set asked
+for under all four rule sets, in any order, is cascaded once per rules
+tuple and each model's two cases share its trace.
 A program checks its rules' references through the lookups it makes
 anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
 
+IIM's cascade is the top-bit projection of MIIM's.  By the two-bit lemma
+(``ternary``) a rule's ``BINARY`` reading at a state's top bits (level 2 as
+1) is the top bit of its ``LEVELS`` reading at the state.  Both cascades
+start at top with the same entities at 0, so by induction IIM's state
+after every synchronous step is ``[level == 2]`` of MIIM's after the same
+step.  So an IIM trace is read off the MIIM trace: step 1 is the kill set;
+step k > 1 holds, at 0, the slots MIIM's step k takes from 2; the trace
+ends before the first MIIM step that takes no slot from 2, since IIM's
+state is then a fixpoint; its fixpoint is MIIM's read as top bits, and its
+``lowered`` is MIIM's, below 1 under IIM being below 2 under MIIM.
+
 Why IIM loses a superset of what MIIM loses, for every kill set (the
 paper's claim), with ``proj(s)`` a state read as binary (level ``>= 1`` as
 1): (1) per rule, IIM's reading at ``proj(s)`` is at most ``proj`` of
-MIIM's reading at ``s``: by the two-bit lemma (``ternary``) that bit is
-``DELIVERY``, which reads new-XOR as OR where ``BINARY`` reads AND; (2) both
-cascades start at top with the same entities at 0, and if IIM's state is at
-most ``proj`` of MIIM's before a step, monotone rules and (1) keep it so
-after it, up to both fixpoints; (3) so by (1) a data-path rule below 1
-under MIIM is 0 under IIM.  And a mask reads only failed slots: data-path
-rules see only ``>= 1`` bits and are at top at full operation, so one that
-reads no slot at 0 is at top.  The tests check the lemma, (1), (2) and the
-mask rule on compiled rules and on the 14-bus N-1 family.
+MIIM's reading at ``s``: by the two-bit lemma that bit is ``DELIVERY``,
+which reads new-XOR as OR where ``BINARY`` reads AND; (2) by the projection,
+IIM's state at every step, up to both fixpoints, is ``[MIIM == 2] <=
+[MIIM >= 1]``, ``proj`` of MIIM's; (3) so by monotone rules and (1) a
+data-path rule below 1 under MIIM is 0 under IIM.  And a mask reads only
+failed slots: data-path rules see only ``>= 1`` bits and are at top at full
+operation, so one that reads no slot at 0 is at top.  The tests check the
+lemma, (1), (2), the projection and the mask rule on compiled rules and on
+the 14-bus N-1 family.
 """
 
 from __future__ import annotations
@@ -74,7 +88,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId, gw_pmu
 from jointgrid.grid import first_five
@@ -84,6 +98,7 @@ from jointgrid.network import JointNetwork, RuleSet, availability_gaps, data_pat
 
 RuleFn = Callable[[Sequence[int]], int]  # a compiled rule: its value at a state array
 _TOP = {MIIM: 2, IIM: 1}  # each model's full-operation level
+_TOP_BITS = bytes((0, 0, 1)) + bytes(253)  # a level's top bit, as a bytes.translate table
 
 
 class ScenarioError(ValueError):
@@ -165,8 +180,9 @@ class _Program:
     """One rules tuple over one slot map: per rule ``targets[rule.target]``
     (``targets``), per slot the rules that read it (``readers``), and each
     model's functions in ``readings[model]`` (``fns[model]``).  A cascade
-    rule's target is its slot.  A cascade program keeps each model's latest
-    kill set and trace (``latest[model]``)."""
+    rule's target is its slot.  A cascade program cascades in ``LEVELS``
+    only, and compiles ``BINARY`` functions only for ``verify_fixpoint``; it
+    keeps its latest kill set, trace and IIM projection (``latest``)."""
 
     label = "cascade rules"
     readings: Mapping[str, Reading] = {MIIM: LEVELS, IIM: BINARY}
@@ -186,7 +202,7 @@ class _Program:
             problems = reference_problems(rules, slots, targets)
             raise ScenarioError(f"{self.label}: {'; '.join(problems[:5])}")
         self.fns = {model: _Functions(rules, slots, reading) for model, reading in self.readings.items()}
-        self.latest: Dict[str, Tuple[FrozenSet[EntityId], CascadeTrace]] = {}
+        self.latest: Optional[List] = None  # [kill set, LEVELS trace, its top bit or None]
 
 
 class _AvailabilityProgram(_Program):
@@ -242,22 +258,32 @@ def run_cascade(
 ) -> CascadeTrace:
     """Run the synchronous cascade to its fixpoint.
 
-    The trace of the kill set last cascaded under ``rule_set``'s model and
-    cascade rules is kept, and a cascade of that kill set returns it; only
-    a successful cascade is kept.
+    Under either model only the ``LEVELS`` cascade runs: an IIM trace is
+    the top-bit projection of the MIIM trace (see above), made on first
+    request.  The cascade program keeps the kill set it last cascaded, that
+    trace and its projection, and a cascade of that kill set under either
+    model returns the kept trace; only a successful cascade is kept.
     """
     program = _programs(network, rule_set)[0]
-    killed, trace = program.latest.get(rule_set.model, (None, None))
-    if killed == scenario.killed:
-        return trace
-    top, slots = _TOP[rule_set.model], network.slots
+    latest = program.latest
+    if latest is None or latest[0] != scenario.killed:
+        trace = _levels_cascade(program, network.slots, scenario.killed)
+        latest = program.latest = [frozenset(scenario.killed), trace, None]
+    if rule_set.model == MIIM:
+        return latest[1]
+    if latest[2] is None:
+        latest[2] = _top_bit(latest[1])
+    return latest[2]
 
-    if not slots.keys() >= scenario.killed:
-        unknown = [e for e in sorted(scenario.killed) if e not in slots]
+
+def _levels_cascade(program: _Program, slots: Dict[EntityId, int], killed: FrozenSet[EntityId]) -> CascadeTrace:
+    """The cascade of ``killed`` under ``program``'s rules read in ``LEVELS``."""
+    if not slots.keys() >= killed:
+        unknown = [e for e in sorted(killed) if e not in slots]
         raise ScenarioError(f"killed entities not in registry ({len(unknown)}): {first_five(unknown)}")
 
-    state = bytearray((top,)) * len(slots)
-    killed_slots = {slots[e] for e in scenario.killed}
+    state = bytearray((_TOP[MIIM],)) * len(slots)
+    killed_slots = {slots[e] for e in killed}
     for slot in killed_slots:
         state[slot] = 0
 
@@ -265,7 +291,7 @@ def run_cascade(
 
     frontier: Set[int] = set(killed_slots)
     lowered = set(killed_slots)
-    targets, readers, fns = program.targets, program.readers, program.fns[rule_set.model]
+    targets, readers, fns = program.targets, program.readers, program.fns[MIIM]
 
     while frontier:
         candidates: Set[int] = set()
@@ -287,9 +313,23 @@ def run_cascade(
         frontier = set(updates)
         lowered |= frontier
 
-    trace = CascadeTrace(slots, top, bytes(state), changed_per_step, frozenset(lowered))
-    program.latest[rule_set.model] = (frozenset(scenario.killed), trace)
-    return trace
+    return CascadeTrace(slots, _TOP[MIIM], bytes(state), changed_per_step, frozenset(lowered))
+
+
+def _top_bit(levels: CascadeTrace) -> CascadeTrace:
+    """The IIM trace of ``levels``' kill set: ``levels`` read at every step
+    as its top bit.  Step 1 is the kill set; each later step holds, at 0,
+    the slots that fall from 2 there, and the trace ends before the first
+    step where none does.  Below 1 under IIM is below 2 under MIIM, so
+    ``lowered`` is the same set."""
+    changed, reduced = [levels.changed[0]], set()
+    for step in levels.changed[1:]:
+        fell = {slot: 0 for slot, value in step.items() if value or slot not in reduced}
+        if not fell:
+            break
+        changed.append(fell)
+        reduced.update(slot for slot, value in step.items() if value)
+    return CascadeTrace(levels.slots, _TOP[IIM], levels.fixpoint.translate(_TOP_BITS), changed, levels.lowered)
 
 
 def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrace) -> bool:

@@ -290,7 +290,8 @@ def solve(
     the solution of every seed's column of ``observed`` by one least-squares
     call, and each seed's chi-square (weighted residual sum of squares).
     ``lstsq`` returns the chi-square unless the system is square, as under a
-    mask that delivers nothing, where it is computed here."""
+    mask that delivers nothing, where it is computed here.  A solution or
+    chi-square that is not finite raises ``EstimationError``."""
     system = analyse_system(template, kept, bus_ids)
     anchors = np.repeat(system.anchor_y[:, None], observed.shape[1], axis=1)
     Y = np.vstack([observed[kept] * system.scale[:, None], anchors])
@@ -299,6 +300,8 @@ def solve(
         raise EstimationError("state must be finite")
     if chi2.size == 0:
         chi2 = np.sum((system.A @ solution - Y) ** 2, axis=0)
+    if not np.all(np.isfinite(chi2)):
+        raise EstimationError("chi-square must be finite")
     return system, solution, chi2
 
 

@@ -32,6 +32,9 @@ traces:
   separate walks;
 - ``arrays`` and ``named_steps``, a trace's replayed states and its steps
   keyed by entity text;
+- ``binary_cascade``, the cascade run directly in ``BINARY``: the
+  reference for ``run_cascade``'s IIM traces, which it projects from the
+  ``LEVELS`` cascade;
 - ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
   cascade rule, a substation's data-path rules and the entity columns of
   state arrays.
@@ -43,6 +46,7 @@ from functools import reduce
 
 import numpy as np
 
+from jointgrid.cascade import CascadeTrace, _programs
 from jointgrid.entities import EntityId, gw_pmu, gw_scada
 from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, format_idr
 from jointgrid.network import RuleSet
@@ -295,6 +299,39 @@ def arrays(trace):
             state[slot] = value
         found.append(list(state))
     return found
+
+
+def binary_cascade(network, rule_set, scenario):
+    """The synchronous cascade of ``scenario``'s kill set with ``rule_set``'s
+    cascade rules read in ``BINARY``: from 1, the attacked entities at 0,
+    each step re-evaluates the readers of the slots the step before lowered,
+    until a step lowers nothing.  It reads the compiled ``BINARY`` functions
+    that ``verify_fixpoint`` reads, which other tests check against
+    ``evaluate``, and none of the ``LEVELS`` ones."""
+    program, slots = _programs(network, rule_set)[0], network.slots
+    killed_slots = {slots[entity] for entity in scenario.killed}
+    state = bytearray((1,)) * len(slots)
+    for slot in killed_slots:
+        state[slot] = 0
+    changed, frontier, lowered = [dict.fromkeys(sorted(killed_slots), 0)], set(killed_slots), set(killed_slots)
+    fns = program.fns[IIM]
+    while frontier:
+        candidates = {index for slot in frontier for index in program.readers.get(slot, ())}
+        updates = {}
+        for index in candidates:
+            target = program.targets[index]
+            if target not in killed_slots:
+                value = fns[index](state)
+                if value < state[target]:
+                    updates[target] = value
+        if not updates:
+            break
+        for slot, value in updates.items():
+            state[slot] = value
+        changed.append(dict(sorted(updates.items())))
+        frontier = set(updates)
+        lowered |= frontier
+    return CascadeTrace(slots, 1, bytes(state), changed, frozenset(lowered))
 
 
 def named_steps(trace, network):

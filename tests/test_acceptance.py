@@ -9,7 +9,7 @@ import random
 import time
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from oracle import arrays, free_entities, named_steps, rule_of
 from wls_reference import admittance_from_branch, branch_current_rows, wls_solve
@@ -195,6 +195,16 @@ def test_criterion_7_wls_correctness(ieee14_grid):
     )
 
 
+def paired_greater_p(a, b):
+    """One-sided p-value of the paired t-test that ``a`` exceeds ``b`` on
+    average: the t statistic of the differences against Student's t with
+    n - 1 degrees of freedom, its upper tail by ``stdtr``."""
+    diff = np.asarray(a) - np.asarray(b)
+    n = len(diff)
+    t = diff.mean() / np.sqrt(diff.var(ddof=1) / n)
+    return special.stdtr(n - 1, -t)
+
+
 def test_criterion_8_model_comparison_claim(ieee118, ieee118_grid):
     start = time.monotonic()
     scenarios = {
@@ -224,7 +234,7 @@ def test_criterion_8_model_comparison_claim(ieee118, ieee118_grid):
         for bus in extra:
             iim_err = result.errors[IIM][:, result.bus_ids.index(bus)]
             miim_err = result.errors[MIIM][:, result.bus_ids.index(bus)]
-            t_stat, p_value = stats.ttest_rel(iim_err, miim_err, alternative="greater")
+            p_value = paired_greater_p(iim_err, miim_err)
             assert p_value < 0.05, f"{label}: bus {bus} p={p_value}"
             tested_buses += 1
 
@@ -240,7 +250,7 @@ def test_criterion_8_model_comparison_claim(ieee118, ieee118_grid):
             for neighbor in sorted(neighbors - masks[IIM].scada_lost()):
                 iim_err = result.errors[IIM][:, result.bus_ids.index(neighbor)]
                 miim_err = result.errors[MIIM][:, result.bus_ids.index(neighbor)]
-                t_stat, p_value = stats.ttest_rel(iim_err, miim_err, alternative="greater")
+                p_value = paired_greater_p(iim_err, miim_err)
                 assert p_value < 0.05, f"{label}: neighbor {neighbor} p={p_value}"
                 tested_buses += 1
     elapsed = time.monotonic() - start

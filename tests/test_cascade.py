@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import arrays, columns, evaluate, named_steps, paths_of, read, to_binary
+from oracle import arrays, binary_cascade, columns, evaluate, named_steps, paths_of, read, to_binary
 from jointgrid import entities as ent, ternary
 from jointgrid.cascade import (
     AvailabilityMask,
@@ -116,6 +116,43 @@ def test_kill_set_cascades_once_per_model_and_both_cases_share_its_trace(ieee14)
                 cold = run_cascade(ieee14, cold_set, scenario)
                 assert second is first and cold is not first
                 assert _trace_fields(first) == _trace_fields(cold)
+
+
+def test_iim_trace_is_the_binary_cascade(ieee14):
+    """Oracle for the projection: every IIM trace of ``run_cascade``, the
+    top bit of the ``LEVELS`` cascade, equals ``binary_cascade``, the
+    cascade run in ``BINARY``, in every field.  Checked on the empty kill
+    set, the 14-bus N-1 family and a triple in both cases, each after its
+    MIIM trace; on a seeded sample of 500 N-2 kill sets with IIM asked
+    first; and under a fresh copy of the rules tuple, whose program no MIIM
+    rule set holds.  The triple's last MIIM step in case 1 only takes
+    ``C(3,1,3,0)`` from 1 to 0, so its IIM trace ends a step earlier; no
+    N-1 or N-2 kill set's does."""
+    entities = ieee14.entity_ids()
+    rng = random.Random(36)
+    empty, singles = FailureScenario.of([]), [FailureScenario.of([entity]) for entity in entities]
+    triple = FailureScenario.of(parse_entity_id(t) for t in ("C(1,2,2,2)", "C(1,3,7,7)", "C(1,6,1,1)"))
+    shorter = 0
+
+    def check(rule_set, scenario):
+        trace, reference = run_cascade(ieee14, rule_set, scenario), binary_cascade(ieee14, rule_set, scenario)
+        fields = [(t.top, t.fixpoint, t.changed, t.lowered, t.converged_at) for t in (trace, reference)]
+        assert fields[0] == fields[1], [str(entity) for entity in scenario.killed]
+        assert trace.slots is ieee14.slots
+
+    for case in CASES:
+        miim_rs, iim_rs = ieee14.rule_set(MIIM, case), ieee14.rule_set(IIM, case)
+        for scenario in (empty, *singles, triple):
+            miim = run_cascade(ieee14, miim_rs, scenario)
+            check(iim_rs, scenario)
+            shorter += run_cascade(ieee14, iim_rs, scenario).converged_at < miim.converged_at
+    iim_rs = ieee14.rule_set(IIM, 1)
+    for _ in range(500):
+        check(iim_rs, FailureScenario.of(rng.sample(entities, 2)))
+    fresh = RuleSet(IIM, 1, tuple(list(iim_rs.rules)), iim_rs.availability)
+    for scenario in (empty, *singles[::5]):
+        check(fresh, scenario)
+    assert shorter
 
 
 def test_latest_trace_is_kept_only_for_its_kill_set(ieee14, attack):
@@ -699,15 +736,16 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
 
 
 def test_compiled_functions_count_their_rules_and_seconds(ieee14_grid, monkeypatch):
-    """Each model's compiled cascade functions keep the number of rules
+    """A cascade program's ``LEVELS`` functions keep the number of rules
     compiled (``len``) and the seconds spent in ``compile_expr``
-    (``seconds``).  On a fresh network the count is the number of distinct
-    rules the cascade evaluated, and cascading a kill set again, after
-    another one, adds neither count nor seconds."""
+    (``seconds``).  On a fresh network, under either model, the count is the
+    number of distinct rules the cascade evaluated, and cascading a kill set
+    again, after another one, adds neither count nor seconds.  An IIM
+    cascade compiles no ``BINARY`` function: its trace is the top bit of the
+    ``LEVELS`` one."""
     from jointgrid import cascade
     from jointgrid.synthesis import build_joint_network
 
-    network = build_joint_network(ieee14_grid)
     evaluated = set()
 
     def recording_compile(expr, slots, reading):
@@ -722,8 +760,10 @@ def test_compiled_functions_count_their_rules_and_seconds(ieee14_grid, monkeypat
     monkeypatch.setattr(cascade, "compile_expr", recording_compile)
     attack, other = FailureScenario.of(ATTACK), FailureScenario.of([parse_entity_id("P(4)")])
     for model in MODELS:
+        network = build_joint_network(ieee14_grid)
         rule_set = network.rule_set(model, 1)
-        fns = cascade._programs(network, rule_set)[0].fns[model]
+        program = cascade._programs(network, rule_set)[0]
+        fns, binary = program.fns[MIIM], program.fns[IIM]
         assert (len(fns), fns.seconds) == (0, 0.0)
         evaluated.clear()
         run_cascade(network, rule_set, attack)
@@ -735,6 +775,7 @@ def test_compiled_functions_count_their_rules_and_seconds(ieee14_grid, monkeypat
         evaluated.clear()
         run_cascade(network, rule_set, attack)
         assert evaluated and (len(fns), fns.seconds) == (count, seconds)
+        assert (len(binary), binary.seconds) == (0, 0.0)
 
 
 def test_availability_evaluates_only_what_a_failure_lowered(ieee14_grid, monkeypatch):

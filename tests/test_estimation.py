@@ -685,14 +685,21 @@ def test_chi_square_of_a_square_system_is_the_explicit_residual(ieee14_grid):
     assert np.array_equal(chi2, explicit_chi2(system, kept, observed, solution))
 
 
-def test_solve_refuses_a_non_finite_solution(ieee14_grid):
+@pytest.mark.parametrize(
+    "factor, message",
+    [(1e308, "^state must be finite$"), (1e300, "^chi-square must be finite$")],
+    ids=["state", "chi2"],
+)
+def test_solve_refuses_a_non_finite_solution(ieee14_grid, factor, message):
     """Finite observations whose weighted values overflow give no state:
-    ``solve`` raises rather than return infinities."""
+    ``solve`` raises rather than return infinities, in the solution (×1e308)
+    or, with a finite solution, in the chi-square (×1e300) on the
+    SCADA-only full mask, whose square system takes the explicit sum."""
     mask = full_mask(ieee14_grid)
     template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, mask)
-    observed = estimation.observations(template, range(2)) * 1e308
+    observed = estimation.observations(template, range(2)) * factor
     assert np.isfinite(observed).all()
-    with np.errstate(over="ignore"), pytest.raises(EstimationError, match="^state must be finite$"):
+    with np.errstate(over="ignore"), pytest.raises(EstimationError, match=message):
         estimation.solve(template, template.kept(mask), observed, ieee14_grid.bus_ids)
 
 
