@@ -19,39 +19,41 @@ After a run, availability rules turn the fixpoint into a per-bus mask of
 which buses still deliver SCADA and PMU measurements to a control center.
 They are rules like the cascade's, each on a substation's data path
 (``GS(s)`` for SCADA, ``GP(s)`` for PMU), evaluated at the fixpoint rather
-than iterated: a mask starts from the full-operation flags, evaluates only
-the rules that read a failed slot (one of a trace's ``lowered``, built as
-the cascade steps, now at 0; see below), and records the buses they clear
-as its lost sets.  A mask makes its flag maps
-only when first read, sharing the full-operation map of a kind nothing
-cleared, and every mask of one availability program shares one bus set, so
-``footprint_diff`` checks that two masks cover the same buses by identity
-before it compares the sets.
+than iterated, in one pass per (trace, case) that serves both models: it
+evaluates in ``LEVELS``, at the MIIM fixpoint of the trace's kill set, each
+rule that reads a lowered slot (one of a trace's ``lowered``), and MIIM
+loses the rule's buses at level 0, IIM below 2 (see below).  A mask starts
+from the full-operation flags and records those buses as its lost sets.  It
+makes its flag maps only when first read, sharing the full-operation map of
+a kind nothing cleared, and every mask of one availability program shares
+one bus set, so ``footprint_diff`` checks that two masks cover the same
+buses by identity before it compares the sets.
 
 Both kinds of rule run through one program class and one evaluator: each
 rule is compiled on first need, over the network's slot map, to a function
 ``f(a)`` of a state array, and kept; rules of one shape share one code
 object (``idr.compile_expr``).  A program class's ``readings`` names the
-reading (see ``idr``) each model's rules compile in: IIM's is ``BINARY``, so
-no binary rule tree exists at run time, and a mask asks only whether a path
-is at ``>= 1``, so MIIM's data-path rules compile in ``DELIVERY``, the
-``>= 1`` half of ``LEVELS``.  Cascades run in ``LEVELS`` under both
-models, since IIM's cascade is the top bit of MIIM's (below), so only
-``verify_fixpoint`` compiles cascade rules in ``BINARY``.  A program maps
-each rule to its target (a cascade rule's slot; a data-path rule's mask and
-buses, from ``network.data_paths``) and each slot to the rules that read
-it.  A network's slot map is fixed when it is made, and each network keeps one
-program per class and immutable rules tuple, so a program cannot go stale
-and dies with its network.  A synthesized network's four rule sets hold one
-rules tuple and a case's two models one availability tuple, so only the
-compiled functions are per model; the tests check them against an
-interpretive evaluator of their own.
+reading (see ``idr``) each model's rules compile in.  Both kinds run in
+``LEVELS`` under both models, since IIM's cascade and masks are the top
+bit of MIIM's (below), so no binary rule tree exists at run time and only
+``verify_fixpoint`` compiles rules in ``BINARY``, IIM's cascade rules.  A
+program maps each rule to its target (a cascade rule's slot; a data-path
+rule's mask and buses, from ``network.data_paths``) and each slot to the
+rules that read it.  A network's slot map is fixed when it is made, and the
+network owns its programs: ``network.programs`` holds one per class and
+immutable rules tuple, so a program cannot go stale and dies with its
+network, and a copy of a network starts with none.  A synthesized
+network's four rule sets hold one rules tuple and a case's two models one
+availability tuple, so only ``verify_fixpoint``'s functions are per model;
+the tests check them against an interpretive evaluator of their own.
 A cascade program also keeps the kill set of its latest cascade, its
 trace and, made on first request, that trace's IIM projection, and a
 cascade of that kill set under either model returns the kept trace.  The
 two channel cases differ only in their data-path rules, so a kill set asked
 for under all four rule sets, in any order, is cascaded once per rules
-tuple and each model's two cases share its trace.
+tuple and each model's two cases share its trace.  An availability program
+keeps its latest pass (the fixpoint it read, by identity, and the buses each
+model loses), so the other model's mask of that trace evaluates nothing.
 A program checks its rules' references through the lookups it makes
 anyway; only a refused rule set is walked again, by
 ``network.reference_problems``, to word the error as ``validate`` does.
@@ -73,26 +75,27 @@ paper's claim), with ``proj(s)`` a state read as binary (level ``>= 1`` as
 MIIM's reading at ``s``: by the two-bit lemma that bit is ``DELIVERY``,
 which reads new-XOR as OR where ``BINARY`` reads AND; (2) by the projection,
 IIM's state at every step, up to both fixpoints, is ``[MIIM == 2] <=
-[MIIM >= 1]``, ``proj`` of MIIM's; (3) so by monotone rules and (1) a
-data-path rule below 1 under MIIM is 0 under IIM.  And a mask reads only
-failed slots: data-path rules see only ``>= 1`` bits and are at top at full
-operation, so one that reads no slot at 0 is at top.  The tests check the
-lemma, (1), (2), the projection and the mask rule on compiled rules and on
-the 14-bus N-1 family.
+[MIIM >= 1]``, ``proj`` of MIIM's; (3) read off one evaluation, a
+data-path rule's ``LEVELS`` value ``v`` at MIIM's fixpoint gives both
+masks: MIIM loses its buses at ``v == 0``, IIM, whose reading is the top
+bit of ``v`` by the projection and the lemma, at ``v < 2``, and level 0
+is below 2.  And a pass reads only lowered slots: data-path rules are at
+top at full operation, so one that reads no lowered slot is at top.  The
+tests check the lemma, (1), (2), the projection and the shared pass on
+compiled rules and on the 14-bus N-1 family.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from jointgrid.entities import EntityId, gw_pmu
 from jointgrid.grid import first_five
-from jointgrid.idr import BINARY, DELIVERY, IIM, LEVELS, MIIM, IdrRule, Reading, compile_expr
+from jointgrid.idr import BINARY, IIM, LEVELS, MIIM, IdrRule, Reading, compile_expr
 from jointgrid.network import JointNetwork, RuleSet, availability_gaps, data_paths, reference_problems
 
 
@@ -126,7 +129,8 @@ class CascadeTrace(Mapping[EntityId, int]):
     top level: values only fall, so those some step changed.  A trace may
     be returned to every caller that cascades its kill set under its model
     and rules (see ``run_cascade``), so it is shared: read it, never change
-    it.
+    it.  An IIM trace refers to the MIIM trace it is the top bit of
+    (``levels``), whose fixpoint its masks read; a copy does not.
     """
 
     slots: Dict[EntityId, int]
@@ -134,6 +138,7 @@ class CascadeTrace(Mapping[EntityId, int]):
     fixpoint: bytes  # one level per slot
     changed: List[Dict[int, int]]
     lowered: FrozenSet[int]
+    levels: Optional["CascadeTrace"] = field(default=None, init=False, repr=False)
 
     @property
     def converged_at(self) -> int:
@@ -187,8 +192,9 @@ class _Program:
     label = "cascade rules"
     readings: Mapping[str, Reading] = {MIIM: LEVELS, IIM: BINARY}
 
-    def __init__(self, rules: Tuple[IdrRule, ...], slots: Dict[EntityId, int], targets: Mapping):
+    def __init__(self, rules: Tuple[IdrRule, ...], network: JointNetwork, targets: Optional[Mapping] = None):
         self.rules = rules  # also keeps this tuple's id() from being reused
+        slots, targets = network.slots, network.slots if targets is None else targets
         self.readers: Dict[int, List[int]] = {}
         try:
             self.targets = [targets[rule.target] for rule in rules]
@@ -208,16 +214,17 @@ class _Program:
 class _AvailabilityProgram(_Program):
     """A program of data-path rules over one network, each rule's target the
     mask it clears (0 SCADA, 1 PMU) and its substation's buses that mask flags
-    at full operation, plus ``full``, the full-operation mask."""
+    at full operation, plus ``full``, the full-operation mask, and its latest
+    pass (``latest``), read in ``LEVELS`` by both models."""
 
     label = "availability rules"
-    readings = {MIIM: DELIVERY, IIM: BINARY}
+    readings = {MIIM: LEVELS}
 
     def __init__(self, rules: Tuple[IdrRule, ...], network: JointNetwork):
         gaps = availability_gaps(rules, network.substations)
         if gaps:
             raise ScenarioError(f"{self.label}: {'; '.join(gaps[:5])}")
-        super().__init__(rules, network.slots, data_paths(network.substations))
+        super().__init__(rules, network, data_paths(network.substations))
         # At full operation every rule is at top, so every path delivers.
         subs, held = network.substations, {rule.target for rule in rules}
         scada = {bus: True for sub in subs for bus in sub.buses}
@@ -227,28 +234,18 @@ class _AvailabilityProgram(_Program):
         self.full = AvailabilityMask(*map(MappingProxyType, flags), equipped)
 
 
-# Compiled programs per network (whose slot map is fixed), each under its
-# class and the id() of the rules tuple it is compiled from, an immutable
-# object (a tuple may be given as both kinds).  A program holds that tuple,
-# so no id() is reused while its entry stands, and never the network, so a
-# network's programs die with it.
-_PROGRAMS: "weakref.WeakKeyDictionary[JointNetwork, dict]" = weakref.WeakKeyDictionary()
+def _program(network: JointNetwork, kind: type, rules: Tuple[IdrRule, ...]):
+    """The ``kind`` program of ``rules``, built on first need and kept in
+    ``network.programs`` under its kind and the id() of ``rules``."""
+    program = network.programs.get((kind, id(rules)))
+    if program is None:
+        program = network.programs[kind, id(rules)] = kind(rules, network)
+    return program
 
 
 def _programs(network: JointNetwork, rule_set: RuleSet) -> Tuple[_Program, _AvailabilityProgram]:
-    """``rule_set``'s cascade and availability programs over ``network``,
-    built on first need, the cascade rules first."""
-    programs = _PROGRAMS.get(network)  # setdefault would make a weakref per call
-    if programs is None:
-        programs = _PROGRAMS[network] = {}
-    rules, paths = rule_set.rules, rule_set.availability
-    cascade = programs.get((_Program, id(rules)))
-    if cascade is None:
-        cascade = programs[_Program, id(rules)] = _Program(rules, network.slots, network.slots)
-    availability = programs.get((_AvailabilityProgram, id(paths)))
-    if availability is None:
-        availability = programs[_AvailabilityProgram, id(paths)] = _AvailabilityProgram(paths, network)
-    return cascade, availability
+    """``rule_set``'s cascade and availability programs, the cascade rules first."""
+    return _program(network, _Program, rule_set.rules), _program(network, _AvailabilityProgram, rule_set.availability)
 
 
 def run_cascade(
@@ -329,7 +326,9 @@ def _top_bit(levels: CascadeTrace) -> CascadeTrace:
             break
         changed.append(fell)
         reduced.update(slot for slot, value in step.items() if value)
-    return CascadeTrace(levels.slots, _TOP[IIM], levels.fixpoint.translate(_TOP_BITS), changed, levels.lowered)
+    trace = CascadeTrace(levels.slots, _TOP[IIM], levels.fixpoint.translate(_TOP_BITS), changed, levels.lowered)
+    trace.levels = levels
+    return trace
 
 
 def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrace) -> bool:
@@ -410,12 +409,12 @@ def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: Rule
     A substation's buses deliver SCADA (or PMU) data when the matching
     data-path rule evaluates to at least reduced operation.  Buses in
     substations without PMUs never deliver PMU data.  ``trace`` must come
-    from a cascade on ``network`` under a rule set of ``rule_set``'s model.
+    from ``run_cascade`` on ``network`` under a rule set of ``rule_set``'s
+    model.
 
-    Only the rules that read a failed slot, one of ``trace.lowered`` now
-    at 0, are evaluated, and the buses they clear recorded as the mask's
-    lost sets: any other rule is at top, as at full operation.  The mask's
-    flag maps are made when first read.
+    The pass (see above) reads the MIIM fixpoint, an IIM trace's
+    ``levels``; any rule that reads no lowered slot is at top.  Each call
+    returns a fresh mask, whose flag maps are made when first read.
     """
     if not (isinstance(trace, CascadeTrace) and trace.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
@@ -423,12 +422,22 @@ def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: Rule
         raise ValueError(
             f"final state has top level {trace.top}, not that of the {rule_set.model} rule set"
         )
-    program = _programs(network, rule_set)[1]
-    fns, state, full, cleared = program.fns[rule_set.model], trace.fixpoint, program.full, (set(), set())
-    for index in {i for slot in trace.lowered if not state[slot] for i in program.readers.get(slot, ())}:
-        if not fns[index](state):
-            mask, buses = program.targets[index]
-            cleared[mask].update(buses)
+    program = _program(network, _AvailabilityProgram, rule_set.availability)
+    levels = trace if trace.levels is None else trace.levels
+    if levels.top != _TOP[MIIM]:
+        raise ValueError("final state was not produced by a cascade on this network")
+    latest, full = program.latest, program.full
+    if latest is None or latest[0] is not levels.fixpoint:
+        fns, state, miim, iim = program.fns[MIIM], levels.fixpoint, (set(), set()), (set(), set())
+        for index in {i for slot in levels.lowered for i in program.readers.get(slot, ())}:
+            value = fns[index](state)
+            if value < 2:  # IIM clears below 2, MIIM at 0
+                mask, buses = program.targets[index]
+                iim[mask].update(buses)
+                if not value:
+                    miim[mask].update(buses)
+        latest = program.latest = (state, {MIIM: miim, IIM: iim})
+    cleared = latest[1][rule_set.model]
     (scada, pmu), (scada_lost, pmu_lost) = cleared, full._lost
     lost = (scada_lost.union(scada) if scada else scada_lost, pmu_lost.union(pmu) if pmu else pmu_lost)
     mask = AvailabilityMask.__new__(AvailabilityMask)

@@ -15,8 +15,9 @@ it is read.
 function of a state array of levels, in one of three readings.  By the
 two-bit lemma (``ternary``), ``DELIVERY`` (min-AND, max-OR, new-XOR as AND,
 OR, OR) gives a level's ``>= 1`` bit and ``BINARY`` (AND, OR, AND) its top
-bit; ``LEVELS``, MIIM's, is that pair.  ``BINARY`` is also IIM's reading,
-so the binary model needs no rules of its own.
+bit; ``LEVELS``, MIIM's, is that pair.  ``BINARY`` is also IIM's reading
+(``verify_fixpoint``'s), so the binary model needs no rules of its own.  At
+run time ``DELIVERY`` exists only inside ``LEVELS``, which both models read.
 
 ``format_expr`` and ``format_idr`` write a body and a rule as canonical
 text, every operator child parenthesized; ``cli`` writes them into the

@@ -113,12 +113,13 @@ class RuleSet:
 
 @dataclass(eq=False)
 class JointNetwork:
-    """Equality is identity: the cascade engine keys its programs to the network.
+    """Equality is identity.
 
     The index is made with the network from its complete registry and fixed
     for its life: the canonical entity order (the sorted registry), each
     entity's slot in it, and each entity's text in that order (writers read
-    ``names[slot]``, not ``str(entity)``)."""
+    ``names[slot]``, not ``str(entity)``).  ``programs`` holds the cascade
+    engine's programs compiled over that slot map; a copy starts with none."""
 
     grid: Grid
     substations: List[Substation]
@@ -133,11 +134,15 @@ class JointNetwork:
     entity_order: Tuple[EntityId, ...] = field(init=False)
     slots: Dict[EntityId, int] = field(init=False)
     names: Tuple[str, ...] = field(init=False)
+    programs: Dict[Tuple[type, int], object] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.entity_order = tuple(sorted(self.registry))
         self.slots = {entity: i for i, entity in enumerate(self.entity_order)}
         self.names = tuple(map(str, self.entity_order))
+
+    def __getstate__(self):
+        return {**vars(self), "programs": {}}
 
     @property
     def primary_cc(self) -> int:

@@ -591,10 +591,61 @@ def test_incremental_availability_matches_dense_masks(ieee14):
     assert lossy > 0
 
 
+def test_one_pass_serves_both_models_masks(ieee14):
+    """Oracle for the shared pass: one ``LEVELS`` evaluation per (trace,
+    case) gives both models' masks, each equal to ``_dense_masks``, which
+    reads every data-path rule at the model's own fixpoint.  Checked on the
+    14-bus N-1 family, each kill set in both cases, with IIM asked first for
+    every other kill set; on 500 seeded N-2 kill sets; and on a trace older
+    than the program's latest pass, both one of another kill set and one of
+    the same kill set under a rule set with the same data-path rules and no
+    cascade rules, whose fixpoint differs.  A mask asked twice is two equal
+    masks, and assigning a flag map to one leaves the other as it was."""
+    import dataclasses
+
+    entities, rng = ieee14.entity_ids(), random.Random(37)
+    kill_sets = [[entity] for entity in entities] + [rng.sample(entities, 2) for _ in range(500)]
+    masks, finals = {}, {}
+    for index, killed in enumerate(kill_sets):
+        scenario = FailureScenario.of(killed)
+        for case in CASES:
+            for model in MODELS if index % 2 else MODELS[::-1]:
+                rule_set = ieee14.rule_set(model, case)
+                final = run_cascade(ieee14, rule_set, scenario)
+                finals.setdefault((model, case), []).append(final)
+                masks.setdefault((model, case), []).append(data_availability(final, ieee14, rule_set))
+    lossy = 0
+    for (model, case), found in masks.items():
+        dense = _dense_masks(ieee14, ieee14.rule_set(model, case), finals[model, case])
+        assert [dataclasses.replace(mask) for mask in found] == dense, (model, case)
+        assert [(m.scada_lost(), m.pmu_lost()) for m in found] == [(m.scada_lost(), m.pmu_lost()) for m in dense]
+        lossy += sum(bool(mask.scada_lost() or mask.pmu_lost()) for mask in found)
+    assert lossy
+
+    older, other = FailureScenario.of([parse_entity_id("C(1,2,1,1)")]), FailureScenario.of([entities[0]])
+    for model in MODELS:
+        rule_set = ieee14.rule_set(model, 1)
+        bare = RuleSet(model, 1, (), rule_set.availability)
+        traces = [run_cascade(ieee14, rule_set, older), run_cascade(ieee14, bare, older)]
+        traces.append(run_cascade(ieee14, rule_set, other))
+        dense = [_dense_masks(ieee14, rule_set, [trace])[0] for trace in traces]
+        assert dense[0] != dense[1]
+        for order in ((0, 1, 0), (1, 0, 1), (2, 0, 2, 1)):
+            assert [data_availability(traces[k], ieee14, rule_set) for k in order] == [dense[k] for k in order]
+        first, second = (data_availability(traces[0], ieee14, rule_set) for _ in range(2))
+        assert first == second and first is not second
+        lost = second.scada_lost()
+        first.scada = dict.fromkeys(first.scada, False)
+        assert second.scada_lost() == lost != first.scada_lost() and second == dense[0]
+
+
+_READING_NAMES = {id(LEVELS): "levels", id(DELIVERY): "delivery", id(BINARY): "binary"}
+
+
 def _count_calls(monkeypatch, network):
     """Count what ``cascade`` does on ``network``'s rule sets: the cascade
     rule bodies it compiles, the availability expressions it compiles (by
-    body and model, in order), the calls of the functions it compiled and
+    body and reading, in order), the calls of the functions it compiled and
     its ``reference_problems`` walks."""
     from jointgrid import cascade
 
@@ -605,7 +656,7 @@ def _count_calls(monkeypatch, network):
 
     def counting_compile(expr, slots, reading):
         if id(expr) in availability:
-            calls["availability"].append((id(expr), IIM if reading is BINARY else MIIM))
+            calls["availability"].append((id(expr), _READING_NAMES[id(reading)]))
         else:
             calls["cascade"] += 1
         return counting(compile_expr(expr, slots, reading), "evaluated")
@@ -627,7 +678,8 @@ def _count_calls(monkeypatch, network):
 def test_models_share_their_program_tables(ieee14):
     """What a program holds besides its functions does not depend on the
     model: the four rule sets, which hold one rules tuple, share one cascade
-    program; a case's MIIM and IIM rule sets share one availability program;
+    program; a case's MIIM and IIM rule sets share one availability program,
+    whose one set of functions is compiled in ``LEVELS`` for both models;
     and each model's cases share its cascade functions."""
     from jointgrid.cascade import _programs
 
@@ -637,7 +689,7 @@ def test_models_share_their_program_tables(ieee14):
         (miim, miim_availability), (iim, iim_availability) = programs[MIIM, case], programs[IIM, case]
         assert miim_availability is iim_availability
         assert miim.fns[MIIM] is not iim.fns[IIM]
-        assert miim_availability.fns[MIIM] is not iim_availability.fns[IIM]
+        assert list(miim_availability.fns) == [MIIM] and miim_availability.fns[MIIM].reading is LEVELS
         tops = [run_cascade(ieee14, ieee14.rule_set(model, case), FailureScenario.of([])).top for model in MODELS]
         assert tops == [2, 1]
     assert programs[MIIM, 1][1] is not programs[MIIM, 2][1]
@@ -647,8 +699,8 @@ def test_models_share_their_program_tables(ieee14):
 
 def test_programs_belong_to_their_network(ieee14, attack):
     """A copy of a network with an equal slot map and the very same rule
-    sets compiles its own programs, and they die with it: no program refers
-    to its network, so the cache's weak key is freed."""
+    sets compiles its own programs, and they die with it: the network holds
+    them, and no program refers to its network."""
     import dataclasses
     import gc
     import weakref
@@ -692,9 +744,11 @@ def test_reindexed_network_compiles_afresh(ieee14, attack):
 
 def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
     """The cases share one cascade rules tuple per model and so one compiled
-    cascade program: case 2 compiles no cascade rule after case 1 did.  Each
-    rule set compiles an availability expression at most once, and a second
-    pass over all four rule sets compiles nothing.  Clean rule sets are
+    cascade program: case 2 compiles no cascade rule after case 1 did.  A
+    case's availability expressions compile in ``LEVELS`` only, each at most
+    once, under the model asked first: the other model's mask of the same
+    trace compiles none.  A second pass over all four rule sets compiles
+    nothing.  Clean rule sets are
     checked by the compilers' own slot lookups, with no
     ``reference_problems`` walk."""
     from jointgrid.synthesis import build_joint_network
@@ -730,9 +784,11 @@ def test_each_rule_set_compiles_once(ieee14_grid, monkeypatch):
         assert network.rule_set(model, 1).rules is network.rule_set(model, 2).rules
         assert compiled[model, 1][0] > 0
         assert compiled[model, 2][0] == 0
-    for (model, case), (_, bodies) in compiled.items():
-        own = {(id(rule.body), model) for rule in network.rule_set(model, case).availability}
+    for case in CASES:
+        bodies = compiled[MIIM, case][1]
+        own = {(id(rule.body), "levels") for rule in network.rule_set(MIIM, case).availability}
         assert bodies and len(set(bodies)) == len(bodies) and set(bodies) <= own
+        assert compiled[IIM, case][1] == []
 
 
 def test_compiled_functions_count_their_rules_and_seconds(ieee14_grid, monkeypatch):
@@ -822,31 +878,38 @@ class _Reads(dict):
         return self.fns[index]
 
 
-def test_masks_evaluate_exactly_the_readers_of_failed_slots(ieee14, monkeypatch):
-    """Over the 14-bus N-1 family under all four rule sets, a mask evaluates
-    once each data-path rule that reads an entity at level 0, and no other
-    rule: one that reads only entities at 1 or 2 is at top in both Boolean
-    readings.  Under IIM every lowered entity is at 0; under MIIM some kill
-    set lowers entities to 1 that a data-path rule reads, so its mask
-    evaluates strictly fewer rules than read a lowered entity."""
+def test_masks_evaluate_the_readers_of_lowered_slots_once_per_trace_and_case(ieee14, monkeypatch):
+    """Over the 14-bus N-1 family in both cases, with either model asked
+    first, a kill set's first mask evaluates once each data-path rule that
+    reads a lowered entity, and no other rule: one that reads only entities
+    at top is at top.  The other model's mask of that trace, and a repeat of
+    the first, evaluate nothing.  Under IIM every lowered entity is at 0;
+    under MIIM some kill set lowers entities to 1 that a data-path rule
+    reads, so MIIM's mask alone needs strictly fewer rules than read a
+    lowered entity: those that read an entity at 0."""
     from jointgrid.cascade import _programs
 
     fewer = 0
-    for rule_set in ieee14.rule_sets.values():
-        program = _programs(ieee14, rule_set)[1]
-        reads = _Reads(program.fns[rule_set.model])
-        monkeypatch.setitem(program.fns, rule_set.model, reads)
-        for entity in ieee14.entity_ids():
-            final = run_cascade(ieee14, rule_set, FailureScenario.of([entity])).final_state()
-            reads.read.clear()
-            data_availability(final, ieee14, rule_set)
-            failed = {i for i, rule in enumerate(program.rules) if any(final[e] == 0 for e in rule.literals)}
-            lowered = {i for i, rule in enumerate(program.rules) if any(final[e] < final.top for e in rule.literals)}
-            assert sorted(reads.read) == sorted(failed), (rule_set.model, str(entity))
-            if rule_set.model == IIM:
-                assert failed == lowered
-            else:
-                fewer += failed < lowered
+    for case in CASES:
+        rule_sets = {model: ieee14.rule_set(model, case) for model in MODELS}
+        program = _programs(ieee14, rule_sets[MIIM])[1]
+        assert program is _programs(ieee14, rule_sets[IIM])[1]
+        reads = _Reads(program.fns[MIIM])
+        monkeypatch.setitem(program.fns, MIIM, reads)
+        for index, entity in enumerate(ieee14.entity_ids()):
+            finals, read = {}, []
+            for model in MODELS if index % 2 else MODELS[::-1]:
+                finals[model] = run_cascade(ieee14, rule_sets[model], FailureScenario.of([entity])).final_state()
+                reads.read.clear()
+                for _ in range(2):
+                    data_availability(finals[model], ieee14, rule_sets[model])
+                read.append(sorted(reads.read))
+            miim, iim = finals[MIIM], finals[IIM]
+            failed = {i for i, rule in enumerate(program.rules) if any(miim[e] == 0 for e in rule.literals)}
+            lowered = {i for i, rule in enumerate(program.rules) if any(miim[e] < miim.top for e in rule.literals)}
+            assert read == [sorted(lowered), []], (case, str(entity))
+            assert lowered == {i for i, rule in enumerate(program.rules) if any(iim[e] == 0 for e in rule.literals)}
+            fewer += failed < lowered
     assert fewer
 
 
@@ -935,6 +998,23 @@ def test_availability_rejects_state_of_another_model(ieee14, attack):
             assert data_availability(final, ieee14, ieee14.rule_set(model, case)).scada_lost()
             with pytest.raises(ValueError, match=f"not that of the {other} rule set"):
                 data_availability(final, ieee14, ieee14.rule_set(other, case))
+
+
+def test_availability_refuses_a_binary_trace_with_no_levels(ieee14, attack):
+    """An IIM trace that was not projected from a ``LEVELS`` cascade has no
+    MIIM fixpoint for a mask to read, and is refused: the oracle's
+    ``binary_cascade``, though its fixpoint is ``run_cascade``'s, and a
+    copy of a ``run_cascade`` trace, whose fixpoint may have been edited."""
+    import dataclasses
+
+    rule_set = ieee14.rule_set(IIM, 1)
+    trace = run_cascade(ieee14, rule_set, attack)
+    assert data_availability(trace, ieee14, rule_set).scada_lost() == {10, 11, 12, 13, 14}
+    for copy in (binary_cascade(ieee14, rule_set, attack), dataclasses.replace(trace, fixpoint=bytes(len(ieee14.slots)))):
+        assert copy.levels is None
+        with pytest.raises(ValueError, match="not produced by a cascade on this network"):
+            data_availability(copy, ieee14, rule_set)
+    assert binary_cascade(ieee14, rule_set, attack).fixpoint == trace.fixpoint
 
 
 def test_one_tuple_given_as_both_rule_lists_gets_both_programs(ieee14, attack):
