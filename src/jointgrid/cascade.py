@@ -22,12 +22,11 @@ They are rules like the cascade's, each on a substation's data path
 than iterated, in one pass per (trace, case) that serves both models: it
 evaluates in ``LEVELS``, at the MIIM fixpoint of the trace's kill set, each
 rule that reads a lowered slot (one of a trace's ``lowered``), and MIIM
-loses the rule's buses at level 0, IIM below 2 (see below).  A mask starts
-from the full-operation flags and records those buses as its lost sets.  It
-makes its flag maps only when first read, sharing the full-operation map of
-a kind nothing cleared, and every mask of one availability program shares
-one bus set, so ``footprint_diff`` checks that two masks cover the same
-buses by identity before it compares the sets.
+loses the rule's buses at level 0, IIM below 2 (see below).  A mask is its
+lost sets: the full-operation lost sets joined to those buses, beside the
+program's bus set and PMU-equipped set, which every mask of one
+availability program shares, so ``footprint_diff`` checks that two masks
+cover the same buses by identity before it compares the sets.
 
 Both kinds of rule run through one program class and one evaluator: each
 rule is compiled on first need, over the network's slot map, to a function
@@ -89,7 +88,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -213,9 +211,10 @@ class _Program:
 
 class _AvailabilityProgram(_Program):
     """A program of data-path rules over one network, each rule's target the
-    mask it clears (0 SCADA, 1 PMU) and its substation's buses that mask flags
-    at full operation, plus ``full``, the full-operation mask, and its latest
-    pass (``latest``), read in ``LEVELS`` by both models."""
+    lost set it adds to (0 SCADA, 1 PMU) and its substation's buses that
+    kind covers (for PMU, the equipped ones), plus ``full``, the
+    full-operation mask, and its latest pass (``latest``), read in
+    ``LEVELS`` by both models."""
 
     label = "availability rules"
     readings = {MIIM: LEVELS}
@@ -225,13 +224,14 @@ class _AvailabilityProgram(_Program):
         if gaps:
             raise ScenarioError(f"{self.label}: {'; '.join(gaps[:5])}")
         super().__init__(rules, network, data_paths(network.substations))
-        # At full operation every rule is at top, so every path delivers.
+        # At full operation every rule is at top, so every path delivers:
+        # only an equipped bus whose substation has no GP(s) rule is lost.
         subs, held = network.substations, {rule.target for rule in rules}
-        scada = {bus: True for sub in subs for bus in sub.buses}
-        flags = (scada, {bus: sub.has_pmu and gw_pmu(sub.id) in held for sub in subs for bus in sub.buses})
-        self.targets = [(mask, tuple(filter(flags[mask].get, buses))) for mask, buses in self.targets]
         equipped = frozenset(bus for sub in subs if sub.has_pmu for bus in sub.buses)
-        self.full = AvailabilityMask(*map(MappingProxyType, flags), equipped)
+        self.targets = [(mask, tuple(b for b in buses if not mask or b in equipped)) for mask, buses in self.targets]
+        pathless = frozenset(bus for sub in subs if sub.has_pmu and gw_pmu(sub.id) not in held for bus in sub.buses)
+        buses = frozenset(bus for sub in subs for bus in sub.buses)
+        self.full = AvailabilityMask(buses, equipped, frozenset(), pathless)
 
 
 def _program(network: JointNetwork, kind: type, rules: Tuple[IdrRule, ...]):
@@ -349,58 +349,62 @@ def verify_fixpoint(network: JointNetwork, rule_set: RuleSet, trace: CascadeTrac
     return True
 
 
-@dataclass(init=False)
+@dataclass(slots=True)
 class AvailabilityMask:
-    """Per-bus SCADA/PMU delivery flags at a cascade fixpoint.
+    """Which buses lose SCADA and PMU measurements at a cascade fixpoint.
 
-    ``pmu`` is false both for undelivered PMU data and for buses whose
-    substation has no PMU at all; ``pmu_equipped`` separates the two.
+    A mask is its lost sets.  A bus delivers SCADA data when it is in
+    ``buses`` and not in ``lost_scada``, and PMU data when it is in
+    ``pmu_equipped`` and not in ``lost_pmu``; a bus whose substation has no
+    PMU never delivers PMU data, and is in no PMU lost set.
 
-    The flag maps are read-only: a map is copied, a read-only view kept.
-    A mask from ``data_availability`` records its lost sets (SCADA, PMU),
-    the buses its rules cleared and its program's full-operation mask, and
-    makes each flag map when first read: the full-operation map, shared,
-    if it cleared no bus of that kind.  Any other mask scans its lost sets
-    from the flags on first need, and again after an assignment.
+    ``scada`` and ``pmu`` are the per-bus flag maps, derived on each read
+    in bus order as read-only views.  Assigning one sets ``buses`` to its
+    keys and that kind's lost set from its flags.  Only the benchmark
+    (``perfbench/``) and the tests assign a map or call ``scada_lost()``
+    and ``pmu_lost()``, which return the lost sets.
     """
 
-    scada: Mapping[int, bool]
-    pmu: Mapping[int, bool]
-    pmu_equipped: FrozenSet[int] = frozenset()
+    buses: FrozenSet[int]
+    pmu_equipped: FrozenSet[int]
+    lost_scada: FrozenSet[int]
+    lost_pmu: FrozenSet[int]
 
-    def __init__(self, scada, pmu, pmu_equipped=frozenset()):
-        self.scada, self.pmu, self.pmu_equipped = scada, pmu, pmu_equipped
+    @classmethod
+    def from_flags(cls, scada: Mapping[int, bool], pmu: Mapping[int, bool], pmu_equipped) -> "AvailabilityMask":
+        """The mask of flag maps: ``scada``'s keys are its buses, and an
+        equipped bus is PMU-lost unless ``pmu`` flags it."""
+        equipped = frozenset(pmu_equipped)
+        lost_pmu = frozenset(bus for bus in equipped if not pmu.get(bus, False))
+        return cls(frozenset(scada), equipped, frozenset(bus for bus, ok in scada.items() if not ok), lost_pmu)
 
-    def __setattr__(self, name, value):
-        if name in ("scada", "pmu") and type(value) is not MappingProxyType:
-            value = MappingProxyType(dict(value))
-        vars(self)[name] = value
-        vars(self).pop("_lost", None)
-        vars(self).pop("_buses", None)
+    def delivered(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """The buses that deliver SCADA data, and those that deliver PMU data."""
+        return self.buses - self.lost_scada, self.pmu_equipped - self.lost_pmu
 
-    def __getattr__(self, name):
-        # Only a mask from data_availability lacks a flag map: one it has not made yet.
-        if name not in ("scada", "pmu") or "_cleared" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        flags, cleared = getattr(vars(self)["_full"], name), vars(self)["_cleared"][name == "pmu"]
-        vars(self)[name] = flags = MappingProxyType(flags | dict.fromkeys(cleared, False)) if cleared else flags
-        return flags
+    @property
+    def scada(self) -> Mapping[int, bool]:
+        return MappingProxyType({bus: bus not in self.lost_scada for bus in sorted(self.buses)})
 
-    @cached_property
-    def _lost(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        scada = frozenset(bus for bus, ok in self.scada.items() if not ok)
-        return scada, frozenset(bus for bus in self.pmu_equipped if not self.pmu[bus])
+    @scada.setter
+    def scada(self, flags: Mapping[int, bool]) -> None:
+        self.buses, self.lost_scada = frozenset(flags), self.from_flags(flags, {}, ()).lost_scada
 
-    @cached_property
-    def _buses(self) -> FrozenSet[int]:
-        return frozenset(self.scada)
+    @property
+    def pmu(self) -> Mapping[int, bool]:
+        equipped, lost = self.pmu_equipped, self.lost_pmu
+        return MappingProxyType({bus: bus in equipped and bus not in lost for bus in sorted(self.buses)})
+
+    @pmu.setter
+    def pmu(self, flags: Mapping[int, bool]) -> None:
+        self.buses, self.lost_pmu = frozenset(flags), self.from_flags(flags, flags, self.pmu_equipped).lost_pmu
 
     def scada_lost(self) -> FrozenSet[int]:
-        return self._lost[0]
+        return self.lost_scada
 
     def pmu_lost(self) -> FrozenSet[int]:
         """Buses in PMU-equipped substations whose PMU data is not delivered."""
-        return self._lost[1]
+        return self.lost_pmu
 
 
 def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: RuleSet) -> AvailabilityMask:
@@ -414,7 +418,8 @@ def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: Rule
 
     The pass (see above) reads the MIIM fixpoint, an IIM trace's
     ``levels``; any rule that reads no lowered slot is at top.  Each call
-    returns a fresh mask, whose flag maps are made when first read.
+    returns a fresh mask: the program's full-operation mask with the buses
+    the pass cleared under ``rule_set``'s model added to its lost sets.
     """
     if not (isinstance(trace, CascadeTrace) and trace.slots is network.slots):
         raise ValueError("final state was not produced by a cascade on this network")
@@ -437,12 +442,10 @@ def data_availability(trace: CascadeTrace, network: JointNetwork, rule_set: Rule
                 if not value:
                     miim[mask].update(buses)
         latest = program.latest = (state, {MIIM: miim, IIM: iim})
-    cleared = latest[1][rule_set.model]
-    (scada, pmu), (scada_lost, pmu_lost) = cleared, full._lost
-    lost = (scada_lost.union(scada) if scada else scada_lost, pmu_lost.union(pmu) if pmu else pmu_lost)
-    mask = AvailabilityMask.__new__(AvailabilityMask)
-    vars(mask).update(pmu_equipped=full.pmu_equipped, _lost=lost, _cleared=cleared, _full=full, _buses=full._buses)
-    return mask
+    scada, pmu = latest[1][rule_set.model]
+    lost_scada = full.lost_scada.union(scada) if scada else full.lost_scada
+    lost_pmu = full.lost_pmu.union(pmu) if pmu else full.lost_pmu
+    return AvailabilityMask(full.buses, full.pmu_equipped, lost_scada, lost_pmu)
 
 
 @dataclass
@@ -457,11 +460,9 @@ class FootprintDiff:
 
 def footprint_diff(mask_a: AvailabilityMask, mask_b: AvailabilityMask) -> FootprintDiff:
     """Which buses lose measurements under exactly one of two masks."""
-    buses_a, buses_b = mask_a._buses, mask_b._buses
-    if buses_a is not buses_b and buses_a != buses_b:
+    if mask_a.buses is not mask_b.buses and mask_a.buses != mask_b.buses:
         raise ValueError("availability masks cover different bus sets")
-    lost_a, lost_b = mask_a.scada_lost(), mask_b.scada_lost()
-    pmu_a, pmu_b = mask_a.pmu_lost(), mask_b.pmu_lost()
+    lost_a, lost_b, pmu_a, pmu_b = mask_a.lost_scada, mask_b.lost_scada, mask_a.lost_pmu, mask_b.lost_pmu
     return FootprintDiff(
         scada_only_a=lost_a - lost_b,
         scada_only_b=lost_b - lost_a,

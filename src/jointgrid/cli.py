@@ -207,12 +207,13 @@ def _trace_tsv(trace: CascadeTrace, names: Tuple[str, ...]) -> str:
 
 
 def _mask_payload(mask: AvailabilityMask, grid_path: str, model: str, case: int) -> dict:
+    """An availability file: the mask's flag maps, derived in bus order."""
     return {
         "grid": grid_path,
         "model": model,
         "case": case,
-        "scada": {str(bus): ok for bus, ok in sorted(mask.scada.items())},
-        "pmu": {str(bus): ok for bus, ok in sorted(mask.pmu.items())},
+        "scada": {str(bus): ok for bus, ok in mask.scada.items()},
+        "pmu": {str(bus): ok for bus, ok in mask.pmu.items()},
         "pmu_equipped": sorted(mask.pmu_equipped),
     }
 
@@ -244,8 +245,11 @@ def _bus_flags(payload: dict, field: str, path: Path) -> Dict[int, bool]:
     return parsed
 
 
-def load_mask(path) -> Tuple[dict, AvailabilityMask]:
-    """An availability file as written by ``cascade``: its JSON and its mask."""
+def load_mask(path, grid_path=None) -> Tuple[dict, Grid, AvailabilityMask]:
+    """An availability file as written by ``cascade``: its JSON, its grid
+    (``grid_path``, else the file's ``grid`` beside it) and its mask.  Every
+    check runs on the file's own flag maps, each of which must cover the
+    grid's buses exactly, before the mask's lost sets are made."""
     path = Path(path)
     payload = _read_json_object(path)
     equipped = payload.get("pmu_equipped", [])
@@ -253,15 +257,23 @@ def load_mask(path) -> Tuple[dict, AvailabilityMask]:
         raise ScenarioFileError(f"{path}: pmu_equipped must be a list of bus ids")
     if not isinstance(payload.get("model", ""), str):
         raise ScenarioFileError(f"{path}: model must be a string, got {cut(repr(payload['model']))}")
-    mask = AvailabilityMask(
-        scada=_bus_flags(payload, "scada", path),
-        pmu=_bus_flags(payload, "pmu", path),
-        pmu_equipped=frozenset(equipped),
-    )
-    unequipped = sorted(bus for bus, ok in mask.pmu.items() if ok and bus not in mask.pmu_equipped)
+    flags = {"scada": _bus_flags(payload, "scada", path), "pmu": _bus_flags(payload, "pmu", path)}
+    equipped = frozenset(equipped)
+    unequipped = sorted(bus for bus, ok in flags["pmu"].items() if ok and bus not in equipped)
     if unequipped:
         raise ScenarioFileError(f"{path}: pmu: bus {cut(str(unequipped[0]))} is flagged but not in pmu_equipped")
-    return payload, mask
+    if not grid_path and not isinstance(payload.get("grid"), str):
+        raise ScenarioFileError(f"{path}: grid must be a path string, or pass --grid")
+    grid = load_grid(grid_path or _file_beside(path, payload["grid"], "grid"))
+    buses = set(grid.bus_ids)
+    for field, flagged in {**flags, "pmu_equipped": equipped}.items():
+        foreign = sorted(set(flagged) - buses)
+        if foreign:
+            raise ScenarioFileError(f"{path}: {field}: bus {cut(str(foreign[0]))} is not in the grid")
+        missing = sorted(buses - set(flagged))
+        if missing and field != "pmu_equipped":
+            raise ScenarioFileError(f"{path}: {field}: bus {missing[0]} is missing")
+    return payload, grid, AvailabilityMask.from_flags(flags["scada"], flags["pmu"], equipped)
 
 
 def registry_text(network: JointNetwork) -> str:
@@ -519,25 +531,13 @@ def _cmd_cascade(args) -> int:
         trace, mask = _write_cascade(out, network, failure, model, case, str(scenario["_grid_path"]))
         print(
             f"{model}_case{case}: fixpoint at T{trace.converged_at}, "
-            f"scada lost at {sorted(mask.scada_lost())}"
+            f"scada lost at {sorted(mask.lost_scada)}"
         )
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    payload, mask = load_mask(args.mask)
-    if not args.grid and not isinstance(payload.get("grid"), str):
-        raise ScenarioFileError(f"{args.mask}: grid must be a path string, or pass --grid")
-    grid = load_grid(args.grid or _file_beside(Path(args.mask), payload["grid"], "grid"))
-    buses = set(grid.bus_ids)
-    flags = {"scada": mask.scada, "pmu": mask.pmu, "pmu_equipped": mask.pmu_equipped}
-    for field, flagged in flags.items():
-        foreign = sorted(set(flagged) - buses)
-        if foreign:
-            raise ScenarioFileError(f"{args.mask}: {field}: bus {cut(str(foreign[0]))} is not in the grid")
-        missing = sorted(buses - set(flagged))
-        if missing and field != "pmu_equipped":
-            raise ScenarioFileError(f"{args.mask}: {field}: bus {missing[0]} is missing")
+    payload, grid, mask = load_mask(args.mask, args.grid)
     true_state = _true_state(args.true_state, grid)
     label = payload.get("model", "mask")
     seeds = [args.seed_base + i for i in range(args.seeds)]
@@ -574,8 +574,8 @@ def _cmd_run(args) -> int:
         masks[model] = mask
         report["models"][model] = {
             "converged_at": trace.converged_at,
-            "scada_lost": sorted(mask.scada_lost()),
-            "pmu_lost": sorted(mask.pmu_lost()),
+            "scada_lost": sorted(mask.lost_scada),
+            "pmu_lost": sorted(mask.lost_pmu),
         }
 
     if len(masks) == 2:

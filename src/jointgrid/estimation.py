@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -89,8 +89,8 @@ class MeasurementTemplate:
     matrix ``J``, of the exact ``values`` and of the ``variances``: its noise
     variance, floored at ``SIGMA_FLOOR`` so weights stay positive.  Per entry,
     ``sigmas`` holds the noise sigma before flooring (zero allowed); ``pmu``
-    and ``bus`` name the flag that gates it (the PMU flag of that bus, else
-    its SCADA flag); ``fixes`` is the bus whose voltage it fixes: its own bus
+    and ``bus`` name the data that gates it (that bus's PMU data, else its
+    SCADA data); ``fixes`` is the bus whose voltage it fixes: its own bus
     for a voltage, the far end for a branch current.  Nothing here depends
     on the seed.
     """
@@ -104,13 +104,11 @@ class MeasurementTemplate:
     fixes: np.ndarray
 
     def kept(self, mask: AvailabilityMask) -> np.ndarray:
-        """One boolean per row: whether its entry's gating flag is set under
-        ``mask``."""
-        delivered = [
-            (mask.pmu if pmu else mask.scada).get(bus, False)
-            for pmu, bus in zip(self.pmu.tolist(), self.bus.tolist())
-        ]
-        return np.repeat(np.array(delivered, dtype=bool), 2)
+        """One boolean per row: whether ``mask`` delivers its entry's gating
+        kind of data at its entry's bus."""
+        scada, pmu = mask.delivered()
+        kept = [bus in (pmu if gate else scada) for gate, bus in zip(self.pmu.tolist(), self.bus.tolist())]
+        return np.repeat(np.array(kept, dtype=bool), 2)
 
 
 def _incident_branches(grid: Grid) -> Dict[int, List[int]]:
@@ -143,9 +141,10 @@ def measurement_template(
         k, (got, want) = next((k, pair) for k, pair in pairs if pair[0] != pair[1])
         raise EstimationError(f"true state buses differ from the grid's at position {k}: {got}, not {want}")
     incident = _incident_branches(grid)
-    entries = [(False, bus, bus, -1) for bus in buses if mask.scada.get(bus, False)]
+    scada, pmu = mask.delivered()
+    entries = [(False, bus, bus, -1) for bus in buses if bus in scada]
     for bus in buses:
-        if mask.pmu.get(bus, False):
+        if bus in pmu:
             entries.append((True, bus, bus, -1))
             for index in incident.get(bus, []):
                 branch = grid.branches[index]
@@ -305,6 +304,16 @@ def solve(
     return system, solution, chi2
 
 
+def mask_union(masks: Collection[AvailabilityMask]) -> AvailabilityMask:
+    """The mask that delivers each kind of data at a bus exactly when some
+    mask of ``masks`` does.  Its lost sets are the intersections of theirs
+    only when every mask has the same buses and PMU-equipped set."""
+    buses = frozenset().union(*(mask.buses for mask in masks))
+    equipped = frozenset().union(*(mask.pmu_equipped for mask in masks))
+    scada, pmu = zip(*(mask.delivered() for mask in masks))
+    return AvailabilityMask(buses, equipped, buses.difference(*scada), equipped.difference(*pmu))
+
+
 def compare_models(
     grid: Grid,
     masks: Dict[str, AvailabilityMask],
@@ -325,12 +334,7 @@ def compare_models(
     models = sorted(masks)
     bus_ids = grid.bus_ids
     seeds = list(seeds)
-    union = AvailabilityMask(
-        scada={b: any(masks[m].scada.get(b, False) for m in models) for b in bus_ids},
-        pmu={b: any(masks[m].pmu.get(b, False) for m in models) for b in bus_ids},
-        pmu_equipped=frozenset().union(*(masks[m].pmu_equipped for m in models)),
-    )
-    template = measurement_template(true_state, grid, union)
+    template = measurement_template(true_state, grid, mask_union(masks.values()))
     observed = observations(template, seeds)
 
     true_complex = true_state.as_complex()

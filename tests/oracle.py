@@ -37,7 +37,8 @@ traces:
   ``LEVELS`` cascade;
 - ``rule_of``, ``paths_of`` and ``columns``, lookups for an entity's
   cascade rule, a substation's data-path rules and the entity columns of
-  state arrays.
+  state arrays;
+- ``mask_of``, an availability mask built from flag maps.
 """
 
 import weakref
@@ -46,7 +47,7 @@ from functools import reduce
 
 import numpy as np
 
-from jointgrid.cascade import CascadeTrace, _programs
+from jointgrid.cascade import AvailabilityMask, CascadeTrace, _programs
 from jointgrid.entities import EntityId, gw_pmu, gw_scada
 from jointgrid.idr import IIM, MIIM, OP_MAX_OR, OP_MIN_AND, OP_NEW_XOR, Op, format_idr
 from jointgrid.network import RuleSet
@@ -354,3 +355,12 @@ def registry_payload(network):
     entity named by ``str``: ``json.dumps(..., indent=2, sort_keys=True)`` of
     it, indented one level deeper, is the registry's text in the file."""
     return {str(entity): meta_payload(meta) for entity, meta in network.registry.items()}
+
+
+def mask_of(scada, pmu, pmu_equipped=()):
+    """The mask whose flag maps are ``scada`` and ``pmu``: ``scada``'s keys
+    are its buses, and a bus counts as PMU-equipped when it is in
+    ``pmu_equipped`` or ``pmu`` flags it, so the PMU data it is flagged to
+    deliver is delivered."""
+    equipped = frozenset(pmu_equipped).union(bus for bus, ok in pmu.items() if ok)
+    return AvailabilityMask.from_flags(scada, pmu, equipped)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import special
 
-from oracle import arrays, free_entities, named_steps, rule_of
+from oracle import arrays, free_entities, mask_of, named_steps, rule_of
 from wls_reference import admittance_from_branch, branch_current_rows, wls_solve
 from jointgrid import entities as ent
 from jointgrid.cascade import (
@@ -159,9 +159,7 @@ def test_criterion_6_current_block_oracle():
 
 
 def test_criterion_7_wls_correctness(ieee14_grid):
-    from jointgrid.cascade import AvailabilityMask
-
-    mask = AvailabilityMask(
+    mask = mask_of(
         scada={b: True for b in ieee14_grid.bus_ids},
         pmu={b: b in {2, 13, 10} for b in ieee14_grid.bus_ids},
         pmu_equipped=frozenset({2, 13, 10}),

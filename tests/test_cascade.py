@@ -3,10 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from oracle import arrays, binary_cascade, columns, evaluate, named_steps, paths_of, read, to_binary
+from oracle import arrays, binary_cascade, columns, evaluate, mask_of, named_steps, paths_of, read, to_binary
 from jointgrid import entities as ent, ternary
 from jointgrid.cascade import (
-    AvailabilityMask,
     FailureScenario,
     FootprintDiff,
     ScenarioError,
@@ -319,13 +318,13 @@ def test_footprint_diff_bus_set_mismatch(ieee14_grid, ieee14, ieee118, attack):
     masks are compared by their buses, whichever program made them."""
     from jointgrid.synthesis import build_joint_network
 
-    mask_a = AvailabilityMask({1: True}, {1: False})
-    mask_b = AvailabilityMask({2: True}, {2: False})
+    mask_a = mask_of({1: True}, {1: False})
+    mask_b = mask_of({2: True}, {2: False})
     with pytest.raises(ValueError, match="different bus sets"):
         footprint_diff(mask_a, mask_b)
     rule_set = ieee14.rule_set(MIIM, 1)
     mask = data_availability(run_cascade(ieee14, rule_set, attack), ieee14, rule_set)
-    fewer = AvailabilityMask({bus: ok for bus, ok in mask.scada.items() if bus != 14}, mask.pmu, mask.pmu_equipped)
+    fewer = mask_of({bus: ok for bus, ok in mask.scada.items() if bus != 14}, mask.pmu, mask.pmu_equipped)
     unread = data_availability(run_cascade(ieee14, rule_set, attack), ieee14, rule_set)
     for pair in ((mask, fewer), (fewer, mask), (unread, fewer), (fewer, unread)):
         with pytest.raises(ValueError, match="different bus sets"):
@@ -343,21 +342,22 @@ def test_footprint_diff_bus_set_mismatch(ieee14_grid, ieee14, ieee118, attack):
 
 def test_masks_and_traces_are_read_only(ieee14, attack):
     """A mask's flag maps and a trace's fixpoint and lowered slots cannot be
-    written, so neither a mask's recorded lost sets nor the next mask of a
-    shared trace can go stale.  A mask given a new flag map keeps a
-    read-only copy and scans its lost sets from it."""
+    written, so neither a mask's lost sets nor the next mask of a shared
+    trace can go stale.  A mask built from flag maps does not follow later
+    edits to them, and a mask given a new flag map of either kind scans
+    that kind's lost set from it."""
     rule_set = ieee14.rule_set(MIIM, 1)
     trace = run_cascade(ieee14, rule_set, attack)
     mask = data_availability(trace, ieee14, rule_set)
     flags = {bus: False for bus in mask.scada}
-    built = AvailabilityMask(flags, flags, frozenset(flags))
+    built = mask_of(flags, flags, frozenset(flags))
     for target in (mask.scada, mask.pmu, built.scada, trace.fixpoint):
         with pytest.raises(TypeError):
             target[12] = True
     for edit in (lambda: trace.lowered.add(0), lambda: trace.lowered.clear()):
         with pytest.raises(AttributeError):
             edit()
-    for unread in (mask, built):  # a mask makes only its two flag maps on first read
+    for unread in (mask, built):  # a mask has its four fields, and no other attribute
         with pytest.raises(AttributeError, match="'AvailabilityMask' object has no attribute 'flags'"):
             unread.flags
     flags[12] = True
@@ -365,6 +365,8 @@ def test_masks_and_traces_are_read_only(ieee14, attack):
     assert mask.scada_lost() == {12}
     mask.scada = flags
     assert mask.scada_lost() == set(flags) - {12}
+    mask.pmu = flags
+    assert mask.pmu_lost() == mask.pmu_equipped - {12} and mask.pmu_lost()
     with pytest.raises(TypeError):
         mask.scada[12] = False
 
@@ -410,13 +412,14 @@ def test_compiled_availability_matches_interpreter(request, network_name, seed):
                     (sub_id, kind): value >= 1 for (sub_id, kind, _, _), value in zip(paths, oracle)
                 }
                 mask = data_availability(final, network, rule_set)
+                scada, pmu = mask.scada, mask.pmu  # each read derives a map
                 for sub in network.substations:
                     pmu_ok = sub.has_pmu and delivered.get((sub.id, "pmu"), False)
                     for bus in sub.buses:
-                        assert mask.scada[bus] == delivered[sub.id, "scada"]
-                        assert mask.pmu[bus] == pmu_ok
+                        assert scada[bus] == delivered[sub.id, "scada"]
+                        assert pmu[bus] == pmu_ok
                         assert (bus in mask.pmu_equipped) == sub.has_pmu
-                assert set(mask.scada) == set(network.grid.bus_ids)
+                assert set(scada) == set(network.grid.bus_ids)
                 lossy += bool(mask.scada_lost() or mask.pmu_lost())
     assert lossy > 0
 
@@ -539,21 +542,22 @@ def _dense_masks(network, rule_set, finals):
             for bus in sub.buses:
                 scada[bus], pmu[bus] = scada_k, pmu_k
     equipped = frozenset(bus for sub in network.substations if sub.has_pmu for bus in sub.buses)
-    return [AvailabilityMask(scada, pmu, equipped) for scada, pmu in masks]
+    return [mask_of(scada, pmu, equipped) for scada, pmu in masks]
 
 
 def test_incremental_availability_matches_dense_masks(ieee14):
     """``data_availability`` evaluates only the expressions that read a
     lowered slot; under every 14-bus single-entity failure and all four rule
     sets its mask equals the dense one, bus order included, and the lost
-    sets it recorded are those a scan of its flags finds.
+    sets it holds are those a scan of its flags finds.
 
-    A mask makes its flag maps when first read.  Before that its lost sets
+    A mask is its lost sets and holds no per-instance dict.  Its lost sets
     are the dense ones, and ``footprint_diff`` of a kill set's two models'
-    masks reads no map and equals that of map-built copies.  A copy by
-    ``dataclasses.replace`` equals the dense mask.  Once read, a map is the
+    masks equals that of map-built copies.  A copy by
+    ``dataclasses.replace`` equals the dense mask.  A flag map is the
     full-operation map with the buses the mask lost beyond it set false, in
-    the same key order, and is that map itself when there are none."""
+    the same key order, and a lost set that gained no bus is the
+    full-operation mask's own."""
     import dataclasses
 
     lossy = 0
@@ -572,8 +576,8 @@ def test_incremental_availability_matches_dense_masks(ieee14):
             for mask, dense in zip(pair, dense_pair):
                 assert (mask.scada_lost(), mask.pmu_lost()) == (dense.scada_lost(), dense.pmu_lost())
             diff = footprint_diff(*pair)
-            assert not any({"scada", "pmu"} & vars(mask).keys() for mask in pair)
-            copies = [AvailabilityMask(dict(m.scada), dict(m.pmu), m.pmu_equipped) for m in pair]
+            assert not any(hasattr(mask, "__dict__") for mask in pair)
+            copies = [mask_of(dict(m.scada), dict(m.pmu), m.pmu_equipped) for m in pair]
             assert footprint_diff(*copies) == diff
         for model in MODELS:
             for mask, dense in zip(masks[model], denses[model]):
@@ -582,7 +586,7 @@ def test_incremental_availability_matches_dense_masks(ieee14):
                     flags = getattr(full[model], kind)
                     cleared = lost - {bus for bus, ok in flags.items() if not ok}
                     assert list(getattr(mask, kind).items()) == list({**flags, **dict.fromkeys(cleared, False)}.items())
-                    assert cleared or getattr(mask, kind) is flags
+                    assert cleared or getattr(mask, f"lost_{kind}") is getattr(full[model], f"lost_{kind}")
                 assert mask == dense
                 assert list(mask.scada) == list(dense.scada) == list(mask.pmu)
                 assert mask.scada_lost() == {bus for bus, ok in mask.scada.items() if not ok}

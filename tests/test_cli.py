@@ -713,6 +713,9 @@ def rekey(flags, old, new):
         ("not valid JSON", [], lambda m: json.dumps(m)[:-1]),
         ("bus 5", [], lambda m: json.dumps(
             {**m, "scada": {k: v for k, v in m["scada"].items() if k != "5"}})),
+        # Checked on the file's own pmu map, not on one derived from the scada map's buses.
+        ("pmu: bus 5 is missing", [], lambda m: json.dumps(
+            {**m, "pmu": {k: v for k, v in m["pmu"].items() if k != "5"}})),
         ("bus 99", [], lambda m: json.dumps({**m, "pmu": {**m["pmu"], "99": False}})),
         ("bus 99", [], lambda m: json.dumps({**m, "pmu_equipped": [99]})),
         ("pmu_equipped must be a list", [], lambda m: json.dumps({**m, "pmu_equipped": "2"})),
@@ -736,7 +739,7 @@ def rekey(flags, old, new):
             '"scada": {', '"scada": {"5": false, ')),
     ],
     ids=["seeds_zero", "seeds_negative", "seeds_above_bound", "seed_base_negative", "no_grid", "array",
-         "scada_key", "not_json", "missing_bus", "unknown_bus", "unknown_equipped_bus",
+         "scada_key", "not_json", "missing_bus", "pmu_missing_bus", "unknown_bus", "unknown_equipped_bus",
          "equipped_string", "int_5000_digits", "grid_nul", "grid_directory", "model_list", "model_object",
          "scada_not_object", "pmu_not_equipped", "scada_key_collision", "scada_key_space",
          "pmu_key_plus", "scada_key_underscore", "scada_repeated_key"],

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracle import mask_of
 from test_synthesis import random_connected_grid
 from wls_reference import (
     UnobservableError,
@@ -18,7 +19,7 @@ from wls_reference import (
     wls_solve,
 )
 from jointgrid import estimation
-from jointgrid.cascade import AvailabilityMask, FailureScenario, data_availability, run_cascade
+from jointgrid.cascade import FailureScenario, data_availability, run_cascade
 from jointgrid.entities import parse_entity_id
 from jointgrid.estimation import (
     PMU_SIGMA,
@@ -37,7 +38,7 @@ from jointgrid.idr import IIM, MIIM
 
 
 def full_mask(grid, pmu_buses=()):
-    return AvailabilityMask(
+    return mask_of(
         scada={b: True for b in grid.bus_ids},
         pmu={b: b in pmu_buses for b in grid.bus_ids},
         pmu_equipped=frozenset(pmu_buses),
@@ -49,7 +50,7 @@ def two_bus_grid():
 
 
 def scada_at(grid, buses):
-    return AvailabilityMask(
+    return mask_of(
         scada={b: b in buses for b in grid.bus_ids}, pmu=dict.fromkeys(grid.bus_ids, False)
     )
 
@@ -137,7 +138,7 @@ def test_rows_match_complex_oracle_randomized():
 
 
 def test_all_false_mask_empty_set(ieee14_grid):
-    mask = AvailabilityMask(
+    mask = mask_of(
         scada={b: False for b in ieee14_grid.bus_ids},
         pmu={b: False for b in ieee14_grid.bus_ids},
     )
@@ -163,7 +164,7 @@ def test_noise_sigma_statistics():
     (``test_observations_match_per_seed_noise``)."""
     grid = two_bus_grid()
     true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 1.0 + 0.0j])
-    mask = AvailabilityMask(scada={1: True, 2: False}, pmu={1: False, 2: False})
+    mask = mask_of(scada={1: True, 2: False}, pmu={1: False, 2: False})
     template = measurement_template(true_state, grid, mask)
     z = estimation.observations(template, range(50_000))
     deviations = np.empty(100_000)
@@ -202,7 +203,7 @@ def test_single_voltage_row_is_identity_block():
     grid = Grid("one", [Bus(1)], [Branch(1, 1, 0, 1, 0, 1, False)])
     grid.branches.clear()
     true_state = StateVector.from_complex([1], [1.0 + 0.1j])
-    mask = AvailabilityMask(scada={1: False}, pmu={1: True})
+    mask = mask_of(scada={1: False}, pmu={1: True})
     template = measurement_template(true_state, grid, mask)
     assert template.J.shape == (2, 2)
     assert np.allclose(template.J, np.eye(2))
@@ -213,7 +214,7 @@ def test_current_rows_placed_in_endpoint_columns():
     grid = two_bus_grid()
     adm = admittance_from_branch(0.0, 1.0, 0.0)
     true_state = StateVector.from_complex([1, 2], [1.0 + 0.0j, 0.9 + 0.1j])
-    mask = AvailabilityMask(scada={1: False, 2: False}, pmu={1: True, 2: False})
+    mask = mask_of(scada={1: False, 2: False}, pmu={1: True, 2: False})
     template = measurement_template(true_state, grid, mask)
     rows = branch_current_rows(adm)
     J = template.J[2:4]  # the current entry follows bus 1's PMU voltage
@@ -412,9 +413,10 @@ def scenario_masks_118(ieee118, fixtures_dir):
 
 
 def union_mask(grid, masks):
-    return AvailabilityMask(
-        scada={b: any(m.scada.get(b, False) for m in masks.values()) for b in grid.bus_ids},
-        pmu={b: any(m.pmu.get(b, False) for m in masks.values()) for b in grid.bus_ids},
+    maps = [(m.scada, m.pmu) for m in masks.values()]  # each read derives a map
+    return mask_of(
+        scada={b: any(scada.get(b, False) for scada, _ in maps) for b in grid.bus_ids},
+        pmu={b: any(pmu.get(b, False) for _, pmu in maps) for b in grid.bus_ids},
     )
 
 
@@ -449,15 +451,51 @@ def check_against_per_seed(grid, masks, true_state, seeds):
     return result
 
 
-def test_batched_comparison_matches_per_seed_14(ieee14_grid):
-    masks = {
-        "full": full_mask(ieee14_grid, pmu_buses={2, 10, 13}),
-        "degraded": AvailabilityMask(
-            scada={b: b not in (4, 9) for b in ieee14_grid.bus_ids},
-            pmu={b: b in (2, 13) for b in ieee14_grid.bus_ids},
+def masks_14(grid):
+    return {
+        "full": full_mask(grid, pmu_buses={2, 10, 13}),
+        "degraded": mask_of(
+            scada={b: b not in (4, 9) for b in grid.bus_ids},
+            pmu={b: b in (2, 13) for b in grid.bus_ids},
         ),
     }
-    check_against_per_seed(ieee14_grid, masks, default_true_state(ieee14_grid), range(20))
+
+
+def split_equipment_pair(grid):
+    """Two masks with SCADA everywhere whose PMU-equipped sets differ: bus 2
+    is equipped only in ``a`` and lost there, bus 13 only in ``b`` and
+    delivered there, and bus 10, equipped in both, is lost only in ``b``.
+    The union loses PMU data at bus 2 alone, which the intersection of the
+    two PMU lost sets, {2} and {10}, does not hold."""
+    scada = dict.fromkeys(grid.bus_ids, True)
+    return {
+        "a": mask_of(scada, {b: b == 10 for b in grid.bus_ids}, pmu_equipped={2, 10}),
+        "b": mask_of(scada, {b: b == 13 for b in grid.bus_ids}, pmu_equipped={10, 13}),
+    }
+
+
+def test_batched_comparison_matches_per_seed_14(ieee14_grid):
+    check_against_per_seed(ieee14_grid, masks_14(ieee14_grid), default_true_state(ieee14_grid), range(20))
+    check_against_per_seed(ieee14_grid, split_equipment_pair(ieee14_grid), default_true_state(ieee14_grid), range(5))
+
+
+def test_mask_union_delivers_what_some_mask_delivers(ieee14_grid, ieee118_grid, scenario_masks_118):
+    """Oracle for ``estimation.mask_union``: on every mask group these tests
+    build, it delivers each kind of data at exactly the buses where
+    ``union_mask``, the union of flag maps, does.  The random grids'
+    narrower masks have PMU-equipped sets that differ."""
+    bus_ids = ieee14_grid.bus_ids
+    dark = {"dark": mask_of(dict.fromkeys(bus_ids, False), dict.fromkeys(bus_ids, False))}
+    cases = [(ieee14_grid, masks) for masks in (masks_14(ieee14_grid), split_equipment_pair(ieee14_grid), dark)]
+    cases += [(ieee118_grid, masks) for masks in scenario_masks_118.values()]
+    for seed in (3, 17, 29):
+        grid, _, full, narrower = random_grid_case(seed)
+        assert narrower["a"].pmu_equipped != narrower["b"].pmu_equipped
+        cases += [(grid, narrower), (grid, {**narrower, "full": full})]
+    for grid, masks in cases:
+        union, reference = estimation.mask_union(masks.values()), union_mask(grid, masks)
+        assert (union.scada, union.pmu) == (reference.scada, reference.pmu)
+    assert estimation.mask_union(split_equipment_pair(ieee14_grid).values()).lost_pmu == {2}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS_118)
@@ -472,7 +510,7 @@ def test_batched_comparison_matches_per_seed_118(ieee118_grid, scenario_masks_11
 def test_batched_comparison_matches_per_seed_with_no_measurement(ieee14_grid):
     """A mask that delivers nothing anchors every bus, on both paths."""
     bus_ids = ieee14_grid.bus_ids
-    dark = AvailabilityMask(scada=dict.fromkeys(bus_ids, False), pmu=dict.fromkeys(bus_ids, False))
+    dark = mask_of(scada=dict.fromkeys(bus_ids, False), pmu=dict.fromkeys(bus_ids, False))
     result = check_against_per_seed(ieee14_grid, {"dark": dark}, default_true_state(ieee14_grid), range(5))
     assert result.anchored["dark"] == set(bus_ids)
     assert result.rows["dark"] == 2 * len(bus_ids)
@@ -516,6 +554,7 @@ def reference_draws(true_state, grid, mask, seed, scada_sigma=SCADA_SIGMA, pmu_s
     rng = np.random.default_rng(seed)
     col = {bus: 2 * i for i, bus in enumerate(grid.bus_ids)}
     entries = []
+    scada_ok, pmu_ok = mask.scada, mask.pmu  # each read derives a map
 
     def noisy(pmu, bus, fixed, blocks, value, sigma):
         noise = rng.normal(0.0, sigma, size=2)
@@ -526,11 +565,11 @@ def reference_draws(true_state, grid, mask, seed, scada_sigma=SCADA_SIGMA, pmu_s
         entries.append((rows, z, max(sigma, SIGMA_FLOOR) ** 2, (pmu, bus), fixed))
 
     for bus in sorted(true_state.bus_ids):
-        if mask.scada.get(bus, False):
+        if scada_ok.get(bus, False):
             v = voltage(true_state, bus)
             noisy(False, bus, bus, [(bus, np.eye(2))], v, scada_sigma * abs(v))
     for bus in sorted(true_state.bus_ids):
-        if not mask.pmu.get(bus, False):
+        if not pmu_ok.get(bus, False):
             continue
         v = voltage(true_state, bus)
         noisy(True, bus, bus, [(bus, np.eye(2))], v, pmu_sigma * abs(v))
@@ -567,7 +606,8 @@ def test_template_matches_per_entry_draws(ieee14_grid, ieee118_grid, scenario_ma
             assert template.fixes.tolist() == list(fixes)
         # A narrower mask keeps exactly the entries whose gating flag it sets.
         for narrow in narrower.values():
-            delivered = [(narrow.pmu if pmu else narrow.scada).get(bus, False) for pmu, bus in gates]
+            flags = {False: narrow.scada, True: narrow.pmu}
+            delivered = [flags[pmu].get(bus, False) for pmu, bus in gates]
             assert np.array_equal(template.kept(narrow), np.repeat(delivered, 2))
 
 
@@ -587,7 +627,7 @@ def random_grid_case(seed):
     true_state = StateVector.from_complex(grid.bus_ids, voltages)
     pmu_buses = set(rng.sample(grid.bus_ids, 4)) | {first.from_bus}
     narrower = {
-        name: AvailabilityMask(
+        name: mask_of(
             scada={b: rng.random() < 0.7 for b in grid.bus_ids},
             pmu={b: b in pmu_buses and rng.random() < 0.6 for b in grid.bus_ids},
         )
@@ -612,7 +652,8 @@ def check_template_against_draws(grid, true_state, mask, narrower):
         assert list(zip(template.pmu.tolist(), template.bus.tolist())) == list(gates)
         assert template.fixes.tolist() == list(fixes)
     for narrow in narrower.values():
-        delivered = [(narrow.pmu if pmu else narrow.scada).get(bus, False) for pmu, bus in gates]
+        flags = {False: narrow.scada, True: narrow.pmu}
+        delivered = [flags[pmu].get(bus, False) for pmu, bus in gates]
         assert np.array_equal(template.kept(narrow), np.repeat(delivered, 2))
     return template
 
@@ -675,7 +716,7 @@ def test_chi_square_of_a_square_system_is_the_explicit_residual(ieee14_grid):
     """A mask that delivers nothing leaves one anchor row per state
     component; ``lstsq`` returns no residuals, so the explicit form is used."""
     bus_ids = ieee14_grid.bus_ids
-    dark = AvailabilityMask(scada=dict.fromkeys(bus_ids, False), pmu=dict.fromkeys(bus_ids, False))
+    dark = mask_of(scada=dict.fromkeys(bus_ids, False), pmu=dict.fromkeys(bus_ids, False))
     template = measurement_template(default_true_state(ieee14_grid), ieee14_grid, full_mask(ieee14_grid, {2}))
     observed = estimation.observations(template, range(4))
     kept = template.kept(dark)

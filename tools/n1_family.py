@@ -50,7 +50,7 @@ def family(network) -> tuple:
             diff = footprint_diff(*masks)
             violations += bool(diff.scada_only_a or diff.pmu_only_a)
             strict += bool(diff.scada_only_b or diff.pmu_only_b)
-            losses.update((case, mask.scada_lost(), mask.pmu_lost()) for mask in masks)
+            losses.update((case, mask.lost_scada, mask.lost_pmu) for mask in masks)
     return violations, strict, losses
 
 

@@ -16,10 +16,13 @@ in how many pairs the change read better (ties count for neither side).  A gain 
 at least nine pairs of ten and the medians differ by more than the
 distance between the parent's quartiles.  The last column tells whether
 the change's median is worse than the parent's by more than the metric's
-`bound` in `BENCHMARK.json`, as a fraction of the parent's median.  Runs
-whose outputs failed their checks are counted under each table.  The exit
-code is 1 if, on any workload, a metric is worse than its bound or a run
-failed its checks, and 0 otherwise.
+`bound` in `BENCHMARK.json`, as a fraction of the parent's median.  Under
+the table go each side's medians of the raw (unscaled) op time and of the
+gauge that scales it, from each run's `{"info": ...}` line, so that a
+scaled metric that moved with the gauge alone can be told from one that
+moved with the work.  Runs whose outputs failed their checks are counted
+under each table.  The exit code is 1 if, on any workload, a metric is
+worse than its bound or a run failed its checks, and 0 otherwise.
 
 Every run gets `PYTHONPYCACHEPREFIX` set to a fresh empty directory,
 removed after the run, so no run reads bytecode that an earlier process
@@ -42,6 +45,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+INFO_KEYS = ("raw_op_p50_s", "gauge_p50_s")
+
 
 def benchmark_files(checkout: Path) -> dict:
     """The bytes of ``BENCHMARK.json`` and of each file in ``perfbench/``."""
@@ -49,15 +54,17 @@ def benchmark_files(checkout: Path) -> dict:
     return {path.relative_to(checkout): path.read_bytes() for path in paths}
 
 
-def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in ``checkout``."""
+def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> tuple:
+    """The result line of one benchmark run in ``checkout``, and the
+    ``info`` object of the line before it."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
         env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
         done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    info, result = done.stdout.strip().splitlines()[-2:]
+    return json.loads(result), json.loads(info)["info"]
 
 
 def quartiles(values: list) -> tuple:
@@ -102,11 +109,12 @@ def report(metrics: list, parent_runs: list, change_runs: list) -> tuple:
 def compare(parent: Path, change: Path, benchmark: dict, workload: str, pairs: int, seed: int) -> bool:
     """Run ``pairs`` alternating pairs of ``workload`` and print its table;
     whether a metric is worse than its bound or a run failed its checks."""
-    runs = {parent: [], change: []}
+    runs, infos = {parent: [], change: []}, {parent: [], change: []}
     for index in range(pairs):
         for checkout in (parent, change) if index % 2 == 0 else (change, parent):
-            result = run_once(checkout, benchmark["command"], workload, seed + index, benchmark["run_seconds"])
+            result, info = run_once(checkout, benchmark["command"], workload, seed + index, benchmark["run_seconds"])
             runs[checkout].append(result)
+            infos[checkout].append(info)
             side = "parent" if checkout == parent else "change"
             p50 = result["metrics"]["op_p50_s"]["value"]
             print(f"{workload} pair {index + 1}/{pairs} seed {seed + index} {side}: op_p50_s {p50:.6g}",
@@ -115,6 +123,9 @@ def compare(parent: Path, change: Path, benchmark: dict, workload: str, pairs: i
     print(f"{workload}: {pairs} pairs of {benchmark['run_seconds']} s runs, seeds {seed}-{seed + pairs - 1}")
     lines, worse = report(benchmark["end_to_end"], runs[parent], runs[change])
     print("\n".join(lines))
+    for key in INFO_KEYS:
+        medians = [statistics.median(info[key] for info in infos[checkout]) for checkout in (parent, change)]
+        print(f"{key} median (info): parent {medians[0]:.6g}, change {medians[1]:.6g}")
     failed = {side: sum(not run["correct"] for run in runs[checkout])
               for side, checkout in (("parent", parent), ("change", change))}
     print(f"runs with failed checks: parent {failed['parent']}, change {failed['change']}")
